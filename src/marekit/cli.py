@@ -189,12 +189,23 @@ def _cmd_classify(ns) -> CommandOutcome:
     return CommandOutcome(0, dumps_report(report))
 
 
+def _check_limits(ns) -> None:
+    """Reject stopping limits no iteration can honor (usage error, exit 2)."""
+    if ns.tol is not None and not ns.tol >= 0:
+        raise _UsageError(f"--tol must be nonnegative, got {ns.tol}")
+    if ns.max_iter is not None and ns.max_iter < 1:
+        raise _UsageError(f"--max-iter must be at least 1, got {ns.max_iter}")
+
+
 def _cmd_solve(ns) -> CommandOutcome:
+    _check_limits(ns)
     p = _load_problem(ns.problem)
     report = _base_report()
     if ns.method == "fixed-point":
-        primal = fixed_point_solve(p, tol=ns.tol or 1e-10, max_iter=ns.max_iter or 5000)
-        dual = fixed_point_solve(p.dual(), tol=ns.tol or 1e-10, max_iter=ns.max_iter or 5000)
+        tol = 1e-10 if ns.tol is None else ns.tol
+        max_iter = 5000 if ns.max_iter is None else ns.max_iter
+        primal = fixed_point_solve(p, tol=tol, max_iter=max_iter)
+        dual = fixed_point_solve(p.dual(), tol=tol, max_iter=max_iter)
         pc = classify_problem(p)
         cert = make_certificate(p, primal.phi, dual.phi, problem_class=pc)
         _fill_classification(report, pc)
@@ -215,8 +226,8 @@ def _cmd_solve(ns) -> CommandOutcome:
         p,
         requested,
         mode=ns.method,
-        max_iter=ns.max_iter or 60,
-        stop_tol=ns.tol or 1e-14,
+        max_iter=60 if ns.max_iter is None else ns.max_iter,
+        stop_tol=1e-14 if ns.tol is None else ns.tol,
     )
     trace_path = None
     try:
@@ -270,6 +281,7 @@ def _cmd_verify(ns) -> CommandOutcome:
 
 
 def _cmd_oracle(ns) -> CommandOutcome:
+    _check_limits(ns)
     p = _load_problem(ns.problem)
     result = fixed_point_solve(p, tol=ns.tol, max_iter=ns.max_iter)
     pc = classify_problem(p)

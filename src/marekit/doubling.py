@@ -27,7 +27,11 @@ one-parameter method.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
-silently ignores a structural violation.
+silently ignores a structural violation.  Those two matrices are factored
+and classified once per iterate: the LU factors computed for the
+diagnostics of iterate k are carried in its DoublingState and reused by
+the step that produces iterate k + 1, so a step costs two factorizations
+and two classifications, both of the new iterate.
 """
 
 from __future__ import annotations
@@ -138,7 +142,13 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class DoublingState:
-    """Iterate (E, F, G, H) at step k, plus the diagnostics of this step."""
+    """Iterate (E, F, G, H) at step k, plus the diagnostics of this step.
+
+    ``factors`` carries the row-pivoted LU factors of I - G H and I - H G
+    at this iterate, as computed for the diagnostics, so that ``step``
+    does not factor them again.  A state built without them (None) is
+    still valid: ``step`` then factors the cross products itself.
+    """
 
     k: int
     E: np.ndarray
@@ -147,6 +157,7 @@ class DoublingState:
     H: np.ndarray
     diagnostics: StepDiagnostics
     tau_sign: float
+    factors: tuple[linalg.Factorization, linalg.Factorization] | None = None
 
 
 @dataclass(frozen=True)
@@ -174,16 +185,15 @@ class SolveReport:
 
 
 def _cross_products(G: np.ndarray, H: np.ndarray):
-    """Classification and factorization data for I - G H and I - H G."""
-    n = G.shape[0]
-    m = H.shape[0]
-    IGH = np.eye(n) - G @ H
-    IHG = np.eye(m) - H @ G
-    f_igh = linalg.lu_factor(IGH)
-    f_ihg = linalg.lu_factor(IHG)
-    kind_igh = mstruct.classify_zm(IGH).kind
-    kind_ihg = mstruct.classify_zm(IHG).kind
-    return IGH, IHG, f_igh, f_ihg, kind_igh, kind_ihg
+    """I - G H and I - H G."""
+    return np.eye(G.shape[0]) - G @ H, np.eye(H.shape[0]) - H @ G
+
+
+def _classified_cross_products(G: np.ndarray, H: np.ndarray):
+    """LU factors and M-matrix kinds of I - G H and I - H G."""
+    IGH, IHG = _cross_products(G, H)
+    factors = (linalg.lu_factor(IGH), linalg.lu_factor(IHG))
+    return factors, mstruct.classify_zm(IGH).kind, mstruct.classify_zm(IHG).kind
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
@@ -205,28 +215,29 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
         W = As - p.B @ Ds_inv_C
         V = Ds - p.C @ As_inv_B
         W_fact = linalg.lu_factor(W)
+        W_inv = linalg.lu_solve(W_fact, np.eye(p.m))
         E0 = np.eye(p.n) - gamma * linalg.solve_linear(V, np.eye(p.n))
-        F0 = np.eye(p.m) - gamma * linalg.lu_solve(W_fact, np.eye(p.m))
-        G0 = gamma * Ds_inv_C @ linalg.lu_solve(W_fact, np.eye(p.m))
+        F0 = np.eye(p.m) - gamma * W_inv
+        G0 = gamma * Ds_inv_C @ W_inv
         H0 = gamma * linalg.lu_solve(W_fact, p.B) @ linalg.lu_solve(Ds_fact, np.eye(p.n))
     except SingularMatrix as exc:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
 
     tau = sign_tol(p)
-    _, _, f_igh, f_ihg, kind_igh, kind_ihg = _cross_products(G0, H0)
+    factors, kind_igh, kind_ihg = _classified_cross_products(G0, H0)
     diag = StepDiagnostics(
         k=0,
         dH=math.nan,
         dG=math.nan,
-        minpivot_IGH=f_igh.smallest_pivot,
-        minpivot_IHG=f_ihg.smallest_pivot,
+        minpivot_IGH=factors[0].smallest_pivot,
+        minpivot_IHG=factors[1].smallest_pivot,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
         sign_violations_E=int((E0 > tau).sum()),
         sign_violations_F=int((F0 > tau).sum()),
         monotonicity_violations=0,
     )
-    return DoublingState(0, E0, F0, G0, H0, diag, tau)
+    return DoublingState(0, E0, F0, G0, H0, diag, tau, factors)
 
 
 def step(s: DoublingState) -> DoublingState:
@@ -240,7 +251,10 @@ def step(s: DoublingState) -> DoublingState:
     regimes (e.g. a critical problem near convergence).
     """
     E, F, G, H = s.E, s.F, s.G, s.H
-    _, _, f_igh, f_ihg, _, _ = _cross_products(G, H)
+    if s.factors is None:
+        f_igh, f_ihg = (linalg.lu_factor(X) for X in _cross_products(G, H))
+    else:
+        f_igh, f_ihg = s.factors
     if f_igh.singular or f_ihg.singular:
         raise IterationBreakdown(
             f"I - G H or I - H G singular to tolerance at step {s.k} "
@@ -267,21 +281,21 @@ def step(s: DoublingState) -> DoublingState:
         F_new = F_new / theta
 
     tau = s.tau_sign
-    _, _, f_igh_n, f_ihg_n, kind_igh, kind_ihg = _cross_products(G_new, H_new)
+    factors, kind_igh, kind_ihg = _classified_cross_products(G_new, H_new)
     mono = int((H_new < H - tau).sum()) + int((G_new < G - tau).sum())
     diag = StepDiagnostics(
         k=s.k + 1,
         dH=one_norm(H_new - H),
         dG=one_norm(G_new - G),
-        minpivot_IGH=f_igh_n.smallest_pivot,
-        minpivot_IHG=f_ihg_n.smallest_pivot,
+        minpivot_IGH=factors[0].smallest_pivot,
+        minpivot_IHG=factors[1].smallest_pivot,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
         sign_violations_E=int((E_new < -tau).sum()),
         sign_violations_F=int((F_new < -tau).sum()),
         monotonicity_violations=mono,
     )
-    return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau)
+    return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau, factors)
 
 
 def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:

@@ -206,18 +206,20 @@ def _radius_bounds_by_squaring(M: np.ndarray, rel_width: float = 1e-15, max_squa
 def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify: bool = True) -> float:
     """Perron root of an entrywise-nonnegative square matrix.
 
-    Power iteration on the diagonally shifted matrix ``P + c I`` with
+    Works on the diagonally shifted matrix ``M = P + c I`` with
     ``c = 1 + max diag(P)``: for nonnegative matrices every eigenvalue
     satisfies |lam + c| <= rho + c with equality only at the Perron root,
-    so the shift makes that root strictly dominant.  Convergence is declared
-    when successive Rayleigh estimates differ by at most ``tol``.
+    so the shift makes that root strictly dominant and gives ``M`` the
+    positive diagonal the squaring bounds need.
 
-    The power estimate is only accurate to roughly its stopping tolerance,
-    which is far looser than what singular-vs-nonsingular classification
-    needs, so the result is then sharpened against a certified two-sided
-    bound from repeated squaring (accurate to a few ulps); the certificate
-    also covers the cases where the iteration stalls outright (defective
-    dominant eigenvalue).  With ``certify=False`` the raw power estimate is
+    Certified bound first, power iteration only as a fallback: with
+    ``certify=True`` the two-sided bound from repeated squaring (accurate
+    to a few ulps, also for a defective dominant eigenvalue) is computed
+    first, and its midpoint is returned when the bounds close to a relative
+    width of 1e-9.  Only when they stay loose does power iteration run;
+    it declares convergence when successive Rayleigh estimates differ by
+    at most ``tol``, and raises NoConvergence when it does not within
+    ``max_iter`` steps.  With ``certify=False`` the raw power estimate is
     returned and a stalled iteration raises NoConvergence.
     """
     A = as_square(P, "P")
@@ -226,6 +228,11 @@ def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify
     n = A.shape[0]
     c = 1.0 + float(np.diag(A).max())
     M = A + c * np.eye(n)
+
+    if certify:
+        lo, hi = _radius_bounds_by_squaring(M)
+        if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):
+            return max(0.5 * (lo + hi) - c, 0.0)
 
     x = np.full(n, 1.0 / n)
     lam = None
@@ -240,20 +247,10 @@ def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify
             break
         lam = new_lam
 
-    if not certify:
-        if not converged:
-            raise NoConvergence(f"power iteration did not meet {tol:.1e} within {max_iter} steps")
-        return max(lam - c, 0.0)
-
-    lo, hi = _radius_bounds_by_squaring(M)
-    if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):
-        return max(0.5 * (lo + hi) - c, 0.0)
-    if converged:
-        return max(lam - c, 0.0)
-    raise NoConvergence(
-        f"power iteration did not meet {tol:.1e} within {max_iter} steps "
-        "and the squaring bounds failed to tighten"
-    )
+    if not converged:
+        why = " and the squaring bounds failed to tighten" if certify else ""
+        raise NoConvergence(f"power iteration did not meet {tol:.1e} within {max_iter} steps{why}")
+    return max(lam - c, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,44 @@ class TestSolve:
         assert rep["iterations"] == 2  # best-effort report still attached
 
 
+class TestStoppingLimits:
+    """Zero values are honored, not replaced by defaults; unusable limits exit 2."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--max-iter", "0"],
+            ["solve", "--method", "sda", "--max-iter", "-1"],
+            ["solve", "--tol=-1e-12"],
+            ["solve", "--method", "fixed-point", "--max-iter", "0"],
+            ["solve", "--method", "fixed-point", "--max-iter", "-3"],
+            ["solve", "--method", "fixed-point", "--tol", "-1"],
+            ["oracle", "--max-iter", "0"],
+            ["oracle", "--max-iter", "-3"],
+            ["oracle", "--tol", "-1"],
+        ],
+    )
+    def test_unusable_limit_is_usage_error(self, problem_file, args):
+        out = execute([args[0], problem_file, *args[1:]])
+        assert out.exit_code == 2
+        assert "must be" in json.loads(out.report_json)["error"]
+
+    @pytest.mark.filterwarnings("ignore:doubling guarantees")
+    def test_zero_tol_is_honored(self, critical_file, tmp_path):
+        # stop_tol = 0 stops only once H and G stop moving; 1e-14 would
+        # accept the one-ulp creep of the stagnating critical iterates
+        trace = tmp_path / "trace.csv"
+        out = execute(["solve", critical_file, "--tol", "0", "--trace", str(trace)])
+        assert out.exit_code == 0
+        last = trace.read_text().strip().splitlines()[-1].split(",")
+        assert float(last[1]) == 0.0 and float(last[2]) == 0.0
+
+    def test_fixed_point_max_iter_is_honored(self, problem_file):
+        out = execute(["solve", problem_file, "--method", "fixed-point", "--tol", "0", "--max-iter", "1"])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json)["iterations"] == 1
+
+
 class TestVerify:
     def test_wrong_candidate_exits_one(self, problem_file, tmp_path):
         phi = _matrix_file(tmp_path, "phi.json", [[0.9]])

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from marekit import doubling, linalg, mstruct
 from marekit.doubling import (
     MODE_ADDA,
     MODE_SDA,
@@ -120,6 +122,66 @@ class TestStep:
         diag = StepDiagnostics(0, math.nan, math.nan, 0.0, 0.0, MatrixKind.SINGULAR_M, MatrixKind.SINGULAR_M, 0, 0, 0)
         with pytest.raises(IterationBreakdown):
             step(DoublingState(0, E, F, G, H, diag, 1e-12))
+
+
+class TestCarriedFactors:
+    """Each iterate's I - G H and I - H G are factored and classified once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """Live lu_factor / classify_zm call counts, plus per-phase deltas."""
+        calls = {"lu_factor": 0, "classify_zm": 0}
+        phases = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def phase(name, fn):
+            def wrapper(*args, **kwargs):
+                before = dict(calls)
+                result = fn(*args, **kwargs)
+                phases.append((name, {k: calls[k] - before[k] for k in calls}))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "lu_factor", counting("lu_factor", linalg.lu_factor))
+        monkeypatch.setattr(mstruct, "classify_zm", counting("classify_zm", mstruct.classify_zm))
+        monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
+        monkeypatch.setattr(doubling, "step", phase("step", doubling.step))
+        return phases
+
+    def test_solve_factors_and_classifies_twice_per_step(self, counts, noncritical_suite):
+        for p in noncritical_suite[:5] + [noncritical_suite[-1]]:
+            counts.clear()
+            rep = doubling.solve(p)
+            assert rep.iterations >= 1
+            assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
+            # initialize: Ds, As, W, V plus the two cross products
+            assert counts[0][1] == {"lu_factor": 6, "classify_zm": 2}
+            assert all(delta == {"lu_factor": 2, "classify_zm": 2} for _, delta in counts[1:])
+
+    def test_state_without_factors_steps_identically(self, noncritical_suite):
+        p = noncritical_suite[3]
+        carried = initialize(p, select_parameters(p))
+        bare = dataclasses.replace(carried, factors=None)
+        for _ in range(3):
+            carried, bare = step(carried), step(bare)
+            for name in "EFGH":
+                assert np.array_equal(getattr(carried, name), getattr(bare, name))
+            assert carried.diagnostics == bare.diagnostics
+            bare = dataclasses.replace(bare, factors=None)
+
+    def test_state_without_factors_factors_but_does_not_classify_old_iterate(self, counts):
+        E = F = np.array([[0.5]])
+        G = H = np.array([[0.25]])
+        diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
+        doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
+        assert counts == [("step", {"lu_factor": 4, "classify_zm": 2})]
 
 
 class TestSolve:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marekit import linalg
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
 from marekit.linalg import (
     SylvesterSolver,
@@ -144,6 +145,31 @@ class TestSpectralRadiusNonneg:
                 c0 = -np.linalg.det(P)
                 roots = np.roots([1.0, c2, c1, c0])
             assert spectral_radius_nonneg(P) == pytest.approx(max(abs(roots)), abs=1e-8)
+
+
+class TestSpectralRadiusFallback:
+    """Power iteration runs only when the squaring bounds stay loose."""
+
+    P = np.array([[0.0, 1.0], [1.0, 0.0]])  # rho = 1; shifted M has spectrum {3, 1}
+
+    @pytest.fixture()
+    def loose_bounds(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_radius_bounds_by_squaring", lambda M: (0.0, 100.0))
+
+    def test_loose_bounds_return_converged_power_estimate(self, loose_bounds):
+        assert spectral_radius_nonneg(self.P) == pytest.approx(1.0, abs=1e-9)
+
+    def test_loose_bounds_and_stalled_power_raise(self, loose_bounds):
+        with pytest.raises(NoConvergence, match="squaring bounds failed to tighten"):
+            spectral_radius_nonneg(self.P, max_iter=1)
+
+    def test_tight_bounds_ignore_max_iter(self):
+        rng = np.random.default_rng(3)
+        defective = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for P in [self.P, defective] + [rng.uniform(0.0, 1.0, (n, n)) for n in (1, 4, 9)]:
+            expected = spectral_radius_nonneg(P)
+            assert spectral_radius_nonneg(P, max_iter=0) == expected
+            assert spectral_radius_nonneg(P, tol=0.0, max_iter=1) == expected
 
 
 class TestNumericalRank:
