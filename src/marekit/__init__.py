@@ -27,12 +27,10 @@ from .errors import (
 )
 from .linalg import (
     Factorization,
-    eigenvalues,
     numerical_rank,
     solve_linear,
     spectral_radius,
     spectral_radius_nonneg,
-    sylvester_solve,
 )
 from .mstruct import (
     MatrixKind,
@@ -110,7 +108,6 @@ __all__ = [
     "ZeroEigenStructure",
     "classify_problem",
     "classify_zm",
-    "eigenvalues",
     "fixed_point_solve",
     "generate",
     "initialize",
@@ -132,7 +129,6 @@ __all__ = [
     "spectral_radius",
     "spectral_radius_nonneg",
     "step",
-    "sylvester_solve",
     "theoretical_rate",
     "trace_to_csv",
     "zero_eigen_structure",

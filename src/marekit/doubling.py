@@ -385,8 +385,8 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     """Convergence factor r(alpha, beta) from the closing matrices.
 
     The factors can have negative or complex spectra, so their spectral
-    radii come from the general shifted-QR eigenvalue routine; the
-    nonnegative power-iteration device is not valid here.
+    radii come from LAPACK's general eigenvalue routine; the certified
+    Perron root of a nonnegative matrix is not valid here.
     """
     alpha, beta = params.alpha, params.beta
     R, S = cert.R, cert.S

@@ -1,15 +1,17 @@
 """Independent fixed-point solver, used as the minimality cross-check.
 
-Splitting the equation ``X C X - X D - A X + B = 0`` as
+Splitting A and D on their diagonals, ``A = diag(a) - N_A`` and
+``D = diag(d) - N_D`` with ``N_A, N_D >= 0`` off the diagonal, turns the
+equation ``X C X - X D - A X + B = 0`` into
 
-    A X_{k+1} + X_{k+1} D = X_k C X_k + B,        X_0 = 0,
+    X_{k+1} = (X_k C X_k + B + N_A X_k + X_k N_D) / (a_i + d_j),    X_0 = 0,
 
-gives a sequence that increases entrywise from zero and stays below every
-nonnegative solution, so its limit is the minimal one.  Each step is one
-linear Sylvester solve with fixed coefficients (prefactored once).  This
-solver exists to be obviously correct, not fast: convergence is linear,
-and in the critical regime sublinear, so hitting the iteration cap there
-is expected and reported rather than raised.
+divided entrywise.  The sequence increases entrywise from zero and stays
+below every nonnegative solution, so its limit is the minimal one (Guo,
+SIAM J. Matrix Anal. Appl. 23 (2001) 225-242).  Each step is a few matrix
+products.  This solver exists to be obviously correct, not fast:
+convergence is linear, and in the critical regime sublinear, so hitting the
+iteration cap there is expected and reported rather than raised.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import sign_tol
-from .linalg import SylvesterSolver
+from .errors import SingularMatrix
+from .linalg import pivot_tol
 from .problem import MareProblem, residual_primal
 
 
@@ -39,14 +42,25 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
     report with ``converged=False`` when the cap is reached first (the best
     iterate is still attached).  Entrywise monotonicity is checked at every
     step to the problem's sign tolerance and violations are counted.
+    Raises SingularMatrix when some ``a_i + d_j`` does not exceed the pivot
+    tolerance of K, since the splitting then divides by (nearly) zero.
     """
-    solver = SylvesterSolver(p.A, p.D)
+    a, d = np.diag(p.A), np.diag(p.D)
+    denom = a[:, None] + d[None, :]
+    floor = pivot_tol(p.K)
+    if denom.min() <= floor:
+        raise SingularMatrix(
+            "diagonal splitting is singular to tolerance "
+            f"(min a_i + d_j = {denom.min():.3e} <= {floor:.3e})"
+        )
+    N_A = np.diag(a) - p.A
+    N_D = np.diag(d) - p.D
     tau = sign_tol(p)
     X = np.zeros((p.m, p.n))
     res = residual_primal(p, X)
     violations = 0
     for k in range(1, max_iter + 1):
-        X_new = solver.solve(X @ p.C @ X + p.B)
+        X_new = (X @ p.C @ X + p.B + N_A @ X + X @ N_D) / denom
         violations += int((X_new < X - tau).sum())
         X = X_new
         res = residual_primal(p, X)

@@ -1,11 +1,14 @@
 """Dense real linear-algebra kernels for the Riccati solver stack.
 
-All routines work on small dense float64 arrays (desk scale, dimensions in
-the tens).  They are pure functions of their inputs and hold no module
-state, so concurrent use is safe.  The emphasis throughout is on explicit,
-checkable tolerance semantics: every "singular or not" judgment is made
-against a scale-aware pivot threshold, because the problems this package
-targets sit deliberately on the singular/nonsingular boundary.
+All routines work on dense float64 arrays and are pure functions of their
+inputs with no module state, so concurrent use is safe.  Only the kernels
+that carry a tolerance contract numpy does not offer are written here: the
+row-pivoted LU with its pivot record, the certified Perron root of a
+nonnegative matrix, and the complete-pivot rank and kernel.  Every
+"singular or not" judgment is made against a scale-aware pivot threshold,
+because the problems this package targets sit deliberately on the
+singular/nonsingular boundary.  General eigenvalues come from LAPACK
+through ``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ def _radius_bounds_by_squaring(M: np.ndarray, rel_width: float = 1e-15, max_squa
     return lo, hi
 
 
-def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify: bool = True) -> float:
+def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000) -> float:
     """Perron root of an entrywise-nonnegative square matrix.
 
     Works on the diagonally shifted matrix ``M = P + c I`` with
@@ -212,15 +215,14 @@ def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify
     so the shift makes that root strictly dominant and gives ``M`` the
     positive diagonal the squaring bounds need.
 
-    Certified bound first, power iteration only as a fallback: with
-    ``certify=True`` the two-sided bound from repeated squaring (accurate
-    to a few ulps, also for a defective dominant eigenvalue) is computed
-    first, and its midpoint is returned when the bounds close to a relative
-    width of 1e-9.  Only when they stay loose does power iteration run;
-    it declares convergence when successive Rayleigh estimates differ by
-    at most ``tol``, and raises NoConvergence when it does not within
-    ``max_iter`` steps.  With ``certify=False`` the raw power estimate is
-    returned and a stalled iteration raises NoConvergence.
+    Certified bound first, power iteration only as a fallback: the
+    two-sided bound from repeated squaring (accurate to a few ulps, also
+    for a defective dominant eigenvalue) is computed first, and its
+    midpoint is returned when the bounds close to a relative width of
+    1e-9.  Only when they stay loose does power iteration run; it declares
+    convergence when successive Rayleigh estimates differ by at most
+    ``tol``, and raises NoConvergence when it does not within ``max_iter``
+    steps.
     """
     A = as_square(P, "P")
     if (A < 0).any():
@@ -229,10 +231,9 @@ def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify
     c = 1.0 + float(np.diag(A).max())
     M = A + c * np.eye(n)
 
-    if certify:
-        lo, hi = _radius_bounds_by_squaring(M)
-        if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):
-            return max(0.5 * (lo + hi) - c, 0.0)
+    lo, hi = _radius_bounds_by_squaring(M)
+    if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):
+        return max(0.5 * (lo + hi) - c, 0.0)
 
     x = np.full(n, 1.0 / n)
     lam = None
@@ -248,8 +249,10 @@ def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000, certify
         lam = new_lam
 
     if not converged:
-        why = " and the squaring bounds failed to tighten" if certify else ""
-        raise NoConvergence(f"power iteration did not meet {tol:.1e} within {max_iter} steps{why}")
+        raise NoConvergence(
+            f"power iteration did not meet {tol:.1e} within {max_iter} steps "
+            "and the squaring bounds failed to tighten"
+        )
     return max(lam - c, 0.0)
 
 
@@ -336,160 +339,10 @@ def kernel_vector(M, tol: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Small-scale Sylvester solve via Kronecker expansion
+# Spectral radius of a general real matrix
 # ---------------------------------------------------------------------------
-
-_SYLVESTER_CAP = 2500
-
-
-def _kron_operator(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    m = A.shape[0]
-    n = D.shape[0]
-    return np.kron(np.eye(n), A) + np.kron(D.T, np.eye(m))
-
-
-class SylvesterSolver:
-    """Prefactored operator for repeated solves of ``A X + X D = Q``.
-
-    Expands to the Kronecker system ``(I (x) A + D^T (x) I) vec(X) = vec(Q)``
-    and reuses one LU factorization across calls.  Desk-scale only
-    (``m * n <= 2500``).
-    """
-
-    def __init__(self, A, D):
-        self.A = as_square(A, "A")
-        self.D = as_square(D, "D")
-        self.m = self.A.shape[0]
-        self.n = self.D.shape[0]
-        if self.m * self.n > _SYLVESTER_CAP:
-            raise ValueError(f"Sylvester solve limited to m*n <= {_SYLVESTER_CAP}")
-        fact = lu_factor(_kron_operator(self.A, self.D))
-        if fact.singular:
-            raise SingularMatrix(
-                "Sylvester operator is singular to tolerance "
-                "(an eigenvalue of A plus an eigenvalue of D is ~0)"
-            )
-        self._fact = fact
-
-    def solve(self, Q) -> np.ndarray:
-        Qm = as_matrix(Q, "Q")
-        if Qm.shape != (self.m, self.n):
-            raise ShapeMismatch(f"Q must be {self.m}x{self.n}, got {Qm.shape}")
-        x = lu_solve(self._fact, Qm.flatten(order="F"))
-        return x.reshape((self.m, self.n), order="F")
-
-
-def sylvester_solve(A, D, Q) -> np.ndarray:
-    """Solve ``A X + X D = Q`` for X (m x n) via the Kronecker expansion."""
-    return SylvesterSolver(A, D).solve(Q)
-
-
-# ---------------------------------------------------------------------------
-# General real eigenvalues: Hessenberg reduction + shifted QR
-# ---------------------------------------------------------------------------
-
-_EIG_CAP = 50
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    H = A.astype(np.float64, copy=True)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        sigma = float(np.linalg.norm(x))
-        if sigma == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(sigma, x[0]) if x[0] != 0 else sigma
-        v /= np.linalg.norm(v)
-        H[k + 1 :, :] -= 2.0 * np.outer(v, v @ H[k + 1 :, :])
-        H[:, k + 1 :] -= 2.0 * np.outer(H[:, k + 1 :] @ v, v)
-        H[k + 2 :, k] = 0.0
-    return H
-
-
-def _qr_hessenberg_step(H: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR sweep on the active window [lo, hi]."""
-    for i in range(lo, hi + 1):
-        H[i, i] -= mu
-    rots = []
-    for i in range(lo, hi):
-        a = H[i, i]
-        b = H[i + 1, i]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            G = np.eye(2, dtype=np.complex128)
-        else:
-            G = np.array([[np.conj(a) / r, np.conj(b) / r], [-b / r, a / r]])
-        H[i : i + 2, i : hi + 1] = G @ H[i : i + 2, i : hi + 1]
-        rots.append(G)
-    for i in range(lo, hi):
-        GH = rots[i - lo].conj().T
-        H[lo : i + 2, i : i + 2] = H[lo : i + 2, i : i + 2] @ GH
-    for i in range(lo, hi + 1):
-        H[i, i] += mu
-
-
-def eigenvalues(M, max_iter_per_eig: int = 60) -> np.ndarray:
-    """All eigenvalues of a real square matrix, as a complex array.
-
-    Householder Hessenberg reduction followed by shifted QR with the
-    Wilkinson shift, run in complex arithmetic so complex-conjugate pairs
-    deflate as ordinary 1x1 blocks.  Scoped to order <= 50; accuracy for
-    defective eigenvalues is limited by their intrinsic conditioning.
-    """
-    A = as_square(M)
-    n = A.shape[0]
-    if n > _EIG_CAP:
-        raise ValueError(f"eigenvalues() limited to matrices of order <= {_EIG_CAP}")
-    if n == 1:
-        return A[0, 0].astype(np.complex128).reshape(1)
-    H = _hessenberg(A).astype(np.complex128)
-    floor = EPS * max(one_norm(A), 1.0)
-    eigs: list[complex] = []
-    p = n - 1
-    iters = 0
-    while p >= 0:
-        if p == 0:
-            eigs.append(complex(H[0, 0]))
-            break
-        for i in range(1, p + 1):
-            bound = EPS * (abs(H[i - 1, i - 1]) + abs(H[i, i]))
-            if abs(H[i, i - 1]) <= max(bound, floor):
-                H[i, i - 1] = 0.0
-        if H[p, p - 1] == 0.0:
-            eigs.append(complex(H[p, p]))
-            p -= 1
-            iters = 0
-            continue
-        if p == 1 or H[p - 1, p - 2] == 0.0:
-            a, b = H[p - 1, p - 1], H[p - 1, p]
-            c, d = H[p, p - 1], H[p, p]
-            half = 0.5 * (a + d)
-            disc = np.sqrt(complex(half * half - (a * d - b * c)))
-            eigs.extend((complex(half + disc), complex(half - disc)))
-            p -= 2
-            iters = 0
-            continue
-        lo = p - 1
-        while lo > 0 and H[lo, lo - 1] != 0.0:
-            lo -= 1
-        iters += 1
-        if iters > max_iter_per_eig:
-            raise NoConvergence("shifted QR failed to deflate an eigenvalue")
-        a, b = H[p - 1, p - 1], H[p - 1, p]
-        c, d = H[p, p - 1], H[p, p]
-        half = 0.5 * (a + d)
-        disc = np.sqrt(complex(half * half - (a * d - b * c)))
-        mu1, mu2 = half + disc, half - disc
-        mu = mu1 if abs(mu1 - d) <= abs(mu2 - d) else mu2
-        if iters % 12 == 0:
-            # stagnation: perturb with an ad-hoc real shift
-            mu = H[p, p] + 1.1371 * abs(H[p, p - 1])
-        _qr_hessenberg_step(H, lo, p, mu)
-    return np.array(eigs, dtype=np.complex128)
 
 
 def spectral_radius(M) -> float:
-    """Spectral radius of a general real matrix (shifted-QR eigenvalues)."""
-    return float(np.abs(eigenvalues(M)).max())
+    """Spectral radius of a general real matrix (LAPACK eigenvalues)."""
+    return float(np.abs(np.linalg.eigvals(as_square(M))).max())

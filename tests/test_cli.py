@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marekit.cli import dumps_report, execute
-from marekit.problem import problem_from_json, problem_to_json
+from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
 GOLDEN = (3 - 5**0.5) / 2
 
@@ -119,6 +119,9 @@ class TestSolve:
     def test_below_bound_parameters_usage_error(self, problem_file):
         out = execute(["solve", problem_file, "--alpha", "1", "--beta", "1"])
         assert out.exit_code == 2
+        out = execute(["solve", problem_file, "--alpha", "-1e3", "--beta", "1"])
+        assert out.exit_code == 2
+        assert "below the admissible bounds" in json.loads(out.report_json)["error"]
 
     def test_sda_method(self, problem_file):
         out = execute(["solve", problem_file, "--method", "sda"])
@@ -157,6 +160,8 @@ class TestStoppingLimits:
             ["oracle", "--max-iter", "0"],
             ["oracle", "--max-iter", "-3"],
             ["oracle", "--tol", "-1"],
+            ["solve", "--tol", "-1e-12"],
+            ["oracle", "--tol", "-1e-12"],
         ],
     )
     def test_unusable_limit_is_usage_error(self, problem_file, args):
@@ -223,6 +228,13 @@ class TestOracle:
         out = execute(["oracle", critical_file, "--tol", "1e-12", "--max-iter", "50"])
         assert out.exit_code == 3
 
+    def test_singular_splitting_is_breakdown(self, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(problem_to_json(MareProblem(n=1, m=1, A=[[0.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]])))
+        out = execute(["oracle", str(path)])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json)["step"] == "SingularMatrix"
+
 
 class TestGenerate:
     def test_round_trip_regime(self, tmp_path):
@@ -269,6 +281,16 @@ class TestRateStudy:
         assert check["passed"] is True
         base = rep["theoretical_rate"]
         assert all(entry["theoretical_rate"] >= base - 1e-12 for entry in rep["grid"])
+
+    def test_order_above_50(self, tmp_path):
+        path = str(tmp_path / "big.json")
+        gen = ["generate", "--regime", "nonsingular", "--n", "30", "--m", "60", "--seed", "5", "-o", path]
+        assert execute(gen).exit_code == 0
+        out = execute(["rate-study", path, "--grid", "2"])
+        assert out.exit_code == 0
+        rep = json.loads(out.report_json)
+        assert len(rep["grid"]) == 4
+        assert "flags" not in rep
 
 
 def test_dumps_report_17_digits():

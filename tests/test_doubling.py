@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marekit import doubling, linalg, mstruct
+from marekit import FamilySpec, Regime, doubling, generate, linalg, mstruct
 from marekit.doubling import (
     MODE_ADDA,
     MODE_SDA,
@@ -266,6 +266,11 @@ class TestRates:
         with pytest.raises(InsufficientTrace):
             observed_rate(rep.trace, rep.phi)
         assert rep.observed_rate is None
+
+    def test_rate_at_order_above_50(self):
+        rep = solve(generate(FamilySpec(Regime.NONSINGULAR_K, 60, 60, seed=5)))
+        assert "theoretical-rate-unavailable" not in rep.flags
+        assert 0.0 < rep.theoretical_rate < 1.0
 
     def test_critical_rate_approaches_one(self, scalar_critical):
         with warnings.catch_warnings():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from marekit import solve
+from marekit import FamilySpec, MareProblem, Regime, generate, solve
+from marekit.errors import SingularMatrix
 from marekit.fixedpoint import fixed_point_solve
 from marekit.linalg import one_norm
 from marekit.problem import residual_primal
@@ -48,3 +49,20 @@ def test_agrees_with_doubling_on_worked_problems(scalar_nonsingular, reducible_s
         assert oracle.converged
         gap = one_norm(doubled.phi - oracle.phi)
         assert gap <= 1e-8 * max(1.0, one_norm(oracle.phi))
+
+
+def test_converges_at_m_times_n_above_2500():
+    p = generate(FamilySpec(Regime.NONSINGULAR_K, 51, 51, seed=5))
+    rep = fixed_point_solve(p, tol=1e-12)
+    assert rep.converged
+    assert rep.monotonicity_violations == 0
+    gap = one_norm(solve(p).phi - rep.phi)
+    assert gap <= 1e-8 * max(1.0, one_norm(rep.phi))
+
+
+def test_zero_denominator_raises():
+    # a + d = 0 leaves the diagonal splitting nothing to divide by
+    for a, d in ((0.0, 0.0), (1.0, -1.0)):
+        p = MareProblem(n=1, m=1, A=[[a]], B=[[1.0]], C=[[1.0]], D=[[d]])
+        with pytest.raises(SingularMatrix):
+            fixed_point_solve(p)
