@@ -43,6 +43,7 @@ from .mstruct import (
     null_pair,
     regularity_witness,
     zero_eigen_structure,
+    zm_kind,
 )
 from .problem import (
     Certificate,
@@ -132,4 +133,5 @@ __all__ = [
     "theoretical_rate",
     "trace_to_csv",
     "zero_eigen_structure",
+    "zm_kind",
 ]

@@ -31,7 +31,9 @@ silently ignores a structural violation.  Those two matrices are factored
 and classified once per iterate: the LU factors computed for the
 diagnostics of iterate k are carried in its DoublingState and reused by
 the step that produces iterate k + 1, so a step costs two factorizations
-and two classifications, both of the new iterate.
+and two kind verdicts (``mstruct.zm_kind``), both of the new iterate.  The
+cross products sit far from singular in the guaranteed regimes, so each
+verdict is settled by the first Perron bounds, without a full Perron root.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _classified_cross_products(G: np.ndarray, H: np.ndarray):
     """LU factors and M-matrix kinds of I - G H and I - H G."""
     IGH, IHG = _cross_products(G, H)
     factors = (linalg.lu_factor(IGH), linalg.lu_factor(IHG))
-    return factors, mstruct.classify_zm(IGH).kind, mstruct.classify_zm(IHG).kind
+    return factors, mstruct.zm_kind(IGH), mstruct.zm_kind(IHG)
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:

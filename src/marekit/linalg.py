@@ -177,59 +177,79 @@ def solve_linear(M, rhs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _radius_bounds_by_squaring(M: np.ndarray, rel_width: float = 1e-15, max_squarings: int = 80):
-    """Two-sided bounds on rho(M) for nonnegative M with positive diagonal.
+def squaring_bounds(M: np.ndarray, max_squarings: int = 80):
+    """Yield two-sided bounds ``(lo, hi)`` on rho(M), tightening each time.
 
-    Uses repeated squaring with 1-norm rescaling.  For any k,
-    max_i (M^k)_ii <= rho(M)^k <= ||M^k||_1, and with k = 2^j both ends
-    close in geometrically in j, even for defective dominant eigenvalues.
+    M must be nonnegative with a positive diagonal.  Uses repeated squaring
+    with 1-norm rescaling.  For any k, max_i (M^k)_ii <= rho(M)^k <=
+    ||M^k||_1, and with k = 2^j both ends close in geometrically in j, even
+    for defective dominant eigenvalues.  The first pair costs no matrix
+    product and each later one a single squaring, done lazily only when
+    the consumer asks for it, so a caller that needs only to know which
+    side of a threshold rho lies on stops as soon as the bounds settle it.
     Squaring may underflow the rescaled iterate to exact zero once the
     transient (nilpotent) part dominates; the bounds reached by then are
-    already tight, so the loop just stops there.
+    already tight, so the generator just stops there.
     """
     N = M.copy()
     log_scale = 0.0  # sum of 2^{-i} log t_i accumulated so far
     weight = 1.0
-    lo = hi = None
     for _ in range(max_squarings):
         t = one_norm(N)
         if t <= 0.0:
-            break
+            return
         log_scale += weight * math.log(t)
         N = N / t
         lo = math.exp(log_scale + weight * math.log(max(np.diag(N).max(), 5e-324)))
         hi = math.exp(log_scale)  # ||N||_1 == 1 after scaling
-        if hi - lo <= rel_width * max(1.0, lo):
-            break
+        yield lo, hi
         N = N @ N
         weight *= 0.5
-    return lo, hi
 
 
-def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Perron root of an entrywise-nonnegative square matrix.
+def perron_shift(P) -> tuple[np.ndarray, float]:
+    """``(P + c I, c)`` with ``c = 1 + max diag(P)`` for nonnegative square P.
 
-    Works on the diagonally shifted matrix ``M = P + c I`` with
-    ``c = 1 + max diag(P)``: for nonnegative matrices every eigenvalue
-    satisfies |lam + c| <= rho + c with equality only at the Perron root,
-    so the shift makes that root strictly dominant and gives ``M`` the
-    positive diagonal the squaring bounds need.
-
-    Certified bound first, power iteration only as a fallback: the
-    two-sided bound from repeated squaring (accurate to a few ulps, also
-    for a defective dominant eigenvalue) is computed first, and its
-    midpoint is returned when the bounds close to a relative width of
-    1e-9.  Only when they stay loose does power iteration run; it declares
-    convergence when successive Rayleigh estimates differ by at most
-    ``tol``, and raises NoConvergence when it does not within ``max_iter``
-    steps.
+    For nonnegative matrices every eigenvalue satisfies |lam + c| <= rho + c
+    with equality only at the Perron root, so the shift makes that root
+    strictly dominant and gives the result the positive diagonal that
+    ``squaring_bounds`` needs; rho(P) = rho(P + c I) - c.
     """
     A = as_square(P, "P")
     if (A < 0).any():
         raise ValueError("P must be entrywise nonnegative")
-    n = A.shape[0]
     c = 1.0 + float(np.diag(A).max())
-    M = A + c * np.eye(n)
+    return A + c * np.eye(A.shape[0]), c
+
+
+def _radius_bounds_by_squaring(M: np.ndarray, rel_width: float = 1e-15):
+    """Last pair of ``squaring_bounds(M)``, stopping once its width is <= rel_width."""
+    lo = hi = None
+    for lo, hi in squaring_bounds(M):
+        if hi - lo <= rel_width * max(1.0, lo):
+            break
+    return lo, hi
+
+
+def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000) -> float:
+    """Perron root of an entrywise-nonnegative square matrix, to full accuracy.
+
+    Works on the diagonally shifted matrix ``M = P + c I`` of
+    ``perron_shift``.  Certified bound first, power iteration only as a
+    fallback: ``squaring_bounds(M)`` is consumed until its relative width
+    is at most 1e-15 (about 53 squarings on a typical input; accurate to a
+    few ulps, also for a defective dominant eigenvalue), and the midpoint
+    is returned when the bounds closed to a relative width of 1e-9.  Only
+    when they stay loose does power iteration run; it declares convergence
+    when successive Rayleigh estimates differ by at most ``tol``, and
+    raises NoConvergence when it does not within ``max_iter`` steps.
+
+    A caller that only needs to know on which side of a threshold the root
+    lies (as ``mstruct.zm_kind`` does) should read ``squaring_bounds``
+    directly and stop as soon as they settle it.
+    """
+    M, c = perron_shift(P)
+    n = M.shape[0]
 
     lo, hi = _radius_bounds_by_squaring(M)
     if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):

@@ -9,6 +9,14 @@ singular problem is well posed.
 All judgments are made to explicit scale-aware tolerances; the interesting
 inputs sit exactly on the singular boundary, so those tolerances are part
 of the contract, not an afterthought.
+
+Two entry points classify.  ``classify_zm`` computes the Perron root of
+the split to full accuracy and reports it with the gap; ``zm_kind``
+returns only the kind and stops reading the Perron bounds as soon as they
+settle it, which for a matrix far from singular is before the first matrix
+product.  Both give the same kind.  The phase-one simplex behind the
+regularity witness selects and eliminates with array operations; only the
+Bland tie rule among the eligible rows is a Python loop.
 """
 
 from __future__ import annotations
@@ -64,18 +72,33 @@ class MClassification:
     tol: float
 
 
-def classify_zm(M) -> MClassification:
-    """Classify a square matrix via the shift split with s = max diagonal."""
+def _zm_split(M):
+    """``(s, B, tol)`` of the split ``M = s I - B`` with s = max diagonal.
+
+    ``B`` is None when M has a positive off-diagonal entry (not a
+    Z-matrix); otherwise it is entrywise nonnegative.
+    """
     A = as_square(M)
-    n = A.shape[0]
-    off = A - np.diag(np.diag(A))
     s = float(np.diag(A).max())
     tol = class_tol(A)
-    if (off > 0.0).any():
-        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
-    B = s * np.eye(n) - A
+    if (A - np.diag(np.diag(A)) > 0.0).any():
+        return s, None, tol
+    B = s * np.eye(A.shape[0]) - A
     # rounding can leave -0.0 or eps-size negatives on the diagonal
     B[B < 0] = 0.0
+    return s, B, tol
+
+
+def classify_zm(M) -> MClassification:
+    """Classify a square matrix via the shift split with s = max diagonal.
+
+    Computes rho(B) to full accuracy, so ``rho_B`` and ``gap`` are exact to
+    the certified Perron root.  Callers that read only ``kind`` should use
+    ``zm_kind``, which usually decides from the first Perron bounds.
+    """
+    s, B, tol = _zm_split(M)
+    if B is None:
+        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
     rho = linalg.spectral_radius_nonneg(B)
     gap = s - rho
     if gap > tol:
@@ -85,6 +108,31 @@ def classify_zm(M) -> MClassification:
     else:
         kind = MatrixKind.SINGULAR_M
     return MClassification(kind, s, rho, gap, tol)
+
+
+def zm_kind(M) -> MatrixKind:
+    """``classify_zm(M).kind``, decided as soon as the Perron bounds settle it.
+
+    The squaring bounds lo <= rho(B) + c <= hi of ``linalg.squaring_bounds``
+    are read one pair at a time: once the gap s - rho(B) is certainly above
+    2 tol the matrix is a nonsingular M-matrix, once it is certainly below
+    -2 tol it is a Z-matrix that is not an M-matrix.  The factor 2 keeps a
+    margin of one tol over the rounding of the bounds, so the verdict
+    agrees with ``classify_zm``.  A matrix whose gap stays within that band
+    of zero (singular, or nearly so) gets the full ``classify_zm``.  Far
+    from singular, as the doubling cross products are, the first pair
+    decides and no matrix product is formed at all.
+    """
+    s, B, tol = _zm_split(M)
+    if B is None:
+        return MatrixKind.NOT_Z
+    P, c = linalg.perron_shift(B)
+    for lo, hi in linalg.squaring_bounds(P):
+        if s - (hi - c) > 2.0 * tol:
+            return MatrixKind.NONSINGULAR_M
+        if s - (lo - c) < -2.0 * tol:
+            return MatrixKind.Z_NOT_M
+    return classify_zm(M).kind
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +152,9 @@ def _phase_one_feasible(G: np.ndarray, h: np.ndarray, max_pivots: int = 20000):
     Returns a feasible x, or None when the artificial objective cannot be
     driven to zero.  Bland's rule is used for both the entering and the
     leaving choice, so the method terminates even on the (very degenerate)
-    feasibility problems this package produces.
+    feasibility problems this package produces.  Each pivot does the same
+    floating-point operations as a row-by-row tableau update, as array
+    operations over the affected rows.
     """
     q, r = G.shape
     n_art = int((h > 0).sum())
@@ -134,29 +184,25 @@ def _phase_one_feasible(G: np.ndarray, h: np.ndarray, max_pivots: int = 20000):
 
     tol_piv = 1e-11 * max(1.0, float(np.abs(G).max()), float(np.abs(h).max()))
     for _ in range(max_pivots):
-        enter = -1
-        for j in range(width):
-            if T[-1, j] > tol_piv:
-                enter = j
-                break
-        if enter < 0:
+        eligible = np.flatnonzero(T[-1, :width] > tol_piv)
+        if eligible.size == 0:
             break
+        enter = int(eligible[0])
+        rows = np.flatnonzero(T[:q, enter] > tol_piv)
+        ratios = T[rows, -1] / T[rows, enter]
         leave = -1
         best = math.inf
-        for i in range(q):
-            a = T[i, enter]
-            if a > tol_piv:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])):
+                best = ratio
+                leave = i
         if leave < 0:
             return None  # unbounded: cannot happen for a phase-one objective
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(q + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i, :] -= T[i, enter] * T[leave, :]
+        T[leave, :] /= T[leave, enter]
+        col = T[:, enter].copy()
+        col[leave] = 0.0
+        nz = np.flatnonzero(col)
+        T[nz] -= np.outer(col[nz], T[leave])
         basis[leave] = enter
     else:
         raise NoConvergence("phase-one simplex exceeded its pivot budget")

@@ -324,8 +324,8 @@ def make_certificate(
     )
 
     rho = linalg.spectral_radius_nonneg(phi_m @ psi_m)
-    i_phipsi = mstruct.classify_zm(np.eye(p.m) - phi_m @ psi_m)
-    i_psiphi = mstruct.classify_zm(np.eye(p.n) - psi_m @ phi_m)
+    i_phipsi_kind = mstruct.zm_kind(np.eye(p.m) - phi_m @ psi_m)
+    i_psiphi_kind = mstruct.zm_kind(np.eye(p.n) - psi_m @ phi_m)
 
     scale_r = one_norm(p.D) + one_norm(p.C) * one_norm(phi_m)
     scale_s = one_norm(p.A) + one_norm(p.B) * one_norm(psi_m)
@@ -359,7 +359,7 @@ def make_certificate(
             rho < 1.0 if rho_applicable else None,
             rho,
             1.0,
-            f"kind={i_phipsi.kind.value}",
+            f"kind={i_phipsi_kind.value}",
         )
     )
 
@@ -399,8 +399,8 @@ def make_certificate(
         rho_phi_psi=rho,
         r_singular=r_sing,
         s_singular=s_sing,
-        i_phipsi_kind=i_phipsi.kind,
-        i_psiphi_kind=i_psiphi.kind,
+        i_phipsi_kind=i_phipsi_kind,
+        i_psiphi_kind=i_psiphi_kind,
         checks=tuple(checks),
     )
 

@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marekit.errors import AmbiguousKernel, NotSingular
+from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular
 from marekit.linalg import inf_norm, spectral_radius_nonneg
 from marekit.mstruct import (
     MatrixKind,
+    _phase_one_feasible,
+    class_tol,
     classify_zm,
     is_irreducible,
     null_pair,
     null_tol,
     regularity_witness,
     zero_eigen_structure,
+    zm_kind,
 )
 
 
@@ -73,6 +78,149 @@ class TestClassify:
             c = classify_zm(M)
             B = c.s * np.eye(n) - M
             assert np.allclose(c.s * np.eye(n) - B, M, atol=4 * np.finfo(float).eps * max(1.0, c.s))
+
+
+class TestZmKind:
+    """The early-decided kind agrees with the full classification."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 8),
+        triangular=st.booleans(),
+        log_scale=st.floats(-6.0, 6.0),
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        log_shift=st.floats(math.log10(0.5), 9.0),
+    )
+    @example(seed=0, size=1, triangular=False, log_scale=0.0, sign=0.0, log_shift=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_classify_zm_near_the_singular_boundary(
+        self, seed, size, triangular, log_scale, sign, log_shift
+    ):
+        # a scaled singular M-matrix, shifted off the boundary by a multiple
+        # of its classification tolerance (0.5 tol lands inside the band)
+        K, _ = _singular_m_matrix(np.random.default_rng(seed), size)
+        if triangular:
+            K = np.triu(K)  # K stays a Z-matrix; its spectrum is its diagonal
+        K = 10.0**log_scale * K
+        M = K + sign * 10.0**log_shift * class_tol(K) * np.eye(size)
+        assert zm_kind(M) is classify_zm(M).kind
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1.0, -2.0], [0.0, 1.0]],  # defective split, rho(B) = 0
+            [[1.0, 2.0], [0.0, 1.0]],  # not a Z-matrix
+            [[0.0, 1e-300], [-1.0, 0.0]],
+            [[1.0, -3.0], [-3.0, 1.0]],
+            [[1.0, -1.0], [-1.0, 1.0]],
+            [[5.0]],
+            [[0.0]],
+            [[-1e-9]],
+            [[0.0, -1.0], [0.0, 1.0]],
+        ],
+    )
+    def test_agrees_on_fixed_inputs(self, M):
+        assert zm_kind(M) is classify_zm(M).kind
+
+    def test_agrees_on_every_acceptance_solve(self, solved_noncritical, solved_nonsingular):
+        count = 0
+        for p, rep in solved_noncritical + solved_nonsingular:
+            mats = [np.eye(p.m) - rep.phi @ rep.psi, np.eye(p.n) - rep.psi @ rep.phi]
+            for rec in rep.trace:
+                mats += [np.eye(p.n) - rec.G @ rec.H, np.eye(p.m) - rec.H @ rec.G]
+            for M in mats:
+                assert zm_kind(M) is classify_zm(M).kind, p.name
+            count += len(mats)
+        assert count > 1000
+
+
+def _phase_one_reference(G, h, max_pivots=20000):
+    """Row-by-row phase-one simplex, the reference for the array-wise one."""
+    q, r = G.shape
+    n_art = int((h > 0).sum())
+    width = r + q + n_art
+    T = np.zeros((q + 1, width + 1))
+    basis = np.zeros(q, dtype=int)
+    art_start = r + q
+    ai = 0
+    for i in range(q):
+        if h[i] > 0:
+            T[i, :r] = G[i]
+            T[i, r + i] = -1.0
+            T[i, art_start + ai] = 1.0
+            T[i, -1] = h[i]
+            basis[i] = art_start + ai
+            ai += 1
+        else:
+            T[i, :r] = -G[i]
+            T[i, r + i] = 1.0
+            T[i, -1] = -h[i]
+            basis[i] = r + i
+    for i in range(q):
+        if basis[i] >= art_start:
+            T[-1, :] += T[i, :]
+    T[-1, art_start : art_start + n_art] -= 1.0
+
+    tol_piv = 1e-11 * max(1.0, float(np.abs(G).max()), float(np.abs(h).max()))
+    for _ in range(max_pivots):
+        enter = -1
+        for j in range(width):
+            if T[-1, j] > tol_piv:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = math.inf
+        for i in range(q):
+            a = T[i, enter]
+            if a > tol_piv:
+                ratio = T[i, -1] / a
+                if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return None
+        piv = T[leave, enter]
+        T[leave, :] /= piv
+        for i in range(q + 1):
+            if i != leave and T[i, enter] != 0.0:
+                T[i, :] -= T[i, enter] * T[leave, :]
+        basis[leave] = enter
+    else:
+        raise NoConvergence("phase-one simplex exceeded its pivot budget")
+
+    if T[-1, -1] > 1e-9 * max(1.0, float(np.abs(h).sum())):
+        return None
+    x = np.zeros(width)
+    for i in range(q):
+        x[basis[i]] = T[i, -1]
+    return np.maximum(x[:r], 0.0)
+
+
+class TestPhaseOneReference:
+    """The array-wise simplex pivots exactly like the row-by-row reference."""
+
+    @staticmethod
+    def _same_outcome(M):
+        M = np.asarray(M, dtype=float)
+        h = -(M @ np.ones(M.shape[0]))
+        got, want = _phase_one_feasible(M, h), _phase_one_reference(M, h)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+        return want is not None
+
+    def test_not_regular_cases(self, not_regular_problem):
+        for M in ([[0.0, -1.0], [0.0, 1.0]], not_regular_problem.K):
+            assert not self._same_outcome(M)
+
+    def test_suite_coefficients_and_closing_matrices(self, solved_noncritical, solved_nonsingular):
+        feasible = 0
+        for p, rep in solved_noncritical + solved_nonsingular:
+            for M in (p.K, rep.certificate.R, rep.certificate.S):
+                feasible += self._same_outcome(M)
+        assert feasible > 0
 
 
 class TestRegularity:
