@@ -34,6 +34,9 @@ the step that produces iterate k + 1, so a step costs two factorizations
 and two kind verdicts (``mstruct.zm_kind``), both of the new iterate.  The
 cross products sit far from singular in the guaranteed regimes, so each
 verdict is settled by the first Perron bounds, without a full Perron root.
+The factors' pivot record decides whether a step may go on; the solves
+themselves run in LAPACK, two per step, on stacked right-hand sides:
+(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H].
 """
 
 from __future__ import annotations
@@ -146,9 +149,11 @@ class StepDiagnostics:
 class DoublingState:
     """Iterate (E, F, G, H) at step k, plus the diagnostics of this step.
 
-    ``factors`` carries the row-pivoted LU factors of I - G H and I - H G
-    at this iterate, as computed for the diagnostics, so that ``step``
-    does not factor them again.  A state built without them (None) is
+    ``factors`` carries the pivot records (``linalg.Factorization``) of
+    I - G H and I - H G at this iterate, as computed for the diagnostics,
+    so that ``step`` does not factor them again: their pivots decide
+    whether the step breaks down, and ``linalg.lu_solve`` hands the
+    matrices they hold to LAPACK.  A state built without them (None) is
     still valid: ``step`` then factors the cross products itself.
     """
 
@@ -211,17 +216,16 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     As = p.A + beta * np.eye(p.m)
     Ds = p.D + alpha * np.eye(p.n)
     try:
-        Ds_fact = linalg.lu_factor(Ds)
-        Ds_inv_C = linalg.lu_solve(Ds_fact, p.C)
+        # Ds^{-1} [C I] and W^{-1} [I B]: one solve each
+        Ds_inv_C, Ds_inv = np.hsplit(linalg.solve_linear(Ds, np.hstack([p.C, np.eye(p.n)])), [p.m])
         As_inv_B = linalg.solve_linear(As, p.B)
         W = As - p.B @ Ds_inv_C
         V = Ds - p.C @ As_inv_B
-        W_fact = linalg.lu_factor(W)
-        W_inv = linalg.lu_solve(W_fact, np.eye(p.m))
+        W_inv, W_inv_B = np.hsplit(linalg.solve_linear(W, np.hstack([np.eye(p.m), p.B])), [p.m])
         E0 = np.eye(p.n) - gamma * linalg.solve_linear(V, np.eye(p.n))
         F0 = np.eye(p.m) - gamma * W_inv
         G0 = gamma * Ds_inv_C @ W_inv
-        H0 = gamma * linalg.lu_solve(W_fact, p.B) @ linalg.lu_solve(Ds_fact, np.eye(p.n))
+        H0 = gamma * W_inv_B @ Ds_inv
     except SingularMatrix as exc:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
 
@@ -262,10 +266,9 @@ def step(s: DoublingState) -> DoublingState:
             f"I - G H or I - H G singular to tolerance at step {s.k} "
             f"(pivots {f_igh.smallest_pivot:.3e}, {f_ihg.smallest_pivot:.3e})"
         )
-    igh_inv_E = linalg.lu_solve(f_igh, E)   # (I-GH)^{-1} E
-    igh_inv_G = linalg.lu_solve(f_igh, G)
-    ihg_inv_F = linalg.lu_solve(f_ihg, F)
-    ihg_inv_H = linalg.lu_solve(f_ihg, H)
+    # (I-GH)^{-1} [E G] and (I-HG)^{-1} [F H]: one solve each
+    igh_inv_E, igh_inv_G = np.hsplit(linalg.lu_solve(f_igh, np.hstack([E, G])), [len(E)])
+    ihg_inv_F, ihg_inv_H = np.hsplit(linalg.lu_solve(f_ihg, np.hstack([F, H])), [len(F)])
     E_new = E @ igh_inv_E
     F_new = F @ ihg_inv_F
     G_new = G + E @ igh_inv_G @ F

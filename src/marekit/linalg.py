@@ -7,8 +7,9 @@ row-pivoted LU with its pivot record, the certified Perron root of a
 nonnegative matrix, and the complete-pivot rank and kernel.  Every
 "singular or not" judgment is made against a scale-aware pivot threshold,
 because the problems this package targets sit deliberately on the
-singular/nonsingular boundary.  General eigenvalues come from LAPACK
-through ``np.linalg.eigvals``.
+singular/nonsingular boundary.  The row-pivoted LU is kept only for that
+pivot record: every solve runs in LAPACK through ``np.linalg.solve``, and
+general eigenvalues come from LAPACK through ``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -77,12 +78,14 @@ def rank_tol(M) -> float:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Row-pivoted LU factors of a square matrix.
+    """Pivot record of a square matrix: its row-pivoted LU factors.
 
     ``lower @ upper`` reconstructs the input with its rows permuted by
     ``perm`` (i.e. ``M[perm] ~= lower @ upper``).  ``smallest_pivot`` is the
     minimum absolute diagonal of ``upper``; the matrix is flagged singular
-    when that pivot does not exceed ``tol``.
+    when that pivot does not exceed ``tol``.  ``matrix`` is the factored
+    input itself, which ``lu_solve`` hands to LAPACK: the hand-written
+    factors are the singularity contract, not the solve path.
     """
 
     perm: np.ndarray
@@ -90,6 +93,7 @@ class Factorization:
     upper: np.ndarray
     smallest_pivot: float
     tol: float
+    matrix: np.ndarray
 
     @property
     def singular(self) -> bool:
@@ -104,63 +108,57 @@ def lu_factor(M) -> Factorization:
     U = A.copy()
     perm = np.arange(nn)
     for k in range(nn - 1):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
+        p = k + int(abs(U[k:, k]).argmax())
         if p != k:
             U[[k, p]] = U[[p, k]]
             perm[[k, p]] = perm[[p, k]]
         piv = U[k, k]
+        col = U[k + 1 :, k]
         if piv != 0.0:
-            U[k + 1 :, k] /= piv
-            U[k + 1 :, k + 1 :] -= np.outer(U[k + 1 :, k], U[k, k + 1 :])
+            col /= piv
+            U[k + 1 :, k + 1 :] -= col[:, None] * U[k, k + 1 :]
         else:
-            U[k + 1 :, k] = 0.0
-    smallest = float(np.abs(np.diag(U)).min())
+            col[:] = 0.0
+    smallest = float(abs(U.diagonal()).min())
     L = np.tril(U, -1) + np.eye(nn)
-    return Factorization(perm, L, np.triu(U), smallest, tol)
+    return Factorization(perm, L, np.triu(U), smallest, tol, A)
 
 
-def _substitute(fact: Factorization, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Forward/back substitution with an explicit diagonal for ``upper``."""
-    L, U, perm = fact.lower, fact.upper, fact.perm
-    nn = L.shape[0]
-    y = rhs[perm].astype(np.float64, copy=True)
-    for i in range(1, nn):
-        y[i] -= L[i, :i] @ y[:i]
-    x = y
-    for i in range(nn - 1, -1, -1):
-        if i + 1 < nn:
-            x[i] -= U[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= diag[i]
-    return x
+def _as_rhs(rhs, rows: int) -> np.ndarray:
+    """``rhs`` as a float64 vector or matrix with ``rows`` rows."""
+    b = np.asarray(rhs, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != rows:
+        raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a factorization of order {rows}")
+    return b
 
 
 def lu_solve(fact: Factorization, rhs) -> np.ndarray:
-    """Solve with precomputed factors; raises SingularMatrix if flagged."""
+    """Solve ``matrix @ x = rhs``; raises SingularMatrix if the pivot record flags it.
+
+    The solve itself is one LAPACK ``gesv`` call through ``np.linalg.solve``
+    on the factored matrix; stack several right-hand sides column-wise to
+    solve them in one call.
+    """
     if fact.singular:
         raise SingularMatrix(
             f"matrix is singular to tolerance (pivot {fact.smallest_pivot:.3e} <= {fact.tol:.3e})"
         )
-    b = np.asarray(rhs, dtype=np.float64)
-    vector = b.ndim == 1
-    B = b.reshape(-1, 1) if vector else b
-    if B.shape[0] != fact.lower.shape[0]:
-        raise ShapeMismatch(
-            f"rhs has {B.shape[0]} rows, factorization expects {fact.lower.shape[0]}"
-        )
-    X = _substitute(fact, B, np.diag(fact.upper))
-    return X[:, 0] if vector else X
+    return np.linalg.solve(fact.matrix, _as_rhs(rhs, fact.matrix.shape[0]))
 
 
 def lu_solve_regularized(fact: Factorization, rhs, floor: float) -> np.ndarray:
-    """Substitution with tiny pivots replaced by ±floor (inverse iteration)."""
-    b = np.asarray(rhs, dtype=np.float64)
-    vector = b.ndim == 1
-    B = b.reshape(-1, 1) if vector else b
-    diag = np.diag(fact.upper).copy()
-    small = np.abs(diag) < floor
-    diag[small] = np.where(diag[small] < 0, -floor, floor)
-    X = _substitute(fact, B, diag)
-    return X[:, 0] if vector else X
+    """Solve with the factors, tiny pivots of ``upper`` replaced by ±floor (inverse iteration).
+
+    Both factors are triangular with nonzero diagonals and ``lower`` has
+    unit diagonal over entries of modulus <= 1, so LAPACK's partial
+    pivoting makes no row interchange on either.
+    """
+    b = _as_rhs(rhs, fact.lower.shape[0])
+    U = fact.upper.copy()
+    diag = U.diagonal()
+    small = np.flatnonzero(abs(diag) < floor)
+    U[small, small] = np.where(diag[small] < 0, -floor, floor)
+    return np.linalg.solve(U, np.linalg.solve(fact.lower, b[fact.perm]))
 
 
 def solve_linear(M, rhs) -> np.ndarray:
@@ -308,7 +306,7 @@ def _full_pivot_echelon(M: np.ndarray):
         pivots[k] = abs(piv)
         if piv == 0.0:
             break
-        U[k + 1 :, k :] -= np.outer(U[k + 1 :, k] / piv, U[k, k:])
+        U[k + 1 :, k :] -= (U[k + 1 :, k] / piv)[:, None] * U[k, k:]
         U[k + 1 :, k] = 0.0
     return U, rp, cp, pivots
 
@@ -335,19 +333,19 @@ def rank_and_margin(M, tol: float):
     return rank, margin
 
 
-def kernel_vector(M, tol: float) -> np.ndarray:
-    """One unit-2-norm kernel vector of a square rank-deficient matrix.
+def rank_and_kernel(M, tol: float):
+    """Numerical rank of a square matrix plus one kernel vector (None at full rank).
 
-    Back-substitutes the first free column of the fully pivoted echelon
-    form.  The caller is responsible for checking that the kernel is
-    one-dimensional; this routine just requires rank < n.
+    One complete-pivot elimination serves both, so a caller that checks the
+    rank before it needs the kernel does not eliminate twice.  The kernel
+    vector is the one ``kernel_vector`` returns.
     """
     A = as_square(M)
     n = A.shape[0]
     U, _, cp, pivots = _full_pivot_echelon(A)
     rank = int((pivots > tol).sum())
     if rank >= n:
-        raise SingularMatrix("matrix has full numerical rank; no kernel vector")
+        return rank, None
     x_perm = np.zeros(n)
     x_perm[rank] = 1.0
     rhs = -U[:rank, rank]
@@ -355,7 +353,20 @@ def kernel_vector(M, tol: float) -> np.ndarray:
         x_perm[i] = (rhs[i] - U[i, i + 1 : rank] @ x_perm[i + 1 : rank]) / U[i, i]
     x = np.zeros(n)
     x[cp] = x_perm
-    return x / np.linalg.norm(x)
+    return rank, x / np.linalg.norm(x)
+
+
+def kernel_vector(M, tol: float) -> np.ndarray:
+    """One unit-2-norm kernel vector of a square rank-deficient matrix.
+
+    Back-substitutes the first free column of the fully pivoted echelon
+    form.  The caller is responsible for checking that the kernel is
+    one-dimensional; this routine just requires rank < n.
+    """
+    _, x = rank_and_kernel(M, tol)
+    if x is None:
+        raise SingularMatrix("matrix has full numerical rank; no kernel vector")
+    return x
 
 
 # ---------------------------------------------------------------------------

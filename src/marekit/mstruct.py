@@ -303,9 +303,8 @@ class NullPair:
         return self.v[self.split :]
 
 
-def _oriented_kernel(K: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Kernel vector of K, refined and normalized to a nonnegative unit-1-norm vector."""
-    x = linalg.kernel_vector(K, linalg.rank_tol(K))
+def _oriented_kernel(K: np.ndarray, x: np.ndarray, tol_abs: float) -> np.ndarray:
+    """Kernel vector x of K, refined and normalized to a nonnegative unit-1-norm vector."""
     fact = linalg.lu_factor(K)
     floor = max(fact.tol, 1e-300)
     y = linalg.lu_solve_regularized(fact, x, floor)
@@ -336,14 +335,14 @@ def null_pair(K, n: int) -> NullPair:
     size = A.shape[0]
     if not 0 <= n <= size:
         raise ValueError(f"split index {n} outside [0, {size}]")
-    rank, _ = linalg.rank_and_margin(A, linalg.rank_tol(A))
+    rank, x = linalg.rank_and_kernel(A, linalg.rank_tol(A))
     if rank == size:
         raise NotSingular("K has full numerical rank")
     if rank < size - 1:
         raise AmbiguousKernel(f"kernel dimension {size - rank} != 1")
     tol = null_tol(A)
-    v = _oriented_kernel(A, tol)
-    u = _oriented_kernel(A.T, tol)
+    v = _oriented_kernel(A, x, tol)
+    u = _oriented_kernel(A.T, linalg.kernel_vector(A.T, linalg.rank_tol(A.T)), tol)
     if inf_norm(A @ v) > tol or inf_norm(u @ A) > tol:
         raise AmbiguousKernel("kernel residual exceeds tolerance")
     drift = float(u[:n] @ v[:n] - u[n:] @ v[n:])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marekit
 from marekit.cli import dumps_report, execute
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
@@ -90,6 +95,25 @@ class TestSolve:
         first = execute(["solve", problem_file])
         second = execute(["solve", problem_file])
         assert first.report_json == second.report_json
+
+    def test_same_bytes_on_one_and_two_blas_threads(self, tmp_path):
+        # the doubling solves run in LAPACK's blocked routines; their
+        # results must not depend on how many threads the BLAS uses
+        path = str(tmp_path / "p40x45.json")
+        gen = ["generate", "--regime", "nonsingular", "--n", "40", "--m", "45", "--seed", "3", "-o", path]
+        assert execute(gen).exit_code == 0
+        src = str(Path(marekit.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-m", "marekit.cli", "solve", path],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            outputs.append(run.stdout)
+        assert json.loads(outputs[0])["iterations"] >= 1
+        assert outputs[0] == outputs[1]
 
     def test_trace_csv_written(self, problem_file, tmp_path):
         trace = tmp_path / "trace.csv"

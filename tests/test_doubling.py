@@ -129,8 +129,8 @@ class TestCarriedFactors:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Live lu_factor / zm_kind call counts, plus per-phase deltas."""
-        calls = {"lu_factor": 0, "zm_kind": 0}
+        """Live lu_factor / lu_solve / zm_kind call counts, plus per-phase deltas."""
+        calls = {"lu_factor": 0, "lu_solve": 0, "zm_kind": 0}
         phases = []
 
         def counting(name, fn):
@@ -150,6 +150,7 @@ class TestCarriedFactors:
             return wrapper
 
         monkeypatch.setattr(linalg, "lu_factor", counting("lu_factor", linalg.lu_factor))
+        monkeypatch.setattr(linalg, "lu_solve", counting("lu_solve", linalg.lu_solve))
         monkeypatch.setattr(mstruct, "zm_kind", counting("zm_kind", mstruct.zm_kind))
         monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
         monkeypatch.setattr(doubling, "step", phase("step", doubling.step))
@@ -161,9 +162,11 @@ class TestCarriedFactors:
             rep = doubling.solve(p)
             assert rep.iterations >= 1
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
-            # initialize: Ds, As, W, V plus the two cross products
-            assert counts[0][1] == {"lu_factor": 6, "zm_kind": 2}
-            assert all(delta == {"lu_factor": 2, "zm_kind": 2} for _, delta in counts[1:])
+            # initialize factors Ds, As, W, V plus the two cross products and
+            # solves Ds^{-1} [C I], As^{-1} B, W^{-1} [I B] and V^{-1} I
+            assert counts[0][1] == {"lu_factor": 6, "lu_solve": 4, "zm_kind": 2}
+            # a step solves (I-GH)^{-1} [E G] and (I-HG)^{-1} [F H]
+            assert all(delta == {"lu_factor": 2, "lu_solve": 2, "zm_kind": 2} for _, delta in counts[1:])
 
     def test_state_without_factors_steps_identically(self, noncritical_suite):
         p = noncritical_suite[3]
@@ -181,7 +184,7 @@ class TestCarriedFactors:
         G = H = np.array([[0.25]])
         diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
         doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
-        assert counts == [("step", {"lu_factor": 4, "zm_kind": 2})]
+        assert counts == [("step", {"lu_factor": 4, "lu_solve": 2, "zm_kind": 2})]
 
     def test_noncritical_steps_run_no_full_perron_root(self, monkeypatch, solved_noncritical):
         # far from singular, the first squaring bounds decide every cross product's kind

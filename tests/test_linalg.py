@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from marekit import linalg
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
 from marekit.linalg import (
+    EPS,
     kernel_vector,
     lu_factor,
     numerical_rank,
@@ -91,6 +92,101 @@ class TestFactorization:
         f = lu_factor(np.diag([4.0, 0.25]))
         assert f.smallest_pivot == 0.25
         assert not f.singular
+
+
+def _reference_lu_factor(M):
+    """The original column loop of ``lu_factor`` (np.outer update), kept as a bit-level reference."""
+    U = np.array(M, dtype=np.float64)
+    nn = U.shape[0]
+    perm = np.arange(nn)
+    for k in range(nn - 1):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        if p != k:
+            U[[k, p]] = U[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        piv = U[k, k]
+        if piv != 0.0:
+            U[k + 1 :, k] /= piv
+            U[k + 1 :, k + 1 :] -= np.outer(U[k + 1 :, k], U[k, k + 1 :])
+        else:
+            U[k + 1 :, k] = 0.0
+    smallest = float(np.abs(np.diag(U)).min())
+    return perm, np.tril(U, -1) + np.eye(nn), np.triu(U), smallest
+
+
+class TestFactorizationReference:
+    """lu_factor keeps the pivot record of the reference loop bit for bit."""
+
+    @staticmethod
+    def _same_record(M):
+        f = lu_factor(M)
+        perm, lower, upper, smallest = _reference_lu_factor(M)
+        assert np.array_equal(f.perm, perm)
+        assert np.array_equal(f.lower, lower)
+        assert np.array_equal(f.upper, upper)
+        assert f.smallest_pivot == smallest
+
+    def test_random_m_matrices_ties_and_zero_columns(self):
+        rng = np.random.default_rng(23)
+        mats = []
+        for n in range(1, 31):
+            mats.append(rng.normal(size=(n, n)))
+            N = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+            np.fill_diagonal(N, 0.0)
+            v = rng.uniform(0.5, 2.0, n)
+            K = np.diag(N @ v / v) - N  # singular M-matrix, K v = 0
+            mats += [K, K + 1e-3 * np.eye(n)]
+            mats.append(rng.integers(-2, 3, (n, n)).astype(float))  # ties and zero pivots
+            Z = rng.normal(size=(n, n))
+            Z[:, rng.integers(0, n)] = 0.0
+            mats.append(Z)
+        mats += [np.ones((4, 4)), np.zeros((3, 3)), [[1.0, 2.0], [-1.0, 3.0]], [[0.0, 1.0], [0.0, 1.0]]]
+        for M in mats:
+            self._same_record(M)
+
+    def test_acceptance_cross_products(self, solved_noncritical, solved_nonsingular):
+        count = 0
+        for p, rep in solved_noncritical + solved_nonsingular:
+            for rec in rep.trace:
+                self._same_record(np.eye(p.n) - rec.G @ rec.H)
+                self._same_record(np.eye(p.m) - rec.H @ rec.G)
+                count += 2
+        assert count > 1000
+
+
+class TestSolveWithFactors:
+    def test_vector_rhs_and_shape_check(self):
+        f = lu_factor(np.diag([2.0, 4.0]))
+        assert np.array_equal(linalg.lu_solve(f, [2.0, 4.0]), [1.0, 1.0])
+        for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
+            with pytest.raises(ShapeMismatch):
+                linalg.lu_solve(f, bad)
+
+    @staticmethod
+    def _reference_regularized(fact, rhs, floor):
+        """The original row-by-row substitution, kept as the reference."""
+        L, U, perm = fact.lower, fact.upper, fact.perm
+        diag = np.diag(U).copy()
+        small = np.abs(diag) < floor
+        diag[small] = np.where(diag[small] < 0, -floor, floor)
+        x = np.asarray(rhs, dtype=np.float64)[perm].copy()
+        for i in range(1, len(x)):
+            x[i] -= L[i, :i] @ x[:i]
+        for i in range(len(x) - 1, -1, -1):
+            x[i] -= U[i, i + 1 :] @ x[i + 1 :]
+            x[i] /= diag[i]
+        return x
+
+    def test_regularized_solve_matches_substitution_on_suite_kernels(self, noncritical_suite):
+        # LAPACK sums in another order, so agreement is to rounding, normwise
+        for p in noncritical_suite:
+            for K in (p.K, p.K.T):
+                x = kernel_vector(K, rank_tol(K))
+                f = lu_factor(K)
+                floor = max(f.tol, 1e-300)
+                got = linalg.lu_solve_regularized(f, x, floor)
+                want = self._reference_regularized(f, x, floor)
+                assert np.abs(got - want).max() <= 1e3 * len(x) * EPS * np.abs(want).max(), p.name
 
 
 class TestSpectralRadiusNonneg:

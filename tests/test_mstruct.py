@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from marekit import linalg
 from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular
 from marekit.linalg import inf_norm, spectral_radius_nonneg
 from marekit.mstruct import (
@@ -323,6 +324,21 @@ class TestNullPair:
     def test_two_dimensional_kernel_raises(self):
         with pytest.raises(AmbiguousKernel):
             null_pair(np.zeros((2, 2)), 1)
+
+    def test_one_echelon_per_kernel(self, monkeypatch):
+        # the rank check and the right kernel vector share K's elimination;
+        # the left kernel vector needs K^T's
+        calls = []
+        echelon = linalg._full_pivot_echelon
+
+        def counting(M):
+            calls.append(M)
+            return echelon(M)
+
+        monkeypatch.setattr(linalg, "_full_pivot_echelon", counting)
+        K, _ = _singular_m_matrix(np.random.default_rng(47), 5)
+        null_pair(K, 2)
+        assert len(calls) == 2
 
     def test_residual_within_tolerance_on_random_singular(self):
         rng = np.random.default_rng(43)
