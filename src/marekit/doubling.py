@@ -27,16 +27,16 @@ one-parameter method.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
-silently ignores a structural violation.  Those two matrices are factored
-and classified once per iterate: the LU factors computed for the
-diagnostics of iterate k are carried in its DoublingState and reused by
-the step that produces iterate k + 1, so a step costs two factorizations
-and two kind verdicts (``mstruct.zm_kind``), both of the new iterate.  The
-cross products sit far from singular in the guaranteed regimes, so each
-verdict is settled by the first Perron bounds, without a full Perron root.
-The factors' pivot record decides whether a step may go on; the solves
-themselves run in LAPACK, two per step, on stacked right-hand sides:
-(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H].
+silently ignores a structural violation.  Every matrix the iteration
+inverts is a nonsingular M-matrix in theory and is solved by
+``linalg.m_solve``, whose extra column x = M^{-1} 1 certifies that kind
+and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
+certificate in the initialization or the rate raises SingularMatrix.  The
+cross products are solved once, when their iterate is created, as
+(I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], and the solutions are
+carried to the next step.  Only an uncertified cross product is
+classified by ``mstruct.zm_kind``; the next step breaks down when that
+kind is singular or LAPACK found the matrix exactly singular.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class StepDiagnostics:
     k: int
     dH: float
     dG: float
-    minpivot_IGH: float
-    minpivot_IHG: float
+    dist_IGH: float
+    dist_IHG: float
     kind_IGH: MatrixKind
     kind_IHG: MatrixKind
     sign_violations_E: int
@@ -149,12 +149,12 @@ class StepDiagnostics:
 class DoublingState:
     """Iterate (E, F, G, H) at step k, plus the diagnostics of this step.
 
-    ``factors`` carries the pivot records (``linalg.Factorization``) of
-    I - G H and I - H G at this iterate, as computed for the diagnostics,
-    so that ``step`` does not factor them again: their pivots decide
-    whether the step breaks down, and ``linalg.lu_solve`` hands the
-    matrices they hold to LAPACK.  A state built without them (None) is
-    still valid: ``step`` then factors the cross products itself.
+    ``solves`` carries (I - G H)^{-1} [E G] and (I - H G)^{-1} [F H] at
+    this iterate, as computed with its diagnostics, so that ``step`` does
+    not solve them again; an entry is None when LAPACK found its matrix
+    exactly singular.  A state built without them (None) is still valid:
+    ``step`` then solves and, where uncertified, classifies the cross
+    products itself.
     """
 
     k: int
@@ -164,7 +164,7 @@ class DoublingState:
     H: np.ndarray
     diagnostics: StepDiagnostics
     tau_sign: float
-    factors: tuple[linalg.Factorization, linalg.Factorization] | None = None
+    solves: tuple[np.ndarray | None, np.ndarray | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,28 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
-def _cross_products(G: np.ndarray, H: np.ndarray):
-    """I - G H and I - H G."""
-    return np.eye(G.shape[0]) - G @ H, np.eye(H.shape[0]) - H @ G
+def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
+    """(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], each as (solution, dist, kind).
+
+    Only a matrix whose certificate fails is classified by ``mstruct.zm_kind``;
+    the solution is None and dist 0 when LAPACK finds it exactly singular.
+    """
+    out = []
+    for M, rhs in ((np.eye(len(G)) - G @ H, np.hstack([E, G])), (np.eye(len(H)) - H @ G, np.hstack([F, H]))):
+        try:
+            X, dist, certified = linalg.m_solve(M, rhs)
+        except SingularMatrix:
+            X, dist, certified = None, 0.0, False
+        out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.zm_kind(M)))
+    return out
 
 
-def _classified_cross_products(G: np.ndarray, H: np.ndarray):
-    """LU factors and M-matrix kinds of I - G H and I - H G."""
-    IGH, IHG = _cross_products(G, H)
-    factors = (linalg.lu_factor(IGH), linalg.lu_factor(IHG))
-    return factors, mstruct.zm_kind(IGH), mstruct.zm_kind(IHG)
+def _nonsingular_m_solve(M: np.ndarray, rhs) -> np.ndarray:
+    """``M^{-1} rhs`` for a matrix the theory makes a nonsingular M-matrix."""
+    X, _, certified = linalg.m_solve(M, rhs)
+    if not certified:
+        raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
+    return X
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
@@ -217,12 +229,12 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     Ds = p.D + alpha * np.eye(p.n)
     try:
         # Ds^{-1} [C I] and W^{-1} [I B]: one solve each
-        Ds_inv_C, Ds_inv = np.hsplit(linalg.solve_linear(Ds, np.hstack([p.C, np.eye(p.n)])), [p.m])
-        As_inv_B = linalg.solve_linear(As, p.B)
+        Ds_inv_C, Ds_inv = np.hsplit(_nonsingular_m_solve(Ds, np.hstack([p.C, np.eye(p.n)])), [p.m])
+        As_inv_B = _nonsingular_m_solve(As, p.B)
         W = As - p.B @ Ds_inv_C
         V = Ds - p.C @ As_inv_B
-        W_inv, W_inv_B = np.hsplit(linalg.solve_linear(W, np.hstack([np.eye(p.m), p.B])), [p.m])
-        E0 = np.eye(p.n) - gamma * linalg.solve_linear(V, np.eye(p.n))
+        W_inv, W_inv_B = np.hsplit(_nonsingular_m_solve(W, np.hstack([np.eye(p.m), p.B])), [p.m])
+        E0 = np.eye(p.n) - gamma * _nonsingular_m_solve(V, np.eye(p.n))
         F0 = np.eye(p.m) - gamma * W_inv
         G0 = gamma * Ds_inv_C @ W_inv
         H0 = gamma * W_inv_B @ Ds_inv
@@ -230,20 +242,20 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
 
     tau = sign_tol(p)
-    factors, kind_igh, kind_ihg = _classified_cross_products(G0, H0)
+    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E0, F0, G0, H0)
     diag = StepDiagnostics(
         k=0,
         dH=math.nan,
         dG=math.nan,
-        minpivot_IGH=factors[0].smallest_pivot,
-        minpivot_IHG=factors[1].smallest_pivot,
+        dist_IGH=dist_igh,
+        dist_IHG=dist_ihg,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
         sign_violations_E=int((E0 > tau).sum()),
         sign_violations_F=int((F0 > tau).sum()),
         monotonicity_violations=0,
     )
-    return DoublingState(0, E0, F0, G0, H0, diag, tau, factors)
+    return DoublingState(0, E0, F0, G0, H0, diag, tau, (X_igh, X_ihg))
 
 
 def step(s: DoublingState) -> DoublingState:
@@ -252,23 +264,22 @@ def step(s: DoublingState) -> DoublingState:
         E+ = E (I - G H)^{-1} E          F+ = F (I - H G)^{-1} F
         G+ = G + E (I - G H)^{-1} G F    H+ = H + F (I - H G)^{-1} H E
 
-    Raises IterationBreakdown when I - G H or I - H G is singular to
-    tolerance, which signals that the problem sits outside the guaranteed
+    Raises IterationBreakdown when I - G H or I - H G is exactly singular
+    to LAPACK or, failing its certificate, classifies as a singular
+    M-matrix, which signals that the problem sits outside the guaranteed
     regimes (e.g. a critical problem near convergence).
     """
     E, F, G, H = s.E, s.F, s.G, s.H
-    if s.factors is None:
-        f_igh, f_ihg = (linalg.lu_factor(X) for X in _cross_products(G, H))
+    if s.solves is None:
+        (X_igh, _, kind_igh), (X_ihg, _, kind_ihg) = _cross_solves(E, F, G, H)
     else:
-        f_igh, f_ihg = s.factors
-    if f_igh.singular or f_ihg.singular:
+        (X_igh, X_ihg), kind_igh, kind_ihg = s.solves, s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
+    if X_igh is None or X_ihg is None or MatrixKind.SINGULAR_M in (kind_igh, kind_ihg):
         raise IterationBreakdown(
-            f"I - G H or I - H G singular to tolerance at step {s.k} "
-            f"(pivots {f_igh.smallest_pivot:.3e}, {f_ihg.smallest_pivot:.3e})"
+            f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
         )
-    # (I-GH)^{-1} [E G] and (I-HG)^{-1} [F H]: one solve each
-    igh_inv_E, igh_inv_G = np.hsplit(linalg.lu_solve(f_igh, np.hstack([E, G])), [len(E)])
-    ihg_inv_F, ihg_inv_H = np.hsplit(linalg.lu_solve(f_ihg, np.hstack([F, H])), [len(F)])
+    igh_inv_E, igh_inv_G = np.hsplit(X_igh, [len(E)])
+    ihg_inv_F, ihg_inv_H = np.hsplit(X_ihg, [len(F)])
     E_new = E @ igh_inv_E
     F_new = F @ ihg_inv_F
     G_new = G + E @ igh_inv_G @ F
@@ -286,21 +297,21 @@ def step(s: DoublingState) -> DoublingState:
         F_new = F_new / theta
 
     tau = s.tau_sign
-    factors, kind_igh, kind_ihg = _classified_cross_products(G_new, H_new)
+    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E_new, F_new, G_new, H_new)
     mono = int((H_new < H - tau).sum()) + int((G_new < G - tau).sum())
     diag = StepDiagnostics(
         k=s.k + 1,
         dH=one_norm(H_new - H),
         dG=one_norm(G_new - G),
-        minpivot_IGH=factors[0].smallest_pivot,
-        minpivot_IHG=factors[1].smallest_pivot,
+        dist_IGH=dist_igh,
+        dist_IHG=dist_ihg,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
         sign_violations_E=int((E_new < -tau).sum()),
         sign_violations_F=int((F_new < -tau).sum()),
         monotonicity_violations=mono,
     )
-    return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau, factors)
+    return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau, (X_igh, X_ihg))
 
 
 def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
@@ -391,12 +402,13 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
 
     The factors can have negative or complex spectra, so their spectral
     radii come from LAPACK's general eigenvalue routine; the certified
-    Perron root of a nonnegative matrix is not valid here.
+    Perron root of a nonnegative matrix is not valid here.  Raises
+    SingularMatrix when R + alpha I or S + beta I fails its certificate.
     """
     alpha, beta = params.alpha, params.beta
     R, S = cert.R, cert.S
-    T1 = linalg.solve_linear(R + alpha * np.eye(R.shape[0]), R - beta * np.eye(R.shape[0]))
-    T2 = linalg.solve_linear(S + beta * np.eye(S.shape[0]), S - alpha * np.eye(S.shape[0]))
+    T1 = _nonsingular_m_solve(R + alpha * np.eye(R.shape[0]), R - beta * np.eye(R.shape[0]))
+    T2 = _nonsingular_m_solve(S + beta * np.eye(S.shape[0]), S - alpha * np.eye(S.shape[0]))
     return linalg.spectral_radius(T1) * linalg.spectral_radius(T2)
 
 
@@ -422,16 +434,14 @@ def observed_rate(trace, phi) -> float:
 
 
 def trace_to_csv(trace) -> str:
-    """Iteration trace as CSV (one row per step; dH/dG empty at k = 0)."""
-    lines = [
-        "k,dH,dG,minpivot_IGH,minpivot_IHG,sign_violations_E,sign_violations_F,monotonicity_violations"
-    ]
+    """Iteration trace as CSV (one row per step; dH/dG empty at k = 0; dist_* as in ``m_solve``)."""
+    lines = ["k,dH,dG,dist_IGH,dist_IHG,sign_violations_E,sign_violations_F,monotonicity_violations"]
     for rec in trace:
         d = rec.diagnostics
         dh = "" if math.isnan(d.dH) else format(d.dH, ".17g")
         dg = "" if math.isnan(d.dG) else format(d.dG, ".17g")
         lines.append(
-            f"{d.k},{dh},{dg},{format(d.minpivot_IGH, '.17g')},{format(d.minpivot_IHG, '.17g')},"
+            f"{d.k},{dh},{dg},{format(d.dist_IGH, '.17g')},{format(d.dist_IHG, '.17g')},"
             f"{d.sign_violations_E},{d.sign_violations_F},{d.monotonicity_violations}"
         )
     return "\n".join(lines) + "\n"

@@ -3,13 +3,12 @@
 All routines work on dense float64 arrays and are pure functions of their
 inputs with no module state, so concurrent use is safe.  Only the kernels
 that carry a tolerance contract numpy does not offer are written here: the
-row-pivoted LU with its pivot record, the certified Perron root of a
-nonnegative matrix, and the complete-pivot rank and kernel.  Every
-"singular or not" judgment is made against a scale-aware pivot threshold,
-because the problems this package targets sit deliberately on the
-singular/nonsingular boundary.  The row-pivoted LU is kept only for that
-pivot record: every solve runs in LAPACK through ``np.linalg.solve``, and
-general eigenvalues come from LAPACK through ``np.linalg.eigvals``.
+semipositivity certificate of ``m_solve`` for matrices that the theory
+makes nonsingular M-matrices, the row-pivoted LU whose pivot record judges
+singularity against a scale-aware threshold where a matrix may sit on that
+boundary, the certified Perron root of a nonnegative matrix, and the
+complete-pivot rank and kernel.  Every solve runs in LAPACK through
+``np.linalg.solve``, and general eigenvalues through ``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -83,9 +82,7 @@ class Factorization:
     ``lower @ upper`` reconstructs the input with its rows permuted by
     ``perm`` (i.e. ``M[perm] ~= lower @ upper``).  ``smallest_pivot`` is the
     minimum absolute diagonal of ``upper``; the matrix is flagged singular
-    when that pivot does not exceed ``tol``.  ``matrix`` is the factored
-    input itself, which ``lu_solve`` hands to LAPACK: the hand-written
-    factors are the singularity contract, not the solve path.
+    when that pivot does not exceed ``tol``.
     """
 
     perm: np.ndarray
@@ -93,7 +90,6 @@ class Factorization:
     upper: np.ndarray
     smallest_pivot: float
     tol: float
-    matrix: np.ndarray
 
     @property
     def singular(self) -> bool:
@@ -121,29 +117,15 @@ def lu_factor(M) -> Factorization:
             col[:] = 0.0
     smallest = float(abs(U.diagonal()).min())
     L = np.tril(U, -1) + np.eye(nn)
-    return Factorization(perm, L, np.triu(U), smallest, tol, A)
+    return Factorization(perm, L, np.triu(U), smallest, tol)
 
 
 def _as_rhs(rhs, rows: int) -> np.ndarray:
     """``rhs`` as a float64 vector or matrix with ``rows`` rows."""
     b = np.asarray(rhs, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != rows:
-        raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a factorization of order {rows}")
+        raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a matrix of order {rows}")
     return b
-
-
-def lu_solve(fact: Factorization, rhs) -> np.ndarray:
-    """Solve ``matrix @ x = rhs``; raises SingularMatrix if the pivot record flags it.
-
-    The solve itself is one LAPACK ``gesv`` call through ``np.linalg.solve``
-    on the factored matrix; stack several right-hand sides column-wise to
-    solve them in one call.
-    """
-    if fact.singular:
-        raise SingularMatrix(
-            f"matrix is singular to tolerance (pivot {fact.smallest_pivot:.3e} <= {fact.tol:.3e})"
-        )
-    return np.linalg.solve(fact.matrix, _as_rhs(rhs, fact.matrix.shape[0]))
 
 
 def lu_solve_regularized(fact: Factorization, rhs, floor: float) -> np.ndarray:
@@ -162,12 +144,42 @@ def lu_solve_regularized(fact: Factorization, rhs, floor: float) -> np.ndarray:
 
 
 def solve_linear(M, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` by row-pivoted LU.
+    """Solve ``M x = rhs`` for a general square M (LAPACK ``gesv``).
 
-    Raises SingularMatrix when the smallest pivot falls at or below the
-    scale-aware threshold ``pivot_tol(M)``.
+    Raises SingularMatrix when the smallest pivot of ``lu_factor(M)`` falls
+    at or below the scale-aware threshold ``pivot_tol(M)``.
     """
-    return lu_solve(lu_factor(M), rhs)
+    A = as_square(M)
+    fact = lu_factor(A)
+    if fact.singular:
+        raise SingularMatrix(
+            f"matrix is singular to tolerance (pivot {fact.smallest_pivot:.3e} <= {fact.tol:.3e})"
+        )
+    return np.linalg.solve(A, _as_rhs(rhs, A.shape[0]))
+
+
+def m_solve(M, rhs):
+    """``(X, dist, certified)``: one LAPACK solve of ``M [X x] = [rhs 1]``.
+
+    A Z-matrix is a nonsingular M-matrix exactly when some x > 0 has
+    M x > 0, so M is certified when it is a Z-matrix, x > 0 and the
+    computed M x exceeds its rounding margin (n + 2) eps |M| x.  Then
+    ||M^{-1}||_inf = max(x), so ``dist = 1 / max|x|`` is a scale-aware
+    distance to singularity.  Raises SingularMatrix when LAPACK finds M
+    exactly singular.
+    """
+    A = as_square(M)
+    n = A.shape[0]
+    b = _as_rhs(rhs, n)
+    try:
+        sol = np.linalg.solve(A, np.column_stack([b, np.ones(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
+    x = sol[:, -1]
+    X = sol[:, 0] if b.ndim == 1 else sol[:, :-1]
+    z_matrix = (A - np.diag(np.diag(A)) <= 0.0).all()
+    certified = bool(z_matrix and (x > 0.0).all() and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
+    return X, 1.0 / float(np.abs(x).max()), certified
 
 
 # ---------------------------------------------------------------------------
@@ -220,58 +232,28 @@ def perron_shift(P) -> tuple[np.ndarray, float]:
     return A + c * np.eye(A.shape[0]), c
 
 
-def _radius_bounds_by_squaring(M: np.ndarray, rel_width: float = 1e-15):
-    """Last pair of ``squaring_bounds(M)``, stopping once its width is <= rel_width."""
-    lo = hi = None
-    for lo, hi in squaring_bounds(M):
-        if hi - lo <= rel_width * max(1.0, lo):
-            break
-    return lo, hi
-
-
-def spectral_radius_nonneg(P, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def spectral_radius_nonneg(P) -> float:
     """Perron root of an entrywise-nonnegative square matrix, to full accuracy.
 
     Works on the diagonally shifted matrix ``M = P + c I`` of
-    ``perron_shift``.  Certified bound first, power iteration only as a
-    fallback: ``squaring_bounds(M)`` is consumed until its relative width
-    is at most 1e-15 (about 53 squarings on a typical input; accurate to a
-    few ulps, also for a defective dominant eigenvalue), and the midpoint
-    is returned when the bounds closed to a relative width of 1e-9.  Only
-    when they stay loose does power iteration run; it declares convergence
-    when successive Rayleigh estimates differ by at most ``tol``, and
-    raises NoConvergence when it does not within ``max_iter`` steps.
+    ``perron_shift``: ``squaring_bounds(M)`` is consumed until its relative
+    width is at most 1e-15 (about 53 squarings on a typical input; accurate
+    to a few ulps, also for a defective dominant eigenvalue), and the
+    midpoint is returned when the bounds closed to a relative width of
+    1e-9.  Bounds that stay looser raise NoConvergence.
 
     A caller that only needs to know on which side of a threshold the root
     lies (as ``mstruct.zm_kind`` does) should read ``squaring_bounds``
     directly and stop as soon as they settle it.
     """
     M, c = perron_shift(P)
-    n = M.shape[0]
-
-    lo, hi = _radius_bounds_by_squaring(M)
-    if lo is not None and hi - lo <= 1e-9 * max(1.0, lo):
-        return max(0.5 * (lo + hi) - c, 0.0)
-
-    x = np.full(n, 1.0 / n)
-    lam = None
-    converged = False
-    for _ in range(max_iter):
-        y = M @ x
-        new_lam = float(x @ y) / float(x @ x)
-        x = y / y.sum()  # y > 0 since diag(M) >= c > 0
-        if lam is not None and abs(new_lam - lam) <= tol:
-            lam = new_lam
-            converged = True
+    lo, hi = 0.0, math.inf
+    for lo, hi in squaring_bounds(M):
+        if hi - lo <= 1e-15 * max(1.0, lo):
             break
-        lam = new_lam
-
-    if not converged:
-        raise NoConvergence(
-            f"power iteration did not meet {tol:.1e} within {max_iter} steps "
-            "and the squaring bounds failed to tighten"
-        )
-    return max(lam - c, 0.0)
+    if not hi - lo <= 1e-9 * max(1.0, lo):
+        raise NoConvergence(f"Perron squaring bounds [{lo:.6e}, {hi:.6e}] failed to tighten")
+    return max(0.5 * (lo + hi) - c, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousKernel, NoConvergence, NotSingular
+from .errors import AmbiguousKernel, NoConvergence, NotSingular, SingularMatrix
 from .linalg import EPS, as_square, inf_norm, one_norm
 
 
@@ -219,13 +219,16 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     """Search for a positive v with M v >= 0.
 
     Nonsingular M-matrices are always regular: v = M^{-1} 1 works because
-    the inverse is nonnegative with positive diagonal.  For singular
+    the inverse is nonnegative with positive diagonal (``linalg.m_solve``
+    certifies v > 0 and M v > 0, or SingularMatrix is raised).  For singular
     M-matrices the feasibility problem {v >= 1, M v >= 0} is solved by a
     phase-one simplex; infeasibility means not regular.
     """
     A = as_square(M)
     if classification.kind == MatrixKind.NONSINGULAR_M:
-        v = linalg.solve_linear(A, np.ones(A.shape[0]))
+        v, _, certified = linalg.m_solve(A, np.ones(A.shape[0]))
+        if not certified:
+            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
         return RegularityReport(True, v)
     if classification.kind != MatrixKind.SINGULAR_M:
         raise ValueError("regularity is defined for M-matrices only")

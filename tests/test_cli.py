@@ -124,8 +124,8 @@ class TestSolve:
             "k",
             "dH",
             "dG",
-            "minpivot_IGH",
-            "minpivot_IHG",
+            "dist_IGH",
+            "dist_IHG",
             "sign_violations_E",
             "sign_violations_F",
             "monotonicity_violations",

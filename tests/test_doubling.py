@@ -123,14 +123,35 @@ class TestStep:
         with pytest.raises(IterationBreakdown):
             step(DoublingState(0, E, F, G, H, diag, 1e-12))
 
+    def test_breakdown_on_singular_kind_that_lapack_solves(self):
+        # I - G H = I - H G = [[1, -1], [-1, 1 + 1e-15]]: LAPACK solves it, the
+        # certificate fails its rounding margin, and zm_kind finds it singular
+        E = F = 0.1 * np.eye(2)
+        G = np.eye(2)
+        H = np.array([[0.0, 1.0], [1.0, -1e-15]])
+        assert mstruct.zm_kind(np.eye(2) - G @ H) is MatrixKind.SINGULAR_M
+        diag = StepDiagnostics(0, math.nan, math.nan, 0.0, 0.0, MatrixKind.SINGULAR_M, MatrixKind.SINGULAR_M, 0, 0, 0)
+        with pytest.raises(IterationBreakdown):
+            step(DoublingState(0, E, F, G, H, diag, 1e-12))
+
+    def test_uncertified_cross_product_is_classified(self):
+        # I - G H = -1.25 is a Z-matrix but no M-matrix: the step goes on and
+        # records the kind of the new iterate's I - G H = 1 - 1.488^2
+        E = F = np.array([[0.1]])
+        G = H = np.array([[1.5]])
+        diag = StepDiagnostics(0, math.nan, math.nan, 0.8, 0.8, MatrixKind.Z_NOT_M, MatrixKind.Z_NOT_M, 0, 0, 0)
+        st1 = step(DoublingState(0, E, F, G, H, diag, 1e-12))
+        assert st1.G[0, 0] == pytest.approx(1.488, abs=1e-15)
+        assert st1.diagnostics.kind_IGH is st1.diagnostics.kind_IHG is MatrixKind.Z_NOT_M
+
 
 class TestCarriedFactors:
-    """Each iterate's I - G H and I - H G are factored and classified once."""
+    """Each iterate's I - G H and I - H G are solved and certified once, by LAPACK."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Live lu_factor / lu_solve / zm_kind call counts, plus per-phase deltas."""
-        calls = {"lu_factor": 0, "lu_solve": 0, "zm_kind": 0}
+        """Live lu_factor / m_solve / zm_kind call counts, plus per-phase deltas."""
+        calls = {"lu_factor": 0, "m_solve": 0, "zm_kind": 0}
         phases = []
 
         def counting(name, fn):
@@ -150,7 +171,7 @@ class TestCarriedFactors:
             return wrapper
 
         monkeypatch.setattr(linalg, "lu_factor", counting("lu_factor", linalg.lu_factor))
-        monkeypatch.setattr(linalg, "lu_solve", counting("lu_solve", linalg.lu_solve))
+        monkeypatch.setattr(linalg, "m_solve", counting("m_solve", linalg.m_solve))
         monkeypatch.setattr(mstruct, "zm_kind", counting("zm_kind", mstruct.zm_kind))
         monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
         monkeypatch.setattr(doubling, "step", phase("step", doubling.step))
@@ -162,29 +183,31 @@ class TestCarriedFactors:
             rep = doubling.solve(p)
             assert rep.iterations >= 1
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
-            # initialize factors Ds, As, W, V plus the two cross products and
-            # solves Ds^{-1} [C I], As^{-1} B, W^{-1} [I B] and V^{-1} I
-            assert counts[0][1] == {"lu_factor": 6, "lu_solve": 4, "zm_kind": 2}
-            # a step solves (I-GH)^{-1} [E G] and (I-HG)^{-1} [F H]
-            assert all(delta == {"lu_factor": 2, "lu_solve": 2, "zm_kind": 2} for _, delta in counts[1:])
+            # initialize solves Ds^{-1} [C I 1], As^{-1} [B 1], W^{-1} [I B 1],
+            # V^{-1} [I 1] and the two cross products of the first iterate
+            assert counts[0][1] == {"lu_factor": 0, "m_solve": 6, "zm_kind": 0}
+            # a step solves the new iterate's (I-GH)^{-1} [E G 1] and
+            # (I-HG)^{-1} [F H 1], whose certificates settle both kinds
+            assert all(delta == {"lu_factor": 0, "m_solve": 2, "zm_kind": 0} for _, delta in counts[1:])
 
     def test_state_without_factors_steps_identically(self, noncritical_suite):
         p = noncritical_suite[3]
         carried = initialize(p, select_parameters(p))
-        bare = dataclasses.replace(carried, factors=None)
+        bare = dataclasses.replace(carried, solves=None)
         for _ in range(3):
             carried, bare = step(carried), step(bare)
             for name in "EFGH":
                 assert np.array_equal(getattr(carried, name), getattr(bare, name))
             assert carried.diagnostics == bare.diagnostics
-            bare = dataclasses.replace(bare, factors=None)
+            bare = dataclasses.replace(bare, solves=None)
 
     def test_state_without_factors_factors_but_does_not_classify_old_iterate(self, counts):
         E = F = np.array([[0.5]])
         G = H = np.array([[0.25]])
         diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
         doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
-        assert counts == [("step", {"lu_factor": 4, "lu_solve": 2, "zm_kind": 2})]
+        # the old iterate's cross products are solved (and certified) again
+        assert counts == [("step", {"lu_factor": 0, "m_solve": 4, "zm_kind": 0})]
 
     def test_noncritical_steps_run_no_full_perron_root(self, monkeypatch, solved_noncritical):
         # far from singular, the first squaring bounds decide every cross product's kind
@@ -197,6 +220,37 @@ class TestCarriedFactors:
             for _ in range(rep.iterations):
                 state = step(state)
             assert np.array_equal(state.H, rep.trace[-1].H)
+
+
+class TestCrossProductCertificate:
+    """The M^{-1} 1 certificate of each cross product agrees with ``zm_kind``."""
+
+    @staticmethod
+    def _check(p, rep):
+        count = 0
+        for rec in rep.trace:
+            d = rec.diagnostics
+            for M, dist, kind in (
+                (np.eye(p.n) - rec.G @ rec.H, d.dist_IGH, d.kind_IGH),
+                (np.eye(p.m) - rec.H @ rec.G, d.dist_IHG, d.kind_IHG),
+            ):
+                _, _, certified = linalg.m_solve(M, np.zeros((len(M), 0)))
+                assert kind is mstruct.zm_kind(M)
+                assert certified == (kind is MatrixKind.NONSINGULAR_M)
+                if certified:
+                    want = 1.0 / np.abs(np.linalg.inv(M)).sum(axis=1).max()
+                    assert dist == pytest.approx(want, rel=1e-12)
+                count += 1
+        return count
+
+    def test_acceptance_suites(self, solved_noncritical, solved_nonsingular):
+        assert sum(self._check(p, rep) for p, rep in solved_noncritical + solved_nonsingular) > 1500
+
+    def test_scalar_critical_run(self, scalar_critical):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = solve(scalar_critical)
+        assert self._check(scalar_critical, rep) == 2 * len(rep.trace)
 
 
 class TestSolve:
@@ -309,7 +363,7 @@ class TestTraceCsv:
         text = trace_to_csv(rep.trace)
         lines = text.strip().splitlines()
         assert lines[0] == (
-            "k,dH,dG,minpivot_IGH,minpivot_IHG,"
+            "k,dH,dG,dist_IGH,dist_IHG,"
             "sign_violations_E,sign_violations_F,monotonicity_violations"
         )
         assert len(lines) == len(rep.trace) + 1

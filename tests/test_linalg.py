@@ -9,6 +9,7 @@ from marekit.linalg import (
     EPS,
     kernel_vector,
     lu_factor,
+    m_solve,
     numerical_rank,
     one_norm,
     rank_and_margin,
@@ -17,6 +18,7 @@ from marekit.linalg import (
     spectral_radius,
     spectral_radius_nonneg,
 )
+from marekit.mstruct import MatrixKind, zm_kind
 
 
 class TestSolveLinear:
@@ -157,10 +159,10 @@ class TestFactorizationReference:
 class TestSolveWithFactors:
     def test_vector_rhs_and_shape_check(self):
         f = lu_factor(np.diag([2.0, 4.0]))
-        assert np.array_equal(linalg.lu_solve(f, [2.0, 4.0]), [1.0, 1.0])
+        assert np.array_equal(linalg.lu_solve_regularized(f, [2.0, 4.0], 1e-300), [1.0, 1.0])
         for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
             with pytest.raises(ShapeMismatch):
-                linalg.lu_solve(f, bad)
+                linalg.lu_solve_regularized(f, bad, 1e-300)
 
     @staticmethod
     def _reference_regularized(fact, rhs, floor):
@@ -235,29 +237,60 @@ class TestSpectralRadiusNonneg:
             assert spectral_radius_nonneg(P) == pytest.approx(max(abs(roots)), abs=1e-8)
 
 
-class TestSpectralRadiusFallback:
-    """Power iteration runs only when the squaring bounds stay loose."""
+    def test_loose_bounds_raise(self, monkeypatch):
+        def loose(M):
+            yield 0.0, 100.0
 
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])  # rho = 1; shifted M has spectrum {3, 1}
+        monkeypatch.setattr(linalg, "squaring_bounds", loose)
+        with pytest.raises(NoConvergence, match="failed to tighten"):
+            spectral_radius_nonneg([[0.0, 1.0], [1.0, 0.0]])
 
-    @pytest.fixture()
-    def loose_bounds(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_radius_bounds_by_squaring", lambda M: (0.0, 100.0))
 
-    def test_loose_bounds_return_converged_power_estimate(self, loose_bounds):
-        assert spectral_radius_nonneg(self.P) == pytest.approx(1.0, abs=1e-9)
+class TestMSolve:
+    """One LAPACK solve on [rhs 1]: the solution plus a semipositivity certificate."""
 
-    def test_loose_bounds_and_stalled_power_raise(self, loose_bounds):
-        with pytest.raises(NoConvergence, match="squaring bounds failed to tighten"):
-            spectral_radius_nonneg(self.P, max_iter=1)
+    def test_certified_nonsingular_m_matrix(self):
+        M = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        X, dist, certified = m_solve(M, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert certified
+        assert np.allclose(X, np.linalg.inv(M), rtol=0, atol=1e-15)
+        # M^{-1} 1 = (1, 1): ||M^{-1}||_inf = 1
+        assert dist == pytest.approx(1.0, rel=1e-15)
 
-    def test_tight_bounds_ignore_max_iter(self):
-        rng = np.random.default_rng(3)
-        defective = np.array([[0.0, 1.0], [0.0, 0.0]])
-        for P in [self.P, defective] + [rng.uniform(0.0, 1.0, (n, n)) for n in (1, 4, 9)]:
-            expected = spectral_radius_nonneg(P)
-            assert spectral_radius_nonneg(P, max_iter=0) == expected
-            assert spectral_radius_nonneg(P, tol=0.0, max_iter=1) == expected
+    def test_vector_rhs_keeps_its_shape(self):
+        X, dist, certified = m_solve(np.diag([2.0, 4.0]), [2.0, 4.0])
+        assert X.shape == (2,) and np.array_equal(X, [1.0, 1.0])
+        assert certified and dist == 2.0
+        for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
+            with pytest.raises(ShapeMismatch):
+                m_solve(np.eye(2), bad)
+
+    def test_uncertified_kinds(self):
+        # Z but not M (rho(B) = 2 > s = 1), not Z (M^{-1} 1 > 0 all the
+        # same), and a nonsingular M-matrix within rounding of singular
+        for M in ([[1.0, -2.0], [-2.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0 + 1e-15]]):
+            _, _, certified = m_solve(M, np.ones((2, 1)))
+            assert not certified
+
+    def test_exactly_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            m_solve([[1.0, -1.0], [-1.0, 1.0]], np.ones(2))
+
+    def test_verdict_matches_kind_on_random_z_matrices(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            N = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
+            M = (spectral_radius_nonneg(N) * rng.uniform(0.5, 1.5)) * np.eye(n) - N
+            _, dist, certified = m_solve(M, np.zeros((n, 0)))
+            kind = zm_kind(M)
+            seen.add(kind)
+            assert certified == (kind is MatrixKind.NONSINGULAR_M)
+            if certified:
+                want = 1.0 / np.abs(np.linalg.inv(M)).sum(axis=1).max()
+                assert dist == pytest.approx(want, rel=1e-12)
+        assert {MatrixKind.NONSINGULAR_M, MatrixKind.Z_NOT_M} <= seen
 
 
 class TestNumericalRank:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marekit import linalg
-from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular
+from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular, SingularMatrix
 from marekit.linalg import inf_norm, spectral_radius_nonneg
 from marekit.mstruct import (
     MatrixKind,
@@ -269,6 +270,14 @@ class TestRegularity:
             rep = regularity_witness(K, cls)
             assert rep.regular
             assert (K @ rep.witness >= -cls.tol).all()
+
+    def test_uncertified_nonsingular_witness_raises(self):
+        # a nonsingular M-matrix within rounding of singular: M^{-1} 1 is
+        # too large for M v > 0 to clear its rounding margin
+        M = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-15]])
+        cls = dataclasses.replace(classify_zm(M), kind=MatrixKind.NONSINGULAR_M)
+        with pytest.raises(SingularMatrix):
+            regularity_witness(M, cls)
 
     def test_requires_m_matrix(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
