@@ -197,10 +197,13 @@ def _cmd_classify(ns) -> CommandOutcome:
 
 
 def _check_limits(ns) -> None:
-    """Reject stopping limits no iteration can honor (usage error, exit 2)."""
+    """Reject a negative or NaN --tol and a --max-iter below 1 (usage error, exit 2).
+
+    ``verify`` has a --tol (the certificate's) but no --max-iter.
+    """
     if ns.tol is not None and not ns.tol >= 0:
         raise _UsageError(f"--tol must be nonnegative, got {ns.tol}")
-    if ns.max_iter is not None and ns.max_iter < 1:
+    if getattr(ns, "max_iter", None) is not None and ns.max_iter < 1:
         raise _UsageError(f"--max-iter must be at least 1, got {ns.max_iter}")
 
 
@@ -274,6 +277,7 @@ def _write_trace(path: str, trace) -> str:
 
 
 def _cmd_verify(ns) -> CommandOutcome:
+    _check_limits(ns)
     p = _load_problem(ns.problem)
     with open(ns.phi, "r", encoding="utf-8") as fh:
         phi = matrix_from_json(fh.read())
@@ -328,6 +332,9 @@ def _cmd_generate(ns) -> CommandOutcome:
 
 
 def _cmd_rate_study(ns) -> CommandOutcome:
+    if ns.grid < 2:
+        # one level compares the default parameters with themselves
+        raise _UsageError(f"--grid must be at least 2, got {ns.grid}")
     p = _load_problem(ns.problem)
     params = doubling.select_parameters(p)
     result = doubling.solve(p, params)

@@ -11,12 +11,14 @@ inputs sit exactly on the singular boundary, so those tolerances are part
 of the contract, not an afterthought.
 
 Two entry points classify.  ``classify_zm`` computes the Perron root of
-the split to full accuracy and reports it with the gap; ``zm_kind``
-returns only the kind and stops reading the Perron bounds as soon as they
-settle it, which for a matrix far from singular is before the first matrix
-product.  Both give the same kind.  The phase-one simplex behind the
-regularity witness selects and eliminates with array operations; only the
-Bland tie rule among the eligible rows is a Python loop.
+the split to full accuracy (Collatz-Wielandt bounds from a few LAPACK
+solves, ``linalg.spectral_radius_nonneg``) and reports it with the gap;
+``zm_kind`` returns only the kind and stops reading the squaring bounds as
+soon as they settle it, which for a matrix far from singular is before the
+first matrix product.  Both give the same kind.  The phase-one simplex
+behind the regularity witness selects and eliminates with array
+operations; only the Bland tie rule among the eligible rows is a Python
+loop.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ def class_tol(M) -> float:
     """Classification tolerance for the gap s - rho(B).
 
     The dim * eps * ||M||_1 term covers rounding in the split itself; the
-    1e-13 relative floor covers the certified accuracy of the computed
-    Perron root, which no iterative eigenvalue routine can beat down to a
-    few ulps on every input.
+    1e-13 relative floor covers the accuracy of the computed Perron root.
+    Its bounds close to a width of 1e-15 (rho + c), c = 1 + max diag(B),
+    but they are rounded: the Collatz-Wielandt root and the squaring root
+    differ by up to about 2e-15 (rho + c) on the acceptance suites.
     """
     M = np.asarray(M, dtype=np.float64)
     return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M))
@@ -92,9 +95,11 @@ def _zm_split(M):
 def classify_zm(M) -> MClassification:
     """Classify a square matrix via the shift split with s = max diagonal.
 
-    Computes rho(B) to full accuracy, so ``rho_B`` and ``gap`` are exact to
-    the certified Perron root.  Callers that read only ``kind`` should use
-    ``zm_kind``, which usually decides from the first Perron bounds.
+    Computes rho(B) to full accuracy with ``linalg.spectral_radius_nonneg``
+    (Collatz-Wielandt bounds, or squaring where B is reducible with a Perron
+    vector that has zero entries), so ``rho_B`` and ``gap`` are exact to the
+    certified Perron root.  Callers that read only ``kind`` should use
+    ``zm_kind``, which usually decides from the first squaring bounds.
     """
     s, B, tol = _zm_split(M)
     if B is None:
@@ -366,7 +371,9 @@ class ZeroEigenStructure:
     ``simple_kernel`` records whether zero has exactly one independent
     eigenvector (and occurs at all).  ``low_rank_margin`` flags that some
     rank decision along the way was within 1e3x of its tolerance, i.e. the
-    multiplicities should be treated with suspicion.
+    multiplicities should be treated with suspicion.  ``classify_problem``
+    assigns (False, 0, 0, False) to the sign-flipped matrix of a certified
+    nonsingular K without eliminating it: that matrix is nonsingular too.
     """
 
     simple_kernel: bool

@@ -179,19 +179,26 @@ def classify_problem(p: MareProblem, tau_drift: float = TAU_DRIFT) -> ProblemCla
     NotRegular); for singular K the sign-flipped matrix must have a simple
     zero eigenvalue (otherwise AssumptionFails); the drift of the null
     vectors then separates SingularNoncritical from Critical.
+
+    A nonsingular K, certified by its witness v = K^{-1} 1 > 0, is
+    NonsingularK without looking at the sign-flipped matrix: that matrix
+    is diag(I_n, -I_m) K, nonsingular with K, so zero is not among its
+    eigenvalues and its structure is (False, 0, 0, False) outright.
     """
     K = p.K
     k_class = mstruct.classify_zm(K)
-    zero = mstruct.zero_eigen_structure(p.sign_flipped)
     irr = mstruct.is_irreducible(K)
 
-    if k_class.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
+    if k_class.kind == MatrixKind.NONSINGULAR_M:
+        regular = mstruct.regularity_witness(K, k_class)
+        zero = ZeroEigenStructure(False, 0, 0, False)
+        return ProblemClass(k_class, regular, irr, zero, None, Regime.NONSINGULAR_K)
+
+    zero = mstruct.zero_eigen_structure(p.sign_flipped)
+    if k_class.kind != MatrixKind.SINGULAR_M:
         return ProblemClass(k_class, RegularityReport(False, None), irr, zero, None, Regime.NOT_REGULAR)
 
     regular = mstruct.regularity_witness(K, k_class)
-    if k_class.kind == MatrixKind.NONSINGULAR_M:
-        return ProblemClass(k_class, regular, irr, zero, None, Regime.NONSINGULAR_K)
-
     nulls = None
     if zero.simple_kernel:
         nulls = mstruct.null_pair(K, p.n)

@@ -238,6 +238,14 @@ class TestVerify:
         assert rho_check["passed"] is None
         assert "SingularM" in rho_check["detail"]
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "-1e-12"])
+    def test_unusable_tol_is_usage_error(self, problem_file, tmp_path, tol):
+        phi = _matrix_file(tmp_path, "phi.json", [[GOLDEN]])
+        psi = _matrix_file(tmp_path, "psi.json", [[GOLDEN]])
+        out = execute(["verify", problem_file, "--phi", phi, "--psi", psi, "--tol", tol])
+        assert out.exit_code == 2
+        assert "--tol must be nonnegative" in json.loads(out.report_json)["error"]
+
 
 class TestOracle:
     def test_oracle_command(self, problem_file):
@@ -315,6 +323,12 @@ class TestRateStudy:
         rep = json.loads(out.report_json)
         assert len(rep["grid"]) == 4
         assert "flags" not in rep
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-2"])
+    def test_grid_below_two_is_usage_error(self, problem_file, grid):
+        out = execute(["rate-study", problem_file, "--grid", grid])
+        assert out.exit_code == 2
+        assert "--grid must be at least 2" in json.loads(out.report_json)["error"]
 
 
 def test_dumps_report_17_digits():

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marekit import linalg
+from marekit import linalg, mstruct, solve
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
 from marekit.linalg import (
     EPS,
@@ -18,7 +21,7 @@ from marekit.linalg import (
     spectral_radius,
     spectral_radius_nonneg,
 )
-from marekit.mstruct import MatrixKind, zm_kind
+from marekit.mstruct import MatrixKind, classify_zm, is_irreducible, zm_kind
 
 
 class TestSolveLinear:
@@ -238,12 +241,116 @@ class TestSpectralRadiusNonneg:
 
 
     def test_loose_bounds_raise(self, monkeypatch):
+        # the Perron vector (1, 0) has a zero entry, so the Collatz-Wielandt
+        # iteration gives up and the squaring fallback must carry the root
         def loose(M):
             yield 0.0, 100.0
 
         monkeypatch.setattr(linalg, "squaring_bounds", loose)
         with pytest.raises(NoConvergence, match="failed to tighten"):
-            spectral_radius_nonneg([[0.0, 1.0], [1.0, 0.0]])
+            spectral_radius_nonneg([[2.0, 1.0], [0.0, 1.0]])
+
+
+def _squaring_root(P):
+    """``(rho, c)``: the Perron root from squaring bounds alone."""
+    M, c = linalg.perron_shift(P)
+    lo, hi = 0.0, math.inf
+    for lo, hi in linalg.squaring_bounds(M):
+        if hi - lo <= 1e-15 * max(1.0, lo):
+            break
+    return max(0.5 * (lo + hi) - c, 0.0), c
+
+
+def _perron_matrix(what, M):
+    """The nonnegative matrix whose Perron root the package takes for input ``what``."""
+    return M if what == "PhiPsi" else mstruct._zm_split(M)[1]
+
+
+@pytest.fixture(scope="module")
+def perron_inputs(solved_noncritical, solved_nonsingular, scalar_nonsingular, scalar_critical, reducible_singular):
+    """``(label, what, M)`` for K, R, S and Phi Psi of every solved acceptance and worked problem."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        worked = [(p, solve(p)) for p in (scalar_nonsingular, scalar_critical, reducible_singular)]
+    inputs = []
+    for suite, solved in (("noncritical", solved_noncritical), ("nonsingular", solved_nonsingular), ("worked", worked)):
+        for p, rep in solved:
+            cert = rep.certificate
+            for what, M in (("K", p.K), ("R", cert.R), ("S", cert.S), ("PhiPsi", cert.phi @ cert.psi)):
+                inputs.append((f"{suite}:{p.name}:{what}", what, M))
+    return inputs
+
+
+class TestCollatzWielandtRoot:
+    """The Collatz-Wielandt root agrees with squaring, which serves only as its fallback."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"gave_up": 0, "squaring": 0}
+        noda, squaring = linalg._noda_root, linalg.squaring_bounds
+
+        def counted_noda(P, c):
+            rho = noda(P, c)
+            calls["gave_up"] += rho is None
+            return rho
+
+        def counted_squaring(M):
+            calls["squaring"] += 1
+            return squaring(M)
+
+        monkeypatch.setattr(linalg, "_noda_root", counted_noda)
+        monkeypatch.setattr(linalg, "squaring_bounds", counted_squaring)
+        return calls
+
+    def test_agrees_with_squaring_on_every_split(self, perron_inputs, monkeypatch):
+        for label, what, M in perron_inputs:
+            B = _perron_matrix(what, M)
+            want, c = _squaring_root(B)
+            calls = self._counted(monkeypatch)
+            got = spectral_radius_nonneg(B)
+            assert abs(got - want) <= 4e-15 * (want + c), label
+            # squaring runs only where the Collatz-Wielandt iteration gave up
+            assert calls["squaring"] == (calls["gave_up"] if B.shape[0] > 1 else 1), label
+
+    def test_same_kinds_as_squaring(self, perron_inputs, monkeypatch):
+        splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
+        kinds = [classify_zm(M).kind for _, M in splits]
+        monkeypatch.setattr(linalg, "spectral_radius_nonneg", lambda P: _squaring_root(P)[0])
+        for (label, M), kind in zip(splits, kinds):
+            assert classify_zm(M).kind is kind, label
+
+    def test_reducible_closing_matrices_reach_the_fallback(self, perron_inputs, monkeypatch):
+        reducible = [
+            _perron_matrix(what, M)
+            for label, what, M in perron_inputs
+            if label.startswith("noncritical") and what in ("R", "S") and not is_irreducible(M)
+        ]
+        calls = self._counted(monkeypatch)
+        for B in reducible:
+            spectral_radius_nonneg(B)
+        assert calls["gave_up"] >= 1
+        assert calls["squaring"] == calls["gave_up"] + sum(B.shape[0] == 1 for B in reducible)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sparse_random_matrices_give_up_quietly(self, monkeypatch):
+        # sparse draws are often reducible: the iteration must give up before
+        # it divides by a zero or non-finite iterate, and agree with squaring
+        rng = np.random.default_rng(5)
+        calls = self._counted(monkeypatch)
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            P = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
+            want, c = _squaring_root(P)
+            assert abs(spectral_radius_nonneg(P) - want) <= 4e-15 * (want + c), P
+        assert calls["gave_up"] > 0
+
+    def test_zero_and_1x1_inputs_as_squaring(self, perron_inputs):
+        rng = np.random.default_rng(17)
+        inputs = [np.zeros((n, n)) for n in range(1, 6)]
+        inputs += [np.array([[a]]) for a in [0.0, 1.0, 2.0, 1e-300, 1e300, *rng.uniform(0.0, 3.0, 200)]]
+        inputs += [_perron_matrix(what, M) for _, what, M in perron_inputs if M.shape == (1, 1)]
+        for P in inputs:
+            assert spectral_radius_nonneg(P) == _squaring_root(P)[0], P
 
 
 class TestMSolve:

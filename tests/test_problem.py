@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from marekit import solve
+from marekit import linalg, mstruct, solve
 from marekit.errors import NotZMatrix, ShapeMismatch
 from marekit.mstruct import MatrixKind
 from marekit.problem import (
@@ -141,6 +141,24 @@ class TestClassifyProblem:
         pc = classify_problem(p)
         assert pc.regime is Regime.ASSUMPTION_FAILS
         assert pc.zero_structure.geometric_multiplicity == 2
+
+    def test_nonsingular_k_skips_the_sign_flipped_elimination(self, nonsingular_suite, scalar_nonsingular, monkeypatch):
+        problems = [*nonsingular_suite, scalar_nonsingular]
+        # the structure the rank-of-powers elimination finds, before it is counted
+        want = [mstruct.zero_eigen_structure(p.sign_flipped) for p in problems]
+        calls = {"zero_eigen_structure": 0, "rank_and_margin": 0}
+        for module, name in ((mstruct, "zero_eigen_structure"), (linalg, "rank_and_margin")):
+            def counted(*args, _orig=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for p, structure in zip(problems, want):
+            pc = classify_problem(p)
+            assert pc.regime is Regime.NONSINGULAR_K
+            assert pc.zero_structure == structure
+            assert (pc.regular.witness > 0).all()
+        assert calls == {"zero_eigen_structure": 0, "rank_and_margin": 0}
 
 
 class TestCertificate:
