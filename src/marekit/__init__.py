@@ -43,7 +43,6 @@ from .mstruct import (
     null_pair,
     regularity_witness,
     zero_eigen_structure,
-    zm_kind,
 )
 from .problem import (
     Certificate,
@@ -133,5 +132,4 @@ __all__ = [
     "theoretical_rate",
     "trace_to_csv",
     "zero_eigen_structure",
-    "zm_kind",
 ]

@@ -35,8 +35,8 @@ certificate in the initialization or the rate raises SingularMatrix.  The
 cross products are solved once, when their iterate is created, as
 (I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], and the solutions are
 carried to the next step.  Only an uncertified cross product is
-classified by ``mstruct.zm_kind``; the next step breaks down when that
-kind is singular or LAPACK found the matrix exactly singular.
+classified, by ``mstruct.classify_zm``; the next step breaks down when
+that kind is singular or LAPACK found the matrix exactly singular.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class DoublingParams:
             raise InvalidParameters("alpha and beta must be positive")
         if self.max_iter < 1:
             raise InvalidParameters("max_iter must be >= 1")
+        if not self.stop_tol >= 0:
+            raise InvalidParameters(f"stop_tol must be nonnegative, got {self.stop_tol}")
 
 
 def select_parameters(
@@ -194,7 +196,7 @@ class SolveReport:
 def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
     """(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], each as (solution, dist, kind).
 
-    Only a matrix whose certificate fails is classified by ``mstruct.zm_kind``;
+    Only a matrix whose certificate fails is classified by ``mstruct.classify_zm``;
     the solution is None and dist 0 when LAPACK finds it exactly singular.
     """
     out = []
@@ -203,7 +205,7 @@ def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
             X, dist, certified = linalg.m_solve(M, rhs)
         except SingularMatrix:
             X, dist, certified = None, 0.0, False
-        out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.zm_kind(M)))
+        out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind))
     return out
 
 

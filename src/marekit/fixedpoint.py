@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import sign_tol
-from .errors import SingularMatrix
+from .errors import InvalidParameters, SingularMatrix
 from .linalg import pivot_tol
 from .problem import MareProblem, residual_primal
 
@@ -42,9 +42,15 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
     report with ``converged=False`` when the cap is reached first (the best
     iterate is still attached).  Entrywise monotonicity is checked at every
     step to the problem's sign tolerance and violations are counted.
-    Raises SingularMatrix when some ``a_i + d_j`` does not exceed the pivot
-    tolerance of K, since the splitting then divides by (nearly) zero.
+    Raises InvalidParameters for a negative or NaN ``tol`` or a
+    ``max_iter`` below 1, and SingularMatrix when some ``a_i + d_j`` does
+    not exceed the pivot tolerance of K, since the splitting then divides
+    by (nearly) zero.
     """
+    if not tol >= 0:
+        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
+    if max_iter < 1:
+        raise InvalidParameters(f"max_iter must be >= 1, got {max_iter}")
     a, d = np.diag(p.A), np.diag(p.D)
     denom = a[:, None] + d[None, :]
     floor = pivot_tol(p.K)

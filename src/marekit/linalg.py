@@ -10,9 +10,11 @@ boundary, the certified Perron root of a nonnegative matrix, and the
 complete-pivot rank and kernel.  Every solve runs in LAPACK through
 ``np.linalg.solve``, and general eigenvalues through ``np.linalg.eigvals``.
 The Perron root is bracketed by Collatz-Wielandt bounds on the vectors of
-Noda's shifted inverse iteration, one LAPACK solve per step; repeated
-squaring brackets it only where that iteration gives up, as on a reducible
-matrix whose Perron vector has zero entries.
+Noda's shifted inverse iteration, one LAPACK solve per step.  Where those
+bounds stay open on a reducible matrix, as when its Perron vector has zero
+entries, the root is the largest one of its irreducible diagonal blocks
+(the strongly connected components of its digraph), each bracketed the
+same way.
 """
 
 from __future__ import annotations
@@ -191,73 +193,25 @@ def m_solve(M, rhs):
 # ---------------------------------------------------------------------------
 
 
-def squaring_bounds(M: np.ndarray, max_squarings: int = 80):
-    """Yield two-sided bounds ``(lo, hi)`` on rho(M), tightening each time.
-
-    M must be nonnegative with a positive diagonal.  Uses repeated squaring
-    with 1-norm rescaling.  For any k, max_i (M^k)_ii <= rho(M)^k <=
-    ||M^k||_1, and with k = 2^j both ends close in geometrically in j, even
-    for defective dominant eigenvalues.  The first pair costs no matrix
-    product and each later one a single squaring, done lazily only when
-    the consumer asks for it, so a caller that needs only to know which
-    side of a threshold rho lies on stops as soon as the bounds settle it.
-    Squaring may underflow the rescaled iterate to exact zero once the
-    transient (nilpotent) part dominates; the bounds reached by then are
-    already tight, so the generator just stops there.
-
-    These bounds settle ``mstruct.zm_kind`` far from singular at no cost,
-    and they carry ``spectral_radius_nonneg`` where its Collatz-Wielandt
-    iteration gives up (reducible, defective or 1x1 input).
-    """
-    N = M.copy()
-    log_scale = 0.0  # sum of 2^{-i} log t_i accumulated so far
-    weight = 1.0
-    for _ in range(max_squarings):
-        t = one_norm(N)
-        if t <= 0.0:
-            return
-        log_scale += weight * math.log(t)
-        N = N / t
-        lo = math.exp(log_scale + weight * math.log(max(np.diag(N).max(), 5e-324)))
-        hi = math.exp(log_scale)  # ||N||_1 == 1 after scaling
-        yield lo, hi
-        N = N @ N
-        weight *= 0.5
-
-
-def perron_shift(P) -> tuple[np.ndarray, float]:
-    """``(P + c I, c)`` with ``c = 1 + max diag(P)`` for nonnegative square P.
-
-    For nonnegative matrices every eigenvalue satisfies |lam + c| <= rho + c
-    with equality only at the Perron root, so the shift makes that root
-    strictly dominant and gives the result the positive diagonal that
-    ``squaring_bounds`` needs; rho(P) = rho(P + c I) - c.
-    """
-    A = as_square(P, "P")
-    if (A < 0).any():
-        raise ValueError("P must be entrywise nonnegative")
-    c = 1.0 + float(np.diag(A).max())
-    return A + c * np.eye(A.shape[0]), c
-
-
 # Noda's iteration closes the Perron bounds in at most 8 solves on every
 # split of the acceptance suites and benchmark workloads; a width still open
 # after this many creeps towards a Perron vector with zero entries.
 _NODA_MAX_SOLVES = 20
 
 
-def _noda_root(P: np.ndarray, c: float) -> float | None:
-    """Perron root of P >= 0 from Collatz-Wielandt bounds, or None.
+def _noda_bounds(P: np.ndarray, c: float) -> tuple[float, float, np.ndarray]:
+    """``(lo, hi, x)``: Collatz-Wielandt bounds lo <= rho(P) <= hi of P >= 0 and the last x > 0.
 
     For any x > 0, min (P x)_i / x_i <= rho(P) <= max (P x)_i / x_i.  The
     vector comes from Noda's shifted inverse iteration (Numer. Math. 17
     (1971) 382-386): from x = 1, each step solves (hi I - P) y = x with hi
     the current upper bound, and the bounds of successive vectors are
     intersected.  For irreducible P the width closes quadratically, in a
-    handful of solves, to 1e-15 max(1, lo + c).  None (the caller falls
-    back to squaring) when an iterate is not strictly positive, LAPACK
-    finds the shifted matrix singular, or the width stops shrinking; a
-    reducible P whose Perron vector has zero entries ends here.
+    handful of solves, to 1e-15 max(1, lo + c).  The iteration stops with a
+    wider width when an iterate would not be strictly positive, LAPACK
+    finds the shifted matrix singular, or the width stops shrinking: on a
+    reducible P whose Perron vector has zero entries, and where rounding
+    stalls it on an irreducible P.
     """
     n = P.shape[0]
     x = np.ones(n)
@@ -267,56 +221,91 @@ def _noda_root(P: np.ndarray, c: float) -> float | None:
         ratios = (P @ x) / x
         lo = max(lo, float(ratios.min()))
         hi = min(hi, float(ratios.max()))
-        if hi - lo <= 1e-15 * max(1.0, lo + c):
-            return 0.5 * (lo + hi)
-        if not hi - lo < width:
-            return None
+        if hi - lo <= 1e-15 * max(1.0, lo + c) or not hi - lo < width:
+            break
         width = hi - lo
         shifted = -P
         shifted.flat[:: n + 1] += hi
         try:
             y = np.linalg.solve(shifted, x)
         except np.linalg.LinAlgError:
-            return None
+            break
         if not ((y > 0.0) & (y < math.inf)).all():
-            return None
-        x = y / y.max()
-        if not (x > 0.0).all():  # an entry underflowed
-            return None
-    return None
+            break
+        y = y / y.max()
+        if not (y > 0.0).all():  # an entry underflowed
+            break
+        x = y
+    return lo, hi, x
+
+
+def _reach(adj: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
+    """Mask of the ``allowed`` nodes reachable from ``start`` along ``adj``, by frontier expansion."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while len(frontier):
+        nxt = adj[frontier].any(axis=0) & allowed & ~seen
+        frontier = np.flatnonzero(nxt)
+        seen |= nxt
+    return seen
+
+
+def irreducible_blocks(M) -> list[np.ndarray]:
+    """Index sets of the irreducible diagonal blocks of a square M.
+
+    These are the strongly connected components of the off-diagonal
+    digraph (edge i -> j whenever i != j and M[i, j] != 0), in the order of
+    their smallest index; M is irreducible exactly when there is one.  Each
+    component is the set of nodes that both reach and are reached from its
+    smallest node, found among the nodes no earlier component took.
+    """
+    A = as_square(M)
+    adj = A != 0.0
+    np.fill_diagonal(adj, False)
+    left = np.ones(A.shape[0], dtype=bool)
+    blocks = []
+    while left.any():
+        i = int(left.argmax())
+        block = _reach(adj, i, left) & _reach(adj.T, i, left)
+        blocks.append(np.flatnonzero(block))
+        left &= ~block
+    return blocks
 
 
 def spectral_radius_nonneg(P) -> float:
     """Perron root of an entrywise-nonnegative square matrix, to full accuracy.
 
-    Returns the midpoint of two-sided bounds on rho(P) closed to a width of
-    at most 1e-15 max(1, lo + c), with ``c = 1 + max diag(P)`` the shift of
-    ``perron_shift``.  The bounds are the Collatz-Wielandt bounds of
-    ``_noda_root``, a few LAPACK solves.  Where that iteration gives up (a
-    reducible P whose Perron vector has zero entries, a defective or
-    nilpotent P), and for a 1x1 P, which settles on the first pair without
-    a product, ``squaring_bounds(P + c I)`` is consumed instead until its
-    relative width is at most 1e-15 (about 53 squarings; accurate to a few
-    ulps, also for a defective dominant eigenvalue).  Its midpoint is
-    returned once those bounds closed to a relative width of 1e-9; looser
-    bounds raise NoConvergence.
-
-    A caller that only needs to know on which side of a threshold the root
-    lies (as ``mstruct.zm_kind`` does) should read ``squaring_bounds``
-    directly and stop as soon as they settle it.
+    A 1x1 P is its own root.  Otherwise the root is the midpoint of the
+    Collatz-Wielandt bounds of ``_noda_bounds``, a few LAPACK solves, closed
+    to a width of at most 1e-15 max(1, lo + c) with ``c = 1 + max diag(P)``.
+    Where they stay open on a reducible P (a Perron vector with zero
+    entries, a nilpotent P), the root is the largest root of the
+    irreducible diagonal blocks of ``irreducible_blocks``, each taken by
+    this function.  Where rounding stalls them on an irreducible P, the
+    iteration reruns on diag(x)^-1 P diag(x), x its last vector: the same
+    root, and a Perron vector near 1 whose small entries the solves no
+    longer lose to the spread of x.  Bounds of both runs within
+    1e-14 max(1, lo + c) give the root; wider ones raise NoConvergence.
     """
-    M, c = perron_shift(P)
-    if M.shape[0] > 1:
-        rho = _noda_root(np.asarray(P, dtype=np.float64), c)
-        if rho is not None:
-            return rho
-    lo, hi = 0.0, math.inf
-    for lo, hi in squaring_bounds(M):
-        if hi - lo <= 1e-15 * max(1.0, lo):
-            break
-    if not hi - lo <= 1e-9 * max(1.0, lo):
-        raise NoConvergence(f"Perron squaring bounds [{lo:.6e}, {hi:.6e}] failed to tighten")
-    return max(0.5 * (lo + hi) - c, 0.0)
+    A = as_square(P, "P")
+    if (A < 0).any():
+        raise ValueError("P must be entrywise nonnegative")
+    if A.shape[0] == 1:
+        return float(A[0, 0])
+    c = 1.0 + float(np.diag(A).max())
+    lo, hi, x = _noda_bounds(A, c)
+    if hi - lo > 1e-15 * max(1.0, lo + c):
+        blocks = irreducible_blocks(A)
+        if len(blocks) > 1:
+            return max(spectral_radius_nonneg(A[np.ix_(b, b)]) for b in blocks)
+        lo_x, hi_x, _ = _noda_bounds(A * x / x[:, None], c)
+        lo, hi = max(lo, lo_x), min(hi, hi_x)
+        if not hi - lo <= 1e-14 * max(1.0, lo + c):
+            raise NoConvergence(
+                f"Collatz-Wielandt bounds [{lo:.6e}, {hi:.6e}] failed to close on an irreducible matrix"
+            )
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +372,9 @@ def rank_and_kernel(M, tol: float):
 
     One complete-pivot elimination serves both, so a caller that checks the
     rank before it needs the kernel does not eliminate twice.  The kernel
-    vector is the one ``kernel_vector`` returns.
+    vector back-substitutes the first free column of the fully pivoted
+    echelon form and has unit 2-norm; the caller checks that the kernel is
+    one-dimensional.
     """
     A = as_square(M)
     n = A.shape[0]
@@ -399,19 +390,6 @@ def rank_and_kernel(M, tol: float):
     x = np.zeros(n)
     x[cp] = x_perm
     return rank, x / np.linalg.norm(x)
-
-
-def kernel_vector(M, tol: float) -> np.ndarray:
-    """One unit-2-norm kernel vector of a square rank-deficient matrix.
-
-    Back-substitutes the first free column of the fully pivoted echelon
-    form.  The caller is responsible for checking that the kernel is
-    one-dimensional; this routine just requires rank < n.
-    """
-    _, x = rank_and_kernel(M, tol)
-    if x is None:
-        raise SingularMatrix("matrix has full numerical rank; no kernel vector")
-    return x
 
 
 # ---------------------------------------------------------------------------

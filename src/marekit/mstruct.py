@@ -10,15 +10,14 @@ All judgments are made to explicit scale-aware tolerances; the interesting
 inputs sit exactly on the singular boundary, so those tolerances are part
 of the contract, not an afterthought.
 
-Two entry points classify.  ``classify_zm`` computes the Perron root of
-the split to full accuracy (Collatz-Wielandt bounds from a few LAPACK
-solves, ``linalg.spectral_radius_nonneg``) and reports it with the gap;
-``zm_kind`` returns only the kind and stops reading the squaring bounds as
-soon as they settle it, which for a matrix far from singular is before the
-first matrix product.  Both give the same kind.  The phase-one simplex
-behind the regularity witness selects and eliminates with array
-operations; only the Bland tie rule among the eligible rows is a Python
-loop.
+``classify_zm`` computes the Perron root of the split to full accuracy
+(Collatz-Wielandt bounds from a few LAPACK solves,
+``linalg.spectral_radius_nonneg``, block by block on a reducible split
+whose Perron vector has zero entries) and reports it with the gap.
+Irreducibility is ``linalg.irreducible_blocks`` finding one block.  The
+phase-one simplex behind the regularity witness selects and eliminates
+with array operations; only the Bland tie rule among the eligible rows is
+a Python loop.
 """
 
 from __future__ import annotations
@@ -46,9 +45,10 @@ def class_tol(M) -> float:
 
     The dim * eps * ||M||_1 term covers rounding in the split itself; the
     1e-13 relative floor covers the accuracy of the computed Perron root.
-    Its bounds close to a width of 1e-15 (rho + c), c = 1 + max diag(B),
-    but they are rounded: the Collatz-Wielandt root and the squaring root
-    differ by up to about 2e-15 (rho + c) on the acceptance suites.
+    Its Collatz-Wielandt bounds close to a width of 1e-15 (rho + c),
+    c = 1 + max diag of the matrix or block they bracket, but they are
+    rounded: the root and a repeated-squaring reference differ by up to
+    about 2e-15 (rho + c) on the acceptance suites.
     """
     M = np.asarray(M, dtype=np.float64)
     return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M))
@@ -75,69 +75,34 @@ class MClassification:
     tol: float
 
 
-def _zm_split(M):
-    """``(s, B, tol)`` of the split ``M = s I - B`` with s = max diagonal.
+def classify_zm(M) -> MClassification:
+    """Classify a square matrix via the shift split with s = max diagonal.
 
-    ``B`` is None when M has a positive off-diagonal entry (not a
-    Z-matrix); otherwise it is entrywise nonnegative.
+    Computes rho(B) to full accuracy with ``linalg.spectral_radius_nonneg``
+    (Collatz-Wielandt bounds, taken block by block where B is reducible
+    with a Perron vector that has zero entries), so ``rho_B`` and ``gap``
+    are exact to the certified Perron root.
     """
     A = as_square(M)
     s = float(np.diag(A).max())
     tol = class_tol(A)
     if (A - np.diag(np.diag(A)) > 0.0).any():
-        return s, None, tol
+        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
     B = s * np.eye(A.shape[0]) - A
     # rounding can leave -0.0 or eps-size negatives on the diagonal
     B[B < 0] = 0.0
-    return s, B, tol
-
-
-def classify_zm(M) -> MClassification:
-    """Classify a square matrix via the shift split with s = max diagonal.
-
-    Computes rho(B) to full accuracy with ``linalg.spectral_radius_nonneg``
-    (Collatz-Wielandt bounds, or squaring where B is reducible with a Perron
-    vector that has zero entries), so ``rho_B`` and ``gap`` are exact to the
-    certified Perron root.  Callers that read only ``kind`` should use
-    ``zm_kind``, which usually decides from the first squaring bounds.
-    """
-    s, B, tol = _zm_split(M)
-    if B is None:
-        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
     rho = linalg.spectral_radius_nonneg(B)
     gap = s - rho
+    return MClassification(gap_kind(gap, tol), s, rho, gap, tol)
+
+
+def gap_kind(gap: float, tol: float) -> MatrixKind:
+    """The kind of a Z-matrix whose split has ``gap = s - rho(B)``, judged to ``tol``."""
     if gap > tol:
-        kind = MatrixKind.NONSINGULAR_M
-    elif gap < -tol:
-        kind = MatrixKind.Z_NOT_M
-    else:
-        kind = MatrixKind.SINGULAR_M
-    return MClassification(kind, s, rho, gap, tol)
-
-
-def zm_kind(M) -> MatrixKind:
-    """``classify_zm(M).kind``, decided as soon as the Perron bounds settle it.
-
-    The squaring bounds lo <= rho(B) + c <= hi of ``linalg.squaring_bounds``
-    are read one pair at a time: once the gap s - rho(B) is certainly above
-    2 tol the matrix is a nonsingular M-matrix, once it is certainly below
-    -2 tol it is a Z-matrix that is not an M-matrix.  The factor 2 keeps a
-    margin of one tol over the rounding of the bounds, so the verdict
-    agrees with ``classify_zm``.  A matrix whose gap stays within that band
-    of zero (singular, or nearly so) gets the full ``classify_zm``.  Far
-    from singular, as the doubling cross products are, the first pair
-    decides and no matrix product is formed at all.
-    """
-    s, B, tol = _zm_split(M)
-    if B is None:
-        return MatrixKind.NOT_Z
-    P, c = linalg.perron_shift(B)
-    for lo, hi in linalg.squaring_bounds(P):
-        if s - (hi - c) > 2.0 * tol:
-            return MatrixKind.NONSINGULAR_M
-        if s - (lo - c) < -2.0 * tol:
-            return MatrixKind.Z_NOT_M
-    return classify_zm(M).kind
+        return MatrixKind.NONSINGULAR_M
+    if gap < -tol:
+        return MatrixKind.Z_NOT_M
+    return MatrixKind.SINGULAR_M
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +217,11 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
 def is_irreducible(M) -> bool:
     """True iff the off-diagonal digraph of M is strongly connected.
 
-    Edge i -> j whenever i != j and M[i, j] != 0.  A 1x1 matrix is
-    irreducible by convention.
+    Edge i -> j whenever i != j and M[i, j] != 0, so M is irreducible
+    exactly when ``linalg.irreducible_blocks`` finds one block.  A 1x1
+    matrix is irreducible by convention.
     """
-    A = as_square(M)
-    n = A.shape[0]
-    if n == 1:
-        return True
-    adj = A != 0.0
-    np.fill_diagonal(adj, False)
-
-    def reaches_all(graph: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = graph[frontier].any(axis=0) & ~seen
-            frontier = list(np.nonzero(nxt)[0])
-            seen |= nxt
-        return bool(seen.all())
-
-    return reaches_all(adj) and reaches_all(adj.T)
+    return len(linalg.irreducible_blocks(M)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +299,10 @@ def null_pair(K, n: int) -> NullPair:
         raise AmbiguousKernel(f"kernel dimension {size - rank} != 1")
     tol = null_tol(A)
     v = _oriented_kernel(A, x, tol)
-    u = _oriented_kernel(A.T, linalg.kernel_vector(A.T, linalg.rank_tol(A.T)), tol)
+    _, x = linalg.rank_and_kernel(A.T, linalg.rank_tol(A.T))
+    if x is None:
+        raise SingularMatrix("matrix has full numerical rank; no kernel vector")
+    u = _oriented_kernel(A.T, x, tol)
     if inf_norm(A @ v) > tol or inf_norm(u @ A) > tol:
         raise AmbiguousKernel("kernel residual exceeds tolerance")
     drift = float(u[:n] @ v[:n] - u[n:] @ v[n:])

@@ -330,9 +330,11 @@ def make_certificate(
         one_norm(p.sign_flipped), EPS
     )
 
-    rho = linalg.spectral_radius_nonneg(phi_m @ psi_m)
-    i_phipsi_kind = mstruct.zm_kind(np.eye(p.m) - phi_m @ psi_m)
-    i_psiphi_kind = mstruct.zm_kind(np.eye(p.n) - psi_m @ phi_m)
+    # in the split of I - Phi Psi and of I - Psi Phi the gap is 1 - rho(Phi Psi)
+    phi_psi = phi_m @ psi_m
+    rho = linalg.spectral_radius_nonneg(phi_psi)
+    i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.m) - phi_psi))
+    i_psiphi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.n) - psi_m @ phi_m))
 
     scale_r = one_norm(p.D) + one_norm(p.C) * one_norm(phi_m)
     scale_s = one_norm(p.A) + one_norm(p.B) * one_norm(psi_m)

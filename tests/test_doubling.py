@@ -62,6 +62,16 @@ class TestSelectParameters:
         with pytest.raises(InvalidParameters):
             DoublingParams(2.0, 1.0, mode=MODE_SDA)
 
+    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan])
+    def test_bad_stop_tol_rejected(self, scalar_nonsingular, stop_tol):
+        with pytest.raises(InvalidParameters, match="stop_tol"):
+            DoublingParams(2.0, 1.0, stop_tol=stop_tol)
+        with pytest.raises(InvalidParameters, match="stop_tol"):
+            select_parameters(scalar_nonsingular, stop_tol=stop_tol)
+
+    def test_zero_stop_tol_accepted(self):
+        assert DoublingParams(2.0, 1.0, stop_tol=0.0).stop_tol == 0.0
+
 
 class TestInitialize:
     def test_scalar_critical_worked_values(self, scalar_critical):
@@ -125,11 +135,11 @@ class TestStep:
 
     def test_breakdown_on_singular_kind_that_lapack_solves(self):
         # I - G H = I - H G = [[1, -1], [-1, 1 + 1e-15]]: LAPACK solves it, the
-        # certificate fails its rounding margin, and zm_kind finds it singular
+        # certificate fails its rounding margin, and classify_zm finds it singular
         E = F = 0.1 * np.eye(2)
         G = np.eye(2)
         H = np.array([[0.0, 1.0], [1.0, -1e-15]])
-        assert mstruct.zm_kind(np.eye(2) - G @ H) is MatrixKind.SINGULAR_M
+        assert mstruct.classify_zm(np.eye(2) - G @ H).kind is MatrixKind.SINGULAR_M
         diag = StepDiagnostics(0, math.nan, math.nan, 0.0, 0.0, MatrixKind.SINGULAR_M, MatrixKind.SINGULAR_M, 0, 0, 0)
         with pytest.raises(IterationBreakdown):
             step(DoublingState(0, E, F, G, H, diag, 1e-12))
@@ -150,8 +160,8 @@ class TestCarriedFactors:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Live lu_factor / m_solve / zm_kind call counts, plus per-phase deltas."""
-        calls = {"lu_factor": 0, "m_solve": 0, "zm_kind": 0}
+        """Live lu_factor / m_solve / classify_zm call counts, plus per-phase deltas."""
+        calls = {"lu_factor": 0, "m_solve": 0, "classify_zm": 0}
         phases = []
 
         def counting(name, fn):
@@ -172,7 +182,7 @@ class TestCarriedFactors:
 
         monkeypatch.setattr(linalg, "lu_factor", counting("lu_factor", linalg.lu_factor))
         monkeypatch.setattr(linalg, "m_solve", counting("m_solve", linalg.m_solve))
-        monkeypatch.setattr(mstruct, "zm_kind", counting("zm_kind", mstruct.zm_kind))
+        monkeypatch.setattr(mstruct, "classify_zm", counting("classify_zm", mstruct.classify_zm))
         monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
         monkeypatch.setattr(doubling, "step", phase("step", doubling.step))
         return phases
@@ -185,10 +195,10 @@ class TestCarriedFactors:
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
             # initialize solves Ds^{-1} [C I 1], As^{-1} [B 1], W^{-1} [I B 1],
             # V^{-1} [I 1] and the two cross products of the first iterate
-            assert counts[0][1] == {"lu_factor": 0, "m_solve": 6, "zm_kind": 0}
+            assert counts[0][1] == {"lu_factor": 0, "m_solve": 6, "classify_zm": 0}
             # a step solves the new iterate's (I-GH)^{-1} [E G 1] and
             # (I-HG)^{-1} [F H 1], whose certificates settle both kinds
-            assert all(delta == {"lu_factor": 0, "m_solve": 2, "zm_kind": 0} for _, delta in counts[1:])
+            assert all(delta == {"lu_factor": 0, "m_solve": 2, "classify_zm": 0} for _, delta in counts[1:])
 
     def test_state_without_factors_steps_identically(self, noncritical_suite):
         p = noncritical_suite[3]
@@ -207,10 +217,10 @@ class TestCarriedFactors:
         diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
         doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
         # the old iterate's cross products are solved (and certified) again
-        assert counts == [("step", {"lu_factor": 0, "m_solve": 4, "zm_kind": 0})]
+        assert counts == [("step", {"lu_factor": 0, "m_solve": 4, "classify_zm": 0})]
 
     def test_noncritical_steps_run_no_full_perron_root(self, monkeypatch, solved_noncritical):
-        # far from singular, the first squaring bounds decide every cross product's kind
+        # far from singular, the M^{-1} 1 certificate settles every cross product's kind
         def refuse(P, *args, **kwargs):
             raise AssertionError("full Perron root computed during a doubling step")
 
@@ -223,7 +233,7 @@ class TestCarriedFactors:
 
 
 class TestCrossProductCertificate:
-    """The M^{-1} 1 certificate of each cross product agrees with ``zm_kind``."""
+    """The M^{-1} 1 certificate of each cross product agrees with ``classify_zm``."""
 
     @staticmethod
     def _check(p, rep):
@@ -235,7 +245,7 @@ class TestCrossProductCertificate:
                 (np.eye(p.m) - rec.H @ rec.G, d.dist_IHG, d.kind_IHG),
             ):
                 _, _, certified = linalg.m_solve(M, np.zeros((len(M), 0)))
-                assert kind is mstruct.zm_kind(M)
+                assert kind is mstruct.classify_zm(M).kind
                 assert certified == (kind is MatrixKind.NONSINGULAR_M)
                 if certified:
                     want = 1.0 / np.abs(np.linalg.inv(M)).sum(axis=1).max()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marekit import FamilySpec, MareProblem, Regime, generate, solve
-from marekit.errors import SingularMatrix
+from marekit.errors import InvalidParameters, SingularMatrix
 from marekit.fixedpoint import fixed_point_solve
 from marekit.linalg import one_norm
 from marekit.problem import residual_primal
@@ -66,3 +66,23 @@ def test_zero_denominator_raises():
         p = MareProblem(n=1, m=1, A=[[a]], B=[[1.0]], C=[[1.0]], D=[[d]])
         with pytest.raises(SingularMatrix):
             fixed_point_solve(p)
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"tol": -1e-300}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -5}, "max_iter"),
+    ],
+)
+def test_bad_limits_rejected(scalar_nonsingular, limits, message):
+    with pytest.raises(InvalidParameters, match=message):
+        fixed_point_solve(scalar_nonsingular, **limits)
+
+
+def test_zero_tol_and_one_step_accepted(scalar_nonsingular):
+    rep = fixed_point_solve(scalar_nonsingular, tol=0.0, max_iter=1)
+    assert rep.iterations == 1 and not rep.converged

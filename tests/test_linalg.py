@@ -10,18 +10,19 @@ from marekit import linalg, mstruct, solve
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
 from marekit.linalg import (
     EPS,
-    kernel_vector,
+    irreducible_blocks,
     lu_factor,
     m_solve,
     numerical_rank,
     one_norm,
+    rank_and_kernel,
     rank_and_margin,
     rank_tol,
     solve_linear,
     spectral_radius,
     spectral_radius_nonneg,
 )
-from marekit.mstruct import MatrixKind, classify_zm, is_irreducible, zm_kind
+from marekit.mstruct import MatrixKind, classify_zm, is_irreducible
 
 
 class TestSolveLinear:
@@ -186,7 +187,7 @@ class TestSolveWithFactors:
         # LAPACK sums in another order, so agreement is to rounding, normwise
         for p in noncritical_suite:
             for K in (p.K, p.K.T):
-                x = kernel_vector(K, rank_tol(K))
+                _, x = rank_and_kernel(K, rank_tol(K))
                 f = lu_factor(K)
                 floor = max(f.tol, 1e-300)
                 got = linalg.lu_solve_regularized(f, x, floor)
@@ -208,7 +209,8 @@ class TestSpectralRadiusNonneg:
         assert spectral_radius_nonneg(P) == pytest.approx(5.0, abs=1e-8)
 
     def test_nilpotent(self):
-        assert spectral_radius_nonneg([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(0.0, abs=1e-10)
+        # two 1x1 blocks [[0]]: the root is exact
+        assert spectral_radius_nonneg([[0.0, 2.0], [0.0, 0.0]]) == 0.0
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -241,29 +243,109 @@ class TestSpectralRadiusNonneg:
 
 
     def test_loose_bounds_raise(self, monkeypatch):
-        # the Perron vector (1, 0) has a zero entry, so the Collatz-Wielandt
-        # iteration gives up and the squaring fallback must carry the root
-        def loose(M):
-            yield 0.0, 100.0
+        # with bounds that never close, a reducible matrix of 1x1 blocks still
+        # has its root, but an irreducible block raises
+        monkeypatch.setattr(linalg, "_noda_bounds", lambda P, c: (0.0, 100.0, np.ones(len(P))))
+        assert spectral_radius_nonneg([[2.0, 1.0], [0.0, 1.0]]) == 2.0
+        for P in ([[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 3.0]]):
+            with pytest.raises(NoConvergence, match="failed to close"):
+                spectral_radius_nonneg(P)
 
-        monkeypatch.setattr(linalg, "squaring_bounds", loose)
-        with pytest.raises(NoConvergence, match="failed to tighten"):
-            spectral_radius_nonneg([[2.0, 1.0], [0.0, 1.0]])
+    @pytest.mark.parametrize(
+        "P, stalls",
+        [
+            # a Perron vector with entries 1 to 1e-3: width 1.2e-13 at the stall
+            ([
+                [0.898164466787317, 0.2534909409788879, 0.0],
+                [0.6712200607469431, 0.9589346374849559, 0.18172299662216862],
+                [0.0, 0.000986160175509232, 0.5675012549010134],
+            ], True),
+            # rounding may leave the width at 1.4e-15, also after the rerun
+            ([
+                [0.06034497974511022, 0.26093383337630527, 0.5586448659220349, 0.2378604873355189],
+                [0.0, 0.20104455511344888, 0.0, 0.04854784825412317],
+                [0.9871446216288375, 0.0, 0.5832282552359743, 0.7640484851665448],
+                [0.5606779324912547, 0.9867814096344177, 0.0, 0.0],
+            ], False),
+        ],
+    )
+    def test_rounding_stall_on_irreducible_input(self, P, stalls):
+        P = np.array(P)
+        c = 1.0 + P.diagonal().max()
+        lo, hi, _ = linalg._noda_bounds(P, c)
+        assert is_irreducible(P)
+        assert hi - lo > 1e-14 * (lo + c) or not stalls
+        want = float(_mp_perron_root(P))
+        assert abs(spectral_radius_nonneg(P) - want) <= 1e-15 * (want + c)
+
+
+def _squaring_bounds(M: np.ndarray, max_squarings: int = 80):
+    """Yield two-sided bounds ``(lo, hi)`` on rho(M) from repeated squaring.
+
+    M must be nonnegative with a positive diagonal.  For any k,
+    max_i (M^k)_ii <= rho(M)^k <= ||M^k||_1, and with k = 2^j and 1-norm
+    rescaling both ends close in geometrically in j, even for a defective
+    dominant eigenvalue.  An independent reference for the Perron root;
+    the iterate may underflow to zero once the bounds are already tight.
+    """
+    N = M.copy()
+    log_scale = 0.0  # sum of 2^{-i} log t_i accumulated so far
+    weight = 1.0
+    for _ in range(max_squarings):
+        t = one_norm(N)
+        if t <= 0.0:
+            return
+        log_scale += weight * math.log(t)
+        N = N / t
+        lo = math.exp(log_scale + weight * math.log(max(np.diag(N).max(), 5e-324)))
+        hi = math.exp(log_scale)  # ||N||_1 == 1 after scaling
+        yield lo, hi
+        N = N @ N
+        weight *= 0.5
 
 
 def _squaring_root(P):
-    """``(rho, c)``: the Perron root from squaring bounds alone."""
-    M, c = linalg.perron_shift(P)
+    """``(rho, c)``: the Perron root of P from squaring bounds on P + c I, c = 1 + max diag(P)."""
+    P = np.asarray(P, dtype=np.float64)
+    c = 1.0 + float(np.diag(P).max())
     lo, hi = 0.0, math.inf
-    for lo, hi in linalg.squaring_bounds(M):
+    for lo, hi in _squaring_bounds(P + c * np.eye(len(P))):
         if hi - lo <= 1e-15 * max(1.0, lo):
             break
+    assert hi - lo <= 1e-9 * max(1.0, lo)
     return max(0.5 * (lo + hi) - c, 0.0), c
+
+
+def _split(M):
+    """``(s, B)`` of the Z-matrix split ``M = s I - B`` that ``classify_zm`` makes."""
+    M = np.asarray(M, dtype=np.float64)
+    s = float(np.diag(M).max())
+    B = s * np.eye(len(M)) - M
+    B[B < 0] = 0.0
+    return s, B
+
+
+def check_against_squaring(M):
+    """``classify_zm(M)`` against the squaring reference: its root, and its kind off the band edges."""
+    M = np.asarray(M, dtype=np.float64)
+    got = classify_zm(M)
+    if (M - np.diag(np.diag(M)) > 0).any():
+        assert got.kind is MatrixKind.NOT_Z
+        return
+    s, B = _split(M)
+    want, c = _squaring_root(B)
+    # squaring is itself off by a few eps (rho + c), up to 4e-15 (rho + c) on
+    # scaled triangular splits, whose exact root is a diagonal entry
+    slack = 1e-14 * (want + c)
+    assert abs(got.rho_B - want) <= slack
+    gap = s - want
+    if abs(abs(gap) - got.tol) > slack + 4 * EPS * max(abs(s), want):
+        assert got.kind is mstruct.gap_kind(gap, got.tol)
 
 
 def _perron_matrix(what, M):
     """The nonnegative matrix whose Perron root the package takes for input ``what``."""
-    return M if what == "PhiPsi" else mstruct._zm_split(M)[1]
+    return M if what == "PhiPsi" else _split(M)[1]
 
 
 @pytest.fixture(scope="module")
@@ -281,25 +363,43 @@ def perron_inputs(solved_noncritical, solved_nonsingular, scalar_nonsingular, sc
     return inputs
 
 
+def _mp_perron_root(P):
+    """A 40-digit Perron root: the largest real eigenvalue (mpmath) over the irreducible blocks."""
+    mpmath = pytest.importorskip("mpmath")
+    roots = []
+    with mpmath.workdps(40):
+        for b in irreducible_blocks(P):
+            block = P[np.ix_(b, b)]
+            if len(b) == 1:
+                roots.append(mpmath.mpf(float(block[0, 0])))
+                continue
+            eig = mpmath.eig(mpmath.matrix(block.tolist()), left=False, right=False)
+            roots.append(max(mpmath.re(e) for e in eig))
+        return max(roots)
+
+
 class TestCollatzWielandtRoot:
-    """The Collatz-Wielandt root agrees with squaring, which serves only as its fallback."""
+    """The Collatz-Wielandt root agrees with the squaring reference; reducible input is split into blocks."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"gave_up": 0, "squaring": 0}
-        noda, squaring = linalg._noda_root, linalg.squaring_bounds
+        """Counts of bounds left open (on any input, on irreducible input) and of block splits."""
+        calls = {"gave_up": 0, "gave_up_irreducible": 0, "split": 0}
+        noda, blocks = linalg._noda_bounds, linalg.irreducible_blocks
 
         def counted_noda(P, c):
-            rho = noda(P, c)
-            calls["gave_up"] += rho is None
-            return rho
+            lo, hi, x = noda(P, c)
+            if hi - lo > 1e-15 * max(1.0, lo + c):
+                calls["gave_up"] += 1
+                calls["gave_up_irreducible"] += len(blocks(P)) == 1
+            return lo, hi, x
 
-        def counted_squaring(M):
-            calls["squaring"] += 1
-            return squaring(M)
+        def counted_blocks(M):
+            calls["split"] += 1
+            return blocks(M)
 
-        monkeypatch.setattr(linalg, "_noda_root", counted_noda)
-        monkeypatch.setattr(linalg, "squaring_bounds", counted_squaring)
+        monkeypatch.setattr(linalg, "_noda_bounds", counted_noda)
+        monkeypatch.setattr(linalg, "irreducible_blocks", counted_blocks)
         return calls
 
     def test_agrees_with_squaring_on_every_split(self, perron_inputs, monkeypatch):
@@ -309,8 +409,9 @@ class TestCollatzWielandtRoot:
             calls = self._counted(monkeypatch)
             got = spectral_radius_nonneg(B)
             assert abs(got - want) <= 4e-15 * (want + c), label
-            # squaring runs only where the Collatz-Wielandt iteration gave up
-            assert calls["squaring"] == (calls["gave_up"] if B.shape[0] > 1 else 1), label
+            # the block split runs only where the iteration gave up, never on an irreducible block
+            assert calls["split"] == calls["gave_up"], label
+            assert calls["gave_up_irreducible"] == 0, label
 
     def test_same_kinds_as_squaring(self, perron_inputs, monkeypatch):
         splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
@@ -329,7 +430,8 @@ class TestCollatzWielandtRoot:
         for B in reducible:
             spectral_radius_nonneg(B)
         assert calls["gave_up"] >= 1
-        assert calls["squaring"] == calls["gave_up"] + sum(B.shape[0] == 1 for B in reducible)
+        assert calls["split"] == calls["gave_up"]
+        assert calls["gave_up_irreducible"] == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sparse_random_matrices_give_up_quietly(self, monkeypatch):
@@ -343,14 +445,60 @@ class TestCollatzWielandtRoot:
             want, c = _squaring_root(P)
             assert abs(spectral_radius_nonneg(P) - want) <= 4e-15 * (want + c), P
         assert calls["gave_up"] > 0
+        # a draw that is irreducible and stalls by rounding is carried by its rerun
+        assert calls["split"] == calls["gave_up"]
 
-    def test_zero_and_1x1_inputs_as_squaring(self, perron_inputs):
+    def test_zero_and_1x1_inputs_exact(self, perron_inputs):
         rng = np.random.default_rng(17)
-        inputs = [np.zeros((n, n)) for n in range(1, 6)]
-        inputs += [np.array([[a]]) for a in [0.0, 1.0, 2.0, 1e-300, 1e300, *rng.uniform(0.0, 3.0, 200)]]
-        inputs += [_perron_matrix(what, M) for _, what, M in perron_inputs if M.shape == (1, 1)]
+        for n in range(1, 6):
+            assert spectral_radius_nonneg(np.zeros((n, n))) == 0.0
+        entries = [0.0, 1.0, 2.0, 5e-324, 1e-300, 1e300]
+        entries += [*rng.uniform(0.0, 3.0, 200), *(10.0 ** rng.uniform(-300, 300, 200))]
+        entries += [_perron_matrix(what, M)[0, 0] for _, what, M in perron_inputs if M.shape == (1, 1)]
+        for a in entries:
+            assert spectral_radius_nonneg([[a]]) == a, a
+
+    def test_no_farther_from_mpmath_than_squaring(self, perron_inputs):
+        # the splits the iteration leaves open, and the 1x1 ones, were once
+        # taken by squaring alone; the new root is at least as close to a
+        # 40-digit reference as that one
+        inputs = [_perron_matrix(what, M) for _, what, M in perron_inputs]
+        inputs += [np.array([[0.0, 2.0], [0.0, 0.0]]), np.array([[2.0, 1.0], [0.0, 1.0]])]
+        checked = 0
         for P in inputs:
-            assert spectral_radius_nonneg(P) == _squaring_root(P)[0], P
+            c = 1.0 + float(np.diag(P).max())
+            lo, hi, _ = linalg._noda_bounds(P, c)
+            if P.shape[0] > 1 and hi - lo <= 1e-15 * max(1.0, lo + c):
+                continue
+            want = _mp_perron_root(P)
+            old, _ = _squaring_root(P)
+            assert abs(spectral_radius_nonneg(P) - want) <= abs(old - want), P
+            checked += 1
+        assert checked >= 50
+
+
+class TestIrreducibleBlocks:
+    def test_against_transitive_closure(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            M = (rng.random((n, n)) < rng.uniform(0.05, 0.5)).astype(float)
+            reach = M != 0.0
+            np.fill_diagonal(reach, True)
+            for k in range(n):
+                reach |= np.outer(reach[:, k], reach[k, :])
+            blocks = irreducible_blocks(M)
+            # a partition in the order of smallest index, i and j together iff each reaches the other
+            assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+            label = np.empty(n, dtype=int)
+            for k, b in enumerate(blocks):
+                label[b] = k
+            assert np.array_equal(label[:, None] == label[None, :], reach & reach.T)
+
+    def test_block_triangular(self):
+        M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
+        assert [b.tolist() for b in irreducible_blocks(M)] == [[0, 1], [2]]
 
 
 class TestMSolve:
@@ -391,7 +539,7 @@ class TestMSolve:
             N = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
             M = (spectral_radius_nonneg(N) * rng.uniform(0.5, 1.5)) * np.eye(n) - N
             _, dist, certified = m_solve(M, np.zeros((n, 0)))
-            kind = zm_kind(M)
+            kind = classify_zm(M).kind
             seen.add(kind)
             assert certified == (kind is MatrixKind.NONSINGULAR_M)
             if certified:
@@ -430,13 +578,13 @@ class TestNumericalRank:
 
     def test_kernel_vector_annihilated(self):
         K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        v = kernel_vector(K, rank_tol(K))
+        rank, v = rank_and_kernel(K, rank_tol(K))
+        assert rank == 2
         assert np.abs(K @ v).max() <= 1e-12
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
-    def test_kernel_vector_full_rank_raises(self):
-        with pytest.raises(SingularMatrix):
-            kernel_vector(np.eye(2), 1e-12)
+    def test_kernel_vector_none_at_full_rank(self):
+        assert rank_and_kernel(np.eye(2), 1e-12) == (2, None)
 
     def test_margin_reported(self):
         rank, margin = rank_and_margin(np.diag([1.0, 1e-20]), 1e-12)

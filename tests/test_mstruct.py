@@ -19,8 +19,8 @@ from marekit.mstruct import (
     null_tol,
     regularity_witness,
     zero_eigen_structure,
-    zm_kind,
 )
+from test_linalg import check_against_squaring
 
 
 def _singular_m_matrix(rng, size):
@@ -83,29 +83,34 @@ class TestClassify:
 
 
 class TestZmKind:
-    """The early-decided kind agrees with the full classification."""
+    """The Z/M kind and Perron root of ``classify_zm`` agree with the squaring reference of ``test_linalg``."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 8),
         triangular=st.booleans(),
+        masked=st.booleans(),
         log_scale=st.floats(-6.0, 6.0),
         sign=st.sampled_from([-1.0, 0.0, 1.0]),
         log_shift=st.floats(math.log10(0.5), 9.0),
     )
-    @example(seed=0, size=1, triangular=False, log_scale=0.0, sign=0.0, log_shift=0.0)
+    @example(seed=0, size=1, triangular=False, masked=False, log_scale=0.0, sign=0.0, log_shift=0.0)
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_classify_zm_near_the_singular_boundary(
-        self, seed, size, triangular, log_scale, sign, log_shift
+        self, seed, size, triangular, masked, log_scale, sign, log_shift
     ):
         # a scaled singular M-matrix, shifted off the boundary by a multiple
         # of its classification tolerance (0.5 tol lands inside the band)
-        K, _ = _singular_m_matrix(np.random.default_rng(seed), size)
+        rng = np.random.default_rng(seed)
+        K, _ = _singular_m_matrix(rng, size)
         if triangular:
             K = np.triu(K)  # K stays a Z-matrix; its spectrum is its diagonal
+        if masked:
+            # dropped off-diagonal entries often make K reducible
+            K = np.where(np.eye(size, dtype=bool) | (rng.uniform(size=K.shape) < 0.5), K, 0.0)
         K = 10.0**log_scale * K
         M = K + sign * 10.0**log_shift * class_tol(K) * np.eye(size)
-        assert zm_kind(M) is classify_zm(M).kind
+        check_against_squaring(M)
 
     @pytest.mark.parametrize(
         "M",
@@ -122,7 +127,7 @@ class TestZmKind:
         ],
     )
     def test_agrees_on_fixed_inputs(self, M):
-        assert zm_kind(M) is classify_zm(M).kind
+        check_against_squaring(M)
 
     def test_agrees_on_every_acceptance_solve(self, solved_noncritical, solved_nonsingular):
         count = 0
@@ -131,7 +136,7 @@ class TestZmKind:
             for rec in rep.trace:
                 mats += [np.eye(p.n) - rec.G @ rec.H, np.eye(p.m) - rec.H @ rec.G]
             for M in mats:
-                assert zm_kind(M) is classify_zm(M).kind, p.name
+                check_against_squaring(M)
             count += len(mats)
         assert count > 1000
 
@@ -333,6 +338,20 @@ class TestNullPair:
     def test_two_dimensional_kernel_raises(self):
         with pytest.raises(AmbiguousKernel):
             null_pair(np.zeros((2, 2)), 1)
+
+    def test_full_rank_transpose_raises(self, monkeypatch):
+        # K rank-deficient to tolerance while K^T's own elimination finds full rank
+        rank_and_kernel = linalg.rank_and_kernel
+        calls = []
+
+        def transpose_full_rank(M, tol):
+            calls.append(M)
+            return (len(M), None) if len(calls) == 2 else rank_and_kernel(M, tol)
+
+        monkeypatch.setattr(linalg, "rank_and_kernel", transpose_full_rank)
+        with pytest.raises(SingularMatrix, match="full numerical rank"):
+            null_pair([[1.0, -1.0], [-1.0, 1.0]], 1)
+        assert len(calls) == 2
 
     def test_one_echelon_per_kernel(self, monkeypatch):
         # the rank check and the right kernel vector share K's elimination;
