@@ -38,7 +38,9 @@ class NonpositiveDiagonal(MareError):
 
 
 class IterationBreakdown(MareError):
-    """A doubling step required the inverse of a singular matrix."""
+    """An iteration cannot go on: a doubling step required the inverse of a
+    singular matrix, or an iterate (doubling or fixed-point) left the
+    floating-point range."""
 
 
 class MaxIterations(MareError):

@@ -34,6 +34,12 @@ def reducible_singular():
 
 
 @pytest.fixture(scope="session")
+def divergent():
+    """(a, b, c, d) = (1, 2, 2, 1): K is not an M-matrix; the oracle's x <- x^2 + 1 overflows."""
+    return MareProblem(n=1, m=1, A=[[1.0]], B=[[2.0]], C=[[2.0]], D=[[1.0]])
+
+
+@pytest.fixture(scope="session")
 def not_regular_problem():
     """K = [[0, -1], [0, 1]]: singular M-matrix with no regularity witness."""
     return MareProblem(n=1, m=1, A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])

@@ -43,6 +43,13 @@ def critical_file(tmp_path, scalar_critical):
     return str(path)
 
 
+@pytest.fixture()
+def divergent_file(tmp_path, divergent):
+    path = tmp_path / "div.json"
+    path.write_text(problem_to_json(divergent))
+    return str(path)
+
+
 def _matrix_file(tmp_path, name, value):
     arr = np.atleast_2d(np.asarray(value, dtype=float))
     path = tmp_path / name
@@ -160,6 +167,12 @@ class TestSolve:
         assert rep["phi"]["entries"][0][0] == pytest.approx(GOLDEN, abs=1e-10)
         assert rep["psi"]["entries"][0][0] == pytest.approx(GOLDEN, abs=1e-10)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fixed_point_divergence_is_breakdown(self, divergent_file):
+        out = execute(["solve", divergent_file, "--method", "fixed-point"])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json)["step"] == "IterationBreakdown"
+
     @pytest.mark.filterwarnings("ignore:doubling guarantees")
     def test_iteration_cap_is_breakdown(self, critical_file):
         out = execute(["solve", critical_file, "--max-iter", "2"])
@@ -259,6 +272,14 @@ class TestOracle:
     def test_oracle_nonconvergence_is_breakdown(self, critical_file):
         out = execute(["oracle", critical_file, "--tol", "1e-12", "--max-iter", "50"])
         assert out.exit_code == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_is_breakdown(self, divergent_file):
+        out = execute(["oracle", divergent_file])
+        assert out.exit_code == 3
+        rep = json.loads(out.report_json)
+        assert rep["step"] == "IterationBreakdown"
+        assert "step 12" in rep["error"]
 
     def test_singular_splitting_is_breakdown(self, tmp_path):
         path = tmp_path / "zero.json"

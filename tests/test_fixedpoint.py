@@ -1,13 +1,54 @@
+import re
+
 import numpy as np
 import pytest
 
 from marekit import FamilySpec, MareProblem, Regime, generate, solve
-from marekit.errors import InvalidParameters, SingularMatrix
-from marekit.fixedpoint import fixed_point_solve
-from marekit.linalg import one_norm
+from marekit import fixedpoint
+from marekit.doubling import sign_tol
+from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
+from marekit.fixedpoint import OracleReport, fixed_point_solve
+from marekit.linalg import one_norm, pivot_tol
 from marekit.problem import residual_primal
 
 GOLDEN = (3 - 5**0.5) / 2
+
+
+def _reference_fixed_point(p, tol=1e-10, max_iter=5000, residuals=None):
+    """Reference oracle that takes the exact residual at every step.
+
+    ``residuals``, when given, receives the residual of every step.
+    """
+    a, d = np.diag(p.A), np.diag(p.D)
+    denom = a[:, None] + d[None, :]
+    floor = pivot_tol(p.K)
+    if denom.min() <= floor:
+        raise SingularMatrix("diagonal splitting is singular to tolerance")
+    N_A = np.diag(a) - p.A
+    N_D = np.diag(d) - p.D
+    tau = sign_tol(p)
+    X = np.zeros((p.m, p.n))
+    res = residual_primal(p, X)
+    violations = 0
+    for k in range(1, max_iter + 1):
+        X_new = (X @ p.C @ X + p.B + N_A @ X + X @ N_D) / denom
+        violations += int((X_new < X - tau).sum())
+        X = X_new
+        res = residual_primal(p, X)
+        if residuals is not None:
+            residuals.append(res)
+        if res <= tol:
+            return OracleReport(X, k, True, res, violations)
+    return OracleReport(X, max_iter, False, res, violations)
+
+
+def _assert_same_report(got, want):
+    assert got.phi.shape == want.phi.shape
+    assert got.phi.tobytes() == want.phi.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert np.float64(got.final_residual).tobytes() == np.float64(want.final_residual).tobytes()
+    assert got.monotonicity_violations == want.monotonicity_violations
 
 
 def test_scalar_nonsingular(scalar_nonsingular):
@@ -86,3 +127,100 @@ def test_bad_limits_rejected(scalar_nonsingular, limits, message):
 def test_zero_tol_and_one_step_accepted(scalar_nonsingular):
     rep = fixed_point_solve(scalar_nonsingular, tol=0.0, max_iter=1)
     assert rep.iterations == 1 and not rep.converged
+
+
+_SMALL = {
+    "scalar-nonsingular": MareProblem(n=1, m=1, A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]]),
+    "scalar-critical": MareProblem(n=1, m=1, A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]]),
+    "reducible-zero-b": MareProblem(n=1, m=2, A=[[1.0, -1.0], [-1.0, 1.0]], B=[[0.0], [0.0]], C=[[1.0, 1.0]], D=[[2.0]]),
+    "nonsingular-3x4": FamilySpec(Regime.NONSINGULAR_K, 3, 4, seed=5),
+    "noncritical-3x4": FamilySpec(Regime.SINGULAR_NONCRITICAL, 3, 4, seed=5),
+    "critical-2x3": FamilySpec(Regime.CRITICAL, 2, 3, seed=5),
+}
+_LARGE = {
+    "nonsingular-51x51": FamilySpec(Regime.NONSINGULAR_K, 51, 51, seed=5),
+    "noncritical-20x25": FamilySpec(Regime.SINGULAR_NONCRITICAL, 20, 25, seed=5),
+    "noncritical-30x31": FamilySpec(Regime.SINGULAR_NONCRITICAL, 30, 31, seed=7),
+    "critical-4x4": FamilySpec(Regime.CRITICAL, 4, 4, seed=5),
+}
+_CASES = {**_SMALL, **_LARGE}
+
+
+def _problem(case):
+    return case if isinstance(case, MareProblem) else generate(case)
+
+
+class TestFusedResidual:
+    """The fused residual only screens, so the reports match the exact-residual loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, tol, max_iter",
+        [
+            (name, tol, max_iter)
+            for name in sorted(_SMALL)
+            for tol in (0.0, 1e-16, 1e-12, 1e-10)
+            for max_iter in (1, 50, 5000)
+            # a critical problem runs to the same 5000-step cap at every tol
+            if not ("critical" in name and max_iter == 5000 and tol < 1e-10)
+        ],
+    )
+    def test_small_problems_match_reference(self, name, tol, max_iter):
+        p = _problem(_SMALL[name])
+        for q in (p, p.dual()):
+            _assert_same_report(fixed_point_solve(q, tol, max_iter), _reference_fixed_point(q, tol, max_iter))
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-12, 5000), (1e-10, 5000), (0.0, 1), (1e-16, 50)])
+    @pytest.mark.parametrize("name", sorted(_LARGE))
+    def test_large_problems_match_reference(self, name, tol, max_iter):
+        p = _problem(_LARGE[name])
+        want = _reference_fixed_point(p, tol, max_iter)
+        _assert_same_report(fixed_point_solve(p, tol, max_iter), want)
+        if name.startswith("critical"):
+            assert not want.converged
+
+    @pytest.mark.parametrize(
+        "name", ["scalar-nonsingular", "nonsingular-3x4", "noncritical-3x4", "nonsingular-51x51", "noncritical-20x25"]
+    )
+    def test_stop_on_the_step_whose_exact_residual_is_tol(self, name):
+        # tol set to the exact residual of step k sits at the screen's edge:
+        # a slack smaller than the rounding gap lets the fused value miss it
+        p = _problem(_CASES[name])
+        residuals = []
+        _reference_fixed_point(p, tol=0.0, max_iter=80, residuals=residuals)
+        record = [k for k in range(1, len(residuals) + 1) if residuals[k - 1] < min(residuals[: k - 1], default=np.inf)]
+        checked = 0
+        for k in record[len(record) // 3 :]:
+            tol = residuals[k - 1]
+            want = _reference_fixed_point(p, tol=tol, max_iter=5000)
+            assert want.iterations == k and want.converged
+            _assert_same_report(fixed_point_solve(p, tol=tol, max_iter=5000), want)
+            checked += 1
+        assert checked >= 5
+
+    def test_one_exact_residual_when_capped_at_most_two_when_converged(self, monkeypatch, scalar_critical):
+        calls = []
+
+        def counted(p, X):
+            calls.append(1)
+            return residual_primal(p, X)
+
+        monkeypatch.setattr(fixedpoint, "residual_primal", counted)
+        for case in ("scalar-nonsingular", "nonsingular-3x4", "noncritical-3x4", "nonsingular-51x51"):
+            for tol in (1e-12, 1e-10):
+                calls.clear()
+                assert fixed_point_solve(_problem(_CASES[case]), tol=tol).converged
+                assert 1 <= len(calls) <= 2
+        for p, max_iter in ((scalar_critical, 200), (generate(_LARGE["critical-4x4"]), 1000)):
+            calls.clear()
+            rep = fixed_point_solve(p, tol=1e-12, max_iter=max_iter)
+            assert not rep.converged
+            assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergent_iterates_break_down(divergent):
+    with pytest.raises(IterationBreakdown, match=r"step \d+") as info:
+        fixed_point_solve(divergent, tol=1e-12, max_iter=5000)
+    assert int(re.search(r"step (\d+)", str(info.value)).group(1)) <= 12
+    with pytest.raises(IterationBreakdown):
+        fixed_point_solve(divergent.dual())
