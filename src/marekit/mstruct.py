@@ -14,10 +14,15 @@ of the contract, not an afterthought.
 (Collatz-Wielandt bounds from a few LAPACK solves,
 ``linalg.spectral_radius_nonneg``, block by block on a reducible split
 whose Perron vector has zero entries) and reports it with the gap.
-Irreducibility is ``linalg.irreducible_blocks`` finding one block.  The
-phase-one simplex behind the regularity witness selects and eliminates
-with array operations; only the Bland tie rule among the eligible rows is
-a Python loop.
+Irreducibility is ``linalg.irreducible_blocks`` finding one block.
+
+Regularity follows from the same blocks: an M-matrix has a v > 0 with
+M v >= 0 exactly when each of its singular irreducible diagonal blocks is
+final, that is zero in its rows outside the block.  A coupled singular
+block b with left Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest
+< 0 for every v > 0; with every singular block final, their Perron
+vectors and one solve on the nonsingular rest build the witness
+(``regularity_witness``).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousKernel, NoConvergence, NotSingular, SingularMatrix
+from .errors import AmbiguousKernel, NotSingular, SingularMatrix
 from .linalg import EPS, as_square, inf_norm, one_norm
 
 
@@ -116,97 +121,54 @@ class RegularityReport:
     witness: np.ndarray | None
 
 
-def _phase_one_feasible(G: np.ndarray, h: np.ndarray, max_pivots: int = 20000):
-    """Phase-one simplex for the system {x >= 0 : G x >= h}.
-
-    Returns a feasible x, or None when the artificial objective cannot be
-    driven to zero.  Bland's rule is used for both the entering and the
-    leaving choice, so the method terminates even on the (very degenerate)
-    feasibility problems this package produces.  Each pivot does the same
-    floating-point operations as a row-by-row tableau update, as array
-    operations over the affected rows.
-    """
-    q, r = G.shape
-    n_art = int((h > 0).sum())
-    width = r + q + n_art
-    T = np.zeros((q + 1, width + 1))
-    basis = np.zeros(q, dtype=int)
-    art_start = r + q
-    ai = 0
-    for i in range(q):
-        if h[i] > 0:
-            T[i, :r] = G[i]
-            T[i, r + i] = -1.0  # surplus
-            T[i, art_start + ai] = 1.0
-            T[i, -1] = h[i]
-            basis[i] = art_start + ai
-            ai += 1
-        else:
-            T[i, :r] = -G[i]
-            T[i, r + i] = 1.0  # slack after flipping the row
-            T[i, -1] = -h[i]
-            basis[i] = r + i
-    # reduced costs z_j - c_j for min(sum of artificials)
-    for i in range(q):
-        if basis[i] >= art_start:
-            T[-1, :] += T[i, :]
-    T[-1, art_start : art_start + n_art] -= 1.0
-
-    tol_piv = 1e-11 * max(1.0, float(np.abs(G).max()), float(np.abs(h).max()))
-    for _ in range(max_pivots):
-        eligible = np.flatnonzero(T[-1, :width] > tol_piv)
-        if eligible.size == 0:
-            break
-        enter = int(eligible[0])
-        rows = np.flatnonzero(T[:q, enter] > tol_piv)
-        ratios = T[rows, -1] / T[rows, enter]
-        leave = -1
-        best = math.inf
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])):
-                best = ratio
-                leave = i
-        if leave < 0:
-            return None  # unbounded: cannot happen for a phase-one objective
-        T[leave, :] /= T[leave, enter]
-        col = T[:, enter].copy()
-        col[leave] = 0.0
-        nz = np.flatnonzero(col)
-        T[nz] -= np.outer(col[nz], T[leave])
-        basis[leave] = enter
-    else:
-        raise NoConvergence("phase-one simplex exceeded its pivot budget")
-
-    if T[-1, -1] > 1e-9 * max(1.0, float(np.abs(h).sum())):
-        return None
-    x = np.zeros(width)
-    for i in range(q):
-        x[basis[i]] = T[i, -1]
-    return np.maximum(x[:r], 0.0)
-
-
 def regularity_witness(M, classification: MClassification) -> RegularityReport:
-    """Search for a positive v with M v >= 0.
+    """Search for a positive v with M v >= 0, by the irreducible blocks of M.
 
-    Nonsingular M-matrices are always regular: v = M^{-1} 1 works because
-    the inverse is nonnegative with positive diagonal (``linalg.m_solve``
-    certifies v > 0 and M v > 0, or SingularMatrix is raised).  For singular
-    M-matrices the feasibility problem {v >= 1, M v >= 0} is solved by a
-    phase-one simplex; infeasibility means not regular.
+    An M-matrix M is regular exactly when each of its singular irreducible
+    diagonal blocks is final: zero in its rows outside the block.  If a
+    singular block b has a coupling, take u > 0 its left Perron vector
+    (u M_bb = 0); then u (M v)_b = u M_b,rest v_rest < 0 for every v > 0,
+    as M_b,rest <= 0 is nonzero, so some (M v)_i < 0.  If every singular
+    block is final, v is each one's Perron vector there (M_bb v_b = 0), and
+    on the rest N, whose blocks are all nonsingular, v_N = M_NN^{-1} (1 -
+    M_NS v_S) >= M_NN^{-1} 1 > 0, S the singular blocks, so (M v)_N = 1.
+
+    Each block is judged by the certified Perron root of its split against
+    ``classification.tol``, the tolerance that judged M; an irreducible M
+    is its own block, of M's kind.  A nonsingular M has no singular block,
+    so v = M^{-1} 1.  The Perron vector of a singular block is the last
+    vector of Noda's iteration on its split, scaled to min 1.
+    ``linalg.m_solve`` certifies M_NN and v_N > 0, or SingularMatrix is
+    raised.
     """
     A = as_square(M)
-    if classification.kind == MatrixKind.NONSINGULAR_M:
-        v, _, certified = linalg.m_solve(A, np.ones(A.shape[0]))
-        if not certified:
-            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
-        return RegularityReport(True, v)
-    if classification.kind != MatrixKind.SINGULAR_M:
+    size = A.shape[0]
+    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("regularity is defined for M-matrices only")
-    h = -(A @ np.ones(A.shape[0]))
-    x = _phase_one_feasible(A, h)
-    if x is None:
-        return RegularityReport(False, None)
-    return RegularityReport(True, 1.0 + x)
+    v = np.ones(size)
+    final = np.zeros(size, dtype=bool)
+    if classification.kind == MatrixKind.SINGULAR_M:
+        blocks = linalg.irreducible_blocks(A)
+        for b in blocks:
+            Mbb = A[np.ix_(b, b)]
+            cls = classification if len(blocks) == 1 else classify_zm(Mbb)
+            if gap_kind(cls.gap, classification.tol) == MatrixKind.NONSINGULAR_M:
+                continue
+            if np.count_nonzero(A[b]) > np.count_nonzero(Mbb):  # coupled outside the block
+                return RegularityReport(False, None)
+            B = cls.s * np.eye(len(b)) - Mbb
+            B[B < 0] = 0.0
+            x = linalg._noda_bounds(B, 1.0 + float(np.diag(B).max()))[2]
+            v[b] = x / x.min()
+            final[b] = True
+    rest = ~final
+    if rest.any():
+        rows = A[rest]
+        x, _, certified = linalg.m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
+        if not (certified and (x > 0.0).all()):
+            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
+        v[rest] = x
+    return RegularityReport(True, v)
 
 
 # ---------------------------------------------------------------------------

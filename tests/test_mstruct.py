@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from marekit import linalg
 from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular, SingularMatrix
-from marekit.linalg import inf_norm, spectral_radius_nonneg
+from marekit.linalg import EPS, inf_norm, spectral_radius_nonneg
 from marekit.mstruct import (
     MatrixKind,
-    _phase_one_feasible,
     class_tol,
     classify_zm,
     is_irreducible,
@@ -142,7 +141,7 @@ class TestZmKind:
 
 
 def _phase_one_reference(G, h, max_pivots=20000):
-    """Row-by-row phase-one simplex, the reference for the array-wise one."""
+    """Row-by-row phase-one simplex for {x >= 0 : G x >= h}, the reference for the regularity verdict."""
     q, r = G.shape
     n_art = int((h > 0).sum())
     width = r + q + n_art
@@ -205,29 +204,108 @@ def _phase_one_reference(G, h, max_pivots=20000):
     return np.maximum(x[:r], 0.0)
 
 
-class TestPhaseOneReference:
-    """The array-wise simplex pivots exactly like the row-by-row reference."""
+def _reference_regular(M) -> bool:
+    """Regularity by the phase-one simplex: is {v >= 1 : M v >= 0} feasible?"""
+    M = np.asarray(M, dtype=float)
+    return _phase_one_reference(M, -(M @ np.ones(M.shape[0]))) is not None
 
-    @staticmethod
-    def _same_outcome(M):
-        M = np.asarray(M, dtype=float)
-        h = -(M @ np.ones(M.shape[0]))
-        got, want = _phase_one_feasible(M, h), _phase_one_reference(M, h)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
-        return want is not None
+
+def _checked_verdict(M) -> bool:
+    """The block rule's verdict on an M-matrix, with its witness checked.
+
+    A witness must be positive with M v >= 0 up to rounding in the product
+    and, where M was judged singular with a gap below zero, up to that gap.
+    A nonsingular M's witness is M^{-1} 1 bit for bit.
+    """
+    M = np.asarray(M, dtype=float)
+    cls = classify_zm(M)
+    rep = regularity_witness(M, cls)
+    if rep.regular:
+        v = rep.witness
+        assert (v > 0).all()
+        slack = 4 * M.shape[0] * EPS * inf_norm(M) + max(0.0, -cls.gap)
+        assert (M @ v >= -slack * inf_norm(v)).all()
+        if cls.kind is MatrixKind.NONSINGULAR_M:
+            assert np.array_equal(v, linalg.m_solve(M, np.ones(M.shape[0]))[0])
+    else:
+        assert rep.witness is None
+    return rep.regular
+
+
+def _reducible_m_matrix(rng, size):
+    """A block upper-triangular M-matrix, symmetrically permuted, and whether it is regular.
+
+    Each diagonal block is dense and either singular (zero row sums) or
+    clearly nonsingular (row sums of at least 0.5); a block couples to the
+    later ones in its rows with probability 1/2.  M is regular exactly when
+    no singular block is coupled.
+    """
+    cuts = np.sort(rng.choice(np.arange(1, size), size=int(rng.integers(1, min(size, 4))), replace=False))
+    bounds = [0, *cuts.tolist(), size]
+    M = np.zeros((size, size))
+    regular = True
+    for lo, hi in zip(bounds, bounds[1:]):
+        M[lo:hi, lo:] = -rng.uniform(0.1, 1.0, (hi - lo, size - lo))
+        if hi == size or rng.random() < 0.5:
+            M[lo:hi, hi:] = 0.0
+        singular = rng.random() < 0.6
+        M[lo:hi, lo:hi] += np.diag(-M[lo:hi, lo:hi].sum(axis=1) + (0.0 if singular else rng.uniform(0.5, 2.0)))
+        regular = regular and not (singular and M[lo:hi, hi:].any())
+    perm = rng.permutation(size)
+    return M[np.ix_(perm, perm)], regular
+
+
+@st.composite
+def _integer_m_matrices(draw):
+    """An integer Z-matrix that is an M-matrix, with edges only towards equal or higher levels.
+
+    Each level's diagonal block B has B 1 = d >= 0, d in {0, 1}, so every
+    level block is an M-matrix, and so is the level-block-triangular M.
+    """
+    size = draw(st.integers(2, 5))
+
+    def ints(hi, count):
+        return np.array(draw(st.lists(st.integers(0, hi), min_size=count, max_size=count)), dtype=float)
+
+    level = ints(2, size)
+    off = ints(3, size * size).reshape(size, size)
+    off[level[:, None] > level[None, :]] = 0.0
+    np.fill_diagonal(off, 0.0)
+    d = ints(1, size)
+    same = level[:, None] == level[None, :]
+    return np.diag((off * same).sum(axis=1) + d) - off
+
+
+class TestPhaseOneReference:
+    """The block rule gives the verdict of the phase-one simplex, with a checked witness."""
 
     def test_not_regular_cases(self, not_regular_problem):
         for M in ([[0.0, -1.0], [0.0, 1.0]], not_regular_problem.K):
-            assert not self._same_outcome(M)
+            assert not _reference_regular(M)
+            assert not _checked_verdict(M)
 
     def test_suite_coefficients_and_closing_matrices(self, solved_noncritical, solved_nonsingular):
-        feasible = 0
         for p, rep in solved_noncritical + solved_nonsingular:
             for M in (p.K, rep.certificate.R, rep.certificate.S):
-                feasible += self._same_outcome(M)
-        assert feasible > 0
+                assert classify_zm(M).kind in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M)
+                assert _checked_verdict(M) == _reference_regular(M)
+
+    def test_random_reducible_singular_m_matrices(self):
+        rng = np.random.default_rng(59)
+        verdicts = []
+        for _ in range(150):
+            M, regular = _reducible_m_matrix(rng, int(rng.integers(2, 11)))
+            if classify_zm(M).kind is not MatrixKind.SINGULAR_M:
+                continue
+            assert _checked_verdict(M) == regular == _reference_regular(M)
+            verdicts.append(regular)
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+    @given(_integer_m_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_m_matrices(self, M):
+        assert classify_zm(M).kind in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M)
+        assert _checked_verdict(M) == _reference_regular(M)
 
 
 class TestRegularity:
@@ -252,29 +330,32 @@ class TestRegularity:
         assert not rep.regular
         assert rep.witness is None
 
+    def test_tiny_nonsingular_block_over_a_final_singular_one(self):
+        # v = (2e11, 1) gives M v = (1, 0); the simplex's pivot tolerance of
+        # 1e-11 drops the first column and finds no witness
+        M = np.array([[1e-11, -1.0], [0.0, 0.0]])
+        rep = regularity_witness(M, classify_zm(M))
+        assert rep.regular
+        assert rep.witness == pytest.approx([2e11, 1.0], rel=1e-15)
+        assert M @ rep.witness == pytest.approx([1.0, 0.0], rel=1e-15)
+
     def test_every_nonsingular_m_matrix_regular(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
             n = int(rng.integers(1, 12))
             N = rng.uniform(0.0, 1.0, (n, n))
             M = (spectral_radius_nonneg(N) + rng.uniform(0.1, 2.0)) * np.eye(n) - N
-            cls = classify_zm(M)
-            assert cls.kind is MatrixKind.NONSINGULAR_M
-            rep = regularity_witness(M, cls)
-            assert rep.regular
-            assert (rep.witness > 0).all()
+            assert classify_zm(M).kind is MatrixKind.NONSINGULAR_M
+            assert _checked_verdict(M)
 
     def test_every_irreducible_singular_m_matrix_regular(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
             n = int(rng.integers(2, 12))
             K, _ = _singular_m_matrix(rng, n)
-            cls = classify_zm(K)
-            assert cls.kind is MatrixKind.SINGULAR_M
+            assert classify_zm(K).kind is MatrixKind.SINGULAR_M
             assert is_irreducible(K)
-            rep = regularity_witness(K, cls)
-            assert rep.regular
-            assert (K @ rep.witness >= -cls.tol).all()
+            assert _checked_verdict(K)
 
     def test_uncertified_nonsingular_witness_raises(self):
         # a nonsingular M-matrix within rounding of singular: M^{-1} 1 is

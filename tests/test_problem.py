@@ -128,6 +128,13 @@ class TestClassifyProblem:
         assert pc.regime is Regime.NOT_REGULAR
         assert not pc.regular.regular
 
+    def test_tiny_d_over_a_zero_a_is_regular(self):
+        # K = [[1e-11, -1], [0, 0]]: v = (2e11, 1) gives K v = (1, 0)
+        p = MareProblem(n=1, m=1, A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[1e-11]])
+        pc = classify_problem(p)
+        assert pc.regular.regular
+        assert pc.regime is Regime.CRITICAL
+
     def test_assumption_fails(self):
         # disconnected critical blocks: two independent zero eigenvectors
         p = MareProblem(
