@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     Factorization,
-    numerical_rank,
     solve_linear,
     spectral_radius,
     spectral_radius_nonneg,
@@ -42,7 +41,6 @@ from .mstruct import (
     is_irreducible,
     null_pair,
     regularity_witness,
-    zero_eigen_structure,
 )
 from .problem import (
     Certificate,
@@ -116,7 +114,6 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_jsonable",
     "null_pair",
-    "numerical_rank",
     "observed_rate",
     "problem_from_json",
     "problem_to_json",
@@ -131,5 +128,4 @@ __all__ = [
     "step",
     "theoretical_rate",
     "trace_to_csv",
-    "zero_eigen_structure",
 ]

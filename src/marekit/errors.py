@@ -26,7 +26,8 @@ class NotSingular(MareError):
 
 
 class AmbiguousKernel(MareError):
-    """The kernel is not one-dimensional (or not sign-definite) to tolerance."""
+    """K has more than one singular irreducible block, so no single kernel
+    pair is defined, or a kernel vector misses its residual tolerance."""
 
 
 class InvalidParameters(MareError):

@@ -6,15 +6,16 @@ that carry a tolerance contract numpy does not offer are written here: the
 semipositivity certificate of ``m_solve`` for matrices that the theory
 makes nonsingular M-matrices, the row-pivoted LU whose pivot record judges
 singularity against a scale-aware threshold where a matrix may sit on that
-boundary, the certified Perron root of a nonnegative matrix, and the
-complete-pivot rank and kernel.  Every solve runs in LAPACK through
-``np.linalg.solve``, and general eigenvalues through ``np.linalg.eigvals``.
-The Perron root is bracketed by Collatz-Wielandt bounds on the vectors of
-Noda's shifted inverse iteration, one LAPACK solve per step.  Where those
-bounds stay open on a reducible matrix, as when its Perron vector has zero
-entries, the root is the largest one of its irreducible diagonal blocks
-(the strongly connected components of its digraph), each bracketed the
-same way.
+boundary, and the certified Perron root of a nonnegative matrix with its
+Perron vector.  Every solve runs in LAPACK through ``np.linalg.solve``,
+and general eigenvalues through ``np.linalg.eigvals``.  The Perron root is
+bracketed by Collatz-Wielandt bounds on the vectors of Noda's shifted
+inverse iteration, one LAPACK solve per step, and the last of those
+vectors is the Perron vector (``perron_pair``).  Where those bounds stay
+open on a reducible matrix, as when its Perron vector has zero entries,
+the root is the largest one of its irreducible diagonal blocks (the
+strongly connected components of its digraph, ``irreducible_blocks``),
+each bracketed the same way.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def pivot_tol(M) -> float:
     """Scale-aware singularity threshold: dim * eps * ||M||_1."""
     M = np.asarray(M, dtype=np.float64)
     return M.shape[0] * EPS * one_norm(M)
-
-
-def rank_tol(M) -> float:
-    """Rank-decision threshold: max(dim) * eps * ||M||_1."""
-    M = np.asarray(M, dtype=np.float64)
-    return max(M.shape) * EPS * one_norm(M)
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +127,6 @@ def _as_rhs(rhs, rows: int) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != rows:
         raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a matrix of order {rows}")
     return b
-
-
-def lu_solve_regularized(fact: Factorization, rhs, floor: float) -> np.ndarray:
-    """Solve with the factors, tiny pivots of ``upper`` replaced by ±floor (inverse iteration).
-
-    Both factors are triangular with nonzero diagonals and ``lower`` has
-    unit diagonal over entries of modulus <= 1, so LAPACK's partial
-    pivoting makes no row interchange on either.
-    """
-    b = _as_rhs(rhs, fact.lower.shape[0])
-    U = fact.upper.copy()
-    diag = U.diagonal()
-    small = np.flatnonzero(abs(diag) < floor)
-    U[small, small] = np.where(diag[small] < 0, -floor, floor)
-    return np.linalg.solve(U, np.linalg.solve(fact.lower, b[fact.perm]))
 
 
 def solve_linear(M, rhs) -> np.ndarray:
@@ -273,123 +253,48 @@ def irreducible_blocks(M) -> list[np.ndarray]:
     return blocks
 
 
-def spectral_radius_nonneg(P) -> float:
-    """Perron root of an entrywise-nonnegative square matrix, to full accuracy.
+def perron_pair(P) -> tuple[float, np.ndarray | None]:
+    """Perron root of an entrywise-nonnegative square P, to full accuracy, and a Perron vector.
 
-    A 1x1 P is its own root.  Otherwise the root is the midpoint of the
-    Collatz-Wielandt bounds of ``_noda_bounds``, a few LAPACK solves, closed
-    to a width of at most 1e-15 max(1, lo + c) with ``c = 1 + max diag(P)``.
+    A 1x1 P is its own root, with vector 1.  Otherwise the root is the
+    midpoint of the Collatz-Wielandt bounds of ``_noda_bounds``, a few
+    LAPACK solves, closed to a width of at most 1e-15 max(1, lo + c) with
+    ``c = 1 + max diag(P)``, and the vector x > 0 is the iteration's last.
     Where they stay open on a reducible P (a Perron vector with zero
     entries, a nilpotent P), the root is the largest root of the
     irreducible diagonal blocks of ``irreducible_blocks``, each taken by
-    this function.  Where rounding stalls them on an irreducible P, the
-    iteration reruns on diag(x)^-1 P diag(x), x its last vector: the same
-    root, and a Perron vector near 1 whose small entries the solves no
-    longer lose to the spread of x.  Bounds of both runs within
-    1e-14 max(1, lo + c) give the root; wider ones raise NoConvergence.
+    this function, and x is None.  Where rounding stalls them on an
+    irreducible P, the iteration reruns on diag(x_1)^-1 P diag(x_1), x_1
+    its last vector: the same root, and a Perron vector x_2 near 1 whose
+    small entries the solves no longer lose to the spread of x_1; then
+    x = x_1 x_2 entrywise.  Bounds of both runs within 1e-14 max(1, lo + c)
+    give the root; wider ones raise NoConvergence.  So an irreducible P
+    always has its vector.
     """
     A = as_square(P, "P")
     if (A < 0).any():
         raise ValueError("P must be entrywise nonnegative")
     if A.shape[0] == 1:
-        return float(A[0, 0])
+        return float(A[0, 0]), np.ones(1)
     c = 1.0 + float(np.diag(A).max())
     lo, hi, x = _noda_bounds(A, c)
     if hi - lo > 1e-15 * max(1.0, lo + c):
         blocks = irreducible_blocks(A)
         if len(blocks) > 1:
-            return max(spectral_radius_nonneg(A[np.ix_(b, b)]) for b in blocks)
-        lo_x, hi_x, _ = _noda_bounds(A * x / x[:, None], c)
+            return max(perron_pair(A[np.ix_(b, b)])[0] for b in blocks), None
+        lo_x, hi_x, y = _noda_bounds(A * x / x[:, None], c)
         lo, hi = max(lo, lo_x), min(hi, hi_x)
         if not hi - lo <= 1e-14 * max(1.0, lo + c):
             raise NoConvergence(
                 f"Collatz-Wielandt bounds [{lo:.6e}, {hi:.6e}] failed to close on an irreducible matrix"
             )
-    return 0.5 * (lo + hi)
+        x = x * y
+    return 0.5 * (lo + hi), x
 
 
-# ---------------------------------------------------------------------------
-# Numerical rank and kernel extraction
-# ---------------------------------------------------------------------------
-
-
-def _full_pivot_echelon(M: np.ndarray):
-    """Gaussian elimination with complete (row+column) pivoting.
-
-    Returns ``(U, row_perm, col_perm, pivots)`` where ``pivots`` holds the
-    absolute pivot values in elimination order.
-    """
-    U = M.astype(np.float64, copy=True)
-    q, r = U.shape
-    rp = np.arange(q)
-    cp = np.arange(r)
-    kmax = min(q, r)
-    pivots = np.zeros(kmax)
-    for k in range(kmax):
-        sub = np.abs(U[k:, k:])
-        flat = int(np.argmax(sub))
-        i = k + flat // (r - k)
-        j = k + flat % (r - k)
-        if i != k:
-            U[[k, i]] = U[[i, k]]
-            rp[[k, i]] = rp[[i, k]]
-        if j != k:
-            U[:, [k, j]] = U[:, [j, k]]
-            cp[[k, j]] = cp[[j, k]]
-        piv = U[k, k]
-        pivots[k] = abs(piv)
-        if piv == 0.0:
-            break
-        U[k + 1 :, k :] -= (U[k + 1 :, k] / piv)[:, None] * U[k, k:]
-        U[k + 1 :, k] = 0.0
-    return U, rp, cp, pivots
-
-
-def numerical_rank(M, tol: float) -> int:
-    """Count of pivots exceeding ``tol`` in a pivoted elimination."""
-    A = as_matrix(M)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    _, _, _, pivots = _full_pivot_echelon(A)
-    return int((pivots > tol).sum())
-
-
-def rank_and_margin(M, tol: float):
-    """Numerical rank plus the distance of the closest pivot to ``tol``.
-
-    A small margin means the accept/reject decision for some pivot was
-    borderline, so the rank (and anything derived from it) is fragile.
-    """
-    A = as_matrix(M)
-    _, _, _, pivots = _full_pivot_echelon(A)
-    rank = int((pivots > tol).sum())
-    margin = float(np.abs(pivots - tol).min()) if pivots.size else math.inf
-    return rank, margin
-
-
-def rank_and_kernel(M, tol: float):
-    """Numerical rank of a square matrix plus one kernel vector (None at full rank).
-
-    One complete-pivot elimination serves both, so a caller that checks the
-    rank before it needs the kernel does not eliminate twice.  The kernel
-    vector back-substitutes the first free column of the fully pivoted
-    echelon form and has unit 2-norm; the caller checks that the kernel is
-    one-dimensional.
-    """
-    A = as_square(M)
-    n = A.shape[0]
-    U, _, cp, pivots = _full_pivot_echelon(A)
-    rank = int((pivots > tol).sum())
-    if rank >= n:
-        return rank, None
-    x_perm = np.zeros(n)
-    x_perm[rank] = 1.0
-    rhs = -U[:rank, rank]
-    for i in range(rank - 1, -1, -1):
-        x_perm[i] = (rhs[i] - U[i, i + 1 : rank] @ x_perm[i + 1 : rank]) / U[i, i]
-    x = np.zeros(n)
-    x[cp] = x_perm
-    return rank, x / np.linalg.norm(x)
+def spectral_radius_nonneg(P) -> float:
+    """Perron root of an entrywise-nonnegative square matrix: the root of ``perron_pair``."""
+    return perron_pair(P)[0]
 
 
 # ---------------------------------------------------------------------------

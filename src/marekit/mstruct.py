@@ -2,34 +2,43 @@
 
 Classification into {not-Z, Z-but-not-M, singular M, nonsingular M},
 regularity witnesses (a positive vector v with M v >= 0), irreducibility,
-one-dimensional kernel extraction with left/right vectors and their drift,
-and the zero-eigenvalue multiplicity structure needed to decide whether a
-singular problem is well posed.
+and the left/right kernel vectors of a singular M-matrix with their drift,
+all read off one pass over the irreducible diagonal blocks of M (the
+strongly connected components of its digraph, ``linalg.irreducible_blocks``).
 
 All judgments are made to explicit scale-aware tolerances; the interesting
 inputs sit exactly on the singular boundary, so those tolerances are part
 of the contract, not an afterthought.
 
-``classify_zm`` computes the Perron root of the split to full accuracy
-(Collatz-Wielandt bounds from a few LAPACK solves,
-``linalg.spectral_radius_nonneg``, block by block on a reducible split
-whose Perron vector has zero entries) and reports it with the gap.
-Irreducibility is ``linalg.irreducible_blocks`` finding one block.
+``classify_zm`` takes each block's Perron root and Perron vector from its
+own split, ``linalg.perron_pair`` (Collatz-Wielandt bounds from a few
+LAPACK solves), judges each block's gap at the tolerance of the whole
+matrix, and gives the matrix the smallest gap: the spectrum of a
+reducible matrix is the union of its blocks' spectra.  The blocks travel
+with the classification, so nothing downstream runs the iteration again.
 
 Regularity follows from the same blocks: an M-matrix has a v > 0 with
-M v >= 0 exactly when each of its singular irreducible diagonal blocks is
-final, that is zero in its rows outside the block.  A coupled singular
-block b with left Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest
-< 0 for every v > 0; with every singular block final, their Perron
-vectors and one solve on the nonsingular rest build the witness
-(``regularity_witness``).
+M v >= 0 exactly when each of its singular blocks is final, that is zero
+in its rows outside the block.  A coupled singular block b with left
+Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest < 0 for every
+v > 0; with every singular block final, their Perron vectors and one
+solve on the nonsingular rest build the witness (``regularity_witness``).
+
+So does the kernel.  With S the singular blocks and N the nonsingular
+rest, a singular block b has the kernel pair v = (x_b on b,
+-M_NN^-1 M_Nb x_b on N) and u = (y_b on b, -(y_b M_bN) M_NN^-1 on N),
+zero on the other singular blocks, x_b and y_b its right and left Perron
+vectors (``block_null_pairs``).  These are exact kernel vectors when b is
+the only singular block, or when every singular block is final: no cycle
+runs from b through N back to b, so the Schur complement of M_NN leaves
+M_bb alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,12 +74,31 @@ def null_tol(K) -> float:
 
 
 @dataclass(frozen=True)
+class IrreducibleBlock:
+    """One irreducible diagonal block of a Z-matrix M, classified by its own split.
+
+    ``index`` holds its positions in M.  ``gap`` is s_b - rho(B_b) of the
+    split M_bb = s_b I - B_b, s_b = max diag M_bb, and ``kind`` judges it
+    at the tolerance of M.  ``final`` says that M is zero in the block's
+    rows outside it.  ``perron`` is the last vector of Noda's iteration on
+    B_b: positive, and a kernel vector of M_bb when the block is singular.
+    """
+
+    index: np.ndarray
+    gap: float
+    kind: MatrixKind
+    final: bool
+    perron: np.ndarray
+
+
+@dataclass(frozen=True)
 class MClassification:
     """Outcome of the Z/M split ``M = s I - B`` with ``B >= 0``.
 
     ``gap = s - rho(B)``: positive beyond tolerance means nonsingular
     M-matrix, zero to tolerance means singular M-matrix, negative means a
-    Z-matrix that is not an M-matrix.
+    Z-matrix that is not an M-matrix.  ``blocks`` are the irreducible
+    diagonal blocks the gap was read from (none for a non-Z matrix).
     """
 
     kind: MatrixKind
@@ -78,27 +106,47 @@ class MClassification:
     rho_B: float
     gap: float
     tol: float
+    blocks: tuple[IrreducibleBlock, ...] = field(default=(), repr=False, compare=False)
+
+    @property
+    def singular_blocks(self) -> list[IrreducibleBlock]:
+        return [b for b in self.blocks if b.kind is MatrixKind.SINGULAR_M]
+
+
+def _split(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(s, B)`` of the split M = s I - B with s = max diag M."""
+    s = float(np.diag(M).max())
+    B = s * np.eye(M.shape[0]) - M
+    # rounding can leave -0.0 or eps-size negatives on the diagonal
+    B[B < 0] = 0.0
+    return s, B
 
 
 def classify_zm(M) -> MClassification:
     """Classify a square matrix via the shift split with s = max diagonal.
 
-    Computes rho(B) to full accuracy with ``linalg.spectral_radius_nonneg``
-    (Collatz-Wielandt bounds, taken block by block where B is reducible
-    with a Perron vector that has zero entries), so ``rho_B`` and ``gap``
-    are exact to the certified Perron root.
+    Each irreducible diagonal block b of a Z-matrix is split on its own,
+    M_bb = s_b I - B_b, and ``linalg.perron_pair`` gives rho(B_b) to full
+    accuracy (Collatz-Wielandt bounds) with its Perron vector.  As the
+    spectrum of M is the union of its blocks' spectra, rho(B) = s - min_b
+    gap_b, and M's kind is that of its smallest gap, judged at M's own
+    tolerance like every block's.  An irreducible M is its own block, with
+    M's own split.
     """
     A = as_square(M)
     s = float(np.diag(A).max())
     tol = class_tol(A)
     if (A - np.diag(np.diag(A)) > 0.0).any():
         return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
-    B = s * np.eye(A.shape[0]) - A
-    # rounding can leave -0.0 or eps-size negatives on the diagonal
-    B[B < 0] = 0.0
-    rho = linalg.spectral_radius_nonneg(B)
-    gap = s - rho
-    return MClassification(gap_kind(gap, tol), s, rho, gap, tol)
+    blocks = []
+    for b in linalg.irreducible_blocks(A):
+        Mbb = A[np.ix_(b, b)]
+        s_b, B = _split(Mbb)
+        rho, x = linalg.perron_pair(B)
+        final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
+        blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
+    gap = min(b.gap for b in blocks)
+    return MClassification(gap_kind(gap, tol), s, s - gap, gap, tol, tuple(blocks))
 
 
 def gap_kind(gap: float, tol: float) -> MatrixKind:
@@ -133,13 +181,10 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     on the rest N, whose blocks are all nonsingular, v_N = M_NN^{-1} (1 -
     M_NS v_S) >= M_NN^{-1} 1 > 0, S the singular blocks, so (M v)_N = 1.
 
-    Each block is judged by the certified Perron root of its split against
-    ``classification.tol``, the tolerance that judged M; an irreducible M
-    is its own block, of M's kind.  A nonsingular M has no singular block,
-    so v = M^{-1} 1.  The Perron vector of a singular block is the last
-    vector of Noda's iteration on its split, scaled to min 1.
-    ``linalg.m_solve`` certifies M_NN and v_N > 0, or SingularMatrix is
-    raised.
+    The blocks, their kinds and Perron vectors (scaled to min 1) are those
+    of ``classification``, which ``classify_zm(M)`` made.  A nonsingular M
+    has no singular block, so v = M^{-1} 1.  ``linalg.m_solve`` certifies
+    M_NN and v_N > 0, or SingularMatrix is raised.
     """
     A = as_square(M)
     size = A.shape[0]
@@ -148,19 +193,11 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     v = np.ones(size)
     final = np.zeros(size, dtype=bool)
     if classification.kind == MatrixKind.SINGULAR_M:
-        blocks = linalg.irreducible_blocks(A)
-        for b in blocks:
-            Mbb = A[np.ix_(b, b)]
-            cls = classification if len(blocks) == 1 else classify_zm(Mbb)
-            if gap_kind(cls.gap, classification.tol) == MatrixKind.NONSINGULAR_M:
-                continue
-            if np.count_nonzero(A[b]) > np.count_nonzero(Mbb):  # coupled outside the block
+        for blk in classification.singular_blocks:
+            if not blk.final:
                 return RegularityReport(False, None)
-            B = cls.s * np.eye(len(b)) - Mbb
-            B[B < 0] = 0.0
-            x = linalg._noda_bounds(B, 1.0 + float(np.diag(B).max()))[2]
-            v[b] = x / x.min()
-            final[b] = True
+            v[blk.index] = blk.perron / blk.perron.min()
+            final[blk.index] = True
     rest = ~final
     if rest.any():
         rows = A[rest]
@@ -222,111 +259,91 @@ class NullPair:
         return self.v[self.split :]
 
 
-def _oriented_kernel(K: np.ndarray, x: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Kernel vector x of K, refined and normalized to a nonnegative unit-1-norm vector."""
-    fact = linalg.lu_factor(K)
-    floor = max(fact.tol, 1e-300)
-    y = linalg.lu_solve_regularized(fact, x, floor)
-    ny = float(np.linalg.norm(y))
-    if ny > 0 and math.isfinite(ny):
-        y = y / ny
-        if inf_norm(K @ y) < inf_norm(K @ x):
-            x = y
-    if x.sum() < 0:
-        x = -x
-    if x.min() < -tol_abs:
-        raise AmbiguousKernel(
-            f"kernel vector is not sign-definite (min entry {x.min():.3e})"
-        )
-    x = np.maximum(x, 0.0)
-    return x / x.sum()
+def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) -> NullPair:
+    """The kernel pair of K from its singular block ``blk``; ``rest`` marks the nonsingular blocks."""
+    b = blk.index
+    y = linalg.perron_pair(_split(K[np.ix_(b, b)].T)[1])[1]
+    v = np.zeros(K.shape[0])
+    u = np.zeros(K.shape[0])
+    v[b], u[b] = blk.perron, y
+    if rest.any():
+        K_NN = K[np.ix_(rest, rest)]
+        v[rest], _, right = linalg.m_solve(K_NN, -(K[np.ix_(rest, b)] @ blk.perron))
+        u[rest], _, left = linalg.m_solve(K_NN.T, -(y @ K[np.ix_(b, rest)]))
+        if not (right and left):
+            raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
+    v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
+    v, u = v / v.sum(), u / u.sum()
+    tol = null_tol(K)
+    if inf_norm(K @ v) > tol or inf_norm(u @ K) > tol:
+        raise AmbiguousKernel("kernel residual exceeds tolerance")
+    return NullPair(u, v, n, float(u[:n] @ v[:n] - u[n:] @ v[n:]))
+
+
+def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPair]:
+    """One kernel pair of the M-matrix K per singular irreducible block, split at n.
+
+    The blocks and their right Perron vectors are those of
+    ``classification``, which ``classify_zm(K)`` made; each block's left
+    Perron vector is one more run of Noda's iteration, on the transpose of
+    its split.  The rest N is solved by one certified ``linalg.m_solve``
+    on K_NN and one on K_NN^T (SingularMatrix where either fails); for a
+    final block the second returns zero.  The pairs are kernel vectors of
+    K when there is one singular block or every singular block is final,
+    and each is checked against ``null_tol`` (AmbiguousKernel otherwise).
+    """
+    A = as_square(K)
+    singular = classification.singular_blocks
+    rest = np.ones(A.shape[0], dtype=bool)
+    for blk in singular:
+        rest[blk.index] = False
+    return [_block_pair(A, n, blk, rest) for blk in singular]
 
 
 def null_pair(K, n: int) -> NullPair:
     """Left/right null vectors of a singular M-matrix K, split at index n.
 
-    Requires a one-dimensional kernel (raises AmbiguousKernel otherwise,
-    and NotSingular when K has full numerical rank).  The vectors are
-    unique up to scale under that condition; they are returned nonnegative
-    with unit 1-norm, tiny negative round-off clamped to zero.
+    Requires exactly one singular irreducible block (raises NotSingular
+    when K has none and AmbiguousKernel when it has two or more); the
+    vectors of ``block_null_pairs`` are then unique up to scale.  They are
+    returned nonnegative with unit 1-norm, tiny negative round-off clamped
+    to zero.
     """
     A = as_square(K)
-    size = A.shape[0]
-    if not 0 <= n <= size:
-        raise ValueError(f"split index {n} outside [0, {size}]")
-    rank, x = linalg.rank_and_kernel(A, linalg.rank_tol(A))
-    if rank == size:
-        raise NotSingular("K has full numerical rank")
-    if rank < size - 1:
-        raise AmbiguousKernel(f"kernel dimension {size - rank} != 1")
-    tol = null_tol(A)
-    v = _oriented_kernel(A, x, tol)
-    _, x = linalg.rank_and_kernel(A.T, linalg.rank_tol(A.T))
-    if x is None:
-        raise SingularMatrix("matrix has full numerical rank; no kernel vector")
-    u = _oriented_kernel(A.T, x, tol)
-    if inf_norm(A @ v) > tol or inf_norm(u @ A) > tol:
-        raise AmbiguousKernel("kernel residual exceeds tolerance")
-    drift = float(u[:n] @ v[:n] - u[n:] @ v[n:])
-    return NullPair(u, v, n, drift)
+    if not 0 <= n <= A.shape[0]:
+        raise ValueError(f"split index {n} outside [0, {A.shape[0]}]")
+    cls = classify_zm(A)
+    if cls.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
+        raise ValueError("null vectors are defined for M-matrices only")
+    singular = len(cls.singular_blocks)
+    if singular == 0:
+        raise NotSingular("K has no singular irreducible block")
+    if singular > 1:
+        raise AmbiguousKernel(f"K has {singular} singular irreducible blocks, not one")
+    return block_null_pairs(A, n, cls)[0]
 
 
 # ---------------------------------------------------------------------------
-# Zero-eigenvalue structure (rank of powers)
+# Zero-eigenvalue structure
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ZeroEigenStructure:
-    """Multiplicity structure of the zero eigenvalue.
+    """Multiplicity structure of the zero eigenvalue of H = diag(I, -I) K.
 
-    ``geometric_multiplicity`` is the kernel dimension, the algebraic
-    multiplicity is the stabilized nullity of increasing powers, and
-    ``simple_kernel`` records whether zero has exactly one independent
-    eigenvector (and occurs at all).  ``low_rank_margin`` flags that some
-    rank decision along the way was within 1e3x of its tolerance, i.e. the
-    multiplicities should be treated with suspicion.  ``classify_problem``
-    assigns (False, 0, 0, False) to the sign-flipped matrix of a certified
-    nonsingular K without eliminating it: that matrix is nonsingular too.
+    H has the kernel of K, so ``geometric_multiplicity`` is the number of
+    singular irreducible blocks of a regular K, all of them final.  Each
+    adds a Jordan chain of length 1 when its drift is nonzero and 2 when
+    it is zero (Guo, SIMAX 23 (2001); Bini, Iannazzo & Meini, SIAM 2012),
+    so ``algebraic_multiplicity`` is the sum of those lengths.  A
+    nonsingular K gives (0, 0).  ``classify_problem`` builds it.
     """
 
-    simple_kernel: bool
     geometric_multiplicity: int
     algebraic_multiplicity: int
-    low_rank_margin: bool
 
-
-def zero_eigen_structure(H) -> ZeroEigenStructure:
-    """Geometric/algebraic multiplicity of eigenvalue zero via rank of powers.
-
-    nullity(H^k) grows with k until it stabilizes at the algebraic
-    multiplicity; powers are capped at the matrix order.  Each power is
-    rescaled to unit norm so the rank tolerance stays meaningful.
-    """
-    A = as_square(H)
-    size = A.shape[0]
-    tol = linalg.rank_tol(A)
-    rank, margin = linalg.rank_and_margin(A, tol)
-    low_margin = margin < 1e3 * tol
-    geo = size - rank
-    if geo == 0:
-        return ZeroEigenStructure(False, 0, 0, low_margin)
-    base = A / max(one_norm(A), 1.0)
-    P = base.copy()
-    nullity = geo
-    for _ in range(2, size + 1):
-        P = P @ base
-        nrm = one_norm(P)
-        if nrm == 0.0:
-            nullity = size
-            break
-        P = P / nrm
-        tol_k = linalg.rank_tol(P)
-        rank_k, margin_k = linalg.rank_and_margin(P, tol_k)
-        low_margin = low_margin or margin_k < 1e3 * tol_k
-        null_k = size - rank_k
-        if null_k <= nullity:
-            break
-        nullity = null_k
-    r = nullity
-    return ZeroEigenStructure(geo == 1 and r >= 1, geo, r, low_margin)
+    @property
+    def simple_kernel(self) -> bool:
+        """Zero is an eigenvalue with exactly one independent eigenvector."""
+        return self.geometric_multiplicity == 1

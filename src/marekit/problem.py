@@ -7,6 +7,12 @@ and builds solution certificates: closing matrices R = D - C.Phi and
 S = A - B.Psi, the block similarity identity they satisfy, the spectral
 radius of Phi.Psi, and the singular/nonsingular dichotomy of R and S.
 
+The regime, the drift and the multiplicity of the sign-flipped matrix's
+zero eigenvalue are all read off the irreducible diagonal blocks of K
+(``mstruct.classify_zm``): the kernel pair of a singular block is its
+Perron vectors and one certified solve on the nonsingular rest, and the
+zero eigenvalue is simple or double as the drift is nonzero or zero.
+
 The JSON problem format accepted here is the package's on-disk contract:
 
     { "name": str?, "n": int, "m": int,
@@ -155,15 +161,18 @@ def residual_dual(p: MareProblem, Y) -> float:
 class ProblemClass:
     """Everything the theory conditions on, measured for one problem.
 
-    ``nulls`` is populated only when K is singular and the zero eigenvalue
-    of the sign-flipped matrix has a one-dimensional eigenspace (so the
-    null vectors, and hence the drift, are well defined).
+    ``nulls`` is populated only when K is a singular M-matrix with exactly
+    one singular irreducible block, so that the null vectors, and hence the
+    drift, are well defined.  ``zero_structure`` is None where the theory
+    attaches no multiplicity to the zero eigenvalue of the sign-flipped
+    matrix: K is not an M-matrix, or K is not regular and has two or more
+    singular blocks.
     """
 
     k_class: MClassification
     regular: RegularityReport
     irreducible: bool
-    zero_structure: ZeroEigenStructure
+    zero_structure: ZeroEigenStructure | None
     nulls: NullPair | None
     regime: Regime
 
@@ -172,42 +181,42 @@ class ProblemClass:
         return None if self.nulls is None else self.nulls.drift
 
 
-def classify_problem(p: MareProblem, tau_drift: float = TAU_DRIFT) -> ProblemClass:
+def classify_problem(p: MareProblem) -> ProblemClass:
     """Assign the problem to one of the five handled regimes.
 
-    Order of tests: K must be an M-matrix and regular (otherwise
-    NotRegular); for singular K the sign-flipped matrix must have a simple
-    zero eigenvalue (otherwise AssumptionFails); the drift of the null
-    vectors then separates SingularNoncritical from Critical.
-
-    A nonsingular K, certified by its witness v = K^{-1} 1 > 0, is
-    NonsingularK without looking at the sign-flipped matrix: that matrix
-    is diag(I_n, -I_m) K, nonsingular with K, so zero is not among its
-    eigenvalues and its structure is (False, 0, 0, False) outright.
+    Everything is read off the irreducible diagonal blocks of K, which
+    ``mstruct.classify_zm`` classifies with their Perron vectors in one
+    pass.  K must be an M-matrix and regular (otherwise NotRegular).  The
+    sign-flipped matrix H = diag(I_n, -I_m) K has the kernel of K: a
+    nonsingular K is NonsingularK with no zero eigenvalue, (0, 0).  A
+    singular block contributes one eigenvector of H and a Jordan chain of
+    length 1 when the drift of its kernel pair exceeds ``TAU_DRIFT`` in
+    modulus, 2 when it does not.  A regular K with two or more singular
+    blocks is AssumptionFails; with one, the drift separates
+    SingularNoncritical (r = 1) from Critical (r = 2).
     """
     K = p.K
     k_class = mstruct.classify_zm(K)
-    irr = mstruct.is_irreducible(K)
+    irr = len(k_class.blocks) == 1
 
     if k_class.kind == MatrixKind.NONSINGULAR_M:
         regular = mstruct.regularity_witness(K, k_class)
-        zero = ZeroEigenStructure(False, 0, 0, False)
-        return ProblemClass(k_class, regular, irr, zero, None, Regime.NONSINGULAR_K)
-
-    zero = mstruct.zero_eigen_structure(p.sign_flipped)
+        return ProblemClass(k_class, regular, irr, ZeroEigenStructure(0, 0), None, Regime.NONSINGULAR_K)
     if k_class.kind != MatrixKind.SINGULAR_M:
-        return ProblemClass(k_class, RegularityReport(False, None), irr, zero, None, Regime.NOT_REGULAR)
+        return ProblemClass(k_class, RegularityReport(False, None), irr, None, None, Regime.NOT_REGULAR)
 
     regular = mstruct.regularity_witness(K, k_class)
-    nulls = None
-    if zero.simple_kernel:
-        nulls = mstruct.null_pair(K, p.n)
+    if not regular.regular and len(k_class.singular_blocks) > 1:
+        return ProblemClass(k_class, regular, irr, None, None, Regime.NOT_REGULAR)
+    pairs = mstruct.block_null_pairs(K, p.n, k_class)
+    zero = ZeroEigenStructure(len(pairs), sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs))
+    nulls = pairs[0] if len(pairs) == 1 else None
 
     if not regular.regular:
         return ProblemClass(k_class, regular, irr, zero, nulls, Regime.NOT_REGULAR)
-    if not zero.simple_kernel:
+    if nulls is None:
         return ProblemClass(k_class, regular, irr, zero, None, Regime.ASSUMPTION_FAILS)
-    regime = Regime.SINGULAR_NONCRITICAL if abs(nulls.drift) > tau_drift else Regime.CRITICAL
+    regime = Regime.SINGULAR_NONCRITICAL if zero.algebraic_multiplicity == 1 else Regime.CRITICAL
     return ProblemClass(k_class, regular, irr, zero, nulls, regime)
 
 

@@ -69,6 +69,24 @@ class TestClassify:
         assert rep["r"] == 2
         assert REPORT_KEYS <= set(rep)
 
+    @pytest.mark.parametrize(
+        "coefficients, r",
+        [
+            ({"A": [[0.4562551427827235]], "B": [[0.4562551427827235]], "C": [[0.4562551427827235]], "D": [[0.4562551427827235]]}, 2),
+            ({"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[1.0, 0.0], [0.0, 1.0]]}, 4),
+            ({"A": [[1.0]], "B": [[2.0]], "C": [[2.0]], "D": [[1.0]]}, None),
+        ],
+    )
+    def test_zero_eigenvalue_multiplicity(self, tmp_path, coefficients, r):
+        # r is null where K is not an M-matrix
+        path = tmp_path / "p.json"
+        size = len(coefficients["A"])
+        path.write_text(json.dumps({"n": size, "m": size, **coefficients}))
+        out = execute(["classify", str(path)])
+        assert out.exit_code == 0
+        assert json.loads(out.report_json)["r"] == r
+        assert f'"r": {"null" if r is None else r},' in out.report_json
+
     def test_missing_file_is_usage_error(self):
         assert execute(["classify", "/nonexistent/x.json"]).exit_code == 2
 

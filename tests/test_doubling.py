@@ -224,6 +224,7 @@ class TestCarriedFactors:
         def refuse(P, *args, **kwargs):
             raise AssertionError("full Perron root computed during a doubling step")
 
+        monkeypatch.setattr(linalg, "perron_pair", refuse)
         monkeypatch.setattr(linalg, "spectral_radius_nonneg", refuse)
         for p, rep in solved_noncritical:
             state = initialize(p, rep.params)

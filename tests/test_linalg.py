@@ -13,11 +13,7 @@ from marekit.linalg import (
     irreducible_blocks,
     lu_factor,
     m_solve,
-    numerical_rank,
     one_norm,
-    rank_and_kernel,
-    rank_and_margin,
-    rank_tol,
     solve_linear,
     spectral_radius,
     spectral_radius_nonneg,
@@ -158,41 +154,6 @@ class TestFactorizationReference:
                 self._same_record(np.eye(p.m) - rec.H @ rec.G)
                 count += 2
         assert count > 1000
-
-
-class TestSolveWithFactors:
-    def test_vector_rhs_and_shape_check(self):
-        f = lu_factor(np.diag([2.0, 4.0]))
-        assert np.array_equal(linalg.lu_solve_regularized(f, [2.0, 4.0], 1e-300), [1.0, 1.0])
-        for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
-            with pytest.raises(ShapeMismatch):
-                linalg.lu_solve_regularized(f, bad, 1e-300)
-
-    @staticmethod
-    def _reference_regularized(fact, rhs, floor):
-        """The original row-by-row substitution, kept as the reference."""
-        L, U, perm = fact.lower, fact.upper, fact.perm
-        diag = np.diag(U).copy()
-        small = np.abs(diag) < floor
-        diag[small] = np.where(diag[small] < 0, -floor, floor)
-        x = np.asarray(rhs, dtype=np.float64)[perm].copy()
-        for i in range(1, len(x)):
-            x[i] -= L[i, :i] @ x[:i]
-        for i in range(len(x) - 1, -1, -1):
-            x[i] -= U[i, i + 1 :] @ x[i + 1 :]
-            x[i] /= diag[i]
-        return x
-
-    def test_regularized_solve_matches_substitution_on_suite_kernels(self, noncritical_suite):
-        # LAPACK sums in another order, so agreement is to rounding, normwise
-        for p in noncritical_suite:
-            for K in (p.K, p.K.T):
-                _, x = rank_and_kernel(K, rank_tol(K))
-                f = lu_factor(K)
-                floor = max(f.tol, 1e-300)
-                got = linalg.lu_solve_regularized(f, x, floor)
-                want = self._reference_regularized(f, x, floor)
-                assert np.abs(got - want).max() <= 1e3 * len(x) * EPS * np.abs(want).max(), p.name
 
 
 class TestSpectralRadiusNonneg:
@@ -416,7 +377,8 @@ class TestCollatzWielandtRoot:
     def test_same_kinds_as_squaring(self, perron_inputs, monkeypatch):
         splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
         kinds = [classify_zm(M).kind for _, M in splits]
-        monkeypatch.setattr(linalg, "spectral_radius_nonneg", lambda P: _squaring_root(P)[0])
+        pair = linalg.perron_pair
+        monkeypatch.setattr(linalg, "perron_pair", lambda P: (_squaring_root(P)[0], pair(P)[1]))
         for (label, M), kind in zip(splits, kinds):
             assert classify_zm(M).kind is kind, label
 
@@ -475,6 +437,33 @@ class TestCollatzWielandtRoot:
             assert abs(spectral_radius_nonneg(P) - want) <= abs(old - want), P
             checked += 1
         assert checked >= 50
+
+
+class TestPerronPair:
+    def test_vector_of_random_irreducible_matrices(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            P = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.8)
+            P[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # a cycle through every node
+            rho, x = linalg.perron_pair(P)
+            assert rho == spectral_radius_nonneg(P)
+            assert (x > 0).all()
+            assert np.abs(P @ x - rho * x).max() <= 1e-14 * (rho + 1.0) * x.max()
+
+    def test_vector_after_a_rounding_stall(self):
+        # the stalled input of test_rounding_stall_on_irreducible_input: the
+        # vector is the product of both runs' last vectors
+        P = np.array(
+            [
+                [0.898164466787317, 0.2534909409788879, 0.0],
+                [0.6712200607469431, 0.9589346374849559, 0.18172299662216862],
+                [0.0, 0.000986160175509232, 0.5675012549010134],
+            ]
+        )
+        rho, x = linalg.perron_pair(P)
+        assert (x > 0).all()
+        assert np.abs(P @ x - rho * x).max() <= 1e-14 * (rho + 1.0) * x.max()
 
 
 class TestIrreducibleBlocks:
@@ -546,50 +535,6 @@ class TestMSolve:
                 want = 1.0 / np.abs(np.linalg.inv(M)).sum(axis=1).max()
                 assert dist == pytest.approx(want, rel=1e-12)
         assert {MatrixKind.NONSINGULAR_M, MatrixKind.Z_NOT_M} <= seen
-
-
-class TestNumericalRank:
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 3)), 0.0) == 0
-
-    def test_identity(self):
-        assert numerical_rank(np.eye(3), 1e-12) == 3
-
-    def test_rank_one(self):
-        assert numerical_rank(np.ones((2, 2)), 1e-12) == 1
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), -1.0)
-
-    def test_rank_plus_nullity_is_columns(self):
-        rng = np.random.default_rng(13)
-        for _ in range(40):
-            rows = int(rng.integers(1, 9))
-            cols = int(rng.integers(1, 9))
-            r = int(rng.integers(0, min(rows, cols) + 1))
-            M = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols)) if r else np.zeros((rows, cols))
-            tol = rank_tol(M)
-            rank = numerical_rank(M, tol)
-            assert rank == r
-            # kernel dimension found by elimination complements the rank
-            kernel_dim = cols - rank
-            assert rank + kernel_dim == cols
-
-    def test_kernel_vector_annihilated(self):
-        K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        rank, v = rank_and_kernel(K, rank_tol(K))
-        assert rank == 2
-        assert np.abs(K @ v).max() <= 1e-12
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_kernel_vector_none_at_full_rank(self):
-        assert rank_and_kernel(np.eye(2), 1e-12) == (2, None)
-
-    def test_margin_reported(self):
-        rank, margin = rank_and_margin(np.diag([1.0, 1e-20]), 1e-12)
-        assert rank == 1
-        assert margin == pytest.approx(1e-12, rel=1e-6)
 
 
 class TestEigenvalues:

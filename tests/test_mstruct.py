@@ -17,7 +17,6 @@ from marekit.mstruct import (
     null_pair,
     null_tol,
     regularity_witness,
-    zero_eigen_structure,
 )
 from test_linalg import check_against_squaring
 
@@ -420,34 +419,17 @@ class TestNullPair:
         with pytest.raises(AmbiguousKernel):
             null_pair(np.zeros((2, 2)), 1)
 
-    def test_full_rank_transpose_raises(self, monkeypatch):
-        # K rank-deficient to tolerance while K^T's own elimination finds full rank
-        rank_and_kernel = linalg.rank_and_kernel
-        calls = []
+    def test_coupled_singular_block(self):
+        # K = [[0, -1], [0, 1]]: the singular block {0} couples into {1};
+        # v = (1, 0) and u = (1, 1) / 2 by hand, exact kernel vectors
+        pair = null_pair([[0.0, -1.0], [0.0, 1.0]], 1)
+        assert np.array_equal(pair.v, [1.0, 0.0])
+        assert np.array_equal(pair.u, [0.5, 0.5])
+        assert pair.drift == 0.5
 
-        def transpose_full_rank(M, tol):
-            calls.append(M)
-            return (len(M), None) if len(calls) == 2 else rank_and_kernel(M, tol)
-
-        monkeypatch.setattr(linalg, "rank_and_kernel", transpose_full_rank)
-        with pytest.raises(SingularMatrix, match="full numerical rank"):
-            null_pair([[1.0, -1.0], [-1.0, 1.0]], 1)
-        assert len(calls) == 2
-
-    def test_one_echelon_per_kernel(self, monkeypatch):
-        # the rank check and the right kernel vector share K's elimination;
-        # the left kernel vector needs K^T's
-        calls = []
-        echelon = linalg._full_pivot_echelon
-
-        def counting(M):
-            calls.append(M)
-            return echelon(M)
-
-        monkeypatch.setattr(linalg, "_full_pivot_echelon", counting)
-        K, _ = _singular_m_matrix(np.random.default_rng(47), 5)
-        null_pair(K, 2)
-        assert len(calls) == 2
+    def test_not_an_m_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            null_pair([[1.0, -3.0], [-3.0, 1.0]], 1)
 
     def test_residual_within_tolerance_on_random_singular(self):
         rng = np.random.default_rng(43)
@@ -473,56 +455,3 @@ class TestNullPair:
         v /= np.abs(v).sum()
         drift = u[:1] @ v[:1] - u[1:] @ v[1:]
         assert drift == pytest.approx(pair.drift, abs=1e-14)
-
-
-class TestZeroEigenStructure:
-    def test_rank_one_square_zero(self):
-        # H^2 = 0: geometric 1, algebraic 2
-        rep = zero_eigen_structure([[1.0, -1.0], [1.0, -1.0]])
-        assert rep.simple_kernel
-        assert rep.geometric_multiplicity == 1
-        assert rep.algebraic_multiplicity == 2
-
-    def test_diagonal_simple_zero(self):
-        rep = zero_eigen_structure(np.diag([0.0, 1.0]))
-        assert rep.simple_kernel
-        assert (rep.geometric_multiplicity, rep.algebraic_multiplicity) == (1, 1)
-
-    def test_two_independent_eigenvectors(self):
-        rep = zero_eigen_structure(np.diag([0.0, 0.0]))
-        assert not rep.simple_kernel
-        assert rep.geometric_multiplicity == 2
-
-    def test_no_zero_eigenvalue(self):
-        rep = zero_eigen_structure(np.diag([1.0, 2.0]))
-        assert not rep.simple_kernel
-        assert rep.algebraic_multiplicity == 0
-
-    def test_invariant_under_permutation_similarity(self):
-        rng = np.random.default_rng(47)
-        H = np.array(
-            [
-                [2.0, -1.0, -1.0, 0.0],
-                [0.0, -1.0, 1.0, 0.0],
-                [0.0, 1.0, -1.0, 0.0],
-                [0.0, 0.0, 0.0, 3.0],
-            ]
-        )
-        base = zero_eigen_structure(H)
-        for _ in range(10):
-            perm = rng.permutation(4)
-            P = np.eye(4)[perm]
-            conj = zero_eigen_structure(P @ H @ P.T)
-            assert conj.geometric_multiplicity == base.geometric_multiplicity
-            assert conj.algebraic_multiplicity == base.algebraic_multiplicity
-            assert conj.simple_kernel == base.simple_kernel
-
-    def test_geometric_at_most_algebraic_random(self):
-        rng = np.random.default_rng(53)
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            H = rng.integers(-2, 3, (n, n)).astype(float)
-            rep = zero_eigen_structure(H)
-            assert rep.geometric_multiplicity <= rep.algebraic_multiplicity or (
-                rep.algebraic_multiplicity == 0 and rep.geometric_multiplicity == 0
-            )

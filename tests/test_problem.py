@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from marekit import linalg, mstruct, solve
+from marekit import linalg, solve
 from marekit.errors import NotZMatrix, ShapeMismatch
-from marekit.mstruct import MatrixKind
+from marekit.mstruct import MatrixKind, ZeroEigenStructure
 from marekit.problem import (
     MareProblem,
     Regime,
@@ -149,23 +149,169 @@ class TestClassifyProblem:
         assert pc.regime is Regime.ASSUMPTION_FAILS
         assert pc.zero_structure.geometric_multiplicity == 2
 
-    def test_nonsingular_k_skips_the_sign_flipped_elimination(self, nonsingular_suite, scalar_nonsingular, monkeypatch):
-        problems = [*nonsingular_suite, scalar_nonsingular]
-        # the structure the rank-of-powers elimination finds, before it is counted
-        want = [mstruct.zero_eigen_structure(p.sign_flipped) for p in problems]
-        calls = {"zero_eigen_structure": 0, "rank_and_margin": 0}
-        for module, name in ((mstruct, "zero_eigen_structure"), (linalg, "rank_and_margin")):
-            def counted(*args, _orig=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _orig(*args)
-
-            monkeypatch.setattr(module, name, counted)
-        for p, structure in zip(problems, want):
+    def test_nonsingular_k_has_no_zero_eigenvalue(self, nonsingular_suite, scalar_nonsingular):
+        for p in [*nonsingular_suite, scalar_nonsingular]:
             pc = classify_problem(p)
             assert pc.regime is Regime.NONSINGULAR_K
-            assert pc.zero_structure == structure
+            assert pc.zero_structure == ZeroEigenStructure(0, 0)
             assert (pc.regular.witness > 0).all()
-        assert calls == {"zero_eigen_structure": 0, "rank_and_margin": 0}
+
+    def test_rounding_size_h_squared_is_a_double_zero(self):
+        # H = x [[1, -1], [1, -1]] has H^2 = 0, which BLAS returns as 5e-19
+        # entries; a rank of that product reads a simple zero eigenvalue
+        x = 0.4562551427827235
+        pc = classify_problem(MareProblem(n=1, m=1, A=[[x]], B=[[x]], C=[[x]], D=[[x]]))
+        assert pc.regime is Regime.CRITICAL
+        assert pc.zero_structure == ZeroEigenStructure(1, 2)
+
+    def test_equal_scalar_coefficients_are_critical_double_zeros(self):
+        # 91 of these 2000 draws once read as simple zeros by a rank of H^2
+        for x in np.random.default_rng(0).uniform(0.1, 10.0, 2000):
+            pc = classify_problem(MareProblem(n=1, m=1, A=[[x]], B=[[x]], C=[[x]], D=[[x]]))
+            assert pc.regime is Regime.CRITICAL, x
+            assert pc.zero_structure == ZeroEigenStructure(1, 2), x
+
+    def test_tiny_d_over_a_zero_a_is_a_double_zero(self):
+        # drift -1e-11 is critical to TAU_DRIFT, so r follows the regime; in
+        # exact arithmetic H has eigenvalues 0 and 1e-11, a simple zero
+        p = MareProblem(n=1, m=1, A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[1e-11]])
+        pc = classify_problem(p)
+        assert pc.regime is Regime.CRITICAL
+        assert pc.drift == pytest.approx(-1e-11, rel=1e-10)
+        assert pc.zero_structure == ZeroEigenStructure(1, 2)
+
+    def test_no_zero_structure_off_the_theory(self, divergent):
+        # K not an M-matrix, then a K that is not regular with two singular blocks
+        two_coupled = MareProblem(n=1, m=1, A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
+        for p in (divergent, two_coupled):
+            pc = classify_problem(p)
+            assert pc.regime is Regime.NOT_REGULAR
+            assert pc.zero_structure is None
+            assert pc.nulls is None
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_one_noda_run_per_block_split_and_per_transpose(self, coupled, monkeypatch):
+        # singular block S of order 3 and nonsingular blocks N1, N2 of order 2;
+        # S is final (regular K) or couples into N1 (not regular)
+        rng = np.random.default_rng(67)
+        K = -rng.uniform(0.1, 1.0, (7, 7))
+        S, N1, N2 = slice(0, 3), slice(3, 5), slice(5, 7)
+        if coupled:
+            K[N1, S] = K[N2, S] = K[N2, N1] = 0.0
+        else:
+            K[S, 3:] = K[N2, N1] = 0.0
+        K[S, S] += np.diag(-K[S, S].sum(axis=1))
+        for N in (N1, N2):
+            K[N, N] += np.diag(-K[N].sum(axis=1) + 1.0)
+        perm = rng.permutation(7)
+        K = K[np.ix_(perm, perm)]
+        p = MareProblem(n=3, m=4, D=K[:3, :3], C=-K[:3, 3:], B=-K[3:, :3], A=K[3:, 3:])
+        runs = []
+        noda = linalg._noda_bounds
+        monkeypatch.setattr(linalg, "_noda_bounds", lambda P, c: runs.append(P) or noda(P, c))
+        pc = classify_problem(p)
+        assert pc.regime is (Regime.NOT_REGULAR if coupled else Regime.SINGULAR_NONCRITICAL)
+        assert len(pc.k_class.blocks) == 3 and len(pc.k_class.singular_blocks) == 1
+        # one run on each block's split, one on the transpose of S's
+        assert len(runs) == 4
+        assert sorted(len(P) for P in runs) == [2, 2, 3, 3]
+
+
+def _svd_structure(H):
+    """(geometric, algebraic) multiplicity of H's zero eigenvalue from SVD ranks of its powers.
+
+    The powers are of H / ||H||_2, so a product that is zero in exact
+    arithmetic has singular values at rounding size, far below the 1e-12
+    rank tolerance; the nullity is read until it stops growing.
+    """
+    size = len(H)
+    base = H / np.linalg.norm(H, 2)
+    power = np.eye(size)
+    nullity = [0]
+    for _ in range(size):
+        power = power @ base
+        nullity.append(size - np.linalg.matrix_rank(power, tol=1e-12))
+        if nullity[-1] == nullity[-2]:
+            break
+    return nullity[1], nullity[-1]
+
+
+def _svd_drift(K, n):
+    """u1.v1 - u2.v2 of the singular vectors of K's smallest singular value, each scaled to sum 1."""
+    U, _, Vt = np.linalg.svd(K)
+    u, v = U[:, -1] / U[:, -1].sum(), Vt[-1] / Vt[-1].sum()
+    return u[:n] @ v[:n] - u[n:] @ v[n:]
+
+
+def _multi_block_problems(seed, count):
+    """Regular K with 2-3 final singular irreducible blocks of order 2-3, permuted and split.
+
+    Each singular block is diag(N x / x) - N for a drawn positive x, and
+    0-3 further rows form nonsingular blocks, diagonally dominant, coupled
+    into everything before them.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        orders = rng.integers(2, 4, int(rng.integers(2, 4)))
+        lo, extra = int(orders.sum()), int(rng.integers(0, 4))
+        size = lo + extra
+        K = np.zeros((size, size))
+        at = 0
+        for o in orders:
+            N = rng.uniform(0.1, 1.0, (o, o))
+            np.fill_diagonal(N, 0.0)
+            x = rng.uniform(0.5, 1.5, o)
+            K[at : at + o, at : at + o] = np.diag(N @ x / x) - N
+            at += o
+        if extra:
+            rows = -rng.uniform(0.1, 1.0, (extra, size)) * (rng.uniform(size=(extra, size)) < 0.7)
+            rows[:, lo:] = -rng.uniform(0.1, 1.0, (extra, extra))
+            rows[np.arange(extra), lo + np.arange(extra)] = 0.0
+            rows[np.arange(extra), lo + np.arange(extra)] = -rows.sum(axis=1) + rng.uniform(0.5, 2.0, extra)
+            K[lo:] = rows
+        perm = rng.permutation(size)
+        K = K[np.ix_(perm, perm)]
+        n = int(rng.integers(1, size))
+        problems.append(MareProblem(n=n, m=size - n, D=K[:n, :n], C=-K[:n, n:], B=-K[n:, :n], A=K[n:, n:]))
+    return problems
+
+
+class TestZeroStructureOracle:
+    """(geometric, algebraic) against SVD ranks of the powers of H = diag(I, -I) K, the drift against SVD null vectors."""
+
+    @staticmethod
+    def _check(problems, regimes):
+        for p in problems:
+            pc = classify_problem(p)
+            assert pc.regime in regimes, p.name
+            z = pc.zero_structure
+            assert (z.geometric_multiplicity, z.algebraic_multiplicity) == _svd_structure(p.sign_flipped), p.name
+            if pc.nulls is not None:
+                assert abs(pc.drift - _svd_drift(p.K, p.n)) <= 1e-13, p.name
+
+    def test_worked_examples(self, scalar_nonsingular, scalar_critical, reducible_singular):
+        self._check(
+            [scalar_nonsingular, scalar_critical, reducible_singular],
+            {Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL, Regime.CRITICAL},
+        )
+
+    def test_noncritical_suite(self, noncritical_suite):
+        self._check(noncritical_suite, {Regime.SINGULAR_NONCRITICAL})
+
+    def test_nonsingular_suite(self, nonsingular_suite):
+        self._check(nonsingular_suite, {Regime.NONSINGULAR_K})
+
+    def test_two_critical_blocks(self):
+        eye = np.eye(2)
+        p = MareProblem(n=2, m=2, A=eye, B=eye, C=eye, D=eye)
+        self._check([p], {Regime.ASSUMPTION_FAILS})
+        assert classify_problem(p).zero_structure == ZeroEigenStructure(2, 4)
+
+    def test_several_final_singular_blocks(self):
+        problems = _multi_block_problems(71, 40)
+        self._check(problems, {Regime.ASSUMPTION_FAILS})
+        assert {classify_problem(p).zero_structure.geometric_multiplicity for p in problems} == {2, 3}
 
 
 class TestCertificate:
