@@ -25,12 +25,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from .linalg import (
-    Factorization,
-    solve_linear,
-    spectral_radius,
-    spectral_radius_nonneg,
-)
+from .linalg import spectral_radius_nonneg
 from .mstruct import (
     MatrixKind,
     MClassification,
@@ -80,7 +75,6 @@ __all__ = [
     "CheckResult",
     "DoublingParams",
     "DoublingState",
-    "Factorization",
     "FamilySpec",
     "GenerationFailed",
     "InsufficientTrace",
@@ -122,8 +116,6 @@ __all__ = [
     "residual_primal",
     "select_parameters",
     "solve",
-    "solve_linear",
-    "spectral_radius",
     "spectral_radius_nonneg",
     "step",
     "theoretical_rate",

@@ -20,6 +20,7 @@ usage errors, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -369,7 +370,9 @@ def _cmd_rate_study(ns) -> CommandOutcome:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument grammar, built once per process: parsing keeps no state between calls."""
     parser = _Parser(prog="marekit", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

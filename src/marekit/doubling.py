@@ -10,7 +10,8 @@ factor
                    * rho((S + beta I)^{-1} (S - alpha I))
 
 is minimized over all admissible parameters, where R = D - C.Phi and
-S = A - B.Psi are the closing matrices.
+S = A - B.Psi are the closing matrices; ``theoretical_rate`` reads it off
+their certified gaps.
 
 Initialization, with As = A + beta I and Ds = D + alpha I:
 
@@ -31,7 +32,7 @@ silently ignores a structural violation.  Every matrix the iteration
 inverts is a nonsingular M-matrix in theory and is solved by
 ``linalg.m_solve``, whose extra column x = M^{-1} 1 certifies that kind
 and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
-certificate in the initialization or the rate raises SingularMatrix.  The
+certificate in the initialization raises SingularMatrix.  The
 cross products are solved once, when their iterate is created, as
 (I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], and the solutions are
 carried to the next step.  Only an uncertified cross product is
@@ -400,18 +401,32 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
 
 
 def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) -> float:
-    """Convergence factor r(alpha, beta) from the closing matrices.
+    """Convergence factor r(alpha, beta) from the certified gaps of the closing matrices.
 
-    The factors can have negative or complex spectra, so their spectral
-    radii come from LAPACK's general eigenvalue routine; the certified
-    Perron root of a nonnegative matrix is not valid here.  Raises
-    SingularMatrix when R + alpha I or S + beta I fails its certificate.
+    With tau(R) and tau(S) the smallest real eigenvalues of R and S, the
+    gaps ``cert.r_gap`` and ``cert.s_gap`` (Wang, Wang & Li, SIMAX 33
+    (2012) 170-194),
+
+        r(alpha, beta) = (beta - tau(R)) / (alpha + tau(R))
+                       * (alpha - tau(S)) / (beta + tau(S)).
+
+    This is exact, with no solve: for admissible alpha >= max a_ii and
+    beta >= max d_ii, beta I - R >= 0 and (R + alpha I)^{-1} >= 0, so
+    (R + alpha I)^{-1} (beta I - R) is nonnegative and its Perron root is
+    f(tau(R)) for the decreasing f(x) = (beta - x) / (alpha + x), the
+    largest |f| over the spectrum of R; likewise for S.  Raises
+    InvalidParameters for inadmissible (alpha, beta) and SingularMatrix
+    when R + alpha I or S + beta I is not a nonsingular M-matrix (a gap
+    plus shift <= 0).
     """
+    select_parameters(p, (params.alpha, params.beta), params.mode, params.max_iter, params.stop_tol)
     alpha, beta = params.alpha, params.beta
-    R, S = cert.R, cert.S
-    T1 = _nonsingular_m_solve(R + alpha * np.eye(R.shape[0]), R - beta * np.eye(R.shape[0]))
-    T2 = _nonsingular_m_solve(S + beta * np.eye(S.shape[0]), S - alpha * np.eye(S.shape[0]))
-    return linalg.spectral_radius(T1) * linalg.spectral_radius(T2)
+    tau_r, tau_s = cert.r_gap, cert.s_gap
+    if not (alpha + tau_r > 0.0 and beta + tau_s > 0.0):
+        raise SingularMatrix(
+            f"R + alpha I or S + beta I is not a nonsingular M-matrix (gaps {tau_r:.3e}, {tau_s:.3e})"
+        )
+    return abs((beta - tau_r) / (alpha + tau_r)) * abs((alpha - tau_s) / (beta + tau_s))
 
 
 def observed_rate(trace, phi) -> float:

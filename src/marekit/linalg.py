@@ -4,11 +4,10 @@ All routines work on dense float64 arrays and are pure functions of their
 inputs with no module state, so concurrent use is safe.  Only the kernels
 that carry a tolerance contract numpy does not offer are written here: the
 semipositivity certificate of ``m_solve`` for matrices that the theory
-makes nonsingular M-matrices, the row-pivoted LU whose pivot record judges
-singularity against a scale-aware threshold where a matrix may sit on that
-boundary, and the certified Perron root of a nonnegative matrix with its
-Perron vector.  Every solve runs in LAPACK through ``np.linalg.solve``,
-and general eigenvalues through ``np.linalg.eigvals``.  The Perron root is
+makes nonsingular M-matrices, and the certified Perron root of a
+nonnegative matrix with its Perron vector.  Every solve runs in LAPACK
+through ``np.linalg.solve``; no general eigensolve is needed, as every
+spectral quantity the package reports is a Perron root.  The Perron root is
 bracketed by Collatz-Wielandt bounds on the vectors of Noda's shifted
 inverse iteration, one LAPACK solve per step, and the last of those
 vectors is the Perron vector (``perron_pair``).  Where those bounds stay
@@ -21,7 +20,6 @@ each bracketed the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,77 +69,12 @@ def pivot_tol(M) -> float:
     return M.shape[0] * EPS * one_norm(M)
 
 
-# ---------------------------------------------------------------------------
-# LU factorization with partial pivoting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Pivot record of a square matrix: its row-pivoted LU factors.
-
-    ``lower @ upper`` reconstructs the input with its rows permuted by
-    ``perm`` (i.e. ``M[perm] ~= lower @ upper``).  ``smallest_pivot`` is the
-    minimum absolute diagonal of ``upper``; the matrix is flagged singular
-    when that pivot does not exceed ``tol``.
-    """
-
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    smallest_pivot: float
-    tol: float
-
-    @property
-    def singular(self) -> bool:
-        return self.smallest_pivot <= self.tol
-
-
-def lu_factor(M) -> Factorization:
-    """LU with partial (row) pivoting; never raises on singular input."""
-    A = as_square(M)
-    nn = A.shape[0]
-    tol = pivot_tol(A)
-    U = A.copy()
-    perm = np.arange(nn)
-    for k in range(nn - 1):
-        p = k + int(abs(U[k:, k]).argmax())
-        if p != k:
-            U[[k, p]] = U[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        piv = U[k, k]
-        col = U[k + 1 :, k]
-        if piv != 0.0:
-            col /= piv
-            U[k + 1 :, k + 1 :] -= col[:, None] * U[k, k + 1 :]
-        else:
-            col[:] = 0.0
-    smallest = float(abs(U.diagonal()).min())
-    L = np.tril(U, -1) + np.eye(nn)
-    return Factorization(perm, L, np.triu(U), smallest, tol)
-
-
 def _as_rhs(rhs, rows: int) -> np.ndarray:
     """``rhs`` as a float64 vector or matrix with ``rows`` rows."""
     b = np.asarray(rhs, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != rows:
         raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a matrix of order {rows}")
     return b
-
-
-def solve_linear(M, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` for a general square M (LAPACK ``gesv``).
-
-    Raises SingularMatrix when the smallest pivot of ``lu_factor(M)`` falls
-    at or below the scale-aware threshold ``pivot_tol(M)``.
-    """
-    A = as_square(M)
-    fact = lu_factor(A)
-    if fact.singular:
-        raise SingularMatrix(
-            f"matrix is singular to tolerance (pivot {fact.smallest_pivot:.3e} <= {fact.tol:.3e})"
-        )
-    return np.linalg.solve(A, _as_rhs(rhs, A.shape[0]))
 
 
 def m_solve(M, rhs):
@@ -296,12 +229,3 @@ def spectral_radius_nonneg(P) -> float:
     """Perron root of an entrywise-nonnegative square matrix: the root of ``perron_pair``."""
     return perron_pair(P)[0]
 
-
-# ---------------------------------------------------------------------------
-# Spectral radius of a general real matrix
-# ---------------------------------------------------------------------------
-
-
-def spectral_radius(M) -> float:
-    """Spectral radius of a general real matrix (LAPACK eigenvalues)."""
-    return float(np.abs(np.linalg.eigvals(as_square(M))).max())

@@ -242,9 +242,12 @@ class Certificate:
     """Measured evidence that (phi, psi) solve the problem as the theory says.
 
     R and S are the closing matrices D - C.phi and A - B.psi exactly as
-    computed.  ``r_singular``/``s_singular`` use the smallest LU pivot as
-    the singularity proxy.  ``checks`` record the five certificate clauses,
-    each with its measured value.
+    computed.  ``r_gap``/``s_gap`` are their certified gaps s - rho(B) of
+    ``mstruct.classify_zm``: on a Z-matrix, which R and S are, the gap is
+    the smallest real eigenvalue tau.  ``r_singular``/``s_singular`` say
+    that the gap is zero to 1e-8 times the scale of the closing matrix's
+    operands.  ``checks`` record the five certificate clauses, each with
+    its measured value.
     """
 
     phi: np.ndarray
@@ -255,6 +258,8 @@ class Certificate:
     residual_dual: float
     similarity_residual: float
     rho_phi_psi: float
+    r_gap: float
+    s_gap: float
     r_singular: bool
     s_singular: bool
     i_phipsi_kind: MatrixKind
@@ -266,25 +271,26 @@ class Certificate:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-_SINGULAR_PIVOT_REL = 1e-8
-_NONSINGULAR_PIVOT_REL = 1e-4
+_SINGULAR_GAP_REL = 1e-8
+_NONSINGULAR_GAP_REL = 1e-4
 
 
 def _closing_status(M: np.ndarray, scale: float):
-    """(classification, regularity-or-None, smallest pivot, singular?) of a closing matrix.
+    """(classification, regularity-or-None, singular?) of a closing matrix.
 
-    ``scale`` is the magnitude of the operands the matrix was built from
-    (e.g. ||D||_1 + ||C||_1 ||phi||_1 for R = D - C.phi): a singular closing
-    matrix can be tiny in norm outright (1x1 case, R -> 0), in which case a
-    pivot test relative to its own norm is blind.
+    The matrix is singular when its certified gap is zero to
+    ``_SINGULAR_GAP_REL * scale``.  ``scale`` is the magnitude of the
+    operands the matrix was built from (e.g. ||D||_1 + ||C||_1 ||phi||_1
+    for R = D - C.phi): a singular closing matrix can be tiny in norm
+    outright (1x1 case, R -> 0), in which case a test relative to its own
+    norm is blind.
     """
     cls = mstruct.classify_zm(M)
-    fact = linalg.lu_factor(M)
-    singular = fact.smallest_pivot <= _SINGULAR_PIVOT_REL * max(scale, EPS)
+    singular = abs(cls.gap) <= _SINGULAR_GAP_REL * max(scale, EPS)
     reg = None
     if cls.kind in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         reg = mstruct.regularity_witness(M, cls)
-    return cls, reg, fact.smallest_pivot, singular
+    return cls, reg, singular
 
 
 def make_certificate(
@@ -305,7 +311,10 @@ def make_certificate(
       4. rho(phi.psi) < 1 where the regime promises it (nonsingular K or
          singular noncritical); always recorded;
       5. in the singular noncritical regime exactly one of R, S is
-         singular (smallest pivot <= 1e-8 * scale, the other >= 1e-4 * scale).
+         singular (|gap| <= 1e-8 * scale, the other gap >= 1e-4 * scale).
+
+    The value of each closing-matrix check is its signed gap, and that of
+    the dichotomy the smaller |gap| / scale of the two.
 
     Candidates must be nonnegative up to the kernel residual tolerance of
     K; tiny negative round-off is clamped.
@@ -347,8 +356,8 @@ def make_certificate(
 
     scale_r = one_norm(p.D) + one_norm(p.C) * one_norm(phi_m)
     scale_s = one_norm(p.A) + one_norm(p.B) * one_norm(psi_m)
-    r_cls, r_reg, r_piv, r_sing = _closing_status(R, scale_r)
-    s_cls, s_reg, s_piv, s_sing = _closing_status(S, scale_s)
+    r_cls, r_reg, r_sing = _closing_status(R, scale_r)
+    s_cls, s_reg, s_sing = _closing_status(S, scale_s)
 
     checks = [
         CheckResult("residual-primal", res_p <= tol, res_p, tol),
@@ -356,14 +365,14 @@ def make_certificate(
         CheckResult(
             "closing-R-regular-m-matrix",
             r_reg is not None and r_reg.regular,
-            r_piv,
+            r_cls.gap,
             math.nan,
             f"kind={r_cls.kind.value}",
         ),
         CheckResult(
             "closing-S-regular-m-matrix",
             s_reg is not None and s_reg.regular,
-            s_piv,
+            s_cls.gap,
             math.nan,
             f"kind={s_cls.kind.value}",
         ),
@@ -384,14 +393,14 @@ def make_certificate(
     if regime == Regime.SINGULAR_NONCRITICAL:
         exactly_one = r_sing != s_sing
         separated = (
-            (s_piv >= _NONSINGULAR_PIVOT_REL * scale_s) if r_sing else (r_piv >= _NONSINGULAR_PIVOT_REL * scale_r)
+            (s_cls.gap >= _NONSINGULAR_GAP_REL * scale_s) if r_sing else (r_cls.gap >= _NONSINGULAR_GAP_REL * scale_r)
         )
         checks.append(
             CheckResult(
                 "exactly-one-closing-singular",
                 exactly_one and separated,
-                min(r_piv / max(scale_r, EPS), s_piv / max(scale_s, EPS)),
-                _SINGULAR_PIVOT_REL,
+                min(abs(r_cls.gap) / max(scale_r, EPS), abs(s_cls.gap) / max(scale_s, EPS)),
+                _SINGULAR_GAP_REL,
                 f"R_singular={r_sing}, S_singular={s_sing}",
             )
         )
@@ -415,6 +424,8 @@ def make_certificate(
         residual_dual=res_d,
         similarity_residual=sim_res,
         rho_phi_psi=rho,
+        r_gap=r_cls.gap,
+        s_gap=s_cls.gap,
         r_singular=r_sing,
         s_singular=s_sing,
         i_phipsi_kind=i_phipsi_kind,

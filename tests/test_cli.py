@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 import marekit
+from marekit import cli
 from marekit.cli import dumps_report, execute
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
 GOLDEN = (3 - 5**0.5) / 2
+# bench solve-large problem 3 at seed 13 (n = 38, m = 42, singular noncritical):
+# the fixed-point oracle's stop leaves R's smallest eigenvalue at 1.5e-10 of
+# its scale, inside the 1e-8 singular threshold, while R's smallest LU pivot
+# stays at 1.1e-8, so a pivot test rejects this correct answer
+FIXED_POINT_CLOSING = str(Path(__file__).parent / "data" / "fixed_point_closing.json")
 
 REPORT_KEYS = {
     "regime",
@@ -198,6 +204,64 @@ class TestSolve:
         rep = json.loads(out.report_json)
         assert "error" in rep
         assert rep["iterations"] == 2  # best-effort report still attached
+
+
+class TestParserOnce:
+    """The argument parser is built once per process and keeps nothing between calls."""
+
+    def test_three_calls_build_the_parser_once(self, problem_file):
+        cli._build_parser.cache_clear()
+        for argv in (["classify", problem_file], ["solve", problem_file], ["solve", problem_file, "--alpha", "3"]):
+            execute(argv)
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_options_do_not_leak_into_the_next_call(self, problem_file, tmp_path):
+        src = str(Path(marekit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "marekit.cli", "solve", problem_file],
+            env=env, capture_output=True, check=True, timeout=120,
+        ).stdout.decode()
+        trace = str(tmp_path / "t.csv")
+        with_options = execute(["solve", problem_file, "--alpha", "3", "--beta", "2", "--tol", "1e-12", "--trace", trace])
+        assert with_options.report_json + "\n" != fresh
+        plain = execute(["solve", problem_file])
+        assert plain.report_json + "\n" == fresh
+        assert plain.trace_csv_path is None
+
+
+class TestFixedPointClosing:
+    """The closing dichotomy of an oracle answer whose singular R is judged by its gap, not an LU pivot."""
+
+    @staticmethod
+    def _dichotomy(out):
+        rep = json.loads(out.report_json)
+        assert rep["regime"] == "SingularNoncritical"
+        return next(c for c in rep["checks"] if c["name"] == "exactly-one-closing-singular")
+
+    def test_fixed_point_passes(self):
+        out = execute(["solve", FIXED_POINT_CLOSING, "--method", "fixed-point"])
+        assert out.exit_code == 0
+        check = self._dichotomy(out)
+        assert check["passed"] is True
+        assert check["value"] < 1e-9 and check["detail"] == "R_singular=True, S_singular=False"
+
+    def test_adda_passes(self):
+        out = execute(["solve", FIXED_POINT_CLOSING])
+        assert out.exit_code == 0
+        assert self._dichotomy(out)["passed"] is True
+
+
+def test_no_general_eigensolve(monkeypatch, problem_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("general eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for argv in (["solve", problem_file], ["solve", FIXED_POINT_CLOSING], ["rate-study", problem_file], ["rate-study", FIXED_POINT_CLOSING, "--grid", "2"]):
+        out = execute(argv)
+        assert out.exit_code == 0, argv
+        rep = json.loads(out.report_json)
+        assert rep["theoretical_rate"] is not None and "flags" not in rep, argv
 
 
 class TestStoppingLimits:

@@ -26,7 +26,9 @@ from marekit.errors import (
     InvalidParameters,
     IterationBreakdown,
     MaxIterations,
+    NoConvergence,
     NonpositiveDiagonal,
+    SingularMatrix,
 )
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
@@ -160,8 +162,8 @@ class TestCarriedFactors:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Live lu_factor / m_solve / classify_zm call counts, plus per-phase deltas."""
-        calls = {"lu_factor": 0, "m_solve": 0, "classify_zm": 0}
+        """Live m_solve / classify_zm call counts, plus per-phase deltas."""
+        calls = {"m_solve": 0, "classify_zm": 0}
         phases = []
 
         def counting(name, fn):
@@ -180,7 +182,6 @@ class TestCarriedFactors:
 
             return wrapper
 
-        monkeypatch.setattr(linalg, "lu_factor", counting("lu_factor", linalg.lu_factor))
         monkeypatch.setattr(linalg, "m_solve", counting("m_solve", linalg.m_solve))
         monkeypatch.setattr(mstruct, "classify_zm", counting("classify_zm", mstruct.classify_zm))
         monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
@@ -195,10 +196,10 @@ class TestCarriedFactors:
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
             # initialize solves Ds^{-1} [C I 1], As^{-1} [B 1], W^{-1} [I B 1],
             # V^{-1} [I 1] and the two cross products of the first iterate
-            assert counts[0][1] == {"lu_factor": 0, "m_solve": 6, "classify_zm": 0}
+            assert counts[0][1] == {"m_solve": 6, "classify_zm": 0}
             # a step solves the new iterate's (I-GH)^{-1} [E G 1] and
             # (I-HG)^{-1} [F H 1], whose certificates settle both kinds
-            assert all(delta == {"lu_factor": 0, "m_solve": 2, "classify_zm": 0} for _, delta in counts[1:])
+            assert all(delta == {"m_solve": 2, "classify_zm": 0} for _, delta in counts[1:])
 
     def test_state_without_factors_steps_identically(self, noncritical_suite):
         p = noncritical_suite[3]
@@ -217,7 +218,7 @@ class TestCarriedFactors:
         diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
         doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
         # the old iterate's cross products are solved (and certified) again
-        assert counts == [("step", {"lu_factor": 0, "m_solve": 4, "classify_zm": 0})]
+        assert counts == [("step", {"m_solve": 4, "classify_zm": 0})]
 
     def test_noncritical_steps_run_no_full_perron_root(self, monkeypatch, solved_noncritical):
         # far from singular, the M^{-1} 1 certificate settles every cross product's kind
@@ -366,6 +367,112 @@ class TestRates:
             for fb in (1.0, 1.6, 2.5):
                 alt = DoublingParams(2.0 * fa, 1.0 * fb)
                 assert base <= theoretical_rate(scalar_nonsingular, rep.certificate, alt) + 1e-12
+
+
+def _eigvals_rate(cert, alpha, beta):
+    """Reference r(alpha, beta): the spectral radii of both factors from a solve and a general eigensolve."""
+    R, S = cert.R, cert.S
+    T1 = np.linalg.solve(R + alpha * np.eye(len(R)), R - beta * np.eye(len(R)))
+    T2 = np.linalg.solve(S + beta * np.eye(len(S)), S - alpha * np.eye(len(S)))
+    return float(np.abs(np.linalg.eigvals(T1)).max() * np.abs(np.linalg.eigvals(T2)).max())
+
+
+def _reducible_problems(seed, count):
+    """Z-matrix K with 2-4 irreducible diagonal blocks in block upper triangular form, permuted and split.
+
+    K = diag(N x / x + w) - N for a drawn positive x, N >= 0 block upper
+    triangular; w > 0 makes every block nonsingular, and in about half of
+    the draws the last block, which is final and of order >= 2 so that K
+    has no zero row, gets w = 0 and is singular.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        orders = rng.integers(1, 5, int(rng.integers(2, 5)))
+        orders[-1] = max(orders[-1], 2)
+        size = int(orders.sum())
+        starts = np.concatenate([[0], np.cumsum(orders)])
+        N = np.zeros((size, size))
+        for a, b in zip(starts[:-1], starts[1:]):
+            N[a:b, a:] = rng.uniform(0.1, 1.0, (b - a, size - a)) * (rng.uniform(size=(b - a, size - a)) < 0.7)
+            N[a:b, a:b] = rng.uniform(0.1, 1.0, (b - a, b - a))
+        np.fill_diagonal(N, 0.0)
+        x = rng.uniform(0.5, 1.5, size)
+        w = rng.uniform(0.0, 1.0, size)
+        if rng.uniform() < 0.5:
+            w[starts[-2]:] = 0.0
+        K = np.diag(N @ x / x + w) - N
+        perm = rng.permutation(size)
+        K = K[np.ix_(perm, perm)]
+        n = int(rng.integers(1, size))
+        problems.append(MareProblem(n=n, m=size - n, D=K[:n, :n], C=-K[:n, n:], B=-K[n:, :n], A=K[n:, n:]))
+    return problems
+
+
+class TestRateIdentity:
+    """theoretical_rate, read off the gaps of R and S, against the spectral radii of both factors."""
+
+    @staticmethod
+    def _check(p, rep, params):
+        got = theoretical_rate(p, rep.certificate, params)
+        assert got == pytest.approx(_eigvals_rate(rep.certificate, params.alpha, params.beta), rel=1e-12, abs=1e-15)
+
+    def test_worked_examples(self, scalar_nonsingular, reducible_singular, scalar_critical):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in (scalar_nonsingular, reducible_singular, scalar_critical):
+                try:
+                    rep = solve(p)
+                except MaxIterations as exc:
+                    rep = exc.report
+                for fa, fb in ((1.0, 1.0), (1.3, 2.5), (3.0, 1.0)):
+                    self._check(p, rep, DoublingParams(rep.params.alpha * fa, rep.params.beta * fb))
+
+    def test_acceptance_suites_default_and_sampled(self, solved_noncritical, solved_nonsingular):
+        # the default pair, then the sampler of acceptance criterion 7
+        rng = np.random.default_rng(77)
+        for p, rep in solved_noncritical + solved_nonsingular:
+            assert rep.theoretical_rate == pytest.approx(
+                _eigvals_rate(rep.certificate, rep.params.alpha, rep.params.beta), rel=1e-12, abs=1e-15
+            )
+            for _ in range(5):
+                alpha = rep.params.alpha * float(rng.uniform(1.0, 3.0))
+                beta = rep.params.beta * float(rng.uniform(1.0, 3.0))
+                self._check(p, rep, DoublingParams(alpha, beta))
+
+    def test_random_reducible_k(self):
+        regimes, unsolved = [], 0
+        for p in _reducible_problems(29, 60):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    rep = solve(p)
+                except MaxIterations as exc:
+                    rep = exc.report
+                except NoConvergence:
+                    # the open defect of ROADMAP item 8: a Phi.Psi, R or S block
+                    # irreducible only through entries of rounding size
+                    unsolved += 1
+                    continue
+            regimes.append(rep.problem_class.regime)
+            assert not rep.problem_class.irreducible
+            self._check(p, rep, rep.params)
+            self._check(p, rep, DoublingParams(rep.params.alpha * 1.7, rep.params.beta * 1.2))
+        assert {Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL} <= set(regimes)
+        assert unsolved <= 6 and len(regimes) + unsolved == 60
+
+    def test_inadmissible_parameters_raise(self, scalar_nonsingular):
+        rep = solve(scalar_nonsingular)
+        for alpha, beta in ((1.0, 1.0), (2.0, 0.5)):
+            with pytest.raises(InvalidParameters):
+                theoretical_rate(scalar_nonsingular, rep.certificate, DoublingParams(alpha, beta))
+
+    def test_shifted_closing_matrix_not_m_raises(self, scalar_nonsingular):
+        rep = solve(scalar_nonsingular)
+        for field in ("r_gap", "s_gap"):
+            cert = dataclasses.replace(rep.certificate, **{field: -5.0})
+            with pytest.raises(SingularMatrix):
+                theoretical_rate(scalar_nonsingular, cert, rep.params)
 
 
 class TestTraceCsv:

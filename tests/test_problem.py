@@ -5,7 +5,7 @@ import pytest
 
 from marekit import linalg, solve
 from marekit.errors import NotZMatrix, ShapeMismatch
-from marekit.mstruct import MatrixKind, ZeroEigenStructure
+from marekit.mstruct import MatrixKind, ZeroEigenStructure, classify_zm
 from marekit.problem import (
     MareProblem,
     Regime,
@@ -365,6 +365,56 @@ class TestCertificate:
                 p.name,
                 [c for c in rep.certificate.checks if c.passed is False],
             )
+
+
+class TestClosingGaps:
+    """R and S are judged by their certified gaps, the smallest real eigenvalues tau(R) and tau(S)."""
+
+    @staticmethod
+    def _scales(p, cert):
+        one = linalg.one_norm
+        return one(p.D) + one(p.C) * one(cert.phi), one(p.A) + one(p.B) * one(cert.psi)
+
+    def test_scalar_gaps_are_the_closing_matrices(self, scalar_nonsingular):
+        cert = make_certificate(scalar_nonsingular, [[GOLDEN]], [[GOLDEN]])
+        assert cert.r_gap == cert.R[0, 0] and cert.s_gap == cert.S[0, 0]
+        values = {c.name: c.value for c in cert.checks}
+        assert values["closing-R-regular-m-matrix"] == cert.r_gap
+        assert values["closing-S-regular-m-matrix"] == cert.s_gap
+        assert not (cert.r_singular or cert.s_singular)
+
+    def test_reducible_dichotomy_values(self, reducible_singular):
+        cert = make_certificate(reducible_singular, np.zeros((2, 1)), [[0.5, 0.5]])
+        assert cert.r_gap == 2.0 and cert.s_gap == 0.0
+        dich = next(c for c in cert.checks if c.name == "exactly-one-closing-singular")
+        assert dich.passed is True and dich.value == 0.0 and dich.threshold == 1e-8
+
+    def test_gaps_match_eigenvalues_and_verdicts_on_suites(self, solved_noncritical, solved_nonsingular):
+        for p, rep in solved_noncritical + solved_nonsingular:
+            cert = rep.certificate
+            scale_r, scale_s = self._scales(p, cert)
+            for M, gap, scale, singular in ((cert.R, cert.r_gap, scale_r, cert.r_singular), (cert.S, cert.s_gap, scale_s, cert.s_singular)):
+                assert gap == classify_zm(M).gap
+                assert gap == pytest.approx(np.linalg.eigvals(M).real.min(), abs=1e-10 * scale), p.name
+                assert singular == (abs(gap) <= 1e-8 * scale)
+            values = {c.name: c.value for c in cert.checks}
+            assert values["closing-R-regular-m-matrix"] == cert.r_gap
+            assert values["closing-S-regular-m-matrix"] == cert.s_gap
+            if rep.problem_class.regime is Regime.SINGULAR_NONCRITICAL:
+                assert cert.r_singular != cert.s_singular, p.name
+                assert values["exactly-one-closing-singular"] == min(abs(cert.r_gap) / scale_r, abs(cert.s_gap) / scale_s)
+            else:
+                assert not (cert.r_singular or cert.s_singular), p.name
+
+    def test_separation_needs_the_other_gap(self, reducible_singular):
+        # a singular S beside an R whose gap falls below 1e-4 * scale is not separated
+        p = reducible_singular
+        assert classify_problem(p).regime is Regime.SINGULAR_NONCRITICAL
+        cert = make_certificate(p, [[0.99999], [0.99999]], [[0.5, 0.5]])
+        assert cert.r_gap == pytest.approx(2e-5, rel=1e-9)
+        assert cert.s_singular and not cert.r_singular
+        dich = next(c for c in cert.checks if c.name == "exactly-one-closing-singular")
+        assert dich.passed is False
 
 
 class TestDuality:
