@@ -11,6 +11,9 @@ Subcommands over problem JSON files:
              --n N --m M --seed S [--density F] -o <out.json>
     rate-study <problem.json> [--grid G]
 
+--alpha, --beta and --trace apply to the doubling methods only; with
+--method fixed-point each is a usage error.
+
 Reports are JSON on stdout with a fixed field set; every float is printed
 with 17 significant digits so identical runs produce identical bytes.
 Exit codes: 0 all requested checks passed, 1 check failures, 2 input or
@@ -210,6 +213,11 @@ def _check_limits(ns) -> None:
 
 def _cmd_solve(ns) -> CommandOutcome:
     _check_limits(ns)
+    if ns.method == "fixed-point":
+        # the oracle has no doubling parameters and writes no per-step trace
+        for option in ("alpha", "beta", "trace"):
+            if getattr(ns, option) is not None:
+                raise _UsageError(f"--{option} does not apply to --method fixed-point")
     p = _load_problem(ns.problem)
     report = _base_report()
     if ns.method == "fixed-point":

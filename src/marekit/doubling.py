@@ -59,17 +59,12 @@ from .errors import (
 )
 from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
-from .problem import Certificate, MareProblem, ProblemClass, Regime, classify_problem, make_certificate
+from .problem import Certificate, MareProblem, ProblemClass, Regime, classify_problem, make_certificate, sign_tol
 
 MODE_ADDA = "adda"
 MODE_SDA = "sda"
 
 _GUARANTEED = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
-
-
-def sign_tol(p: MareProblem) -> float:
-    """Elementwise sign tolerance: exact sign claims must absorb round-off."""
-    return 1e-12 * max(1.0, one_norm(p.K))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,11 @@ from .mstruct import (
 TAU_DRIFT = 1e-8
 
 
+def sign_tol(p: MareProblem) -> float:
+    """Elementwise sign tolerance: exact sign claims must absorb round-off."""
+    return 1e-12 * max(1.0, one_norm(p.K))
+
+
 class Regime(enum.Enum):
     NONSINGULAR_K = "NonsingularK"
     SINGULAR_NONCRITICAL = "SingularNoncritical"

@@ -191,6 +191,15 @@ class TestSolve:
         assert rep["phi"]["entries"][0][0] == pytest.approx(GOLDEN, abs=1e-10)
         assert rep["psi"]["entries"][0][0] == pytest.approx(GOLDEN, abs=1e-10)
 
+    @pytest.mark.parametrize("option, value", [("--trace", "t.csv"), ("--alpha", "0.1"), ("--beta", "0.1")])
+    def test_doubling_option_with_fixed_point_is_usage_error(self, tmp_path, option, value):
+        if option == "--trace":
+            value = str(tmp_path / value)
+        out = execute(["solve", FIXED_POINT_CLOSING, "--method", "fixed-point", option, value])
+        assert out.exit_code == 2
+        assert option in json.loads(out.report_json)["error"]
+        assert out.trace_csv_path is None and not (tmp_path / "t.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_fixed_point_divergence_is_breakdown(self, divergent_file):
         out = execute(["solve", divergent_file, "--method", "fixed-point"])

@@ -144,6 +144,8 @@ _LARGE = {
     "critical-4x4": FamilySpec(Regime.CRITICAL, 4, 4, seed=5),
 }
 _CASES = {**_SMALL, **_LARGE}
+# caps on either side of the first and second block boundaries
+_BLOCK_CAPS = (fixedpoint._BLOCK - 1, fixedpoint._BLOCK, fixedpoint._BLOCK + 1, 2 * fixedpoint._BLOCK + 1)
 
 
 def _problem(case):
@@ -159,7 +161,7 @@ class TestFusedResidual:
             (name, tol, max_iter)
             for name in sorted(_SMALL)
             for tol in (0.0, 1e-16, 1e-12, 1e-10)
-            for max_iter in (1, 50, 5000)
+            for max_iter in (1, 50, 5000, *_BLOCK_CAPS)
             # a critical problem runs to the same 5000-step cap at every tol
             if not ("critical" in name and max_iter == 5000 and tol < 1e-10)
         ],
@@ -169,7 +171,10 @@ class TestFusedResidual:
         for q in (p, p.dual()):
             _assert_same_report(fixed_point_solve(q, tol, max_iter), _reference_fixed_point(q, tol, max_iter))
 
-    @pytest.mark.parametrize("tol, max_iter", [(1e-12, 5000), (1e-10, 5000), (0.0, 1), (1e-16, 50)])
+    @pytest.mark.parametrize(
+        "tol, max_iter",
+        [(1e-12, 5000), (1e-10, 5000), (0.0, 1), (1e-16, 50), *((1e-10, cap) for cap in _BLOCK_CAPS)],
+    )
     @pytest.mark.parametrize("name", sorted(_LARGE))
     def test_large_problems_match_reference(self, name, tol, max_iter):
         p = _problem(_LARGE[name])
@@ -197,6 +202,16 @@ class TestFusedResidual:
             checked += 1
         assert checked >= 5
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-15])
+    def test_violations_counted_through_the_stop(self, tol):
+        # a negative C (not a valid problem, set past the checks) makes the
+        # iterates oscillate, so every other step is a monotonicity violation
+        p = MareProblem(n=1, m=1, A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        object.__setattr__(p, "C", -p.C)
+        want = _reference_fixed_point(p, tol, 5000)
+        assert want.converged and want.monotonicity_violations > 0
+        _assert_same_report(fixed_point_solve(p, tol, 5000), want)
+
     def test_one_exact_residual_when_capped_at_most_two_when_converged(self, monkeypatch, scalar_critical):
         calls = []
 
@@ -217,10 +232,21 @@ class TestFusedResidual:
             assert len(calls) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_divergent_iterates_break_down(divergent):
-    with pytest.raises(IterationBreakdown, match=r"step \d+") as info:
-        fixed_point_solve(divergent, tol=1e-12, max_iter=5000)
-    assert int(re.search(r"step (\d+)", str(info.value)).group(1)) <= 12
-    with pytest.raises(IterationBreakdown):
-        fixed_point_solve(divergent.dual())
+    # the look-ahead steps past the overflow overflow too; the block silences them all
+    for p in (divergent, divergent.dual()):
+        with pytest.raises(IterationBreakdown, match=r"step \d+") as info:
+            fixed_point_solve(p, tol=1e-12, max_iter=5000)
+        # the step a step-by-step loop names, inside the second block
+        assert int(re.search(r"step (\d+)", str(info.value)).group(1)) == 12
+
+
+@pytest.mark.parametrize(
+    "case, tol, max_iter",
+    [("scalar-nonsingular", 1e-12, 5000), ("nonsingular-3x4", 1e-10, 5000), ("critical-2x3", 1e-12, 2 * fixedpoint._BLOCK + 1)],
+)
+def test_returned_phi_owns_its_memory(case, tol, max_iter):
+    # the iterate buffer is reused from block to block, so an answer must not view it
+    rep = fixed_point_solve(_problem(_CASES[case]), tol, max_iter)
+    assert rep.phi.base is None
