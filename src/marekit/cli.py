@@ -29,6 +29,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -105,37 +106,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(float(x), ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
 def dumps_report(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits, keys in insertion order."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
+    """JSON text with floats at 17 significant digits, keys in insertion order.
+
+    NaN and infinities are written as null.  A list of plain floats, such
+    as a matrix row, is formatted entry by entry without recursing.
+    """
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ",\n".join(pad_in + dumps_report(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            texts = map(_fmt_float, obj)
+        else:
+            texts = [dumps_report(v, indent + 1) for v in obj]
+        return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            pad_in + json.dumps(str(k)) + ": " + dumps_report(v, indent + 1)
+            pad_in + encode_basestring_ascii(str(k)) + ": " + dumps_report(v, indent + 1)
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"

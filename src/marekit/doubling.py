@@ -29,13 +29,14 @@ one-parameter method.
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
 silently ignores a structural violation.  Every matrix the iteration
-inverts is a nonsingular M-matrix in theory and is solved by
+inverts is a nonsingular M-matrix in theory and is solved by the core of
 ``linalg.m_solve``, whose extra column x = M^{-1} 1 certifies that kind
 and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
 certificate in the initialization raises SingularMatrix.  The
 cross products are solved once, when their iterate is created, as
-(I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], and the solutions are
-carried to the next step.  Only an uncertified cross product is
+(I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], each right-hand side
+written once into one array, and the solutions are carried to the next
+step.  Only an uncertified cross product is
 classified, by ``mstruct.classify_zm``; the next step breaks down when
 that kind is singular or LAPACK found the matrix exactly singular.
 """
@@ -167,6 +168,13 @@ class DoublingState:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """The diagnostics and the H and G iterates of one step.
+
+    H and G are the iterate's own arrays, shared with its ``DoublingState``
+    and not copied: no code of the package writes to an iterate once it
+    is built, and callers must not either.
+    """
+
     diagnostics: StepDiagnostics
     H: np.ndarray
     G: np.ndarray
@@ -196,21 +204,25 @@ def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
     the solution is None and dist 0 when LAPACK finds it exactly singular.
     """
     out = []
-    for M, rhs in ((np.eye(len(G)) - G @ H, np.hstack([E, G])), (np.eye(len(H)) - H @ G, np.hstack([F, H]))):
+    for M, rhs in ((G @ H, (E, G)), (H @ G, (F, H))):
+        # I - M in the product's own buffer: 0 - M, then 1 added on the diagonal
+        np.subtract(0.0, M, out=M)
+        M.reshape(-1)[:: len(M) + 1] += 1.0
         try:
-            X, dist, certified = linalg.m_solve(M, rhs)
+            sol, dist, certified = linalg._m_solve(M, linalg._with_ones(*rhs))
+            X = sol[:, :-1]
         except SingularMatrix:
             X, dist, certified = None, 0.0, False
         out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind))
     return out
 
 
-def _nonsingular_m_solve(M: np.ndarray, rhs) -> np.ndarray:
-    """``M^{-1} rhs`` for a matrix the theory makes a nonsingular M-matrix."""
-    X, _, certified = linalg.m_solve(M, rhs)
+def _nonsingular_m_solve(M: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """``M^{-1} [blocks]`` for a matrix the theory makes a nonsingular M-matrix."""
+    sol, _, certified = linalg._m_solve(M, linalg._with_ones(*blocks))
     if not certified:
         raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
-    return X
+    return sol[:, :-1]
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
@@ -227,11 +239,13 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     Ds = p.D + alpha * np.eye(p.n)
     try:
         # Ds^{-1} [C I] and W^{-1} [I B]: one solve each
-        Ds_inv_C, Ds_inv = np.hsplit(_nonsingular_m_solve(Ds, np.hstack([p.C, np.eye(p.n)])), [p.m])
+        Ds_inv_C_I = _nonsingular_m_solve(Ds, p.C, np.eye(p.n))
+        Ds_inv_C, Ds_inv = Ds_inv_C_I[:, : p.m], Ds_inv_C_I[:, p.m :]
         As_inv_B = _nonsingular_m_solve(As, p.B)
         W = As - p.B @ Ds_inv_C
         V = Ds - p.C @ As_inv_B
-        W_inv, W_inv_B = np.hsplit(_nonsingular_m_solve(W, np.hstack([np.eye(p.m), p.B])), [p.m])
+        W_inv_I_B = _nonsingular_m_solve(W, np.eye(p.m), p.B)
+        W_inv, W_inv_B = W_inv_I_B[:, : p.m], W_inv_I_B[:, p.m :]
         E0 = np.eye(p.n) - gamma * _nonsingular_m_solve(V, np.eye(p.n))
         F0 = np.eye(p.m) - gamma * W_inv
         G0 = gamma * Ds_inv_C @ W_inv
@@ -249,8 +263,8 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
         dist_IHG=dist_ihg,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
-        sign_violations_E=int((E0 > tau).sum()),
-        sign_violations_F=int((F0 > tau).sum()),
+        sign_violations_E=int(np.count_nonzero(E0 > tau)),
+        sign_violations_F=int(np.count_nonzero(F0 > tau)),
         monotonicity_violations=0,
     )
     return DoublingState(0, E0, F0, G0, H0, diag, tau, (X_igh, X_ihg))
@@ -276,8 +290,8 @@ def step(s: DoublingState) -> DoublingState:
         raise IterationBreakdown(
             f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
         )
-    igh_inv_E, igh_inv_G = np.hsplit(X_igh, [len(E)])
-    ihg_inv_F, ihg_inv_H = np.hsplit(X_ihg, [len(F)])
+    igh_inv_E, igh_inv_G = X_igh[:, : len(E)], X_igh[:, len(E) :]
+    ihg_inv_F, ihg_inv_H = X_ihg[:, : len(F)], X_ihg[:, len(F) :]
     E_new = E @ igh_inv_E
     F_new = F @ ihg_inv_F
     G_new = G + E @ igh_inv_G @ F
@@ -296,7 +310,7 @@ def step(s: DoublingState) -> DoublingState:
 
     tau = s.tau_sign
     (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E_new, F_new, G_new, H_new)
-    mono = int((H_new < H - tau).sum()) + int((G_new < G - tau).sum())
+    mono = int(np.count_nonzero(H_new < H - tau) + np.count_nonzero(G_new < G - tau))
     diag = StepDiagnostics(
         k=s.k + 1,
         dH=one_norm(H_new - H),
@@ -305,8 +319,8 @@ def step(s: DoublingState) -> DoublingState:
         dist_IHG=dist_ihg,
         kind_IGH=kind_igh,
         kind_IHG=kind_ihg,
-        sign_violations_E=int((E_new < -tau).sum()),
-        sign_violations_F=int((F_new < -tau).sum()),
+        sign_violations_E=int(np.count_nonzero(E_new < -tau)),
+        sign_violations_F=int(np.count_nonzero(F_new < -tau)),
         monotonicity_violations=mono,
     )
     return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau, (X_igh, X_ihg))
@@ -333,11 +347,11 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
         )
 
     state = initialize(p, params)
-    trace: list[TraceRecord] = [TraceRecord(state.diagnostics, state.H.copy(), state.G.copy())]
+    trace: list[TraceRecord] = [TraceRecord(state.diagnostics, state.H, state.G)]
     converged = False
     for _ in range(params.max_iter):
         state = step(state)
-        trace.append(TraceRecord(state.diagnostics, state.H.copy(), state.G.copy()))
+        trace.append(TraceRecord(state.diagnostics, state.H, state.G))
         d = state.diagnostics
         if d.dH <= params.stop_tol * max(1.0, one_norm(state.H)) and d.dG <= params.stop_tol * max(
             1.0, one_norm(state.G)

@@ -110,17 +110,19 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
     N_A = np.diag(a) - p.A
     N_D = np.diag(d) - p.D
 
-    def numerator(X):
-        return X @ p.C @ X + p.B + N_A @ X + X @ N_D
+    def numerator(X, out):
+        return np.add(X @ p.C @ X + p.B + N_A @ X, X @ N_D, out=out)
 
     nA, nB, nC, nD = one_norm(p.A), one_norm(p.B), one_norm(p.C), one_norm(p.D)
     screen = tol + 8 * (p.m + p.n + 2) * EPS
     tau = sign_tol(p)
     # Xs[0] is the last iterate of the previous block, Xs[j] its j-th successor;
-    # Ts[j - 1] is the numerator T(Xs[j])
+    # Ts[j - 1] is the numerator T(Xs[j]), written there by the step.  T is the
+    # numerator of the current iterate; each step reads it before it writes the
+    # next one, so T(0) can start in Ts[0].
     Xs = np.zeros((_BLOCK + 1, p.m, p.n))
     Ts = np.empty((_BLOCK, p.m, p.n))
-    T = numerator(Xs[0])
+    T = numerator(Xs[0], Ts[0])
     violations = 0
     done = 0
     while done < max_iter:
@@ -129,8 +131,7 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, b + 1):
                 np.divide(T, denom, out=Xs[j])
-                T = numerator(Xs[j])
-                Ts[j - 1] = T
+                T = numerator(Xs[j], Ts[j - 1])
             counted = violations + np.cumsum((X < Xs[:b] - tau).sum(axis=(1, 2)))
             nX = _one_norms(X)
             fused = _one_norms(Tb - denom * X) / np.maximum(nX * (nC * nX + nD + nA) + nB, EPS)

@@ -29,7 +29,17 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite float64 2-D array (row-major copy)."""
+    """Coerce ``a`` to a finite float64 2-D array (row-major copy).
+
+    This is the input check of the public entry points: ``m_solve``,
+    ``perron_pair``, ``spectral_radius_nonneg`` and ``irreducible_blocks``
+    here, ``mstruct.classify_zm`` and ``mstruct.regularity_witness``, the
+    problem model and its JSON loaders.  ``m_solve``, ``perron_pair``,
+    ``irreducible_blocks`` and ``classify_zm`` are this check plus a call
+    to a private core (``_m_solve``, ``_perron_pair``, ...) that does only
+    the work.  The cores trust their callers to pass float64 arrays that
+    have passed it, and the package's own callers do.
+    """
     M = np.array(a, dtype=np.float64, order="C")
     if M.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {M.shape}")
@@ -77,6 +87,29 @@ def _as_rhs(rhs, rows: int) -> np.ndarray:
     return b
 
 
+def _is_z(A: np.ndarray) -> bool:
+    """True when the finite square A has no positive off-diagonal entry (a Z-matrix).
+
+    The off-diagonal entries are read in place: the flat array after its
+    first entry, in rows of n + 1, holds one diagonal entry at the end of
+    each row.
+    """
+    n = A.shape[0]
+    return n == 1 or bool(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].max() <= 0.0)
+
+
+def _with_ones(*blocks: np.ndarray) -> np.ndarray:
+    """``[blocks 1]``: the blocks side by side (a vector is one column) and a column of ones."""
+    cols = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols) + 1))
+    j = 0
+    for c in cols:
+        out[:, j : j + c.shape[1]] = c
+        j += c.shape[1]
+    out[:, j] = 1.0
+    return out
+
+
 def m_solve(M, rhs):
     """``(X, dist, certified)``: one LAPACK solve of ``M [X x] = [rhs 1]``.
 
@@ -88,17 +121,29 @@ def m_solve(M, rhs):
     exactly singular.
     """
     A = as_square(M)
-    n = A.shape[0]
-    b = _as_rhs(rhs, n)
+    b = _as_rhs(rhs, A.shape[0])
+    sol, dist, certified = _m_solve(A, _with_ones(b))
+    return (sol[:, 0] if b.ndim == 1 else sol[:, :-1]), dist, certified
+
+
+def _m_solve(A: np.ndarray, rhs1: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The core of ``m_solve``: ``(sol, dist, certified)`` with ``sol = A^{-1} rhs1``.
+
+    ``rhs1`` is ``[rhs 1]``, its last column ones, as ``_with_ones`` builds
+    it; x is the last column of ``sol``.  A must be a square float64 array
+    with as many rows as ``rhs1``.  Its entries are checked to be finite
+    here (ValueError), as the package's callers form it by arithmetic.
+    """
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains NaN or Inf entries")
     try:
-        sol = np.linalg.solve(A, np.column_stack([b, np.ones(n)]))
+        sol = np.linalg.solve(A, rhs1)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
-    X = sol[:, 0] if b.ndim == 1 else sol[:, :-1]
-    z_matrix = (A - np.diag(np.diag(A)) <= 0.0).all()
-    certified = bool(z_matrix and (x > 0.0).all() and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
-    return X, 1.0 / float(np.abs(x).max()), certified
+    n = A.shape[0]
+    certified = bool(_is_z(A) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
+    return sol, 1.0 / float(np.abs(x).max()), certified
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +175,10 @@ def _noda_bounds(P: np.ndarray, c: float) -> tuple[float, float, np.ndarray]:
     x = np.ones(n)
     lo, hi = 0.0, math.inf
     width = math.inf
+    # hi I - P is -P with hi added to its diagonal, written in place each step
+    shifted = np.negative(P, order="C")
+    diagonal = shifted.diagonal().copy()
+    on_diagonal = shifted.reshape(-1)[:: n + 1]
     for _ in range(_NODA_MAX_SOLVES):
         ratios = (P @ x) / x
         lo = max(lo, float(ratios.min()))
@@ -137,16 +186,16 @@ def _noda_bounds(P: np.ndarray, c: float) -> tuple[float, float, np.ndarray]:
         if hi - lo <= 1e-15 * max(1.0, lo + c) or not hi - lo < width:
             break
         width = hi - lo
-        shifted = -P
-        shifted.flat[:: n + 1] += hi
+        np.add(diagonal, hi, out=on_diagonal)
         try:
             y = np.linalg.solve(shifted, x)
         except np.linalg.LinAlgError:
             break
-        if not ((y > 0.0) & (y < math.inf)).all():
+        top = y.max()
+        if not (y.min() > 0.0 and top < math.inf):  # also false on a NaN
             break
-        y = y / y.max()
-        if not (y > 0.0).all():  # an entry underflowed
+        y = y / top
+        if not y.min() > 0.0:  # an entry underflowed
             break
         x = y
     return lo, hi, x
@@ -173,7 +222,11 @@ def irreducible_blocks(M) -> list[np.ndarray]:
     component is the set of nodes that both reach and are reached from its
     smallest node, found among the nodes no earlier component took.
     """
-    A = as_square(M)
+    return _irreducible_blocks(as_square(M))
+
+
+def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """The core of ``irreducible_blocks``, for a square float64 A."""
     adj = A != 0.0
     np.fill_diagonal(adj, False)
     left = np.ones(A.shape[0], dtype=bool)
@@ -207,14 +260,19 @@ def perron_pair(P) -> tuple[float, np.ndarray | None]:
     A = as_square(P, "P")
     if (A < 0).any():
         raise ValueError("P must be entrywise nonnegative")
+    return _perron_pair(A)
+
+
+def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The core of ``perron_pair``, for a finite, entrywise-nonnegative, square float64 A."""
     if A.shape[0] == 1:
         return float(A[0, 0]), np.ones(1)
-    c = 1.0 + float(np.diag(A).max())
+    c = 1.0 + float(A.diagonal().max())
     lo, hi, x = _noda_bounds(A, c)
     if hi - lo > 1e-15 * max(1.0, lo + c):
-        blocks = irreducible_blocks(A)
+        blocks = _irreducible_blocks(A)
         if len(blocks) > 1:
-            return max(perron_pair(A[np.ix_(b, b)])[0] for b in blocks), None
+            return max(_perron_pair(A[np.ix_(b, b)])[0] for b in blocks), None
         lo_x, hi_x, y = _noda_bounds(A * x / x[:, None], c)
         lo, hi = max(lo, lo_x), min(hi, hi_x)
         if not hi - lo <= 1e-14 * max(1.0, lo + c):

@@ -115,8 +115,10 @@ class MClassification:
 
 def _split(M: np.ndarray) -> tuple[float, np.ndarray]:
     """``(s, B)`` of the split M = s I - B with s = max diag M."""
-    s = float(np.diag(M).max())
-    B = s * np.eye(M.shape[0]) - M
+    s = float(M.diagonal().max())
+    # 0 s - M, then s added on the diagonal: s I - M to the bit, signed zeros included
+    B = np.subtract(s * 0.0, M, order="C")
+    B.reshape(-1)[:: M.shape[0] + 1] += s
     # rounding can leave -0.0 or eps-size negatives on the diagonal
     B[B < 0] = 0.0
     return s, B
@@ -133,16 +135,25 @@ def classify_zm(M) -> MClassification:
     tolerance like every block's.  An irreducible M is its own block, with
     M's own split.
     """
-    A = as_square(M)
-    s = float(np.diag(A).max())
+    return _classify_zm(as_square(M))
+
+
+def _classify_zm(A: np.ndarray) -> MClassification:
+    """The core of ``classify_zm``, for a finite square float64 A."""
+    s = float(A.diagonal().max())
     tol = class_tol(A)
-    if (A - np.diag(np.diag(A)) > 0.0).any():
+    if not linalg._is_z(A):
         return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
+    index = linalg._irreducible_blocks(A)
+    if len(index) == 1:  # A is its own block, final as it has no rows outside
+        rho, x = linalg._perron_pair(_split(A)[1])
+        block = IrreducibleBlock(index[0], s - rho, gap_kind(s - rho, tol), True, x)
+        return MClassification(block.kind, s, s - block.gap, block.gap, tol, (block,))
     blocks = []
-    for b in linalg.irreducible_blocks(A):
+    for b in index:
         Mbb = A[np.ix_(b, b)]
         s_b, B = _split(Mbb)
-        rho, x = linalg.perron_pair(B)
+        rho, x = linalg._perron_pair(B)
         final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
         blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
     gap = min(b.gap for b in blocks)
@@ -201,7 +212,9 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     rest = ~final
     if rest.any():
         rows = A[rest]
-        x, _, certified = linalg.m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
+        rhs = 1.0 - rows[:, final] @ v[final]
+        sol, _, certified = linalg._m_solve(rows[:, rest], linalg._with_ones(rhs))
+        x = sol[:, 0]
         if not (certified and (x > 0.0).all()):
             raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
         v[rest] = x
@@ -262,14 +275,16 @@ class NullPair:
 def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) -> NullPair:
     """The kernel pair of K from its singular block ``blk``; ``rest`` marks the nonsingular blocks."""
     b = blk.index
-    y = linalg.perron_pair(_split(K[np.ix_(b, b)].T)[1])[1]
+    y = linalg._perron_pair(_split(K[np.ix_(b, b)].T)[1])[1]
     v = np.zeros(K.shape[0])
     u = np.zeros(K.shape[0])
     v[b], u[b] = blk.perron, y
     if rest.any():
         K_NN = K[np.ix_(rest, rest)]
-        v[rest], _, right = linalg.m_solve(K_NN, -(K[np.ix_(rest, b)] @ blk.perron))
-        u[rest], _, left = linalg.m_solve(K_NN.T, -(y @ K[np.ix_(b, rest)]))
+        right_sol, _, right = linalg._m_solve(K_NN, linalg._with_ones(-(K[np.ix_(rest, b)] @ blk.perron)))
+        # a row-major transpose, so that its certificate's products round as every other's
+        left_sol, _, left = linalg._m_solve(K_NN.T.copy(), linalg._with_ones(-(y @ K[np.ix_(b, rest)])))
+        v[rest], u[rest] = right_sol[:, 0], left_sol[:, 0]
         if not (right and left):
             raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
     v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
@@ -312,7 +327,7 @@ def null_pair(K, n: int) -> NullPair:
     A = as_square(K)
     if not 0 <= n <= A.shape[0]:
         raise ValueError(f"split index {n} outside [0, {A.shape[0]}]")
-    cls = classify_zm(A)
+    cls = _classify_zm(A)
     if cls.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("null vectors are defined for M-matrices only")
     singular = len(cls.singular_blocks)

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class Regime(enum.Enum):
 
 
 def _require_z(M: np.ndarray, label: str) -> None:
-    off = M - np.diag(np.diag(M))
-    if (off > 0.0).any():
+    if not linalg._is_z(M):
         raise NotZMatrix(f"{label} has a positive off-diagonal entry")
 
 
@@ -444,10 +444,6 @@ def make_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _nested_list(M: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in M]
-
-
 def problem_to_json(p: MareProblem) -> str:
     """Serialize a problem to the on-disk JSON format (row-major arrays)."""
     payload: dict = {}
@@ -457,19 +453,36 @@ def problem_to_json(p: MareProblem) -> str:
         {
             "n": p.n,
             "m": p.m,
-            "A": _nested_list(p.A),
-            "B": _nested_list(p.B),
-            "C": _nested_list(p.C),
-            "D": _nested_list(p.D),
+            "A": p.A.tolist(),
+            "B": p.B.tolist(),
+            "C": p.C.tolist(),
+            "D": p.D.tolist(),
         }
     )
     return json.dumps(payload, indent=2)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_nested(value, label: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+    """A JSON nested array of numbers as a matrix; strings and booleans are refused.
+
+    One pass reads the type of every entry: a JSON number parses to int or
+    float, and ``true``, ``false`` and strings to neither.
+    """
+    rows_ok = isinstance(value, list) and all(type(row) is list for row in value)
+    if not (rows_ok and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(value)))):
         raise ValueError(f"field {label!r} must be a nested array of numbers")
-    return as_matrix(value, label)
+    try:
+        return as_matrix(value, label)
+    except OverflowError as exc:  # an integer beyond the float64 range
+        raise ValueError(f"field {label!r} has an entry beyond the float64 range") from exc
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` parse to bool, a subclass of int, and are refused."""
+    return type(value) is int
 
 
 def problem_from_json(text: str) -> MareProblem:
@@ -487,7 +500,7 @@ def problem_from_json(text: str) -> MareProblem:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError("field 'name' must be a string")
-    if not isinstance(data["n"], int) or not isinstance(data["m"], int):
+    if not (_is_int(data["n"]) and _is_int(data["m"])):
         raise ValueError("fields 'n' and 'm' must be integers")
     return MareProblem(
         n=data["n"],
@@ -503,7 +516,7 @@ def problem_from_json(text: str) -> MareProblem:
 def matrix_to_jsonable(M) -> dict:
     """{"rows", "cols", "entries"} object for a dense matrix."""
     A = as_matrix(M)
-    return {"rows": A.shape[0], "cols": A.shape[1], "entries": _nested_list(A)}
+    return {"rows": A.shape[0], "cols": A.shape[1], "entries": A.tolist()}
 
 
 def matrix_from_json(text: str) -> np.ndarray:
@@ -517,6 +530,8 @@ def matrix_from_json(text: str) -> np.ndarray:
     missing = {"rows", "cols", "entries"} - set(data)
     if missing:
         raise ValueError(f"missing matrix fields: {sorted(missing)}")
+    if not (_is_int(data["rows"]) and _is_int(data["cols"])):
+        raise ValueError("fields 'rows' and 'cols' must be integers")
     M = _as_nested(data["entries"], "entries")
     if M.shape != (data["rows"], data["cols"]):
         raise ValueError(

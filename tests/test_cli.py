@@ -101,6 +101,22 @@ class TestClassify:
         path.write_text('{"n":1,"m":1,"A":[[1]],"B":[[1]],"C":[[1]],"D":[[1]],"zz":1}')
         assert execute(["classify", str(path)]).exit_code == 2
 
+    @pytest.mark.parametrize("field, value", [("A", [["2.0"]]), ("D", [[True]]), ("n", True), ("m", True)])
+    def test_string_or_boolean_field_is_usage_error(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        payload = {"n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]], field: value}
+        path.write_text(json.dumps(payload))
+        for argv in (["classify", str(path)], ["solve", str(path)]):
+            out = execute(argv)
+            assert out.exit_code == 2
+            assert "error" in json.loads(out.report_json)
+
+    def test_boolean_matrix_size_is_usage_error(self, tmp_path, problem_file):
+        phi = tmp_path / "phi.json"
+        phi.write_text('{"rows": true, "cols": 1, "entries": [[0.5]]}')
+        out = execute(["verify", problem_file, "--phi", str(phi), "--psi", str(phi)])
+        assert out.exit_code == 2
+
     def test_unknown_command_is_usage_error(self):
         assert execute(["frobnicate"]).exit_code == 2
 

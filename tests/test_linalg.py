@@ -206,7 +206,7 @@ class TestCollatzWielandtRoot:
     def _counted(monkeypatch):
         """Counts of bounds left open (on any input, on irreducible input) and of block splits."""
         calls = {"gave_up": 0, "gave_up_irreducible": 0, "split": 0}
-        noda, blocks = linalg._noda_bounds, linalg.irreducible_blocks
+        noda, blocks = linalg._noda_bounds, linalg._irreducible_blocks
 
         def counted_noda(P, c):
             lo, hi, x = noda(P, c)
@@ -220,7 +220,7 @@ class TestCollatzWielandtRoot:
             return blocks(M)
 
         monkeypatch.setattr(linalg, "_noda_bounds", counted_noda)
-        monkeypatch.setattr(linalg, "irreducible_blocks", counted_blocks)
+        monkeypatch.setattr(linalg, "_irreducible_blocks", counted_blocks)
         return calls
 
     def test_agrees_with_squaring_on_every_split(self, perron_inputs, monkeypatch):
@@ -237,8 +237,8 @@ class TestCollatzWielandtRoot:
     def test_same_kinds_as_squaring(self, perron_inputs, monkeypatch):
         splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
         kinds = [classify_zm(M).kind for _, M in splits]
-        pair = linalg.perron_pair
-        monkeypatch.setattr(linalg, "perron_pair", lambda P: (_squaring_root(P)[0], pair(P)[1]))
+        pair = linalg._perron_pair
+        monkeypatch.setattr(linalg, "_perron_pair", lambda P: (_squaring_root(P)[0], pair(P)[1]))
         for (label, M), kind in zip(splits, kinds):
             assert classify_zm(M).kind is kind, label
 

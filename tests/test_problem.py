@@ -466,3 +466,45 @@ class TestJson:
     def test_matrix_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json('{"rows": 1, "cols": 1, "entries": [[1.0]], "x": 2}')
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("A", [["2.0"]]),
+            ("B", [[True]]),
+            ("C", [["1"]]),
+            ("D", [[True]]),
+            ("D", [[False]]),
+            ("A", [[2.0, True]]),
+            ("n", True),
+            ("m", True),
+        ],
+    )
+    def test_strings_and_booleans_rejected(self, field, value):
+        # numpy would read "2.0" as 2.0 and true as 1.0, and bool is an int
+        payload = {"n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]], field: value}
+        with pytest.raises(ValueError):
+            problem_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "entries": [["1.0"]]}',
+            '{"rows": 1, "cols": 1, "entries": [[true]]}',
+            '{"rows": 1, "cols": 2, "entries": [[1.0, false]]}',
+            '{"rows": true, "cols": 1, "entries": [[1.0]]}',
+            '{"rows": 1, "cols": true, "entries": [[1.0]]}',
+        ],
+    )
+    def test_matrix_strings_and_booleans_rejected(self, text):
+        with pytest.raises(ValueError):
+            matrix_from_json(text)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float64 range"):
+            problem_from_json('{"n": 1, "m": 1, "A": [[1%s]], "B": [[1]], "C": [[1]], "D": [[1]]}' % ("0" * 400))
+
+    def test_integer_entries_accepted(self):
+        p = problem_from_json('{"n": 1, "m": 1, "A": [[2]], "B": [[1]], "C": [[1]], "D": [[1]]}')
+        assert p.A.dtype == np.float64 and p.A[0, 0] == 2.0
+        assert np.array_equal(matrix_from_json('{"rows": 1, "cols": 2, "entries": [[1, 2.5]]}'), [[1.0, 2.5]])
