@@ -37,7 +37,6 @@ from . import doubling, probgen
 from .errors import (
     AmbiguousKernel,
     GenerationFailed,
-    InsufficientTrace,
     InvalidParameters,
     IterationBreakdown,
     MaxIterations,
@@ -206,6 +205,11 @@ def _cmd_classify(ns) -> CommandOutcome:
     return CommandOutcome(0, dumps_report(report))
 
 
+def _given(**values) -> dict:
+    """The keyword arguments the user set; the library holds every default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _check_limits(ns) -> None:
     """Reject a negative or NaN --tol and a --max-iter below 1 (usage error, exit 2).
 
@@ -227,10 +231,9 @@ def _cmd_solve(ns) -> CommandOutcome:
     p = _load_problem(ns.problem)
     report = _base_report()
     if ns.method == "fixed-point":
-        tol = 1e-10 if ns.tol is None else ns.tol
-        max_iter = 5000 if ns.max_iter is None else ns.max_iter
-        primal = fixed_point_solve(p, tol=tol, max_iter=max_iter)
-        dual = fixed_point_solve(p.dual(), tol=tol, max_iter=max_iter)
+        limits = _given(tol=ns.tol, max_iter=ns.max_iter)
+        primal = fixed_point_solve(p, **limits)
+        dual = fixed_point_solve(p.dual(), **limits)
         pc = classify_problem(p)
         cert = make_certificate(p, primal.phi, dual.phi, problem_class=pc)
         _fill_classification(report, pc)
@@ -248,11 +251,7 @@ def _cmd_solve(ns) -> CommandOutcome:
     if ns.alpha is not None:
         requested = (ns.alpha, ns.beta)
     params = doubling.select_parameters(
-        p,
-        requested,
-        mode=ns.method,
-        max_iter=60 if ns.max_iter is None else ns.max_iter,
-        stop_tol=1e-14 if ns.tol is None else ns.tol,
+        p, requested, mode=ns.method, **_given(max_iter=ns.max_iter, stop_tol=ns.tol)
     )
     trace_path = None
     try:
@@ -299,7 +298,7 @@ def _cmd_verify(ns) -> CommandOutcome:
     with open(ns.psi, "r", encoding="utf-8") as fh:
         psi = matrix_from_json(fh.read())
     pc = classify_problem(p)
-    cert = make_certificate(p, phi, psi, tol=ns.tol, problem_class=pc)
+    cert = make_certificate(p, phi, psi, problem_class=pc, **_given(tol=ns.tol))
     report = _base_report()
     _fill_classification(report, pc)
     _fill_certificate(report, cert)
@@ -309,7 +308,7 @@ def _cmd_verify(ns) -> CommandOutcome:
 def _cmd_oracle(ns) -> CommandOutcome:
     _check_limits(ns)
     p = _load_problem(ns.problem)
-    result = fixed_point_solve(p, tol=ns.tol, max_iter=ns.max_iter)
+    result = fixed_point_solve(p, **_given(tol=ns.tol, max_iter=ns.max_iter))
     pc = classify_problem(p)
     report = _base_report()
     _fill_classification(report, pc)
@@ -333,7 +332,7 @@ def _cmd_generate(ns) -> CommandOutcome:
         n=ns.n,
         m=ns.m,
         seed=ns.seed,
-        density=ns.density,
+        **_given(density=ns.density),
     )
     problem = probgen.generate(spec)
     with open(ns.output, "w", encoding="utf-8") as fh:
@@ -408,13 +407,13 @@ def _build_parser() -> _Parser:
     v.add_argument("problem")
     v.add_argument("--phi", required=True)
     v.add_argument("--psi", required=True)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=float)
     v.set_defaults(handler=_cmd_verify)
 
     o = sub.add_parser("oracle", help="independent monotone fixed-point solve")
     o.add_argument("problem")
-    o.add_argument("--tol", type=float, default=1e-10)
-    o.add_argument("--max-iter", type=int, dest="max_iter", default=5000)
+    o.add_argument("--tol", type=float)
+    o.add_argument("--max-iter", type=int, dest="max_iter")
     o.set_defaults(handler=_cmd_oracle)
 
     g = sub.add_parser("generate", help="emit a seeded problem in a target regime")
@@ -422,7 +421,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--density", type=float, default=0.7)
+    g.add_argument("--density", type=float)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(handler=_cmd_generate)
 
@@ -451,8 +450,6 @@ def execute(argv) -> CommandOutcome:
         return CommandOutcome(3, dumps_report({"error": str(exc)}))
     except _BREAKDOWN_ERRORS as exc:
         return CommandOutcome(3, dumps_report({"error": str(exc), "step": type(exc).__name__}))
-    except InsufficientTrace as exc:
-        return CommandOutcome(3, dumps_report({"error": str(exc)}))
 
 
 def main(argv=None) -> int:

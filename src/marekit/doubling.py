@@ -22,9 +22,9 @@ Initialization, with As = A + beta I and Ds = D + alpha I:
 
 (note the cross pairing: A is shifted by beta, D by alpha -- this is what
 makes E0, F0 <= 0 and H_k monotone increasing to Phi, which the pairing
-with same-letter shifts provably violates).  Single-parameter mode forces
-alpha = beta, which reduces the two-parameter iteration to the classical
-one-parameter method.
+with same-letter shifts provably violates).  The classical one-parameter
+method (SDA) is this iteration at alpha = beta: ``select_parameters``
+picks that pair for ``mode="sda"``, and no step reads the mode.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
@@ -68,19 +68,18 @@ MODE_SDA = "sda"
 _GUARANTEED = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
 
 
+MAX_ITER = 60
+STOP_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class DoublingParams:
     alpha: float
     beta: float
-    max_iter: int = 60
-    stop_tol: float = 1e-14
-    mode: str = MODE_ADDA
+    max_iter: int = MAX_ITER
+    stop_tol: float = STOP_TOL
 
     def __post_init__(self):
-        if self.mode not in (MODE_ADDA, MODE_SDA):
-            raise InvalidParameters(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_SDA and self.alpha != self.beta:
-            raise InvalidParameters("single-parameter mode requires alpha == beta")
         if not (self.alpha > 0 and self.beta > 0):
             raise InvalidParameters("alpha and beta must be positive")
         if self.max_iter < 1:
@@ -93,15 +92,16 @@ def select_parameters(
     p: MareProblem,
     requested: tuple[float, float] | None = None,
     mode: str = MODE_ADDA,
-    max_iter: int = 60,
-    stop_tol: float = 1e-14,
+    max_iter: int = MAX_ITER,
+    stop_tol: float = STOP_TOL,
 ) -> DoublingParams:
     """Default to the rate-optimal pair alpha = max a_ii, beta = max d_ii.
 
     Requested values are honored when they satisfy alpha >= max a_ii and
-    beta >= max d_ii (and alpha == beta in single-parameter mode); values
-    below the optimal pair are rejected.  Raises NonpositiveDiagonal when
-    either coefficient diagonal has no positive entry.
+    beta >= max d_ii (and alpha == beta in single-parameter mode, whose
+    default is alpha = beta = max of both); values below the optimal pair
+    are rejected.  Raises NonpositiveDiagonal when either coefficient
+    diagonal has no positive entry.
     """
     a_star = float(np.diag(p.A).max())
     d_star = float(np.diag(p.D).max())
@@ -110,17 +110,20 @@ def select_parameters(
             f"max diag(A) = {a_star}, max diag(D) = {d_star}; both must be positive"
         )
     if requested is None:
-        if mode == MODE_SDA:
-            gamma = max(a_star, d_star)
-            return DoublingParams(gamma, gamma, max_iter, stop_tol, mode)
-        return DoublingParams(a_star, d_star, max_iter, stop_tol, mode)
-    alpha, beta = float(requested[0]), float(requested[1])
-    if alpha < a_star or beta < d_star:
-        raise InvalidParameters(
-            f"requested (alpha, beta) = ({alpha}, {beta}) below the admissible "
-            f"bounds ({a_star}, {d_star})"
-        )
-    return DoublingParams(alpha, beta, max_iter, stop_tol, mode)
+        gamma = max(a_star, d_star)
+        alpha, beta = (gamma, gamma) if mode == MODE_SDA else (a_star, d_star)
+    else:
+        alpha, beta = float(requested[0]), float(requested[1])
+        if alpha < a_star or beta < d_star:
+            raise InvalidParameters(
+                f"requested (alpha, beta) = ({alpha}, {beta}) below the admissible "
+                f"bounds ({a_star}, {d_star})"
+            )
+    if mode not in (MODE_ADDA, MODE_SDA):
+        raise InvalidParameters(f"unknown mode {mode!r}")
+    if mode == MODE_SDA and alpha != beta:
+        raise InvalidParameters("single-parameter mode requires alpha == beta")
+    return DoublingParams(alpha, beta, max_iter, stop_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +154,7 @@ class DoublingState:
     ``solves`` carries (I - G H)^{-1} [E G] and (I - H G)^{-1} [F H] at
     this iterate, as computed with its diagnostics, so that ``step`` does
     not solve them again; an entry is None when LAPACK found its matrix
-    exactly singular.  A state built without them (None) is still valid:
-    ``step`` then solves and, where uncertified, classifies the cross
-    products itself.
+    exactly singular.  Every state is built by ``_iterate``.
     """
 
     k: int
@@ -163,7 +164,7 @@ class DoublingState:
     H: np.ndarray
     diagnostics: StepDiagnostics
     tau_sign: float
-    solves: tuple[np.ndarray | None, np.ndarray | None] | None = None
+    solves: tuple[np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -225,6 +226,36 @@ def _nonsingular_m_solve(M: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
     return sol[:, :-1]
 
 
+def _iterate(
+    E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float, prev: DoublingState | None
+) -> DoublingState:
+    """The state of (E, F, G, H): the iterate after ``prev``, or the initial one for None.
+
+    Its cross products are solved here, once, and carried in ``solves``.
+    """
+    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E, F, G, H)
+    if prev is None:
+        k, dH, dG, mono = 0, math.nan, math.nan, 0
+        sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
+    else:
+        k, dH, dG = prev.k + 1, one_norm(H - prev.H), one_norm(G - prev.G)
+        mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
+        sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
+    diag = StepDiagnostics(
+        k=k,
+        dH=dH,
+        dG=dG,
+        dist_IGH=dist_igh,
+        dist_IHG=dist_ihg,
+        kind_IGH=kind_igh,
+        kind_IHG=kind_ihg,
+        sign_violations_E=int(sign_E),
+        sign_violations_F=int(sign_F),
+        monotonicity_violations=int(mono),
+    )
+    return DoublingState(k, E, F, G, H, diag, tau, (X_igh, X_ihg))
+
+
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     """Build the k = 0 iterate from the coefficient data.
 
@@ -232,7 +263,7 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     satisfy E0 <= 0, F0 <= 0 and G0, H0 >= 0 up to round-off; violations
     are counted in the diagnostics rather than silently dropped.
     """
-    select_parameters(p, (params.alpha, params.beta), params.mode, params.max_iter, params.stop_tol)
+    select_parameters(p, (params.alpha, params.beta))
     alpha, beta = params.alpha, params.beta
     gamma = alpha + beta
     As = p.A + beta * np.eye(p.m)
@@ -252,22 +283,7 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
         H0 = gamma * W_inv_B @ Ds_inv
     except SingularMatrix as exc:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
-
-    tau = sign_tol(p)
-    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E0, F0, G0, H0)
-    diag = StepDiagnostics(
-        k=0,
-        dH=math.nan,
-        dG=math.nan,
-        dist_IGH=dist_igh,
-        dist_IHG=dist_ihg,
-        kind_IGH=kind_igh,
-        kind_IHG=kind_ihg,
-        sign_violations_E=int(np.count_nonzero(E0 > tau)),
-        sign_violations_F=int(np.count_nonzero(F0 > tau)),
-        monotonicity_violations=0,
-    )
-    return DoublingState(0, E0, F0, G0, H0, diag, tau, (X_igh, X_ihg))
+    return _iterate(E0, F0, G0, H0, sign_tol(p), None)
 
 
 def step(s: DoublingState) -> DoublingState:
@@ -282,10 +298,8 @@ def step(s: DoublingState) -> DoublingState:
     regimes (e.g. a critical problem near convergence).
     """
     E, F, G, H = s.E, s.F, s.G, s.H
-    if s.solves is None:
-        (X_igh, _, kind_igh), (X_ihg, _, kind_ihg) = _cross_solves(E, F, G, H)
-    else:
-        (X_igh, X_ihg), kind_igh, kind_ihg = s.solves, s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
+    X_igh, X_ihg = s.solves
+    kind_igh, kind_ihg = s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
     if X_igh is None or X_ihg is None or MatrixKind.SINGULAR_M in (kind_igh, kind_ihg):
         raise IterationBreakdown(
             f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
@@ -307,23 +321,7 @@ def step(s: DoublingState) -> DoublingState:
         theta = math.sqrt(nf) / math.sqrt(ne)
         E_new = E_new * theta
         F_new = F_new / theta
-
-    tau = s.tau_sign
-    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E_new, F_new, G_new, H_new)
-    mono = int(np.count_nonzero(H_new < H - tau) + np.count_nonzero(G_new < G - tau))
-    diag = StepDiagnostics(
-        k=s.k + 1,
-        dH=one_norm(H_new - H),
-        dG=one_norm(G_new - G),
-        dist_IGH=dist_igh,
-        dist_IHG=dist_ihg,
-        kind_IGH=kind_igh,
-        kind_IHG=kind_ihg,
-        sign_violations_E=int(np.count_nonzero(E_new < -tau)),
-        sign_violations_F=int(np.count_nonzero(F_new < -tau)),
-        monotonicity_violations=mono,
-    )
-    return DoublingState(s.k + 1, E_new, F_new, G_new, H_new, diag, tau, (X_igh, X_ihg))
+    return _iterate(E_new, F_new, G_new, H_new, s.tau_sign, s)
 
 
 def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
@@ -428,7 +426,7 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     when R + alpha I or S + beta I is not a nonsingular M-matrix (a gap
     plus shift <= 0).
     """
-    select_parameters(p, (params.alpha, params.beta), params.mode, params.max_iter, params.stop_tol)
+    select_parameters(p, (params.alpha, params.beta))
     alpha, beta = params.alpha, params.beta
     tau_r, tau_s = cert.r_gap, cert.s_gap
     if not (alpha + tau_r > 0.0 and beta + tau_s > 0.0):

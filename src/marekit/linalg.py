@@ -40,7 +40,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     the work.  The cores trust their callers to pass float64 arrays that
     have passed it, and the package's own callers do.
     """
-    M = np.array(a, dtype=np.float64, order="C")
+    try:
+        M = np.array(a, dtype=np.float64, order="C")
+    except OverflowError as exc:  # a Python integer beyond the float64 range
+        raise ValueError(f"{name} has an entry beyond the float64 range") from exc
     if M.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {M.shape}")
     if M.size == 0:

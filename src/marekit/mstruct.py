@@ -112,6 +112,16 @@ class MClassification:
     def singular_blocks(self) -> list[IrreducibleBlock]:
         return [b for b in self.blocks if b.kind is MatrixKind.SINGULAR_M]
 
+    @property
+    def regular(self) -> bool:
+        """M is an M-matrix whose singular irreducible blocks are all final.
+
+        Exactly then some v > 0 has M v >= 0 (``regularity_witness``).
+        """
+        if self.kind is MatrixKind.NONSINGULAR_M:
+            return True
+        return self.kind is MatrixKind.SINGULAR_M and all(b.final for b in self.singular_blocks)
+
 
 def _split(M: np.ndarray) -> tuple[float, np.ndarray]:
     """``(s, B)`` of the split M = s I - B with s = max diag M."""
@@ -184,13 +194,14 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     """Search for a positive v with M v >= 0, by the irreducible blocks of M.
 
     An M-matrix M is regular exactly when each of its singular irreducible
-    diagonal blocks is final: zero in its rows outside the block.  If a
-    singular block b has a coupling, take u > 0 its left Perron vector
-    (u M_bb = 0); then u (M v)_b = u M_b,rest v_rest < 0 for every v > 0,
-    as M_b,rest <= 0 is nonzero, so some (M v)_i < 0.  If every singular
-    block is final, v is each one's Perron vector there (M_bb v_b = 0), and
-    on the rest N, whose blocks are all nonsingular, v_N = M_NN^{-1} (1 -
-    M_NS v_S) >= M_NN^{-1} 1 > 0, S the singular blocks, so (M v)_N = 1.
+    diagonal blocks is final: zero in its rows outside the block
+    (``MClassification.regular``).  If a singular block b has a coupling,
+    take u > 0 its left Perron vector (u M_bb = 0); then u (M v)_b =
+    u M_b,rest v_rest < 0 for every v > 0, as M_b,rest <= 0 is nonzero, so
+    some (M v)_i < 0.  If every singular block is final, v is each one's
+    Perron vector there (M_bb v_b = 0), and on the rest N, whose blocks are
+    all nonsingular, v_N = M_NN^{-1} (1 - M_NS v_S) >= M_NN^{-1} 1 > 0, S
+    the singular blocks, so (M v)_N = 1.
 
     The blocks, their kinds and Perron vectors (scaled to min 1) are those
     of ``classification``, which ``classify_zm(M)`` made.  A nonsingular M
@@ -201,12 +212,12 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     size = A.shape[0]
     if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("regularity is defined for M-matrices only")
+    if not classification.regular:
+        return RegularityReport(False, None)
     v = np.ones(size)
     final = np.zeros(size, dtype=bool)
     if classification.kind == MatrixKind.SINGULAR_M:
         for blk in classification.singular_blocks:
-            if not blk.final:
-                return RegularityReport(False, None)
             v[blk.index] = blk.perron / blk.perron.min()
             final[blk.index] = True
     rest = ~final

@@ -27,6 +27,9 @@ from .problem import MareProblem, Regime, classify_problem
 # closing-matrix dichotomy to be numerically well separated in tests
 DRIFT_MARGIN = 1e-2
 
+# draws per generated problem before GenerationFailed
+MAX_ATTEMPTS = 100
+
 _MASKS = ("full", "upper", "lower")
 
 
@@ -121,20 +124,20 @@ def _split(K: np.ndarray, n: int, m: int, name: str) -> MareProblem:
     )
 
 
-def generate(spec: FamilySpec, max_attempts: int = 100) -> MareProblem:
+def generate(spec: FamilySpec) -> MareProblem:
     """Draw problems until one classifies as the requested regime.
 
     Acceptance re-runs the full classifier on every candidate, so the
     regime label on the returned problem is measured, never assumed.
     SingularNoncritical additionally requires |drift| >= 1e-2.  Raises
-    GenerationFailed (with the last rejection reason) once the attempt
-    budget is exhausted.
+    GenerationFailed (with the last rejection reason) after ``MAX_ATTEMPTS``
+    draws.
     """
     rng = np.random.Generator(np.random.Philox(spec.seed))
     target = spec.regime_target
     name = f"{target.value}-n{spec.n}-m{spec.m}-s{spec.seed}"
     last_reason = "no attempts made"
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         mask_kind = _MASKS[int(rng.integers(0, len(_MASKS)))]
         try:
             if target == Regime.CRITICAL:
@@ -163,5 +166,5 @@ def generate(spec: FamilySpec, max_attempts: int = 100) -> MareProblem:
             continue
         return problem
     raise GenerationFailed(
-        f"no {target.value} problem within {max_attempts} attempts; last: {last_reason}"
+        f"no {target.value} problem within {MAX_ATTEMPTS} attempts; last: {last_reason}"
     )

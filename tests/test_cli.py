@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import marekit
-from marekit import cli
+from marekit import FamilySpec, Regime, cli, generate
 from marekit.cli import dumps_report, execute
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
@@ -229,6 +229,56 @@ class TestSolve:
         rep = json.loads(out.report_json)
         assert "error" in rep
         assert rep["iterations"] == 2  # best-effort report still attached
+
+
+class TestSdaIsAddaAtEqualParameters:
+    """``--method sda`` prints the bytes of ``--alpha g --beta g``, g = max(a*, d*)."""
+
+    @pytest.mark.filterwarnings("ignore:doubling guarantees")
+    def test_same_bytes(self, tmp_path, noncritical_suite, nonsingular_suite, scalar_nonsingular, scalar_critical, reducible_singular):
+        regimes = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL, Regime.CRITICAL)
+        generated = [generate(FamilySpec(regimes[s % 3], 2 + s % 5, 3 + s % 4, seed=100 + s)) for s in range(10)]
+        worked = [scalar_nonsingular, scalar_critical, reducible_singular]
+        for i, p in enumerate(worked + noncritical_suite + nonsingular_suite + generated):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(problem_to_json(p))
+            sda = execute(["solve", str(path), "--method", "sda"])
+            g = json.loads(sda.report_json)["alpha"]
+            assert g == max(p.A.diagonal().max(), p.D.diagonal().max())
+            adda = execute(["solve", str(path), "--alpha", repr(g), "--beta", repr(g)])
+            assert (sda.exit_code, sda.report_json) == (adda.exit_code, adda.report_json), p.name
+
+    def test_unequal_pair_is_usage_error(self, problem_file):
+        out = execute(["solve", problem_file, "--method", "sda", "--alpha", "5", "--beta", "6"])
+        assert out.exit_code == 2
+        assert json.loads(out.report_json)["error"] == "single-parameter mode requires alpha == beta"
+
+
+@pytest.mark.filterwarnings("ignore:doubling guarantees")
+@pytest.mark.parametrize(
+    "plain, explicit",
+    [
+        (["solve"], ["solve", "--tol", "1e-14", "--max-iter", "60"]),
+        (["solve", "--method", "fixed-point"], ["solve", "--method", "fixed-point", "--tol", "1e-10", "--max-iter", "5000"]),
+        (["oracle"], ["oracle", "--tol", "1e-10", "--max-iter", "5000"]),
+    ],
+)
+def test_library_defaults_reach_the_command_line(critical_file, problem_file, plain, explicit):
+    for path in (problem_file, critical_file):
+        a = execute([plain[0], path, *plain[1:]])
+        b = execute([explicit[0], path, *explicit[1:]])
+        assert (a.exit_code, a.report_json) == (b.exit_code, b.report_json)
+
+
+def test_verify_and_generate_defaults(tmp_path, problem_file):
+    phi = _matrix_file(tmp_path, "phi.json", [[GOLDEN + 1e-9]])
+    psi = _matrix_file(tmp_path, "psi.json", [[GOLDEN]])
+    plain = execute(["verify", problem_file, "--phi", phi, "--psi", psi])
+    assert plain.report_json == execute(["verify", problem_file, "--phi", phi, "--psi", psi, "--tol", "1e-8"]).report_json
+    spec = ["generate", "--regime", "nonsingular", "--n", "3", "--m", "2", "--seed", "4", "-o"]
+    execute([*spec, str(tmp_path / "a.json")])
+    execute([*spec, str(tmp_path / "b.json"), "--density", "0.7"])
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestParserOnce:

@@ -7,11 +7,8 @@ import pytest
 
 from marekit import FamilySpec, Regime, doubling, generate, linalg, mstruct
 from marekit.doubling import (
-    MODE_ADDA,
     MODE_SDA,
     DoublingParams,
-    DoublingState,
-    StepDiagnostics,
     initialize,
     observed_rate,
     select_parameters,
@@ -60,9 +57,23 @@ class TestSelectParameters:
         params = select_parameters(scalar_nonsingular, mode=MODE_SDA)
         assert params.alpha == params.beta == 2.0
 
-    def test_single_parameter_mode_rejects_split(self):
-        with pytest.raises(InvalidParameters):
-            DoublingParams(2.0, 1.0, mode=MODE_SDA)
+    def test_single_parameter_mode_rejects_split(self, scalar_nonsingular):
+        with pytest.raises(InvalidParameters, match="single-parameter mode requires alpha == beta"):
+            select_parameters(scalar_nonsingular, (3.0, 2.0), mode=MODE_SDA)
+
+    def test_error_order(self, scalar_nonsingular):
+        # a nonpositive diagonal, then the bounds, then the single-parameter pair
+        p = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        with pytest.raises(NonpositiveDiagonal):
+            select_parameters(p, (1.0, 2.0), mode=MODE_SDA)
+        with pytest.raises(InvalidParameters, match="below the admissible bounds"):
+            select_parameters(scalar_nonsingular, (1.0, 2.0), mode=MODE_SDA)
+        with pytest.raises(InvalidParameters, match="single-parameter"):
+            select_parameters(scalar_nonsingular, (2.0, 3.0), mode=MODE_SDA, max_iter=0)
+
+    def test_params_hold_no_mode(self):
+        # SDA is ADDA at alpha == beta, so the parameters carry no mode
+        assert [f.name for f in dataclasses.fields(DoublingParams)] == ["alpha", "beta", "max_iter", "stop_tol"]
 
     @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan])
     def test_bad_stop_tol_rejected(self, scalar_nonsingular, stop_tol):
@@ -99,8 +110,8 @@ class TestInitialize:
         assert st0.H[0, 0] == pytest.approx(3 / 8, abs=1e-15)
 
     def test_sda_equals_adda_at_equal_parameters(self, scalar_nonsingular):
-        a = initialize(scalar_nonsingular, DoublingParams(2.0, 2.0, mode=MODE_ADDA))
-        s = initialize(scalar_nonsingular, DoublingParams(2.0, 2.0, mode=MODE_SDA))
+        a = initialize(scalar_nonsingular, DoublingParams(2.0, 2.0))
+        s = initialize(scalar_nonsingular, select_parameters(scalar_nonsingular, mode=MODE_SDA))
         for name in "EFGH":
             assert np.array_equal(getattr(a, name), getattr(s, name))
 
@@ -123,17 +134,17 @@ class TestStep:
         F = np.array([[0.25]])
         G = np.array([[0.0]])
         H = np.array([[0.125]])
-        diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
-        st1 = step(DoublingState(0, E, F, G, H, diag, 1e-12))
+        st1 = step(doubling._iterate(E, F, G, H, 1e-12, None))
         assert st1.E[0, 0] == pytest.approx(0.25, abs=1e-16)
         assert st1.H[0, 0] == pytest.approx(0.125 + 0.25 * 0.125 * 0.5, abs=1e-16)
 
     def test_breakdown_on_singular_cross_product(self):
         E = F = np.array([[0.1]])
         G = H = np.array([[1.0]])  # I - G H = 0
-        diag = StepDiagnostics(0, math.nan, math.nan, 0.0, 0.0, MatrixKind.SINGULAR_M, MatrixKind.SINGULAR_M, 0, 0, 0)
+        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        assert state.solves == (None, None)
         with pytest.raises(IterationBreakdown):
-            step(DoublingState(0, E, F, G, H, diag, 1e-12))
+            step(state)
 
     def test_breakdown_on_singular_kind_that_lapack_solves(self):
         # I - G H = I - H G = [[1, -1], [-1, 1 + 1e-15]]: LAPACK solves it, the
@@ -142,17 +153,17 @@ class TestStep:
         G = np.eye(2)
         H = np.array([[0.0, 1.0], [1.0, -1e-15]])
         assert mstruct.classify_zm(np.eye(2) - G @ H).kind is MatrixKind.SINGULAR_M
-        diag = StepDiagnostics(0, math.nan, math.nan, 0.0, 0.0, MatrixKind.SINGULAR_M, MatrixKind.SINGULAR_M, 0, 0, 0)
+        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        assert state.diagnostics.kind_IGH is state.diagnostics.kind_IHG is MatrixKind.SINGULAR_M
         with pytest.raises(IterationBreakdown):
-            step(DoublingState(0, E, F, G, H, diag, 1e-12))
+            step(state)
 
     def test_uncertified_cross_product_is_classified(self):
         # I - G H = -1.25 is a Z-matrix but no M-matrix: the step goes on and
         # records the kind of the new iterate's I - G H = 1 - 1.488^2
         E = F = np.array([[0.1]])
         G = H = np.array([[1.5]])
-        diag = StepDiagnostics(0, math.nan, math.nan, 0.8, 0.8, MatrixKind.Z_NOT_M, MatrixKind.Z_NOT_M, 0, 0, 0)
-        st1 = step(DoublingState(0, E, F, G, H, diag, 1e-12))
+        st1 = step(doubling._iterate(E, F, G, H, 1e-12, None))
         assert st1.G[0, 0] == pytest.approx(1.488, abs=1e-15)
         assert st1.diagnostics.kind_IGH is st1.diagnostics.kind_IHG is MatrixKind.Z_NOT_M
 
@@ -202,24 +213,13 @@ class TestCarriedFactors:
             # (I-HG)^{-1} [F H 1], whose certificates settle both kinds
             assert all(delta == {"m_solve": 2, "classify_zm": 0} for _, delta in counts[1:])
 
-    def test_state_without_factors_steps_identically(self, noncritical_suite):
-        p = noncritical_suite[3]
-        carried = initialize(p, select_parameters(p))
-        bare = dataclasses.replace(carried, solves=None)
-        for _ in range(3):
-            carried, bare = step(carried), step(bare)
-            for name in "EFGH":
-                assert np.array_equal(getattr(carried, name), getattr(bare, name))
-            assert carried.diagnostics == bare.diagnostics
-            bare = dataclasses.replace(bare, solves=None)
-
-    def test_state_without_factors_factors_but_does_not_classify_old_iterate(self, counts):
+    def test_step_from_hand_built_state_solves_only_the_new_iterate(self, counts):
         E = F = np.array([[0.5]])
         G = H = np.array([[0.25]])
-        diag = StepDiagnostics(0, math.nan, math.nan, 1.0, 1.0, MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M, 0, 0, 0)
-        doubling.step(DoublingState(0, E, F, G, H, diag, 1e-12))
-        # the old iterate's cross products are solved (and certified) again
-        assert counts == [("step", {"m_solve": 4, "classify_zm": 0})]
+        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        doubling.step(state)
+        # the hand-built iterate's cross products were solved when it was built
+        assert counts == [("step", {"m_solve": 2, "classify_zm": 0})]
 
     def test_noncritical_steps_run_no_full_perron_root(self, monkeypatch, solved_noncritical):
         # far from singular, the M^{-1} 1 certificate settles every cross product's kind
@@ -312,8 +312,9 @@ class TestSolve:
     def test_sda_and_adda_identical_iterates(self, noncritical_suite):
         p = noncritical_suite[0]
         gamma = max(np.diag(p.A).max(), np.diag(p.D).max())
-        rep_a = solve(p, DoublingParams(gamma, gamma, mode=MODE_ADDA))
-        rep_s = solve(p, DoublingParams(gamma, gamma, mode=MODE_SDA))
+        rep_a = solve(p, DoublingParams(gamma, gamma))
+        rep_s = solve(p, select_parameters(p, mode=MODE_SDA))
+        assert rep_s.params == rep_a.params
         assert rep_a.iterations == rep_s.iterations
         for ra, rs in zip(rep_a.trace, rep_s.trace):
             assert np.array_equal(ra.H, rs.H)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marekit import probgen
 from marekit.errors import GenerationFailed
 from marekit.linalg import inf_norm
 from marekit.mstruct import null_tol
@@ -61,10 +62,11 @@ def test_emitted_json_round_trips():
     assert problem_to_json(problem_from_json(text)) == text
 
 
-def test_generation_failed_when_budget_exhausted():
+def test_generation_failed_when_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(probgen, "MAX_ATTEMPTS", 0)
     spec = FamilySpec(Regime.SINGULAR_NONCRITICAL, 2, 2, seed=0)
-    with pytest.raises(GenerationFailed):
-        generate(spec, max_attempts=0)
+    with pytest.raises(GenerationFailed, match="within 0 attempts"):
+        generate(spec)
 
 
 def test_spec_validation():

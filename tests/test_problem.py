@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from marekit import linalg, solve
+from marekit import linalg, mstruct, solve
+from marekit import problem as problem_module
 from marekit.errors import NotZMatrix, ShapeMismatch
-from marekit.mstruct import MatrixKind, ZeroEigenStructure, classify_zm
+from marekit.mstruct import MatrixKind, ZeroEigenStructure, classify_zm, regularity_witness
 from marekit.problem import (
     MareProblem,
     Regime,
@@ -100,6 +101,15 @@ class TestResiduals:
     def test_shape_mismatch(self, scalar_nonsingular):
         with pytest.raises(ShapeMismatch):
             residual_primal(scalar_nonsingular, np.ones((2, 1)))
+
+    def test_dual_is_the_primal_of_the_dual_problem(self, solved_noncritical, solved_nonsingular):
+        rng = np.random.default_rng(62)
+        for p, rep in solved_noncritical + solved_nonsingular:
+            q = p.dual()
+            for Y in (rep.psi, rng.uniform(0.0, 1.0, (p.n, p.m))):
+                assert residual_dual(p, Y) == residual_primal(q, Y)
+        with pytest.raises(ShapeMismatch, match=f"Y must be {p.n}x{p.m}"):
+            residual_dual(p, np.ones((p.m, p.n + 1)))
 
 
 class TestClassifyProblem:
@@ -417,6 +427,42 @@ class TestClosingGaps:
         assert dich.passed is False
 
 
+class TestClosingRegularity:
+    """R and S are regular when their singular irreducible blocks are final; no witness is solved."""
+
+    def test_certificate_runs_no_regularity_witness(self, solved_noncritical, solved_nonsingular, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("regularity witness solved for a closing matrix")
+
+        monkeypatch.setattr(mstruct, "regularity_witness", refuse)
+        for p, rep in solved_noncritical[:20] + solved_nonsingular[:5]:
+            cert = make_certificate(p, rep.phi, rep.psi, problem_class=rep.problem_class)
+            assert [c.passed for c in cert.checks] == [c.passed for c in rep.certificate.checks]
+
+    def test_solve_runs_one_regularity_witness_on_k(self, noncritical_suite, monkeypatch):
+        sizes = []
+        real = mstruct.regularity_witness
+
+        def counting(M, classification):
+            sizes.append(len(M))
+            return real(M, classification)
+
+        monkeypatch.setattr(mstruct, "regularity_witness", counting)
+        for p in noncritical_suite[:5]:
+            sizes.clear()
+            solve(p)
+            assert sizes == [p.size]
+
+    def test_rule_agrees_with_the_witness(self, solved_noncritical, solved_nonsingular, not_regular_problem):
+        matrices = [not_regular_problem.K]
+        for p, rep in solved_noncritical + solved_nonsingular:
+            matrices += [p.K, rep.certificate.R, rep.certificate.S]
+        for M in matrices:
+            cls = classify_zm(M)
+            assert cls.regular == regularity_witness(M, cls).regular
+        assert not classify_zm(not_regular_problem.K).regular
+
+
 class TestDuality:
     def test_dual_of_dual_is_primal(self, reducible_singular):
         p = reducible_singular
@@ -503,6 +549,24 @@ class TestJson:
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ValueError, match="float64 range"):
             problem_from_json('{"n": 1, "m": 1, "A": [[1%s]], "B": [[1]], "C": [[1]], "D": [[1]]}' % ("0" * 400))
+
+    def test_integer_beyond_float_range_names_the_matrix(self):
+        with pytest.raises(ValueError, match="^A has an entry beyond the float64 range$"):
+            MareProblem(1, 1, [[10**400]], [[0.0]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="^entries has an entry beyond the float64 range$"):
+            matrix_from_json('{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 400))
+
+    def test_one_conversion_per_loaded_matrix(self, reducible_singular, monkeypatch):
+        names = []
+        real = problem_module.as_matrix
+
+        def counting(a, name="matrix"):
+            names.append(name)
+            return real(a, name)
+
+        monkeypatch.setattr(problem_module, "as_matrix", counting)
+        problem_from_json(problem_to_json(reducible_singular))
+        assert names == ["A", "B", "C", "D"]
 
     def test_integer_entries_accepted(self):
         p = problem_from_json('{"n": 1, "m": 1, "A": [[2]], "B": [[1]], "C": [[1]], "D": [[1]]}')
