@@ -30,8 +30,6 @@ from .mstruct import (
     MatrixKind,
     MClassification,
     NullPair,
-    RegularityReport,
-    ZeroEigenStructure,
     classify_zm,
     is_irreducible,
     null_pair,
@@ -93,11 +91,9 @@ __all__ = [
     "OracleReport",
     "ProblemClass",
     "Regime",
-    "RegularityReport",
     "ShapeMismatch",
     "SingularMatrix",
     "SolveReport",
-    "ZeroEigenStructure",
     "classify_problem",
     "classify_zm",
     "fixed_point_solve",

@@ -177,7 +177,7 @@ def _check_entry(c) -> dict:
 def _fill_classification(report: dict, pc) -> None:
     report["regime"] = pc.regime.value
     report["drift"] = pc.drift
-    report["r"] = None if pc.zero_structure is None else pc.zero_structure.algebraic_multiplicity
+    report["r"] = pc.r
 
 
 def _fill_certificate(report: dict, cert) -> None:

@@ -33,12 +33,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
     This is the input check of the public entry points: ``m_solve``,
     ``perron_pair``, ``spectral_radius_nonneg`` and ``irreducible_blocks``
-    here, ``mstruct.classify_zm`` and ``mstruct.regularity_witness``, the
-    problem model and its JSON loaders.  ``m_solve``, ``perron_pair``,
-    ``irreducible_blocks`` and ``classify_zm`` are this check plus a call
-    to a private core (``_m_solve``, ``_perron_pair``, ...) that does only
-    the work.  The cores trust their callers to pass float64 arrays that
-    have passed it, and the package's own callers do.
+    here, the public functions of ``mstruct``, the problem model, its
+    candidate solutions and its JSON loaders.  ``m_solve``,
+    ``perron_pair``, ``irreducible_blocks`` and ``classify_zm`` are this
+    check plus a call to a private core (``_m_solve``, ``_perron_pair``,
+    ...) that does only the work.  The cores trust their callers to pass
+    float64 arrays that have passed it, and the package's own callers do.
     """
     try:
         M = np.array(a, dtype=np.float64, order="C")

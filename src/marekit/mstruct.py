@@ -1,7 +1,7 @@
 """Structural analysis of Z- and M-matrices.
 
 Classification into {not-Z, Z-but-not-M, singular M, nonsingular M},
-regularity witnesses (a positive vector v with M v >= 0), irreducibility,
+regularity (some positive v has M v >= 0), irreducibility,
 and the left/right kernel vectors of a singular M-matrix with their drift,
 all read off one pass over the irreducible diagonal blocks of M (the
 strongly connected components of its digraph, ``linalg.irreducible_blocks``).
@@ -22,7 +22,12 @@ M v >= 0 exactly when each of its singular blocks is final, that is zero
 in its rows outside the block.  A coupled singular block b with left
 Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest < 0 for every
 v > 0; with every singular block final, their Perron vectors and one
-solve on the nonsingular rest build the witness (``regularity_witness``).
+solve on the nonsingular rest build such a v.  The verdict
+(``MClassification.regular``) needs no solve; ``regularity_witness``
+builds v for a caller that wants it.  ``problem.classify_problem`` asks
+for it only on a nonsingular K, where the certified M^{-1} 1 is the
+verdict's only certificate; on a singular K, ``block_null_pairs``
+certifies the same M_NN with the same column of ones.
 
 So does the kernel.  With S the singular blocks and N the nonsingular
 rest, a singular block b has the kernel pair v = (x_b on b,
@@ -184,13 +189,7 @@ def gap_kind(gap: float, tol: float) -> MatrixKind:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    witness: np.ndarray | None
-
-
-def regularity_witness(M, classification: MClassification) -> RegularityReport:
+def regularity_witness(M, classification: MClassification) -> np.ndarray | None:
     """Search for a positive v with M v >= 0, by the irreducible blocks of M.
 
     An M-matrix M is regular exactly when each of its singular irreducible
@@ -206,14 +205,15 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
     The blocks, their kinds and Perron vectors (scaled to min 1) are those
     of ``classification``, which ``classify_zm(M)`` made.  A nonsingular M
     has no singular block, so v = M^{-1} 1.  ``linalg.m_solve`` certifies
-    M_NN and v_N > 0, or SingularMatrix is raised.
+    M_NN and v_N > 0, or SingularMatrix is raised.  Returns v, or None
+    when M is not regular.
     """
     A = as_square(M)
     size = A.shape[0]
     if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("regularity is defined for M-matrices only")
     if not classification.regular:
-        return RegularityReport(False, None)
+        return None
     v = np.ones(size)
     final = np.zeros(size, dtype=bool)
     if classification.kind == MatrixKind.SINGULAR_M:
@@ -229,7 +229,7 @@ def regularity_witness(M, classification: MClassification) -> RegularityReport:
         if not (certified and (x > 0.0).all()):
             raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
         v[rest] = x
-    return RegularityReport(True, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +347,3 @@ def null_pair(K, n: int) -> NullPair:
     if singular > 1:
         raise AmbiguousKernel(f"K has {singular} singular irreducible blocks, not one")
     return block_null_pairs(A, n, cls)[0]
-
-
-# ---------------------------------------------------------------------------
-# Zero-eigenvalue structure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroEigenStructure:
-    """Multiplicity structure of the zero eigenvalue of H = diag(I, -I) K.
-
-    H has the kernel of K, so ``geometric_multiplicity`` is the number of
-    singular irreducible blocks of a regular K, all of them final.  Each
-    adds a Jordan chain of length 1 when its drift is nonzero and 2 when
-    it is zero (Guo, SIMAX 23 (2001); Bini, Iannazzo & Meini, SIAM 2012),
-    so ``algebraic_multiplicity`` is the sum of those lengths.  A
-    nonsingular K gives (0, 0).  ``classify_problem`` builds it.
-    """
-
-    geometric_multiplicity: int
-    algebraic_multiplicity: int
-
-    @property
-    def simple_kernel(self) -> bool:
-        """Zero is an eigenvalue with exactly one independent eigenvector."""
-        return self.geometric_multiplicity == 1

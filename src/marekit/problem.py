@@ -35,13 +35,7 @@ import numpy as np
 from . import linalg, mstruct
 from .errors import NotZMatrix, ShapeMismatch
 from .linalg import EPS, as_matrix, one_norm
-from .mstruct import (
-    MatrixKind,
-    MClassification,
-    NullPair,
-    RegularityReport,
-    ZeroEigenStructure,
-)
+from .mstruct import MatrixKind, MClassification, NullPair
 
 TAU_DRIFT = 1e-8
 
@@ -107,13 +101,22 @@ class MareProblem:
     @cached_property
     def K(self) -> np.ndarray:
         """Block matrix [[D, -C], [-B, A]] (a Z-matrix by construction)."""
-        return np.block([[self.D, -self.C], [-self.B, self.A]])
+        n = self.n
+        K = np.empty((self.size, self.size))
+        K[:n, :n] = self.D
+        np.negative(self.C, out=K[:n, n:])
+        np.negative(self.B, out=K[n:, :n])
+        K[n:, n:] = self.A
+        return K
 
     @cached_property
     def sign_flipped(self) -> np.ndarray:
-        """Block matrix [[D, -C], [B, -A]], whose zero-eigenvalue structure
-        decides whether a singular problem is well posed."""
-        return np.block([[self.D, -self.C], [self.B, -self.A]])
+        """Block matrix [[D, -C], [B, -A]] = diag(I_n, -I_m) K, whose
+        zero-eigenvalue structure decides whether a singular problem is
+        well posed."""
+        H = self.K.copy()
+        np.negative(H[self.n :], out=H[self.n :])
+        return H
 
     @property
     def size(self) -> int:
@@ -137,19 +140,24 @@ class MareProblem:
 # ---------------------------------------------------------------------------
 
 
-def _residual(X, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, label: str) -> float:
-    """Normalized residual of X C X - X D - A X + B at a candidate X (len(A) x len(D))."""
+def _candidate(X, rows: int, cols: int, label: str) -> np.ndarray:
+    """``X`` as a checked float64 matrix of shape rows x cols (``as_matrix``)."""
     Xm = as_matrix(X, label)
-    if Xm.shape != (len(A), len(D)):
-        raise ShapeMismatch(f"{label} must be {len(A)}x{len(D)}, got {Xm.shape}")
-    num = one_norm(Xm @ C @ Xm - Xm @ D - A @ Xm + B)
-    den = one_norm(Xm) * (one_norm(C) * one_norm(Xm) + one_norm(D) + one_norm(A)) + one_norm(B)
+    if Xm.shape != (rows, cols):
+        raise ShapeMismatch(f"{label} must be {rows}x{cols}, got {Xm.shape}")
+    return Xm
+
+
+def _residual(X: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> float:
+    """Normalized residual of X C X - X D - A X + B at a checked X (len(A) x len(D))."""
+    num = one_norm(X @ C @ X - X @ D - A @ X + B)
+    den = one_norm(X) * (one_norm(C) * one_norm(X) + one_norm(D) + one_norm(A)) + one_norm(B)
     return num / max(den, EPS)
 
 
 def residual_primal(p: MareProblem, X) -> float:
     """Normalized residual of X C X - X D - A X + B at a candidate X (m x n)."""
-    return _residual(X, p.A, p.B, p.C, p.D, "X")
+    return _residual(_candidate(X, p.m, p.n, "X"), p.A, p.B, p.C, p.D)
 
 
 def residual_dual(p: MareProblem, Y) -> float:
@@ -157,7 +165,7 @@ def residual_dual(p: MareProblem, Y) -> float:
 
     This is the primal residual of the dual problem, (A, B, C, D) -> (D, C, B, A).
     """
-    return _residual(Y, p.D, p.C, p.B, p.A, "Y")
+    return _residual(_candidate(Y, p.n, p.m, "Y"), p.D, p.C, p.B, p.A)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +177,19 @@ def residual_dual(p: MareProblem, Y) -> float:
 class ProblemClass:
     """Everything the theory conditions on, measured for one problem.
 
-    ``nulls`` is populated only when K is a singular M-matrix with exactly
-    one singular irreducible block, so that the null vectors, and hence the
-    drift, are well defined.  ``zero_structure`` is None where the theory
-    attaches no multiplicity to the zero eigenvalue of the sign-flipped
-    matrix: K is not an M-matrix, or K is not regular and has two or more
-    singular blocks.
+    ``k_class`` is the classification of K with its irreducible blocks:
+    K is regular when ``k_class.regular``, irreducible when it has one
+    block, and the zero eigenvalue of the sign-flipped matrix has one
+    eigenvector per singular block.  ``r`` is that eigenvalue's algebraic
+    multiplicity, 0 for a nonsingular K, and None where the theory
+    attaches none: K is not an M-matrix, or K is not regular and has two
+    or more singular blocks.  ``nulls`` is populated only when K is a
+    singular M-matrix with exactly one singular irreducible block, so that
+    the null vectors, and hence the drift, are well defined.
     """
 
     k_class: MClassification
-    regular: RegularityReport
-    irreducible: bool
-    zero_structure: ZeroEigenStructure | None
+    r: int | None
     nulls: NullPair | None
     regime: Regime
 
@@ -194,38 +203,40 @@ def classify_problem(p: MareProblem) -> ProblemClass:
 
     Everything is read off the irreducible diagonal blocks of K, which
     ``mstruct.classify_zm`` classifies with their Perron vectors in one
-    pass.  K must be an M-matrix and regular (otherwise NotRegular).  The
-    sign-flipped matrix H = diag(I_n, -I_m) K has the kernel of K: a
-    nonsingular K is NonsingularK with no zero eigenvalue, (0, 0).  A
+    pass.  K must be an M-matrix and regular (``k_class.regular``,
+    otherwise NotRegular).  A nonsingular K is NonsingularK, r = 0; its
+    one solve, the certified M^{-1} 1 of ``mstruct.regularity_witness``,
+    raises SingularMatrix where it cannot certify the verdict.  The
+    sign-flipped matrix H = diag(I_n, -I_m) K has the kernel of K.  A
     singular block contributes one eigenvector of H and a Jordan chain of
     length 1 when the drift of its kernel pair exceeds ``TAU_DRIFT`` in
-    modulus, 2 when it does not.  A regular K with two or more singular
-    blocks is AssumptionFails; with one, the drift separates
-    SingularNoncritical (r = 1) from Critical (r = 2).
+    modulus, 2 when it does not; ``mstruct.block_null_pairs`` certifies
+    the solves on K's nonsingular blocks (SingularMatrix otherwise).  A
+    regular K with two or more singular blocks is AssumptionFails; with
+    one, the drift separates SingularNoncritical (r = 1) from Critical
+    (r = 2).
     """
     K = p.K
     k_class = mstruct.classify_zm(K)
-    irr = len(k_class.blocks) == 1
 
     if k_class.kind == MatrixKind.NONSINGULAR_M:
-        regular = mstruct.regularity_witness(K, k_class)
-        return ProblemClass(k_class, regular, irr, ZeroEigenStructure(0, 0), None, Regime.NONSINGULAR_K)
+        mstruct.regularity_witness(K, k_class)
+        return ProblemClass(k_class, 0, None, Regime.NONSINGULAR_K)
     if k_class.kind != MatrixKind.SINGULAR_M:
-        return ProblemClass(k_class, RegularityReport(False, None), irr, None, None, Regime.NOT_REGULAR)
+        return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
+    if not k_class.regular and len(k_class.singular_blocks) > 1:
+        return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
 
-    regular = mstruct.regularity_witness(K, k_class)
-    if not regular.regular and len(k_class.singular_blocks) > 1:
-        return ProblemClass(k_class, regular, irr, None, None, Regime.NOT_REGULAR)
     pairs = mstruct.block_null_pairs(K, p.n, k_class)
-    zero = ZeroEigenStructure(len(pairs), sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs))
+    r = sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs)
     nulls = pairs[0] if len(pairs) == 1 else None
-
-    if not regular.regular:
-        return ProblemClass(k_class, regular, irr, zero, nulls, Regime.NOT_REGULAR)
-    if nulls is None:
-        return ProblemClass(k_class, regular, irr, zero, None, Regime.ASSUMPTION_FAILS)
-    regime = Regime.SINGULAR_NONCRITICAL if zero.algebraic_multiplicity == 1 else Regime.CRITICAL
-    return ProblemClass(k_class, regular, irr, zero, nulls, regime)
+    if not k_class.regular:
+        regime = Regime.NOT_REGULAR
+    elif nulls is None:
+        regime = Regime.ASSUMPTION_FAILS
+    else:
+        regime = Regime.SINGULAR_NONCRITICAL if r == 1 else Regime.CRITICAL
+    return ProblemClass(k_class, r, nulls, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +337,8 @@ def make_certificate(
     K; tiny negative round-off is clamped.
     """
     tau = mstruct.null_tol(p.K)
-    phi_m = as_matrix(phi, "phi")
-    psi_m = as_matrix(psi, "psi")
-    if phi_m.shape != (p.m, p.n):
-        raise ShapeMismatch(f"phi must be {p.m}x{p.n}, got {phi_m.shape}")
-    if psi_m.shape != (p.n, p.m):
-        raise ShapeMismatch(f"psi must be {p.n}x{p.m}, got {psi_m.shape}")
+    phi_m = _candidate(phi, p.m, p.n, "phi")
+    psi_m = _candidate(psi, p.n, p.m, "psi")
     if phi_m.min() < -tau or psi_m.min() < -tau:
         raise ValueError("candidate solutions must be entrywise nonnegative (to tolerance)")
     phi_m = np.maximum(phi_m, 0.0)
@@ -340,8 +347,8 @@ def make_certificate(
     pc = classify_problem(p) if problem_class is None else problem_class
     regime = pc.regime
 
-    res_p = residual_primal(p, phi_m)
-    res_d = residual_dual(p, psi_m)
+    res_p = _residual(phi_m, p.A, p.B, p.C, p.D)
+    res_d = _residual(psi_m, p.D, p.C, p.B, p.A)
 
     # in the split of I - Phi Psi and of I - Psi Phi the gap is 1 - rho(Phi Psi)
     phi_psi = phi_m @ psi_m
@@ -352,10 +359,13 @@ def make_certificate(
     R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m)
     S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m)
 
-    factor = np.block([[np.eye(p.n), psi_m], [phi_m, np.eye(p.m)]])
-    block_diag = np.block(
-        [[R, np.zeros((p.n, p.m))], [np.zeros((p.m, p.n)), -S]]
-    )
+    n = p.n
+    factor = np.eye(p.size)
+    factor[:n, n:] = psi_m
+    factor[n:, :n] = phi_m
+    block_diag = np.zeros((p.size, p.size))
+    block_diag[:n, :n] = R
+    np.negative(S, out=block_diag[n:, n:])
     sim_res = one_norm(p.sign_flipped @ factor - factor @ block_diag) / max(
         one_norm(p.sign_flipped), EPS
     )

@@ -62,7 +62,7 @@ def test_criterion_2_worked_reducible_singular(reducible_singular):
     with criterion(2, "reducible singular worked instance: classify, solve, certify"):
         pc = classify_problem(reducible_singular)
         assert pc.regime is Regime.SINGULAR_NONCRITICAL
-        assert pc.zero_structure.algebraic_multiplicity == 1
+        assert pc.r == 1
         assert pc.drift == pytest.approx(-1 / 3, abs=1e-10)
         rep = solve(reducible_singular)
         assert np.abs(rep.phi).max() <= 1e-12
@@ -80,9 +80,9 @@ def test_criterion_3_worked_critical(scalar_critical):
     with criterion(3, "critical (1,1,1,1): r=2, iterates 2/3, 4/5, 8/9, singular I-PhiPsi"):
         pc = classify_problem(scalar_critical)
         assert pc.regime is Regime.CRITICAL
-        assert pc.zero_structure.algebraic_multiplicity == 2
+        assert pc.r == 2
         assert pc.drift == pytest.approx(0.0, abs=1e-14)
-        assert pc.irreducible
+        assert len(pc.k_class.blocks) == 1
         params = select_parameters(scalar_critical)
         assert (params.alpha, params.beta) == (1.0, 1.0)
         state = initialize(scalar_critical, params)
@@ -180,7 +180,7 @@ def test_criterion_9_negative_paths(not_regular_problem):
     with criterion(9, "non-regular K rejected as NotRegular; nonpositive diagonal rejected"):
         pc = classify_problem(not_regular_problem)
         assert pc.regime is Regime.NOT_REGULAR
-        assert not pc.regular.regular
+        assert not pc.k_class.regular
         bad = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
         with pytest.raises(NonpositiveDiagonal):
             select_parameters(bad)

@@ -458,7 +458,7 @@ class TestRateIdentity:
                     unsolved += 1
                     continue
             regimes.append(rep.problem_class.regime)
-            assert not rep.problem_class.irreducible
+            assert len(rep.problem_class.k_class.blocks) > 1
             self._check(p, rep, rep.params)
             self._check(p, rep, DoublingParams(rep.params.alpha * 1.7, rep.params.beta * 1.2))
         assert {Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL} <= set(regimes)

@@ -218,17 +218,15 @@ def _checked_verdict(M) -> bool:
     """
     M = np.asarray(M, dtype=float)
     cls = classify_zm(M)
-    rep = regularity_witness(M, cls)
-    if rep.regular:
-        v = rep.witness
+    v = regularity_witness(M, cls)
+    assert (v is not None) == cls.regular
+    if v is not None:
         assert (v > 0).all()
         slack = 4 * M.shape[0] * EPS * inf_norm(M) + max(0.0, -cls.gap)
         assert (M @ v >= -slack * inf_norm(v)).all()
         if cls.kind is MatrixKind.NONSINGULAR_M:
             assert np.array_equal(v, linalg.m_solve(M, np.ones(M.shape[0]))[0])
-    else:
-        assert rep.witness is None
-    return rep.regular
+    return v is not None
 
 
 def _reducible_m_matrix(rng, size):
@@ -310,33 +308,28 @@ class TestPhaseOneReference:
 class TestRegularity:
     def test_nonsingular_witness(self):
         M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        rep = regularity_witness(M, classify_zm(M))
-        assert rep.regular
-        assert np.allclose(rep.witness, [1.0, 1.0])
-        assert (M @ rep.witness >= 0).all()
+        v = regularity_witness(M, classify_zm(M))
+        assert np.allclose(v, [1.0, 1.0])
+        assert (M @ v >= 0).all()
 
     def test_singular_perron_witness(self):
         M = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        rep = regularity_witness(M, classify_zm(M))
-        assert rep.regular
-        assert (rep.witness > 0).all()
-        assert np.allclose(M @ rep.witness, 0.0, atol=1e-12)
+        v = regularity_witness(M, classify_zm(M))
+        assert (v > 0).all()
+        assert np.allclose(M @ v, 0.0, atol=1e-12)
 
     def test_infeasible_case(self):
         # first row forces -v2 >= 0, impossible for positive v
         M = np.array([[0.0, -1.0], [0.0, 1.0]])
-        rep = regularity_witness(M, classify_zm(M))
-        assert not rep.regular
-        assert rep.witness is None
+        assert regularity_witness(M, classify_zm(M)) is None
 
     def test_tiny_nonsingular_block_over_a_final_singular_one(self):
         # v = (2e11, 1) gives M v = (1, 0); the simplex's pivot tolerance of
         # 1e-11 drops the first column and finds no witness
         M = np.array([[1e-11, -1.0], [0.0, 0.0]])
-        rep = regularity_witness(M, classify_zm(M))
-        assert rep.regular
-        assert rep.witness == pytest.approx([2e11, 1.0], rel=1e-15)
-        assert M @ rep.witness == pytest.approx([1.0, 0.0], rel=1e-15)
+        v = regularity_witness(M, classify_zm(M))
+        assert v == pytest.approx([2e11, 1.0], rel=1e-15)
+        assert M @ v == pytest.approx([1.0, 0.0], rel=1e-15)
 
     def test_every_nonsingular_m_matrix_regular(self):
         rng = np.random.default_rng(31)

@@ -5,8 +5,8 @@ import pytest
 
 from marekit import linalg, mstruct, solve
 from marekit import problem as problem_module
-from marekit.errors import NotZMatrix, ShapeMismatch
-from marekit.mstruct import MatrixKind, ZeroEigenStructure, classify_zm, regularity_witness
+from marekit.errors import NotZMatrix, ShapeMismatch, SingularMatrix
+from marekit.mstruct import MatrixKind, classify_zm, regularity_witness
 from marekit.problem import (
     MareProblem,
     Regime,
@@ -117,32 +117,32 @@ class TestClassifyProblem:
         pc = classify_problem(scalar_nonsingular)
         assert pc.regime is Regime.NONSINGULAR_K
         assert pc.nulls is None
-        assert pc.regular.regular
+        assert pc.k_class.regular
 
     def test_scalar_critical(self, scalar_critical):
         pc = classify_problem(scalar_critical)
         assert pc.regime is Regime.CRITICAL
         assert pc.drift == pytest.approx(0.0, abs=1e-14)
-        assert pc.zero_structure.algebraic_multiplicity == 2
-        assert pc.irreducible
+        assert pc.r == 2
+        assert len(pc.k_class.blocks) == 1
 
     def test_reducible_noncritical(self, reducible_singular):
         pc = classify_problem(reducible_singular)
         assert pc.regime is Regime.SINGULAR_NONCRITICAL
         assert pc.drift == pytest.approx(-1 / 3, abs=1e-10)
-        assert pc.zero_structure.algebraic_multiplicity == 1
-        assert not pc.irreducible
+        assert pc.r == 1
+        assert len(pc.k_class.blocks) > 1
 
     def test_not_regular(self, not_regular_problem):
         pc = classify_problem(not_regular_problem)
         assert pc.regime is Regime.NOT_REGULAR
-        assert not pc.regular.regular
+        assert not pc.k_class.regular
 
     def test_tiny_d_over_a_zero_a_is_regular(self):
         # K = [[1e-11, -1], [0, 0]]: v = (2e11, 1) gives K v = (1, 0)
         p = MareProblem(n=1, m=1, A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[1e-11]])
         pc = classify_problem(p)
-        assert pc.regular.regular
+        assert pc.k_class.regular
         assert pc.regime is Regime.CRITICAL
 
     def test_assumption_fails(self):
@@ -157,14 +157,14 @@ class TestClassifyProblem:
         )
         pc = classify_problem(p)
         assert pc.regime is Regime.ASSUMPTION_FAILS
-        assert pc.zero_structure.geometric_multiplicity == 2
+        assert len(pc.k_class.singular_blocks) == 2
 
     def test_nonsingular_k_has_no_zero_eigenvalue(self, nonsingular_suite, scalar_nonsingular):
         for p in [*nonsingular_suite, scalar_nonsingular]:
             pc = classify_problem(p)
             assert pc.regime is Regime.NONSINGULAR_K
-            assert pc.zero_structure == ZeroEigenStructure(0, 0)
-            assert (pc.regular.witness > 0).all()
+            assert pc.r == 0 and not pc.k_class.singular_blocks
+            assert (regularity_witness(p.K, pc.k_class) > 0).all()
 
     def test_rounding_size_h_squared_is_a_double_zero(self):
         # H = x [[1, -1], [1, -1]] has H^2 = 0, which BLAS returns as 5e-19
@@ -172,14 +172,14 @@ class TestClassifyProblem:
         x = 0.4562551427827235
         pc = classify_problem(MareProblem(n=1, m=1, A=[[x]], B=[[x]], C=[[x]], D=[[x]]))
         assert pc.regime is Regime.CRITICAL
-        assert pc.zero_structure == ZeroEigenStructure(1, 2)
+        assert (len(pc.k_class.singular_blocks), pc.r) == (1, 2)
 
     def test_equal_scalar_coefficients_are_critical_double_zeros(self):
         # 91 of these 2000 draws once read as simple zeros by a rank of H^2
         for x in np.random.default_rng(0).uniform(0.1, 10.0, 2000):
             pc = classify_problem(MareProblem(n=1, m=1, A=[[x]], B=[[x]], C=[[x]], D=[[x]]))
             assert pc.regime is Regime.CRITICAL, x
-            assert pc.zero_structure == ZeroEigenStructure(1, 2), x
+            assert (len(pc.k_class.singular_blocks), pc.r) == (1, 2), x
 
     def test_tiny_d_over_a_zero_a_is_a_double_zero(self):
         # drift -1e-11 is critical to TAU_DRIFT, so r follows the regime; in
@@ -188,7 +188,7 @@ class TestClassifyProblem:
         pc = classify_problem(p)
         assert pc.regime is Regime.CRITICAL
         assert pc.drift == pytest.approx(-1e-11, rel=1e-10)
-        assert pc.zero_structure == ZeroEigenStructure(1, 2)
+        assert (len(pc.k_class.singular_blocks), pc.r) == (1, 2)
 
     def test_no_zero_structure_off_the_theory(self, divergent):
         # K not an M-matrix, then a K that is not regular with two singular blocks
@@ -196,7 +196,7 @@ class TestClassifyProblem:
         for p in (divergent, two_coupled):
             pc = classify_problem(p)
             assert pc.regime is Regime.NOT_REGULAR
-            assert pc.zero_structure is None
+            assert pc.r is None
             assert pc.nulls is None
 
     @pytest.mark.parametrize("coupled", [False, True])
@@ -295,8 +295,7 @@ class TestZeroStructureOracle:
         for p in problems:
             pc = classify_problem(p)
             assert pc.regime in regimes, p.name
-            z = pc.zero_structure
-            assert (z.geometric_multiplicity, z.algebraic_multiplicity) == _svd_structure(p.sign_flipped), p.name
+            assert (len(pc.k_class.singular_blocks), pc.r) == _svd_structure(p.sign_flipped), p.name
             if pc.nulls is not None:
                 assert abs(pc.drift - _svd_drift(p.K, p.n)) <= 1e-13, p.name
 
@@ -316,12 +315,13 @@ class TestZeroStructureOracle:
         eye = np.eye(2)
         p = MareProblem(n=2, m=2, A=eye, B=eye, C=eye, D=eye)
         self._check([p], {Regime.ASSUMPTION_FAILS})
-        assert classify_problem(p).zero_structure == ZeroEigenStructure(2, 4)
+        pc = classify_problem(p)
+        assert (len(pc.k_class.singular_blocks), pc.r) == (2, 4)
 
     def test_several_final_singular_blocks(self):
         problems = _multi_block_problems(71, 40)
         self._check(problems, {Regime.ASSUMPTION_FAILS})
-        assert {classify_problem(p).zero_structure.geometric_multiplicity for p in problems} == {2, 3}
+        assert {len(classify_problem(p).k_class.singular_blocks) for p in problems} == {2, 3}
 
 
 class TestCertificate:
@@ -439,7 +439,9 @@ class TestClosingRegularity:
             cert = make_certificate(p, rep.phi, rep.psi, problem_class=rep.problem_class)
             assert [c.passed for c in cert.checks] == [c.passed for c in rep.certificate.checks]
 
-    def test_solve_runs_one_regularity_witness_on_k(self, noncritical_suite, monkeypatch):
+    def test_solve_runs_a_regularity_witness_only_on_a_nonsingular_k(
+        self, noncritical_suite, nonsingular_suite, monkeypatch
+    ):
         sizes = []
         real = mstruct.regularity_witness
 
@@ -448,10 +450,24 @@ class TestClosingRegularity:
             return real(M, classification)
 
         monkeypatch.setattr(mstruct, "regularity_witness", counting)
-        for p in noncritical_suite[:5]:
+        for p in noncritical_suite:
+            solve(p)
+        assert sizes == []
+        for p in nonsingular_suite[:5]:
             sizes.clear()
             solve(p)
             assert sizes == [p.size]
+
+    def test_uncertified_nonsingular_k_raises(self):
+        # K = [[g, 0, 0], [-1, g, 0], [0, -1, g]]: three 1x1 blocks of gap
+        # 1e-10, above class_tol, but x = K^{-1} 1 = (1e10, 1e20, 1e30), and
+        # K x = 1 falls below the rounding margin 5 eps |K| x of about 2e5;
+        # the witness solve is the only check a nonsingular K gets
+        g = 1e-10
+        p = MareProblem(n=1, m=2, A=[[g, 0.0], [-1.0, g]], B=[[1.0], [0.0]], C=[[0.0, 0.0]], D=[[g]])
+        assert classify_zm(p.K).kind is MatrixKind.NONSINGULAR_M
+        with pytest.raises(SingularMatrix):
+            classify_problem(p)
 
     def test_rule_agrees_with_the_witness(self, solved_noncritical, solved_nonsingular, not_regular_problem):
         matrices = [not_regular_problem.K]
@@ -459,7 +475,7 @@ class TestClosingRegularity:
             matrices += [p.K, rep.certificate.R, rep.certificate.S]
         for M in matrices:
             cls = classify_zm(M)
-            assert cls.regular == regularity_witness(M, cls).regular
+            assert cls.regular == (regularity_witness(M, cls) is not None)
         assert not classify_zm(not_regular_problem.K).regular
 
 
