@@ -20,7 +20,6 @@ from .errors import (
     MaxIterations,
     NoConvergence,
     NonpositiveDiagonal,
-    NotSingular,
     NotZMatrix,
     ShapeMismatch,
     SingularMatrix,
@@ -31,8 +30,6 @@ from .mstruct import (
     MClassification,
     NullPair,
     classify_zm,
-    is_irreducible,
-    null_pair,
     regularity_witness,
 )
 from .problem import (
@@ -85,7 +82,6 @@ __all__ = [
     "MaxIterations",
     "NoConvergence",
     "NonpositiveDiagonal",
-    "NotSingular",
     "NotZMatrix",
     "NullPair",
     "OracleReport",
@@ -99,11 +95,9 @@ __all__ = [
     "fixed_point_solve",
     "generate",
     "initialize",
-    "is_irreducible",
     "make_certificate",
     "matrix_from_json",
     "matrix_to_jsonable",
-    "null_pair",
     "observed_rate",
     "problem_from_json",
     "problem_to_json",

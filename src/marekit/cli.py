@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -42,7 +42,6 @@ from .errors import (
     MaxIterations,
     NoConvergence,
     NonpositiveDiagonal,
-    NotSingular,
     NotZMatrix,
     ShapeMismatch,
     SingularMatrix,
@@ -71,7 +70,6 @@ _BREAKDOWN_ERRORS = (
     SingularMatrix,
     IterationBreakdown,
     NoConvergence,
-    NotSingular,
     AmbiguousKernel,
     GenerationFailed,
 )
@@ -250,8 +248,9 @@ def _cmd_solve(ns) -> CommandOutcome:
         raise _UsageError("--alpha and --beta must be given together")
     if ns.alpha is not None:
         requested = (ns.alpha, ns.beta)
-    params = doubling.select_parameters(
-        p, requested, mode=ns.method, **_given(max_iter=ns.max_iter, stop_tol=ns.tol)
+    params = replace(
+        doubling.select_parameters(p, requested, mode=ns.method),
+        **_given(max_iter=ns.max_iter, stop_tol=ns.tol),
     )
     trace_path = None
     try:

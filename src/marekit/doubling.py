@@ -68,16 +68,12 @@ MODE_SDA = "sda"
 _GUARANTEED = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
 
 
-MAX_ITER = 60
-STOP_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class DoublingParams:
     alpha: float
     beta: float
-    max_iter: int = MAX_ITER
-    stop_tol: float = STOP_TOL
+    max_iter: int = 60
+    stop_tol: float = 1e-14
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -92,8 +88,6 @@ def select_parameters(
     p: MareProblem,
     requested: tuple[float, float] | None = None,
     mode: str = MODE_ADDA,
-    max_iter: int = MAX_ITER,
-    stop_tol: float = STOP_TOL,
 ) -> DoublingParams:
     """Default to the rate-optimal pair alpha = max a_ii, beta = max d_ii.
 
@@ -101,7 +95,8 @@ def select_parameters(
     beta >= max d_ii (and alpha == beta in single-parameter mode, whose
     default is alpha = beta = max of both); values below the optimal pair
     are rejected.  Raises NonpositiveDiagonal when either coefficient
-    diagonal has no positive entry.
+    diagonal has no positive entry.  The iteration limits are those
+    ``DoublingParams`` defaults to; ``dataclasses.replace`` sets others.
     """
     a_star = float(np.diag(p.A).max())
     d_star = float(np.diag(p.D).max())
@@ -123,7 +118,7 @@ def select_parameters(
         raise InvalidParameters(f"unknown mode {mode!r}")
     if mode == MODE_SDA and alpha != beta:
         raise InvalidParameters("single-parameter mode requires alpha == beta")
-    return DoublingParams(alpha, beta, max_iter, stop_tol)
+    return DoublingParams(alpha, beta)
 
 
 # ---------------------------------------------------------------------------

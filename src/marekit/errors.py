@@ -21,13 +21,8 @@ class NotZMatrix(MareError):
     """Coefficient data violates the required sign structure."""
 
 
-class NotSingular(MareError):
-    """A null-vector computation was requested on a nonsingular matrix."""
-
-
 class AmbiguousKernel(MareError):
-    """K has more than one singular irreducible block, so no single kernel
-    pair is defined, or a kernel vector misses its residual tolerance."""
+    """A kernel vector of K misses its residual tolerance."""
 
 
 class InvalidParameters(MareError):

@@ -18,7 +18,8 @@ The numerator ``T(X) = X C X + B + N_A X + X N_D`` of the update holds the
 residual of X itself, ``X C X - X D - A X + B = T(X) - (a_i + d_j) X``, so
 one ``T`` per step both tests the current iterate and becomes the next one.
 That fused residual only screens: the stop is decided by the exact
-``residual_primal``, called where the fused value is within rounding of
+``residual_primal``, taken by its core ``problem._residual`` on the
+iterate the oracle built, where the fused value is within rounding of
 the tolerance.
 
 The steps run in blocks of ``_BLOCK``.  A step inside a block does only
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidParameters, IterationBreakdown, SingularMatrix
 from .linalg import EPS, one_norm, pivot_tol
-from .problem import MareProblem, residual_primal, sign_tol
+from .problem import MareProblem, _residual, sign_tol
 
 # Steps per screening pass.  At the sizes the oracle serves (m, n up to a
 # few dozen) a step's four products cost less than the dozen small numpy
@@ -140,7 +141,7 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
             if not math.isfinite(value):
                 raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
             if value <= screen or k == max_iter:
-                res = residual_primal(p, Xs[j])
+                res = _residual(Xs[j], p.A, p.B, p.C, p.D)
                 if res <= tol:
                     return OracleReport(Xs[j].copy(), k, True, res, count)
         violations = int(counted[-1])

@@ -1,10 +1,11 @@
 """Structural analysis of Z- and M-matrices.
 
 Classification into {not-Z, Z-but-not-M, singular M, nonsingular M},
-regularity (some positive v has M v >= 0), irreducibility,
-and the left/right kernel vectors of a singular M-matrix with their drift,
-all read off one pass over the irreducible diagonal blocks of M (the
-strongly connected components of its digraph, ``linalg.irreducible_blocks``).
+regularity (some positive v has M v >= 0), and one left/right kernel
+pair with its drift per singular irreducible block of an M-matrix, all
+read off one pass over the irreducible diagonal blocks of M (the
+strongly connected components of its digraph, ``linalg.irreducible_blocks``;
+M is irreducible when there is one).
 
 All judgments are made to explicit scale-aware tolerances; the interesting
 inputs sit exactly on the singular boundary, so those tolerances are part
@@ -29,14 +30,15 @@ for it only on a nonsingular K, where the certified M^{-1} 1 is the
 verdict's only certificate; on a singular K, ``block_null_pairs``
 certifies the same M_NN with the same column of ones.
 
-So does the kernel.  With S the singular blocks and N the nonsingular
-rest, a singular block b has the kernel pair v = (x_b on b,
--M_NN^-1 M_Nb x_b on N) and u = (y_b on b, -(y_b M_bN) M_NN^-1 on N),
-zero on the other singular blocks, x_b and y_b its right and left Perron
-vectors (``block_null_pairs``).  These are exact kernel vectors when b is
-the only singular block, or when every singular block is final: no cycle
-runs from b through N back to b, so the Schur complement of M_NN leaves
-M_bb alone.
+So does the kernel, whose one entry point is
+``block_null_pairs(K, n, classify_zm(K))``.  With S the singular blocks
+and N the nonsingular rest, a singular block b has the kernel pair
+v = (x_b on b, -M_NN^-1 M_Nb x_b on N) and u = (y_b on b,
+-(y_b M_bN) M_NN^-1 on N), zero on the other singular blocks, x_b and
+y_b its right and left Perron vectors.  These are exact kernel vectors
+when b is the only singular block, or when every singular block is
+final: no cycle runs from b through N back to b, so the Schur complement
+of M_NN leaves M_bb alone.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousKernel, NotSingular, SingularMatrix
+from .errors import AmbiguousKernel, SingularMatrix
 from .linalg import EPS, as_square, inf_norm, one_norm
 
 
@@ -209,42 +211,32 @@ def regularity_witness(M, classification: MClassification) -> np.ndarray | None:
     when M is not regular.
     """
     A = as_square(M)
-    size = A.shape[0]
     if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("regularity is defined for M-matrices only")
     if not classification.regular:
         return None
+    size = A.shape[0]
+    if classification.kind is MatrixKind.NONSINGULAR_M:
+        return _positive_solve(A, np.ones(size))
     v = np.ones(size)
     final = np.zeros(size, dtype=bool)
-    if classification.kind == MatrixKind.SINGULAR_M:
-        for blk in classification.singular_blocks:
-            v[blk.index] = blk.perron / blk.perron.min()
-            final[blk.index] = True
+    for blk in classification.singular_blocks:
+        v[blk.index] = blk.perron / blk.perron.min()
+        final[blk.index] = True
     rest = ~final
     if rest.any():
         rows = A[rest]
-        rhs = 1.0 - rows[:, final] @ v[final]
-        sol, _, certified = linalg._m_solve(rows[:, rest], linalg._with_ones(rhs))
-        x = sol[:, 0]
-        if not (certified and (x > 0.0).all()):
-            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
-        v[rest] = x
+        v[rest] = _positive_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
     return v
 
 
-# ---------------------------------------------------------------------------
-# Irreducibility
-# ---------------------------------------------------------------------------
-
-
-def is_irreducible(M) -> bool:
-    """True iff the off-diagonal digraph of M is strongly connected.
-
-    Edge i -> j whenever i != j and M[i, j] != 0, so M is irreducible
-    exactly when ``linalg.irreducible_blocks`` finds one block.  A 1x1
-    matrix is irreducible by convention.
-    """
-    return len(linalg.irreducible_blocks(M)) == 1
+def _positive_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^{-1} rhs, once ``linalg.m_solve`` certifies A and the solution is positive."""
+    sol, _, certified = linalg._m_solve(A, linalg._with_ones(rhs))
+    x = sol[:, 0]
+    if not (certified and (x > 0.0).all()):
+        raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +248,14 @@ def is_irreducible(M) -> bool:
 class NullPair:
     """Normalized left (u) and right (v) kernel vectors of a singular K.
 
-    Both are entrywise nonnegative with unit 1-norm.  ``split`` is the
-    block split index; ``drift`` is u1.v1 - u2.v2, the quantity whose sign
+    Both are entrywise nonnegative with unit 1-norm.  ``drift`` is
+    u1.v1 - u2.v2 for the split of u and v at n, the quantity whose sign
     separates the noncritical case (nonzero) from the critical one (zero).
     """
 
     u: np.ndarray
     v: np.ndarray
-    split: int
     drift: float
-
-    @property
-    def u1(self) -> np.ndarray:
-        return self.u[: self.split]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.u[self.split :]
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self.v[: self.split]
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self.v[self.split :]
 
 
 def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) -> NullPair:
@@ -303,7 +278,7 @@ def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) 
     tol = null_tol(K)
     if inf_norm(K @ v) > tol or inf_norm(u @ K) > tol:
         raise AmbiguousKernel("kernel residual exceeds tolerance")
-    return NullPair(u, v, n, float(u[:n] @ v[:n] - u[n:] @ v[n:]))
+    return NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:]))
 
 
 def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPair]:
@@ -317,33 +292,18 @@ def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPai
     final block the second returns zero.  The pairs are kernel vectors of
     K when there is one singular block or every singular block is final,
     and each is checked against ``null_tol`` (AmbiguousKernel otherwise).
+    The vectors are returned nonnegative with unit 1-norm, tiny negative
+    round-off clamped to zero; a nonsingular K has no pair.  Raises
+    ValueError when n is outside [0, size] or ``classification`` is not
+    of an M-matrix.
     """
     A = as_square(K)
+    if not 0 <= n <= A.shape[0]:
+        raise ValueError(f"split index {n} outside [0, {A.shape[0]}]")
+    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
+        raise ValueError("null vectors are defined for M-matrices only")
     singular = classification.singular_blocks
     rest = np.ones(A.shape[0], dtype=bool)
     for blk in singular:
         rest[blk.index] = False
     return [_block_pair(A, n, blk, rest) for blk in singular]
-
-
-def null_pair(K, n: int) -> NullPair:
-    """Left/right null vectors of a singular M-matrix K, split at index n.
-
-    Requires exactly one singular irreducible block (raises NotSingular
-    when K has none and AmbiguousKernel when it has two or more); the
-    vectors of ``block_null_pairs`` are then unique up to scale.  They are
-    returned nonnegative with unit 1-norm, tiny negative round-off clamped
-    to zero.
-    """
-    A = as_square(K)
-    if not 0 <= n <= A.shape[0]:
-        raise ValueError(f"split index {n} outside [0, {A.shape[0]}]")
-    cls = _classify_zm(A)
-    if cls.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
-        raise ValueError("null vectors are defined for M-matrices only")
-    singular = len(cls.singular_blocks)
-    if singular == 0:
-        raise NotSingular("K has no singular irreducible block")
-    if singular > 1:
-        raise AmbiguousKernel(f"K has {singular} singular irreducible blocks, not one")
-    return block_null_pairs(A, n, cls)[0]

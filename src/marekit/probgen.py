@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationFailed, MareError
-from .problem import MareProblem, Regime, classify_problem
+from .problem import MareProblem, Regime, _as_size, classify_problem
 
 # drift below this is too close to critical for the singular/nonsingular
 # closing-matrix dichotomy to be numerically well separated in tests
@@ -44,6 +44,8 @@ class FamilySpec:
     density: float = 0.7
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_size(self.n, "n"))
+        object.__setattr__(self, "m", _as_size(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
         if not 0.0 < self.density <= 1.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -58,6 +59,20 @@ def _require_z(M: np.ndarray, label: str) -> None:
         raise NotZMatrix(f"{label} has a positive off-diagonal entry")
 
 
+def _as_size(value, label: str) -> int:
+    """``value`` as a Python int (``operator.index``); a bool or a non-integer is refused.
+
+    Sizes are written to JSON as they are stored, and ``problem_from_json``
+    reads back integers only.  Raises ShapeMismatch.
+    """
+    if isinstance(value, bool):
+        raise ShapeMismatch(f"{label} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeMismatch(f"{label} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MareProblem:
     """Coefficient data (A, B, C, D) with sizes m x m, m x n, n x m, n x n.
@@ -76,6 +91,8 @@ class MareProblem:
     name: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_size(self.n, "n"))
+        object.__setattr__(self, "m", _as_size(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ShapeMismatch("n and m must be positive")
         object.__setattr__(self, "A", as_matrix(self.A, "A"))

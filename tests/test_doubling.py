@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -69,18 +70,20 @@ class TestSelectParameters:
         with pytest.raises(InvalidParameters, match="below the admissible bounds"):
             select_parameters(scalar_nonsingular, (1.0, 2.0), mode=MODE_SDA)
         with pytest.raises(InvalidParameters, match="single-parameter"):
-            select_parameters(scalar_nonsingular, (2.0, 3.0), mode=MODE_SDA, max_iter=0)
+            select_parameters(scalar_nonsingular, (2.0, 3.0), mode=MODE_SDA)
 
     def test_params_hold_no_mode(self):
         # SDA is ADDA at alpha == beta, so the parameters carry no mode
         assert [f.name for f in dataclasses.fields(DoublingParams)] == ["alpha", "beta", "max_iter", "stop_tol"]
 
+    def test_limits_have_one_home(self):
+        # select_parameters picks alpha and beta; max_iter and stop_tol are set on DoublingParams
+        assert list(inspect.signature(select_parameters).parameters) == ["p", "requested", "mode"]
+
     @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan])
-    def test_bad_stop_tol_rejected(self, scalar_nonsingular, stop_tol):
+    def test_bad_stop_tol_rejected(self, stop_tol):
         with pytest.raises(InvalidParameters, match="stop_tol"):
             DoublingParams(2.0, 1.0, stop_tol=stop_tol)
-        with pytest.raises(InvalidParameters, match="stop_tol"):
-            select_parameters(scalar_nonsingular, stop_tol=stop_tol)
 
     def test_zero_stop_tol_accepted(self):
         assert DoublingParams(2.0, 1.0, stop_tol=0.0).stop_tol == 0.0

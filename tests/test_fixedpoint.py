@@ -9,7 +9,7 @@ from marekit.doubling import sign_tol
 from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
 from marekit.fixedpoint import OracleReport, fixed_point_solve
 from marekit.linalg import one_norm, pivot_tol
-from marekit.problem import residual_primal
+from marekit.problem import _residual, residual_primal
 
 GOLDEN = (3 - 5**0.5) / 2
 
@@ -215,11 +215,11 @@ class TestFusedResidual:
     def test_one_exact_residual_when_capped_at_most_two_when_converged(self, monkeypatch, scalar_critical):
         calls = []
 
-        def counted(p, X):
+        def counted(X, A, B, C, D):
             calls.append(1)
-            return residual_primal(p, X)
+            return _residual(X, A, B, C, D)
 
-        monkeypatch.setattr(fixedpoint, "residual_primal", counted)
+        monkeypatch.setattr(fixedpoint, "_residual", counted)
         for case in ("scalar-nonsingular", "nonsingular-3x4", "noncritical-3x4", "nonsingular-51x51"):
             for tol in (1e-12, 1e-10):
                 calls.clear()

@@ -13,7 +13,7 @@ from marekit.linalg import (
     one_norm,
     spectral_radius_nonneg,
 )
-from marekit.mstruct import MatrixKind, classify_zm, is_irreducible
+from marekit.mstruct import MatrixKind, classify_zm
 
 
 class TestSpectralRadiusNonneg:
@@ -94,7 +94,7 @@ class TestSpectralRadiusNonneg:
         P = np.array(P)
         c = 1.0 + P.diagonal().max()
         lo, hi, _ = linalg._noda_bounds(P, c)
-        assert is_irreducible(P)
+        assert len(irreducible_blocks(P)) == 1
         assert hi - lo > 1e-14 * (lo + c) or not stalls
         want = float(_mp_perron_root(P))
         assert abs(spectral_radius_nonneg(P) - want) <= 1e-15 * (want + c)
@@ -246,7 +246,7 @@ class TestCollatzWielandtRoot:
         reducible = [
             _perron_matrix(what, M)
             for label, what, M in perron_inputs
-            if label.startswith("noncritical") and what in ("R", "S") and not is_irreducible(M)
+            if label.startswith("noncritical") and what in ("R", "S") and len(irreducible_blocks(M)) > 1
         ]
         calls = self._counted(monkeypatch)
         for B in reducible:

@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marekit import linalg
-from marekit.errors import AmbiguousKernel, NoConvergence, NotSingular, SingularMatrix
+from marekit.errors import NoConvergence, SingularMatrix
 from marekit.linalg import EPS, inf_norm, spectral_radius_nonneg
 from marekit.mstruct import (
     MatrixKind,
+    block_null_pairs,
     class_tol,
     classify_zm,
-    is_irreducible,
-    null_pair,
     null_tol,
     regularity_witness,
 )
@@ -346,7 +345,7 @@ class TestRegularity:
             n = int(rng.integers(2, 12))
             K, _ = _singular_m_matrix(rng, n)
             assert classify_zm(K).kind is MatrixKind.SINGULAR_M
-            assert is_irreducible(K)
+            assert len(linalg.irreducible_blocks(K)) == 1
             assert _checked_verdict(K)
 
     def test_uncertified_nonsingular_witness_raises(self):
@@ -363,15 +362,19 @@ class TestRegularity:
             regularity_witness(M, classify_zm(M))
 
 
+def _irreducible(M) -> bool:
+    return len(linalg.irreducible_blocks(M)) == 1
+
+
 class TestIrreducibility:
     def test_complete_graph(self):
-        assert is_irreducible([[1.0, -1.0], [-1.0, 1.0]])
+        assert _irreducible([[1.0, -1.0], [-1.0, 1.0]])
 
     def test_one_way_edge(self):
-        assert not is_irreducible([[1.0, -1.0], [0.0, 1.0]])
+        assert not _irreducible([[1.0, -1.0], [0.0, 1.0]])
 
     def test_one_by_one_convention(self):
-        assert is_irreducible([[5.0]])
+        assert _irreducible([[5.0]])
 
     def test_against_transitive_closure(self):
         rng = np.random.default_rng(41)
@@ -384,12 +387,18 @@ class TestIrreducibility:
             np.fill_diagonal(reach, True)
             for k in range(n):
                 reach |= np.outer(reach[:, k], reach[k, :])
-            assert is_irreducible(M) == bool(reach.all())
+            assert _irreducible(M) == bool(reach.all())
+
+
+def _null_pair(K, n):
+    """The kernel pair of K's one singular irreducible block."""
+    (pair,) = block_null_pairs(K, n, classify_zm(K))
+    return pair
 
 
 class TestNullPair:
     def test_symmetric_two_by_two(self):
-        pair = null_pair([[1.0, -1.0], [-1.0, 1.0]], 1)
+        pair = _null_pair([[1.0, -1.0], [-1.0, 1.0]], 1)
         assert np.allclose(pair.u, [0.5, 0.5])
         assert np.allclose(pair.v, [0.5, 0.5])
         assert pair.drift == 0.0
@@ -397,39 +406,50 @@ class TestNullPair:
     def test_reducible_three_by_three(self):
         # hand null-space solve: v = (1/3, 1/3, 1/3), u = (0, 1/2, 1/2)
         K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        pair = null_pair(K, 1)
+        pair = _null_pair(K, 1)
         assert np.allclose(pair.v, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
         assert np.allclose(pair.u, [0.0, 0.5, 0.5], atol=1e-12)
         assert pair.drift == pytest.approx(-1 / 3, abs=1e-12)
-        assert np.array_equal(pair.u1, pair.u[:1])
-        assert np.array_equal(pair.v2, pair.v[1:])
 
-    def test_nonsingular_raises(self):
-        with pytest.raises(NotSingular):
-            null_pair([[2.0, -1.0], [-1.0, 2.0]], 1)
-
-    def test_two_dimensional_kernel_raises(self):
-        with pytest.raises(AmbiguousKernel):
-            null_pair(np.zeros((2, 2)), 1)
+    def test_nonsingular_has_no_pair(self):
+        K = [[2.0, -1.0], [-1.0, 2.0]]
+        assert block_null_pairs(K, 1, classify_zm(K)) == []
 
     def test_coupled_singular_block(self):
         # K = [[0, -1], [0, 1]]: the singular block {0} couples into {1};
         # v = (1, 0) and u = (1, 1) / 2 by hand, exact kernel vectors
-        pair = null_pair([[0.0, -1.0], [0.0, 1.0]], 1)
+        pair = _null_pair([[0.0, -1.0], [0.0, 1.0]], 1)
         assert np.array_equal(pair.v, [1.0, 0.0])
         assert np.array_equal(pair.u, [0.5, 0.5])
         assert pair.drift == 0.5
 
     def test_not_an_m_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            null_pair([[1.0, -3.0], [-3.0, 1.0]], 1)
+        K = [[1.0, -3.0], [-3.0, 1.0]]
+        with pytest.raises(ValueError, match="M-matrices only"):
+            block_null_pairs(K, 1, classify_zm(K))
+        P = [[1.0, 2.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="M-matrices only"):
+            block_null_pairs(P, 1, classify_zm(P))
+
+    @pytest.mark.parametrize("n", [-1, 4, 99])
+    def test_split_outside_the_matrix_rejected(self, n):
+        K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        with pytest.raises(ValueError, match="split index"):
+            block_null_pairs(K, n, classify_zm(K))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_split_at_either_end(self, n):
+        # everything is one block: the drift is -u.v or u.v
+        K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        pair = _null_pair(K, n)
+        assert pair.drift == pytest.approx((1 if n else -1) * pair.u @ pair.v, abs=1e-15)
 
     def test_residual_within_tolerance_on_random_singular(self):
         rng = np.random.default_rng(43)
         for _ in range(40):
             size = int(rng.integers(2, 16))
             K, _ = _singular_m_matrix(rng, size)
-            pair = null_pair(K, size // 2)
+            pair = _null_pair(K, size // 2)
             tau = null_tol(K)
             assert inf_norm(K @ pair.v) <= tau
             assert inf_norm(pair.u @ K) <= tau
@@ -441,10 +461,31 @@ class TestNullPair:
     @settings(max_examples=40, deadline=None)
     def test_drift_invariant_under_scaling(self, cu, cv):
         K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        pair = null_pair(K, 1)
+        pair = _null_pair(K, 1)
         u = cu * pair.u
         v = cv * pair.v
         u /= np.abs(u).sum()
         v /= np.abs(v).sum()
         drift = u[:1] @ v[:1] - u[1:] @ v[1:]
         assert drift == pytest.approx(pair.drift, abs=1e-14)
+
+
+def test_public_surface():
+    # one entry point per fact: the kernel is block_null_pairs, irreducibility
+    # len(irreducible_blocks(M)) == 1, and nothing raises NotSingular
+    import marekit
+
+    assert set(marekit.__all__) == {
+        "AmbiguousKernel", "Certificate", "CheckResult", "DoublingParams", "DoublingState",
+        "FamilySpec", "GenerationFailed", "InsufficientTrace", "InvalidParameters",
+        "IterationBreakdown", "MClassification", "MareError", "MareProblem", "MatrixKind",
+        "MaxIterations", "NoConvergence", "NonpositiveDiagonal", "NotZMatrix", "NullPair",
+        "OracleReport", "ProblemClass", "Regime", "ShapeMismatch", "SingularMatrix",
+        "SolveReport", "classify_problem", "classify_zm", "fixed_point_solve", "generate",
+        "initialize", "make_certificate", "matrix_from_json", "matrix_to_jsonable",
+        "observed_rate", "problem_from_json", "problem_to_json", "regularity_witness",
+        "residual_dual", "residual_primal", "select_parameters", "solve",
+        "spectral_radius_nonneg", "step", "theoretical_rate", "trace_to_csv",
+    }
+    assert len(marekit.__all__) == 45
+    assert [f.name for f in dataclasses.fields(marekit.NullPair)] == ["u", "v", "drift"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marekit import probgen
-from marekit.errors import GenerationFailed
+from marekit.errors import GenerationFailed, ShapeMismatch
 from marekit.linalg import inf_norm
 from marekit.mstruct import null_tol
 from marekit.probgen import DRIFT_MARGIN, FamilySpec, generate
@@ -76,6 +76,16 @@ def test_spec_validation():
         FamilySpec(Regime.CRITICAL, 1, 1, seed=1, density=0.0)
     with pytest.raises(ValueError):
         FamilySpec(Regime.NOT_REGULAR, 1, 1, seed=1)
+
+
+@pytest.mark.parametrize("size", [True, 2.0])
+def test_spec_sizes_are_python_ints(size):
+    # a bad size is refused when the spec is made, not after a budget of draws
+    with pytest.raises(ShapeMismatch, match="must be an integer"):
+        FamilySpec(Regime.NONSINGULAR_K, size, 2, seed=1)
+    spec = FamilySpec(Regime.NONSINGULAR_K, np.int64(2), 2, seed=1)
+    assert type(spec.n) is int
+    assert problem_to_json(generate(spec)) == problem_to_json(generate(FamilySpec(Regime.NONSINGULAR_K, 2, 2, 1)))
 
 
 def test_mask_mix_present_across_seeds():

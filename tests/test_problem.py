@@ -501,6 +501,21 @@ class TestJson:
         again = problem_from_json(text)
         assert problem_to_json(again) == text
 
+    def test_numpy_integer_sizes_round_trip(self, scalar_nonsingular):
+        # sizes are stored as Python ints, so what problem_to_json writes problem_from_json reads
+        q = scalar_nonsingular
+        p = MareProblem(n=np.int64(1), m=np.int32(1), A=q.A, B=q.B, C=q.C, D=q.D)
+        assert type(p.n) is int and type(p.m) is int
+        assert problem_to_json(problem_from_json(problem_to_json(p))) == problem_to_json(q)
+
+    @pytest.mark.parametrize("size", [True, np.True_, 1.0, 2.0, "1"])
+    def test_bool_and_non_integer_sizes_rejected(self, scalar_nonsingular, size):
+        q = scalar_nonsingular
+        with pytest.raises(ShapeMismatch, match="must be an integer"):
+            MareProblem(n=size, m=1, A=q.A, B=q.B, C=q.C, D=q.D)
+        with pytest.raises(ShapeMismatch, match="must be an integer"):
+            MareProblem(n=1, m=size, A=q.A, B=q.B, C=q.C, D=q.D)
+
     def test_unknown_field_rejected(self):
         payload = {"n": 1, "m": 1, "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]], "extra": 1}
         with pytest.raises(ValueError, match="unknown"):
