@@ -57,7 +57,13 @@ from .problem import (
     problem_to_json,
 )
 
+
+class _UsageError(Exception):
+    pass
+
+
 _USAGE_ERRORS = (
+    _UsageError,
     NotZMatrix,
     ShapeMismatch,
     InvalidParameters,
@@ -80,10 +86,6 @@ class CommandOutcome:
     exit_code: int
     report_json: str
     trace_csv_path: str | None = None
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,11 +147,12 @@ def dumps_report(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _base_report() -> dict:
+def _base_report(pc) -> dict:
+    """The report fields every command prints, with those of the problem class ``pc`` filled."""
     return {
-        "regime": None,
-        "drift": None,
-        "r": None,
+        "regime": pc.regime.value,
+        "drift": pc.drift,
+        "r": pc.r,
         "alpha": None,
         "beta": None,
         "iterations": None,
@@ -172,12 +175,6 @@ def _check_entry(c) -> dict:
     }
 
 
-def _fill_classification(report: dict, pc) -> None:
-    report["regime"] = pc.regime.value
-    report["drift"] = pc.drift
-    report["r"] = pc.r
-
-
 def _fill_certificate(report: dict, cert) -> None:
     report["residual_primal"] = cert.residual_primal
     report["residual_dual"] = cert.residual_dual
@@ -197,10 +194,7 @@ def _load_problem(path: str):
 
 def _cmd_classify(ns) -> CommandOutcome:
     p = _load_problem(ns.problem)
-    pc = classify_problem(p)
-    report = _base_report()
-    _fill_classification(report, pc)
-    return CommandOutcome(0, dumps_report(report))
+    return CommandOutcome(0, dumps_report(_base_report(classify_problem(p))))
 
 
 def _given(**values) -> dict:
@@ -227,14 +221,13 @@ def _cmd_solve(ns) -> CommandOutcome:
             if getattr(ns, option) is not None:
                 raise _UsageError(f"--{option} does not apply to --method fixed-point")
     p = _load_problem(ns.problem)
-    report = _base_report()
     if ns.method == "fixed-point":
         limits = _given(tol=ns.tol, max_iter=ns.max_iter)
         primal = fixed_point_solve(p, **limits)
         dual = fixed_point_solve(p.dual(), **limits)
         pc = classify_problem(p)
         cert = make_certificate(p, primal.phi, dual.phi, problem_class=pc)
-        _fill_classification(report, pc)
+        report = _base_report(pc)
         _fill_certificate(report, cert)
         report["iterations"] = primal.iterations
         report["phi"] = matrix_to_jsonable(primal.phi)
@@ -252,25 +245,22 @@ def _cmd_solve(ns) -> CommandOutcome:
         doubling.select_parameters(p, requested, mode=ns.method),
         **_given(max_iter=ns.max_iter, stop_tol=ns.tol),
     )
-    trace_path = None
     try:
-        result = doubling.solve(p, params)
-    except MaxIterations as exc:
-        if exc.report is not None:
-            _emit_solve_report(report, exc.report)
-            if ns.trace:
-                trace_path = _write_trace(ns.trace, exc.report.trace)
-        report["error"] = str(exc)
+        result, error = doubling.solve(p, params), None
+    except MaxIterations as exc:  # the best report so far is attached
+        result, error = exc.report, str(exc)
+    report = _solve_report(result)
+    trace_path = _write_trace(ns.trace, result.trace) if ns.trace else None
+    if error is not None:
+        report["error"] = error
         return CommandOutcome(3, dumps_report(report), trace_path)
-    _emit_solve_report(report, result)
-    if ns.trace:
-        trace_path = _write_trace(ns.trace, result.trace)
     ok = result.certificate.all_passed and result.converged
     return CommandOutcome(0 if ok else 1, dumps_report(report), trace_path)
 
 
-def _emit_solve_report(report: dict, result) -> None:
-    _fill_classification(report, result.problem_class)
+def _solve_report(result) -> dict:
+    """The report of a doubling ``SolveReport``."""
+    report = _base_report(result.problem_class)
     _fill_certificate(report, result.certificate)
     report["alpha"] = result.params.alpha
     report["beta"] = result.params.beta
@@ -281,6 +271,7 @@ def _emit_solve_report(report: dict, result) -> None:
     report["psi"] = matrix_to_jsonable(result.psi)
     if result.flags:
         report["flags"] = list(result.flags)
+    return report
 
 
 def _write_trace(path: str, trace) -> str:
@@ -298,8 +289,7 @@ def _cmd_verify(ns) -> CommandOutcome:
         psi = matrix_from_json(fh.read())
     pc = classify_problem(p)
     cert = make_certificate(p, phi, psi, problem_class=pc, **_given(tol=ns.tol))
-    report = _base_report()
-    _fill_classification(report, pc)
+    report = _base_report(pc)
     _fill_certificate(report, cert)
     return CommandOutcome(0 if cert.all_passed else 1, dumps_report(report))
 
@@ -308,9 +298,7 @@ def _cmd_oracle(ns) -> CommandOutcome:
     _check_limits(ns)
     p = _load_problem(ns.problem)
     result = fixed_point_solve(p, **_given(tol=ns.tol, max_iter=ns.max_iter))
-    pc = classify_problem(p)
-    report = _base_report()
-    _fill_classification(report, pc)
+    report = _base_report(classify_problem(p))
     report["iterations"] = result.iterations
     report["residual_primal"] = result.final_residual
     report["phi"] = matrix_to_jsonable(result.phi)
@@ -337,9 +325,7 @@ def _cmd_generate(ns) -> CommandOutcome:
     with open(ns.output, "w", encoding="utf-8") as fh:
         fh.write(problem_to_json(problem))
         fh.write("\n")
-    pc = classify_problem(problem)
-    report = _base_report()
-    _fill_classification(report, pc)
+    report = _base_report(classify_problem(problem))
     report["path"] = ns.output
     return CommandOutcome(0, dumps_report(report))
 
@@ -351,8 +337,7 @@ def _cmd_rate_study(ns) -> CommandOutcome:
     p = _load_problem(ns.problem)
     params = doubling.select_parameters(p)
     result = doubling.solve(p, params)
-    report = _base_report()
-    _emit_solve_report(report, result)
+    report = _solve_report(result)
     base_rate = result.theoretical_rate
     grid = []
     ok = True
@@ -434,15 +419,9 @@ def _build_parser() -> _Parser:
 
 def execute(argv) -> CommandOutcome:
     """Run one CLI invocation; never raises for expected failure modes."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        return CommandOutcome(2, dumps_report({"error": str(exc)}))
-    try:
+        ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
-    except _UsageError as exc:
-        return CommandOutcome(2, dumps_report({"error": str(exc)}))
     except _USAGE_ERRORS as exc:
         return CommandOutcome(2, dumps_report({"error": str(exc)}))
     except MaxIterations as exc:

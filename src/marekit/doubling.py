@@ -28,15 +28,15 @@ picks that pair for ``mode="sda"``, and no step reads the mode.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
-silently ignores a structural violation.  Every matrix the iteration
-inverts is a nonsingular M-matrix in theory and is solved by the core of
-``linalg.m_solve``, whose extra column x = M^{-1} 1 certifies that kind
-and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
-certificate in the initialization raises SingularMatrix.  The
+silently ignores a structural violation.  Every matrix M the iteration
+inverts is a nonsingular M-matrix in theory and is solved by
+``linalg._m_solve(M, *blocks)``, the core of ``linalg.m_solve``: it
+appends a column of ones, whose solution x = M^{-1} 1 certifies that
+kind and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a
+failed certificate in the initialization raises SingularMatrix.  The
 cross products are solved once, when their iterate is created, as
-(I - G H)^{-1} [E G 1] and (I - H G)^{-1} [F H 1], each right-hand side
-written once into one array, and the solutions are carried to the next
-step.  Only an uncertified cross product is
+(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], and the solutions are
+carried to the next step.  Only an uncertified cross product is
 classified, by ``mstruct.classify_zm``; the next step breaks down when
 that kind is singular or LAPACK found the matrix exactly singular.
 """
@@ -44,7 +44,6 @@ that kind is singular or LAPACK found the matrix exactly singular.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +59,11 @@ from .errors import (
 )
 from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
-from .problem import Certificate, MareProblem, ProblemClass, Regime, classify_problem, make_certificate, sign_tol
+from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
+from .problem import classify_problem, make_certificate, sign_tol
 
 MODE_ADDA = "adda"
 MODE_SDA = "sda"
-
-_GUARANTEED = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,7 @@ def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
         np.subtract(0.0, M, out=M)
         M.reshape(-1)[:: len(M) + 1] += 1.0
         try:
-            sol, dist, certified = linalg._m_solve(M, linalg._with_ones(*rhs))
-            X = sol[:, :-1]
+            X, dist, certified = linalg._m_solve(M, *rhs)
         except SingularMatrix:
             X, dist, certified = None, 0.0, False
         out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind))
@@ -215,10 +212,10 @@ def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
 
 def _nonsingular_m_solve(M: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
     """``M^{-1} [blocks]`` for a matrix the theory makes a nonsingular M-matrix."""
-    sol, _, certified = linalg._m_solve(M, linalg._with_ones(*blocks))
+    X, _, certified = linalg._m_solve(M, *blocks)
     if not certified:
         raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
-    return sol[:, :-1]
+    return X
 
 
 def _iterate(
@@ -325,19 +322,16 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     Stops when both successive differences satisfy
     ||H_k - H_{k-1}||_1 <= stop_tol * max(1, ||H_k||_1) (same for G),
     raising MaxIterations (with the best report attached) if the cap is
-    reached first.  Regimes other than nonsingular-K and
-    singular-noncritical are attempted best effort and flagged.
+    reached first.  A regime outside ``GUARANTEED_REGIMES`` is attempted
+    best effort and reported only by its ``regime-unsupported:<regime>``
+    flag.
     """
     if params is None:
         params = select_parameters(p)
     pc = classify_problem(p)
     flags: list[str] = []
-    if pc.regime not in _GUARANTEED:
+    if pc.regime not in GUARANTEED_REGIMES:
         flags.append(f"regime-unsupported:{pc.regime.value}")
-        warnings.warn(
-            f"doubling guarantees do not cover regime {pc.regime.value}; running best-effort",
-            stacklevel=2,
-        )
 
     state = initialize(p, params)
     trace: list[TraceRecord] = [TraceRecord(state.diagnostics, state.H, state.G)]
@@ -359,7 +353,7 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     theo = None
     try:
         theo = theoretical_rate(p, cert, params)
-    except (SingularMatrix, ValueError):
+    except SingularMatrix:
         flags.append("theoretical-rate-unavailable")
     obs = None
     try:

@@ -5,7 +5,9 @@ inputs with no module state, so concurrent use is safe.  Only the kernels
 that carry a tolerance contract numpy does not offer are written here: the
 semipositivity certificate of ``m_solve`` for matrices that the theory
 makes nonsingular M-matrices, and the certified Perron root of a
-nonnegative matrix with its Perron vector.  Every solve runs in LAPACK
+nonnegative matrix with its Perron vector.  The certificate's column of
+ones is laid out by the core ``_m_solve(A, *blocks)`` alone: its callers
+pass their right-hand side blocks.  Every solve runs in LAPACK
 through ``np.linalg.solve``; no general eigensolve is needed, as every
 spectral quantity the package reports is a Perron root.  The Perron root is
 bracketed by Collatz-Wielandt bounds on the vectors of Noda's shifted
@@ -125,28 +127,29 @@ def m_solve(M, rhs):
     """
     A = as_square(M)
     b = _as_rhs(rhs, A.shape[0])
-    sol, dist, certified = _m_solve(A, _with_ones(b))
-    return (sol[:, 0] if b.ndim == 1 else sol[:, :-1]), dist, certified
+    X, dist, certified = _m_solve(A, b)
+    return (X[:, 0] if b.ndim == 1 else X), dist, certified
 
 
-def _m_solve(A: np.ndarray, rhs1: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """The core of ``m_solve``: ``(sol, dist, certified)`` with ``sol = A^{-1} rhs1``.
+def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The core of ``m_solve``: ``(A^{-1} [blocks], dist, certified)``.
 
-    ``rhs1`` is ``[rhs 1]``, its last column ones, as ``_with_ones`` builds
-    it; x is the last column of ``sol``.  A must be a square float64 array
-    with as many rows as ``rhs1``.  Its entries are checked to be finite
-    here (ValueError), as the package's callers form it by arithmetic.
+    It builds ``[blocks 1]`` (``_with_ones``; a vector block is one column)
+    and solves it once; x is the last column of that solution and is not
+    returned.  A must be a square float64 array with as many rows as each
+    block.  Its entries are checked to be finite here (ValueError), as the
+    package's callers form it by arithmetic.
     """
     if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN or Inf entries")
     try:
-        sol = np.linalg.solve(A, rhs1)
+        sol = np.linalg.solve(A, _with_ones(*blocks))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
     n = A.shape[0]
     certified = bool(_is_z(A) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
-    return sol, 1.0 / float(np.abs(x).max()), certified
+    return sol[:, :-1], 1.0 / float(np.abs(x).max()), certified
 
 
 # ---------------------------------------------------------------------------

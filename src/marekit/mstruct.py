@@ -25,10 +25,12 @@ Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest < 0 for every
 v > 0; with every singular block final, their Perron vectors and one
 solve on the nonsingular rest build such a v.  The verdict
 (``MClassification.regular``) needs no solve; ``regularity_witness``
-builds v for a caller that wants it.  ``problem.classify_problem`` asks
-for it only on a nonsingular K, where the certified M^{-1} 1 is the
-verdict's only certificate; on a singular K, ``block_null_pairs``
-certifies the same M_NN with the same column of ones.
+builds v for a caller that wants it.  Each solve on the nonsingular rest
+is one ``linalg._m_solve(M_NN, rhs)``, the core of ``linalg.m_solve``,
+which appends the column of ones whose solution M_NN^{-1} 1 certifies
+M_NN.  ``problem.classify_problem`` asks for v only on a nonsingular K,
+where that certificate is the verdict's only one; on a singular K,
+``block_null_pairs`` certifies the same M_NN with the same column.
 
 So does the kernel, whose one entry point is
 ``block_null_pairs(K, n, classify_zm(K))``.  With S the singular blocks
@@ -231,9 +233,9 @@ def regularity_witness(M, classification: MClassification) -> np.ndarray | None:
 
 
 def _positive_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^{-1} rhs, once ``linalg.m_solve`` certifies A and the solution is positive."""
-    sol, _, certified = linalg._m_solve(A, linalg._with_ones(rhs))
-    x = sol[:, 0]
+    """A^{-1} rhs, once ``linalg._m_solve`` certifies A and the solution is positive."""
+    X, _, certified = linalg._m_solve(A, rhs)
+    x = X[:, 0]
     if not (certified and (x > 0.0).all()):
         raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
     return x
@@ -267,9 +269,9 @@ def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) 
     v[b], u[b] = blk.perron, y
     if rest.any():
         K_NN = K[np.ix_(rest, rest)]
-        right_sol, _, right = linalg._m_solve(K_NN, linalg._with_ones(-(K[np.ix_(rest, b)] @ blk.perron)))
+        right_sol, _, right = linalg._m_solve(K_NN, -(K[np.ix_(rest, b)] @ blk.perron))
         # a row-major transpose, so that its certificate's products round as every other's
-        left_sol, _, left = linalg._m_solve(K_NN.T.copy(), linalg._with_ones(-(y @ K[np.ix_(b, rest)])))
+        left_sol, _, left = linalg._m_solve(K_NN.T.copy(), -(y @ K[np.ix_(b, rest)]))
         v[rest], u[rest] = right_sol[:, 0], left_sol[:, 0]
         if not (right and left):
             raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")

@@ -4,7 +4,9 @@ Construction for singular targets: draw a nonnegative matrix N on a
 sparsity mask (block-triangular masks give reducible instances), pick a
 positive vector v, and set the diagonal s_i = (N v)_i / v_i, so that
 K = diag(s) - N kills v exactly and is therefore a singular M-matrix with
-a built-in regularity witness.  The left null vector, the drift and the
+a built-in regularity witness.  Every row of N has an entry of at least
+0.1, so s > 0 and each draw is a valid problem with a positive diagonal
+in A and D.  The left null vector, the drift and the
 zero-eigenvalue structure are then measured, and the draw is accepted or
 rejected against the requested regime.  Nonsingular targets add a positive
 diagonal shift; critical targets use a symmetric N and a norm-balanced v,
@@ -141,20 +143,13 @@ def generate(spec: FamilySpec) -> MareProblem:
     last_reason = "no attempts made"
     for attempt in range(MAX_ATTEMPTS):
         mask_kind = _MASKS[int(rng.integers(0, len(_MASKS)))]
-        try:
-            if target == Regime.CRITICAL:
-                K, _ = _singular_z(rng, spec.n, spec.m, spec.density, "full", symmetric=True)
-            else:
-                K, _ = _singular_z(rng, spec.n, spec.m, spec.density, mask_kind, symmetric=False)
-                if target == Regime.NONSINGULAR_K:
-                    K = K + rng.uniform(0.1, 1.0) * np.eye(spec.n + spec.m)
-            problem = _split(K, spec.n, spec.m, name)
-        except MareError as exc:
-            last_reason = f"attempt {attempt}: invalid draw ({exc})"
-            continue
-        if np.diag(problem.A).max() <= 0 or np.diag(problem.D).max() <= 0:
-            last_reason = f"attempt {attempt}: nonpositive coefficient diagonal"
-            continue
+        if target == Regime.CRITICAL:
+            K, _ = _singular_z(rng, spec.n, spec.m, spec.density, "full", symmetric=True)
+        else:
+            K, _ = _singular_z(rng, spec.n, spec.m, spec.density, mask_kind, symmetric=False)
+            if target == Regime.NONSINGULAR_K:
+                K = K + rng.uniform(0.1, 1.0) * np.eye(spec.n + spec.m)
+        problem = _split(K, spec.n, spec.m, name)
         try:
             pc = classify_problem(problem)
         except MareError as exc:

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg, mstruct
-from .errors import NotZMatrix, ShapeMismatch
+from .errors import InvalidParameters, NotZMatrix, ShapeMismatch
 from .linalg import EPS, as_matrix, one_norm
 from .mstruct import MatrixKind, MClassification, NullPair
 
@@ -52,6 +52,10 @@ class Regime(enum.Enum):
     CRITICAL = "Critical"
     ASSUMPTION_FAILS = "AssumptionFails"
     NOT_REGULAR = "NotRegular"
+
+
+# the regimes whose theory promises rho(Phi Psi) < 1 and quadratic doubling
+GUARANTEED_REGIMES = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
 
 
 def _require_z(M: np.ndarray, label: str) -> None:
@@ -351,8 +355,11 @@ def make_certificate(
     the dichotomy the smaller |gap| / scale of the two.
 
     Candidates must be nonnegative up to the kernel residual tolerance of
-    K; tiny negative round-off is clamped.
+    K; tiny negative round-off is clamped.  Raises InvalidParameters for a
+    negative or NaN ``tol``.
     """
+    if not tol >= 0:
+        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
     tau = mstruct.null_tol(p.K)
     phi_m = _candidate(phi, p.m, p.n, "phi")
     psi_m = _candidate(psi, p.n, p.m, "psi")
@@ -397,11 +404,10 @@ def make_certificate(
         CheckResult("similarity-identity", sim_res <= tol, sim_res, tol),
     ]
 
-    rho_applicable = regime in (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL)
     checks.append(
         CheckResult(
             "i-minus-phipsi-nonsingular",
-            rho < 1.0 if rho_applicable else None,
+            rho < 1.0 if regime in GUARANTEED_REGIMES else None,
             rho,
             1.0,
             f"kind={i_phipsi_kind.value}",
@@ -496,18 +502,26 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def problem_from_json(text: str) -> MareProblem:
-    """Parse the JSON problem format; unknown fields are rejected."""
+def _json_object(text: str, what: str, required: set[str], optional: set[str]) -> dict:
+    """The JSON object in ``text``, once it has every ``required`` field and no field beyond ``optional``.
+
+    ``what`` names the format in the ValueError.
+    """
     data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValueError("problem JSON must be an object")
-    allowed = {"name", "n", "m", "A", "B", "C", "D"}
-    unknown = set(data) - allowed
+        raise ValueError(f"{what} JSON must be an object")
+    unknown = set(data) - required - optional
     if unknown:
-        raise ValueError(f"unknown problem fields: {sorted(unknown)}")
-    missing = {"n", "m", "A", "B", "C", "D"} - set(data)
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = required - set(data)
     if missing:
-        raise ValueError(f"missing problem fields: {sorted(missing)}")
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
+    return data
+
+
+def problem_from_json(text: str) -> MareProblem:
+    """Parse the JSON problem format; unknown fields are rejected."""
+    data = _json_object(text, "problem", {"n", "m", "A", "B", "C", "D"}, {"name"})
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError("field 'name' must be a string")
@@ -532,15 +546,7 @@ def matrix_to_jsonable(M) -> dict:
 
 def matrix_from_json(text: str) -> np.ndarray:
     """Parse the {"rows", "cols", "entries"} matrix format (strict)."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("matrix JSON must be an object")
-    unknown = set(data) - {"rows", "cols", "entries"}
-    if unknown:
-        raise ValueError(f"unknown matrix fields: {sorted(unknown)}")
-    missing = {"rows", "cols", "entries"} - set(data)
-    if missing:
-        raise ValueError(f"missing matrix fields: {sorted(missing)}")
+    data = _json_object(text, "matrix", {"rows", "cols", "entries"}, set())
     if not (_is_int(data["rows"]) and _is_int(data["cols"])):
         raise ValueError("fields 'rows' and 'cols' must be integers")
     M = as_matrix(_check_nested(data["entries"], "entries"), "entries")

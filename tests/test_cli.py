@@ -18,6 +18,10 @@ GOLDEN = (3 - 5**0.5) / 2
 # its scale, inside the 1e-8 singular threshold, while R's smallest LU pivot
 # stays at 1.1e-8, so a pivot test rejects this correct answer
 FIXED_POINT_CLOSING = str(Path(__file__).parent / "data" / "fixed_point_closing.json")
+# a reducible singular K whose nonsingular 1x1 blocks of 9.9e-11 and 7.3e-12
+# pass the gap test (tolerance 1.6e-13), while K_NN^{-1} 1 reaches 7.9e20, so
+# the certified solves on K_NN of the kernel pair fail
+SINGULAR_BOUNDARY = str(Path(__file__).parent / "data" / "singular_boundary_block_pair.json")
 
 REPORT_KEYS = {
     "regime",
@@ -119,6 +123,14 @@ class TestClassify:
 
     def test_unknown_command_is_usage_error(self):
         assert execute(["frobnicate"]).exit_code == 2
+
+    def test_uncertified_kernel_pair_is_breakdown(self):
+        out = execute(["classify", SINGULAR_BOUNDARY])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json) == {
+            "error": "M^{-1} 1 does not certify the nonsingular blocks of K",
+            "step": "SingularMatrix",
+        }
 
 
 class TestSolve:
@@ -222,7 +234,6 @@ class TestSolve:
         assert out.exit_code == 3
         assert json.loads(out.report_json)["step"] == "IterationBreakdown"
 
-    @pytest.mark.filterwarnings("ignore:doubling guarantees")
     def test_iteration_cap_is_breakdown(self, critical_file):
         out = execute(["solve", critical_file, "--max-iter", "2"])
         assert out.exit_code == 3
@@ -230,11 +241,20 @@ class TestSolve:
         assert "error" in rep
         assert rep["iterations"] == 2  # best-effort report still attached
 
+    def test_capped_solve_writes_its_trace(self, critical_file, tmp_path):
+        trace = tmp_path / "t.csv"
+        out = execute(["solve", critical_file, "--max-iter", "3", "--trace", str(trace)])
+        assert out.exit_code == 3 and out.trace_csv_path == str(trace)
+        header, *rows = trace.read_text().splitlines()
+        assert header.startswith("k,dH,dG,") and [row.split(",")[0] for row in rows] == ["0", "1", "2", "3"]
+        rep = json.loads(out.report_json)
+        assert rep["iterations"] == 3
+        assert list(rep)[-1] == "error" and "within 3 iterations" in rep["error"]
+
 
 class TestSdaIsAddaAtEqualParameters:
     """``--method sda`` prints the bytes of ``--alpha g --beta g``, g = max(a*, d*)."""
 
-    @pytest.mark.filterwarnings("ignore:doubling guarantees")
     def test_same_bytes(self, tmp_path, noncritical_suite, nonsingular_suite, scalar_nonsingular, scalar_critical, reducible_singular):
         regimes = (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL, Regime.CRITICAL)
         generated = [generate(FamilySpec(regimes[s % 3], 2 + s % 5, 3 + s % 4, seed=100 + s)) for s in range(10)]
@@ -254,7 +274,6 @@ class TestSdaIsAddaAtEqualParameters:
         assert json.loads(out.report_json)["error"] == "single-parameter mode requires alpha == beta"
 
 
-@pytest.mark.filterwarnings("ignore:doubling guarantees")
 @pytest.mark.parametrize(
     "plain, explicit",
     [
@@ -363,7 +382,6 @@ class TestStoppingLimits:
         assert out.exit_code == 2
         assert "must be" in json.loads(out.report_json)["error"]
 
-    @pytest.mark.filterwarnings("ignore:doubling guarantees")
     def test_zero_tol_is_honored(self, critical_file, tmp_path):
         # stop_tol = 0 stops only once H and G stop moving; 1e-14 would
         # accept the one-ulp creep of the stagnating critical iterates
@@ -502,11 +520,25 @@ class TestRateStudy:
         assert len(rep["grid"]) == 4
         assert "flags" not in rep
 
+    def test_capped_solve_is_breakdown(self, tmp_path):
+        path = str(tmp_path / "crit.json")
+        execute(["generate", "--regime", "critical", "--n", "1", "--m", "1", "--seed", "0", "-o", path])
+        out = execute(["rate-study", path, "--grid", "2"])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json) == {"error": "doubling did not meet stop_tol 1.0e-14 within 60 iterations"}
+
     @pytest.mark.parametrize("grid", ["1", "0", "-2"])
     def test_grid_below_two_is_usage_error(self, problem_file, grid):
         out = execute(["rate-study", problem_file, "--grid", grid])
         assert out.exit_code == 2
         assert "--grid must be at least 2" in json.loads(out.report_json)["error"]
+
+
+def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
+    assert cli.main(["classify", problem_file]) == 0
+    assert capsys.readouterr() == (execute(["classify", problem_file]).report_json + "\n", "")
+    assert cli.main(["solve", problem_file, "--tol", "-1"]) == 2
+    assert capsys.readouterr() == ('{\n  "error": "--tol must be nonnegative, got -1.0"\n}\n', "")
 
 
 def test_dumps_report_17_digits():

@@ -88,6 +88,21 @@ class TestSelectParameters:
     def test_zero_stop_tol_accepted(self):
         assert DoublingParams(2.0, 1.0, stop_tol=0.0).stop_tol == 0.0
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda p: DoublingParams(0.0, 1.0), "alpha and beta must be positive"),
+            (lambda p: DoublingParams(1.0, -1.0), "alpha and beta must be positive"),
+            (lambda p: DoublingParams(1.0, 1.0, max_iter=0), "max_iter must be >= 1"),
+            (lambda p: select_parameters(p, mode="x"), "unknown mode 'x'"),
+        ],
+        ids=["alpha", "beta", "max_iter", "mode"],
+    )
+    def test_input_checks(self, scalar_nonsingular, build, message):
+        with pytest.raises(InvalidParameters) as info:
+            build(scalar_nonsingular)
+        assert str(info.value) == message
+
 
 class TestInitialize:
     def test_scalar_critical_worked_values(self, scalar_critical):
@@ -264,9 +279,7 @@ class TestCrossProductCertificate:
         assert sum(self._check(p, rep) for p, rep in solved_noncritical + solved_nonsingular) > 1500
 
     def test_scalar_critical_run(self, scalar_critical):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = solve(scalar_critical)
+        rep = solve(scalar_critical)
         assert self._check(scalar_critical, rep) == 2 * len(rep.trace)
 
 
@@ -290,9 +303,7 @@ class TestSolve:
         assert rep.certificate.all_passed
 
     def test_critical_best_effort(self, scalar_critical):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = solve(scalar_critical)
+        rep = solve(scalar_critical)
         assert "regime-unsupported:Critical" in rep.flags
         assert "non-quadratic" in rep.flags
         errs = [abs(r.H[0, 0] - 1.0) for r in rep.trace[:4]]
@@ -302,11 +313,15 @@ class TestSolve:
         # halving, not squaring: the critical slow mode
         assert errs[1] / errs[0] == pytest.approx(0.6, abs=0.05)
 
-    def test_max_iterations_carries_report(self, scalar_critical):
+    def test_unguaranteed_regime_is_reported_by_its_flag_only(self, scalar_critical):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(MaxIterations) as exc_info:
-                solve(scalar_critical, DoublingParams(1.0, 1.0, max_iter=3))
+            warnings.simplefilter("error")
+            rep = solve(scalar_critical)
+        assert "regime-unsupported:Critical" in rep.flags
+
+    def test_max_iterations_carries_report(self, scalar_critical):
+        with pytest.raises(MaxIterations) as exc_info:
+            solve(scalar_critical, DoublingParams(1.0, 1.0, max_iter=3))
         rep = exc_info.value.report
         assert rep is not None
         assert rep.iterations == 3
@@ -360,9 +375,7 @@ class TestRates:
         assert 0.0 < rep.theoretical_rate < 1.0
 
     def test_critical_rate_approaches_one(self, scalar_critical):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = solve(scalar_critical)
+        rep = solve(scalar_critical)
         assert rep.observed_rate is not None
         assert rep.observed_rate >= 0.95
 
@@ -424,15 +437,13 @@ class TestRateIdentity:
         assert got == pytest.approx(_eigvals_rate(rep.certificate, params.alpha, params.beta), rel=1e-12, abs=1e-15)
 
     def test_worked_examples(self, scalar_nonsingular, reducible_singular, scalar_critical):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for p in (scalar_nonsingular, reducible_singular, scalar_critical):
-                try:
-                    rep = solve(p)
-                except MaxIterations as exc:
-                    rep = exc.report
-                for fa, fb in ((1.0, 1.0), (1.3, 2.5), (3.0, 1.0)):
-                    self._check(p, rep, DoublingParams(rep.params.alpha * fa, rep.params.beta * fb))
+        for p in (scalar_nonsingular, reducible_singular, scalar_critical):
+            try:
+                rep = solve(p)
+            except MaxIterations as exc:
+                rep = exc.report
+            for fa, fb in ((1.0, 1.0), (1.3, 2.5), (3.0, 1.0)):
+                self._check(p, rep, DoublingParams(rep.params.alpha * fa, rep.params.beta * fb))
 
     def test_acceptance_suites_default_and_sampled(self, solved_noncritical, solved_nonsingular):
         # the default pair, then the sampler of acceptance criterion 7
@@ -449,17 +460,15 @@ class TestRateIdentity:
     def test_random_reducible_k(self):
         regimes, unsolved = [], 0
         for p in _reducible_problems(29, 60):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    rep = solve(p)
-                except MaxIterations as exc:
-                    rep = exc.report
-                except NoConvergence:
-                    # the open defect of ROADMAP item 8: a Phi.Psi, R or S block
-                    # irreducible only through entries of rounding size
-                    unsolved += 1
-                    continue
+            try:
+                rep = solve(p)
+            except MaxIterations as exc:
+                rep = exc.report
+            except NoConvergence:
+                # the open defect of ROADMAP item 8: a Phi.Psi, R or S block
+                # irreducible only through entries of rounding size
+                unsolved += 1
+                continue
             regimes.append(rep.problem_class.regime)
             assert len(rep.problem_class.k_class.blocks) > 1
             self._check(p, rep, rep.params)

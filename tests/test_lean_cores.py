@@ -276,7 +276,7 @@ class TestMSolve:
     def test_core_checks_finiteness_of_built_matrices(self):
         # the doubling layer forms its matrices by arithmetic and relies on this check
         with pytest.raises(ValueError, match="NaN or Inf"):
-            linalg._m_solve(np.array([[1.0, -math.inf], [0.0, 1.0]]), linalg._with_ones(np.ones(2)))
+            linalg._m_solve(np.array([[1.0, -math.inf], [0.0, 1.0]]), np.ones(2))
 
 
 class TestPerronPair:
@@ -350,7 +350,6 @@ class TestDumpsReport:
             assert dumps_report(value, 2) == _ref_dumps_report(value, 2)
         assert '"nan": null' in dumps_report(self.EDGE)
 
-    @pytest.mark.filterwarnings("ignore:doubling guarantees do not cover")
     def test_same_text_on_reports_of_every_command(self, monkeypatch, tmp_path, reducible_singular, divergent):
         written = []
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -172,9 +171,7 @@ def _perron_matrix(what, M):
 @pytest.fixture(scope="module")
 def perron_inputs(solved_noncritical, solved_nonsingular, scalar_nonsingular, scalar_critical, reducible_singular):
     """``(label, what, M)`` for K, R, S and Phi Psi of every solved acceptance and worked problem."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        worked = [(p, solve(p)) for p in (scalar_nonsingular, scalar_critical, reducible_singular)]
+    worked = [(p, solve(p)) for p in (scalar_nonsingular, scalar_critical, reducible_singular)]
     inputs = []
     for suite, solved in (("noncritical", solved_noncritical), ("nonsingular", solved_nonsingular), ("worked", worked)):
         for p, rep in solved:
@@ -407,6 +404,20 @@ def test_general_kernels_are_gone():
 
     for name in ("lu_factor", "Factorization", "solve_linear", "spectral_radius"):
         assert not hasattr(linalg, name) and name not in marekit.__all__
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (linalg.as_matrix, np.ones(3), "matrix must be 2-D, got shape (3,)"),
+        (linalg.as_matrix, np.zeros((0, 2)), "matrix must have positive dimensions"),
+        (linalg.as_square, np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+    ],
+)
+def test_input_checks(check, value, message):
+    with pytest.raises(ShapeMismatch) as info:
+        check(value)
+    assert str(info.value) == message
 
 
 def test_one_norm_matrix_and_vector():

@@ -88,6 +88,18 @@ def test_spec_sizes_are_python_ints(size):
     assert problem_to_json(generate(spec)) == problem_to_json(generate(FamilySpec(Regime.NONSINGULAR_K, 2, 2, 1)))
 
 
+@pytest.mark.parametrize("mask, symmetric", [("full", True), ("full", False), ("upper", False), ("lower", False)])
+def test_every_draw_is_a_problem_with_a_positive_diagonal(mask, symmetric):
+    # generate() keeps no guard for these: every row of N gets an entry of at least 0.1
+    rng = np.random.Generator(np.random.Philox(3))
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for density in (0.02, 0.7):
+                K, _ = probgen._singular_z(rng, n, m, density, mask, symmetric)
+                assert K.diagonal().min() > 0.0
+                probgen._split(K, n, m, "draw")  # passes MareProblem's checks
+
+
 def test_mask_mix_present_across_seeds():
     # block-triangular draws (B = 0 or C = 0) and irreducible ones both occur
     kinds = set()

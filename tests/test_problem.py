@@ -5,7 +5,7 @@ import pytest
 
 from marekit import linalg, mstruct, solve
 from marekit import problem as problem_module
-from marekit.errors import NotZMatrix, ShapeMismatch, SingularMatrix
+from marekit.errors import InvalidParameters, NotZMatrix, ShapeMismatch, SingularMatrix
 from marekit.mstruct import MatrixKind, classify_zm, regularity_witness
 from marekit.problem import (
     MareProblem,
@@ -58,6 +58,19 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             MareProblem(n=1, m=2, A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"n": 0}, ShapeMismatch, "n and m must be positive"),
+            ({"m": -1}, ShapeMismatch, "n and m must be positive"),
+            ({"C": [[-1.0]]}, NotZMatrix, "C must be entrywise nonnegative"),
+        ],
+    )
+    def test_input_checks(self, fields, error, message):
+        coefficients = {"n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]]}
+        with pytest.raises(error, match=f"^{message}$"):
+            MareProblem(**{**coefficients, **fields})
 
     def test_block_layout(self, reducible_singular):
         p = reducible_singular
@@ -367,6 +380,12 @@ class TestCertificate:
         with pytest.raises(ValueError):
             make_certificate(scalar_nonsingular, [[-0.5]], [[0.5]])
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
+    def test_unusable_tol_rejected(self, scalar_nonsingular, tol):
+        # refused as fixed_point_solve and DoublingParams refuse it, not a certificate whose checks all fail
+        with pytest.raises(InvalidParameters, match="tol must be nonnegative"):
+            make_certificate(scalar_nonsingular, [[GOLDEN]], [[GOLDEN]], tol=tol)
+
     def test_every_check_passes_on_solved_suites(self, solved_noncritical, solved_nonsingular):
         # default certificate tolerance is 1e-8; None marks a check that does
         # not apply in the problem's regime
@@ -529,6 +548,24 @@ class TestJson:
         payload = {"n": 1.5, "m": 1, "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]]}
         with pytest.raises(ValueError):
             problem_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (problem_from_json, "[1]", "problem JSON must be an object"),
+            (matrix_from_json, "[[1.0]]", "matrix JSON must be an object"),
+            (
+                problem_from_json,
+                '{"name": 3, "n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]]}',
+                "field 'name' must be a string",
+            ),
+            (matrix_from_json, '{"rows": 1}', "missing matrix fields: ['cols', 'entries']"),
+        ],
+    )
+    def test_loader_messages(self, load, text, message):
+        with pytest.raises(ValueError) as info:
+            load(text)
+        assert str(info.value) == message
 
     def test_matrix_round_trip(self):
         M = np.array([[1.0, 0.25], [-3.0, 2.0 / 3.0]])
