@@ -13,18 +13,17 @@ is minimized over all admissible parameters, where R = D - C.Phi and
 S = A - B.Psi are the closing matrices; ``theoretical_rate`` reads it off
 their certified gaps.
 
-Initialization, with As = A + beta I and Ds = D + alpha I:
+Initialization, with K = [[D, -C], [-B, A]] and gamma = alpha + beta:
 
-    W  = As - B Ds^{-1} C            V  = Ds - C As^{-1} B
-    E0 = I - (alpha+beta) V^{-1}     F0 = I - (alpha+beta) W^{-1}
-    G0 = (alpha+beta) Ds^{-1} C W^{-1}
-    H0 = (alpha+beta) W^{-1} B Ds^{-1}
+    Z  = gamma (K + diag(alpha I_n, beta I_m))^{-1}
+    E0 = I - Z_11    F0 = I - Z_22    G0 = Z_12    H0 = Z_21
 
-(note the cross pairing: A is shifted by beta, D by alpha -- this is what
-makes E0, F0 <= 0 and H_k monotone increasing to Phi, which the pairing
-with same-letter shifts provably violates).  The classical one-parameter
-method (SDA) is this iteration at alpha = beta: ``select_parameters``
-picks that pair for ``mode="sda"``, and no step reads the mode.
+(note the cross pairing read off K's blocks: D is shifted by alpha, A by
+beta -- this is what makes E0, F0 <= 0 and H_k monotone increasing to
+Phi, which the pairing with same-letter shifts provably violates).  The
+classical one-parameter method (SDA) is this iteration at alpha = beta:
+``select_parameters`` picks that pair for ``mode="sda"``, and no step
+reads the mode.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
@@ -33,12 +32,13 @@ inverts is a nonsingular M-matrix in theory and is solved by
 ``linalg._m_solve(M, *blocks)``, the core of ``linalg.m_solve``: it
 appends a column of ones, whose solution x = M^{-1} 1 certifies that
 kind and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a
-failed certificate in the initialization raises SingularMatrix.  The
-cross products are solved once, when their iterate is created, as
-(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], and the solutions are
-carried to the next step.  Only an uncertified cross product is
-classified, by ``mstruct.classify_zm``; the next step breaks down when
-that kind is singular or LAPACK found the matrix exactly singular.
+failed certificate on the shifted K of the initialization raises
+SingularMatrix.  The cross products are solved once, when their iterate
+is created, as (I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], and the
+solutions are carried to the next step.  Only an uncertified cross
+product is classified, by ``mstruct.classify_zm``; the next step breaks
+down when that kind is singular or LAPACK found the matrix exactly
+singular.
 """
 
 from __future__ import annotations
@@ -210,14 +210,6 @@ def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
     return out
 
 
-def _nonsingular_m_solve(M: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """``M^{-1} [blocks]`` for a matrix the theory makes a nonsingular M-matrix."""
-    X, _, certified = linalg._m_solve(M, *blocks)
-    if not certified:
-        raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
-    return X
-
-
 def _iterate(
     E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float, prev: DoublingState | None
 ) -> DoublingState:
@@ -249,33 +241,28 @@ def _iterate(
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
-    """Build the k = 0 iterate from the coefficient data.
+    """Build the k = 0 iterate from the blocks of Z = gamma (K + diag(alpha I, beta I))^{-1}.
 
-    Under the admissibility bounds on (alpha, beta) the initial blocks
-    satisfy E0 <= 0, F0 <= 0 and G0, H0 >= 0 up to round-off; violations
-    are counted in the diagnostics rather than silently dropped.
+    The shifted K is a nonsingular M-matrix for admissible (alpha, beta)
+    and is solved once, certified, by ``linalg._m_solve``; a failed
+    certificate raises SingularMatrix.  Under the admissibility bounds the
+    initial blocks satisfy E0 <= 0, F0 <= 0 and G0, H0 >= 0 up to
+    round-off; violations are counted in the diagnostics rather than
+    silently dropped.
     """
     select_parameters(p, (params.alpha, params.beta))
-    alpha, beta = params.alpha, params.beta
-    gamma = alpha + beta
-    As = p.A + beta * np.eye(p.m)
-    Ds = p.D + alpha * np.eye(p.n)
+    n = p.n
+    shifted = p.K + np.diag(np.repeat([params.alpha, params.beta], [n, p.m]))
     try:
-        # Ds^{-1} [C I] and W^{-1} [I B]: one solve each
-        Ds_inv_C_I = _nonsingular_m_solve(Ds, p.C, np.eye(p.n))
-        Ds_inv_C, Ds_inv = Ds_inv_C_I[:, : p.m], Ds_inv_C_I[:, p.m :]
-        As_inv_B = _nonsingular_m_solve(As, p.B)
-        W = As - p.B @ Ds_inv_C
-        V = Ds - p.C @ As_inv_B
-        W_inv_I_B = _nonsingular_m_solve(W, np.eye(p.m), p.B)
-        W_inv, W_inv_B = W_inv_I_B[:, : p.m], W_inv_I_B[:, p.m :]
-        E0 = np.eye(p.n) - gamma * _nonsingular_m_solve(V, np.eye(p.n))
-        F0 = np.eye(p.m) - gamma * W_inv
-        G0 = gamma * Ds_inv_C @ W_inv
-        H0 = gamma * W_inv_B @ Ds_inv
+        Z, _, certified = linalg._m_solve(shifted, np.eye(p.size))
+        if not certified:
+            raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
     except SingularMatrix as exc:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
-    return _iterate(E0, F0, G0, H0, sign_tol(p), None)
+    Z *= params.alpha + params.beta
+    E0 = np.eye(n) - Z[:n, :n]
+    F0 = np.eye(p.m) - Z[n:, n:]
+    return _iterate(E0, F0, Z[:n, n:], Z[n:, :n], sign_tol(p), None)
 
 
 def step(s: DoublingState) -> DoublingState:

@@ -228,7 +228,21 @@ class TestSolve:
         assert option in json.loads(out.report_json)["error"]
         assert out.trace_csv_path is None and not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "bc, reason",
+        [(3.0, "matrix fails its nonsingular M-matrix certificate"), (2.0, "matrix is exactly singular (Singular matrix)")],
+    )
+    def test_doubling_start_on_non_m_matrix_is_breakdown(self, tmp_path, bc, reason):
+        # K + diag(alpha I, beta I) = [[2, -bc], [-bc, 2]] is not a nonsingular M-matrix
+        path = tmp_path / "notm.json"
+        path.write_text(problem_to_json(MareProblem(n=1, m=1, A=[[1.0]], B=[[bc]], C=[[bc]], D=[[1.0]])))
+        out = execute(["solve", str(path)])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json) == {
+            "error": f"doubling initialization failed: {reason}",
+            "step": "SingularMatrix",
+        }
+
     def test_fixed_point_divergence_is_breakdown(self, divergent_file):
         out = execute(["solve", divergent_file, "--method", "fixed-point"])
         assert out.exit_code == 3
@@ -448,7 +462,6 @@ class TestOracle:
         out = execute(["oracle", critical_file, "--tol", "1e-12", "--max-iter", "50"])
         assert out.exit_code == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_is_breakdown(self, divergent_file):
         out = execute(["oracle", divergent_file])
         assert out.exit_code == 3

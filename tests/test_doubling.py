@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import inspect
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from marekit.errors import (
     NonpositiveDiagonal,
     SingularMatrix,
 )
+from marekit.linalg import EPS
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
 
@@ -104,7 +108,66 @@ class TestSelectParameters:
         assert str(info.value) == message
 
 
+def _ref_initial_blocks(p, params):
+    """The nested Schur-complement initialization that the one shifted-K solve replaced, as it was.
+
+    With As = A + beta I, Ds = D + alpha I, W = As - B Ds^{-1} C and
+    V = Ds - C As^{-1} B: E0 = I - gamma V^{-1}, F0 = I - gamma W^{-1},
+    G0 = gamma Ds^{-1} C W^{-1} and H0 = gamma W^{-1} B Ds^{-1}, from the
+    same four solves.
+    """
+
+    def solve_m(M, *blocks):
+        return linalg._m_solve(M, *blocks)[0]
+
+    alpha, beta = params.alpha, params.beta
+    gamma = alpha + beta
+    As = p.A + beta * np.eye(p.m)
+    Ds = p.D + alpha * np.eye(p.n)
+    Ds_inv_C_I = solve_m(Ds, p.C, np.eye(p.n))
+    Ds_inv_C, Ds_inv = Ds_inv_C_I[:, : p.m], Ds_inv_C_I[:, p.m :]
+    As_inv_B = solve_m(As, p.B)
+    W = As - p.B @ Ds_inv_C
+    V = Ds - p.C @ As_inv_B
+    W_inv_I_B = solve_m(W, np.eye(p.m), p.B)
+    W_inv, W_inv_B = W_inv_I_B[:, : p.m], W_inv_I_B[:, p.m :]
+    return (
+        np.eye(p.n) - gamma * solve_m(V, np.eye(p.n)),
+        np.eye(p.m) - gamma * W_inv,
+        gamma * Ds_inv_C @ W_inv,
+        gamma * W_inv_B @ Ds_inv,
+    )
+
+
+def _bench_problems(seed):
+    """The sweep-small, solve-large and crosscheck problems of the benchmark at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # its dataclasses look their module up there
+    spec.loader.exec_module(bench)
+    return [
+        MareProblem(n=b.n, m=b.m, A=b.A, B=b.B, C=b.C, D=b.D)
+        for workload in ("sweep-small", "solve-large", "crosscheck")
+        for b in bench.generate(workload, seed)
+    ]
+
+
 class TestInitialize:
+    def test_blocks_match_nested_schur_complements(self, noncritical_suite, nonsingular_suite):
+        # the blocks of gamma (K + diag(alpha I, beta I))^{-1} are gamma V^{-1},
+        # gamma Ds^{-1} C W^{-1}, gamma W^{-1} B Ds^{-1} and gamma W^{-1}; the
+        # largest ratio seen over these problems is about 9.1
+        problems = noncritical_suite + nonsingular_suite + _reducible_problems(29, 300) + _bench_problems(13)
+        worst = 0.0
+        for p in problems:
+            for params in (select_parameters(p), select_parameters(p, mode=MODE_SDA)):
+                st0 = initialize(p, params)
+                for new, ref in zip((st0.E, st0.F, st0.G, st0.H), _ref_initial_blocks(p, params)):
+                    assert new.shape == ref.shape
+                    worst = max(worst, linalg.one_norm(new - ref) / (EPS * max(1.0, linalg.one_norm(ref))))
+        assert worst <= 64.0
+
     def test_scalar_critical_worked_values(self, scalar_critical):
         st0 = initialize(scalar_critical, DoublingParams(1.0, 1.0))
         assert st0.E[0, 0] == pytest.approx(-1 / 3, abs=1e-15)
@@ -224,9 +287,9 @@ class TestCarriedFactors:
             rep = doubling.solve(p)
             assert rep.iterations >= 1
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
-            # initialize solves Ds^{-1} [C I 1], As^{-1} [B 1], W^{-1} [I B 1],
-            # V^{-1} [I 1] and the two cross products of the first iterate
-            assert counts[0][1] == {"m_solve": 6, "classify_zm": 0}
+            # initialize solves (K + diag(alpha I, beta I))^{-1} [I 1] and the
+            # two cross products of the first iterate
+            assert counts[0][1] == {"m_solve": 3, "classify_zm": 0}
             # a step solves the new iterate's (I-GH)^{-1} [E G 1] and
             # (I-HG)^{-1} [F H 1], whose certificates settle both kinds
             assert all(delta == {"m_solve": 2, "classify_zm": 0} for _, delta in counts[1:])
@@ -488,6 +551,66 @@ class TestRateIdentity:
             cert = dataclasses.replace(rep.certificate, **{field: -5.0})
             with pytest.raises(SingularMatrix):
                 theoretical_rate(scalar_nonsingular, cert, rep.params)
+
+
+def _mp_doubling(p, params, dps=50):
+    """Phi and Psi by the same doubling iteration in ``dps``-digit mpmath arithmetic.
+
+    The blocks are numpy object arrays of mpf, inverted by ``mpmath.inverse``.
+    The iteration stops when H and G move by less than 10^(10 - dps) of
+    their size.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+
+        def mp_array(M):
+            return np.array([[mpmath.mpf(float(x)) for x in row] for row in np.asarray(M)], dtype=object)
+
+        def inv(M):
+            return np.array(mpmath.inverse(mpmath.matrix(M.tolist())).tolist(), dtype=object)
+
+        def norm(M):
+            return max(abs(x) for x in M.flat)
+
+        n, m = p.n, p.m
+        alpha, beta = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        shifted = mp_array(p.K) + np.diag([alpha] * n + [beta] * m)
+        Z = (alpha + beta) * inv(shifted)
+        I_n, I_m = mp_array(np.eye(n)), mp_array(np.eye(m))
+        E, F, G, H = I_n - Z[:n, :n], I_m - Z[n:, n:], Z[:n, n:], Z[n:, :n]
+        small = mpmath.mpf(10) ** (10 - dps)
+        for _ in range(80):
+            igh_inv, ihg_inv = inv(I_n - G @ H), inv(I_m - H @ G)
+            E, F, G_new, H_new = E @ igh_inv @ E, F @ ihg_inv @ F, G + E @ igh_inv @ G @ F, H + F @ ihg_inv @ H @ E
+            done = norm(H_new - H) <= small * max(1, norm(H_new)) and norm(G_new - G) <= small * max(1, norm(G_new))
+            G, H = G_new, H_new
+            if done:
+                return H.astype(np.float64), G.astype(np.float64)
+    raise AssertionError("the mpmath doubling did not converge")
+
+
+class TestHighPrecisionReference:
+    """phi and psi are within 1e-13 of a 50-digit doubling run from the same data."""
+
+    def test_forward_error(self, nonsingular_suite, noncritical_suite, reducible_singular):
+        sda = select_parameters(noncritical_suite[30], mode=MODE_SDA)
+        cases = [
+            (nonsingular_suite[9], None),
+            (nonsingular_suite[11], None),
+            (noncritical_suite[16], None),
+            (noncritical_suite[30], None),
+            (noncritical_suite[30], sda),
+            # reducible K: three blocks, singular noncritical
+            (_reducible_problems(29, 60)[54], None),
+            # reducible K with B = 0, so Phi = 0
+            (reducible_singular, None),
+        ]
+        for p, params in cases:
+            rep = solve(p, params)
+            phi_ref, psi_ref = _mp_doubling(p, rep.params)
+            for got, ref in ((rep.phi, phi_ref), (rep.psi, psi_ref)):
+                scale = linalg.one_norm(ref)
+                assert linalg.one_norm(got - ref) <= 1e-13 * (scale if scale > 0 else 1.0)
 
 
 class TestTraceCsv:
