@@ -31,14 +31,28 @@ silently ignores a structural violation.  Every matrix M the iteration
 inverts is a nonsingular M-matrix in theory and is solved by
 ``linalg._m_solve(M, *blocks)``, the core of ``linalg.m_solve``: it
 appends a column of ones, whose solution x = M^{-1} 1 certifies that
-kind and gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a
-failed certificate on the shifted K of the initialization raises
-SingularMatrix.  The cross products are solved once, when their iterate
-is created, as (I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], and the
-solutions are carried to the next step.  Only an uncertified cross
-product is classified, by ``mstruct.classify_zm``; the next step breaks
-down when that kind is singular or LAPACK found the matrix exactly
-singular.
+kind (``linalg._certifies``) and gives 1 / ||M^{-1}||_inf, the ``dist``
+of the diagnostics; a failed certificate on the shifted K of the
+initialization raises SingularMatrix.
+
+Each iterate's I - G H, of order n, is inverted once, when the iterate
+is created, and W = (I - G H)^{-1} is carried to the next step.  The
+push-through identity
+
+    (I - H G)^{-1} = I + H W G,    so    (I - H G)^{-1} H = H W,
+
+turns the step into products only:
+
+    E+ = (E W) E                  G+ = G + (E W)(G F)
+    F+ = F F + (F H W)(G F)       H+ = H + (F H W) E.
+
+Both terms of F+ carry F on each side, so they are nonnegative at every
+step (F <= 0 at k = 0, F >= 0 after) and their sum does not cancel.
+I - H G is formed but not solved: x2 = 1 + H (W (G 1)) is its
+(I - H G)^{-1} 1, which certifies it and gives its ``dist``.  Only an
+uncertified cross product is classified, by ``mstruct.classify_zm``; the
+next step breaks down when that kind is singular or LAPACK found I - G H
+exactly singular.
 """
 
 from __future__ import annotations
@@ -144,10 +158,10 @@ class StepDiagnostics:
 class DoublingState:
     """Iterate (E, F, G, H) at step k, plus the diagnostics of this step.
 
-    ``solves`` carries (I - G H)^{-1} [E G] and (I - H G)^{-1} [F H] at
-    this iterate, as computed with its diagnostics, so that ``step`` does
-    not solve them again; an entry is None when LAPACK found its matrix
-    exactly singular.  Every state is built by ``_iterate``.
+    ``solves`` carries W = (I - G H)^{-1} at this iterate, as computed with
+    its diagnostics, so that ``step`` does not invert it again; it is None
+    when LAPACK found I - G H exactly singular.  (I - H G)^{-1} is
+    I + H W G and is never formed.  Every state is built by ``_iterate``.
     """
 
     k: int
@@ -157,7 +171,7 @@ class DoublingState:
     H: np.ndarray
     diagnostics: StepDiagnostics
     tau_sign: float
-    solves: tuple[np.ndarray | None, np.ndarray | None]
+    solves: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -191,23 +205,34 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
-def _cross_solves(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray):
-    """(I - G H)^{-1} [E G] and (I - H G)^{-1} [F H], each as (solution, dist, kind).
+def _cross_solves(G: np.ndarray, H: np.ndarray):
+    """W = (I - G H)^{-1}, and (dist, kind) of I - G H and of I - H G.
 
-    Only a matrix whose certificate fails is classified by ``mstruct.classify_zm``;
-    the solution is None and dist 0 when LAPACK finds it exactly singular.
+    One certified solve, ``linalg._m_solve(I - G H, I)``, gives W and
+    certifies I - G H through x1 = W 1.  I - H G is formed, not solved:
+    x2 = 1 + H (W (G 1)) is (I - H G)^{-1} 1 by the push-through identity,
+    ``linalg._certifies`` judges it, and its dist is 1 / max|x2|.  Only a
+    matrix whose certificate fails is classified by ``mstruct.classify_zm``;
+    W is None and both dists are 0 when LAPACK finds I - G H exactly
+    singular.
     """
-    out = []
-    for M, rhs in ((G @ H, (E, G)), (H @ G, (F, H))):
+    igh, ihg = G @ H, H @ G
+    for M in (igh, ihg):
         # I - M in the product's own buffer: 0 - M, then 1 added on the diagonal
         np.subtract(0.0, M, out=M)
         M.reshape(-1)[:: len(M) + 1] += 1.0
-        try:
-            X, dist, certified = linalg._m_solve(M, *rhs)
-        except SingularMatrix:
-            X, dist, certified = None, 0.0, False
-        out.append((X, dist, MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind))
-    return out
+    try:
+        W, dist_igh, certified_igh = linalg._m_solve(igh, np.eye(len(igh)))
+    except SingularMatrix:
+        W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
+    else:
+        x2 = 1.0 + H @ (W @ G.sum(axis=1))
+        dist_ihg, certified_ihg = 1.0 / float(np.abs(x2).max()), linalg._certifies(ihg, x2)
+    kinds = [
+        MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind
+        for M, certified in ((igh, certified_igh), (ihg, certified_ihg))
+    ]
+    return W, (dist_igh, kinds[0]), (dist_ihg, kinds[1])
 
 
 def _iterate(
@@ -215,9 +240,9 @@ def _iterate(
 ) -> DoublingState:
     """The state of (E, F, G, H): the iterate after ``prev``, or the initial one for None.
 
-    Its cross products are solved here, once, and carried in ``solves``.
+    Its W = (I - G H)^{-1} is computed here, once, and carried in ``solves``.
     """
-    (X_igh, dist_igh, kind_igh), (X_ihg, dist_ihg, kind_ihg) = _cross_solves(E, F, G, H)
+    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H)
     if prev is None:
         k, dH, dG, mono = 0, math.nan, math.nan, 0
         sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
@@ -237,7 +262,7 @@ def _iterate(
         sign_violations_F=int(sign_F),
         monotonicity_violations=int(mono),
     )
-    return DoublingState(k, E, F, G, H, diag, tau, (X_igh, X_ihg))
+    return DoublingState(k, E, F, G, H, diag, tau, W)
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
@@ -266,29 +291,32 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
 
 
 def step(s: DoublingState) -> DoublingState:
-    """One doubling step:
+    """One doubling step, with W = (I - G H)^{-1} carried by ``s``:
 
-        E+ = E (I - G H)^{-1} E          F+ = F (I - H G)^{-1} F
-        G+ = G + E (I - G H)^{-1} G F    H+ = H + F (I - H G)^{-1} H E
+        E+ = E (I - G H)^{-1} E  = (E W) E
+        F+ = F (I - H G)^{-1} F  = F F + (F H W)(G F)
+        G+ = G + E (I - G H)^{-1} G F  = G + (E W)(G F)
+        H+ = H + F (I - H G)^{-1} H E  = H + (F H W) E
 
-    Raises IterationBreakdown when I - G H or I - H G is exactly singular
-    to LAPACK or, failing its certificate, classifies as a singular
-    M-matrix, which signals that the problem sits outside the guaranteed
-    regimes (e.g. a critical problem near convergence).
+    by the push-through identity (I - H G)^{-1} = I + H W G, so the step
+    runs products only.  Raises IterationBreakdown when I - G H is exactly
+    singular to LAPACK or I - G H or I - H G, failing its certificate,
+    classifies as a singular M-matrix, which signals that the problem sits
+    outside the guaranteed regimes (e.g. a critical problem near
+    convergence).
     """
-    E, F, G, H = s.E, s.F, s.G, s.H
-    X_igh, X_ihg = s.solves
+    E, F, G, H, W = s.E, s.F, s.G, s.H, s.solves
     kind_igh, kind_ihg = s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
-    if X_igh is None or X_ihg is None or MatrixKind.SINGULAR_M in (kind_igh, kind_ihg):
+    if W is None or MatrixKind.SINGULAR_M in (kind_igh, kind_ihg):
         raise IterationBreakdown(
             f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
         )
-    igh_inv_E, igh_inv_G = X_igh[:, : len(E)], X_igh[:, len(E) :]
-    ihg_inv_F, ihg_inv_H = X_ihg[:, : len(F)], X_ihg[:, len(F) :]
-    E_new = E @ igh_inv_E
-    F_new = F @ ihg_inv_F
-    G_new = G + E @ igh_inv_G @ F
-    H_new = H + F @ ihg_inv_H @ E
+    EW, GF = E @ W, G @ F
+    FHW = F @ H @ W
+    E_new = EW @ E
+    F_new = F @ F + FHW @ GF
+    G_new = G + EW @ GF
+    H_new = H + FHW @ E
     if not (np.isfinite(H_new).all() and np.isfinite(G_new).all()):
         raise IterationBreakdown(f"nonfinite iterate at step {s.k + 1}")
     # In singular regimes one of E, F legitimately diverges like rho^(2^k)

@@ -147,9 +147,20 @@ def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, boo
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
+    return sol[:, :-1], 1.0 / float(np.abs(x).max()), _certifies(A, x)
+
+
+def _certifies(A: np.ndarray, x: np.ndarray) -> bool:
+    """True when x certifies the square float64 A a nonsingular M-matrix.
+
+    A Z-matrix is one exactly when some x > 0 has A x > 0; the computed
+    A x must exceed its rounding margin (n + 2) eps |A| x in every row.
+    This is the one home of that rule: ``_m_solve`` applies it to
+    x = A^{-1} 1, and the doubling to a vector it derives for a matrix it
+    does not solve.
+    """
     n = A.shape[0]
-    certified = bool(_is_z(A) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
-    return sol[:, :-1], 1.0 / float(np.abs(x).max()), certified
+    return bool(_is_z(A) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
 
 
 # ---------------------------------------------------------------------------
