@@ -30,7 +30,6 @@ from .mstruct import (
     MClassification,
     NullPair,
     classify_zm,
-    regularity_witness,
 )
 from .problem import (
     Certificate,
@@ -101,7 +100,6 @@ __all__ = [
     "observed_rate",
     "problem_from_json",
     "problem_to_json",
-    "regularity_witness",
     "residual_dual",
     "residual_primal",
     "select_parameters",

@@ -415,8 +415,8 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     """Convergence factor r(alpha, beta) from the certified gaps of the closing matrices.
 
     With tau(R) and tau(S) the smallest real eigenvalues of R and S, the
-    gaps ``cert.r_gap`` and ``cert.s_gap`` (Wang, Wang & Li, SIMAX 33
-    (2012) 170-194),
+    gaps ``cert.r_class.gap`` and ``cert.s_class.gap`` (Wang, Wang & Li,
+    SIMAX 33 (2012) 170-194),
 
         r(alpha, beta) = (beta - tau(R)) / (alpha + tau(R))
                        * (alpha - tau(S)) / (beta + tau(S)).
@@ -432,7 +432,7 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     """
     select_parameters(p, (params.alpha, params.beta))
     alpha, beta = params.alpha, params.beta
-    tau_r, tau_s = cert.r_gap, cert.s_gap
+    tau_r, tau_s = cert.r_class.gap, cert.s_class.gap
     if not (alpha + tau_r > 0.0 and beta + tau_s > 0.0):
         raise SingularMatrix(
             f"R + alpha I or S + beta I is not a nonsingular M-matrix (gaps {tau_r:.3e}, {tau_s:.3e})"

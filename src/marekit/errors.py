@@ -10,7 +10,7 @@ class ShapeMismatch(MareError):
 
 
 class SingularMatrix(MareError):
-    """A factorization or linear solve met a pivot below tolerance."""
+    """LAPACK found a matrix exactly singular, or an M-matrix certificate failed."""
 
 
 class NoConvergence(MareError):

@@ -35,11 +35,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
     This is the input check of the public entry points: ``m_solve``,
     ``perron_pair``, ``spectral_radius_nonneg`` and ``irreducible_blocks``
-    here, the public functions of ``mstruct``, the problem model, its
-    candidate solutions and its JSON loaders.  ``m_solve``,
-    ``perron_pair``, ``irreducible_blocks`` and ``classify_zm`` are this
-    check plus a call to a private core (``_m_solve``, ``_perron_pair``,
-    ...) that does only the work.  The cores trust their callers to pass
+    here, ``classify_zm`` and ``block_null_pairs`` in ``mstruct``, the
+    problem model, its candidate solutions and its JSON loaders.
+    ``m_solve``, ``perron_pair``, ``irreducible_blocks`` and
+    ``classify_zm`` are this check plus a call to a private core
+    (``_m_solve``, ``_perron_pair``, ...) that does only the work.  The cores trust their callers to pass
     float64 arrays that have passed it, and the package's own callers do.
     """
     try:
@@ -103,10 +103,10 @@ def _is_z(A: np.ndarray) -> bool:
     return n == 1 or bool(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].max() <= 0.0)
 
 
-def _with_ones(*blocks: np.ndarray) -> np.ndarray:
-    """``[blocks 1]``: the blocks side by side (a vector is one column) and a column of ones."""
+def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
+    """``[blocks 1]`` of ``rows`` rows: the blocks side by side (a vector is one column), then ones."""
     cols = [b[:, None] if b.ndim == 1 else b for b in blocks]
-    out = np.empty((cols[0].shape[0], sum(c.shape[1] for c in cols) + 1))
+    out = np.empty((rows, sum(c.shape[1] for c in cols) + 1))
     j = 0
     for c in cols:
         out[:, j : j + c.shape[1]] = c
@@ -134,16 +134,17 @@ def m_solve(M, rhs):
 def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """The core of ``m_solve``: ``(A^{-1} [blocks], dist, certified)``.
 
-    It builds ``[blocks 1]`` (``_with_ones``; a vector block is one column)
-    and solves it once; x is the last column of that solution and is not
-    returned.  A must be a square float64 array with as many rows as each
-    block.  Its entries are checked to be finite here (ValueError), as the
-    package's callers form it by arithmetic.
+    It builds ``[blocks 1]`` (``_with_ones``; a vector block is one column,
+    and with no block it is the ones column alone) and solves it once; x is
+    the last column of that solution and is not returned.  A must be a
+    square float64 array with as many rows as each block.  Its entries are
+    checked to be finite here (ValueError), as the package's callers form
+    it by arithmetic.
     """
     if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN or Inf entries")
     try:
-        sol = np.linalg.solve(A, _with_ones(*blocks))
+        sol = np.linalg.solve(A, _with_ones(A.shape[0], *blocks))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]

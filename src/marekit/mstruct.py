@@ -22,25 +22,23 @@ Regularity follows from the same blocks: an M-matrix has a v > 0 with
 M v >= 0 exactly when each of its singular blocks is final, that is zero
 in its rows outside the block.  A coupled singular block b with left
 Perron vector u > 0 gives u (M v)_b = u M_b,rest v_rest < 0 for every
-v > 0; with every singular block final, their Perron vectors and one
-solve on the nonsingular rest build such a v.  The verdict
-(``MClassification.regular``) needs no solve; ``regularity_witness``
-builds v for a caller that wants it.  Each solve on the nonsingular rest
-is one ``linalg._m_solve(M_NN, rhs)``, the core of ``linalg.m_solve``,
-which appends the column of ones whose solution M_NN^{-1} 1 certifies
-M_NN.  ``problem.classify_problem`` asks for v only on a nonsingular K,
-where that certificate is the verdict's only one; on a singular K,
-``block_null_pairs`` certifies the same M_NN with the same column.
+v > 0.  With every singular block final, v is each one's Perron vector
+there and v_N = M_NN^{-1} (1 - M_NS v_S) >= M_NN^{-1} 1 > 0 on the
+nonsingular rest N, S the singular blocks.  So the verdict
+(``MClassification.regular``) needs no solve; what it leaves to certify
+is M_NN.
 
-So does the kernel, whose one entry point is
-``block_null_pairs(K, n, classify_zm(K))``.  With S the singular blocks
-and N the nonsingular rest, a singular block b has the kernel pair
-v = (x_b on b, -M_NN^-1 M_Nb x_b on N) and u = (y_b on b,
--(y_b M_bN) M_NN^-1 on N), zero on the other singular blocks, x_b and
+``block_null_pairs(K, n, classify_zm(K))`` certifies it, for every
+M-matrix K, and builds the kernel.  A singular block b has the kernel
+pair v = (x_b on b, -K_NN^-1 K_Nb x_b on N) and u = (y_b on b,
+-(y_b K_bN) K_NN^-1 on N), zero on the other singular blocks, x_b and
 y_b its right and left Perron vectors.  These are exact kernel vectors
 when b is the only singular block, or when every singular block is
 final: no cycle runs from b through N back to b, so the Schur complement
-of M_NN leaves M_bb alone.
+of K_NN leaves K_bb alone.  Every block's right-hand side goes into one
+certified solve on K_NN, ``linalg._m_solve``, whose column of ones
+certifies K_NN; its left ones into one on K_NN^T.  A nonsingular K is
+all rest: its one solve is the certified K^{-1} 1.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ class MClassification:
     def regular(self) -> bool:
         """M is an M-matrix whose singular irreducible blocks are all final.
 
-        Exactly then some v > 0 has M v >= 0 (``regularity_witness``).
+        Exactly then some v > 0 has M v >= 0 (see the module docstring).
         """
         if self.kind is MatrixKind.NONSINGULAR_M:
             return True
@@ -189,59 +187,6 @@ def gap_kind(gap: float, tol: float) -> MatrixKind:
 
 
 # ---------------------------------------------------------------------------
-# Regularity: does some v > 0 satisfy M v >= 0?
-# ---------------------------------------------------------------------------
-
-
-def regularity_witness(M, classification: MClassification) -> np.ndarray | None:
-    """Search for a positive v with M v >= 0, by the irreducible blocks of M.
-
-    An M-matrix M is regular exactly when each of its singular irreducible
-    diagonal blocks is final: zero in its rows outside the block
-    (``MClassification.regular``).  If a singular block b has a coupling,
-    take u > 0 its left Perron vector (u M_bb = 0); then u (M v)_b =
-    u M_b,rest v_rest < 0 for every v > 0, as M_b,rest <= 0 is nonzero, so
-    some (M v)_i < 0.  If every singular block is final, v is each one's
-    Perron vector there (M_bb v_b = 0), and on the rest N, whose blocks are
-    all nonsingular, v_N = M_NN^{-1} (1 - M_NS v_S) >= M_NN^{-1} 1 > 0, S
-    the singular blocks, so (M v)_N = 1.
-
-    The blocks, their kinds and Perron vectors (scaled to min 1) are those
-    of ``classification``, which ``classify_zm(M)`` made.  A nonsingular M
-    has no singular block, so v = M^{-1} 1.  ``linalg.m_solve`` certifies
-    M_NN and v_N > 0, or SingularMatrix is raised.  Returns v, or None
-    when M is not regular.
-    """
-    A = as_square(M)
-    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
-        raise ValueError("regularity is defined for M-matrices only")
-    if not classification.regular:
-        return None
-    size = A.shape[0]
-    if classification.kind is MatrixKind.NONSINGULAR_M:
-        return _positive_solve(A, np.ones(size))
-    v = np.ones(size)
-    final = np.zeros(size, dtype=bool)
-    for blk in classification.singular_blocks:
-        v[blk.index] = blk.perron / blk.perron.min()
-        final[blk.index] = True
-    rest = ~final
-    if rest.any():
-        rows = A[rest]
-        v[rest] = _positive_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
-    return v
-
-
-def _positive_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^{-1} rhs, once ``linalg._m_solve`` certifies A and the solution is positive."""
-    X, _, certified = linalg._m_solve(A, rhs)
-    x = X[:, 0]
-    if not (certified and (x > 0.0).all()):
-        raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Null vectors and drift
 # ---------------------------------------------------------------------------
 
@@ -260,52 +205,61 @@ class NullPair:
     drift: float
 
 
-def _block_pair(K: np.ndarray, n: int, blk: IrreducibleBlock, rest: np.ndarray) -> NullPair:
-    """The kernel pair of K from its singular block ``blk``; ``rest`` marks the nonsingular blocks."""
-    b = blk.index
-    y = linalg._perron_pair(_split(K[np.ix_(b, b)].T)[1])[1]
-    v = np.zeros(K.shape[0])
-    u = np.zeros(K.shape[0])
-    v[b], u[b] = blk.perron, y
-    if rest.any():
-        K_NN = K[np.ix_(rest, rest)]
-        right_sol, _, right = linalg._m_solve(K_NN, -(K[np.ix_(rest, b)] @ blk.perron))
-        # a row-major transpose, so that its certificate's products round as every other's
-        left_sol, _, left = linalg._m_solve(K_NN.T.copy(), -(y @ K[np.ix_(b, rest)]))
-        v[rest], u[rest] = right_sol[:, 0], left_sol[:, 0]
-        if not (right and left):
-            raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
-    v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
-    v, u = v / v.sum(), u / u.sum()
-    tol = null_tol(K)
-    if inf_norm(K @ v) > tol or inf_norm(u @ K) > tol:
-        raise AmbiguousKernel("kernel residual exceeds tolerance")
-    return NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:]))
+def _solve_rest(K_NN: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """K_NN^{-1} [blocks], once ``linalg._m_solve`` certifies K_NN (SingularMatrix otherwise)."""
+    X, _, certified = linalg._m_solve(K_NN, *blocks)
+    if not certified:
+        raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
+    return X
 
 
 def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPair]:
-    """One kernel pair of the M-matrix K per singular irreducible block, split at n.
+    """Certify K's nonsingular rest N; one kernel pair of K per singular irreducible block, split at n.
 
-    The blocks and their right Perron vectors are those of
-    ``classification``, which ``classify_zm(K)`` made; each block's left
-    Perron vector is one more run of Noda's iteration, on the transpose of
-    its split.  The rest N is solved by one certified ``linalg.m_solve``
-    on K_NN and one on K_NN^T (SingularMatrix where either fails); for a
-    final block the second returns zero.  The pairs are kernel vectors of
-    K when there is one singular block or every singular block is final,
-    and each is checked against ``null_tol`` (AmbiguousKernel otherwise).
-    The vectors are returned nonnegative with unit 1-norm, tiny negative
-    round-off clamped to zero; a nonsingular K has no pair.  Raises
-    ValueError when n is outside [0, size] or ``classification`` is not
-    of an M-matrix.
+    The blocks and their right Perron vectors x_b are those of
+    ``classification``, which ``classify_zm(K)`` made; each left Perron
+    vector y_b is one more run of Noda's iteration, on the transpose of
+    the block's split.  N is solved by at most two certified
+    ``linalg._m_solve`` calls, whatever the number of blocks: one on K_NN
+    with every -K_Nb x_b stacked, and one on K_NN^T with every -y_b K_bN
+    (SingularMatrix where either fails to certify).  A nonsingular K is
+    all of N: its one solve is K^{-1} 1, and it has no pair.  The pairs
+    are kernel vectors of K when there is one singular block or every
+    singular block is final, and each is checked against ``null_tol``
+    (AmbiguousKernel otherwise).  They are returned nonnegative with unit
+    1-norm, tiny negative round-off clamped to zero.  Raises ValueError
+    when n is outside [0, size] or ``classification`` is not of an
+    M-matrix.
     """
     A = as_square(K)
-    if not 0 <= n <= A.shape[0]:
-        raise ValueError(f"split index {n} outside [0, {A.shape[0]}]")
+    size = A.shape[0]
+    if not 0 <= n <= size:
+        raise ValueError(f"split index {n} outside [0, {size}]")
     if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
         raise ValueError("null vectors are defined for M-matrices only")
     singular = classification.singular_blocks
-    rest = np.ones(A.shape[0], dtype=bool)
+    if not singular:
+        _solve_rest(A)
+        return []
+    rest = np.ones(size, dtype=bool)
     for blk in singular:
         rest[blk.index] = False
-    return [_block_pair(A, n, blk, rest) for blk in singular]
+    lefts = [linalg._perron_pair(_split(A[np.ix_(b.index, b.index)].T)[1])[1] for b in singular]
+    right = left = np.zeros((0, len(singular)))
+    if rest.any():
+        K_NN = A[np.ix_(rest, rest)]
+        right = _solve_rest(K_NN, *(-(A[np.ix_(rest, b.index)] @ b.perron) for b in singular))
+        # a row-major transpose, so that its certificate's products round as every other's
+        left = _solve_rest(K_NN.T.copy(), *(-(y @ A[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
+    tol = null_tol(A)
+    pairs = []
+    for i, (blk, y) in enumerate(zip(singular, lefts)):
+        v, u = np.zeros(size), np.zeros(size)
+        v[blk.index], u[blk.index] = blk.perron, y
+        v[rest], u[rest] = right[:, i], left[:, i]
+        v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
+        v, u = v / v.sum(), u / u.sum()
+        if inf_norm(A @ v) > tol or inf_norm(u @ A) > tol:
+            raise AmbiguousKernel("kernel residual exceeds tolerance")
+        pairs.append(NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:])))
+    return pairs

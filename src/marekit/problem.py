@@ -10,8 +10,9 @@ radius of Phi.Psi, and the singular/nonsingular dichotomy of R and S.
 The regime, the drift and the multiplicity of the sign-flipped matrix's
 zero eigenvalue are all read off the irreducible diagonal blocks of K
 (``mstruct.classify_zm``): the kernel pair of a singular block is its
-Perron vectors and one certified solve on the nonsingular rest, and the
-zero eigenvalue is simple or double as the drift is nonzero or zero.
+Perron vectors and its columns of the certified solves on the nonsingular
+rest, one per side for all blocks, and the zero eigenvalue is simple or
+double as the drift is nonzero or zero.
 
 The JSON problem format accepted here is the package's on-disk contract:
 
@@ -225,33 +226,31 @@ def classify_problem(p: MareProblem) -> ProblemClass:
     Everything is read off the irreducible diagonal blocks of K, which
     ``mstruct.classify_zm`` classifies with their Perron vectors in one
     pass.  K must be an M-matrix and regular (``k_class.regular``,
-    otherwise NotRegular).  A nonsingular K is NonsingularK, r = 0; its
-    one solve, the certified M^{-1} 1 of ``mstruct.regularity_witness``,
-    raises SingularMatrix where it cannot certify the verdict.  The
-    sign-flipped matrix H = diag(I_n, -I_m) K has the kernel of K.  A
-    singular block contributes one eigenvector of H and a Jordan chain of
-    length 1 when the drift of its kernel pair exceeds ``TAU_DRIFT`` in
-    modulus, 2 when it does not; ``mstruct.block_null_pairs`` certifies
-    the solves on K's nonsingular blocks (SingularMatrix otherwise).  A
-    regular K with two or more singular blocks is AssumptionFails; with
-    one, the drift separates SingularNoncritical (r = 1) from Critical
-    (r = 2).
+    otherwise NotRegular; r is None for a non-M K and for a non-regular
+    K with two or more singular blocks).  Every other K goes through
+    ``mstruct.block_null_pairs``, which certifies the solve on K's
+    nonsingular blocks (SingularMatrix otherwise) and gives one kernel
+    pair per singular block.  The sign-flipped matrix H = diag(I_n, -I_m)
+    K has the kernel of K.  A singular block contributes one eigenvector
+    of H and a Jordan chain of length 1 when the drift of its kernel pair
+    exceeds ``TAU_DRIFT`` in modulus, 2 when it does not; r sums them.  A
+    nonsingular K has no pair: NonsingularK, r = 0.  A regular K with two
+    or more singular blocks is AssumptionFails; with one, the drift
+    separates SingularNoncritical (r = 1) from Critical (r = 2).
     """
     K = p.K
     k_class = mstruct.classify_zm(K)
-
-    if k_class.kind == MatrixKind.NONSINGULAR_M:
-        mstruct.regularity_witness(K, k_class)
-        return ProblemClass(k_class, 0, None, Regime.NONSINGULAR_K)
-    if k_class.kind != MatrixKind.SINGULAR_M:
-        return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
-    if not k_class.regular and len(k_class.singular_blocks) > 1:
+    if k_class.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M) or (
+        not k_class.regular and len(k_class.singular_blocks) > 1
+    ):
         return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
 
     pairs = mstruct.block_null_pairs(K, p.n, k_class)
     r = sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs)
     nulls = pairs[0] if len(pairs) == 1 else None
-    if not k_class.regular:
+    if not pairs:
+        regime = Regime.NONSINGULAR_K
+    elif not k_class.regular:
         regime = Regime.NOT_REGULAR
     elif nulls is None:
         regime = Regime.ASSUMPTION_FAILS
@@ -282,12 +281,12 @@ class Certificate:
     """Measured evidence that (phi, psi) solve the problem as the theory says.
 
     R and S are the closing matrices D - C.phi and A - B.psi exactly as
-    computed.  ``r_gap``/``s_gap`` are their certified gaps s - rho(B) of
-    ``mstruct.classify_zm``: on a Z-matrix, which R and S are, the gap is
-    the smallest real eigenvalue tau.  ``r_singular``/``s_singular`` say
-    that the gap is zero to 1e-8 times the scale of the closing matrix's
-    operands.  ``checks`` record the five certificate clauses, each with
-    its measured value.
+    computed, and ``r_class``/``s_class`` their ``mstruct.classify_zm``,
+    with the irreducible blocks.  Their certified gaps s - rho(B) are, on
+    a Z-matrix, which R and S are, the smallest real eigenvalue tau.
+    ``r_singular``/``s_singular`` say that the gap is zero to 1e-8 times
+    the scale of the closing matrix's operands.  ``checks`` record the
+    five certificate clauses, each with its measured value.
     """
 
     phi: np.ndarray
@@ -298,12 +297,10 @@ class Certificate:
     residual_dual: float
     similarity_residual: float
     rho_phi_psi: float
-    r_gap: float
-    s_gap: float
+    r_class: MClassification
+    s_class: MClassification
     r_singular: bool
     s_singular: bool
-    i_phipsi_kind: MatrixKind
-    i_psiphi_kind: MatrixKind
     checks: tuple[CheckResult, ...]
 
     @property
@@ -374,11 +371,10 @@ def make_certificate(
     res_p = _residual(phi_m, p.A, p.B, p.C, p.D)
     res_d = _residual(psi_m, p.D, p.C, p.B, p.A)
 
-    # in the split of I - Phi Psi and of I - Psi Phi the gap is 1 - rho(Phi Psi)
+    # in the split of I - Phi Psi the gap is 1 - rho(Phi Psi)
     phi_psi = phi_m @ psi_m
     rho = linalg.spectral_radius_nonneg(phi_psi)
     i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.m) - phi_psi))
-    i_psiphi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.n) - psi_m @ phi_m))
 
     R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m)
     S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m)
@@ -448,12 +444,10 @@ def make_certificate(
         residual_dual=res_d,
         similarity_residual=sim_res,
         rho_phi_psi=rho,
-        r_gap=r_cls.gap,
-        s_gap=s_cls.gap,
+        r_class=r_cls,
+        s_class=s_cls,
         r_singular=r_sing,
         s_singular=s_sing,
-        i_phipsi_kind=i_phipsi_kind,
-        i_psiphi_kind=i_psiphi_kind,
         checks=tuple(checks),
     )
 

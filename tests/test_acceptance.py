@@ -95,8 +95,8 @@ def test_criterion_3_worked_critical(scalar_critical):
         assert iterates[2] == pytest.approx(8 / 9, abs=1e-14)
         cert = make_certificate(scalar_critical, [[1.0]], [[1.0]], problem_class=pc)
         assert cert.rho_phi_psi == pytest.approx(1.0, abs=1e-12)
-        assert cert.i_phipsi_kind is MatrixKind.SINGULAR_M
-        assert cert.i_psiphi_kind is MatrixKind.SINGULAR_M
+        rho_check = next(c for c in cert.checks if c.name == "i-minus-phipsi-nonsingular")
+        assert rho_check.detail == "kind=SingularM"
 
 
 def test_criterion_4_nonsingular_product_suite(solved_noncritical):
@@ -105,8 +105,8 @@ def test_criterion_4_nonsingular_product_suite(solved_noncritical):
         for p, rep in solved_noncritical:
             cert = rep.certificate
             assert cert.rho_phi_psi < 1.0 - 1e-6, p.name
-            assert cert.i_phipsi_kind is MatrixKind.NONSINGULAR_M, p.name
-            assert cert.i_psiphi_kind is MatrixKind.NONSINGULAR_M, p.name
+            rho_check = next(c for c in cert.checks if c.name == "i-minus-phipsi-nonsingular")
+            assert rho_check.detail == "kind=NonsingularM", p.name
             if not p.B.any():
                 masks.add("upper")
             elif not p.C.any():

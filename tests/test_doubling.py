@@ -624,8 +624,9 @@ class TestRateIdentity:
 
     def test_shifted_closing_matrix_not_m_raises(self, scalar_nonsingular):
         rep = solve(scalar_nonsingular)
-        for field in ("r_gap", "s_gap"):
-            cert = dataclasses.replace(rep.certificate, **{field: -5.0})
+        for field in ("r_class", "s_class"):
+            cls = dataclasses.replace(getattr(rep.certificate, field), gap=-5.0)
+            cert = dataclasses.replace(rep.certificate, **{field: cls})
             with pytest.raises(SingularMatrix):
                 theoretical_rate(scalar_nonsingular, cert, rep.params)
 

@@ -15,9 +15,10 @@ import pytest
 
 from marekit import classify_zm, cli, linalg, mstruct
 from marekit.cli import dumps_report
-from marekit.errors import NoConvergence, SingularMatrix
+from marekit.errors import AmbiguousKernel, NoConvergence, SingularMatrix
 from marekit.linalg import EPS, as_square, m_solve, perron_pair
 from marekit.mstruct import IrreducibleBlock, MatrixKind, MClassification, class_tol, gap_kind
+from test_mstruct import _reducible_m_matrix
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -144,6 +145,36 @@ def _ref_dumps_report(obj, indent=0):
         )
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _ref_block_pair(K, n, blk, rest):
+    """The kernel pair of K from its singular block ``blk``, by its own two solves on K_NN."""
+    b = blk.index
+    y = _ref_perron_pair(_ref_split(K[np.ix_(b, b)].T)[1])[1]
+    v = np.zeros(K.shape[0])
+    u = np.zeros(K.shape[0])
+    v[b], u[b] = blk.perron, y
+    if rest.any():
+        K_NN = K[np.ix_(rest, rest)]
+        right_sol, _, right = _ref_m_solve(K_NN, -(K[np.ix_(rest, b)] @ blk.perron))
+        left_sol, _, left = _ref_m_solve(K_NN.T.copy(), -(y @ K[np.ix_(b, rest)]))
+        v[rest], u[rest] = right_sol, left_sol
+        if not (right and left):
+            raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
+    v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
+    v, u = v / v.sum(), u / u.sum()
+    tol = mstruct.null_tol(K)
+    if linalg.inf_norm(K @ v) > tol or linalg.inf_norm(u @ K) > tol:
+        raise AmbiguousKernel("kernel residual exceeds tolerance")
+    return mstruct.NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:]))
+
+
+def _ref_block_null_pairs(K, n, classification):
+    A = as_square(K)
+    rest = np.ones(A.shape[0], dtype=bool)
+    for blk in classification.singular_blocks:
+        rest[blk.index] = False
+    return [_ref_block_pair(A, n, blk, rest) for blk in classification.singular_blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +355,35 @@ class TestClassifyZM:
     def test_nan_rejected_by_the_public_function(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             classify_zm([[1.0, math.nan], [0.0, 1.0]])
+
+
+class TestBlockNullPairs:
+    """One stacked solve per side gives the pairs of one solve pair per singular block."""
+
+    @staticmethod
+    def _singular_inputs(matrices):
+        rng = np.random.default_rng(67)
+        draws = [_reducible_m_matrix(rng, int(rng.integers(3, 16)))[0] for _ in range(600)]
+        return [M for M in [*matrices, *draws] if classify_zm(M).kind is MatrixKind.SINGULAR_M]
+
+    def test_same_bits_as_one_solve_per_block(self, matrices):
+        stacked = 0
+        for M in self._singular_inputs(matrices):
+            cls = classify_zm(M)
+            n = len(M) // 2
+            try:
+                want = _ref_block_null_pairs(M, n, cls)
+            except (SingularMatrix, AmbiguousKernel) as exc:
+                with pytest.raises(type(exc)):
+                    mstruct.block_null_pairs(M, n, cls)
+                continue
+            got = mstruct.block_null_pairs(M, n, cls)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert _same_bits(g.u, w.u) and _same_bits(g.v, w.v) and _same_bits(g.drift, w.drift)
+            if len(want) > 1 and len(cls.blocks) > len(want):
+                stacked += len(want)
+        assert stacked >= 100
 
 
 class TestDumpsReport:

@@ -15,7 +15,6 @@ from marekit.mstruct import (
     class_tol,
     classify_zm,
     null_tol,
-    regularity_witness,
 )
 from test_linalg import check_against_squaring
 
@@ -208,6 +207,48 @@ def _reference_regular(M) -> bool:
     return _phase_one_reference(M, -(M @ np.ones(M.shape[0]))) is not None
 
 
+def regularity_witness(M, classification):
+    """A positive v with M v >= 0 built from the blocks of ``classification``, or None.
+
+    The constructive side of ``MClassification.regular``, kept here as a
+    reference: each singular block's Perron vector, scaled to min 1, and
+    M_NN^{-1} (1 - M_NS v_S) on the nonsingular rest N, solved and
+    certified by ``linalg.m_solve`` (SingularMatrix where it fails or the
+    solution is not positive).  A nonsingular M is all rest, so v = M^{-1} 1.
+    """
+    A = np.asarray(M, dtype=float)
+    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
+        raise ValueError("regularity is defined for M-matrices only")
+    if not classification.regular:
+        return None
+    v = np.ones(len(A))
+    final = np.zeros(len(A), dtype=bool)
+    for blk in classification.singular_blocks:
+        v[blk.index] = blk.perron / blk.perron.min()
+        final[blk.index] = True
+    rest = ~final
+    if rest.any():
+        rows = A[rest]
+        x, _, certified = linalg.m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
+        if not (certified and (x > 0.0).all()):
+            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
+        v[rest] = x
+    return v
+
+
+def count_m_solves(monkeypatch):
+    """The (order, block count) of every ``linalg._m_solve`` call from here on."""
+    calls = []
+    real = linalg._m_solve
+
+    def counting(A, *blocks):
+        calls.append((len(A), len(blocks)))
+        return real(A, *blocks)
+
+    monkeypatch.setattr(linalg, "_m_solve", counting)
+    return calls
+
+
 def _checked_verdict(M) -> bool:
     """The block rule's verdict on an M-matrix, with its witness checked.
 
@@ -351,10 +392,11 @@ class TestRegularity:
     def test_uncertified_nonsingular_witness_raises(self):
         # a nonsingular M-matrix within rounding of singular: M^{-1} 1 is
         # too large for M v > 0 to clear its rounding margin
+        # (judged nonsingular, so all of M is the nonsingular rest)
         M = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-15]])
-        cls = dataclasses.replace(classify_zm(M), kind=MatrixKind.NONSINGULAR_M)
-        with pytest.raises(SingularMatrix):
-            regularity_witness(M, cls)
+        cls = dataclasses.replace(classify_zm(M), kind=MatrixKind.NONSINGULAR_M, blocks=())
+        with pytest.raises(SingularMatrix, match="certify the nonsingular blocks of K"):
+            block_null_pairs(M, 1, cls)
 
     def test_requires_m_matrix(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -423,6 +465,48 @@ class TestNullPair:
         assert np.array_equal(pair.u, [0.5, 0.5])
         assert pair.drift == 0.5
 
+    def test_one_certified_solve_per_side_for_several_singular_blocks(self, monkeypatch):
+        # two final singular blocks {0, 1} and {3, 4}, and the nonsingular
+        # row 2 coupled into both: one solve on K_NN and one on its
+        # transpose, each with both blocks' right-hand sides
+        K = np.array([
+            [1.0, -1.0, 0.0, 0.0, 0.0],
+            [-1.0, 1.0, 0.0, 0.0, 0.0],
+            [-1.0, 0.0, 3.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, -1.0],
+            [0.0, 0.0, 0.0, -1.0, 1.0],
+        ])
+        cls = classify_zm(K)
+        calls = count_m_solves(monkeypatch)
+        pairs = block_null_pairs(K, 2, cls)
+        assert calls == [(1, 2), (1, 2)]
+        for pair in pairs:
+            assert inf_norm(K @ pair.v) <= null_tol(K) and inf_norm(pair.u @ K) <= null_tol(K)
+        assert [pair.v[2] > 0 for pair in pairs] == [True, True]
+
+    def test_one_certified_solve_per_side_on_random_reducible_k(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        calls = count_m_solves(monkeypatch)
+        counts = set()
+        for _ in range(300):
+            M, _ = _reducible_m_matrix(rng, int(rng.integers(4, 13)))
+            cls = classify_zm(M)
+            singular = cls.singular_blocks
+            if not (cls.regular and len(singular) >= 2 and len(singular) < len(cls.blocks)):
+                continue
+            calls.clear()
+            assert len(block_null_pairs(M, len(M) // 2, cls)) == len(singular)
+            assert len(calls) == 2 and all(blocks == len(singular) for _, blocks in calls)
+            counts.add(len(singular))
+        assert {2, 3} <= counts
+
+    def test_nonsingular_k_is_one_solve_of_k(self, monkeypatch):
+        K = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
+        cls = classify_zm(K)
+        calls = count_m_solves(monkeypatch)
+        assert block_null_pairs(K, 1, cls) == []
+        assert calls == [(3, 0)]
+
     def test_not_an_m_matrix_rejected(self):
         K = [[1.0, -3.0], [-3.0, 1.0]]
         with pytest.raises(ValueError, match="M-matrices only"):
@@ -483,9 +567,9 @@ def test_public_surface():
         "OracleReport", "ProblemClass", "Regime", "ShapeMismatch", "SingularMatrix",
         "SolveReport", "classify_problem", "classify_zm", "fixed_point_solve", "generate",
         "initialize", "make_certificate", "matrix_from_json", "matrix_to_jsonable",
-        "observed_rate", "problem_from_json", "problem_to_json", "regularity_witness",
-        "residual_dual", "residual_primal", "select_parameters", "solve",
-        "spectral_radius_nonneg", "step", "theoretical_rate", "trace_to_csv",
+        "observed_rate", "problem_from_json", "problem_to_json", "residual_dual",
+        "residual_primal", "select_parameters", "solve", "spectral_radius_nonneg", "step",
+        "theoretical_rate", "trace_to_csv",
     }
-    assert len(marekit.__all__) == 45
+    assert len(marekit.__all__) == 44
     assert [f.name for f in dataclasses.fields(marekit.NullPair)] == ["u", "v", "drift"]

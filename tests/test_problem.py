@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from marekit import linalg, mstruct, solve
+from marekit import linalg, solve
 from marekit import problem as problem_module
 from marekit.errors import InvalidParameters, NotZMatrix, ShapeMismatch, SingularMatrix
-from marekit.mstruct import MatrixKind, classify_zm, regularity_witness
+from marekit.mstruct import MatrixKind, classify_zm
 from marekit.problem import (
     MareProblem,
     Regime,
@@ -19,6 +19,7 @@ from marekit.problem import (
     residual_dual,
     residual_primal,
 )
+from test_mstruct import count_m_solves, regularity_witness
 
 GOLDEN = (3 - 5**0.5) / 2
 
@@ -341,8 +342,8 @@ class TestCertificate:
     def test_critical_endpoint(self, scalar_critical):
         cert = make_certificate(scalar_critical, [[1.0]], [[1.0]])
         assert cert.rho_phi_psi == pytest.approx(1.0, abs=1e-12)
-        assert cert.i_phipsi_kind is MatrixKind.SINGULAR_M
         rho_check = next(c for c in cert.checks if c.name == "i-minus-phipsi-nonsingular")
+        assert rho_check.detail == "kind=SingularM"
         assert rho_check.passed is None  # not applicable in the critical regime
         dich = next(c for c in cert.checks if c.name == "exactly-one-closing-singular")
         assert dich.passed is None
@@ -406,15 +407,15 @@ class TestClosingGaps:
 
     def test_scalar_gaps_are_the_closing_matrices(self, scalar_nonsingular):
         cert = make_certificate(scalar_nonsingular, [[GOLDEN]], [[GOLDEN]])
-        assert cert.r_gap == cert.R[0, 0] and cert.s_gap == cert.S[0, 0]
+        assert cert.r_class.gap == cert.R[0, 0] and cert.s_class.gap == cert.S[0, 0]
         values = {c.name: c.value for c in cert.checks}
-        assert values["closing-R-regular-m-matrix"] == cert.r_gap
-        assert values["closing-S-regular-m-matrix"] == cert.s_gap
+        assert values["closing-R-regular-m-matrix"] == cert.r_class.gap
+        assert values["closing-S-regular-m-matrix"] == cert.s_class.gap
         assert not (cert.r_singular or cert.s_singular)
 
     def test_reducible_dichotomy_values(self, reducible_singular):
         cert = make_certificate(reducible_singular, np.zeros((2, 1)), [[0.5, 0.5]])
-        assert cert.r_gap == 2.0 and cert.s_gap == 0.0
+        assert cert.r_class.gap == 2.0 and cert.s_class.gap == 0.0
         dich = next(c for c in cert.checks if c.name == "exactly-one-closing-singular")
         assert dich.passed is True and dich.value == 0.0 and dich.threshold == 1e-8
 
@@ -422,16 +423,16 @@ class TestClosingGaps:
         for p, rep in solved_noncritical + solved_nonsingular:
             cert = rep.certificate
             scale_r, scale_s = self._scales(p, cert)
-            for M, gap, scale, singular in ((cert.R, cert.r_gap, scale_r, cert.r_singular), (cert.S, cert.s_gap, scale_s, cert.s_singular)):
+            for M, gap, scale, singular in ((cert.R, cert.r_class.gap, scale_r, cert.r_singular), (cert.S, cert.s_class.gap, scale_s, cert.s_singular)):
                 assert gap == classify_zm(M).gap
                 assert gap == pytest.approx(np.linalg.eigvals(M).real.min(), abs=1e-10 * scale), p.name
                 assert singular == (abs(gap) <= 1e-8 * scale)
             values = {c.name: c.value for c in cert.checks}
-            assert values["closing-R-regular-m-matrix"] == cert.r_gap
-            assert values["closing-S-regular-m-matrix"] == cert.s_gap
+            assert values["closing-R-regular-m-matrix"] == cert.r_class.gap
+            assert values["closing-S-regular-m-matrix"] == cert.s_class.gap
             if rep.problem_class.regime is Regime.SINGULAR_NONCRITICAL:
                 assert cert.r_singular != cert.s_singular, p.name
-                assert values["exactly-one-closing-singular"] == min(abs(cert.r_gap) / scale_r, abs(cert.s_gap) / scale_s)
+                assert values["exactly-one-closing-singular"] == min(abs(cert.r_class.gap) / scale_r, abs(cert.s_class.gap) / scale_s)
             else:
                 assert not (cert.r_singular or cert.s_singular), p.name
 
@@ -440,7 +441,7 @@ class TestClosingGaps:
         p = reducible_singular
         assert classify_problem(p).regime is Regime.SINGULAR_NONCRITICAL
         cert = make_certificate(p, [[0.99999], [0.99999]], [[0.5, 0.5]])
-        assert cert.r_gap == pytest.approx(2e-5, rel=1e-9)
+        assert cert.r_class.gap == pytest.approx(2e-5, rel=1e-9)
         assert cert.s_singular and not cert.r_singular
         dich = next(c for c in cert.checks if c.name == "exactly-one-closing-singular")
         assert dich.passed is False
@@ -449,43 +450,33 @@ class TestClosingGaps:
 class TestClosingRegularity:
     """R and S are regular when their singular irreducible blocks are final; no witness is solved."""
 
-    def test_certificate_runs_no_regularity_witness(self, solved_noncritical, solved_nonsingular, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("regularity witness solved for a closing matrix")
-
-        monkeypatch.setattr(mstruct, "regularity_witness", refuse)
+    def test_certificate_makes_no_m_solve(self, solved_noncritical, solved_nonsingular, monkeypatch):
+        calls = count_m_solves(monkeypatch)
         for p, rep in solved_noncritical[:20] + solved_nonsingular[:5]:
             cert = make_certificate(p, rep.phi, rep.psi, problem_class=rep.problem_class)
             assert [c.passed for c in cert.checks] == [c.passed for c in rep.certificate.checks]
+        assert calls == []
 
-    def test_solve_runs_a_regularity_witness_only_on_a_nonsingular_k(
-        self, noncritical_suite, nonsingular_suite, monkeypatch
-    ):
-        sizes = []
-        real = mstruct.regularity_witness
-
-        def counting(M, classification):
-            sizes.append(len(M))
-            return real(M, classification)
-
-        monkeypatch.setattr(mstruct, "regularity_witness", counting)
+    def test_classifying_a_nonsingular_k_makes_one_m_solve(self, noncritical_suite, nonsingular_suite, monkeypatch):
+        calls = count_m_solves(monkeypatch)
         for p in noncritical_suite:
-            solve(p)
-        assert sizes == []
+            calls.clear()
+            classify_problem(p)
+            assert len(calls) <= 2 and all(size < p.size for size, _ in calls)
         for p in nonsingular_suite[:5]:
-            sizes.clear()
-            solve(p)
-            assert sizes == [p.size]
+            calls.clear()
+            classify_problem(p)
+            assert calls == [(p.size, 0)]
 
     def test_uncertified_nonsingular_k_raises(self):
         # K = [[g, 0, 0], [-1, g, 0], [0, -1, g]]: three 1x1 blocks of gap
         # 1e-10, above class_tol, but x = K^{-1} 1 = (1e10, 1e20, 1e30), and
         # K x = 1 falls below the rounding margin 5 eps |K| x of about 2e5;
-        # the witness solve is the only check a nonsingular K gets
+        # that solve is the only check a nonsingular K gets
         g = 1e-10
         p = MareProblem(n=1, m=2, A=[[g, 0.0], [-1.0, g]], B=[[1.0], [0.0]], C=[[0.0, 0.0]], D=[[g]])
         assert classify_zm(p.K).kind is MatrixKind.NONSINGULAR_M
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="certify the nonsingular blocks of K"):
             classify_problem(p)
 
     def test_rule_agrees_with_the_witness(self, solved_noncritical, solved_nonsingular, not_regular_problem):
