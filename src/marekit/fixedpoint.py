@@ -27,6 +27,20 @@ its four products and the division; the fused residual, the 1-norms and
 the monotonicity count of every step of the block are then taken in one
 stacked pass, and the block is walked in step order to apply the stop.
 Up to ``_BLOCK - 1`` look-ahead steps past the stop are discarded.
+
+The same iteration gives Psi, the minimal solution of the dual equation
+``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
+solves ``Z B^T Z - Z D^T - A^T Z + C^T = 0``, the primal form with
+coefficients (A^T, C^T, B^T, D^T) and the same denominators a_i + d_j.
+``_fixed_point_pair`` therefore advances X and Z as one (2, m, n) stack:
+each step is one numerator and one division for both, and each block one
+screening pass.  Each side stops on its own step, decided by its own
+exact residual; the dual's is ``residual_dual``'s core on Z^T, and its
+screen takes the dual's 1-norm, the largest row sum of Z.  Once one side
+has stopped, the other goes on alone on 2-D arrays, as
+``fixed_point_solve``, the same core on X alone, runs throughout.  A
+primal breakdown is raised at once, a dual one after the primal has
+stopped, as when the two ran one after the other.
 """
 
 from __future__ import annotations
@@ -45,6 +59,9 @@ from .problem import MareProblem, _residual, sign_tol
 # reductions that screening it takes, so these run once per block, stacked.
 _BLOCK = 8
 
+# the default stopping limits of both entry points
+_TOL, _MAX_ITER = 1e-10, 5000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -55,12 +72,113 @@ class OracleReport:
     monotonicity_violations: int
 
 
-def _one_norms(M: np.ndarray) -> np.ndarray:
-    """The 1-norm of each matrix of a stack, as ``one_norm`` takes it."""
-    return np.abs(M).sum(axis=1).max(axis=1)
+def _numerator(N_A, B, C, N_D):
+    """``T(X) = X C X + B + N_A X + X N_D``, written to ``out``; the arrays may be stacks."""
+
+    def numerator(X, out):
+        return np.add(X @ C @ X + B + N_A @ X, X @ N_D, out=out)
+
+    return numerator
 
 
-def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) -> OracleReport:
+def _fixed_point(p: MareProblem, tol: float, max_iter: int, dual: bool) -> list[OracleReport]:
+    """The reports of the primal side and, with ``dual``, of the dual side, from one run.
+
+    Side 0 iterates X; side 1 iterates Z = Psi^T with the transposed
+    coefficients, and its residual, answer and 1-norms are those of Psi.
+    A dual breakdown is raised only once the primal has stopped, as if the
+    two sides ran one after the other; a primal one is raised at once.
+    """
+    if not tol >= 0:
+        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
+    if max_iter < 1:
+        raise InvalidParameters(f"max_iter must be >= 1, got {max_iter}")
+    a, d = np.diag(p.A), np.diag(p.D)
+    denom = a[:, None] + d[None, :]
+    floor = pivot_tol(p.K)
+    if denom.min() <= floor:
+        raise SingularMatrix(
+            "diagonal splitting is singular to tolerance "
+            f"(min a_i + d_j = {denom.min():.3e} <= {floor:.3e})"
+        )
+    N_A = np.diag(a) - p.A
+    N_D = np.diag(d) - p.D
+    nA, nB, nC, nD = one_norm(p.A), one_norm(p.B), one_norm(p.C), one_norm(p.D)
+    # per side: the splitting its iterate runs on, and the equation its
+    # answer solves with that equation's coefficient 1-norms
+    splittings = [(N_A, p.B, p.C, N_D)]
+    if dual:
+        splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, p.C, p.B, N_D)))
+    equations = [(p.A, p.B, p.C, p.D), (p.D, p.C, p.B, p.A)]
+    norms = [(nA, nB, nC, nD), (nD, nC, nB, nA)]
+    screen = tol + 8 * (p.m + p.n + 2) * EPS
+    tau = sign_tol(p)
+    # Xs[0, i] is side i's last iterate of the previous block, Xs[j, i] its
+    # j-th successor; Ts[j - 1, i] is the numerator T(Xs[j, i]), written
+    # there by the step.  T is the numerator of the current iterate; each
+    # step reads it before it writes the next one, so T(0) can start in Ts[0].
+    sides = len(splittings)
+    Xs = np.zeros((_BLOCK + 1, sides, p.m, p.n))
+    Ts = np.empty((_BLOCK, sides, p.m, p.n))
+    live = list(range(sides))
+
+    def working():
+        # the steps run on the whole stack while both sides are live, and on
+        # the live side's own 2-D slices once one is left
+        if len(live) > 1:
+            return Xs, Ts, _numerator(*(np.stack(c) for c in zip(*splittings)))
+        (i,) = live
+        return Xs[:, i], Ts[:, i], _numerator(*splittings[i])
+
+    Xw, Tw, numerator = working()
+    T = numerator(Xw[0], Tw[0])
+    reports = [None] * sides
+    violations = [0] * sides
+    breakdown = None
+    done = 0
+    while live:
+        b = min(_BLOCK, max_iter - done)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, b + 1):
+                np.divide(T, denom, out=Xw[j])
+                T = numerator(Xw[j], Tw[j - 1])
+            screens = []
+            for i in live:
+                X, prev, Tb = Xs[1 : b + 1, i], Xs[:b, i], Ts[:b, i]
+                axis = 1 + i  # the columns of X, the rows of Z = Psi^T
+                sA, sB, sC, sD = norms[i]
+                nX = np.abs(X).sum(axis=axis).max(axis=1)
+                normalizer = np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
+                fused = np.abs(Tb - denom * X).sum(axis=axis).max(axis=1) / normalizer
+                screens.append((i, fused, violations[i] + np.cumsum((X < prev - tau).sum(axis=(1, 2)))))
+        for i, fused, counted in screens:
+            violations[i] = int(counted[-1])
+            for j, (value, count) in enumerate(zip(fused.tolist(), counted.tolist()), start=1):
+                k = done + j
+                if not math.isfinite(value):
+                    breakdown = IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
+                    if i == live[0]:  # the primal, or the dual once the primal has stopped
+                        raise breakdown
+                    live.remove(i)
+                    break
+                if value <= screen or k == max_iter:
+                    answer = (Xs[j, i].T if i else Xs[j, i]).copy()
+                    res = _residual(answer, *equations[i])
+                    if res <= tol or k == max_iter:
+                        reports[i] = OracleReport(answer, k, res <= tol, res, count)
+                        live.remove(i)
+                        break
+        done += b
+        if len(live) == 1 and Xw is Xs:
+            Xw, Tw, numerator = working()
+            T = Tw[b - 1]
+        Xw[0] = Xw[b]
+    if breakdown is not None:
+        raise breakdown
+    return reports
+
+
+def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_ITER) -> OracleReport:
     """Iterate the monotone fixed-point map from X = 0.
 
     Stops when the normalized primal residual (``residual_primal``) drops
@@ -83,7 +201,9 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
     monotonicity count are taken once per block of ``_BLOCK`` steps (the
     last block is cut at ``max_iter``) and then read in step order; the up
     to ``_BLOCK - 1`` steps computed past the stop are discarded and not
-    counted.  The returned ``phi`` is a copy that owns its memory.
+    counted.  The returned ``phi`` is a copy that owns its memory.  This is
+    the one-side call of the core that ``_fixed_point_pair`` runs on the
+    primal and the dual at once; alone, the steps run on 2-D arrays.
 
     Entrywise monotonicity is checked at every step to the problem's sign
     tolerance and violations are counted through the returned step.
@@ -96,55 +216,25 @@ def fixed_point_solve(p: MareProblem, tol: float = 1e-10, max_iter: int = 5000) 
     warned about, since look-ahead steps after it overflow too; the
     breakdown step is the one a step-by-step loop would report.
     """
-    if not tol >= 0:
-        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
-    if max_iter < 1:
-        raise InvalidParameters(f"max_iter must be >= 1, got {max_iter}")
-    a, d = np.diag(p.A), np.diag(p.D)
-    denom = a[:, None] + d[None, :]
-    floor = pivot_tol(p.K)
-    if denom.min() <= floor:
-        raise SingularMatrix(
-            "diagonal splitting is singular to tolerance "
-            f"(min a_i + d_j = {denom.min():.3e} <= {floor:.3e})"
-        )
-    N_A = np.diag(a) - p.A
-    N_D = np.diag(d) - p.D
+    (report,) = _fixed_point(p, tol, max_iter, dual=False)
+    return report
 
-    def numerator(X, out):
-        return np.add(X @ p.C @ X + p.B + N_A @ X, X @ N_D, out=out)
 
-    nA, nB, nC, nD = one_norm(p.A), one_norm(p.B), one_norm(p.C), one_norm(p.D)
-    screen = tol + 8 * (p.m + p.n + 2) * EPS
-    tau = sign_tol(p)
-    # Xs[0] is the last iterate of the previous block, Xs[j] its j-th successor;
-    # Ts[j - 1] is the numerator T(Xs[j]), written there by the step.  T is the
-    # numerator of the current iterate; each step reads it before it writes the
-    # next one, so T(0) can start in Ts[0].
-    Xs = np.zeros((_BLOCK + 1, p.m, p.n))
-    Ts = np.empty((_BLOCK, p.m, p.n))
-    T = numerator(Xs[0], Ts[0])
-    violations = 0
-    done = 0
-    while done < max_iter:
-        b = min(_BLOCK, max_iter - done)
-        X, Tb = Xs[1 : b + 1], Ts[:b]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, b + 1):
-                np.divide(T, denom, out=Xs[j])
-                T = numerator(Xs[j], Ts[j - 1])
-            counted = violations + np.cumsum((X < Xs[:b] - tau).sum(axis=(1, 2)))
-            nX = _one_norms(X)
-            fused = _one_norms(Tb - denom * X) / np.maximum(nX * (nC * nX + nD + nA) + nB, EPS)
-        for j, (value, count) in enumerate(zip(fused.tolist(), counted.tolist()), start=1):
-            k = done + j
-            if not math.isfinite(value):
-                raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
-            if value <= screen or k == max_iter:
-                res = _residual(Xs[j], p.A, p.B, p.C, p.D)
-                if res <= tol:
-                    return OracleReport(Xs[j].copy(), k, True, res, count)
-        violations = int(counted[-1])
-        done += b
-        Xs[0] = Xs[b]
-    return OracleReport(Xs[0].copy(), max_iter, False, res, violations)
+def _fixed_point_pair(
+    p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_ITER
+) -> tuple[OracleReport, OracleReport]:
+    """The oracle on ``p`` and on ``p.dual()``, advanced as one stacked iteration.
+
+    Returns ``(primal, dual)``.  ``primal`` is ``fixed_point_solve(p, tol,
+    max_iter)`` bit for bit.  ``dual`` reports Psi (n x m) as its ``phi``;
+    it stops on the step where ``residual_dual`` first meets ``tol``, and
+    its ``final_residual`` is that residual of the returned Psi.  Its
+    iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
+    up to rounding: the transposed products and sums round in another
+    order.  Both sides share the input checks, so SingularMatrix and
+    InvalidParameters are raised once; a primal breakdown is raised at
+    once, a dual one only after the primal has converged or reached the
+    cap, as when the two ran one after the other.
+    """
+    primal, dual = _fixed_point(p, tol, max_iter, dual=True)
+    return primal, dual

@@ -244,9 +244,13 @@ class TestSolve:
         }
 
     def test_fixed_point_divergence_is_breakdown(self, divergent_file):
+        # the primal's breakdown, raised in its own block of steps
         out = execute(["solve", divergent_file, "--method", "fixed-point"])
         assert out.exit_code == 3
-        assert json.loads(out.report_json)["step"] == "IterationBreakdown"
+        assert json.loads(out.report_json) == {
+            "error": "nonfinite fixed-point update at step 12",
+            "step": "IterationBreakdown",
+        }
 
     def test_iteration_cap_is_breakdown(self, critical_file):
         out = execute(["solve", critical_file, "--max-iter", "2"])

@@ -7,9 +7,9 @@ from marekit import FamilySpec, MareProblem, Regime, generate, solve
 from marekit import fixedpoint
 from marekit.doubling import sign_tol
 from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
-from marekit.fixedpoint import OracleReport, fixed_point_solve
-from marekit.linalg import one_norm, pivot_tol
-from marekit.problem import _residual, residual_primal
+from marekit.fixedpoint import OracleReport, _fixed_point_pair, fixed_point_solve
+from marekit.linalg import EPS, one_norm, pivot_tol
+from marekit.problem import _residual, residual_dual, residual_primal
 
 GOLDEN = (3 - 5**0.5) / 2
 
@@ -40,6 +40,30 @@ def _reference_fixed_point(p, tol=1e-10, max_iter=5000, residuals=None):
         if res <= tol:
             return OracleReport(X, k, True, res, violations)
     return OracleReport(X, max_iter, False, res, violations)
+
+
+def _reference_dual(p, tol=1e-10, max_iter=5000, residuals=None):
+    """Reference for the dual side of the oracle pair, with the exact residual at every step.
+
+    It iterates Z = Psi^T on the transposed coefficients, as the pair does,
+    judges each step by ``residual_dual`` of Z^T and reports Psi.
+    """
+    a, d = np.diag(p.A), np.diag(p.D)
+    denom = a[:, None] + d[None, :]
+    N_A, B, C, N_D = (np.ascontiguousarray(M.T) for M in (np.diag(a) - p.A, p.C, p.B, np.diag(d) - p.D))
+    tau = sign_tol(p)
+    Z = np.zeros((p.m, p.n))
+    violations = 0
+    for k in range(1, max_iter + 1):
+        Z_new = (Z @ C @ Z + B + N_A @ Z + Z @ N_D) / denom
+        violations += int((Z_new < Z - tau).sum())
+        Z = Z_new
+        res = residual_dual(p, Z.T)
+        if residuals is not None:
+            residuals.append(res)
+        if res <= tol:
+            break
+    return OracleReport(np.ascontiguousarray(Z.T), k, res <= tol, res, violations)
 
 
 def _assert_same_report(got, want):
@@ -250,3 +274,129 @@ def test_returned_phi_owns_its_memory(case, tol, max_iter):
     # the iterate buffer is reused from block to block, so an answer must not view it
     rep = fixed_point_solve(_problem(_CASES[case]), tol, max_iter)
     assert rep.phi.base is None
+
+
+# both B and C nonzero, so the primal and the dual both take many steps
+_TWO_SIDED = {
+    "two-sided-nonsingular-3x4": FamilySpec(Regime.NONSINGULAR_K, 3, 4, seed=0),
+    "two-sided-noncritical-3x4": FamilySpec(Regime.SINGULAR_NONCRITICAL, 3, 4, seed=0),
+    "two-sided-nonsingular-1x6": FamilySpec(Regime.NONSINGULAR_K, 1, 6, seed=0),
+    "two-sided-noncritical-11x13": FamilySpec(Regime.SINGULAR_NONCRITICAL, 11, 13, seed=7),
+}
+
+# K = [[0.85, 0, -0.076], [-3.67, 0.564, 0], [0, -3.21, 1.571]] is not an
+# M-matrix; the oracle's update overflows at step 128 on this problem and at
+# step 110 on its dual, in different blocks of steps
+_BREAKS_LATER_THAN_ITS_DUAL = MareProblem(
+    n=1, m=2, A=[[0.564, 0.0], [-3.21, 1.571]], B=[[3.67], [0.0]], C=[[0.0, 0.076]], D=[[0.85]]
+)
+
+
+def _breakdown_step(run, *args):
+    with pytest.raises(IterationBreakdown) as info:
+        run(*args)
+    return int(re.search(r"step (\d+)", str(info.value)).group(1))
+
+
+class TestPair:
+    """The primal and the transposed dual advance as one stacked iteration, each side stopping on its own step."""
+
+    @pytest.mark.parametrize(
+        "name, tol, max_iter",
+        [
+            (name, tol, max_iter)
+            for name in sorted({**_SMALL, **_LARGE, **_TWO_SIDED})
+            for tol in (0.0, 1e-16, 1e-12, 1e-10)
+            for max_iter in (*_BLOCK_CAPS, 5000)
+            # tol 0, and on a critical problem every tol below 1e-10, would
+            # only add runs to the 5000-step cap; the block caps cover them
+            if not (max_iter == 5000 and (tol == 0.0 or ("critical" in name and tol < 1e-10)))
+        ],
+    )
+    def test_pair_matches_two_single_runs(self, name, tol, max_iter):
+        p = _problem({**_CASES, **_TWO_SIDED}[name])
+        primal, dual = _fixed_point_pair(p, tol, max_iter)
+        _assert_same_report(primal, fixed_point_solve(p, tol, max_iter))
+        # the transposed products and sums round in another order than the dual run's
+        want = fixed_point_solve(p.dual(), tol, max_iter)
+        assert (dual.iterations, dual.converged, dual.monotonicity_violations) == (
+            want.iterations,
+            want.converged,
+            want.monotonicity_violations,
+        )
+        assert dual.phi.shape == want.phi.shape == (p.n, p.m)
+        assert one_norm(dual.phi - want.phi) <= 8 * EPS * one_norm(want.phi)
+        assert dual.phi.base is None and dual.phi.flags.c_contiguous
+        assert dual.final_residual == residual_dual(p, dual.phi)
+        # and bit for bit the reference that iterates Psi^T as the pair does
+        _assert_same_report(dual, _reference_dual(p, tol, max_iter))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["scalar-nonsingular", "reducible-zero-b", "noncritical-30x31", *sorted(_TWO_SIDED)],
+    )
+    def test_dual_stops_on_the_step_whose_exact_residual_is_tol(self, name):
+        # the mirror of the primal test: the dual's screen must take Psi's
+        # 1-norm, the row sums of the stored Psi^T; column sums pass every
+        # answer but move the stop off the step the exact residual picks
+        p = _problem({**_CASES, **_TWO_SIDED}[name])
+        residuals = []
+        _reference_dual(p, tol=0.0, max_iter=80, residuals=residuals)
+        record = [k for k in range(1, len(residuals) + 1) if residuals[k - 1] < min(residuals[: k - 1], default=np.inf)]
+        checked = 0
+        for k in record[len(record) // 3 :]:
+            tol = residuals[k - 1]
+            want = _reference_dual(p, tol=tol, max_iter=5000)
+            assert want.iterations == k and want.converged
+            _assert_same_report(_fixed_point_pair(p, tol=tol, max_iter=5000)[1], want)
+            checked += 1
+        assert checked >= 5
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        """Record the number of dimensions of every iterate whose numerator is taken."""
+        steps = []
+        make_numerator = fixedpoint._numerator
+
+        def counted(*coefficients):
+            numerator = make_numerator(*coefficients)
+
+            def step(X, out):
+                steps.append(X.ndim)
+                return numerator(X, out)
+
+            return step
+
+        monkeypatch.setattr(fixedpoint, "_numerator", counted)
+        return steps
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergent_pair_breaks_down_at_the_primal_step(self, divergent):
+        assert _breakdown_step(_fixed_point_pair, divergent, 1e-12, 5000) == 12
+        assert _breakdown_step(_fixed_point_pair, divergent.dual(), 1e-12, 5000) == 12
+
+    def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch):
+        # the primal overflows at step 110, the dual would at step 128: the run
+        # stops with the block of steps 105-112 and never iterates the dual on
+        p = _BREAKS_LATER_THAN_ITS_DUAL.dual()
+        assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 110
+        assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 128
+        steps = self._count_steps(monkeypatch)
+        assert _breakdown_step(_fixed_point_pair, p, 1e-12, 10**6) == 110
+        assert steps == [3] * (1 + 112)
+
+    def test_dual_breakdown_waits_for_the_primal(self, monkeypatch):
+        # the dual overflows at step 110 and is dropped; the primal goes on
+        # alone on 2-D arrays and its own breakdown, at step 128, is raised,
+        # as when the primal ran first
+        p = _BREAKS_LATER_THAN_ITS_DUAL
+        steps = self._count_steps(monkeypatch)
+        assert _breakdown_step(_fixed_point_pair, p, 1e-12, 10**6) == 128
+        assert steps == [3] * (1 + 112) + [2] * (128 - 112)
+
+    def test_input_checks_apply_to_the_pair(self):
+        p = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+        with pytest.raises(SingularMatrix):
+            _fixed_point_pair(p)
+        with pytest.raises(InvalidParameters, match="max_iter"):
+            _fixed_point_pair(_problem(_SMALL["scalar-nonsingular"]), max_iter=0)
