@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from .fixedpoint import _fixed_point_pair, fixed_point_solve
+from .fixedpoint import _fixed_point, fixed_point_solve
 from .problem import (
     Regime,
     classify_problem,
@@ -222,7 +222,7 @@ def _cmd_solve(ns) -> CommandOutcome:
                 raise _UsageError(f"--{option} does not apply to --method fixed-point")
     p = _load_problem(ns.problem)
     if ns.method == "fixed-point":
-        primal, dual = _fixed_point_pair(p, **_given(tol=ns.tol, max_iter=ns.max_iter))
+        primal, dual = _fixed_point(p, **_given(tol=ns.tol, max_iter=ns.max_iter), dual=True)
         pc = classify_problem(p)
         cert = make_certificate(p, primal.phi, dual.phi, problem_class=pc)
         report = _base_report(pc)

@@ -58,6 +58,7 @@ exactly singular.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,10 @@ class DoublingParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise InvalidParameters("alpha and beta must be positive")
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise InvalidParameters(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise InvalidParameters("max_iter must be >= 1")
         if not self.stop_tol >= 0:

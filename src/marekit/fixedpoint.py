@@ -32,20 +32,21 @@ The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
 solves ``Z B^T Z - Z D^T - A^T Z + C^T = 0``, the primal form with
 coefficients (A^T, C^T, B^T, D^T) and the same denominators a_i + d_j.
-``_fixed_point_pair`` therefore advances X and Z as one (2, m, n) stack:
-each step is one numerator and one division for both, and each block one
-screening pass.  Each side stops on its own step, decided by its own
-exact residual; the dual's is ``residual_dual``'s core on Z^T, and its
-screen takes the dual's 1-norm, the largest row sum of Z.  Once one side
-has stopped, the other goes on alone on 2-D arrays, as
-``fixed_point_solve``, the same core on X alone, runs throughout.  A
-primal breakdown is raised at once, a dual one after the primal has
-stopped, as when the two ran one after the other.
+With ``dual`` the core advances X and Z as one (2, m, n) stack from X_0 to
+the later of their stops: each step is one numerator and one division for
+both, and each block one screening pass.  Each side stops on its own step,
+decided by its own exact residual; the dual's is ``residual_dual``'s core
+on Z^T, and its screen takes the dual's 1-norm, the largest row sum of Z.
+A side that has stopped goes on stepping inside the stack, unread.
+``fixed_point_solve``, the same core on X alone, steps 2-D arrays
+throughout.  The first block in which either side's update overflows ends
+the run, and the error names the primal's step if both overflow there.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +82,23 @@ def _numerator(N_A, B, C, N_D):
     return numerator
 
 
-def _fixed_point(p: MareProblem, tol: float, max_iter: int, dual: bool) -> list[OracleReport]:
+def _fixed_point(
+    p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_ITER, *, dual: bool
+) -> list[OracleReport]:
     """The reports of the primal side and, with ``dual``, of the dual side, from one run.
 
     Side 0 iterates X; side 1 iterates Z = Psi^T with the transposed
     coefficients, and its residual, answer and 1-norms are those of Psi.
-    A dual breakdown is raised only once the primal has stopped, as if the
-    two sides ran one after the other; a primal one is raised at once.
+    The primal report is ``fixed_point_solve(p, tol, max_iter)`` bit for
+    bit.  The dual one reports Psi (n x m), stops on the step where
+    ``residual_dual`` first meets ``tol`` and carries that residual; its
+    iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
+    up to rounding, since the transposed products round in another order.
     """
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}") from None
     if not tol >= 0:
         raise InvalidParameters(f"tol must be nonnegative, got {tol}")
     if max_iter < 1:
@@ -120,21 +130,16 @@ def _fixed_point(p: MareProblem, tol: float, max_iter: int, dual: bool) -> list[
     sides = len(splittings)
     Xs = np.zeros((_BLOCK + 1, sides, p.m, p.n))
     Ts = np.empty((_BLOCK, sides, p.m, p.n))
-    live = list(range(sides))
-
-    def working():
-        # the steps run on the whole stack while both sides are live, and on
-        # the live side's own 2-D slices once one is left
-        if len(live) > 1:
-            return Xs, Ts, _numerator(*(np.stack(c) for c in zip(*splittings)))
-        (i,) = live
-        return Xs[:, i], Ts[:, i], _numerator(*splittings[i])
-
-    Xw, Tw, numerator = working()
+    # the pair steps the whole stack, one side its own 2-D slices, which
+    # multiply faster than a stack of one
+    if dual:
+        Xw, Tw, numerator = Xs, Ts, _numerator(*(np.stack(c) for c in zip(*splittings)))
+    else:
+        Xw, Tw, numerator = Xs[:, 0], Ts[:, 0], _numerator(*splittings[0])
     T = numerator(Xw[0], Tw[0])
     reports = [None] * sides
     violations = [0] * sides
-    breakdown = None
+    live = list(range(sides))
     done = 0
     while live:
         b = min(_BLOCK, max_iter - done)
@@ -156,11 +161,7 @@ def _fixed_point(p: MareProblem, tol: float, max_iter: int, dual: bool) -> list[
             for j, (value, count) in enumerate(zip(fused.tolist(), counted.tolist()), start=1):
                 k = done + j
                 if not math.isfinite(value):
-                    breakdown = IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
-                    if i == live[0]:  # the primal, or the dual once the primal has stopped
-                        raise breakdown
-                    live.remove(i)
-                    break
+                    raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
                 if value <= screen or k == max_iter:
                     answer = (Xs[j, i].T if i else Xs[j, i]).copy()
                     res = _residual(answer, *equations[i])
@@ -169,12 +170,7 @@ def _fixed_point(p: MareProblem, tol: float, max_iter: int, dual: bool) -> list[
                         live.remove(i)
                         break
         done += b
-        if len(live) == 1 and Xw is Xs:
-            Xw, Tw, numerator = working()
-            T = Tw[b - 1]
         Xw[0] = Xw[b]
-    if breakdown is not None:
-        raise breakdown
     return reports
 
 
@@ -202,15 +198,16 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
     last block is cut at ``max_iter``) and then read in step order; the up
     to ``_BLOCK - 1`` steps computed past the stop are discarded and not
     counted.  The returned ``phi`` is a copy that owns its memory.  This is
-    the one-side call of the core that ``_fixed_point_pair`` runs on the
-    primal and the dual at once; alone, the steps run on 2-D arrays.
+    the one-side call of ``_fixed_point``, the core that also advances the
+    primal and the dual as one stack for ``solve --method fixed-point``;
+    on one side it steps 2-D arrays.
 
     Entrywise monotonicity is checked at every step to the problem's sign
     tolerance and violations are counted through the returned step.
     Raises InvalidParameters for a negative or NaN ``tol`` or a
-    ``max_iter`` below 1, SingularMatrix when some ``a_i + d_j`` does not
-    exceed the pivot tolerance of K, since the splitting then divides by
-    (nearly) zero, and IterationBreakdown naming the first step whose
+    ``max_iter`` that is not an integer or is below 1, SingularMatrix when
+    some ``a_i + d_j`` does not exceed the pivot tolerance of K, since the
+    splitting then divides by (nearly) zero, and IterationBreakdown naming the first step whose
     update overflows (the fused residual is not finite), as when K is not
     an M-matrix and the iterates diverge.  Overflow inside a block is not
     warned about, since look-ahead steps after it overflow too; the
@@ -219,22 +216,3 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
     (report,) = _fixed_point(p, tol, max_iter, dual=False)
     return report
 
-
-def _fixed_point_pair(
-    p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_ITER
-) -> tuple[OracleReport, OracleReport]:
-    """The oracle on ``p`` and on ``p.dual()``, advanced as one stacked iteration.
-
-    Returns ``(primal, dual)``.  ``primal`` is ``fixed_point_solve(p, tol,
-    max_iter)`` bit for bit.  ``dual`` reports Psi (n x m) as its ``phi``;
-    it stops on the step where ``residual_dual`` first meets ``tol``, and
-    its ``final_residual`` is that residual of the returned Psi.  Its
-    iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
-    up to rounding: the transposed products and sums round in another
-    order.  Both sides share the input checks, so SingularMatrix and
-    InvalidParameters are raised once; a primal breakdown is raised at
-    once, a dual one only after the primal has converged or reached the
-    cap, as when the two ran one after the other.
-    """
-    primal, dual = _fixed_point(p, tol, max_iter, dual=True)
-    return primal, dual

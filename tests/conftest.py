@@ -40,6 +40,16 @@ def divergent():
 
 
 @pytest.fixture(scope="session")
+def breaks_later_than_its_dual():
+    """K = [[0.85, 0, -0.076], [-3.67, 0.564, 0], [0, -3.21, 1.571]] is not an M-matrix.
+
+    The oracle's update overflows at step 128 on this problem and at step
+    110 on its dual, in different blocks of steps.
+    """
+    return MareProblem(n=1, m=2, A=[[0.564, 0.0], [-3.21, 1.571]], B=[[3.67], [0.0]], C=[[0.0, 0.076]], D=[[0.85]])
+
+
+@pytest.fixture(scope="session")
 def not_regular_problem():
     """K = [[0, -1], [0, 1]]: singular M-matrix with no regularity witness."""
     return MareProblem(n=1, m=1, A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])

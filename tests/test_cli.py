@@ -252,6 +252,19 @@ class TestSolve:
             "step": "IterationBreakdown",
         }
 
+    @pytest.mark.parametrize("dual", [False, True], ids=["problem", "its-dual"])
+    def test_fixed_point_breakdown_of_either_side_ends_the_run(self, tmp_path, breaks_later_than_its_dual, dual):
+        # one side overflows at step 110, the other would at step 128
+        p = breaks_later_than_its_dual.dual() if dual else breaks_later_than_its_dual
+        path = tmp_path / "breaks.json"
+        path.write_text(problem_to_json(p))
+        out = execute(["solve", str(path), "--method", "fixed-point"])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json) == {
+            "error": "nonfinite fixed-point update at step 110",
+            "step": "IterationBreakdown",
+        }
+
     def test_iteration_cap_is_breakdown(self, critical_file):
         out = execute(["solve", critical_file, "--max-iter", "2"])
         assert out.exit_code == 3
@@ -472,6 +485,15 @@ class TestOracle:
         rep = json.loads(out.report_json)
         assert rep["step"] == "IterationBreakdown"
         assert "step 12" in rep["error"]
+
+    def test_divergence_names_the_primal_step(self, tmp_path, breaks_later_than_its_dual):
+        # the oracle runs the primal alone, which overflows at step 128; the
+        # dual's overflow at step 110 is no concern of it
+        path = tmp_path / "breaks.json"
+        path.write_text(problem_to_json(breaks_later_than_its_dual))
+        out = execute(["oracle", str(path)])
+        assert out.exit_code == 3
+        assert json.loads(out.report_json)["error"] == "nonfinite fixed-point update at step 128"
 
     def test_singular_splitting_is_breakdown(self, tmp_path):
         path = tmp_path / "zero.json"

@@ -98,9 +98,14 @@ class TestSelectParameters:
             (lambda p: DoublingParams(0.0, 1.0), "alpha and beta must be positive"),
             (lambda p: DoublingParams(1.0, -1.0), "alpha and beta must be positive"),
             (lambda p: DoublingParams(1.0, 1.0, max_iter=0), "max_iter must be >= 1"),
+            (lambda p: DoublingParams(1.0, 1.0, max_iter=2.5), "max_iter must be an integer, got 2.5"),
+            (
+                lambda p: DoublingParams(1.0, 1.0, max_iter=np.float64(3.0)),
+                f"max_iter must be an integer, got {np.float64(3.0)!r}",
+            ),
             (lambda p: select_parameters(p, mode="x"), "unknown mode 'x'"),
         ],
-        ids=["alpha", "beta", "max_iter", "mode"],
+        ids=["alpha", "beta", "max_iter", "max_iter-float", "max_iter-numpy-float", "mode"],
     )
     def test_input_checks(self, scalar_nonsingular, build, message):
         with pytest.raises(InvalidParameters) as info:
@@ -459,9 +464,10 @@ class TestSolve:
             rep = solve(scalar_critical)
         assert "regime-unsupported:Critical" in rep.flags
 
-    def test_max_iterations_carries_report(self, scalar_critical):
+    @pytest.mark.parametrize("max_iter", [3, np.int64(3)], ids=["int", "numpy-int"])
+    def test_max_iterations_carries_report(self, scalar_critical, max_iter):
         with pytest.raises(MaxIterations) as exc_info:
-            solve(scalar_critical, DoublingParams(1.0, 1.0, max_iter=3))
+            solve(scalar_critical, DoublingParams(1.0, 1.0, max_iter=max_iter))
         rep = exc_info.value.report
         assert rep is not None
         assert rep.iterations == 3

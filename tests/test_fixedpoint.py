@@ -7,7 +7,7 @@ from marekit import FamilySpec, MareProblem, Regime, generate, solve
 from marekit import fixedpoint
 from marekit.doubling import sign_tol
 from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
-from marekit.fixedpoint import OracleReport, _fixed_point_pair, fixed_point_solve
+from marekit.fixedpoint import OracleReport, _fixed_point, fixed_point_solve
 from marekit.linalg import EPS, one_norm, pivot_tol
 from marekit.problem import _residual, residual_dual, residual_primal
 
@@ -141,6 +141,9 @@ def test_zero_denominator_raises():
         ({"tol": float("nan")}, "tol"),
         ({"max_iter": 0}, "max_iter"),
         ({"max_iter": -5}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter must be an integer"),
+        ({"max_iter": np.float64(3.0)}, "max_iter must be an integer"),
+        ({"max_iter": None}, "max_iter must be an integer"),
     ],
 )
 def test_bad_limits_rejected(scalar_nonsingular, limits, message):
@@ -151,6 +154,11 @@ def test_bad_limits_rejected(scalar_nonsingular, limits, message):
 def test_zero_tol_and_one_step_accepted(scalar_nonsingular):
     rep = fixed_point_solve(scalar_nonsingular, tol=0.0, max_iter=1)
     assert rep.iterations == 1 and not rep.converged
+
+
+def test_numpy_integer_max_iter_accepted(scalar_nonsingular):
+    rep = fixed_point_solve(scalar_nonsingular, tol=0.0, max_iter=np.int64(3))
+    assert rep.iterations == 3 and not rep.converged
 
 
 _SMALL = {
@@ -284,17 +292,9 @@ _TWO_SIDED = {
     "two-sided-noncritical-11x13": FamilySpec(Regime.SINGULAR_NONCRITICAL, 11, 13, seed=7),
 }
 
-# K = [[0.85, 0, -0.076], [-3.67, 0.564, 0], [0, -3.21, 1.571]] is not an
-# M-matrix; the oracle's update overflows at step 128 on this problem and at
-# step 110 on its dual, in different blocks of steps
-_BREAKS_LATER_THAN_ITS_DUAL = MareProblem(
-    n=1, m=2, A=[[0.564, 0.0], [-3.21, 1.571]], B=[[3.67], [0.0]], C=[[0.0, 0.076]], D=[[0.85]]
-)
-
-
-def _breakdown_step(run, *args):
+def _breakdown_step(run, *args, **kwargs):
     with pytest.raises(IterationBreakdown) as info:
-        run(*args)
+        run(*args, **kwargs)
     return int(re.search(r"step (\d+)", str(info.value)).group(1))
 
 
@@ -315,7 +315,7 @@ class TestPair:
     )
     def test_pair_matches_two_single_runs(self, name, tol, max_iter):
         p = _problem({**_CASES, **_TWO_SIDED}[name])
-        primal, dual = _fixed_point_pair(p, tol, max_iter)
+        primal, dual = _fixed_point(p, tol, max_iter, dual=True)
         _assert_same_report(primal, fixed_point_solve(p, tol, max_iter))
         # the transposed products and sums round in another order than the dual run's
         want = fixed_point_solve(p.dual(), tol, max_iter)
@@ -348,7 +348,7 @@ class TestPair:
             tol = residuals[k - 1]
             want = _reference_dual(p, tol=tol, max_iter=5000)
             assert want.iterations == k and want.converged
-            _assert_same_report(_fixed_point_pair(p, tol=tol, max_iter=5000)[1], want)
+            _assert_same_report(_fixed_point(p, tol=tol, max_iter=5000, dual=True)[1], want)
             checked += 1
         assert checked >= 5
 
@@ -370,33 +370,45 @@ class TestPair:
         monkeypatch.setattr(fixedpoint, "_numerator", counted)
         return steps
 
+    def test_pair_steps_the_stack_to_its_last_stop(self, monkeypatch):
+        # the sides stop at steps 296 and 279, in different blocks; the stopped
+        # dual goes on stepping inside the stack, and a single side steps 2-D
+        p = _problem(_TWO_SIDED["two-sided-noncritical-3x4"])
+        steps = self._count_steps(monkeypatch)
+        primal, dual = _fixed_point(p, dual=True)
+        assert (primal.iterations, dual.iterations) == (296, 279)
+        assert steps == [3] * (1 + 296)
+        steps.clear()
+        assert fixed_point_solve(p).iterations == 296
+        assert fixed_point_solve(p.dual()).iterations == 279
+        assert steps == [2] * (1 + 296) + [2] * (1 + 280)
+
     @pytest.mark.filterwarnings("error")
     def test_divergent_pair_breaks_down_at_the_primal_step(self, divergent):
-        assert _breakdown_step(_fixed_point_pair, divergent, 1e-12, 5000) == 12
-        assert _breakdown_step(_fixed_point_pair, divergent.dual(), 1e-12, 5000) == 12
+        assert _breakdown_step(_fixed_point, divergent, 1e-12, 5000, dual=True) == 12
+        assert _breakdown_step(_fixed_point, divergent.dual(), 1e-12, 5000, dual=True) == 12
 
-    def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch):
+    def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the primal overflows at step 110, the dual would at step 128: the run
         # stops with the block of steps 105-112 and never iterates the dual on
-        p = _BREAKS_LATER_THAN_ITS_DUAL.dual()
+        p = breaks_later_than_its_dual.dual()
         assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 110
         assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 128
         steps = self._count_steps(monkeypatch)
-        assert _breakdown_step(_fixed_point_pair, p, 1e-12, 10**6) == 110
+        assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
         assert steps == [3] * (1 + 112)
 
-    def test_dual_breakdown_waits_for_the_primal(self, monkeypatch):
-        # the dual overflows at step 110 and is dropped; the primal goes on
-        # alone on 2-D arrays and its own breakdown, at step 128, is raised,
-        # as when the primal ran first
-        p = _BREAKS_LATER_THAN_ITS_DUAL
+    def test_dual_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
+        # the dual overflows at step 110, the primal would at step 128: either
+        # side's overflow ends the run, here with the block of steps 105-112
+        p = breaks_later_than_its_dual
         steps = self._count_steps(monkeypatch)
-        assert _breakdown_step(_fixed_point_pair, p, 1e-12, 10**6) == 128
-        assert steps == [3] * (1 + 112) + [2] * (128 - 112)
+        assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
+        assert steps == [3] * (1 + 112)
 
     def test_input_checks_apply_to_the_pair(self):
         p = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         with pytest.raises(SingularMatrix):
-            _fixed_point_pair(p)
+            _fixed_point(p, dual=True)
         with pytest.raises(InvalidParameters, match="max_iter"):
-            _fixed_point_pair(_problem(_SMALL["scalar-nonsingular"]), max_iter=0)
+            _fixed_point(_problem(_SMALL["scalar-nonsingular"]), max_iter=0, dual=True)
