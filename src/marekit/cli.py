@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -70,7 +69,6 @@ _USAGE_ERRORS = (
     NonpositiveDiagonal,
     ValueError,
     OSError,
-    json.JSONDecodeError,
 )
 _BREAKDOWN_ERRORS = (
     SingularMatrix,
@@ -252,8 +250,7 @@ def _cmd_solve(ns) -> CommandOutcome:
     if error is not None:
         report["error"] = error
         return CommandOutcome(3, dumps_report(report), trace_path)
-    ok = result.certificate.all_passed and result.converged
-    return CommandOutcome(0 if ok else 1, dumps_report(report), trace_path)
+    return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report), trace_path)
 
 
 def _solve_report(result) -> dict:

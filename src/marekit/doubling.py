@@ -29,11 +29,10 @@ Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
 silently ignores a structural violation.  Every matrix M the iteration
 inverts is a nonsingular M-matrix in theory and is solved by
-``linalg._m_solve(M, *blocks)``, the core of ``linalg.m_solve``: it
-appends a column of ones, whose solution x = M^{-1} 1 certifies that
-kind (``linalg._certifies``) and gives 1 / ||M^{-1}||_inf, the ``dist``
-of the diagnostics; a failed certificate on the shifted K of the
-initialization raises SingularMatrix.
+``linalg._m_solve(M, *blocks)``: it appends a column of ones, whose
+solution x = M^{-1} 1 certifies that kind (``linalg._certifies``) and
+gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
+certificate on the shifted K of the initialization raises SingularMatrix.
 
 Each iterate's I - G H, of order n, is inverted once, when the iterate
 is created, and W = (I - G H)^{-1} is carried to the next step.  The
@@ -91,6 +90,8 @@ class DoublingParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise InvalidParameters("alpha and beta must be positive")
+        if not math.isfinite(self.alpha + self.beta):
+            raise InvalidParameters(f"alpha + beta must be finite, got {self.alpha} + {self.beta}")
         try:
             operator.index(self.max_iter)
         except TypeError:
@@ -467,7 +468,7 @@ def observed_rate(trace, phi) -> float:
 
 
 def trace_to_csv(trace) -> str:
-    """Iteration trace as CSV (one row per step; dH/dG empty at k = 0; dist_* as in ``m_solve``)."""
+    """Iteration trace as CSV (one row per step; dH/dG empty at k = 0; dist_* as in ``linalg._m_solve``)."""
     lines = ["k,dH,dG,dist_IGH,dist_IHG,sign_violations_E,sign_violations_F,monotonicity_violations"]
     for rec in trace:
         d = rec.diagnostics

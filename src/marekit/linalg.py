@@ -3,19 +3,19 @@
 All routines work on dense float64 arrays and are pure functions of their
 inputs with no module state, so concurrent use is safe.  Only the kernels
 that carry a tolerance contract numpy does not offer are written here: the
-semipositivity certificate of ``m_solve`` for matrices that the theory
+semipositivity certificate of ``_m_solve`` for matrices that the theory
 makes nonsingular M-matrices, and the certified Perron root of a
 nonnegative matrix with its Perron vector.  The certificate's column of
-ones is laid out by the core ``_m_solve(A, *blocks)`` alone: its callers
-pass their right-hand side blocks.  Every solve runs in LAPACK
-through ``np.linalg.solve``; no general eigensolve is needed, as every
-spectral quantity the package reports is a Perron root.  The Perron root is
+ones is laid out by ``_m_solve(A, *blocks)`` alone: its callers pass
+their right-hand side blocks.  Every solve runs in LAPACK through
+``np.linalg.solve``; no general eigensolve is needed, as every spectral
+quantity the package reports is a Perron root.  The Perron root is
 bracketed by Collatz-Wielandt bounds on the vectors of Noda's shifted
 inverse iteration, one LAPACK solve per step, and the last of those
-vectors is the Perron vector (``perron_pair``).  Where those bounds stay
+vectors is the Perron vector (``_perron_pair``).  Where those bounds stay
 open on a reducible matrix, as when its Perron vector has zero entries,
 the root is the largest one of its irreducible diagonal blocks (the
-strongly connected components of its digraph, ``irreducible_blocks``),
+strongly connected components of its digraph, ``_irreducible_blocks``),
 each bracketed the same way.
 """
 
@@ -33,14 +33,13 @@ EPS = float(np.finfo(np.float64).eps)
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 2-D array (row-major copy).
 
-    This is the input check of the public entry points: ``m_solve``,
-    ``perron_pair``, ``spectral_radius_nonneg`` and ``irreducible_blocks``
-    here, ``classify_zm`` and ``block_null_pairs`` in ``mstruct``, the
-    problem model, its candidate solutions and its JSON loaders.
-    ``m_solve``, ``perron_pair``, ``irreducible_blocks`` and
-    ``classify_zm`` are this check plus a call to a private core
-    (``_m_solve``, ``_perron_pair``, ...) that does only the work.  The cores trust their callers to pass
-    float64 arrays that have passed it, and the package's own callers do.
+    This is the input check of the names in ``marekit.__all__`` that take
+    a matrix: ``spectral_radius_nonneg`` here, ``classify_zm`` in
+    ``mstruct``, the problem model, its candidate solutions and its JSON
+    loaders.  The kernels behind them (``_m_solve``, ``_perron_pair``,
+    ``_irreducible_blocks``, ``mstruct.block_null_pairs``) trust their
+    callers to pass float64 arrays that have passed it, and the package's
+    own callers do.
     """
     try:
         M = np.array(a, dtype=np.float64, order="C")
@@ -84,14 +83,6 @@ def pivot_tol(M) -> float:
     return M.shape[0] * EPS * one_norm(M)
 
 
-def _as_rhs(rhs, rows: int) -> np.ndarray:
-    """``rhs`` as a float64 vector or matrix with ``rows`` rows."""
-    b = np.asarray(rhs, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != rows:
-        raise ShapeMismatch(f"rhs of shape {b.shape} does not fit a matrix of order {rows}")
-    return b
-
-
 def _is_z(A: np.ndarray) -> bool:
     """True when the finite square A has no positive off-diagonal entry (a Z-matrix).
 
@@ -115,31 +106,17 @@ def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def m_solve(M, rhs):
-    """``(X, dist, certified)``: one LAPACK solve of ``M [X x] = [rhs 1]``.
-
-    A Z-matrix is a nonsingular M-matrix exactly when some x > 0 has
-    M x > 0, so M is certified when it is a Z-matrix, x > 0 and the
-    computed M x exceeds its rounding margin (n + 2) eps |M| x.  Then
-    ||M^{-1}||_inf = max(x), so ``dist = 1 / max|x|`` is a scale-aware
-    distance to singularity.  Raises SingularMatrix when LAPACK finds M
-    exactly singular.
-    """
-    A = as_square(M)
-    b = _as_rhs(rhs, A.shape[0])
-    X, dist, certified = _m_solve(A, b)
-    return (X[:, 0] if b.ndim == 1 else X), dist, certified
-
-
 def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """The core of ``m_solve``: ``(A^{-1} [blocks], dist, certified)``.
+    """``(A^{-1} [blocks], dist, certified)``: one LAPACK solve of ``A [X x] = [blocks 1]``.
 
-    It builds ``[blocks 1]`` (``_with_ones``; a vector block is one column,
-    and with no block it is the ones column alone) and solves it once; x is
-    the last column of that solution and is not returned.  A must be a
-    square float64 array with as many rows as each block.  Its entries are
-    checked to be finite here (ValueError), as the package's callers form
-    it by arithmetic.
+    ``_with_ones`` lays out ``[blocks 1]`` (a vector block is one column;
+    with no block it is the ones column alone).  x = A^{-1} 1 is not
+    returned: A is certified a nonsingular M-matrix when x passes
+    ``_certifies``, and then ``dist = 1 / max|x| = 1 / ||A^{-1}||_inf`` is
+    a scale-aware distance to singularity.  Raises SingularMatrix when
+    LAPACK finds A exactly singular.  A must be a square float64 array
+    with as many rows as each block; its entries are checked to be finite
+    here (ValueError), as the package's callers form it by arithmetic.
     """
     if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN or Inf entries")
@@ -231,20 +208,15 @@ def _reach(adj: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
     return seen
 
 
-def irreducible_blocks(M) -> list[np.ndarray]:
-    """Index sets of the irreducible diagonal blocks of a square M.
+def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the irreducible diagonal blocks of a square float64 A.
 
     These are the strongly connected components of the off-diagonal
-    digraph (edge i -> j whenever i != j and M[i, j] != 0), in the order of
-    their smallest index; M is irreducible exactly when there is one.  Each
+    digraph (edge i -> j whenever i != j and A[i, j] != 0), in the order of
+    their smallest index; A is irreducible exactly when there is one.  Each
     component is the set of nodes that both reach and are reached from its
     smallest node, found among the nodes no earlier component took.
     """
-    return _irreducible_blocks(as_square(M))
-
-
-def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
-    """The core of ``irreducible_blocks``, for a square float64 A."""
     adj = A != 0.0
     np.fill_diagonal(adj, False)
     left = np.ones(A.shape[0], dtype=bool)
@@ -257,32 +229,24 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def perron_pair(P) -> tuple[float, np.ndarray | None]:
-    """Perron root of an entrywise-nonnegative square P, to full accuracy, and a Perron vector.
+def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Perron root, to full accuracy, and a Perron vector of a finite, nonnegative, square float64 A.
 
-    A 1x1 P is its own root, with vector 1.  Otherwise the root is the
+    A 1x1 A is its own root, with vector 1.  Otherwise the root is the
     midpoint of the Collatz-Wielandt bounds of ``_noda_bounds``, a few
     LAPACK solves, closed to a width of at most 1e-15 max(1, lo + c) with
-    ``c = 1 + max diag(P)``, and the vector x > 0 is the iteration's last.
-    Where they stay open on a reducible P (a Perron vector with zero
-    entries, a nilpotent P), the root is the largest root of the
-    irreducible diagonal blocks of ``irreducible_blocks``, each taken by
+    ``c = 1 + max diag(A)``, and the vector x > 0 is the iteration's last.
+    Where they stay open on a reducible A (a Perron vector with zero
+    entries, a nilpotent A), the root is the largest root of the
+    irreducible diagonal blocks of ``_irreducible_blocks``, each taken by
     this function, and x is None.  Where rounding stalls them on an
-    irreducible P, the iteration reruns on diag(x_1)^-1 P diag(x_1), x_1
+    irreducible A, the iteration reruns on diag(x_1)^-1 A diag(x_1), x_1
     its last vector: the same root, and a Perron vector x_2 near 1 whose
     small entries the solves no longer lose to the spread of x_1; then
     x = x_1 x_2 entrywise.  Bounds of both runs within 1e-14 max(1, lo + c)
-    give the root; wider ones raise NoConvergence.  So an irreducible P
+    give the root; wider ones raise NoConvergence.  So an irreducible A
     always has its vector.
     """
-    A = as_square(P, "P")
-    if (A < 0).any():
-        raise ValueError("P must be entrywise nonnegative")
-    return _perron_pair(A)
-
-
-def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """The core of ``perron_pair``, for a finite, entrywise-nonnegative, square float64 A."""
     if A.shape[0] == 1:
         return float(A[0, 0]), np.ones(1)
     c = 1.0 + float(A.diagonal().max())
@@ -302,6 +266,9 @@ def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
 
 
 def spectral_radius_nonneg(P) -> float:
-    """Perron root of an entrywise-nonnegative square matrix: the root of ``perron_pair``."""
-    return perron_pair(P)[0]
+    """Perron root of an entrywise-nonnegative square matrix: the root of ``_perron_pair``."""
+    A = as_square(P, "P")
+    if (A < 0).any():
+        raise ValueError("P must be entrywise nonnegative")
+    return _perron_pair(A)[0]
 

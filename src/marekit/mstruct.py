@@ -4,7 +4,7 @@ Classification into {not-Z, Z-but-not-M, singular M, nonsingular M},
 regularity (some positive v has M v >= 0), and one left/right kernel
 pair with its drift per singular irreducible block of an M-matrix, all
 read off one pass over the irreducible diagonal blocks of M (the
-strongly connected components of its digraph, ``linalg.irreducible_blocks``;
+strongly connected components of its digraph, ``linalg._irreducible_blocks``;
 M is irreducible when there is one).
 
 All judgments are made to explicit scale-aware tolerances; the interesting
@@ -12,7 +12,7 @@ inputs sit exactly on the singular boundary, so those tolerances are part
 of the contract, not an afterthought.
 
 ``classify_zm`` takes each block's Perron root and Perron vector from its
-own split, ``linalg.perron_pair`` (Collatz-Wielandt bounds from a few
+own split, ``linalg._perron_pair`` (Collatz-Wielandt bounds from a few
 LAPACK solves), judges each block's gap at the tolerance of the whole
 matrix, and gives the matrix the smallest gap: the spectrum of a
 reducible matrix is the union of its blocks' spectra.  The blocks travel
@@ -145,18 +145,15 @@ def classify_zm(M) -> MClassification:
     """Classify a square matrix via the shift split with s = max diagonal.
 
     Each irreducible diagonal block b of a Z-matrix is split on its own,
-    M_bb = s_b I - B_b, and ``linalg.perron_pair`` gives rho(B_b) to full
+    M_bb = s_b I - B_b, and ``linalg._perron_pair`` gives rho(B_b) to full
     accuracy (Collatz-Wielandt bounds) with its Perron vector.  As the
     spectrum of M is the union of its blocks' spectra, rho(B) = s - min_b
     gap_b, and M's kind is that of its smallest gap, judged at M's own
     tolerance like every block's.  An irreducible M is its own block, with
-    M's own split.
+    M's own split.  M is checked (``as_square``), as the package also
+    passes matrices it forms by arithmetic: R, S and the cross products.
     """
-    return _classify_zm(as_square(M))
-
-
-def _classify_zm(A: np.ndarray) -> MClassification:
-    """The core of ``classify_zm``, for a finite square float64 A."""
+    A = as_square(M)
     s = float(A.diagonal().max())
     tol = class_tol(A)
     if not linalg._is_z(A):
@@ -227,31 +224,26 @@ def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPai
     are kernel vectors of K when there is one singular block or every
     singular block is final, and each is checked against ``null_tol``
     (AmbiguousKernel otherwise).  They are returned nonnegative with unit
-    1-norm, tiny negative round-off clamped to zero.  Raises ValueError
-    when n is outside [0, size] or ``classification`` is not of an
-    M-matrix.
+    1-norm, tiny negative round-off clamped to zero.  K must be a checked
+    square float64 array, ``classification`` that of an M-matrix and n in
+    [0, size], as ``problem.classify_problem`` passes them.
     """
-    A = as_square(K)
-    size = A.shape[0]
-    if not 0 <= n <= size:
-        raise ValueError(f"split index {n} outside [0, {size}]")
-    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
-        raise ValueError("null vectors are defined for M-matrices only")
+    size = K.shape[0]
     singular = classification.singular_blocks
     if not singular:
-        _solve_rest(A)
+        _solve_rest(K)
         return []
     rest = np.ones(size, dtype=bool)
     for blk in singular:
         rest[blk.index] = False
-    lefts = [linalg._perron_pair(_split(A[np.ix_(b.index, b.index)].T)[1])[1] for b in singular]
+    lefts = [linalg._perron_pair(_split(K[np.ix_(b.index, b.index)].T)[1])[1] for b in singular]
     right = left = np.zeros((0, len(singular)))
     if rest.any():
-        K_NN = A[np.ix_(rest, rest)]
-        right = _solve_rest(K_NN, *(-(A[np.ix_(rest, b.index)] @ b.perron) for b in singular))
+        K_NN = K[np.ix_(rest, rest)]
+        right = _solve_rest(K_NN, *(-(K[np.ix_(rest, b.index)] @ b.perron) for b in singular))
         # a row-major transpose, so that its certificate's products round as every other's
-        left = _solve_rest(K_NN.T.copy(), *(-(y @ A[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
-    tol = null_tol(A)
+        left = _solve_rest(K_NN.T.copy(), *(-(y @ K[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
+    tol = null_tol(K)
     pairs = []
     for i, (blk, y) in enumerate(zip(singular, lefts)):
         v, u = np.zeros(size), np.zeros(size)
@@ -259,7 +251,7 @@ def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPai
         v[rest], u[rest] = right[:, i], left[:, i]
         v, u = np.maximum(v, 0.0), np.maximum(u, 0.0)
         v, u = v / v.sum(), u / u.sum()
-        if inf_norm(A @ v) > tol or inf_norm(u @ A) > tol:
+        if inf_norm(K @ v) > tol or inf_norm(u @ K) > tol:
             raise AmbiguousKernel("kernel residual exceeds tolerance")
         pairs.append(NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:])))
     return pairs

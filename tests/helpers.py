@@ -1,0 +1,143 @@
+"""Reference computations and call counters shared by the test modules.
+
+Not a test module (no ``test_`` prefix), so pytest does not collect it;
+the test modules import from here and never from each other.
+"""
+
+import math
+
+import numpy as np
+
+from marekit import linalg, mstruct
+from marekit.errors import SingularMatrix
+from marekit.linalg import EPS, one_norm
+from marekit.mstruct import MatrixKind, classify_zm
+
+
+def _squaring_bounds(M: np.ndarray, max_squarings: int = 80):
+    """Yield two-sided bounds ``(lo, hi)`` on rho(M) from repeated squaring.
+
+    M must be nonnegative with a positive diagonal.  For any k,
+    max_i (M^k)_ii <= rho(M)^k <= ||M^k||_1, and with k = 2^j and 1-norm
+    rescaling both ends close in geometrically in j, even for a defective
+    dominant eigenvalue.  An independent reference for the Perron root;
+    the iterate may underflow to zero once the bounds are already tight.
+    """
+    N = M.copy()
+    log_scale = 0.0  # sum of 2^{-i} log t_i accumulated so far
+    weight = 1.0
+    for _ in range(max_squarings):
+        t = one_norm(N)
+        if t <= 0.0:
+            return
+        log_scale += weight * math.log(t)
+        N = N / t
+        lo = math.exp(log_scale + weight * math.log(max(np.diag(N).max(), 5e-324)))
+        hi = math.exp(log_scale)  # ||N||_1 == 1 after scaling
+        yield lo, hi
+        N = N @ N
+        weight *= 0.5
+
+
+def squaring_root(P):
+    """``(rho, c)``: the Perron root of P from squaring bounds on P + c I, c = 1 + max diag(P)."""
+    P = np.asarray(P, dtype=np.float64)
+    c = 1.0 + float(np.diag(P).max())
+    lo, hi = 0.0, math.inf
+    for lo, hi in _squaring_bounds(P + c * np.eye(len(P))):
+        if hi - lo <= 1e-15 * max(1.0, lo):
+            break
+    assert hi - lo <= 1e-9 * max(1.0, lo)
+    return max(0.5 * (lo + hi) - c, 0.0), c
+
+
+def zm_split(M):
+    """``(s, B)`` of the Z-matrix split ``M = s I - B`` that ``classify_zm`` makes."""
+    M = np.asarray(M, dtype=np.float64)
+    s = float(np.diag(M).max())
+    B = s * np.eye(len(M)) - M
+    B[B < 0] = 0.0
+    return s, B
+
+
+def check_against_squaring(M):
+    """``classify_zm(M)`` against the squaring reference: its root, and its kind off the band edges."""
+    M = np.asarray(M, dtype=np.float64)
+    got = classify_zm(M)
+    if (M - np.diag(np.diag(M)) > 0).any():
+        assert got.kind is MatrixKind.NOT_Z
+        return
+    s, B = zm_split(M)
+    want, c = squaring_root(B)
+    # squaring is itself off by a few eps (rho + c), up to 4e-15 (rho + c) on
+    # scaled triangular splits, whose exact root is a diagonal entry
+    slack = 1e-14 * (want + c)
+    assert abs(got.rho_B - want) <= slack
+    gap = s - want
+    if abs(abs(gap) - got.tol) > slack + 4 * EPS * max(abs(s), want):
+        assert got.kind is mstruct.gap_kind(gap, got.tol)
+
+
+def regularity_witness(M, classification):
+    """A positive v with M v >= 0 built from the blocks of ``classification``, or None.
+
+    The constructive side of ``MClassification.regular``, kept here as a
+    reference: each singular block's Perron vector, scaled to min 1, and
+    M_NN^{-1} (1 - M_NS v_S) on the nonsingular rest N, solved and
+    certified by ``linalg._m_solve`` (SingularMatrix where it fails or the
+    solution is not positive).  A nonsingular M is all rest, so v = M^{-1} 1.
+    """
+    A = np.asarray(M, dtype=float)
+    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
+        raise ValueError("regularity is defined for M-matrices only")
+    if not classification.regular:
+        return None
+    v = np.ones(len(A))
+    final = np.zeros(len(A), dtype=bool)
+    for blk in classification.singular_blocks:
+        v[blk.index] = blk.perron / blk.perron.min()
+        final[blk.index] = True
+    rest = ~final
+    if rest.any():
+        rows = A[rest]
+        X, _, certified = linalg._m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
+        if not (certified and (X > 0.0).all()):
+            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
+        v[rest] = X[:, 0]
+    return v
+
+
+def count_m_solves(monkeypatch):
+    """The (order, block count) of every ``linalg._m_solve`` call from here on."""
+    calls = []
+    real = linalg._m_solve
+
+    def counting(A, *blocks):
+        calls.append((len(A), len(blocks)))
+        return real(A, *blocks)
+
+    monkeypatch.setattr(linalg, "_m_solve", counting)
+    return calls
+
+
+def reducible_m_matrix(rng, size):
+    """A block upper-triangular M-matrix, symmetrically permuted, and whether it is regular.
+
+    Each diagonal block is dense and either singular (zero row sums) or
+    clearly nonsingular (row sums of at least 0.5); a block couples to the
+    later ones in its rows with probability 1/2.  M is regular exactly when
+    no singular block is coupled.
+    """
+    cuts = np.sort(rng.choice(np.arange(1, size), size=int(rng.integers(1, min(size, 4))), replace=False))
+    bounds = [0, *cuts.tolist(), size]
+    M = np.zeros((size, size))
+    regular = True
+    for lo, hi in zip(bounds, bounds[1:]):
+        M[lo:hi, lo:] = -rng.uniform(0.1, 1.0, (hi - lo, size - lo))
+        if hi == size or rng.random() < 0.5:
+            M[lo:hi, hi:] = 0.0
+        singular = rng.random() < 0.6
+        M[lo:hi, lo:hi] += np.diag(-M[lo:hi, lo:hi].sum(axis=1) + (0.0 if singular else rng.uniform(0.5, 2.0)))
+        regular = regular and not (singular and M[lo:hi, hi:].any())
+    perm = rng.permutation(size)
+    return M[np.ix_(perm, perm)], regular

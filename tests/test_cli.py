@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,15 @@ class TestSolve:
         out = execute(["solve", problem_file, "--alpha", "-1e3", "--beta", "1"])
         assert out.exit_code == 2
         assert "below the admissible bounds" in json.loads(out.report_json)["error"]
+
+    @pytest.mark.parametrize("value", ["1e308", "inf"])
+    def test_nonfinite_parameter_sum_is_usage_error(self, problem_file, value):
+        # alpha + beta overflows: refused before the shifted K is formed, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = execute(["solve", problem_file, "--alpha", value, "--beta", value])
+        assert out.exit_code == 2
+        assert json.loads(out.report_json)["error"] == f"alpha + beta must be finite, got {float(value)} + {float(value)}"
 
     def test_sda_method(self, problem_file):
         out = execute(["solve", problem_file, "--method", "sda"])

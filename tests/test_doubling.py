@@ -97,6 +97,8 @@ class TestSelectParameters:
         [
             (lambda p: DoublingParams(0.0, 1.0), "alpha and beta must be positive"),
             (lambda p: DoublingParams(1.0, -1.0), "alpha and beta must be positive"),
+            (lambda p: DoublingParams(1e308, 1e308), "alpha + beta must be finite, got 1e+308 + 1e+308"),
+            (lambda p: DoublingParams(math.inf, 1.0), "alpha + beta must be finite, got inf + 1.0"),
             (lambda p: DoublingParams(1.0, 1.0, max_iter=0), "max_iter must be >= 1"),
             (lambda p: DoublingParams(1.0, 1.0, max_iter=2.5), "max_iter must be an integer, got 2.5"),
             (
@@ -105,7 +107,7 @@ class TestSelectParameters:
             ),
             (lambda p: select_parameters(p, mode="x"), "unknown mode 'x'"),
         ],
-        ids=["alpha", "beta", "max_iter", "max_iter-float", "max_iter-numpy-float", "mode"],
+        ids=["alpha", "beta", "sum-overflow", "sum-inf", "max_iter", "max_iter-float", "max_iter-numpy-float", "mode"],
     )
     def test_input_checks(self, scalar_nonsingular, build, message):
         with pytest.raises(InvalidParameters) as info:
@@ -336,7 +338,7 @@ class TestCarriedFactors:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Live m_solve / classify_zm call counts, plus per-phase deltas."""
+        """Live _m_solve / classify_zm call counts, plus per-phase deltas."""
         calls = {"m_solve": 0, "classify_zm": 0}
         phases = []
 
@@ -356,7 +358,6 @@ class TestCarriedFactors:
 
             return wrapper
 
-        # the doubling layer calls the core of m_solve
         monkeypatch.setattr(linalg, "_m_solve", counting("m_solve", linalg._m_solve))
         monkeypatch.setattr(mstruct, "classify_zm", counting("classify_zm", mstruct.classify_zm))
         monkeypatch.setattr(doubling, "initialize", phase("initialize", doubling.initialize))
@@ -389,7 +390,6 @@ class TestCarriedFactors:
         def refuse(P, *args, **kwargs):
             raise AssertionError("full Perron root computed during a doubling step")
 
-        monkeypatch.setattr(linalg, "perron_pair", refuse)
         monkeypatch.setattr(linalg, "_perron_pair", refuse)
         monkeypatch.setattr(linalg, "spectral_radius_nonneg", refuse)
         for p, rep in solved_noncritical:
@@ -411,7 +411,7 @@ class TestCrossProductCertificate:
                 (np.eye(p.n) - rec.G @ rec.H, d.dist_IGH, d.kind_IGH),
                 (np.eye(p.m) - rec.H @ rec.G, d.dist_IHG, d.kind_IHG),
             ):
-                _, _, certified = linalg.m_solve(M, np.zeros((len(M), 0)))
+                _, _, certified = linalg._m_solve(M)
                 assert kind is mstruct.classify_zm(M).kind
                 assert certified == (kind is MatrixKind.NONSINGULAR_M)
                 if certified:

@@ -1,17 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from marekit import linalg, mstruct, solve
+from helpers import squaring_root, zm_split
+from marekit import linalg, solve
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
-from marekit.linalg import (
-    EPS,
-    irreducible_blocks,
-    m_solve,
-    one_norm,
-    spectral_radius_nonneg,
-)
+from marekit.linalg import one_norm, spectral_radius_nonneg
 from marekit.mstruct import MatrixKind, classify_zm
 
 
@@ -93,79 +86,15 @@ class TestSpectralRadiusNonneg:
         P = np.array(P)
         c = 1.0 + P.diagonal().max()
         lo, hi, _ = linalg._noda_bounds(P, c)
-        assert len(irreducible_blocks(P)) == 1
+        assert len(linalg._irreducible_blocks(P)) == 1
         assert hi - lo > 1e-14 * (lo + c) or not stalls
         want = float(_mp_perron_root(P))
         assert abs(spectral_radius_nonneg(P) - want) <= 1e-15 * (want + c)
 
 
-def _squaring_bounds(M: np.ndarray, max_squarings: int = 80):
-    """Yield two-sided bounds ``(lo, hi)`` on rho(M) from repeated squaring.
-
-    M must be nonnegative with a positive diagonal.  For any k,
-    max_i (M^k)_ii <= rho(M)^k <= ||M^k||_1, and with k = 2^j and 1-norm
-    rescaling both ends close in geometrically in j, even for a defective
-    dominant eigenvalue.  An independent reference for the Perron root;
-    the iterate may underflow to zero once the bounds are already tight.
-    """
-    N = M.copy()
-    log_scale = 0.0  # sum of 2^{-i} log t_i accumulated so far
-    weight = 1.0
-    for _ in range(max_squarings):
-        t = one_norm(N)
-        if t <= 0.0:
-            return
-        log_scale += weight * math.log(t)
-        N = N / t
-        lo = math.exp(log_scale + weight * math.log(max(np.diag(N).max(), 5e-324)))
-        hi = math.exp(log_scale)  # ||N||_1 == 1 after scaling
-        yield lo, hi
-        N = N @ N
-        weight *= 0.5
-
-
-def _squaring_root(P):
-    """``(rho, c)``: the Perron root of P from squaring bounds on P + c I, c = 1 + max diag(P)."""
-    P = np.asarray(P, dtype=np.float64)
-    c = 1.0 + float(np.diag(P).max())
-    lo, hi = 0.0, math.inf
-    for lo, hi in _squaring_bounds(P + c * np.eye(len(P))):
-        if hi - lo <= 1e-15 * max(1.0, lo):
-            break
-    assert hi - lo <= 1e-9 * max(1.0, lo)
-    return max(0.5 * (lo + hi) - c, 0.0), c
-
-
-def _split(M):
-    """``(s, B)`` of the Z-matrix split ``M = s I - B`` that ``classify_zm`` makes."""
-    M = np.asarray(M, dtype=np.float64)
-    s = float(np.diag(M).max())
-    B = s * np.eye(len(M)) - M
-    B[B < 0] = 0.0
-    return s, B
-
-
-def check_against_squaring(M):
-    """``classify_zm(M)`` against the squaring reference: its root, and its kind off the band edges."""
-    M = np.asarray(M, dtype=np.float64)
-    got = classify_zm(M)
-    if (M - np.diag(np.diag(M)) > 0).any():
-        assert got.kind is MatrixKind.NOT_Z
-        return
-    s, B = _split(M)
-    want, c = _squaring_root(B)
-    # squaring is itself off by a few eps (rho + c), up to 4e-15 (rho + c) on
-    # scaled triangular splits, whose exact root is a diagonal entry
-    slack = 1e-14 * (want + c)
-    assert abs(got.rho_B - want) <= slack
-    gap = s - want
-    if abs(abs(gap) - got.tol) > slack + 4 * EPS * max(abs(s), want):
-        assert got.kind is mstruct.gap_kind(gap, got.tol)
-
-
 def _perron_matrix(what, M):
     """The nonnegative matrix whose Perron root the package takes for input ``what``."""
-    return M if what == "PhiPsi" else _split(M)[1]
+    return M if what == "PhiPsi" else zm_split(M)[1]
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +115,7 @@ def _mp_perron_root(P):
     mpmath = pytest.importorskip("mpmath")
     roots = []
     with mpmath.workdps(40):
-        for b in irreducible_blocks(P):
+        for b in linalg._irreducible_blocks(P):
             block = P[np.ix_(b, b)]
             if len(b) == 1:
                 roots.append(mpmath.mpf(float(block[0, 0])))
@@ -223,7 +152,7 @@ class TestCollatzWielandtRoot:
     def test_agrees_with_squaring_on_every_split(self, perron_inputs, monkeypatch):
         for label, what, M in perron_inputs:
             B = _perron_matrix(what, M)
-            want, c = _squaring_root(B)
+            want, c = squaring_root(B)
             calls = self._counted(monkeypatch)
             got = spectral_radius_nonneg(B)
             assert abs(got - want) <= 4e-15 * (want + c), label
@@ -235,7 +164,7 @@ class TestCollatzWielandtRoot:
         splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
         kinds = [classify_zm(M).kind for _, M in splits]
         pair = linalg._perron_pair
-        monkeypatch.setattr(linalg, "_perron_pair", lambda P: (_squaring_root(P)[0], pair(P)[1]))
+        monkeypatch.setattr(linalg, "_perron_pair", lambda P: (squaring_root(P)[0], pair(P)[1]))
         for (label, M), kind in zip(splits, kinds):
             assert classify_zm(M).kind is kind, label
 
@@ -243,7 +172,7 @@ class TestCollatzWielandtRoot:
         reducible = [
             _perron_matrix(what, M)
             for label, what, M in perron_inputs
-            if label.startswith("noncritical") and what in ("R", "S") and len(irreducible_blocks(M)) > 1
+            if label.startswith("noncritical") and what in ("R", "S") and len(linalg._irreducible_blocks(M)) > 1
         ]
         calls = self._counted(monkeypatch)
         for B in reducible:
@@ -261,7 +190,7 @@ class TestCollatzWielandtRoot:
         for _ in range(1000):
             n = int(rng.integers(2, 9))
             P = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
-            want, c = _squaring_root(P)
+            want, c = squaring_root(P)
             assert abs(spectral_radius_nonneg(P) - want) <= 4e-15 * (want + c), P
         assert calls["gave_up"] > 0
         # a draw that is irreducible and stalls by rounding is carried by its rerun
@@ -290,7 +219,7 @@ class TestCollatzWielandtRoot:
             if P.shape[0] > 1 and hi - lo <= 1e-15 * max(1.0, lo + c):
                 continue
             want = _mp_perron_root(P)
-            old, _ = _squaring_root(P)
+            old, _ = squaring_root(P)
             assert abs(spectral_radius_nonneg(P) - want) <= abs(old - want), P
             checked += 1
         assert checked >= 50
@@ -303,7 +232,7 @@ class TestPerronPair:
             n = int(rng.integers(1, 12))
             P = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.8)
             P[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # a cycle through every node
-            rho, x = linalg.perron_pair(P)
+            rho, x = linalg._perron_pair(P)
             assert rho == spectral_radius_nonneg(P)
             assert (x > 0).all()
             assert np.abs(P @ x - rho * x).max() <= 1e-14 * (rho + 1.0) * x.max()
@@ -318,7 +247,7 @@ class TestPerronPair:
                 [0.0, 0.000986160175509232, 0.5675012549010134],
             ]
         )
-        rho, x = linalg.perron_pair(P)
+        rho, x = linalg._perron_pair(P)
         assert (x > 0).all()
         assert np.abs(P @ x - rho * x).max() <= 1e-14 * (rho + 1.0) * x.max()
 
@@ -333,7 +262,7 @@ class TestIrreducibleBlocks:
             np.fill_diagonal(reach, True)
             for k in range(n):
                 reach |= np.outer(reach[:, k], reach[k, :])
-            blocks = irreducible_blocks(M)
+            blocks = linalg._irreducible_blocks(M)
             # a partition in the order of smallest index, i and j together iff each reaches the other
             assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
             assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
@@ -344,42 +273,42 @@ class TestIrreducibleBlocks:
 
     def test_block_triangular(self):
         M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
-        assert [b.tolist() for b in irreducible_blocks(M)] == [[0, 1], [2]]
+        assert [b.tolist() for b in linalg._irreducible_blocks(M)] == [[0, 1], [2]]
 
 
 class TestMSolve:
-    """One LAPACK solve on [rhs 1]: the solution plus a semipositivity certificate."""
+    """One LAPACK solve on [blocks 1]: the solution plus a semipositivity certificate."""
 
     def test_certified_nonsingular_m_matrix(self):
         M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        X, dist, certified = m_solve(M, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        X, dist, certified = linalg._m_solve(M, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert certified
         assert np.allclose(X, np.linalg.inv(M), rtol=0, atol=1e-15)
         # M^{-1} 1 = (1, 1): ||M^{-1}||_inf = 1
         assert dist == pytest.approx(1.0, rel=1e-15)
 
-    def test_vector_rhs_keeps_its_shape(self):
-        X, dist, certified = m_solve(np.diag([2.0, 4.0]), [2.0, 4.0])
-        assert X.shape == (2,) and np.array_equal(X, [1.0, 1.0])
+    def test_blocks_side_by_side(self):
+        # a vector block is one column; with no block the solution has none
+        M = np.diag([2.0, 4.0])
+        X, dist, certified = linalg._m_solve(M, np.array([2.0, 4.0]), np.array([[4.0, 0.0], [0.0, 8.0]]))
+        assert np.array_equal(X, [[1.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
         assert certified and dist == 2.0
-        for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
-            with pytest.raises(ShapeMismatch):
-                m_solve(np.eye(2), bad)
+        assert linalg._m_solve(M)[0].shape == (2, 0)
 
     def test_uncertified_kinds(self):
         # Z but not M (rho(B) = 2 > s = 1), not Z (M^{-1} 1 > 0 all the
         # same), and a nonsingular M-matrix within rounding of singular
         for M in ([[1.0, -2.0], [-2.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0 + 1e-15]]):
-            _, _, certified = m_solve(M, np.ones((2, 1)))
+            _, _, certified = linalg._m_solve(np.array(M), np.ones((2, 1)))
             assert not certified
 
     def test_exactly_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            m_solve([[1.0, -1.0], [-1.0, 1.0]], np.ones(2))
+            linalg._m_solve(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2))
 
     def test_rejects_nonfinite_matrix(self):
         with pytest.raises(ValueError):
-            m_solve([[np.nan, 0.0], [0.0, 1.0]], np.ones(2))
+            linalg._m_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
 
     def test_verdict_matches_kind_on_random_z_matrices(self):
         rng = np.random.default_rng(17)
@@ -388,7 +317,7 @@ class TestMSolve:
             n = int(rng.integers(1, 9))
             N = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
             M = (spectral_radius_nonneg(N) * rng.uniform(0.5, 1.5)) * np.eye(n) - N
-            _, dist, certified = m_solve(M, np.zeros((n, 0)))
+            _, dist, certified = linalg._m_solve(M)
             kind = classify_zm(M).kind
             seen.add(kind)
             assert certified == (kind is MatrixKind.NONSINGULAR_M)
@@ -399,7 +328,7 @@ class TestMSolve:
 
 
 def test_general_kernels_are_gone():
-    # every solve is a certified m_solve and every spectral quantity a Perron root
+    # every solve is a certified _m_solve and every spectral quantity a Perron root
     import marekit
 
     for name in ("lu_factor", "Factorization", "solve_linear", "spectral_radius"):

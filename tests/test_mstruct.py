@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import check_against_squaring, count_m_solves, reducible_m_matrix, regularity_witness
 from marekit import linalg
 from marekit.errors import NoConvergence, SingularMatrix
 from marekit.linalg import EPS, inf_norm, spectral_radius_nonneg
@@ -16,7 +17,6 @@ from marekit.mstruct import (
     classify_zm,
     null_tol,
 )
-from test_linalg import check_against_squaring
 
 
 def _singular_m_matrix(rng, size):
@@ -207,48 +207,6 @@ def _reference_regular(M) -> bool:
     return _phase_one_reference(M, -(M @ np.ones(M.shape[0]))) is not None
 
 
-def regularity_witness(M, classification):
-    """A positive v with M v >= 0 built from the blocks of ``classification``, or None.
-
-    The constructive side of ``MClassification.regular``, kept here as a
-    reference: each singular block's Perron vector, scaled to min 1, and
-    M_NN^{-1} (1 - M_NS v_S) on the nonsingular rest N, solved and
-    certified by ``linalg.m_solve`` (SingularMatrix where it fails or the
-    solution is not positive).  A nonsingular M is all rest, so v = M^{-1} 1.
-    """
-    A = np.asarray(M, dtype=float)
-    if classification.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M):
-        raise ValueError("regularity is defined for M-matrices only")
-    if not classification.regular:
-        return None
-    v = np.ones(len(A))
-    final = np.zeros(len(A), dtype=bool)
-    for blk in classification.singular_blocks:
-        v[blk.index] = blk.perron / blk.perron.min()
-        final[blk.index] = True
-    rest = ~final
-    if rest.any():
-        rows = A[rest]
-        x, _, certified = linalg.m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
-        if not (certified and (x > 0.0).all()):
-            raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
-        v[rest] = x
-    return v
-
-
-def count_m_solves(monkeypatch):
-    """The (order, block count) of every ``linalg._m_solve`` call from here on."""
-    calls = []
-    real = linalg._m_solve
-
-    def counting(A, *blocks):
-        calls.append((len(A), len(blocks)))
-        return real(A, *blocks)
-
-    monkeypatch.setattr(linalg, "_m_solve", counting)
-    return calls
-
-
 def _checked_verdict(M) -> bool:
     """The block rule's verdict on an M-matrix, with its witness checked.
 
@@ -265,31 +223,8 @@ def _checked_verdict(M) -> bool:
         slack = 4 * M.shape[0] * EPS * inf_norm(M) + max(0.0, -cls.gap)
         assert (M @ v >= -slack * inf_norm(v)).all()
         if cls.kind is MatrixKind.NONSINGULAR_M:
-            assert np.array_equal(v, linalg.m_solve(M, np.ones(M.shape[0]))[0])
+            assert np.array_equal(v, linalg._m_solve(M, np.ones(M.shape[0]))[0][:, 0])
     return v is not None
-
-
-def _reducible_m_matrix(rng, size):
-    """A block upper-triangular M-matrix, symmetrically permuted, and whether it is regular.
-
-    Each diagonal block is dense and either singular (zero row sums) or
-    clearly nonsingular (row sums of at least 0.5); a block couples to the
-    later ones in its rows with probability 1/2.  M is regular exactly when
-    no singular block is coupled.
-    """
-    cuts = np.sort(rng.choice(np.arange(1, size), size=int(rng.integers(1, min(size, 4))), replace=False))
-    bounds = [0, *cuts.tolist(), size]
-    M = np.zeros((size, size))
-    regular = True
-    for lo, hi in zip(bounds, bounds[1:]):
-        M[lo:hi, lo:] = -rng.uniform(0.1, 1.0, (hi - lo, size - lo))
-        if hi == size or rng.random() < 0.5:
-            M[lo:hi, hi:] = 0.0
-        singular = rng.random() < 0.6
-        M[lo:hi, lo:hi] += np.diag(-M[lo:hi, lo:hi].sum(axis=1) + (0.0 if singular else rng.uniform(0.5, 2.0)))
-        regular = regular and not (singular and M[lo:hi, hi:].any())
-    perm = rng.permutation(size)
-    return M[np.ix_(perm, perm)], regular
 
 
 @st.composite
@@ -331,7 +266,7 @@ class TestPhaseOneReference:
         rng = np.random.default_rng(59)
         verdicts = []
         for _ in range(150):
-            M, regular = _reducible_m_matrix(rng, int(rng.integers(2, 11)))
+            M, regular = reducible_m_matrix(rng, int(rng.integers(2, 11)))
             if classify_zm(M).kind is not MatrixKind.SINGULAR_M:
                 continue
             assert _checked_verdict(M) == regular == _reference_regular(M)
@@ -386,7 +321,7 @@ class TestRegularity:
             n = int(rng.integers(2, 12))
             K, _ = _singular_m_matrix(rng, n)
             assert classify_zm(K).kind is MatrixKind.SINGULAR_M
-            assert len(linalg.irreducible_blocks(K)) == 1
+            assert len(linalg._irreducible_blocks(K)) == 1
             assert _checked_verdict(K)
 
     def test_uncertified_nonsingular_witness_raises(self):
@@ -405,7 +340,7 @@ class TestRegularity:
 
 
 def _irreducible(M) -> bool:
-    return len(linalg.irreducible_blocks(M)) == 1
+    return len(linalg._irreducible_blocks(np.asarray(M, dtype=float))) == 1
 
 
 class TestIrreducibility:
@@ -434,6 +369,7 @@ class TestIrreducibility:
 
 def _null_pair(K, n):
     """The kernel pair of K's one singular irreducible block."""
+    K = np.asarray(K, dtype=float)
     (pair,) = block_null_pairs(K, n, classify_zm(K))
     return pair
 
@@ -454,7 +390,7 @@ class TestNullPair:
         assert pair.drift == pytest.approx(-1 / 3, abs=1e-12)
 
     def test_nonsingular_has_no_pair(self):
-        K = [[2.0, -1.0], [-1.0, 2.0]]
+        K = np.array([[2.0, -1.0], [-1.0, 2.0]])
         assert block_null_pairs(K, 1, classify_zm(K)) == []
 
     def test_coupled_singular_block(self):
@@ -489,7 +425,7 @@ class TestNullPair:
         calls = count_m_solves(monkeypatch)
         counts = set()
         for _ in range(300):
-            M, _ = _reducible_m_matrix(rng, int(rng.integers(4, 13)))
+            M, _ = reducible_m_matrix(rng, int(rng.integers(4, 13)))
             cls = classify_zm(M)
             singular = cls.singular_blocks
             if not (cls.regular and len(singular) >= 2 and len(singular) < len(cls.blocks)):
@@ -506,20 +442,6 @@ class TestNullPair:
         calls = count_m_solves(monkeypatch)
         assert block_null_pairs(K, 1, cls) == []
         assert calls == [(3, 0)]
-
-    def test_not_an_m_matrix_rejected(self):
-        K = [[1.0, -3.0], [-3.0, 1.0]]
-        with pytest.raises(ValueError, match="M-matrices only"):
-            block_null_pairs(K, 1, classify_zm(K))
-        P = [[1.0, 2.0], [0.0, 1.0]]
-        with pytest.raises(ValueError, match="M-matrices only"):
-            block_null_pairs(P, 1, classify_zm(P))
-
-    @pytest.mark.parametrize("n", [-1, 4, 99])
-    def test_split_outside_the_matrix_rejected(self, n):
-        K = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        with pytest.raises(ValueError, match="split index"):
-            block_null_pairs(K, n, classify_zm(K))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_split_at_either_end(self, n):
@@ -556,8 +478,18 @@ class TestNullPair:
 
 def test_public_surface():
     # one entry point per fact: the kernel is block_null_pairs, irreducibility
-    # len(irreducible_blocks(M)) == 1, and nothing raises NotSingular
+    # one block of classify_zm, and nothing raises NotSingular
+    import importlib
+    import pkgutil
+
     import marekit
+
+    # one name per kernel: no module binds both name and _name, as the
+    # names of marekit.__all__ check their arguments and the kernels do not
+    submodules = [importlib.import_module(f"marekit.{m.name}") for m in pkgutil.iter_modules(marekit.__path__)]
+    for module in [marekit, *submodules]:
+        names = set(vars(module))
+        assert [n for n in sorted(names) if not n.startswith("_") and "_" + n in names] == [], module.__name__
 
     assert set(marekit.__all__) == {
         "AmbiguousKernel", "Certificate", "CheckResult", "DoublingParams", "DoublingState",
@@ -571,5 +503,6 @@ def test_public_surface():
         "residual_primal", "select_parameters", "solve", "spectral_radius_nonneg", "step",
         "theoretical_rate", "trace_to_csv",
     }
+    # the benchmark's tracer (bench/tracing.py) wraps exactly these names
     assert len(marekit.__all__) == 44
     assert [f.name for f in dataclasses.fields(marekit.NullPair)] == ["u", "v", "drift"]

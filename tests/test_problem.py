@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import count_m_solves, regularity_witness
 from marekit import linalg, solve
 from marekit import problem as problem_module
 from marekit.errors import InvalidParameters, NotZMatrix, ShapeMismatch, SingularMatrix
@@ -19,7 +20,6 @@ from marekit.problem import (
     residual_dual,
     residual_primal,
 )
-from test_mstruct import count_m_solves, regularity_witness
 
 GOLDEN = (3 - 5**0.5) / 2
 
