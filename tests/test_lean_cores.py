@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import reducible_m_matrix
-from marekit import classify_zm, cli, linalg, mstruct
+from marekit import MareProblem, classify_zm, cli, linalg, mstruct
 from marekit.cli import dumps_report
 from marekit.errors import AmbiguousKernel, NoConvergence, SingularMatrix
 from marekit.linalg import EPS, as_square, spectral_radius_nonneg
@@ -304,6 +304,13 @@ class TestMSolve:
         _assert_same_solve([[1.0, 2.0], [0.5, 3.0]], [1.0, 1.0])  # not a Z-matrix
         _assert_same_solve([[1.0, -1.0], [0.0, 1.0]], [[1.0], [2.0]])  # reducible
         _assert_same_solve([[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0])  # exactly singular
+
+    def test_nan_rejected_by_the_public_function(self):
+        # the exported entries that lead to a solve check their matrices before the core sees them
+        with pytest.raises(ValueError, match="D contains NaN or Inf"):
+            MareProblem(n=2, m=1, A=[[1.0]], B=[[1.0, 0.0]], C=[[0.0], [1.0]], D=[[1.0, math.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            classify_zm([[math.inf]])
 
     def test_core_checks_finiteness_of_built_matrices(self):
         # the doubling layer forms its matrices by arithmetic and relies on this check
