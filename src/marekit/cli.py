@@ -228,7 +228,11 @@ def _cmd_solve(ns) -> CommandOutcome:
         report["iterations"] = primal.iterations
         report["phi"] = matrix_to_jsonable(primal.phi)
         report["psi"] = matrix_to_jsonable(dual.phi)
-        if not (primal.converged and dual.converged):
+        capped = [side for side, r in (("primal", primal), ("dual", dual)) if not r.converged]
+        if capped:
+            # a side that did not converge ran to max_iter, the larger count
+            steps = max(primal.iterations, dual.iterations)
+            report["error"] = f"fixed-point oracle did not meet tol within {steps} iterations on the {' and the '.join(capped)}"
             return CommandOutcome(3, dumps_report(report))
         return CommandOutcome(0 if cert.all_passed else 1, dumps_report(report))
 

@@ -23,10 +23,16 @@ iterate the oracle built, where the fused value is within rounding of
 the tolerance.
 
 The steps run in blocks of ``_BLOCK``.  A step inside a block does only
-its four products and the division; the fused residual, the 1-norms and
-the monotonicity count of every step of the block are then taken in one
-stacked pass, and the block is walked in step order to apply the stop.
-Up to ``_BLOCK - 1`` look-ahead steps past the stop are discarded.
+its four products, into buffers allocated once, and the division.  The
+block is then screened in one stacked pass over its steps and sides: the
+1-norms of X and of the fused residual are the largest entries of
+matrix-vector products with a ones vector, ``1^T |X|`` for the column
+sums of X, which numpy reduces far more slowly over a middle axis of the
+stack.  Monotonicity is one comparison of the block's iterates with
+their predecessors, and the count of violations per step is built only
+when that comparison fails.  The walk then visits, in step order, only
+the steps whose screen passes, is not finite, or sits at the cap.  Up to
+``_BLOCK - 1`` look-ahead steps past the stop are discarded.
 
 The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
@@ -36,8 +42,9 @@ With ``dual`` the core advances X and Z as one (2, m, n) stack from X_0 to
 the later of their stops: each step is one numerator and one division for
 both, and each block one screening pass.  Each side stops on its own step,
 decided by its own exact residual; the dual's is ``residual_dual``'s core
-on Z^T, and its screen takes the dual's 1-norm, the largest row sum of Z.
-A side that has stopped goes on stepping inside the stack, unread.
+on Z^T, and its screen takes the dual's 1-norm, the largest row sum
+``|Z| 1`` of Z.  A side that has stopped goes on stepping and being
+screened inside the stack, unread.
 ``fixed_point_solve``, the same core on X alone, steps 2-D arrays
 throughout.  The first block in which either side's update overflows ends
 the run, and the error names the primal's step if both overflow there.
@@ -56,9 +63,12 @@ from .linalg import EPS, one_norm, pivot_tol
 from .problem import MareProblem, _residual, sign_tol
 
 # Steps per screening pass.  At the sizes the oracle serves (m, n up to a
-# few dozen) a step's four products cost less than the dozen small numpy
-# reductions that screening it takes, so these run once per block, stacked.
-_BLOCK = 8
+# few dozen) a pass costs about a dozen small numpy calls whatever the
+# number of steps it covers, as much as a few steps' products.  On the
+# crosscheck oracle pair (2-vCPU x86-64 VM, one BLAS thread) 16 steps a pass
+# ran about 1.1x as fast as 8, and 24 or 32 at most a few percent faster
+# than 16, for more look-ahead steps that the stop discards.
+_BLOCK = 16
 
 # the default stopping limits of both entry points
 _TOL, _MAX_ITER = 1e-10, 5000
@@ -74,10 +84,19 @@ class OracleReport:
 
 
 def _numerator(N_A, B, C, N_D):
-    """``T(X) = X C X + B + N_A X + X N_D``, written to ``out``; the arrays may be stacks."""
+    """``T(X) = X C X + B + N_A X + X N_D``, written to ``out``; the arrays may be stacks.
+
+    The four products and three additions run in the order the expression
+    reads, through buffers allocated once: one shaped like N_A for X C and
+    two shaped like B for the rest.
+    """
+    XC, S, P = np.empty(N_A.shape), np.empty(B.shape), np.empty(B.shape)
 
     def numerator(X, out):
-        return np.add(X @ C @ X + B + N_A @ X, X @ N_D, out=out)
+        np.matmul(np.matmul(X, C, out=XC), X, out=S)
+        np.add(S, B, out=S)
+        np.add(S, np.matmul(N_A, X, out=P), out=S)
+        return np.add(S, np.matmul(X, N_D, out=P), out=out)
 
     return numerator
 
@@ -114,22 +133,25 @@ def _fixed_point(
     N_A = np.diag(a) - p.A
     N_D = np.diag(d) - p.D
     nA, nB, nC, nD = one_norm(p.A), one_norm(p.B), one_norm(p.C), one_norm(p.D)
-    # per side: the splitting its iterate runs on, and the equation its
-    # answer solves with that equation's coefficient 1-norms
+    # per side: the splitting its iterate runs on, the equation its answer
+    # solves, and that equation's coefficient 1-norms, one row per side
     splittings = [(N_A, p.B, p.C, N_D)]
     if dual:
         splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, p.C, p.B, N_D)))
     equations = [(p.A, p.B, p.C, p.D), (p.D, p.C, p.B, p.A)]
-    norms = [(nA, nB, nC, nD), (nD, nC, nB, nA)]
+    sides = len(splittings)
+    sA, sB, sC, sD = np.array([(nA, nB, nC, nD), (nD, nC, nB, nA)][:sides]).T[:, :, None]
     screen = tol + 8 * (p.m + p.n + 2) * EPS
     tau = sign_tol(p)
     # Xs[0, i] is side i's last iterate of the previous block, Xs[j, i] its
     # j-th successor; Ts[j - 1, i] is the numerator T(Xs[j, i]), written
     # there by the step.  T is the numerator of the current iterate; each
     # step reads it before it writes the next one, so T(0) can start in Ts[0].
-    sides = len(splittings)
+    # Ws holds |X| and |T(X) - denom X| of the block's iterates.
     Xs = np.zeros((_BLOCK + 1, sides, p.m, p.n))
     Ts = np.empty((_BLOCK, sides, p.m, p.n))
+    Ws = np.empty((2, _BLOCK, sides, p.m, p.n))
+    ones_m, ones_n = np.ones(p.m), np.ones(p.n)
     # the pair steps the whole stack, one side its own 2-D slices, which
     # multiply faster than a stack of one
     if dual:
@@ -143,32 +165,39 @@ def _fixed_point(
     done = 0
     while live:
         b = min(_BLOCK, max_iter - done)
+        X, prev, W = Xs[1 : b + 1], Xs[:b], Ws[:, :b]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, b + 1):
                 np.divide(T, denom, out=Xw[j])
                 T = numerator(Xw[j], Tw[j - 1])
-            screens = []
-            for i in live:
-                X, prev, Tb = Xs[1 : b + 1, i], Xs[:b, i], Ts[:b, i]
-                axis = 1 + i  # the columns of X, the rows of Z = Psi^T
-                sA, sB, sC, sD = norms[i]
-                nX = np.abs(X).sum(axis=axis).max(axis=1)
-                normalizer = np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
-                fused = np.abs(Tb - denom * X).sum(axis=axis).max(axis=1) / normalizer
-                screens.append((i, fused, violations[i] + np.cumsum((X < prev - tau).sum(axis=(1, 2)))))
-        for i, fused, counted in screens:
-            violations[i] = int(counted[-1])
-            for j, (value, count) in enumerate(zip(fused.tolist(), counted.tolist()), start=1):
-                k = done + j
-                if not math.isfinite(value):
+            np.abs(X, out=W[0])
+            np.abs(np.subtract(Ts[:b], np.multiply(denom, X, out=W[1]), out=W[1]), out=W[1])
+            # the 1-norms of |X| and of the fused residual, both at once: the
+            # largest column sum of X, and of Psi, the largest row sum of Z
+            sums = [ones_m @ W[:, :, 0]]
+            if dual:
+                sums.append(W[:, :, 1] @ ones_n)
+            nX, num = np.array([s.max(axis=2) for s in sums]).swapaxes(0, 1)
+            fused = num / np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
+            # the walk visits the steps the screen passes, a nonfinite one and the cap
+            visit = (fused <= screen) | ~np.isfinite(fused)
+            steady = bool((X >= prev).all())
+        visit[:, -1] |= done + b == max_iter
+        for i in tuple(live):
+            if not steady:
+                counted = violations[i] + np.cumsum((X[:, i] < prev[:, i] - tau).sum(axis=(1, 2)))
+                violations[i] = int(counted[-1])
+            for j in np.flatnonzero(visit[i]).tolist():
+                k = done + j + 1
+                if not math.isfinite(fused[i, j]):
                     raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
-                if value <= screen or k == max_iter:
-                    answer = (Xs[j, i].T if i else Xs[j, i]).copy()
-                    res = _residual(answer, *equations[i])
-                    if res <= tol or k == max_iter:
-                        reports[i] = OracleReport(answer, k, res <= tol, res, count)
-                        live.remove(i)
-                        break
+                answer = (X[j, i].T if i else X[j, i]).copy()
+                res = _residual(answer, *equations[i])
+                if res <= tol or k == max_iter:
+                    count = violations[i] if steady else int(counted[j])
+                    reports[i] = OracleReport(answer, k, res <= tol, res, count)
+                    live.remove(i)
+                    break
         done += b
         Xw[0] = Xw[b]
     return reports
@@ -186,21 +215,27 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
     slack, and at the cap, is the exact residual computed, and it alone
     decides the stop and fills ``final_residual``.  The slack
     ``8 (m + n + 2) eps`` covers the rounding gap between the two
-    residuals: each sums products of inner length at most ``m + n`` and a
-    few more terms, so each is within about ``(m + n + 5) eps / 2`` of the
-    true value, relative to the normalizer they share.  The stop therefore
-    falls on the step where the exact residual first meets ``tol``, as if
-    it were computed at every step.
+    residuals.  Each entry of either sums products of inner length at most
+    ``m + n`` and a few more terms, so it is within about
+    ``(m + n + 5) eps / 2`` of the true value, relative to the normalizer
+    they share.  The 1-norms then add at most ``max(m, n)`` nonnegative
+    terms, and a sum of k such terms, taken in any order, is within
+    ``(k - 1) eps / 2`` of itself: so for the screen's BLAS matrix-vector
+    products as for the exact residual's pairwise sums.  The two values
+    therefore differ by less than ``2 (m + n + 2) eps``, a quarter of the
+    slack.  The screen only gates the exact residual, so how its sums round
+    cannot move a stop: the stop falls on the step where the exact residual
+    first meets ``tol``, as if it were computed at every step.
 
     The four products of each step are the same as in a step-by-step loop,
     so the iterates are the same bits.  The screen, the norms and the
-    monotonicity count are taken once per block of ``_BLOCK`` steps (the
-    last block is cut at ``max_iter``) and then read in step order; the up
-    to ``_BLOCK - 1`` steps computed past the stop are discarded and not
-    counted.  The returned ``phi`` is a copy that owns its memory.  This is
-    the one-side call of ``_fixed_point``, the core that also advances the
-    primal and the dual as one stack for ``solve --method fixed-point``;
-    on one side it steps 2-D arrays.
+    monotonicity check are taken once per block of ``_BLOCK`` steps (the
+    last block is cut at ``max_iter``), and the steps they pick are then
+    read in step order; the up to ``_BLOCK - 1`` steps computed past the
+    stop are discarded and not counted.  The returned ``phi`` is a copy
+    that owns its memory.  This is the one-side call of ``_fixed_point``,
+    the core that also advances the primal and the dual as one stack for
+    ``solve --method fixed-point``; on one side it steps 2-D arrays.
 
     Entrywise monotonicity is checked at every step to the problem's sign
     tolerance and violations are counted through the returned step.

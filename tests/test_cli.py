@@ -432,10 +432,26 @@ class TestStoppingLimits:
         last = trace.read_text().strip().splitlines()[-1].split(",")
         assert float(last[1]) == 0.0 and float(last[2]) == 0.0
 
-    def test_fixed_point_max_iter_is_honored(self, problem_file):
+    def test_fixed_point_max_iter_is_honored(self, problem_file, tmp_path):
         out = execute(["solve", problem_file, "--method", "fixed-point", "--tol", "0", "--max-iter", "1"])
         assert out.exit_code == 3
-        assert json.loads(out.report_json)["iterations"] == 1
+        rep = json.loads(out.report_json)
+        assert rep["iterations"] == 1
+        assert list(rep)[-1] == "error"
+        assert rep["error"] == "fixed-point oracle did not meet tol within 1 iterations on the primal and the dual"
+        # the primal stops at step 296, the dual at 279: a cap between them
+        # names the one side it cut, and the default cap names none
+        p = generate(FamilySpec(Regime.SINGULAR_NONCRITICAL, 3, 4, seed=0))
+        path = tmp_path / "two-sided.json"
+        for q, side, iterations in ((p, "primal", 290), (p.dual(), "dual", 279)):
+            path.write_text(problem_to_json(q))
+            out = execute(["solve", str(path), "--method", "fixed-point", "--max-iter", "290"])
+            assert out.exit_code == 3
+            rep = json.loads(out.report_json)
+            assert rep["iterations"] == iterations
+            assert rep["error"] == f"fixed-point oracle did not meet tol within 290 iterations on the {side}"
+            out = execute(["solve", str(path), "--method", "fixed-point"])
+            assert out.exit_code == 0 and "error" not in json.loads(out.report_json)
 
 
 class TestVerify:

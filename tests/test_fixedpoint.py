@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -73,6 +74,18 @@ def _assert_same_report(got, want):
     assert got.converged == want.converged
     assert np.float64(got.final_residual).tobytes() == np.float64(want.final_residual).tobytes()
     assert got.monotonicity_violations == want.monotonicity_violations
+
+
+def _record_stops(reference, p):
+    """(k, r): the steps among the first 80 whose exact residual r is a record low, past the first third.
+
+    tol set to such an r sits at the screen's edge: a slack smaller than the
+    rounding gap lets the fused value miss it, and the run must stop on step k.
+    """
+    residuals = []
+    reference(p, tol=0.0, max_iter=80, residuals=residuals)
+    record = [k for k in range(1, len(residuals) + 1) if residuals[k - 1] < min(residuals[: k - 1], default=np.inf)]
+    return [(k, residuals[k - 1]) for k in record[len(record) // 3 :]]
 
 
 def test_scalar_nonsingular(scalar_nonsingular):
@@ -219,20 +232,13 @@ class TestFusedResidual:
         "name", ["scalar-nonsingular", "nonsingular-3x4", "noncritical-3x4", "nonsingular-51x51", "noncritical-20x25"]
     )
     def test_stop_on_the_step_whose_exact_residual_is_tol(self, name):
-        # tol set to the exact residual of step k sits at the screen's edge:
-        # a slack smaller than the rounding gap lets the fused value miss it
         p = _problem(_CASES[name])
-        residuals = []
-        _reference_fixed_point(p, tol=0.0, max_iter=80, residuals=residuals)
-        record = [k for k in range(1, len(residuals) + 1) if residuals[k - 1] < min(residuals[: k - 1], default=np.inf)]
-        checked = 0
-        for k in record[len(record) // 3 :]:
-            tol = residuals[k - 1]
+        stops = _record_stops(_reference_fixed_point, p)
+        for k, tol in stops:
             want = _reference_fixed_point(p, tol=tol, max_iter=5000)
             assert want.iterations == k and want.converged
             _assert_same_report(fixed_point_solve(p, tol=tol, max_iter=5000), want)
-            checked += 1
-        assert checked >= 5
+        assert len(stops) >= 5
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-15])
     def test_violations_counted_through_the_stop(self, tol):
@@ -270,7 +276,7 @@ def test_divergent_iterates_break_down(divergent):
     for p in (divergent, divergent.dual()):
         with pytest.raises(IterationBreakdown, match=r"step \d+") as info:
             fixed_point_solve(p, tol=1e-12, max_iter=5000)
-        # the step a step-by-step loop names, inside the second block
+        # the step a step-by-step loop names, inside a block, not at its end
         assert int(re.search(r"step (\d+)", str(info.value)).group(1)) == 12
 
 
@@ -291,6 +297,20 @@ _TWO_SIDED = {
     "two-sided-nonsingular-1x6": FamilySpec(Regime.NONSINGULAR_K, 1, 6, seed=0),
     "two-sided-noncritical-11x13": FamilySpec(Regime.SINGULAR_NONCRITICAL, 11, 13, seed=7),
 }
+# two-sided too, at the shapes of the crosscheck benchmark: n m in 110..169
+# with n far from m, and a wide one
+_CROSSCHECK = {
+    "crosscheck-7x21": FamilySpec(Regime.SINGULAR_NONCRITICAL, 7, 21, seed=0),
+    "crosscheck-21x7": FamilySpec(Regime.SINGULAR_NONCRITICAL, 21, 7, seed=0),
+    "crosscheck-13x13": FamilySpec(Regime.SINGULAR_NONCRITICAL, 13, 13, seed=76),
+    "crosscheck-1x40": FamilySpec(Regime.SINGULAR_NONCRITICAL, 1, 40, seed=7),
+}
+
+
+def _stepped(k):
+    """The numerators a run takes to screen iterate k: T(0), then whole blocks of steps through k."""
+    return 1 + fixedpoint._BLOCK * math.ceil(k / fixedpoint._BLOCK)
+
 
 def _breakdown_step(run, *args, **kwargs):
     with pytest.raises(IterationBreakdown) as info:
@@ -305,7 +325,7 @@ class TestPair:
         "name, tol, max_iter",
         [
             (name, tol, max_iter)
-            for name in sorted({**_SMALL, **_LARGE, **_TWO_SIDED})
+            for name in sorted({**_SMALL, **_LARGE, **_TWO_SIDED, **_CROSSCHECK})
             for tol in (0.0, 1e-16, 1e-12, 1e-10)
             for max_iter in (*_BLOCK_CAPS, 5000)
             # tol 0, and on a critical problem every tol below 1e-10, would
@@ -314,7 +334,7 @@ class TestPair:
         ],
     )
     def test_pair_matches_two_single_runs(self, name, tol, max_iter):
-        p = _problem({**_CASES, **_TWO_SIDED}[name])
+        p = _problem({**_CASES, **_TWO_SIDED, **_CROSSCHECK}[name])
         primal, dual = _fixed_point(p, tol, max_iter, dual=True)
         _assert_same_report(primal, fixed_point_solve(p, tol, max_iter))
         # the transposed products and sums round in another order than the dual run's
@@ -340,17 +360,27 @@ class TestPair:
         # 1-norm, the row sums of the stored Psi^T; column sums pass every
         # answer but move the stop off the step the exact residual picks
         p = _problem({**_CASES, **_TWO_SIDED}[name])
-        residuals = []
-        _reference_dual(p, tol=0.0, max_iter=80, residuals=residuals)
-        record = [k for k in range(1, len(residuals) + 1) if residuals[k - 1] < min(residuals[: k - 1], default=np.inf)]
-        checked = 0
-        for k in record[len(record) // 3 :]:
-            tol = residuals[k - 1]
+        stops = _record_stops(_reference_dual, p)
+        for k, tol in stops:
             want = _reference_dual(p, tol=tol, max_iter=5000)
             assert want.iterations == k and want.converged
             _assert_same_report(_fixed_point(p, tol=tol, max_iter=5000, dual=True)[1], want)
-            checked += 1
-        assert checked >= 5
+        assert len(stops) >= 5
+
+    @pytest.mark.parametrize("name", sorted(_CROSSCHECK))
+    def test_each_side_stops_on_the_step_whose_exact_residual_is_tol(self, name):
+        # the screen sums |X| and |T(X) - denom X| by matrix-vector products
+        # in BLAS, which round otherwise than the exact residual's sums; at the
+        # shapes crosscheck runs, both sides still stop where the exact residual
+        # first meets tol
+        p = _problem(_CROSSCHECK[name])
+        for side, reference in enumerate((_reference_fixed_point, _reference_dual)):
+            stops = _record_stops(reference, p)
+            for k, tol in stops:
+                want = reference(p, tol=tol, max_iter=5000)
+                assert want.iterations == k and want.converged
+                _assert_same_report(_fixed_point(p, tol=tol, max_iter=5000, dual=True)[side], want)
+            assert len(stops) >= 5
 
     @staticmethod
     def _count_steps(monkeypatch):
@@ -372,16 +402,17 @@ class TestPair:
 
     def test_pair_steps_the_stack_to_its_last_stop(self, monkeypatch):
         # the sides stop at steps 296 and 279, in different blocks; the stopped
-        # dual goes on stepping inside the stack, and a single side steps 2-D
+        # dual goes on stepping inside the stack, and a single side steps 2-D;
+        # every run steps T(0) and then whole blocks through its last stop
         p = _problem(_TWO_SIDED["two-sided-noncritical-3x4"])
         steps = self._count_steps(monkeypatch)
         primal, dual = _fixed_point(p, dual=True)
         assert (primal.iterations, dual.iterations) == (296, 279)
-        assert steps == [3] * (1 + 296)
+        assert steps == [3] * _stepped(296)
         steps.clear()
         assert fixed_point_solve(p).iterations == 296
         assert fixed_point_solve(p.dual()).iterations == 279
-        assert steps == [2] * (1 + 296) + [2] * (1 + 280)
+        assert steps == [2] * _stepped(296) + [2] * _stepped(279)
 
     @pytest.mark.filterwarnings("error")
     def test_divergent_pair_breaks_down_at_the_primal_step(self, divergent):
@@ -390,21 +421,22 @@ class TestPair:
 
     def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the primal overflows at step 110, the dual would at step 128: the run
-        # stops with the block of steps 105-112 and never iterates the dual on
+        # stops with the block whose iterate 109 has the nonfinite screen, and
+        # never iterates the dual on
         p = breaks_later_than_its_dual.dual()
         assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 110
         assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 128
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert steps == [3] * (1 + 112)
+        assert steps == [3] * _stepped(109)
 
     def test_dual_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the dual overflows at step 110, the primal would at step 128: either
-        # side's overflow ends the run, here with the block of steps 105-112
+        # side's overflow ends the run, here with the block of iterate 109
         p = breaks_later_than_its_dual
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert steps == [3] * (1 + 112)
+        assert steps == [3] * _stepped(109)
 
     def test_input_checks_apply_to_the_pair(self):
         p = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
