@@ -192,7 +192,7 @@ def _fixed_point(
                 if not math.isfinite(fused[i, j]):
                     raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
                 answer = (X[j, i].T if i else X[j, i]).copy()
-                res = _residual(answer, *equations[i])
+                res = _residual(answer, *equations[i])[1]
                 if res <= tol or k == max_iter:
                     count = violations[i] if steady else int(counted[j])
                     reports[i] = OracleReport(answer, k, res <= tol, res, count)

@@ -5,19 +5,35 @@ versions of ``_m_solve``, Noda's iteration with ``_perron_pair``, the split
 of ``classify_zm`` and the report writer, kept as they were.  Every
 output of the new code is compared with theirs byte for byte: floats by
 their bit patterns, signed zeros and NaN included, and reports as text.
+The one exception is the certificate's similarity value, which the dense
+reference forms another way: it is compared by verdict and within a
+rounding bound derived below.
 """
 
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import reducible_m_matrix
-from marekit import MareProblem, classify_zm, cli, linalg, mstruct
+from marekit import (
+    MareProblem,
+    classify_problem,
+    classify_zm,
+    cli,
+    fixed_point_solve,
+    linalg,
+    make_certificate,
+    mstruct,
+    problem_from_json,
+    solve,
+)
 from marekit.cli import dumps_report
 from marekit.errors import AmbiguousKernel, NoConvergence, SingularMatrix
-from marekit.linalg import EPS, as_square, spectral_radius_nonneg
+from marekit.linalg import EPS, as_square, one_norm, spectral_radius_nonneg
 from marekit.mstruct import IrreducibleBlock, MatrixKind, MClassification, class_tol, gap_kind
 
 # ---------------------------------------------------------------------------
@@ -145,6 +161,18 @@ def _ref_dumps_report(obj, indent=0):
         )
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _ref_similarity_residual(p, cert):
+    """||H F - F diag(R, -S)||_1 / ||H||_1, H the sign-flipped matrix and F = [[I, psi], [phi, I]]."""
+    n = p.n
+    factor = np.eye(p.size)
+    factor[:n, n:] = cert.psi
+    factor[n:, :n] = cert.phi
+    block_diag = np.zeros((p.size, p.size))
+    block_diag[:n, :n] = cert.R
+    np.negative(cert.S, out=block_diag[n:, n:])
+    return one_norm(p.sign_flipped @ factor - factor @ block_diag) / max(one_norm(p.sign_flipped), EPS)
 
 
 def _ref_block_pair(K, n, blk, rest):
@@ -392,6 +420,60 @@ class TestBlockNullPairs:
             if len(want) > 1 and len(cls.blocks) > len(want):
                 stacked += len(want)
         assert stacked >= 100
+
+
+class TestSimilarityResidual:
+    """The similarity value read off the residuals gives the dense form's verdicts.
+
+    Both forms evaluate the same exact matrix Z = H F - F diag(R, -S) at the
+    certificate's phi, psi, R and S: zero diagonal blocks, the primal
+    residual matrix E_p below them and minus the dual one E_d above.  With
+    u = eps / 2, k = n + m + 3 and gamma = k u / (1 - k u), each entry of a
+    product of inner length at most n + m, plus at most three sums, is
+    within gamma of the sum of its terms' magnitudes:
+
+    - the blockwise form computes E_p + e, |e| <= gamma W_p, with
+      W_p = |B| + |A||phi| + |phi||D| + |phi||C||phi|, and E_d alike;
+    - the dense form's (2, 1) block is within gamma (|B| + |A||phi|) +
+      gamma |phi||R| + |phi| |R - (D - C phi)| <= 2 gamma W_p of E_p, and its
+      (1, 1) block, two roundings of D - C phi, is at most
+      2 gamma (|D| + |C||phi|); the (1, 2) and (2, 2) blocks alike.
+
+    Every coefficient block's 1-norm is at most ||K||_1 = ||H||_1, so with
+    t = max(||phi||_1, ||psi||_1) the 1-norms of W_p and W_d are at most
+    ||K||_1 (1 + t)^2 and those of |D| + |C||phi| and |A| + |B||psi| at most
+    ||K||_1 (1 + t).  The 1-norms' own sums add a relative gamma each.  The
+    numerators thus differ by at most 7 gamma ||K||_1 (1 + t)^2, about
+    3.5 k eps ||K||_1 (1 + t)^2.  Both are divided by the same ||K||_1, and
+    the two divisions round by u each: the values differ by at most
+    4 k eps (1 + t)^2, as k >= 5.
+    """
+
+    @staticmethod
+    def _bound(p, cert):
+        t = max(one_norm(cert.phi), one_norm(cert.psi))
+        return 4 * (p.size + 3) * EPS * (1 + t) ** 2
+
+    def test_same_verdicts_within_the_rounding_bound(self, solved_noncritical, solved_nonsingular):
+        solved = [(p, rep.phi, rep.psi) for p, rep in solved_noncritical + solved_nonsingular]
+        # of the tests/data problems only this one classifies; the other's K fails its certified solve
+        data = problem_from_json((Path(__file__).parent / "data" / "fixed_point_closing.json").read_text())
+        rep = solve(data)
+        solved += [(data, rep.phi, rep.psi), (data, fixed_point_solve(data).phi, fixed_point_solve(data.dual()).phi)]
+        verdicts = set()
+        for p, phi, psi in solved:
+            pc = classify_problem(p)
+            for candidate, tol in itertools.product(
+                ((phi, psi), (phi * (1 + 1e-6), psi), (phi, psi * (1 + 1e-4))), (1e-8, 1e-10)
+            ):
+                cert = make_certificate(p, *candidate, tol, problem_class=pc)
+                (check,) = (c for c in cert.checks if c.name == "similarity-identity")
+                want = _ref_similarity_residual(p, cert)
+                assert check.value == cert.similarity_residual
+                assert check.passed == (want <= tol), (p.name, tol, check.value, want)
+                assert abs(cert.similarity_residual - want) <= self._bound(p, cert), p.name
+                verdicts.add((tol, check.passed))
+        assert verdicts == {(1e-8, True), (1e-8, False), (1e-10, True), (1e-10, False)}
 
 
 class TestDumpsReport:
