@@ -228,7 +228,7 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
         np.subtract(0.0, M, out=M)
         M.reshape(-1)[:: len(M) + 1] += 1.0
     try:
-        W, dist_igh, certified_igh = linalg._m_solve(igh, np.eye(len(igh)))
+        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, np.eye(len(igh)))
     except SingularMatrix:
         W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
     else:
@@ -285,7 +285,7 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     n = p.n
     shifted = p.K + np.diag(np.repeat([params.alpha, params.beta], [n, p.m]))
     try:
-        Z, _, certified = linalg._m_solve(shifted, np.eye(p.size))
+        Z, _, certified, _ = linalg._m_solve(shifted, np.eye(p.size))
         if not certified:
             raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
     except SingularMatrix as exc:

@@ -106,15 +106,15 @@ def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """``(A^{-1} [blocks], dist, certified)``: one LAPACK solve of ``A [X x] = [blocks 1]``.
+def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
+    """``(A^{-1} [blocks], dist, certified, x)``: one LAPACK solve of ``A [X x] = [blocks 1]``.
 
     ``_with_ones`` lays out ``[blocks 1]`` (a vector block is one column;
-    with no block it is the ones column alone).  x = A^{-1} 1 is not
-    returned: A is certified a nonsingular M-matrix when x passes
-    ``_certifies``, and then ``dist = 1 / max|x| = 1 / ||A^{-1}||_inf`` is
-    a scale-aware distance to singularity.  Raises SingularMatrix when
-    LAPACK finds A exactly singular.  A must be a square float64 array
+    with no block it is the ones column alone).  A is certified a
+    nonsingular M-matrix when x = A^{-1} 1 passes ``_certifies``, and then
+    ``dist = 1 / max|x| = 1 / ||A^{-1}||_inf`` is a scale-aware distance
+    to singularity, and x > 0 a witness with A x > 0.  Raises
+    SingularMatrix when LAPACK finds A exactly singular.  A must be a square float64 array
     with as many rows as each block; its entries are checked to be finite
     here (ValueError), as the package's callers form it by arithmetic.
     """
@@ -125,7 +125,7 @@ def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, boo
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
-    return sol[:, :-1], 1.0 / float(np.abs(x).max()), _certifies(A, x)
+    return sol[:, :-1], 1.0 / float(np.abs(x).max()), _certifies(A, x), x
 
 
 def _certifies(A: np.ndarray, x: np.ndarray) -> bool:
@@ -152,22 +152,23 @@ def _certifies(A: np.ndarray, x: np.ndarray) -> bool:
 _NODA_MAX_SOLVES = 20
 
 
-def _noda_bounds(P: np.ndarray, c: float) -> tuple[float, float, np.ndarray]:
+def _noda_bounds(P: np.ndarray, c: float, x: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
     """``(lo, hi, x)``: Collatz-Wielandt bounds lo <= rho(P) <= hi of P >= 0 and the last x > 0.
 
     For any x > 0, min (P x)_i / x_i <= rho(P) <= max (P x)_i / x_i.  The
     vector comes from Noda's shifted inverse iteration (Numer. Math. 17
-    (1971) 382-386): from x = 1, each step solves (hi I - P) y = x with hi
-    the current upper bound, and the bounds of successive vectors are
-    intersected.  For irreducible P the width closes quadratically, in a
-    handful of solves, to 1e-15 max(1, lo + c).  The iteration stops with a
+    (1971) 382-386): from the given x > 0 (None is 1), each step solves
+    (hi I - P) y = x with hi the current upper bound, and the bounds of
+    successive vectors are intersected.  For irreducible P the width closes
+    quadratically, in a handful of solves, to 1e-15 max(1, lo + c).  The iteration stops with a
     wider width when an iterate would not be strictly positive, LAPACK
     finds the shifted matrix singular, or the width stops shrinking: on a
     reducible P whose Perron vector has zero entries, and where rounding
     stalls it on an irreducible P.
     """
     n = P.shape[0]
-    x = np.ones(n)
+    if x is None:
+        x = np.ones(n)
     lo, hi = 0.0, math.inf
     width = math.inf
     # hi I - P is -P with hi added to its diagonal, written in place each step
@@ -229,17 +230,19 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
     """Perron root, to full accuracy, and a Perron vector of a finite, nonnegative, square float64 A.
 
     A 1x1 A is its own root, with vector 1.  Otherwise the root is the
     midpoint of the Collatz-Wielandt bounds of ``_noda_bounds``, a few
-    LAPACK solves, closed to a width of at most 1e-15 max(1, lo + c) with
-    ``c = 1 + max diag(A)``, and the vector x > 0 is the iteration's last.
-    Where they stay open on a reducible A (a Perron vector with zero
-    entries, a nilpotent A), the root is the largest root of the
+    LAPACK solves from ``start`` (a positive vector; None is 1), closed to
+    a width of at most 1e-15 max(1, lo + c) with ``c = 1 + max diag(A)``,
+    and the vector x > 0 is the iteration's last.  A start near the
+    Perron vector, as a regularity witness of the matrix it splits is,
+    saves solves.  Where they stay open on a reducible A (a Perron vector
+    with zero entries, a nilpotent A), the root is the largest root of the
     irreducible diagonal blocks of ``_irreducible_blocks``, each taken by
-    this function, and x is None.  Where rounding stalls them on an
+    this function from 1, and x is None.  Where rounding stalls them on an
     irreducible A, the iteration reruns on diag(x_1)^-1 A diag(x_1), x_1
     its last vector: the same root, and a Perron vector x_2 near 1 whose
     small entries the solves no longer lose to the spread of x_1; then
@@ -250,7 +253,7 @@ def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray | None]:
     if A.shape[0] == 1:
         return float(A[0, 0]), np.ones(1)
     c = 1.0 + float(A.diagonal().max())
-    lo, hi, x = _noda_bounds(A, c)
+    lo, hi, x = _noda_bounds(A, c, start)
     if hi - lo > 1e-15 * max(1.0, lo + c):
         blocks = _irreducible_blocks(A)
         if len(blocks) > 1:

@@ -28,17 +28,28 @@ nonsingular rest N, S the singular blocks.  So the verdict
 (``MClassification.regular``) needs no solve; what it leaves to certify
 is M_NN.
 
-``block_null_pairs(K, n, classify_zm(K))`` certifies it, for every
+Each fact costs one LAPACK call where one suffices.  ``classify_by_solve``
+first solves K x = 1 (``linalg._m_solve``): a certified x brackets K's
+gap as [1 / max x, 1 / min x] (Collatz-Wielandt bounds on K^{-1}), and
+a lower end above tolerance decides a nonsingular K with no Noda run;
+every other K takes ``classify_zm``.
+
+``block_null_pairs(K, n, classification)`` then certifies M_NN, for every
 M-matrix K, and builds the kernel.  A singular block b has the kernel
 pair v = (x_b on b, -K_NN^-1 K_Nb x_b on N) and u = (y_b on b,
 -(y_b K_bN) K_NN^-1 on N), zero on the other singular blocks, x_b and
 y_b its right and left Perron vectors.  These are exact kernel vectors
 when b is the only singular block, or when every singular block is
 final: no cycle runs from b through N back to b, so the Schur complement
-of K_NN leaves K_bb alone.  Every block's right-hand side goes into one
-certified solve on K_NN, ``linalg._m_solve``, whose column of ones
-certifies K_NN; its left ones into one on K_NN^T.  A nonsingular K is
-all rest: its one solve is the certified K^{-1} 1.
+of K_NN leaves K_bb alone.  y_b is one transposed solve at the upper
+Collatz-Wielandt bound of x_b (``_left_perron``), a Noda run on the
+transpose only where that solve fails.  Every block's right-hand side
+goes into one certified solve on K_NN, ``linalg._m_solve``, whose column
+of ones certifies K_NN; its left ones into one on K_NN^T.  A nonsingular
+K is all rest: its one solve is the certified K^{-1} 1, the one that
+``classify_by_solve`` made.  The same solves give the witness v above,
+v_N from the ones column and the block columns of the solve on K_NN,
+which the certificate's Perron runs on R, S and Phi Psi start from.
 """
 
 from __future__ import annotations
@@ -89,13 +100,16 @@ class IrreducibleBlock:
     at the tolerance of M.  ``final`` says that M is zero in the block's
     rows outside it.  ``perron`` is the last vector of Noda's iteration on
     B_b: positive, and a kernel vector of M_bb when the block is singular.
+    A block of a nonsingular M that ``classify_by_solve`` decided has no
+    such run: its gap is the lower bound 1 / max x_b read off x = M^{-1} 1,
+    and ``perron`` is None.
     """
 
     index: np.ndarray
     gap: float
     kind: MatrixKind
     final: bool
-    perron: np.ndarray
+    perron: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,8 @@ class MClassification:
     M-matrix, zero to tolerance means singular M-matrix, negative means a
     Z-matrix that is not an M-matrix.  ``blocks`` are the irreducible
     diagonal blocks the gap was read from (none for a non-Z matrix).
+    ``classify_zm`` gives the gap to full accuracy; ``classify_by_solve``
+    may give a nonsingular M only the lower end of a bracket (see there).
     """
 
     kind: MatrixKind
@@ -151,23 +167,34 @@ def classify_zm(M) -> MClassification:
     gap_b, and M's kind is that of its smallest gap, judged at M's own
     tolerance like every block's.  An irreducible M is its own block, with
     M's own split.  M is checked (``as_square``), as the package also
-    passes matrices it forms by arithmetic: R, S and the cross products.
+    passes matrices it forms by arithmetic: the cross products here, and R
+    and S, which the certificate checks itself to pass ``_classify_blocks``
+    a start.
     """
-    A = as_square(M)
+    return _classify_blocks(as_square(M))
+
+
+def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassification:
+    """``classify_zm`` of a checked square float64 A, each block's Noda run started at ``start`` there.
+
+    ``start`` is a positive vector with A start >= 0 where A is an
+    M-matrix, or None (every run starts at 1).  Restricted to a block b it
+    is one for A_bb too, as A_bb start_b >= -A_b,rest start_rest >= 0.
+    """
     s = float(A.diagonal().max())
     tol = class_tol(A)
     if not linalg._is_z(A):
         return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
     index = linalg._irreducible_blocks(A)
     if len(index) == 1:  # A is its own block, final as it has no rows outside
-        rho, x = linalg._perron_pair(_split(A)[1])
+        rho, x = linalg._perron_pair(_split(A)[1], start)
         block = IrreducibleBlock(index[0], s - rho, gap_kind(s - rho, tol), True, x)
         return MClassification(block.kind, s, s - block.gap, block.gap, tol, (block,))
     blocks = []
     for b in index:
         Mbb = A[np.ix_(b, b)]
         s_b, B = _split(Mbb)
-        rho, x = linalg._perron_pair(B)
+        rho, x = linalg._perron_pair(B, None if start is None else start[b])
         final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
         blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
     gap = min(b.gap for b in blocks)
@@ -181,6 +208,44 @@ def gap_kind(gap: float, tol: float) -> MatrixKind:
     if gap < -tol:
         return MatrixKind.Z_NOT_M
     return MatrixKind.SINGULAR_M
+
+
+def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None]:
+    """``(classification, x)`` of a checked square float64 Z-matrix K, from x = K^{-1} 1 where it decides.
+
+    One ``linalg._m_solve(K)``: where it certifies x, Collatz-Wielandt
+    bounds on K^{-1} >= 0 at the vector 1 bracket K's gap tau(K), the gap
+    of its split, as 1 / max x <= tau(K) <= 1 / min x.  So 1 / max x above
+    ``class_tol(K)`` makes K a nonsingular M-matrix with no Noda run.  The
+    classification then stores the lower end 1 / max x as the gap (and
+    s - gap, an upper bound, as rho(B)), and the irreducible blocks of
+    ``linalg._irreducible_blocks`` each with its own lower end 1 / max x_b,
+    from K_bb x_b >= 1, and no Perron vector; the smallest of those is K's.
+    Everywhere else K takes ``classify_zm``, as does a K that LAPACK finds
+    exactly singular.  ``x`` is returned whenever it certifies, so that
+    ``block_null_pairs`` does not solve K again; it is None otherwise.
+    """
+    tol = class_tol(K)
+    try:
+        _, dist, certified, x = linalg._m_solve(K)
+    except SingularMatrix:  # LAPACK finds K exactly singular
+        certified = False
+    if not certified:
+        return classify_zm(K), None
+    if dist <= tol:
+        return classify_zm(K), x
+    blocks = tuple(
+        IrreducibleBlock(
+            b,
+            1.0 / float(x[b].max()),
+            MatrixKind.NONSINGULAR_M,  # 1 / max x_b >= 1 / max x > tol
+            np.count_nonzero(K[b]) == np.count_nonzero(K[np.ix_(b, b)]),
+            None,
+        )
+        for b in linalg._irreducible_blocks(K)
+    )
+    s = float(K.diagonal().max())
+    return MClassification(MatrixKind.NONSINGULAR_M, s, s - dist, dist, tol, blocks), x
 
 
 # ---------------------------------------------------------------------------
@@ -202,47 +267,85 @@ class NullPair:
     drift: float
 
 
-def _solve_rest(K_NN: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """K_NN^{-1} [blocks], once ``linalg._m_solve`` certifies K_NN (SingularMatrix otherwise)."""
-    X, _, certified = linalg._m_solve(K_NN, *blocks)
+def _solve_rest(K_NN: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K_NN^{-1} [blocks], K_NN^{-1} 1)``, once ``linalg._m_solve`` certifies K_NN (SingularMatrix otherwise)."""
+    X, _, certified, x = linalg._m_solve(K_NN, *blocks)
     if not certified:
         raise SingularMatrix("M^{-1} 1 does not certify the nonsingular blocks of K")
-    return X
+    return X, x
 
 
-def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPair]:
-    """Certify K's nonsingular rest N; one kernel pair of K per singular irreducible block, split at n.
+def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A left Perron vector of the split M = s I - P of an irreducible singular block, max entry 1.
+
+    ``x`` is P's right Perron vector, so hi = max (P x)_i / x_i, its
+    Collatz-Wielandt upper bound, is within rounding of rho(P), and one
+    solve (hi I - P^T) z = 1 is inverse iteration at that shift: z is the
+    left vector when it is positive.  Where LAPACK finds the shift exactly
+    singular or z has an entry that is not positive, Noda's iteration runs
+    on P^T instead.
+    """
+    Pt = _split(M.T)[1]  # P^T, row-major
+    hi = float(((x @ Pt) / x).max())
+    # hi I - P^T is -P^T with hi added on the diagonal, written through the flat view of a row-major copy
+    shifted = np.negative(Pt, order="C")
+    shifted.reshape(-1)[:: len(Pt) + 1] += hi
+    try:
+        z = np.linalg.solve(shifted, np.ones(len(Pt)))
+    except np.linalg.LinAlgError:
+        return linalg._perron_pair(Pt)[1]
+    top = z.max()
+    if not (z.min() > 0.0 and top < math.inf):  # also false on a NaN
+        return linalg._perron_pair(Pt)[1]
+    return z / top
+
+
+def block_null_pairs(
+    K, n: int, classification: MClassification, solved: np.ndarray | None = None
+) -> tuple[list[NullPair], np.ndarray | None]:
+    """Certify K's nonsingular rest N; one kernel pair of K per singular irreducible block, split at n; K's witness.
 
     The blocks and their right Perron vectors x_b are those of
-    ``classification``, which ``classify_zm(K)`` made; each left Perron
-    vector y_b is one more run of Noda's iteration, on the transpose of
-    the block's split.  N is solved by at most two certified
-    ``linalg._m_solve`` calls, whatever the number of blocks: one on K_NN
-    with every -K_Nb x_b stacked, and one on K_NN^T with every -y_b K_bN
-    (SingularMatrix where either fails to certify).  A nonsingular K is
-    all of N: its one solve is K^{-1} 1, and it has no pair.  The pairs
-    are kernel vectors of K when there is one singular block or every
-    singular block is final, and each is checked against ``null_tol``
-    (AmbiguousKernel otherwise).  They are returned nonnegative with unit
-    1-norm, tiny negative round-off clamped to zero.  K must be a checked
-    square float64 array, ``classification`` that of an M-matrix and n in
-    [0, size], as ``problem.classify_problem`` passes them.
+    ``classification``; each left Perron vector y_b is ``_left_perron``'s,
+    one transposed solve at the right run's upper bound (a Noda run on the
+    transpose of the block's split where that solve fails).  N is solved
+    by at most two certified ``linalg._m_solve`` calls, whatever the
+    number of blocks: one on K_NN with every -K_Nb x_b stacked, and one on
+    K_NN^T with every -y_b K_bN (SingularMatrix where either fails to
+    certify).  A nonsingular K is all of N and has no pair: its one solve
+    is x = K^{-1} 1, or ``solved``, a K^{-1} 1 that the caller has already
+    certified (``classify_by_solve``).  The pairs are kernel vectors of K
+    when there is one singular block or every singular block is final,
+    and each is checked against ``null_tol`` (AmbiguousKernel otherwise).
+    They are returned nonnegative with unit 1-norm, tiny negative
+    round-off clamped to zero.
+
+    The witness is a v > 0 with K v >= 0, as the theory of a regular K
+    promises, built from the same solves: x on a nonsingular K; on a
+    singular K whose singular blocks are all final, v_b = x_b / min x_b on
+    each and v_N = K_NN^{-1} 1 + sum_b (K_NN^{-1} (-K_Nb x_b)) / min x_b,
+    the ones column of the stacked solve plus its block columns, so that
+    K v = 0 on the blocks and 1 on N.  It is None on a K that is not
+    regular, and where rounding leaves an entry that is not positive.
+    K must be a checked square float64 array, ``classification`` that of
+    an M-matrix and n in [0, size], as ``problem.classify_problem`` passes
+    them.
     """
     size = K.shape[0]
     singular = classification.singular_blocks
     if not singular:
-        _solve_rest(K)
-        return []
+        return [], _solve_rest(K)[1] if solved is None else solved
     rest = np.ones(size, dtype=bool)
     for blk in singular:
         rest[blk.index] = False
-    lefts = [linalg._perron_pair(_split(K[np.ix_(b.index, b.index)].T)[1])[1] for b in singular]
+    lefts = [_left_perron(K[np.ix_(b.index, b.index)], b.perron) for b in singular]
     right = left = np.zeros((0, len(singular)))
+    ones = np.zeros(0)
     if rest.any():
         K_NN = K[np.ix_(rest, rest)]
-        right = _solve_rest(K_NN, *(-(K[np.ix_(rest, b.index)] @ b.perron) for b in singular))
+        right, ones = _solve_rest(K_NN, *(-(K[np.ix_(rest, b.index)] @ b.perron) for b in singular))
         # a row-major transpose, so that its certificate's products round as every other's
-        left = _solve_rest(K_NN.T.copy(), *(-(y @ K[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
+        left, _ = _solve_rest(K_NN.T.copy(), *(-(y @ K[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
     tol = null_tol(K)
     pairs = []
     for i, (blk, y) in enumerate(zip(singular, lefts)):
@@ -254,4 +357,11 @@ def block_null_pairs(K, n: int, classification: MClassification) -> list[NullPai
         if inf_norm(K @ v) > tol or inf_norm(u @ K) > tol:
             raise AmbiguousKernel("kernel residual exceeds tolerance")
         pairs.append(NullPair(u, v, float(u[:n] @ v[:n] - u[n:] @ v[n:])))
-    return pairs
+    if not classification.regular:
+        return pairs, None
+    scales = np.array([1.0 / blk.perron.min() for blk in singular])
+    witness = np.empty(size)
+    for blk, c in zip(singular, scales):
+        witness[blk.index] = blk.perron * c
+    witness[rest] = ones + right @ scales
+    return pairs, witness if witness.min() > 0.0 else None

@@ -9,10 +9,13 @@ residuals), rho(Phi.Psi), and the singular/nonsingular dichotomy of R and S.
 
 The regime, the drift and the multiplicity of the sign-flipped matrix's
 zero eigenvalue are all read off the irreducible diagonal blocks of K
-(``mstruct.classify_zm``): the kernel pair of a singular block is its
-Perron vectors and its columns of the certified solves on the nonsingular
-rest, one per side for all blocks, and the zero eigenvalue is simple or
-double as the drift is nonzero or zero.
+(``mstruct.classify_by_solve``, whose certified K^{-1} 1 decides a
+nonsingular K, and ``mstruct.classify_zm`` otherwise): the kernel pair of
+a singular block is its Perron vectors and its columns of the certified
+solves on the nonsingular rest, one per side for all blocks, and the zero
+eigenvalue is simple or double as the drift is nonzero or zero.  The same
+solves give K's witness v > 0, K v >= 0, whose parts start the
+certificate's Perron runs.
 
 The JSON problem format accepted here is the package's on-disk contract:
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import linalg, mstruct
 from .errors import InvalidParameters, NotZMatrix, ShapeMismatch
-from .linalg import EPS, as_matrix, one_norm
+from .linalg import EPS, as_matrix, as_square, one_norm
 from .mstruct import MatrixKind, MClassification, NullPair
 
 TAU_DRIFT = 1e-8
@@ -208,12 +211,22 @@ class ProblemClass:
     or more singular blocks.  ``nulls`` is populated only when K is a
     singular M-matrix with exactly one singular irreducible block, so that
     the null vectors, and hence the drift, are well defined.
+
+    A nonsingular K that its certified K^{-1} 1 decides has the ``k_class``
+    of ``mstruct.classify_by_solve``: its gap is the lower end 1 / max x
+    of the bracket [1 / max x, 1 / min x] around tau(K), and its blocks
+    carry no Perron vector.  ``witness`` is ``mstruct.block_null_pairs``'s
+    v > 0 with K v >= 0 (K^{-1} 1 on a nonsingular K), None where K is not
+    regular or not an M-matrix.  Its parts v1 (first n) and v2 start the
+    certificate's Perron runs on R, S and Phi Psi: R v1 >= 0, S v2 >= 0
+    and Phi Psi v2 <= v2 at the minimal solution.
     """
 
     k_class: MClassification
     r: int | None
     nulls: NullPair | None
     regime: Regime
+    witness: np.ndarray | None = None
 
     @property
     def drift(self) -> float | None:
@@ -224,13 +237,16 @@ def classify_problem(p: MareProblem) -> ProblemClass:
     """Assign the problem to one of the five handled regimes.
 
     Everything is read off the irreducible diagonal blocks of K, which
-    ``mstruct.classify_zm`` classifies with their Perron vectors in one
-    pass.  K must be an M-matrix and regular (``k_class.regular``,
+    ``mstruct.classify_by_solve`` classifies: one certified solve decides
+    a nonsingular K with no Noda run, and every other K is classified by
+    ``mstruct.classify_zm`` with its blocks' Perron vectors in one pass.
+    K must be an M-matrix and regular (``k_class.regular``,
     otherwise NotRegular; r is None for a non-M K and for a non-regular
     K with two or more singular blocks).  Every other K goes through
     ``mstruct.block_null_pairs``, which certifies the solve on K's
-    nonsingular blocks (SingularMatrix otherwise) and gives one kernel
-    pair per singular block.  The sign-flipped matrix H = diag(I_n, -I_m)
+    nonsingular blocks (SingularMatrix otherwise; on a nonsingular K it is
+    the solve already made, where that certified) and gives one kernel
+    pair per singular block and K's witness.  The sign-flipped matrix H = diag(I_n, -I_m)
     K has the kernel of K.  A singular block contributes one eigenvector
     of H and a Jordan chain of length 1 when the drift of its kernel pair
     exceeds ``TAU_DRIFT`` in modulus, 2 when it does not; r sums them.  A
@@ -239,13 +255,13 @@ def classify_problem(p: MareProblem) -> ProblemClass:
     separates SingularNoncritical (r = 1) from Critical (r = 2).
     """
     K = p.K
-    k_class = mstruct.classify_zm(K)
+    k_class, solved = mstruct.classify_by_solve(K)
     if k_class.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M) or (
         not k_class.regular and len(k_class.singular_blocks) > 1
     ):
         return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
 
-    pairs = mstruct.block_null_pairs(K, p.n, k_class)
+    pairs, witness = mstruct.block_null_pairs(K, p.n, k_class, solved)
     r = sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs)
     nulls = pairs[0] if len(pairs) == 1 else None
     if not pairs:
@@ -256,7 +272,7 @@ def classify_problem(p: MareProblem) -> ProblemClass:
         regime = Regime.ASSUMPTION_FAILS
     else:
         regime = Regime.SINGULAR_NONCRITICAL if r == 1 else Regime.CRITICAL
-    return ProblemClass(k_class, r, nulls, regime)
+    return ProblemClass(k_class, r, nulls, regime, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +298,7 @@ class Certificate:
 
     R and S are the closing matrices D - C.phi and A - B.psi exactly as
     computed, and ``r_class``/``s_class`` their ``mstruct.classify_zm``,
-    with the irreducible blocks.  Their certified gaps s - rho(B) are, on
+    with the irreducible blocks, its Noda runs started at K's witness.  Their certified gaps s - rho(B) are, on
     a Z-matrix, which R and S are, the smallest real eigenvalue tau.
     ``r_singular``/``s_singular`` say that the gap is zero to 1e-8 times
     the scale of the closing matrix's operands.  ``checks`` record the
@@ -312,19 +328,21 @@ _SINGULAR_GAP_REL = 1e-8
 _NONSINGULAR_GAP_REL = 1e-4
 
 
-def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray):
+def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | None):
     """(D - C X, its classification, its scale, singular?) of a closing matrix.
 
-    R = D - C.phi, and S = A - B.psi is the same for the dual problem.  The
+    R = D - C.phi, and S = A - B.psi is the same for the dual problem.  It
+    is checked (``as_square``) and classified with its Noda runs started at
+    ``start``, the witness part that R (or S) keeps nonnegative.  The
     matrix is singular when its certified gap is zero to
     ``_SINGULAR_GAP_REL * scale``.  The scale ||D||_1 + ||C||_1 ||X||_1 is
     the magnitude of the operands: a singular closing matrix can be tiny in
     norm outright (1x1 case, R -> 0), in which case a test relative to its
     own norm is blind.
     """
-    M = D - C @ X
+    M = as_square(D - C @ X)
     scale = one_norm(D) + one_norm(C) * one_norm(X)
-    cls = mstruct.classify_zm(M)
+    cls = mstruct._classify_blocks(M, start)
     return M, cls, scale, abs(cls.gap) <= _SINGULAR_GAP_REL * max(scale, EPS)
 
 
@@ -351,7 +369,11 @@ def make_certificate(
          singular (|gap| <= 1e-8 * scale, the other gap >= 1e-4 * scale).
 
     The value of each closing-matrix check is its signed gap, and that of
-    the dichotomy the smaller |gap| / scale of the two.
+    the dichotomy the smaller |gap| / scale of the two.  The Perron runs
+    on R, S and phi.psi start at the parts v1, v2 and v2 of the problem
+    class's witness (R v1 >= 0, S v2 >= 0 and phi.psi v2 <= v2 at the
+    minimal pair), and at 1 where there is none: the roots are certified
+    either way, and a start near the Perron vector saves solves.
 
     In the guaranteed regimes passing checks identify the minimal pair: with
     zero residuals, R and S M-matrices and rho(phi.psi) < 1, F is
@@ -383,13 +405,18 @@ def make_certificate(
     num_d, res_d = _residual(psi_m, p.D, p.C, p.B, p.A)
     sim_res = max(num_p, num_d) / max(one_norm(p.K), EPS)
 
-    # in the split of I - Phi Psi the gap is 1 - rho(Phi Psi)
+    v1 = v2 = None
+    if pc.witness is not None:
+        v1, v2 = pc.witness[: p.n], pc.witness[p.n :]
+    # in the split of I - Phi Psi the gap is 1 - rho(Phi Psi); Phi Psi >= 0 as phi and psi are
     phi_psi = phi_m @ psi_m
-    rho = linalg.spectral_radius_nonneg(phi_psi)
+    if not np.isfinite(phi_psi).all():
+        raise ValueError("P contains NaN or Inf entries")
+    rho = linalg._perron_pair(phi_psi, v2)[0]
     i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.m) - phi_psi))
 
-    R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m)
-    S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m)
+    R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m, v1)
+    S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m, v2)
 
     checks = [
         CheckResult("residual-primal", res_p <= tol, res_p, tol),

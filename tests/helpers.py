@@ -12,6 +12,7 @@ from marekit import linalg, mstruct
 from marekit.errors import SingularMatrix
 from marekit.linalg import EPS, one_norm
 from marekit.mstruct import MatrixKind, classify_zm
+from marekit.problem import MareProblem
 
 
 def _squaring_bounds(M: np.ndarray, max_squarings: int = 80):
@@ -100,11 +101,37 @@ def regularity_witness(M, classification):
     rest = ~final
     if rest.any():
         rows = A[rest]
-        X, _, certified = linalg._m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
+        X, _, certified, _ = linalg._m_solve(rows[:, rest], 1.0 - rows[:, final] @ v[final])
         if not (certified and (X > 0.0).all()):
             raise SingularMatrix("M^{-1} 1 does not certify a nonsingular M-matrix")
         v[rest] = X[:, 0]
     return v
+
+
+# Two certified Perron runs of one nonnegative matrix from different start
+# vectors each close their Collatz-Wielandt bounds to 1e-15 max(1, lo + c),
+# c = 1 + max diag, which is at most 1e-15 (1 + 2 s) for the split of an
+# M-matrix with max diagonal s; so their roots, and the gaps read off them,
+# differ by at most twice that plus rounding.  Measured: 2.1e-16 (1 + 2 s)
+# on the closing matrices of the acceptance suites, the reducible draws and
+# the benchmark's sweep-small and solve-large problems.
+START_SLACK = 4e-15
+
+
+def reference_path(monkeypatch):
+    """Patch the package back to its classification and certificate before the one-solve paths.
+
+    Three patches, each the exact code those paths fall back to: K is
+    classified by ``classify_zm(K)`` alone (its certified K^{-1} 1 decides
+    nothing, and ``block_null_pairs`` solves K again), every left Perron
+    vector is a Noda run on the transposed split, and every Perron run
+    starts at 1, whatever witness the caller passes.  Use it inside
+    ``monkeypatch.context()`` to compare the two paths on one problem.
+    """
+    perron = linalg._perron_pair
+    monkeypatch.setattr(mstruct, "classify_by_solve", lambda K: (classify_zm(K), None))
+    monkeypatch.setattr(mstruct, "_left_perron", lambda M, x: perron(mstruct._split(M.T)[1])[1])
+    monkeypatch.setattr(linalg, "_perron_pair", lambda A, start=None: perron(A))
 
 
 def count_m_solves(monkeypatch):
@@ -141,3 +168,35 @@ def reducible_m_matrix(rng, size):
         regular = regular and not (singular and M[lo:hi, hi:].any())
     perm = rng.permutation(size)
     return M[np.ix_(perm, perm)], regular
+
+
+def reducible_problems(seed, count):
+    """Z-matrix K with 2-4 irreducible diagonal blocks in block upper triangular form, permuted and split.
+
+    K = diag(N x / x + w) - N for a drawn positive x, N >= 0 block upper
+    triangular; w > 0 makes every block nonsingular, and in about half of
+    the draws the last block, which is final and of order >= 2 so that K
+    has no zero row, gets w = 0 and is singular.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        orders = rng.integers(1, 5, int(rng.integers(2, 5)))
+        orders[-1] = max(orders[-1], 2)
+        size = int(orders.sum())
+        starts = np.concatenate([[0], np.cumsum(orders)])
+        N = np.zeros((size, size))
+        for a, b in zip(starts[:-1], starts[1:]):
+            N[a:b, a:] = rng.uniform(0.1, 1.0, (b - a, size - a)) * (rng.uniform(size=(b - a, size - a)) < 0.7)
+            N[a:b, a:b] = rng.uniform(0.1, 1.0, (b - a, b - a))
+        np.fill_diagonal(N, 0.0)
+        x = rng.uniform(0.5, 1.5, size)
+        w = rng.uniform(0.0, 1.0, size)
+        if rng.uniform() < 0.5:
+            w[starts[-2]:] = 0.0
+        K = np.diag(N @ x / x + w) - N
+        perm = rng.permutation(size)
+        K = K[np.ix_(perm, perm)]
+        n = int(rng.integers(1, size))
+        problems.append(MareProblem(n=n, m=size - n, D=K[:n, :n], C=-K[:n, n:], B=-K[n:, :n], A=K[n:, n:]))
+    return problems

@@ -35,6 +35,8 @@ from marekit.linalg import EPS
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
 
+from helpers import reducible_problems
+
 GOLDEN = (3 - 5**0.5) / 2
 # scalar rate at (alpha, beta) = (2, 1): ((golden)/(R + 2))^2 with R = (sqrt5 - 1)/2
 SCALAR_RATE = (GOLDEN / ((5**0.5 - 1) / 2 + 2.0)) ** 2
@@ -165,7 +167,7 @@ class TestInitialize:
         # the blocks of gamma (K + diag(alpha I, beta I))^{-1} are gamma V^{-1},
         # gamma Ds^{-1} C W^{-1}, gamma W^{-1} B Ds^{-1} and gamma W^{-1}; the
         # largest ratio seen over these problems is about 9.1
-        problems = noncritical_suite + nonsingular_suite + _reducible_problems(29, 300) + _bench_problems(13)
+        problems = noncritical_suite + nonsingular_suite + reducible_problems(29, 300) + _bench_problems(13)
         worst = 0.0
         for p in problems:
             for params in (select_parameters(p), select_parameters(p, mode=MODE_SDA)):
@@ -311,7 +313,7 @@ class TestStepFormulas:
         # two solves they replaced; the largest ratio seen over these problems is
         # about 9.4
         worst, steps = 0.0, 0
-        for p in noncritical_suite + nonsingular_suite + _reducible_problems(29, 300):
+        for p in noncritical_suite + nonsingular_suite + reducible_problems(29, 300):
             for params in (select_parameters(p), select_parameters(p, mode=MODE_SDA)):
                 state = initialize(p, params)
                 for _ in range(params.max_iter):
@@ -411,7 +413,7 @@ class TestCrossProductCertificate:
                 (np.eye(p.n) - rec.G @ rec.H, d.dist_IGH, d.kind_IGH),
                 (np.eye(p.m) - rec.H @ rec.G, d.dist_IHG, d.kind_IHG),
             ):
-                _, _, certified = linalg._m_solve(M)
+                _, _, certified, _ = linalg._m_solve(M)
                 assert kind is mstruct.classify_zm(M).kind
                 assert certified == (kind is MatrixKind.NONSINGULAR_M)
                 if certified:
@@ -542,38 +544,6 @@ def _eigvals_rate(cert, alpha, beta):
     return float(np.abs(np.linalg.eigvals(T1)).max() * np.abs(np.linalg.eigvals(T2)).max())
 
 
-def _reducible_problems(seed, count):
-    """Z-matrix K with 2-4 irreducible diagonal blocks in block upper triangular form, permuted and split.
-
-    K = diag(N x / x + w) - N for a drawn positive x, N >= 0 block upper
-    triangular; w > 0 makes every block nonsingular, and in about half of
-    the draws the last block, which is final and of order >= 2 so that K
-    has no zero row, gets w = 0 and is singular.
-    """
-    rng = np.random.default_rng(seed)
-    problems = []
-    for _ in range(count):
-        orders = rng.integers(1, 5, int(rng.integers(2, 5)))
-        orders[-1] = max(orders[-1], 2)
-        size = int(orders.sum())
-        starts = np.concatenate([[0], np.cumsum(orders)])
-        N = np.zeros((size, size))
-        for a, b in zip(starts[:-1], starts[1:]):
-            N[a:b, a:] = rng.uniform(0.1, 1.0, (b - a, size - a)) * (rng.uniform(size=(b - a, size - a)) < 0.7)
-            N[a:b, a:b] = rng.uniform(0.1, 1.0, (b - a, b - a))
-        np.fill_diagonal(N, 0.0)
-        x = rng.uniform(0.5, 1.5, size)
-        w = rng.uniform(0.0, 1.0, size)
-        if rng.uniform() < 0.5:
-            w[starts[-2]:] = 0.0
-        K = np.diag(N @ x / x + w) - N
-        perm = rng.permutation(size)
-        K = K[np.ix_(perm, perm)]
-        n = int(rng.integers(1, size))
-        problems.append(MareProblem(n=n, m=size - n, D=K[:n, :n], C=-K[:n, n:], B=-K[n:, :n], A=K[n:, n:]))
-    return problems
-
-
 class TestRateIdentity:
     """theoretical_rate, read off the gaps of R and S, against the spectral radii of both factors."""
 
@@ -605,7 +575,7 @@ class TestRateIdentity:
 
     def test_random_reducible_k(self):
         regimes, unsolved = [], 0
-        for p in _reducible_problems(29, 60):
+        for p in reducible_problems(29, 60):
             try:
                 rep = solve(p)
             except MaxIterations as exc:
@@ -685,7 +655,7 @@ class TestHighPrecisionReference:
             (noncritical_suite[30], None),
             (noncritical_suite[30], sda),
             # reducible K: three blocks, singular noncritical
-            (_reducible_problems(29, 60)[54], None),
+            (reducible_problems(29, 60)[54], None),
             # reducible K with B = 0, so Phi = 0
             (reducible_singular, None),
         ]

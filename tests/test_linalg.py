@@ -58,7 +58,7 @@ class TestSpectralRadiusNonneg:
     def test_loose_bounds_raise(self, monkeypatch):
         # with bounds that never close, a reducible matrix of 1x1 blocks still
         # has its root, but an irreducible block raises
-        monkeypatch.setattr(linalg, "_noda_bounds", lambda P, c: (0.0, 100.0, np.ones(len(P))))
+        monkeypatch.setattr(linalg, "_noda_bounds", lambda P, c, x=None: (0.0, 100.0, np.ones(len(P))))
         assert spectral_radius_nonneg([[2.0, 1.0], [0.0, 1.0]]) == 2.0
         for P in ([[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 3.0]]):
             with pytest.raises(NoConvergence, match="failed to close"):
@@ -134,8 +134,8 @@ class TestCollatzWielandtRoot:
         calls = {"gave_up": 0, "gave_up_irreducible": 0, "split": 0}
         noda, blocks = linalg._noda_bounds, linalg._irreducible_blocks
 
-        def counted_noda(P, c):
-            lo, hi, x = noda(P, c)
+        def counted_noda(P, c, start=None):
+            lo, hi, x = noda(P, c, start)
             if hi - lo > 1e-15 * max(1.0, lo + c):
                 calls["gave_up"] += 1
                 calls["gave_up_irreducible"] += len(blocks(P)) == 1
@@ -164,7 +164,7 @@ class TestCollatzWielandtRoot:
         splits = [(label, M) for label, what, M in perron_inputs if what != "PhiPsi"]
         kinds = [classify_zm(M).kind for _, M in splits]
         pair = linalg._perron_pair
-        monkeypatch.setattr(linalg, "_perron_pair", lambda P: (squaring_root(P)[0], pair(P)[1]))
+        monkeypatch.setattr(linalg, "_perron_pair", lambda P, start=None: (squaring_root(P)[0], pair(P, start)[1]))
         for (label, M), kind in zip(splits, kinds):
             assert classify_zm(M).kind is kind, label
 
@@ -281,7 +281,7 @@ class TestMSolve:
 
     def test_certified_nonsingular_m_matrix(self):
         M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        X, dist, certified = linalg._m_solve(M, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        X, dist, certified, _ = linalg._m_solve(M, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert certified
         assert np.allclose(X, np.linalg.inv(M), rtol=0, atol=1e-15)
         # M^{-1} 1 = (1, 1): ||M^{-1}||_inf = 1
@@ -290,16 +290,17 @@ class TestMSolve:
     def test_blocks_side_by_side(self):
         # a vector block is one column; with no block the solution has none
         M = np.diag([2.0, 4.0])
-        X, dist, certified = linalg._m_solve(M, np.array([2.0, 4.0]), np.array([[4.0, 0.0], [0.0, 8.0]]))
+        X, dist, certified, x = linalg._m_solve(M, np.array([2.0, 4.0]), np.array([[4.0, 0.0], [0.0, 8.0]]))
         assert np.array_equal(X, [[1.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
-        assert certified and dist == 2.0
+        # the ones column is returned too: x = M^{-1} 1, the witness that certifies M
+        assert certified and dist == 2.0 and np.array_equal(x, [0.5, 0.25])
         assert linalg._m_solve(M)[0].shape == (2, 0)
 
     def test_uncertified_kinds(self):
         # Z but not M (rho(B) = 2 > s = 1), not Z (M^{-1} 1 > 0 all the
         # same), and a nonsingular M-matrix within rounding of singular
         for M in ([[1.0, -2.0], [-2.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0 + 1e-15]]):
-            _, _, certified = linalg._m_solve(np.array(M), np.ones((2, 1)))
+            _, _, certified, _ = linalg._m_solve(np.array(M), np.ones((2, 1)))
             assert not certified
 
     def test_exactly_singular_raises(self):
@@ -317,7 +318,7 @@ class TestMSolve:
             n = int(rng.integers(1, 9))
             N = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) + np.diag(rng.uniform(0.1, 1.0, n))
             M = (spectral_radius_nonneg(N) * rng.uniform(0.5, 1.5)) * np.eye(n) - N
-            _, dist, certified = linalg._m_solve(M)
+            _, dist, certified, _ = linalg._m_solve(M)
             kind = classify_zm(M).kind
             seen.add(kind)
             assert certified == (kind is MatrixKind.NONSINGULAR_M)

@@ -370,7 +370,7 @@ class TestIrreducibility:
 def _null_pair(K, n):
     """The kernel pair of K's one singular irreducible block."""
     K = np.asarray(K, dtype=float)
-    (pair,) = block_null_pairs(K, n, classify_zm(K))
+    (pair,), _ = block_null_pairs(K, n, classify_zm(K))
     return pair
 
 
@@ -391,7 +391,7 @@ class TestNullPair:
 
     def test_nonsingular_has_no_pair(self):
         K = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        assert block_null_pairs(K, 1, classify_zm(K)) == []
+        assert block_null_pairs(K, 1, classify_zm(K))[0] == []
 
     def test_coupled_singular_block(self):
         # K = [[0, -1], [0, 1]]: the singular block {0} couples into {1};
@@ -414,7 +414,7 @@ class TestNullPair:
         ])
         cls = classify_zm(K)
         calls = count_m_solves(monkeypatch)
-        pairs = block_null_pairs(K, 2, cls)
+        pairs, _ = block_null_pairs(K, 2, cls)
         assert calls == [(1, 2), (1, 2)]
         for pair in pairs:
             assert inf_norm(K @ pair.v) <= null_tol(K) and inf_norm(pair.u @ K) <= null_tol(K)
@@ -431,7 +431,7 @@ class TestNullPair:
             if not (cls.regular and len(singular) >= 2 and len(singular) < len(cls.blocks)):
                 continue
             calls.clear()
-            assert len(block_null_pairs(M, len(M) // 2, cls)) == len(singular)
+            assert len(block_null_pairs(M, len(M) // 2, cls)[0]) == len(singular)
             assert len(calls) == 2 and all(blocks == len(singular) for _, blocks in calls)
             counts.add(len(singular))
         assert {2, 3} <= counts
@@ -440,7 +440,7 @@ class TestNullPair:
         K = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
         cls = classify_zm(K)
         calls = count_m_solves(monkeypatch)
-        assert block_null_pairs(K, 1, cls) == []
+        assert block_null_pairs(K, 1, cls)[0] == []
         assert calls == [(3, 0)]
 
     @pytest.mark.parametrize("n", [0, 3])
