@@ -52,6 +52,9 @@ I - H G is formed but not solved: x2 = 1 + H (W (G 1)) is its
 uncertified cross product is classified, by ``mstruct.classify_zm``; the
 next step breaks down when that kind is singular or LAPACK found I - G H
 exactly singular.
+
+``solve`` keeps one iterate at a time and a trace of diagnostics; the
+pure ``initialize`` and ``step`` replay its iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -144,9 +147,13 @@ def select_parameters(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDiagnostics:
-    """Structural health of one accepted iterate."""
+    """Structural health of one accepted iterate.
+
+    ``dH_columns`` are the column sums of |H_k - H_{k-1}|, whose largest is
+    ``dH``; at k = 0 they are None and ``dH`` is NaN.
+    """
 
     k: int
     dH: float
@@ -158,6 +165,7 @@ class StepDiagnostics:
     sign_violations_E: int
     sign_violations_F: int
     monotonicity_violations: int
+    dH_columns: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -181,27 +189,13 @@ class DoublingState:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """The diagnostics and the H and G iterates of one step.
-
-    H and G are the iterate's own arrays, shared with its ``DoublingState``
-    and not copied: no code of the package writes to an iterate once it
-    is built, and callers must not either.
-    """
-
-    diagnostics: StepDiagnostics
-    H: np.ndarray
-    G: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """Solver output: phi is the final H, psi the final G."""
+    """Solver output: phi is the final H, psi the final G; ``trace`` has the diagnostics, no iterate."""
 
     phi: np.ndarray
     psi: np.ndarray
     iterations: int
-    trace: tuple[TraceRecord, ...]
+    trace: tuple[StepDiagnostics, ...]
     certificate: Certificate
     theoretical_rate: float | None
     observed_rate: float | None
@@ -250,15 +244,15 @@ def _iterate(
     """
     W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H)
     if prev is None:
-        k, dH, dG, mono = 0, math.nan, math.nan, 0
+        k, dH_columns, dG, mono = 0, None, math.nan, 0
         sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
     else:
-        k, dH, dG = prev.k + 1, one_norm(H - prev.H), one_norm(G - prev.G)
+        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), one_norm(G - prev.G)
         mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
         sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
     diag = StepDiagnostics(
         k=k,
-        dH=dH,
+        dH=math.nan if dH_columns is None else float(dH_columns.max()),
         dG=dG,
         dist_IGH=dist_igh,
         dist_IHG=dist_ihg,
@@ -267,6 +261,7 @@ def _iterate(
         sign_violations_E=int(sign_E),
         sign_violations_F=int(sign_F),
         monotonicity_violations=int(mono),
+        dH_columns=dH_columns,
     )
     return DoublingState(k, E, F, G, H, diag, tau, W)
 
@@ -317,12 +312,13 @@ def step(s: DoublingState) -> DoublingState:
         raise IterationBreakdown(
             f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
         )
-    EW, GF = E @ W, G @ F
-    FHW = F @ H @ W
-    E_new = EW @ E
-    F_new = F @ F + FHW @ GF
-    G_new = G + EW @ GF
-    H_new = H + FHW @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the breakdown below
+        EW, GF = E @ W, G @ F
+        FHW = F @ H @ W
+        E_new = EW @ E
+        F_new = F @ F + FHW @ GF
+        G_new = G + EW @ GF
+        H_new = H + FHW @ E
     if not (np.isfinite(H_new).all() and np.isfinite(G_new).all()):
         raise IterationBreakdown(f"nonfinite iterate at step {s.k + 1}")
     # In singular regimes one of E, F legitimately diverges like rho^(2^k)
@@ -355,15 +351,12 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
         flags.append(f"regime-unsupported:{pc.regime.value}")
 
     state = initialize(p, params)
-    trace: list[TraceRecord] = [TraceRecord(state.diagnostics, state.H, state.G)]
-    converged = False
+    trace = [state.diagnostics]
+    converged, tol = False, params.stop_tol
     for _ in range(params.max_iter):
         state = step(state)
-        trace.append(TraceRecord(state.diagnostics, state.H, state.G))
-        d = state.diagnostics
-        if d.dH <= params.stop_tol * max(1.0, one_norm(state.H)) and d.dG <= params.stop_tol * max(
-            1.0, one_norm(state.G)
-        ):
+        trace.append(d := state.diagnostics)
+        if d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G)):
             converged = True
             break
 
@@ -378,21 +371,17 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
         flags.append("theoretical-rate-unavailable")
     obs = None
     try:
-        obs = observed_rate(trace, phi)
+        obs = observed_rate(trace)
     except InsufficientTrace:
         pass
 
     if (theo is not None and theo >= 1.0 - 1e-6) or (obs is not None and obs >= 0.95):
         flags.append("non-quadratic")
-    if any(r.diagnostics.sign_violations_E or r.diagnostics.sign_violations_F for r in trace):
+    if any(d.sign_violations_E or d.sign_violations_F for d in trace):
         flags.append("sign-violations")
-    if any(r.diagnostics.monotonicity_violations for r in trace):
+    if any(d.monotonicity_violations for d in trace):
         flags.append("monotonicity-violations")
-    if any(
-        r.diagnostics.kind_IGH is not MatrixKind.NONSINGULAR_M
-        or r.diagnostics.kind_IHG is not MatrixKind.NONSINGULAR_M
-        for r in trace
-    ):
+    if any(kind is not MatrixKind.NONSINGULAR_M for d in trace for kind in (d.kind_IGH, d.kind_IHG)):
         flags.append("cross-products-not-nonsingular-m")
 
     report = SolveReport(
@@ -446,32 +435,36 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     return abs((beta - tau_r) / (alpha + tau_r)) * abs((alpha - tau_s) / (beta + tau_s))
 
 
-def observed_rate(trace, phi) -> float:
-    """Empirical rate ||H_k - phi||_1^(1 / 2^k), taken over the last usable steps.
+def observed_rate(trace) -> float:
+    """Empirical rate ||H_k - H_N||_1^(1 / 2^k) of a trace, H_N its last iterate.
 
-    Steps whose error is below 100 * eps carry no rate information (they
-    are pure round-off) and are skipped; fewer than two usable steps raise
-    InsufficientTrace.  Of the last three usable steps the smallest value
+    The error is the largest entry of the ``dH_columns`` of the steps after
+    k, summed from the last: the norm while the iterates increase, as the
+    theory promises and ``monotonicity_violations`` checks, and an upper
+    bound otherwise.  Steps whose error is below 100 * eps carry no rate
+    information (they are pure round-off) and are skipped; fewer than two
+    usable steps raise InsufficientTrace.  Of the last three usable steps the smallest value
     is returned: the per-step values decrease toward the asymptotic rate as
     the preasymptotic constant washes out (a constant C inflates step k by
     C^(1/2^k)), so the deepest iterates are the faithful estimate.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    usable = []
-    for rec in trace:
-        err = one_norm(rec.H - phi)
+    usable = []  # from the last step back
+    later = 0.0  # the summed dH_columns of the steps after d
+    for d in reversed(trace):
+        err = float(np.max(later))
         if err > 100 * EPS:
-            usable.append((rec.diagnostics.k, err))
+            usable.append((d.k, err))
+        if d.dH_columns is not None:
+            later = later + d.dH_columns
     if len(usable) < 2:
         raise InsufficientTrace(f"only {len(usable)} informative iterates in trace")
-    return min(err ** (1.0 / 2.0**k) for k, err in usable[-3:])
+    return min(err ** (1.0 / 2.0**k) for k, err in usable[:3])
 
 
 def trace_to_csv(trace) -> str:
     """Iteration trace as CSV (one row per step; dH/dG empty at k = 0; dist_* as in ``linalg._m_solve``)."""
     lines = ["k,dH,dG,dist_IGH,dist_IHG,sign_violations_E,sign_violations_F,monotonicity_violations"]
-    for rec in trace:
-        d = rec.diagnostics
+    for d in trace:
         dh = "" if math.isnan(d.dH) else format(d.dH, ".17g")
         dg = "" if math.isnan(d.dG) else format(d.dG, ".17g")
         lines.append(

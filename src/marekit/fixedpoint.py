@@ -25,10 +25,12 @@ the tolerance.
 The steps run in blocks of ``_BLOCK``.  A step inside a block does only
 its four products, into buffers allocated once, and the division.  The
 block is then screened in one stacked pass over its steps and sides: the
-1-norms of X and of the fused residual are the largest entries of
-matrix-vector products with a ones vector, ``1^T |X|`` for the column
-sums of X, which numpy reduces far more slowly over a middle axis of the
-stack.  Monotonicity is one comparison of the block's iterates with
+1-norms of X and of the fused residual, stored right after the iterates,
+are the largest entries of one matrix-vector product with a ones vector,
+``1^T X`` for the column sums of X, which numpy reduces far more slowly
+over a middle axis of the stack.  X needs no absolute value: every
+iterate is >= 0 exactly, as its operands are and its denominators are
+positive.  Monotonicity is one comparison of the block's iterates with
 their predecessors, and the count of violations per step is built only
 when that comparison fails.  The walk then visits, in step order, only
 the steps whose screen passes, is not finite, or sits at the cap.  Up to
@@ -38,14 +40,13 @@ The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
 solves ``Z B^T Z - Z D^T - A^T Z + C^T = 0``, the primal form with
 coefficients (A^T, C^T, B^T, D^T) and the same denominators a_i + d_j.
-With ``dual`` the core advances X and Z as one (2, m, n) stack from X_0 to
-the later of their stops: each step is one numerator and one division for
-both, and each block one screening pass.  Each side stops on its own step,
+With ``dual`` the core advances X and Z as one (2, m, n) stack from X_0
+through the block of their first stop: each step is one numerator and one
+division for both, and each block one screening pass.  Each side stops on its own step,
 decided by its own exact residual; the dual's is ``residual_dual``'s core
 on Z^T, and its screen takes the dual's 1-norm, the largest row sum
-``|Z| 1`` of Z.  A side that has stopped goes on stepping and being
-screened inside the stack, unread.
-``fixed_point_solve``, the same core on X alone, steps 2-D arrays
+``Z 1`` of Z.  From the block after one side stops, the other steps its
+own 2-D slices, as ``fixed_point_solve``, the same core on X alone, does
 throughout.  The first block in which either side's update overflows ends
 the run, and the error names the primal's step if both overflow there.
 """
@@ -144,13 +145,12 @@ def _fixed_point(
     screen = tol + 8 * (p.m + p.n + 2) * EPS
     tau = sign_tol(p)
     # Xs[0, i] is side i's last iterate of the previous block, Xs[j, i] its
-    # j-th successor; Ts[j - 1, i] is the numerator T(Xs[j, i]), written
-    # there by the step.  T is the numerator of the current iterate; each
-    # step reads it before it writes the next one, so T(0) can start in Ts[0].
-    # Ws holds |X| and |T(X) - denom X| of the block's iterates.
-    Xs = np.zeros((_BLOCK + 1, sides, p.m, p.n))
+    # j-th successor and, in a block of b steps, Xs[b + j, i] its fused
+    # residual; Ts[j - 1, i] is the numerator T(Xs[j, i]), written there by
+    # the step.  T is the numerator of the current iterate; each step reads
+    # it before it writes the next one, so T(0) can start in Ts[0].
+    Xs = np.zeros((2 * _BLOCK + 1, sides, p.m, p.n))
     Ts = np.empty((_BLOCK, sides, p.m, p.n))
-    Ws = np.empty((2, _BLOCK, sides, p.m, p.n))
     ones_m, ones_n = np.ones(p.m), np.ones(p.n)
     # the pair steps the whole stack, one side its own 2-D slices, which
     # multiply faster than a stack of one
@@ -165,19 +165,18 @@ def _fixed_point(
     done = 0
     while live:
         b = min(_BLOCK, max_iter - done)
-        X, prev, W = Xs[1 : b + 1], Xs[:b], Ws[:, :b]
+        X, prev, R, both = Xs[1 : b + 1], Xs[:b], Xs[b + 1 : 2 * b + 1], Xs[1 : 2 * b + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, b + 1):
                 np.divide(T, denom, out=Xw[j])
                 T = numerator(Xw[j], Tw[j - 1])
-            np.abs(X, out=W[0])
-            np.abs(np.subtract(Ts[:b], np.multiply(denom, X, out=W[1]), out=W[1]), out=W[1])
-            # the 1-norms of |X| and of the fused residual, both at once: the
+            np.abs(np.subtract(Ts[:b], np.multiply(denom, X, out=R), out=R), out=R)
+            # the 1-norms of X and of the fused residual, both at once: the
             # largest column sum of X, and of Psi, the largest row sum of Z
-            sums = [ones_m @ W[:, :, 0]]
+            sums = [ones_m @ both[:, 0]]
             if dual:
-                sums.append(W[:, :, 1] @ ones_n)
-            nX, num = np.array([s.max(axis=2) for s in sums]).swapaxes(0, 1)
+                sums.append(both[:, 1] @ ones_n)
+            nX, num = np.array([s.max(axis=1).reshape(2, b) for s in sums]).swapaxes(0, 1)
             fused = num / np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
             # the walk visits the steps the screen passes, a nonfinite one and the cap
             visit = (fused <= screen) | ~np.isfinite(fused)
@@ -199,6 +198,10 @@ def _fixed_point(
                     live.remove(i)
                     break
         done += b
+        if Xw is Xs and len(live) == 1:  # the survivor steps alone; zeros keep the other steady
+            (i,) = live
+            Xs[:, 1 - i] = 0.0
+            Xw, Tw, numerator, T = Xs[:, i], Ts[:, i], _numerator(*splittings[i]), Ts[b - 1, i]
         Xw[0] = Xw[b]
     return reports
 

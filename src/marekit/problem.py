@@ -409,7 +409,8 @@ def make_certificate(
     if pc.witness is not None:
         v1, v2 = pc.witness[: p.n], pc.witness[p.n :]
     # in the split of I - Phi Psi the gap is 1 - rho(Phi Psi); Phi Psi >= 0 as phi and psi are
-    phi_psi = phi_m @ psi_m
+    with np.errstate(over="ignore"):  # an overflow is reported by the ValueError below
+        phi_psi = phi_m @ psi_m
     if not np.isfinite(phi_psi).all():
         raise ValueError("P contains NaN or Inf entries")
     rho = linalg._perron_pair(phi_psi, v2)[0]

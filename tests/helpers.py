@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from marekit import linalg, mstruct
+from marekit import doubling, linalg, mstruct
 from marekit.errors import SingularMatrix
 from marekit.linalg import EPS, one_norm
 from marekit.mstruct import MatrixKind, classify_zm
@@ -116,6 +116,38 @@ def regularity_witness(M, classification):
 # on the closing matrices of the acceptance suites, the reducible draws and
 # the benchmark's sweep-small and solve-large problems.
 START_SLACK = 4e-15
+
+
+def replay(p, rep):
+    """The states of the doubling run behind ``rep``, k = 0 through ``rep.iterations``.
+
+    A report keeps no iterate; ``initialize`` and ``step`` are pure
+    functions of their arguments, so from ``rep.params`` they rebuild the
+    run's own iterates, bit for bit, with their diagnostics.
+    """
+    state = doubling.initialize(p, rep.params)
+    states = [state]
+    for _ in range(rep.iterations):
+        state = doubling.step(state)
+        states.append(state)
+    return states
+
+
+def reference_observed_rate(p, rep):
+    """``observed_rate`` as it was defined on iterates: ||H_k - phi||_1^(1 / 2^k) on the replayed run.
+
+    Steps with an error of at most 100 eps are skipped, the smallest value
+    of the last three usable steps is taken, and None stands for fewer
+    than two usable steps.
+    """
+    usable = []
+    for state in replay(p, rep):
+        err = one_norm(state.H - rep.phi)
+        if err > 100 * EPS:
+            usable.append((state.k, err))
+    if len(usable) < 2:
+        return None
+    return min(err ** (1.0 / 2.0**k) for k, err in usable[-3:])
 
 
 def reference_path(monkeypatch):

@@ -28,6 +28,8 @@ from marekit.errors import NonpositiveDiagonal
 from marekit.linalg import one_norm
 from marekit.mstruct import MatrixKind
 
+from helpers import replay
+
 GOLDEN = (3 - 5**0.5) / 2
 
 
@@ -123,16 +125,16 @@ def test_criterion_5_iteration_structure_suite(solved_noncritical):
     with criterion(5, "100-problem suite: per-step M-structure, signs, monotonicity, rate bound"):
         for p, rep in solved_noncritical:
             tau = sign_tol(p)
-            for rec in rep.trace:
-                d = rec.diagnostics
+            # the report keeps each step's diagnostics; the iterates are replayed
+            for d, state in zip(rep.trace, replay(p, rep), strict=True):
                 assert d.kind_IGH is MatrixKind.NONSINGULAR_M, p.name
                 assert d.kind_IHG is MatrixKind.NONSINGULAR_M, p.name
                 assert d.sign_violations_E == 0, p.name
                 assert d.sign_violations_F == 0, p.name
                 assert d.monotonicity_violations == 0, p.name
-                assert (rec.H <= rep.phi + tau).all(), p.name
-                assert (rec.G <= rep.psi + tau).all(), p.name
-                assert (rec.H >= -tau).all() and (rec.G >= -tau).all(), p.name
+                assert (state.H <= rep.phi + tau).all(), p.name
+                assert (state.G <= rep.psi + tau).all(), p.name
+                assert (state.H >= -tau).all() and (state.G >= -tau).all(), p.name
             assert rep.converged  # zero IterationBreakdown, no cap hit
             assert rep.theoretical_rate is not None and rep.theoretical_rate < 1.0, p.name
             if rep.observed_rate is not None:

@@ -400,19 +400,29 @@ class TestPair:
         monkeypatch.setattr(fixedpoint, "_numerator", counted)
         return steps
 
-    def test_pair_steps_the_stack_to_its_last_stop(self, monkeypatch):
-        # the sides stop at steps 296 and 279, in different blocks; the stopped
-        # dual goes on stepping inside the stack, and a single side steps 2-D;
-        # every run steps T(0) and then whole blocks through its last stop
-        p = _problem(_TWO_SIDED["two-sided-noncritical-3x4"])
+    @pytest.mark.parametrize(
+        "name, stops",
+        [
+            # the sides stop at steps 296 and 279, in different blocks
+            ("two-sided-noncritical-3x4", (296, 279)),
+            # C = 0: the dual stops at step 1, the primal at step 50
+            ("nonsingular-51x51", (50, 1)),
+        ],
+    )
+    def test_pair_steps_the_stack_to_its_first_stop(self, monkeypatch, name, stops):
+        # the stack steps T(0) and then whole blocks through the first stop;
+        # from the next block on the survivor steps its own 2-D slices, as a
+        # single side does throughout
+        p = _problem({**_TWO_SIDED, **_LARGE}[name])
         steps = self._count_steps(monkeypatch)
         primal, dual = _fixed_point(p, dual=True)
-        assert (primal.iterations, dual.iterations) == (296, 279)
-        assert steps == [3] * _stepped(296)
+        assert (primal.iterations, dual.iterations) == stops
+        first, last = _stepped(min(stops)), _stepped(max(stops))
+        assert steps == [3] * first + [2] * (last - first)
         steps.clear()
-        assert fixed_point_solve(p).iterations == 296
-        assert fixed_point_solve(p.dual()).iterations == 279
-        assert steps == [2] * _stepped(296) + [2] * _stepped(279)
+        assert fixed_point_solve(p).iterations == stops[0]
+        assert fixed_point_solve(p.dual()).iterations == stops[1]
+        assert steps == [2] * (_stepped(stops[0]) + _stepped(stops[1]))
 
     @pytest.mark.filterwarnings("error")
     def test_divergent_pair_breaks_down_at_the_primal_step(self, divergent):

@@ -64,6 +64,32 @@ class TestSpectralRadiusNonneg:
             with pytest.raises(NoConvergence, match="failed to close"):
                 spectral_radius_nonneg(P)
 
+    def test_noda_stops_before_a_vector_that_underflows(self, monkeypatch):
+        # a reducible P of extreme scales (found by a random search): solve 18
+        # of its run from 1 gives a positive vector whose smallest entry is
+        # flushed to zero by the scaling to max 1, so the run keeps the vector
+        # before it, and the root comes from the irreducible blocks
+        P = np.array([
+            [6.278612531767006e-45, 0.0, 0.0],
+            [3.949857800123913e289, 0.0, 1.3555702283031977e-72],
+            [1.081265488868297e97, 0.0, 4.10806385237078e284],
+        ])
+        solved = []
+        real = np.linalg.solve
+
+        def recording(a, b):
+            solved.append(real(a, b))
+            return solved[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        _, _, x = linalg._noda_bounds(P, 1.0 + P.diagonal().max())
+        assert len(solved) == 18
+        y = solved[-1]
+        assert y.min() > 0.0 and y.max() < np.inf and (y / y.max()).min() == 0.0
+        assert np.array_equal(x, solved[-2] / solved[-2].max())
+        monkeypatch.undo()
+        assert spectral_radius_nonneg(P) == P[2, 2]
+
     @pytest.mark.parametrize(
         "P, stalls",
         [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_against_squaring, count_m_solves, reducible_m_matrix, regularity_witness
+from helpers import check_against_squaring, count_m_solves, reducible_m_matrix, regularity_witness, replay
 from marekit import linalg
 from marekit.errors import NoConvergence, SingularMatrix
 from marekit.linalg import EPS, inf_norm, spectral_radius_nonneg
@@ -129,8 +129,8 @@ class TestZmKind:
         count = 0
         for p, rep in solved_noncritical + solved_nonsingular:
             mats = [np.eye(p.m) - rep.phi @ rep.psi, np.eye(p.n) - rep.psi @ rep.phi]
-            for rec in rep.trace:
-                mats += [np.eye(p.n) - rec.G @ rec.H, np.eye(p.m) - rec.H @ rec.G]
+            for state in replay(p, rep):
+                mats += [np.eye(p.n) - state.G @ state.H, np.eye(p.m) - state.H @ state.G]
             for M in mats:
                 check_against_squaring(M)
             count += len(mats)

@@ -385,6 +385,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             make_certificate(scalar_nonsingular, [[-0.5]], [[0.5]])
 
+    def test_overflowing_phi_psi_rejected(self):
+        # with B = C = 0 both residuals stay finite at phi = psi = 1e200, but
+        # phi psi = 1e400 overflows: an error, with no overflow warning before it
+        p = MareProblem(n=1, m=1, A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]])
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            make_certificate(p, [[1e200]], [[1e200]])
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
     def test_unusable_tol_rejected(self, scalar_nonsingular, tol):
         # refused as fixed_point_solve and DoublingParams refuse it, not a certificate whose checks all fail
