@@ -54,7 +54,19 @@ next step breaks down when that kind is singular or LAPACK found I - G H
 exactly singular.
 
 ``solve`` keeps one iterate at a time and a trace of diagnostics; the
-pure ``initialize`` and ``step`` replay its iterates bit for bit.
+pure ``initialize`` and ``step`` replay its iterates bit for bit.  Its
+last iterate also starts the certificate's Perron runs on R and S.  The
+error relations of ADDA (Wang, Wang & Li, SIMAX 33 (2012) 170-194),
+
+    E_k = (I - G_k Phi) T_R^(2^k),    T_R = (R + alpha I)^{-1} (R - beta I),
+    F_k = (I - H_k Psi) T_S^(2^k),    T_S = (S + beta I)^{-1} (S - alpha I),
+
+make E_N 1 point along (I - Psi Phi) x_R and F_N 1 along (I - Phi Psi) x_S
+as N grows, x_R and x_S the Perron vectors of the splits of R and S and
+the dominant eigenvectors of T_R and T_S.  As W tends to
+(I - Psi Phi)^{-1} and I + H W G to (I - Phi Psi)^{-1}, the vectors
+W E 1 and F 1 + H W G F 1 point along x_R and x_S: three matrix-vector
+products and no solve.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ from .errors import (
 from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
 from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
-from .problem import classify_problem, make_certificate, sign_tol
+from .problem import CERT_TOL, _certificate, classify_problem, sign_tol
 
 MODE_ADDA = "adda"
 MODE_SDA = "sda"
@@ -333,6 +345,24 @@ def step(s: DoublingState) -> DoublingState:
     return _iterate(E_new, F_new, G_new, H_new, s.tau_sign, s)
 
 
+def _closing_starts(s: DoublingState) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Perron starts for R and S read off the iterate s: W E 1 and F 1 + H (W (G (F 1))).
+
+    These point along the Perron vectors of the splits of R and S near
+    convergence (see the module docstring).  Each is normalized by
+    ``linalg._perron_start``, and is None where W is None or the vector is
+    not finite and positive, as where E or F has underflowed to 0; the
+    certificate then starts from K's witness.
+    """
+    if s.solves is None:
+        return None, None
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite start is refused below
+        f1 = s.F.sum(axis=1)
+        r0 = s.solves @ s.E.sum(axis=1)
+        s0 = f1 + s.H @ (s.solves @ (s.G @ f1))
+    return linalg._perron_start(r0), linalg._perron_start(s0)
+
+
 def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     """Run the doubling iteration to convergence and certify the result.
 
@@ -341,7 +371,10 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     raising MaxIterations (with the best report attached) if the cap is
     reached first.  A regime outside ``GUARANTEED_REGIMES`` is attempted
     best effort and reported only by its ``regime-unsupported:<regime>``
-    flag.
+    flag.  The answer is certified as by ``make_certificate``, the Perron
+    runs on R and S started from the last iterate (``_closing_starts``);
+    the roots are certified from any start, so only the number of Noda
+    solves depends on it.
     """
     if params is None:
         params = select_parameters(p)
@@ -362,7 +395,7 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
 
     phi = np.maximum(state.H, 0.0)
     psi = np.maximum(state.G, 0.0)
-    cert = make_certificate(p, phi, psi, problem_class=pc)
+    cert = _certificate(p, phi, psi, CERT_TOL, pc, *_closing_starts(state))
 
     theo = None
     try:

@@ -237,9 +237,10 @@ def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float,
     midpoint of the Collatz-Wielandt bounds of ``_noda_bounds``, a few
     LAPACK solves from ``start`` (a positive vector; None is 1), closed to
     a width of at most 1e-15 max(1, lo + c) with ``c = 1 + max diag(A)``,
-    and the vector x > 0 is the iteration's last.  A start near the
-    Perron vector, as a regularity witness of the matrix it splits is,
-    saves solves.  Where they stay open on a reducible A (a Perron vector
+    and the vector x > 0 is the iteration's last.  The bounds hold from
+    any positive start; one near the Perron vector saves solves
+    (``_perron_start`` normalizes a candidate and rejects one that is not
+    positive).  Where they stay open on a reducible A (a Perron vector
     with zero entries, a nilpotent A), the root is the largest root of the
     irreducible diagonal blocks of ``_irreducible_blocks``, each taken by
     this function from 1, and x is None.  Where rounding stalls them on an
@@ -266,6 +267,15 @@ def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float,
             )
         x = x * y
     return 0.5 * (lo + hi), x
+
+
+def _perron_start(x: np.ndarray) -> np.ndarray | None:
+    """``x / max x`` where that is finite and positive, a start for ``_perron_pair``; None otherwise."""
+    top = x.max()
+    if not (x.min() > 0.0 and top < math.inf):  # also false on a NaN
+        return None
+    x = x / top
+    return x if x.min() > 0.0 else None
 
 
 def spectral_radius_nonneg(P) -> float:

@@ -32,7 +32,9 @@ Each fact costs one LAPACK call where one suffices.  ``classify_by_solve``
 first solves K x = 1 (``linalg._m_solve``): a certified x brackets K's
 gap as [1 / max x, 1 / min x] (Collatz-Wielandt bounds on K^{-1}), and
 a lower end above tolerance decides a nonsingular K with no Noda run;
-every other K takes ``classify_zm``.
+every other K takes ``classify_zm``, its Noda runs started at |x| / max
+|x|: on a singular K the trial solve is inverse iteration at the exact
+shift, and x points nearly along the Perron vector.
 
 ``block_null_pairs(K, n, classification)`` then certifies M_NN, for every
 M-matrix K, and builds the kernel.  A singular block b has the kernel
@@ -43,13 +45,14 @@ when b is the only singular block, or when every singular block is
 final: no cycle runs from b through N back to b, so the Schur complement
 of K_NN leaves K_bb alone.  y_b is one transposed solve at the upper
 Collatz-Wielandt bound of x_b (``_left_perron``), a Noda run on the
-transpose only where that solve fails.  Every block's right-hand side
-goes into one certified solve on K_NN, ``linalg._m_solve``, whose column
-of ones certifies K_NN; its left ones into one on K_NN^T.  A nonsingular
-K is all rest: its one solve is the certified K^{-1} 1, the one that
-``classify_by_solve`` made.  The same solves give the witness v above,
+transpose, from |z| / max |z|, only where that solve fails.  Every
+block's right-hand side goes into one certified solve on K_NN,
+``linalg._m_solve``, whose column of ones certifies K_NN; its left ones
+into one on K_NN^T.  A nonsingular K is all rest: its one solve is the
+certified K^{-1} 1, the one that ``classify_by_solve`` made.  The same solves give the witness v above,
 v_N from the ones column and the block columns of the solve on K_NN,
-which the certificate's Perron runs on R, S and Phi Psi start from.
+which the certificate's Perron run on Phi Psi starts from, and those on
+R and S where the doubling hands the certificate no start of its own.
 """
 
 from __future__ import annotations
@@ -177,9 +180,10 @@ def classify_zm(M) -> MClassification:
 def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassification:
     """``classify_zm`` of a checked square float64 A, each block's Noda run started at ``start`` there.
 
-    ``start`` is a positive vector with A start >= 0 where A is an
-    M-matrix, or None (every run starts at 1).  Restricted to a block b it
-    is one for A_bb too, as A_bb start_b >= -A_b,rest start_rest >= 0.
+    ``start`` is a positive vector, or None (every run starts at 1).  The
+    roots are certified from any start; one near the Perron vectors of
+    the blocks saves solves: K's witness or trial K^{-1} 1, or a vector
+    that the doubling's last iterate gives for R or S.
     """
     s = float(A.diagonal().max())
     tol = class_tol(A)
@@ -221,19 +225,21 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
     s - gap, an upper bound, as rho(B)), and the irreducible blocks of
     ``linalg._irreducible_blocks`` each with its own lower end 1 / max x_b,
     from K_bb x_b >= 1, and no Perron vector; the smallest of those is K's.
-    Everywhere else K takes ``classify_zm``, as does a K that LAPACK finds
-    exactly singular.  ``x`` is returned whenever it certifies, so that
-    ``block_null_pairs`` does not solve K again; it is None otherwise.
+    Everywhere else K takes ``classify_zm``, its Noda runs started at
+    |x| / max |x| where that is finite and positive (at 1 otherwise, and
+    where LAPACK finds K exactly singular): on a singular K the trial solve
+    is a step of inverse iteration at the exact shift, so x is nearly the
+    Perron vector and the runs close in fewer solves.  ``x`` is returned
+    whenever it certifies, so that ``block_null_pairs`` does not solve K
+    again; it is None otherwise.
     """
     tol = class_tol(K)
     try:
         _, dist, certified, x = linalg._m_solve(K)
     except SingularMatrix:  # LAPACK finds K exactly singular
-        certified = False
-    if not certified:
-        return classify_zm(K), None
-    if dist <= tol:
-        return classify_zm(K), x
+        return _classify_blocks(K), None
+    if not certified or dist <= tol:
+        return _classify_blocks(K, linalg._perron_start(np.abs(x))), x if certified else None
     blocks = tuple(
         IrreducibleBlock(
             b,
@@ -281,9 +287,10 @@ def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``x`` is P's right Perron vector, so hi = max (P x)_i / x_i, its
     Collatz-Wielandt upper bound, is within rounding of rho(P), and one
     solve (hi I - P^T) z = 1 is inverse iteration at that shift: z is the
-    left vector when it is positive.  Where LAPACK finds the shift exactly
-    singular or z has an entry that is not positive, Noda's iteration runs
-    on P^T instead.
+    left vector when it is positive.  Where z has an entry that is not
+    positive, Noda's iteration runs on P^T from |z| / max |z| (from 1 where
+    that has a zero entry or z is not finite), and from 1 where LAPACK
+    finds the shift exactly singular.
     """
     Pt = _split(M.T)[1]  # P^T, row-major
     hi = float(((x @ Pt) / x).max())
@@ -294,10 +301,10 @@ def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
         z = np.linalg.solve(shifted, np.ones(len(Pt)))
     except np.linalg.LinAlgError:
         return linalg._perron_pair(Pt)[1]
-    top = z.max()
-    if not (z.min() > 0.0 and top < math.inf):  # also false on a NaN
-        return linalg._perron_pair(Pt)[1]
-    return z / top
+    start = linalg._perron_start(np.abs(z))
+    if start is not None and z.min() > 0.0:
+        return start
+    return linalg._perron_pair(Pt, start)[1]
 
 
 def block_null_pairs(

@@ -15,7 +15,8 @@ a singular block is its Perron vectors and its columns of the certified
 solves on the nonsingular rest, one per side for all blocks, and the zero
 eigenvalue is simple or double as the drift is nonzero or zero.  The same
 solves give K's witness v > 0, K v >= 0, whose parts start the
-certificate's Perron runs.
+certificate's Perron runs (``doubling.solve`` starts those on R and S
+from vectors its last iterate gives).
 
 The JSON problem format accepted here is the package's on-disk contract:
 
@@ -219,7 +220,9 @@ class ProblemClass:
     v > 0 with K v >= 0 (K^{-1} 1 on a nonsingular K), None where K is not
     regular or not an M-matrix.  Its parts v1 (first n) and v2 start the
     certificate's Perron runs on R, S and Phi Psi: R v1 >= 0, S v2 >= 0
-    and Phi Psi v2 <= v2 at the minimal solution.
+    and Phi Psi v2 <= v2 at the minimal solution.  ``doubling.solve``
+    starts the runs on R and S from its last iterate instead, and falls
+    back to v1 and v2 where that gives no positive vector.
     """
 
     k_class: MClassification
@@ -298,7 +301,8 @@ class Certificate:
 
     R and S are the closing matrices D - C.phi and A - B.psi exactly as
     computed, and ``r_class``/``s_class`` their ``mstruct.classify_zm``,
-    with the irreducible blocks, its Noda runs started at K's witness.  Their certified gaps s - rho(B) are, on
+    with the irreducible blocks, its Noda runs started near their Perron
+    vectors (see ``make_certificate``).  Their certified gaps s - rho(B) are, on
     a Z-matrix, which R and S are, the smallest real eigenvalue tau.
     ``r_singular``/``s_singular`` say that the gap is zero to 1e-8 times
     the scale of the closing matrix's operands.  ``checks`` record the
@@ -326,6 +330,7 @@ class Certificate:
 
 _SINGULAR_GAP_REL = 1e-8
 _NONSINGULAR_GAP_REL = 1e-4
+CERT_TOL = 1e-8  # the residual tolerance of a certificate that names none
 
 
 def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | None):
@@ -333,7 +338,7 @@ def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | No
 
     R = D - C.phi, and S = A - B.psi is the same for the dual problem.  It
     is checked (``as_square``) and classified with its Noda runs started at
-    ``start``, the witness part that R (or S) keeps nonnegative.  The
+    ``start``, a positive vector near its Perron vector (None is 1).  The
     matrix is singular when its certified gap is zero to
     ``_SINGULAR_GAP_REL * scale``.  The scale ||D||_1 + ||C||_1 ||X||_1 is
     the magnitude of the operands: a singular closing matrix can be tiny in
@@ -350,7 +355,7 @@ def make_certificate(
     p: MareProblem,
     phi,
     psi,
-    tol: float = 1e-8,
+    tol: float = CERT_TOL,
     problem_class: ProblemClass | None = None,
 ) -> Certificate:
     """Verify a candidate solution pair against the structural invariants.
@@ -373,7 +378,9 @@ def make_certificate(
     on R, S and phi.psi start at the parts v1, v2 and v2 of the problem
     class's witness (R v1 >= 0, S v2 >= 0 and phi.psi v2 <= v2 at the
     minimal pair), and at 1 where there is none: the roots are certified
-    either way, and a start near the Perron vector saves solves.
+    from any positive start, and one near the Perron vector saves solves.
+    ``doubling.solve`` certifies its answer through the same core,
+    ``_certificate``, with starts for R and S read off its last iterate.
 
     In the guaranteed regimes passing checks identify the minimal pair: with
     zero residuals, R and S M-matrices and rho(phi.psi) < 1, F is
@@ -395,12 +402,27 @@ def make_certificate(
     psi_m = _candidate(psi, p.n, p.m, "psi")
     if phi_m.min() < -tau or psi_m.min() < -tau:
         raise ValueError("candidate solutions must be entrywise nonnegative (to tolerance)")
-    phi_m = np.maximum(phi_m, 0.0)
-    psi_m = np.maximum(psi_m, 0.0)
-
     pc = classify_problem(p) if problem_class is None else problem_class
-    regime = pc.regime
+    return _certificate(p, np.maximum(phi_m, 0.0), np.maximum(psi_m, 0.0), tol, pc)
 
+
+def _certificate(
+    p: MareProblem,
+    phi_m: np.ndarray,
+    psi_m: np.ndarray,
+    tol: float,
+    pc: ProblemClass,
+    r_start: np.ndarray | None = None,
+    s_start: np.ndarray | None = None,
+) -> Certificate:
+    """``make_certificate`` of a checked nonnegative pair, its Perron runs on R and S started at r_start and s_start.
+
+    Either start that is None is the part v1 or v2 of the witness of
+    ``pc`` (or 1 where there is none); the run on phi.psi always starts at
+    v2.  phi_m and psi_m must be finite float64 arrays of the problem's
+    shapes with no negative entry, and ``tol`` nonnegative.
+    """
+    regime = pc.regime
     num_p, res_p = _residual(phi_m, p.A, p.B, p.C, p.D)
     num_d, res_d = _residual(psi_m, p.D, p.C, p.B, p.A)
     sim_res = max(num_p, num_d) / max(one_norm(p.K), EPS)
@@ -416,8 +438,8 @@ def make_certificate(
     rho = linalg._perron_pair(phi_psi, v2)[0]
     i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.m) - phi_psi))
 
-    R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m, v1)
-    S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m, v2)
+    R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m, v1 if r_start is None else r_start)
+    S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m, v2 if s_start is None else s_start)
 
     checks = [
         CheckResult("residual-primal", res_p <= tol, res_p, tol),

@@ -112,9 +112,10 @@ def regularity_witness(M, classification):
 # vectors each close their Collatz-Wielandt bounds to 1e-15 max(1, lo + c),
 # c = 1 + max diag, which is at most 1e-15 (1 + 2 s) for the split of an
 # M-matrix with max diagonal s; so their roots, and the gaps read off them,
-# differ by at most twice that plus rounding.  Measured: 2.1e-16 (1 + 2 s)
-# on the closing matrices of the acceptance suites, the reducible draws and
-# the benchmark's sweep-small and solve-large problems.
+# differ by at most twice that plus rounding.  Measured: 2.9e-16 (1 + 2 s)
+# on the closing matrices of the acceptance suites and the reducible draws
+# (2.1e-16 there and on the benchmark's sweep-small and solve-large
+# problems while only K's witness started them).
 START_SLACK = 4e-15
 
 
@@ -157,7 +158,8 @@ def reference_path(monkeypatch):
     classified by ``classify_zm(K)`` alone (its certified K^{-1} 1 decides
     nothing, and ``block_null_pairs`` solves K again), every left Perron
     vector is a Noda run on the transposed split, and every Perron run
-    starts at 1, whatever witness the caller passes.  Use it inside
+    starts at 1, whatever start the caller passes (K's witness, the trial
+    K^{-1} 1, the doubling's last iterate).  Use it inside
     ``monkeypatch.context()`` to compare the two paths on one problem.
     """
     perron = linalg._perron_pair
