@@ -106,30 +106,47 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
+@functools.lru_cache(maxsize=256)
+def _float_row_format(length: int, indent: int) -> str:
+    """The %-format of a list of ``length`` finite floats at ``indent``: "%.17g" is ``format(x, ".17g")``."""
+    pad_in = "  " * (indent + 1)
+    return "[\n" + pad_in + (",\n" + pad_in).join(["%.17g"] * length) + "\n" + "  " * indent + "]"
+
+
 def dumps_report(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits, keys in insertion order.
 
-    NaN and infinities are written as null.  A list of plain floats, such
-    as a matrix row, is formatted entry by entry without recursing.
+    NaN and infinities are written as null.  Exact floats, strings, dicts
+    and lists, most of a report, are dispatched on their type first.  A
+    list of plain floats, such as a matrix row, is formatted without
+    recursing: in one %-format when every entry is finite.
     """
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if kind is not dict and kind is not list:
+        if isinstance(obj, (float, np.floating)):
+            return _fmt_float(float(obj))
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool) or isinstance(obj, np.bool_):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
+            if math.isfinite(sum(obj)):  # a NaN or an infinity makes the sum one
+                return _float_row_format(len(obj), indent) % tuple(obj)
             texts = map(_fmt_float, obj)
         else:
             texts = [dumps_report(v, indent + 1) for v in obj]

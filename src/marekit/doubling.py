@@ -86,7 +86,7 @@ from .errors import (
     NonpositiveDiagonal,
     SingularMatrix,
 )
-from .linalg import EPS, one_norm
+from .linalg import EPS, _one_norm_2d
 from .mstruct import MatrixKind
 from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
 from .problem import CERT_TOL, _certificate, classify_problem, sign_tol
@@ -131,8 +131,8 @@ def select_parameters(
     diagonal has no positive entry.  The iteration limits are those
     ``DoublingParams`` defaults to; ``dataclasses.replace`` sets others.
     """
-    a_star = float(np.diag(p.A).max())
-    d_star = float(np.diag(p.D).max())
+    a_star = float(p.A.diagonal().max())
+    d_star = float(p.D.diagonal().max())
     if a_star <= 0 or d_star <= 0:
         raise NonpositiveDiagonal(
             f"max diag(A) = {a_star}, max diag(D) = {d_star}; both must be positive"
@@ -229,12 +229,13 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
     singular.
     """
     igh, ihg = G @ H, H @ G
-    for M in (igh, ihg):
-        # I - M in the product's own buffer: 0 - M, then 1 added on the diagonal
-        np.subtract(0.0, M, out=M)
-        M.reshape(-1)[:: len(M) + 1] += 1.0
+    # I - M in the product's own buffer, from the read-only identity of linalg._eye
+    eye = linalg._eye(len(igh))
+    np.subtract(eye, igh, out=igh)
+    np.subtract(linalg._eye(len(ihg)), ihg, out=ihg)
     try:
-        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, np.eye(len(igh)))
+        # the solve against _eye's identity reads the [I 1] built with it
+        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye)
     except SingularMatrix:
         W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
     else:
@@ -259,7 +260,7 @@ def _iterate(
         k, dH_columns, dG, mono = 0, None, math.nan, 0
         sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
     else:
-        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), one_norm(G - prev.G)
+        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), _one_norm_2d(G - prev.G)
         mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
         sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
     diag = StepDiagnostics(
@@ -292,14 +293,14 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     n = p.n
     shifted = p.K + np.diag(np.repeat([params.alpha, params.beta], [n, p.m]))
     try:
-        Z, _, certified, _ = linalg._m_solve(shifted, np.eye(p.size))
+        Z, _, certified, _ = linalg._m_solve(shifted, linalg._eye(p.size))
         if not certified:
             raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
     except SingularMatrix as exc:
         raise SingularMatrix(f"doubling initialization failed: {exc}") from exc
     Z *= params.alpha + params.beta
-    E0 = np.eye(n) - Z[:n, :n]
-    F0 = np.eye(p.m) - Z[n:, n:]
+    E0 = np.subtract(linalg._eye(n), Z[:n, :n])
+    F0 = np.subtract(linalg._eye(p.m), Z[n:, n:])
     return _iterate(E0, F0, Z[:n, n:], Z[n:, :n], sign_tol(p), None)
 
 
@@ -337,7 +338,7 @@ def step(s: DoublingState) -> DoublingState:
     # while the other shrinks at the same pace; their products (all that H
     # and G ever see) stay bounded.  Rebalancing by a scalar is exactly
     # invariant for every H/G/sign observable and keeps both in range.
-    ne, nf = one_norm(E_new), one_norm(F_new)
+    ne, nf = _one_norm_2d(E_new), _one_norm_2d(F_new)
     if max(ne, nf) > 1e100 and min(ne, nf) > 0.0:
         theta = math.sqrt(nf) / math.sqrt(ne)
         E_new = E_new * theta
@@ -389,7 +390,7 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     for _ in range(params.max_iter):
         state = step(state)
         trace.append(d := state.diagnostics)
-        if d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G)):
+        if d.dH <= tol * max(1.0, _one_norm_2d(state.H)) and d.dG <= tol * max(1.0, _one_norm_2d(state.G)):
             converged = True
             break
 
@@ -481,14 +482,16 @@ def observed_rate(trace) -> float:
     the preasymptotic constant washes out (a constant C inflates step k by
     C^(1/2^k)), so the deepest iterates are the faithful estimate.
     """
+    columns = [d.dH_columns for d in reversed(trace) if d.dH_columns is not None]
+    # sums[j]: the largest entry of the sum of the last j columns, added from the last by one cumulative sum
+    sums = [0.0, *np.cumsum(columns, axis=0).max(axis=1).tolist()] if columns else [0.0]
     usable = []  # from the last step back
-    later = 0.0  # the summed dH_columns of the steps after d
+    later = 0  # the number of steps after d that carry columns
     for d in reversed(trace):
-        err = float(np.max(later))
+        err = sums[later]
         if err > 100 * EPS:
             usable.append((d.k, err))
-        if d.dH_columns is not None:
-            later = later + d.dH_columns
+        later += d.dH_columns is not None
     if len(usable) < 2:
         raise InsufficientTrace(f"only {len(usable)} informative iterates in trace")
     return min(err ** (1.0 / 2.0**k) for k, err in usable[:3])

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, IterationBreakdown, SingularMatrix
-from .linalg import EPS, one_norm, pivot_tol
+from .linalg import EPS, _one_norm_2d, pivot_tol
 from .problem import MareProblem, _residual, sign_tol
 
 # Steps per screening pass.  At the sizes the oracle serves (m, n up to a
@@ -133,13 +133,12 @@ def _fixed_point(
         )
     N_A = np.diag(a) - p.A
     N_D = np.diag(d) - p.D
-    nA, nB, nC, nD = one_norm(p.A), one_norm(p.B), one_norm(p.C), one_norm(p.D)
+    nA, nB, nC, nD = p.norms[:4]
     # per side: the splitting its iterate runs on, the equation its answer
     # solves, and that equation's coefficient 1-norms, one row per side
     splittings = [(N_A, p.B, p.C, N_D)]
     if dual:
         splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, p.C, p.B, N_D)))
-    equations = [(p.A, p.B, p.C, p.D), (p.D, p.C, p.B, p.A)]
     sides = len(splittings)
     sA, sB, sC, sD = np.array([(nA, nB, nC, nD), (nD, nC, nB, nA)][:sides]).T[:, :, None]
     screen = tol + 8 * (p.m + p.n + 2) * EPS
@@ -191,7 +190,7 @@ def _fixed_point(
                 if not math.isfinite(fused[i, j]):
                     raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
                 answer = (X[j, i].T if i else X[j, i]).copy()
-                res = _residual(answer, *equations[i])[1]
+                res = _residual(p, answer, _one_norm_2d(answer), dual=i == 1)[1]
                 if res <= tol or k == max_iter:
                     count = violations[i] if steady else int(counted[j])
                     reports[i] = OracleReport(answer, k, res <= tol, res, count)

@@ -1,7 +1,10 @@
 """Dense real linear-algebra kernels for the Riccati solver stack.
 
 All routines work on dense float64 arrays and are pure functions of their
-inputs with no module state, so concurrent use is safe.  Only the kernels
+inputs.  The one module state is a bounded cache of read-only identities
+and their ``[I 1]`` right-hand sides (``_eye``), each built once per
+order; an entry is never written after it is built, so concurrent use is
+safe.  Only the kernels
 that carry a tolerance contract numpy does not offer are written here: the
 semipositivity certificate of ``_m_solve`` for matrices that the theory
 makes nonsingular M-matrices, and the certified Perron root of a
@@ -22,6 +25,7 @@ each bracketed the same way.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -69,6 +73,11 @@ def one_norm(a) -> float:
     return float(np.abs(arr).sum(axis=0).max())
 
 
+def _one_norm_2d(M: np.ndarray) -> float:
+    """``one_norm`` of a 2-D float64 array, without its coercion: the same bits."""
+    return float(np.abs(M).sum(axis=0).max())
+
+
 def inf_norm(a) -> float:
     """Matrix infinity-norm (max absolute row sum); max |.| for vectors."""
     arr = np.asarray(a, dtype=np.float64)
@@ -94,8 +103,46 @@ def _is_z(A: np.ndarray) -> bool:
     return n == 1 or bool(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].max() <= 0.0)
 
 
+# Identities of order at most _EYE_MAX_ORDER are built once: the doubling
+# inverts an I - G H of the same order at every step.  At most _EYE_SLOTS
+# orders are kept, the oldest dropped first, so the cache holds at most
+# _EYE_SLOTS * 8 * 64 * 129 bytes (4.2 MB) whatever the orders solved.
+# Entries are added and dropped under the lock; a lookup needs none.
+_EYE_MAX_ORDER = 64
+_EYE_SLOTS = 64
+_EYES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_EYES_LOCK = threading.Lock()
+
+
+def _eye(n: int) -> np.ndarray:
+    """The identity of order n, read-only; built once per order up to ``_EYE_MAX_ORDER``.
+
+    ``_m_solve(A, _eye(n))`` solves against the cached ``[I 1]`` of that
+    order, which ``_with_ones`` laid out when the identity was built.
+    """
+    pair = _EYES.get(n)
+    if pair is not None:
+        return pair[0]
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    if n > _EYE_MAX_ORDER:
+        return eye
+    eye_ones = _with_ones(n, eye)
+    eye_ones.flags.writeable = False
+    with _EYES_LOCK:
+        if n not in _EYES and len(_EYES) >= _EYE_SLOTS:
+            del _EYES[next(iter(_EYES))]
+        return _EYES.setdefault(n, (eye, eye_ones))[0]
+
+
 def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
-    """``[blocks 1]`` of ``rows`` rows: the blocks side by side (a vector is one column), then ones."""
+    """``[blocks 1]`` of ``rows`` rows: the blocks side by side (a vector is one column), then ones.
+
+    For the one block ``_eye(rows)`` it is the read-only ``[I 1]`` built with that identity.
+    """
+    pair = _EYES.get(rows)
+    if pair is not None and len(blocks) == 1 and blocks[0] is pair[0]:
+        return pair[1]
     cols = [b[:, None] if b.ndim == 1 else b for b in blocks]
     out = np.empty((rows, sum(c.shape[1] for c in cols) + 1))
     j = 0
@@ -197,18 +244,6 @@ def _noda_bounds(P: np.ndarray, c: float, x: np.ndarray | None = None) -> tuple[
     return lo, hi, x
 
 
-def _reach(adj: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
-    """Mask of the ``allowed`` nodes reachable from ``start`` along ``adj``, by frontier expansion."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while len(frontier):
-        nxt = adj[frontier].any(axis=0) & allowed & ~seen
-        frontier = np.flatnonzero(nxt)
-        seen |= nxt
-    return seen
-
-
 def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     """Index sets of the irreducible diagonal blocks of a square float64 A.
 
@@ -217,16 +252,72 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     their smallest index; A is irreducible exactly when there is one.  Each
     component is the set of nodes that both reach and are reached from its
     smallest node, found among the nodes no earlier component took.
+
+    Sets of nodes are Python integers, bit j for node j.  The two searches
+    from a component's smallest node, along the edges and against them,
+    take a level each in turn, each level one union of the rows (or
+    columns) of its frontier's nodes, stopped as soon as it covers every
+    node left unseen.  Once one search is complete, the other runs on
+    among the nodes it found alone: every node on a path between two nodes
+    of a component is in the component.  So a component of one node, as in
+    a triangular A, costs a level of each search.  A row is read from one
+    packing of the digraph's rows; the columns of a frontier are packed
+    when its level needs them, in one call.  A self-loop leads a node only
+    to itself, so the diagonal is not cleared.
     """
+    n = A.shape[0]
     adj = A != 0.0
-    np.fill_diagonal(adj, False)
-    left = np.ones(A.shape[0], dtype=bool)
+    width = (n + 7) // 8
+    rows = np.packbits(adj, axis=1, bitorder="little").tobytes()
+
+    def union(d: int, front: int, goal: int) -> int:
+        """The successors (d = 0) or predecessors (d = 1) of the nodes of front, at least until they cover goal."""
+        nodes = []
+        while front:
+            low = front & -front
+            nodes.append(low.bit_length() - 1)
+            front ^= low
+        if d == 0:
+            packed, at = rows, [j * width for j in nodes]
+        else:
+            packed = np.packbits(adj[:, nodes], axis=0, bitorder="little").T.tobytes()
+            at = range(0, len(nodes) * width, width)
+        out = 0
+        for k in at:
+            out |= int.from_bytes(packed[k : k + width], "little")
+            if out & goal == goal:
+                break
+        return out
+
+    everything = left = (1 << n) - 1
     blocks = []
-    while left.any():
-        i = int(left.argmax())
-        block = _reach(adj, i, left) & _reach(adj.T, i, left)
-        blocks.append(np.flatnonzero(block))
-        left &= ~block
+    while left:
+        pivot = left & -left  # the smallest node left
+        seen, fronts = [pivot, pivot], [pivot, pivot]
+        allowed, d, confined = left, 0, False
+        while True:
+            goal = allowed & ~seen[d]
+            new = union(d, fronts[d], goal) & goal
+            seen[d] |= new
+            fronts[d] = new
+            if new and new != goal:
+                if not confined:
+                    d = 1 - d
+                continue
+            if confined:
+                break
+            # search d is complete: the other one runs on among the nodes it found
+            allowed, d, confined = seen[d], 1 - d, True
+            fronts[d] &= allowed
+            seen[d] &= allowed
+            if not fronts[d] or seen[d] == allowed:
+                break
+        block = seen[0] & seen[1]
+        if block == everything:  # A is irreducible
+            return [np.arange(n)]
+        left ^= block
+        bits = np.unpackbits(np.frombuffer(block.to_bytes(width, "little"), np.uint8), count=n, bitorder="little")
+        blocks.append(np.flatnonzero(bits))
     return blocks
 
 

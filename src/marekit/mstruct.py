@@ -240,15 +240,17 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
         return _classify_blocks(K), None
     if not certified or dist <= tol:
         return _classify_blocks(K, linalg._perron_start(np.abs(x))), x if certified else None
+    index = linalg._irreducible_blocks(K)
     blocks = tuple(
         IrreducibleBlock(
             b,
             1.0 / float(x[b].max()),
             MatrixKind.NONSINGULAR_M,  # 1 / max x_b >= 1 / max x > tol
-            np.count_nonzero(K[b]) == np.count_nonzero(K[np.ix_(b, b)]),
+            # one block is final, as it has no rows outside (as in _classify_blocks)
+            len(index) == 1 or np.count_nonzero(K[b]) == np.count_nonzero(K[np.ix_(b, b)]),
             None,
         )
-        for b in linalg._irreducible_blocks(K)
+        for b in index
     )
     s = float(K.diagonal().max())
     return MClassification(MatrixKind.NONSINGULAR_M, s, s - dist, dist, tol, blocks), x

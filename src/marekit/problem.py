@@ -35,12 +35,13 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, mstruct
 from .errors import InvalidParameters, NotZMatrix, ShapeMismatch
-from .linalg import EPS, as_matrix, as_square, one_norm
+from .linalg import EPS, _one_norm_2d, as_matrix
 from .mstruct import MatrixKind, MClassification, NullPair
 
 TAU_DRIFT = 1e-8
@@ -48,7 +49,7 @@ TAU_DRIFT = 1e-8
 
 def sign_tol(p: MareProblem) -> float:
     """Elementwise sign tolerance: exact sign claims must absorb round-off."""
-    return 1e-12 * max(1.0, one_norm(p.K))
+    return 1e-12 * max(1.0, p.norms.K)
 
 
 class Regime(enum.Enum):
@@ -82,6 +83,16 @@ def _as_size(value, label: str) -> int:
         raise ShapeMismatch(f"{label} must be an integer, got {value!r}") from None
 
 
+class OneNorms(NamedTuple):
+    """The 1-norms of a problem's coefficient blocks and of its K."""
+
+    A: float
+    B: float
+    C: float
+    D: float
+    K: float
+
+
 @dataclass(frozen=True)
 class MareProblem:
     """Coefficient data (A, B, C, D) with sizes m x m, m x n, n x m, n x n.
@@ -89,6 +100,13 @@ class MareProblem:
     B and C must be entrywise nonnegative and A, D must be Z-matrices, so
     that the block matrix K is a Z-matrix; everything beyond that (M-matrix,
     singularity, regularity) is measured, not assumed.
+
+    A, B, C and D are checked float64 copies of the arrays given, and they
+    are read-only, as are K and ``sign_flipped``: both are built from them
+    once, on first use, and so are their 1-norms (``norms``), which the
+    residuals, the certificate and the sign tolerance read.  A write into a
+    block would leave those stale, so it raises ValueError; the caller's
+    own arrays stay writable.
     """
 
     n: int
@@ -104,10 +122,10 @@ class MareProblem:
         object.__setattr__(self, "m", _as_size(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ShapeMismatch("n and m must be positive")
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "C"))
-        object.__setattr__(self, "D", as_matrix(self.D, "D"))
+        for label in "ABCD":
+            M = as_matrix(getattr(self, label), label)
+            M.flags.writeable = False
+            object.__setattr__(self, label, M)
         shapes = {
             "A": (self.A.shape, (self.m, self.m)),
             "B": (self.B.shape, (self.m, self.n)),
@@ -133,6 +151,7 @@ class MareProblem:
         np.negative(self.C, out=K[:n, n:])
         np.negative(self.B, out=K[n:, :n])
         K[n:, n:] = self.A
+        K.flags.writeable = False
         return K
 
     @cached_property
@@ -142,7 +161,13 @@ class MareProblem:
         well posed."""
         H = self.K.copy()
         np.negative(H[self.n :], out=H[self.n :])
+        H.flags.writeable = False
         return H
+
+    @cached_property
+    def norms(self) -> OneNorms:
+        """The 1-norms of A, B, C, D and K, taken once."""
+        return OneNorms(*map(_one_norm_2d, (self.A, self.B, self.C, self.D, self.K)))
 
     @property
     def size(self) -> int:
@@ -174,16 +199,27 @@ def _candidate(X, rows: int, cols: int, label: str) -> np.ndarray:
     return Xm
 
 
-def _residual(X: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """(1-norm, normalized value) of X C X - X D - A X + B at a checked X (len(A) x len(D))."""
-    num = one_norm(X @ C @ X - X @ D - A @ X + B)
-    den = one_norm(X) * (one_norm(C) * one_norm(X) + one_norm(D) + one_norm(A)) + one_norm(B)
+def _residual(p: MareProblem, X: np.ndarray, x_norm: float, dual: bool = False) -> tuple[float, float]:
+    """(1-norm, normalized value) of X C X - X D - A X + B at a checked X of 1-norm ``x_norm``.
+
+    X is m x n; with ``dual`` it is n x m and the equation that of the dual
+    problem, (A, B, C, D) -> (D, C, B, A).  The 1-norms of the coefficients
+    are the problem's cached ``norms``.
+    """
+    nrm = p.norms
+    if dual:
+        A, B, C, D, nA, nB, nC, nD = p.D, p.C, p.B, p.A, nrm.D, nrm.C, nrm.B, nrm.A
+    else:
+        A, B, C, D, nA, nB, nC, nD = p.A, p.B, p.C, p.D, nrm.A, nrm.B, nrm.C, nrm.D
+    num = _one_norm_2d(X @ C @ X - X @ D - A @ X + B)
+    den = x_norm * (nC * x_norm + nD + nA) + nB
     return num, num / max(den, EPS)
 
 
 def residual_primal(p: MareProblem, X) -> float:
     """Normalized residual of X C X - X D - A X + B at a candidate X (m x n)."""
-    return _residual(_candidate(X, p.m, p.n, "X"), p.A, p.B, p.C, p.D)[1]
+    Xm = _candidate(X, p.m, p.n, "X")
+    return _residual(p, Xm, _one_norm_2d(Xm))[1]
 
 
 def residual_dual(p: MareProblem, Y) -> float:
@@ -191,7 +227,8 @@ def residual_dual(p: MareProblem, Y) -> float:
 
     This is the primal residual of the dual problem, (A, B, C, D) -> (D, C, B, A).
     """
-    return _residual(_candidate(Y, p.n, p.m, "Y"), p.D, p.C, p.B, p.A)[1]
+    Ym = _candidate(Y, p.n, p.m, "Y")
+    return _residual(p, Ym, _one_norm_2d(Ym), dual=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +371,27 @@ CERT_TOL = 1e-8  # the residual tolerance of a certificate that names none
 
 
 def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | None):
-    """(D - C X, its classification, its scale, singular?) of a closing matrix.
+    """(D - C X, its classification) of a closing matrix.
 
-    R = D - C.phi, and S = A - B.psi is the same for the dual problem.  It
-    is checked (``as_square``) and classified with its Noda runs started at
-    ``start``, a positive vector near its Perron vector (None is 1).  The
-    matrix is singular when its certified gap is zero to
-    ``_SINGULAR_GAP_REL * scale``.  The scale ||D||_1 + ||C||_1 ||X||_1 is
-    the magnitude of the operands: a singular closing matrix can be tiny in
-    norm outright (1x1 case, R -> 0), in which case a test relative to its
-    own norm is blind.
+    R = D - C.phi, and S = A - B.psi is the same for the dual problem.
+    D - C X is a fresh square float64 array; it is checked to be finite
+    (ValueError) and classified with its Noda runs started at ``start``, a
+    positive vector near its Perron vector (None is 1).
     """
-    M = as_square(D - C @ X)
-    scale = one_norm(D) + one_norm(C) * one_norm(X)
-    cls = mstruct._classify_blocks(M, start)
-    return M, cls, scale, abs(cls.gap) <= _SINGULAR_GAP_REL * max(scale, EPS)
+    M = D - C @ X
+    if not np.isfinite(M).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return M, mstruct._classify_blocks(M, start)
+
+
+def _singular(cls: MClassification, scale: float) -> bool:
+    """A closing matrix is singular when its certified gap is zero to ``_SINGULAR_GAP_REL * scale``.
+
+    The scale ||D||_1 + ||C||_1 ||X||_1 is the magnitude of the operands
+    of D - C X: a singular closing matrix can be tiny in norm outright (1x1
+    case, R -> 0), in which case a test relative to its own norm is blind.
+    """
+    return abs(cls.gap) <= _SINGULAR_GAP_REL * max(scale, EPS)
 
 
 def make_certificate(
@@ -423,9 +466,11 @@ def _certificate(
     shapes with no negative entry, and ``tol`` nonnegative.
     """
     regime = pc.regime
-    num_p, res_p = _residual(phi_m, p.A, p.B, p.C, p.D)
-    num_d, res_d = _residual(psi_m, p.D, p.C, p.B, p.A)
-    sim_res = max(num_p, num_d) / max(one_norm(p.K), EPS)
+    nrm = p.norms
+    phi_norm, psi_norm = _one_norm_2d(phi_m), _one_norm_2d(psi_m)
+    num_p, res_p = _residual(p, phi_m, phi_norm)
+    num_d, res_d = _residual(p, psi_m, psi_norm, dual=True)
+    sim_res = max(num_p, num_d) / max(nrm.K, EPS)
 
     v1 = v2 = None
     if pc.witness is not None:
@@ -436,10 +481,12 @@ def _certificate(
     if not np.isfinite(phi_psi).all():
         raise ValueError("P contains NaN or Inf entries")
     rho = linalg._perron_pair(phi_psi, v2)[0]
-    i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.eye(p.m) - phi_psi))
+    i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.subtract(linalg._eye(p.m), phi_psi)))
 
-    R, r_cls, scale_r, r_sing = _closing(p.D, p.C, phi_m, v1 if r_start is None else r_start)
-    S, s_cls, scale_s, s_sing = _closing(p.A, p.B, psi_m, v2 if s_start is None else s_start)
+    R, r_cls = _closing(p.D, p.C, phi_m, v1 if r_start is None else r_start)
+    S, s_cls = _closing(p.A, p.B, psi_m, v2 if s_start is None else s_start)
+    scale_r, scale_s = nrm.D + nrm.C * phi_norm, nrm.A + nrm.B * psi_norm
+    r_sing, s_sing = _singular(r_cls, scale_r), _singular(s_cls, scale_s)
 
     checks = [
         CheckResult("residual-primal", res_p <= tol, res_p, tol),

@@ -253,9 +253,9 @@ class TestFusedResidual:
     def test_one_exact_residual_when_capped_at_most_two_when_converged(self, monkeypatch, scalar_critical):
         calls = []
 
-        def counted(X, A, B, C, D):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return _residual(X, A, B, C, D)
+            return _residual(*args, **kwargs)
 
         monkeypatch.setattr(fixedpoint, "_residual", counted)
         for case in ("scalar-nonsingular", "nonsingular-3x4", "noncritical-3x4", "nonsingular-51x51"):

@@ -2,7 +2,12 @@
 
 The reference implementations below are the earlier, check-everything
 versions of ``_m_solve``, Noda's iteration with ``_perron_pair``, the split
-of ``classify_zm`` and the report writer, kept as they were.  Every
+of ``classify_zm`` and the report writer, kept as they were.  So are the
+cores that rebuilt their constants on every call: the block search by
+boolean frontiers (``_reach``), the doubling's cross solves and initial
+blocks on a fresh ``np.eye``, the residual and closing matrices that take
+every 1-norm again, the loop form of ``observed_rate`` and the report
+writer that formats a row entry by entry.  Every
 output of the new code is compared with theirs byte for byte: floats by
 their bit patterns, signed zeros and NaN included, and reports as text.
 The one exception is the certificate's similarity value, which the dense
@@ -13,26 +18,41 @@ rounding bound derived below.
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import reducible_m_matrix
+from helpers import reducible_m_matrix, reducible_problems
 from marekit import (
+    FamilySpec,
     MareProblem,
+    Regime,
     classify_problem,
     classify_zm,
     cli,
+    doubling,
     fixed_point_solve,
+    generate,
     linalg,
     make_certificate,
     mstruct,
     problem_from_json,
+    residual_dual,
+    residual_primal,
     solve,
 )
 from marekit.cli import dumps_report
-from marekit.errors import AmbiguousKernel, NoConvergence, SingularMatrix
+from marekit.errors import (
+    AmbiguousKernel,
+    InsufficientTrace,
+    IterationBreakdown,
+    MareError,
+    MaxIterations,
+    NoConvergence,
+    SingularMatrix,
+)
 from marekit.linalg import EPS, as_square, one_norm, spectral_radius_nonneg
 from marekit.mstruct import IrreducibleBlock, MatrixKind, MClassification, class_tol, gap_kind
 
@@ -207,6 +227,122 @@ def _ref_block_null_pairs(K, n, classification):
     for blk in classification.singular_blocks:
         rest[blk.index] = False
     return [_ref_block_pair(A, n, blk, rest) for blk in classification.singular_blocks]
+
+
+def _ref_reach(adj, start, allowed):
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while len(frontier):
+        nxt = adj[frontier].any(axis=0) & allowed & ~seen
+        frontier = np.flatnonzero(nxt)
+        seen |= nxt
+    return seen
+
+
+def _ref_irreducible_blocks(A):
+    adj = A != 0.0
+    np.fill_diagonal(adj, False)
+    left = np.ones(A.shape[0], dtype=bool)
+    blocks = []
+    while left.any():
+        i = int(left.argmax())
+        block = _ref_reach(adj, i, left) & _ref_reach(adj.T, i, left)
+        blocks.append(np.flatnonzero(block))
+        left &= ~block
+    return blocks
+
+
+def _ref_cross_solves(G, H):
+    igh, ihg = G @ H, H @ G
+    for M in (igh, ihg):
+        np.subtract(0.0, M, out=M)
+        M.reshape(-1)[:: len(M) + 1] += 1.0
+    try:
+        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, np.eye(len(igh)))
+    except SingularMatrix:
+        W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
+    else:
+        x2 = 1.0 + H @ (W @ G.sum(axis=1))
+        dist_ihg, certified_ihg = 1.0 / float(np.abs(x2).max()), linalg._certifies(ihg, x2)
+    kinds = [
+        MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind
+        for M, certified in ((igh, certified_igh), (ihg, certified_ihg))
+    ]
+    return W, (dist_igh, kinds[0]), (dist_ihg, kinds[1])
+
+
+def _ref_initial_blocks(p, params):
+    """(E0, F0, G0, H0) of ``doubling.initialize``; SingularMatrix where the shifted K fails its certificate."""
+    n = p.n
+    shifted = p.K + np.diag(np.repeat([params.alpha, params.beta], [n, p.m]))
+    Z, _, certified, _ = linalg._m_solve(shifted, np.eye(p.size))
+    if not certified:
+        raise SingularMatrix("matrix fails its nonsingular M-matrix certificate")
+    Z *= params.alpha + params.beta
+    return np.eye(n) - Z[:n, :n], np.eye(p.m) - Z[n:, n:], Z[:n, n:], Z[n:, :n]
+
+
+def _ref_residual(X, A, B, C, D):
+    num = one_norm(X @ C @ X - X @ D - A @ X + B)
+    den = one_norm(X) * (one_norm(C) * one_norm(X) + one_norm(D) + one_norm(A)) + one_norm(B)
+    return num, num / max(den, EPS)
+
+
+def _ref_closing(D, C, X, start):
+    M = as_square(D - C @ X)
+    scale = one_norm(D) + one_norm(C) * one_norm(X)
+    cls = mstruct._classify_blocks(M, start)
+    return M, cls, scale, abs(cls.gap) <= 1e-8 * max(scale, EPS)
+
+
+def _ref_observed_rate(trace):
+    usable = []
+    later = 0.0
+    for d in reversed(trace):
+        err = float(np.max(later))
+        if err > 100 * EPS:
+            usable.append((d.k, err))
+        if d.dH_columns is not None:
+            later = later + d.dH_columns
+    if len(usable) < 2:
+        raise InsufficientTrace(f"only {len(usable)} informative iterates in trace")
+    return min(err ** (1.0 / 2.0**k) for k, err in usable[:3])
+
+
+def _ref_dumps_report_entrywise(obj, indent=0):
+    """The report writer that formats every float of a row on its own."""
+    if isinstance(obj, (float, np.floating)):
+        return _ref_fmt_float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is float for v in obj):
+            texts = map(_ref_fmt_float, obj)
+        else:
+            texts = [_ref_dumps_report_entrywise(v, indent + 1) for v in obj]
+        return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            pad_in + encode_basestring_ascii(str(k)) + ": " + _ref_dumps_report_entrywise(v, indent + 1)
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +632,31 @@ class TestDumpsReport:
         "array": np.array([[1.0, math.nan], [-0.0, 1e300]]),
         "text": "résumé \"quoted\"\n",
         "none": None,
+        "overflowing_sum": [1e308, 1e308, -0.0],  # finite entries whose sum is not
+        "nan_row": [1.0, math.nan, 2.5],
+        "float_tuple": (0.1, -2.5e-300, 3.0),
+        "numpy_row": [np.float64(0.1), 0.2],
+        "subclasses": [True, np.bool_(False), np.int32(-3)],
+        1: "a key that is not a string",
     }
 
     def test_edge_cases(self):
         assert dumps_report(self.EDGE) == _ref_dumps_report(self.EDGE)
+        assert dumps_report(self.EDGE) == _ref_dumps_report_entrywise(self.EDGE)
         for value in self.EDGE.values():
-            assert dumps_report(value, 2) == _ref_dumps_report(value, 2)
+            for indent in (0, 2):
+                assert dumps_report(value, indent) == _ref_dumps_report(value, indent)
+                assert dumps_report(value, indent) == _ref_dumps_report_entrywise(value, indent)
         assert '"nan": null' in dumps_report(self.EDGE)
+
+    def test_rows_of_every_length(self):
+        rng = np.random.default_rng(5)
+        for length in range(1, 40):
+            row = (rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)).tolist()
+            for indent in (0, 3):
+                assert dumps_report(row, indent) == _ref_dumps_report_entrywise(row, indent)
+        with pytest.raises(TypeError):
+            dumps_report({"x": object()})
 
     def test_same_text_on_reports_of_every_command(self, monkeypatch, tmp_path, reducible_singular, divergent):
         written = []
@@ -528,3 +682,170 @@ class TestDumpsReport:
         assert len(written) >= 10
         for obj in written:
             assert dumps_report(obj) == _ref_dumps_report(obj)
+            assert dumps_report(obj) == _ref_dumps_report_entrywise(obj)
+
+    def test_same_text_on_solve_reports(self, problems):
+        compared = 0
+        for p in problems:
+            try:
+                rep = solve(p)
+            except MaxIterations as exc:
+                rep = exc.report
+            except MareError:
+                continue
+            for report in (cli._solve_report(rep), cli._base_report(rep.problem_class)):
+                assert dumps_report(report) == _ref_dumps_report_entrywise(report)
+                compared += 1
+        assert compared >= 800
+
+
+# ---------------------------------------------------------------------------
+# Cores that build their constants once
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def one_sided():
+    """Small problems of ``generate`` drawn with a one-sided mask: B = 0 or C = 0, a block triangular K."""
+    out = []
+    for regime in (Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL):
+        for seed in range(60):
+            p = generate(FamilySpec(regime, 2 + seed % 5, 2 + seed % 4, seed=seed))
+            if not p.B.any() or not p.C.any():
+                out.append(p)
+    assert len(out) >= 60
+    return out
+
+
+@pytest.fixture(scope="module")
+def problems(noncritical_suite, nonsingular_suite, one_sided):
+    """The acceptance suites, the reducible draws ``reducible_problems(29, 300)`` and the one-sided problems."""
+    return noncritical_suite + nonsingular_suite + reducible_problems(29, 300) + one_sided
+
+
+def _shapes(n):
+    """Digraph shapes of order n: one block per node, diameter n - 1, and ten triangular blocks."""
+    rng = np.random.default_rng(n)
+    lower = np.tril(rng.random((n, n)))
+    tridiagonal = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    k = max(1, n // 10)
+    ten = np.tril(rng.random((n, n)))
+    for i in range(0, n, k):
+        block = ten[i : i + k, i : i + k]
+        block[...] = rng.random(block.shape)
+    return [lower, lower.T.copy(), tridiagonal, ten, ten.T.copy()]
+
+
+class TestBlockSearch:
+    def test_same_index_sets(self, matrices, problems):
+        rng = np.random.default_rng(8)
+        inputs = [np.asarray(M, dtype=np.float64) for M in matrices] + [p.K for p in problems]
+        for n in (1, 2, 7, 8, 9, 63, 64, 65, 130):  # the bit sets cross byte and word boundaries
+            inputs += [rng.random((n, n)) * (rng.random((n, n)) < d) for d in (0.02, 0.1, 0.5)]
+            inputs += _shapes(n)
+        inputs += _shapes(300)
+        for A in inputs:
+            got, want = linalg._irreducible_blocks(A), _ref_irreducible_blocks(A)
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def _run(p):
+    """The states of a doubling run on p from its default parameters, to its stop test, the cap or a breakdown."""
+    params = doubling.select_parameters(p)
+    states = [doubling.initialize(p, params)]
+    for _ in range(params.max_iter):
+        try:
+            state = doubling.step(states[-1])
+        except IterationBreakdown:
+            break
+        states.append(state)
+        d = state.diagnostics
+        if d.dH <= 1e-14 * max(1.0, one_norm(state.H)) and d.dG <= 1e-14 * max(1.0, one_norm(state.G)):
+            break
+    return params, states
+
+
+class TestDoublingCores:
+    def test_initial_blocks_and_cross_solves_same_bits(self, problems):
+        cross = 0
+        for p in problems:
+            for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
+                try:
+                    want = _ref_initial_blocks(p, params)
+                except SingularMatrix:
+                    with pytest.raises(SingularMatrix):
+                        doubling.initialize(p, params)
+                    continue
+                st0 = doubling.initialize(p, params)
+                assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
+            _, states = _run(p)
+            for state in states:
+                got, want = doubling._cross_solves(state.G, state.H), _ref_cross_solves(state.G, state.H)
+                assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
+                for g, w in zip(got[1:], want[1:]):
+                    assert _same_bits(g[0], w[0]) and g[1] is w[1]
+                cross += 1
+        assert cross >= 3000
+
+    def test_observed_rate_same_bits(self, problems):
+        compared = 0
+        for p in problems:
+            _, states = _run(p)
+            trace = [s.diagnostics for s in states]
+            for part in (trace, trace[1:], trace[:-1], trace[:2], trace[-1:]):
+                try:
+                    want = _ref_observed_rate(part)
+                except InsufficientTrace as exc:
+                    with pytest.raises(InsufficientTrace, match=str(exc)):
+                        doubling.observed_rate(part)
+                    continue
+                assert _same_bits(doubling.observed_rate(part), want)
+                compared += 1
+        assert compared >= 1000
+
+
+class TestCertificateCores:
+    """The residuals, the closing matrices and their verdicts, from the cached norms, as from norms taken anew."""
+
+    @staticmethod
+    def _assert_same(p, cert, r_start, s_start):
+        num_p, res_p = _ref_residual(cert.phi, p.A, p.B, p.C, p.D)
+        num_d, res_d = _ref_residual(cert.psi, p.D, p.C, p.B, p.A)
+        assert _same_bits(cert.residual_primal, res_p) and _same_bits(cert.residual_dual, res_d)
+        assert _same_bits(cert.similarity_residual, max(num_p, num_d) / max(one_norm(p.K), EPS))
+        R, r_cls, scale_r, r_sing = _ref_closing(p.D, p.C, cert.phi, r_start)
+        S, s_cls, scale_s, s_sing = _ref_closing(p.A, p.B, cert.psi, s_start)
+        assert _same_bits(cert.R, R) and _same_bits(cert.S, S)
+        assert _same_bits(cert.r_class.gap, r_cls.gap) and _same_bits(cert.s_class.gap, s_cls.gap)
+        assert (cert.r_singular, cert.s_singular) == (r_sing, s_sing)
+        (check,) = (c for c in cert.checks if c.name == "exactly-one-closing-singular")
+        if check.passed is not None:
+            want = min(abs(r_cls.gap) / max(scale_r, EPS), abs(s_cls.gap) / max(scale_s, EPS))
+            assert _same_bits(check.value, want)
+        assert _same_bits(residual_primal(p, cert.phi), res_p) and _same_bits(residual_dual(p, cert.psi), res_d)
+
+    def test_same_bits_on_solved_and_perturbed_pairs(self, problems):
+        compared = 0
+        for p in problems:
+            try:
+                rep = solve(p)
+            except MaxIterations as exc:
+                rep = exc.report
+            except MareError:
+                continue
+            pc = rep.problem_class
+            v1 = v2 = None
+            if pc.witness is not None:
+                v1, v2 = pc.witness[: p.n], pc.witness[p.n :]
+            _, states = _run(p)
+            r0, s0 = doubling._closing_starts(states[-1])
+            self._assert_same(p, rep.certificate, v1 if r0 is None else r0, v2 if s0 is None else s0)
+            for phi, psi in ((rep.phi, rep.psi), (rep.phi * (1 + 1e-6), rep.psi), (rep.phi, rep.psi * (1 + 1e-4))):
+                try:
+                    cert = make_certificate(p, phi, psi, problem_class=pc)
+                except MareError:
+                    continue
+                self._assert_same(p, cert, v1, v2)
+                compared += 1
+        assert compared >= 1000

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -278,28 +281,106 @@ class TestPerronPair:
         assert np.abs(P @ x - rho * x).max() <= 1e-14 * (rho + 1.0) * x.max()
 
 
+def _assert_blocks_of_closure(M):
+    """``_irreducible_blocks(M)`` against the transitive closure of M's digraph (Floyd-Warshall)."""
+    n = len(M)
+    reach = M != 0.0
+    np.fill_diagonal(reach, True)
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    blocks = linalg._irreducible_blocks(M)
+    # a partition in the order of smallest index, i and j together iff each reaches the other
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert all(np.array_equal(b, np.sort(b)) for b in blocks)
+    label = np.empty(n, dtype=int)
+    for k, b in enumerate(blocks):
+        label[b] = k
+    assert np.array_equal(label[:, None] == label[None, :], reach & reach.T)
+    return blocks
+
+
 class TestIrreducibleBlocks:
     def test_against_transitive_closure(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            M = (rng.random((n, n)) < rng.uniform(0.05, 0.5)).astype(float)
-            reach = M != 0.0
-            np.fill_diagonal(reach, True)
-            for k in range(n):
-                reach |= np.outer(reach[:, k], reach[k, :])
-            blocks = linalg._irreducible_blocks(M)
-            # a partition in the order of smallest index, i and j together iff each reaches the other
-            assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
-            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
-            label = np.empty(n, dtype=int)
-            for k, b in enumerate(blocks):
-                label[b] = k
-            assert np.array_equal(label[:, None] == label[None, :], reach & reach.T)
+            _assert_blocks_of_closure((rng.random((n, n)) < rng.uniform(0.05, 0.5)).astype(float))
+        for n in (63, 64, 65, 129):  # node sets of more than one byte and one machine word
+            for density in (0.005, 0.02, 0.1):
+                _assert_blocks_of_closure((rng.random((n, n)) < density).astype(float))
+
+    def test_shapes_against_transitive_closure(self):
+        rng = np.random.default_rng(44)
+        n = 300
+        lower = np.tril(rng.uniform(0.1, 1.0, (n, n)))
+        assert len(_assert_blocks_of_closure(lower)) == n  # one block per node
+        assert len(_assert_blocks_of_closure(lower.T.copy())) == n
+        tridiagonal = np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)  # diameter n - 1
+        assert len(_assert_blocks_of_closure(tridiagonal)) == 1
+        # ten irreducible diagonal blocks, each coupled to every earlier one, symmetrically permuted
+        ten = np.kron(np.tril(np.ones((10, 10))), np.ones((30, 30))) * rng.uniform(0.1, 1.0, (n, n))
+        perm = rng.permutation(n)
+        blocks = _assert_blocks_of_closure(ten[np.ix_(perm, perm)])
+        assert sorted(len(b) for b in blocks) == [30] * 10
+        cycle = np.eye(n) + np.roll(np.eye(n), 1, axis=1)  # one block, one edge out of each node
+        assert len(_assert_blocks_of_closure(cycle)) == 1
 
     def test_block_triangular(self):
         M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
         assert [b.tolist() for b in linalg._irreducible_blocks(M)] == [[0, 1], [2]]
+
+
+class TestIdentityCache:
+    def test_read_only_identity_and_its_ones_column(self):
+        for n in (1, 3, linalg._EYE_MAX_ORDER, linalg._EYE_MAX_ORDER + 1):
+            eye = linalg._eye(n)
+            assert np.array_equal(eye, np.eye(n)) and not eye.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                eye[0, 0] = 2.0
+            laid = linalg._with_ones(n, eye)
+            assert np.array_equal(laid, linalg._with_ones(n, np.eye(n)))
+            X, _, certified, x = linalg._m_solve(2.0 * np.eye(n), eye)
+            assert certified and np.array_equal(X, 0.5 * np.eye(n)) and np.array_equal(x, np.full(n, 0.5))
+        assert linalg._eye(3) is linalg._eye(3)
+        assert linalg._eye(linalg._EYE_MAX_ORDER + 1) is not linalg._eye(linalg._EYE_MAX_ORDER + 1)
+
+    def test_bounded(self):
+        for n in range(1, 3 * linalg._EYE_SLOTS):
+            linalg._eye(n)
+        assert len(linalg._EYES) <= linalg._EYE_SLOTS
+        assert max(linalg._EYES) <= linalg._EYE_MAX_ORDER
+        held = sum(eye.nbytes + laid.nbytes for eye, laid in linalg._EYES.values())
+        assert held <= linalg._EYE_SLOTS * 8 * linalg._EYE_MAX_ORDER * (2 * linalg._EYE_MAX_ORDER + 1)
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores, switching often, each filling and evicting the cache
+        errors = []
+
+        def work(offset):
+            try:
+                for _ in range(20):
+                    for n in range(1, 2 * linalg._EYE_SLOTS):
+                        k = (n + offset) % (2 * linalg._EYE_SLOTS) + 1
+                        eye = linalg._eye(k)
+                        assert eye.shape == (k, k) and eye[k - 1, k - 1] == 1.0
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(17 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(linalg._EYES) <= linalg._EYE_SLOTS
+        for n, (eye, laid) in linalg._EYES.items():
+            assert np.array_equal(eye, np.eye(n)) and np.array_equal(laid, linalg._with_ones(n, np.eye(n)))
 
 
 class TestMSolve:

@@ -84,6 +84,30 @@ class TestConstruction:
         assert np.array_equal(F[p.n :, : p.n], p.B)
         assert np.array_equal(F[p.n :, p.n :], -p.A)
 
+    def test_matrices_are_read_only(self):
+        # K is cached: a write into A after K was read would leave K, and the
+        # norms, stale, and solve would classify one problem and check another
+        p = MareProblem(n=1, m=1, A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        assert p.K[1, 1] == 2.0
+        for label in ("A", "B", "C", "D", "K", "sign_flipped"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, label)[0, 0] = 9.0
+        rep = solve(p)
+        assert rep.phi[0, 0] == pytest.approx(GOLDEN, abs=1e-12) and rep.certificate.all_passed
+
+    def test_callers_arrays_stay_writable(self):
+        A = np.array([[2.0]])
+        p = MareProblem(n=1, m=1, A=A, B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        A[0, 0] = 9.0
+        assert p.A[0, 0] == 2.0 and p.K[1, 1] == 2.0
+        assert p.dual().D[0, 0] == 2.0  # the dual copies the read-only blocks into its own
+
+    def test_norms_taken_once(self, reducible_singular):
+        p = reducible_singular
+        assert p.norms is p.norms
+        assert p.norms == tuple(linalg.one_norm(M) for M in (p.A, p.B, p.C, p.D, p.K))
+        assert (p.norms.A, p.norms.K) == (2.0, 3.0)
+
 
 class TestResiduals:
     def test_scalar_root(self, scalar_nonsingular):
