@@ -86,7 +86,7 @@ from .errors import (
     NonpositiveDiagonal,
     SingularMatrix,
 )
-from .linalg import EPS, _one_norm_2d
+from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
 from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
 from .problem import CERT_TOL, _certificate, classify_problem, sign_tol
@@ -260,7 +260,7 @@ def _iterate(
         k, dH_columns, dG, mono = 0, None, math.nan, 0
         sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
     else:
-        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), _one_norm_2d(G - prev.G)
+        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), one_norm(G - prev.G)
         mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
         sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
     diag = StepDiagnostics(
@@ -338,7 +338,7 @@ def step(s: DoublingState) -> DoublingState:
     # while the other shrinks at the same pace; their products (all that H
     # and G ever see) stay bounded.  Rebalancing by a scalar is exactly
     # invariant for every H/G/sign observable and keeps both in range.
-    ne, nf = _one_norm_2d(E_new), _one_norm_2d(F_new)
+    ne, nf = one_norm(E_new), one_norm(F_new)
     if max(ne, nf) > 1e100 and min(ne, nf) > 0.0:
         theta = math.sqrt(nf) / math.sqrt(ne)
         E_new = E_new * theta
@@ -390,7 +390,7 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     for _ in range(params.max_iter):
         state = step(state)
         trace.append(d := state.diagnostics)
-        if d.dH <= tol * max(1.0, _one_norm_2d(state.H)) and d.dG <= tol * max(1.0, _one_norm_2d(state.G)):
+        if d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G)):
             converged = True
             break
 
@@ -454,7 +454,20 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     beta >= max d_ii, beta I - R >= 0 and (R + alpha I)^{-1} >= 0, so
     (R + alpha I)^{-1} (beta I - R) is nonnegative and its Perron root is
     f(tau(R)) for the decreasing f(x) = (beta - x) / (alpha + x), the
-    largest |f| over the spectrum of R; likewise for S.  Raises
+    largest |f| over the spectrum of R; likewise for S.
+
+    So the defaults minimize r over larger parameters whenever a + b >= 0,
+    with a = tau(R) and b = tau(S), which passing closing checks give up
+    to their tolerance.  A Z-matrix's tau is at most each of its diagonal
+    entries, and R_ii <= d_ii, S_ii <= a_ii, so beta >= a and alpha >= b
+    for admissible parameters, and r = (beta - a)(alpha - b) / ((alpha +
+    a)(beta + b)) with
+
+        dr/dalpha = (beta - a)(a + b) / ((beta + b)(alpha + a)^2),
+        dr/dbeta  = (alpha - b)(a + b) / ((alpha + a)(beta + b)^2),
+
+    both >= 0: r(alpha', beta') >= r(alpha, beta) for alpha' >= alpha and
+    beta' >= beta (the grid of ``marekit rate-study``).  Raises
     InvalidParameters for inadmissible (alpha, beta) and SingularMatrix
     when R + alpha I or S + beta I is not a nonsingular M-matrix (a gap
     plus shift <= 0).

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, IterationBreakdown, SingularMatrix
-from .linalg import EPS, _one_norm_2d, pivot_tol
+from .linalg import EPS, one_norm, pivot_tol
 from .problem import MareProblem, _residual, sign_tol
 
 # Steps per screening pass.  At the sizes the oracle serves (m, n up to a
@@ -190,7 +190,7 @@ def _fixed_point(
                 if not math.isfinite(fused[i, j]):
                     raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
                 answer = (X[j, i].T if i else X[j, i]).copy()
-                res = _residual(p, answer, _one_norm_2d(answer), dual=i == 1)[1]
+                res = _residual(p, answer, one_norm(answer), dual=i == 1)[1]
                 if res <= tol or k == max_iter:
                     count = violations[i] if steady else int(counted[j])
                     reports[i] = OracleReport(answer, k, res <= tol, res, count)

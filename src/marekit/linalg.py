@@ -1,14 +1,14 @@
 """Dense real linear-algebra kernels for the Riccati solver stack.
 
 All routines work on dense float64 arrays and are pure functions of their
-inputs.  The one module state is a bounded cache of read-only identities
-and their ``[I 1]`` right-hand sides (``_eye``), each built once per
-order; an entry is never written after it is built, so concurrent use is
-safe.  Only the kernels
-that carry a tolerance contract numpy does not offer are written here: the
-semipositivity certificate of ``_m_solve`` for matrices that the theory
-makes nonsingular M-matrices, and the certified Perron root of a
-nonnegative matrix with its Perron vector.  The certificate's column of
+inputs.  The one module state is a cache of read-only identities and
+their ``[I 1]`` right-hand sides (``_eye``), one entry per order up to
+64, so bounded by order; an entry is never written after it is built,
+and a dict insertion is atomic, so concurrent use is safe.  Only the
+kernels that carry a tolerance contract numpy does not offer are written
+here: the semipositivity certificate of ``_m_solve`` for matrices that
+the theory makes nonsingular M-matrices, and the certified Perron root of
+a nonnegative matrix with its Perron vector.  The certificate's column of
 ones is laid out by ``_m_solve(A, *blocks)`` alone: its callers pass
 their right-hand side blocks.  Every solve runs in LAPACK through
 ``np.linalg.solve``; no general eigensolve is needed, as every spectral
@@ -19,13 +19,14 @@ vectors is the Perron vector (``_perron_pair``).  Where those bounds stay
 open on a reducible matrix, as when its Perron vector has zero entries,
 the root is the largest one of its irreducible diagonal blocks (the
 strongly connected components of its digraph, ``_irreducible_blocks``),
-each bracketed the same way.
+each bracketed the same way; on a matrix irreducible only through
+couplings of rounding size, the matrix with those couplings cut gives
+the lower bound (``_pruned_lower_bound``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -67,15 +68,7 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 def one_norm(a) -> float:
     """Matrix 1-norm (max absolute column sum); plain sum of |.| for vectors."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim <= 1:
-        return float(np.abs(arr).sum())
-    return float(np.abs(arr).sum(axis=0).max())
-
-
-def _one_norm_2d(M: np.ndarray) -> float:
-    """``one_norm`` of a 2-D float64 array, without its coercion: the same bits."""
-    return float(np.abs(M).sum(axis=0).max())
+    return float(np.abs(a).sum(axis=0).max())
 
 
 def inf_norm(a) -> float:
@@ -104,14 +97,11 @@ def _is_z(A: np.ndarray) -> bool:
 
 
 # Identities of order at most _EYE_MAX_ORDER are built once: the doubling
-# inverts an I - G H of the same order at every step.  At most _EYE_SLOTS
-# orders are kept, the oldest dropped first, so the cache holds at most
-# _EYE_SLOTS * 8 * 64 * 129 bytes (4.2 MB) whatever the orders solved.
-# Entries are added and dropped under the lock; a lookup needs none.
+# inverts an I - G H of the same order at every step.  Order n keeps n^2
+# + n (n + 1) floats, 8 n (2 n + 1) bytes, so the cache holds at most their
+# sum over n <= 64 (1.45 MB) whatever the orders solved.
 _EYE_MAX_ORDER = 64
-_EYE_SLOTS = 64
 _EYES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_EYES_LOCK = threading.Lock()
 
 
 def _eye(n: int) -> np.ndarray:
@@ -129,10 +119,8 @@ def _eye(n: int) -> np.ndarray:
         return eye
     eye_ones = _with_ones(n, eye)
     eye_ones.flags.writeable = False
-    with _EYES_LOCK:
-        if n not in _EYES and len(_EYES) >= _EYE_SLOTS:
-            del _EYES[next(iter(_EYES))]
-        return _EYES.setdefault(n, (eye, eye_ones))[0]
+    # of two threads building one order, the first to insert wins for both
+    return _EYES.setdefault(n, (eye, eye_ones))[0]
 
 
 def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
@@ -338,7 +326,10 @@ def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float,
     irreducible A, the iteration reruns on diag(x_1)^-1 A diag(x_1), x_1
     its last vector: the same root, and a Perron vector x_2 near 1 whose
     small entries the solves no longer lose to the spread of x_1; then
-    x = x_1 x_2 entrywise.  Bounds of both runs within 1e-14 max(1, lo + c)
+    x = x_1 x_2 entrywise.  Where both runs still leave the bounds open, as
+    on an A irreducible only through couplings of rounding size (the upper
+    bound is then the root, and the lower one stalls), the lower bound of
+    ``_pruned_lower_bound`` joins them.  Bounds within 1e-14 max(1, lo + c)
     give the root; wider ones raise NoConvergence.  So an irreducible A
     always has its vector.
     """
@@ -353,11 +344,31 @@ def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float,
         lo_x, hi_x, y = _noda_bounds(A * x / x[:, None], c)
         lo, hi = max(lo, lo_x), min(hi, hi_x)
         if not hi - lo <= 1e-14 * max(1.0, lo + c):
+            lo = max(lo, _pruned_lower_bound(A, c))
+        if not hi - lo <= 1e-14 * max(1.0, lo + c):
             raise NoConvergence(
                 f"Collatz-Wielandt bounds [{lo:.6e}, {hi:.6e}] failed to close on an irreducible matrix"
             )
         x = x * y
     return 0.5 * (lo + hi), x
+
+
+def _pruned_lower_bound(A: np.ndarray, c: float) -> float:
+    """A lower bound on rho(A) of a nonnegative square float64 A, read off A with its rounding-size couplings cut.
+
+    A_0 is A with every off-diagonal entry below eps ||A||_inf set to
+    zero.  As 0 <= A_0 <= A entrywise, rho(A_0) <= rho(A) (Perron-Frobenius
+    monotonicity), and rho(A_0) is the largest root of its irreducible
+    diagonal blocks; each block's lower Collatz-Wielandt bound from
+    ``_noda_bounds`` is proved, so the largest of them bounds rho(A) from
+    below.  Which entries are cut decides only how close the bound comes,
+    never whether it holds.
+    """
+    A0 = A.copy()
+    cut = A0 < EPS * inf_norm(A)
+    np.fill_diagonal(cut, False)
+    A0[cut] = 0.0
+    return max(_noda_bounds(A0[np.ix_(b, b)], c)[0] for b in _irreducible_blocks(A0))
 
 
 def _perron_start(x: np.ndarray) -> np.ndarray | None:

@@ -129,10 +129,14 @@ class MClassification:
 
     kind: MatrixKind
     s: float
-    rho_B: float
     gap: float
     tol: float
     blocks: tuple[IrreducibleBlock, ...] = field(default=(), repr=False, compare=False)
+
+    @property
+    def rho_B(self) -> float:
+        """rho(B) = s - gap (NaN for a matrix that is not a Z-matrix)."""
+        return self.s - self.gap
 
     @property
     def singular_blocks(self) -> list[IrreducibleBlock]:
@@ -188,12 +192,12 @@ def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassif
     s = float(A.diagonal().max())
     tol = class_tol(A)
     if not linalg._is_z(A):
-        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
+        return MClassification(MatrixKind.NOT_Z, s, math.nan, tol)
     index = linalg._irreducible_blocks(A)
     if len(index) == 1:  # A is its own block, final as it has no rows outside
         rho, x = linalg._perron_pair(_split(A)[1], start)
         block = IrreducibleBlock(index[0], s - rho, gap_kind(s - rho, tol), True, x)
-        return MClassification(block.kind, s, s - block.gap, block.gap, tol, (block,))
+        return MClassification(block.kind, s, block.gap, tol, (block,))
     blocks = []
     for b in index:
         Mbb = A[np.ix_(b, b)]
@@ -202,7 +206,7 @@ def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassif
         final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
         blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
     gap = min(b.gap for b in blocks)
-    return MClassification(gap_kind(gap, tol), s, s - gap, gap, tol, tuple(blocks))
+    return MClassification(gap_kind(gap, tol), s, gap, tol, tuple(blocks))
 
 
 def gap_kind(gap: float, tol: float) -> MatrixKind:
@@ -221,8 +225,8 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
     bounds on K^{-1} >= 0 at the vector 1 bracket K's gap tau(K), the gap
     of its split, as 1 / max x <= tau(K) <= 1 / min x.  So 1 / max x above
     ``class_tol(K)`` makes K a nonsingular M-matrix with no Noda run.  The
-    classification then stores the lower end 1 / max x as the gap (and
-    s - gap, an upper bound, as rho(B)), and the irreducible blocks of
+    classification then stores the lower end 1 / max x as the gap (so
+    rho(B) = s - gap is an upper bound), and the irreducible blocks of
     ``linalg._irreducible_blocks`` each with its own lower end 1 / max x_b,
     from K_bb x_b >= 1, and no Perron vector; the smallest of those is K's.
     Everywhere else K takes ``classify_zm``, its Noda runs started at
@@ -253,7 +257,7 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
         for b in index
     )
     s = float(K.diagonal().max())
-    return MClassification(MatrixKind.NONSINGULAR_M, s, s - dist, dist, tol, blocks), x
+    return MClassification(MatrixKind.NONSINGULAR_M, s, dist, tol, blocks), x
 
 
 # ---------------------------------------------------------------------------

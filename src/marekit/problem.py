@@ -1,8 +1,9 @@
 """Problem model for the Riccati equation ``X C X - X D - A X + B = 0``.
 
 Holds the coefficient quadruple (A, B, C, D), derives the block matrix
-``K = [[D, -C], [-B, A]]`` and its sign-flipped companion
-``[[D, -C], [B, -A]]``, classifies the problem regime, evaluates residuals
+``K = [[D, -C], [-B, A]]`` (its sign-flipped companion
+``[[D, -C], [B, -A]] = diag(I_n, -I_m) K`` is read through K and never
+formed), classifies the problem regime, evaluates residuals
 and builds solution certificates: closing matrices R = D - C.Phi and
 S = A - B.Psi, the block similarity identity they satisfy (read off the two
 residuals), rho(Phi.Psi), and the singular/nonsingular dichotomy of R and S.
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import linalg, mstruct
 from .errors import InvalidParameters, NotZMatrix, ShapeMismatch
-from .linalg import EPS, _one_norm_2d, as_matrix
+from .linalg import EPS, as_matrix, one_norm
 from .mstruct import MatrixKind, MClassification, NullPair
 
 TAU_DRIFT = 1e-8
@@ -102,11 +103,10 @@ class MareProblem:
     singularity, regularity) is measured, not assumed.
 
     A, B, C and D are checked float64 copies of the arrays given, and they
-    are read-only, as are K and ``sign_flipped``: both are built from them
-    once, on first use, and so are their 1-norms (``norms``), which the
-    residuals, the certificate and the sign tolerance read.  A write into a
-    block would leave those stale, so it raises ValueError; the caller's
-    own arrays stay writable.
+    are read-only, as is K: it is built from them once, on first use, and
+    so are their 1-norms (``norms``), which the residuals, the certificate
+    and the sign tolerance read.  A write into a block would leave those
+    stale, so it raises ValueError; the caller's own arrays stay writable.
     """
 
     n: int
@@ -155,19 +155,9 @@ class MareProblem:
         return K
 
     @cached_property
-    def sign_flipped(self) -> np.ndarray:
-        """Block matrix [[D, -C], [B, -A]] = diag(I_n, -I_m) K, whose
-        zero-eigenvalue structure decides whether a singular problem is
-        well posed."""
-        H = self.K.copy()
-        np.negative(H[self.n :], out=H[self.n :])
-        H.flags.writeable = False
-        return H
-
-    @cached_property
     def norms(self) -> OneNorms:
         """The 1-norms of A, B, C, D and K, taken once."""
-        return OneNorms(*map(_one_norm_2d, (self.A, self.B, self.C, self.D, self.K)))
+        return OneNorms(*map(one_norm, (self.A, self.B, self.C, self.D, self.K)))
 
     @property
     def size(self) -> int:
@@ -204,14 +194,16 @@ def _residual(p: MareProblem, X: np.ndarray, x_norm: float, dual: bool = False) 
 
     X is m x n; with ``dual`` it is n x m and the equation that of the dual
     problem, (A, B, C, D) -> (D, C, B, A).  The 1-norms of the coefficients
-    are the problem's cached ``norms``.
+    are the problem's cached ``norms``.  A product that overflows makes the
+    values Inf or NaN, which fail every check that reads them.
     """
     nrm = p.norms
     if dual:
         A, B, C, D, nA, nB, nC, nD = p.D, p.C, p.B, p.A, nrm.D, nrm.C, nrm.B, nrm.A
     else:
         A, B, C, D, nA, nB, nC, nD = p.A, p.B, p.C, p.D, nrm.A, nrm.B, nrm.C, nrm.D
-    num = _one_norm_2d(X @ C @ X - X @ D - A @ X + B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = one_norm(X @ C @ X - X @ D - A @ X + B)
     den = x_norm * (nC * x_norm + nD + nA) + nB
     return num, num / max(den, EPS)
 
@@ -219,7 +211,7 @@ def _residual(p: MareProblem, X: np.ndarray, x_norm: float, dual: bool = False) 
 def residual_primal(p: MareProblem, X) -> float:
     """Normalized residual of X C X - X D - A X + B at a candidate X (m x n)."""
     Xm = _candidate(X, p.m, p.n, "X")
-    return _residual(p, Xm, _one_norm_2d(Xm))[1]
+    return _residual(p, Xm, one_norm(Xm))[1]
 
 
 def residual_dual(p: MareProblem, Y) -> float:
@@ -228,7 +220,7 @@ def residual_dual(p: MareProblem, Y) -> float:
     This is the primal residual of the dual problem, (A, B, C, D) -> (D, C, B, A).
     """
     Ym = _candidate(Y, p.n, p.m, "Y")
-    return _residual(p, Ym, _one_norm_2d(Ym), dual=True)[1]
+    return _residual(p, Ym, one_norm(Ym), dual=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,8 @@ def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | No
     (ValueError) and classified with its Noda runs started at ``start``, a
     positive vector near its Perron vector (None is 1).
     """
-    M = D - C @ X
+    with np.errstate(over="ignore"):  # an overflow is reported by the ValueError below
+        M = D - C @ X
     if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return M, mstruct._classify_blocks(M, start)
@@ -467,7 +460,7 @@ def _certificate(
     """
     regime = pc.regime
     nrm = p.norms
-    phi_norm, psi_norm = _one_norm_2d(phi_m), _one_norm_2d(psi_m)
+    phi_norm, psi_norm = one_norm(phi_m), one_norm(psi_m)
     num_p, res_p = _residual(p, phi_m, phi_norm)
     num_d, res_d = _residual(p, psi_m, psi_norm, dual=True)
     sim_res = max(num_p, num_d) / max(nrm.K, EPS)

@@ -79,6 +79,18 @@ def check_against_squaring(M):
         assert got.kind is mstruct.gap_kind(gap, got.tol)
 
 
+def sign_flipped(p):
+    """Block matrix [[D, -C], [B, -A]] = diag(I_n, -I_m) K of a problem p.
+
+    Its zero-eigenvalue structure decides whether a singular problem is
+    well posed; the package reads it through K, and the tests form it as
+    the operand of their SVD references.
+    """
+    H = p.K.copy()
+    np.negative(H[p.n :], out=H[p.n :])
+    return H
+
+
 def regularity_witness(M, classification):
     """A positive v with M v >= 0 built from the blocks of ``classification``, or None.
 

@@ -27,7 +27,6 @@ from marekit.errors import (
     InvalidParameters,
     IterationBreakdown,
     MaxIterations,
-    NoConvergence,
     NonpositiveDiagonal,
     SingularMatrix,
 )
@@ -595,15 +594,8 @@ class TestObservedRateFromIncrements:
         assert len(flagged) == 102 and sum(flagged) >= 20
 
     def test_random_reducible_k(self):
-        solved = 0
         for p in reducible_problems(29, 300):
-            try:
-                rep = self._solved(p)
-            except NoConvergence:
-                continue  # the open defect of ROADMAP item 8, as in TestRateIdentity
-            self._check(p, rep)
-            solved += 1
-        assert solved >= 290
+            self._check(p, self._solved(p))
 
 
 def _eigvals_rate(cert, alpha, beta):
@@ -644,23 +636,20 @@ class TestRateIdentity:
                 self._check(p, rep, DoublingParams(alpha, beta))
 
     def test_random_reducible_k(self):
-        regimes, unsolved = [], 0
+        regimes = []
         for p in reducible_problems(29, 60):
+            # a Phi.Psi, R or S block irreducible only through entries of
+            # rounding size closes its Perron bracket by the pruned lower bound
             try:
                 rep = solve(p)
             except MaxIterations as exc:
                 rep = exc.report
-            except NoConvergence:
-                # the open defect of ROADMAP item 8: a Phi.Psi, R or S block
-                # irreducible only through entries of rounding size
-                unsolved += 1
-                continue
             regimes.append(rep.problem_class.regime)
             assert len(rep.problem_class.k_class.blocks) > 1
             self._check(p, rep, rep.params)
             self._check(p, rep, DoublingParams(rep.params.alpha * 1.7, rep.params.beta * 1.2))
         assert {Regime.NONSINGULAR_K, Regime.SINGULAR_NONCRITICAL} <= set(regimes)
-        assert unsolved <= 6 and len(regimes) + unsolved == 60
+        assert len(regimes) == 60
 
     def test_inadmissible_parameters_raise(self, scalar_nonsingular):
         rep = solve(scalar_nonsingular)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reducible_m_matrix, reducible_problems
+from helpers import reducible_m_matrix, reducible_problems, sign_flipped
 from marekit import (
     FamilySpec,
     MareProblem,
@@ -135,7 +135,7 @@ def _ref_classify_zm(M):
     s = float(np.diag(A).max())
     tol = class_tol(A)
     if (A - np.diag(np.diag(A)) > 0.0).any():
-        return MClassification(MatrixKind.NOT_Z, s, math.nan, math.nan, tol)
+        return MClassification(MatrixKind.NOT_Z, s, math.nan, tol)
     blocks = []
     for b in linalg._irreducible_blocks(A):
         Mbb = A[np.ix_(b, b)]
@@ -144,7 +144,7 @@ def _ref_classify_zm(M):
         final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
         blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
     gap = min(b.gap for b in blocks)
-    return MClassification(gap_kind(gap, tol), s, s - gap, gap, tol, tuple(blocks))
+    return MClassification(gap_kind(gap, tol), s, gap, tol, tuple(blocks))
 
 
 def _ref_fmt_float(x):
@@ -192,7 +192,8 @@ def _ref_similarity_residual(p, cert):
     block_diag = np.zeros((p.size, p.size))
     block_diag[:n, :n] = cert.R
     np.negative(cert.S, out=block_diag[n:, n:])
-    return one_norm(p.sign_flipped @ factor - factor @ block_diag) / max(one_norm(p.sign_flipped), EPS)
+    H = sign_flipped(p)
+    return one_norm(H @ factor - factor @ block_diag) / max(one_norm(H), EPS)
 
 
 def _ref_block_pair(K, n, blk, rest):

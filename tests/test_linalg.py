@@ -121,6 +121,30 @@ class TestSpectralRadiusNonneg:
         assert abs(spectral_radius_nonneg(P) - want) <= 1e-15 * (want + c)
 
 
+@pytest.mark.parametrize("P", [[[1.0, 0.1], [1e-20, 0.5]], [[1.0, 1e-3], [1e-200, 0.5]]])
+def test_rounding_size_coupling_closes_by_the_pruned_bound(P):
+    # irreducible only through an entry below eps ||P||_inf: both Noda runs
+    # leave the bounds open with the upper one at the root, 1, and P without
+    # that entry gives the lower one
+    A = np.array(P)
+    c = 1.0 + A.diagonal().max()
+    lo, hi, x = linalg._noda_bounds(A, c)
+    assert len(linalg._irreducible_blocks(A)) == 1 and hi - lo > 1e-14 * (lo + c)
+    assert linalg._pruned_lower_bound(A, c) == 1.0
+    assert spectral_radius_nonneg(P) == 1.0
+
+
+def test_pruned_bound_is_a_lower_bound():
+    # couplings of every size down to below the cut: the bound never passes the root
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        P = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+        P *= 10.0 ** -rng.integers(0, 20, (n, n))
+        bound = linalg._pruned_lower_bound(P, 1.0 + P.diagonal().max())
+        assert bound <= float(_mp_perron_root(P)) * (1.0 + 1e-14)
+
+
 def _perron_matrix(what, M):
     """The nonnegative matrix whose Perron root the package takes for input ``what``."""
     return M if what == "PhiPsi" else zm_split(M)[1]
@@ -346,22 +370,23 @@ class TestIdentityCache:
         assert linalg._eye(linalg._EYE_MAX_ORDER + 1) is not linalg._eye(linalg._EYE_MAX_ORDER + 1)
 
     def test_bounded(self):
-        for n in range(1, 3 * linalg._EYE_SLOTS):
+        for n in range(1, 3 * linalg._EYE_MAX_ORDER):
             linalg._eye(n)
-        assert len(linalg._EYES) <= linalg._EYE_SLOTS
+        assert len(linalg._EYES) <= linalg._EYE_MAX_ORDER
         assert max(linalg._EYES) <= linalg._EYE_MAX_ORDER
         held = sum(eye.nbytes + laid.nbytes for eye, laid in linalg._EYES.values())
-        assert held <= linalg._EYE_SLOTS * 8 * linalg._EYE_MAX_ORDER * (2 * linalg._EYE_MAX_ORDER + 1)
+        assert held <= sum(8 * n * (2 * n + 1) for n in range(1, linalg._EYE_MAX_ORDER + 1)) < 1.45e6
 
     def test_threads_share_the_cache(self):
-        # more threads than cores, switching often, each filling and evicting the cache
+        # more threads than cores, switching often, each filling the cache and
+        # asking for orders beyond it
         errors = []
 
         def work(offset):
             try:
                 for _ in range(20):
-                    for n in range(1, 2 * linalg._EYE_SLOTS):
-                        k = (n + offset) % (2 * linalg._EYE_SLOTS) + 1
+                    for n in range(1, 2 * linalg._EYE_MAX_ORDER):
+                        k = (n + offset) % (2 * linalg._EYE_MAX_ORDER) + 1
                         eye = linalg._eye(k)
                         assert eye.shape == (k, k) and eye[k - 1, k - 1] == 1.0
             except Exception as exc:  # reported by the assertion below
@@ -378,7 +403,7 @@ class TestIdentityCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(linalg._EYES) <= linalg._EYE_SLOTS
+        assert len(linalg._EYES) <= linalg._EYE_MAX_ORDER
         for n, (eye, laid) in linalg._EYES.items():
             assert np.array_equal(eye, np.eye(n)) and np.array_equal(laid, linalg._with_ones(n, np.eye(n)))
 
