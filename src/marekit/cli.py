@@ -30,8 +30,6 @@ import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import doubling, probgen
 from .errors import (
     AmbiguousKernel,
@@ -47,7 +45,9 @@ from .errors import (
 )
 from .fixedpoint import _fixed_point, fixed_point_solve
 from .problem import (
+    CERT_TOL,
     Regime,
+    _certificate,
     classify_problem,
     make_certificate,
     matrix_from_json,
@@ -116,42 +116,34 @@ def _float_row_format(length: int, indent: int) -> str:
 def dumps_report(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits, keys in insertion order.
 
-    NaN and infinities are written as null.  Exact floats, strings, dicts
-    and lists, most of a report, are dispatched on their type first.  A
-    list of plain floats, such as a matrix row, is formatted without
-    recursing: in one %-format when every entry is finite.
+    A report holds dicts, lists, str, float, int, bool and None, and only
+    those: each is matched by its exact type, and any other value, a
+    numpy scalar or array or a tuple included, raises TypeError.  NaN and
+    infinities are written as null.  A list of floats whose sum is finite,
+    such as a matrix row, is formatted in one %-format; any other list,
+    one with a NaN or an infinity included, entry by entry.
     """
     kind = type(obj)
     if kind is float:
         return _fmt_float(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
-    if kind is not dict and kind is not list:
-        if isinstance(obj, (float, np.floating)):
-            return _fmt_float(float(obj))
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool) or isinstance(obj, np.bool_):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
-        if isinstance(obj, np.ndarray):
-            obj = obj.tolist()
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):
-            if math.isfinite(sum(obj)):  # a NaN or an infinity makes the sum one
-                return _float_row_format(len(obj), indent) % tuple(obj)
-            texts = map(_fmt_float, obj)
-        else:
-            texts = [dumps_report(v, indent + 1) for v in obj]
+        if all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+            return _float_row_format(len(obj), indent) % tuple(obj)
+        texts = [dumps_report(v, indent + 1) for v in obj]
         return "[\n" + pad_in + (",\n" + pad_in).join(texts) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
         inner = ",\n".join(
@@ -239,7 +231,8 @@ def _cmd_solve(ns) -> CommandOutcome:
     if ns.method == "fixed-point":
         primal, dual = _fixed_point(p, **_given(tol=ns.tol, max_iter=ns.max_iter), dual=True)
         pc = classify_problem(p)
-        cert = make_certificate(p, primal.phi, dual.phi, problem_class=pc)
+        # the oracle's iterates are finite and >= 0 exactly: no boundary check or clamp to repeat
+        cert = _certificate(p, primal.phi, dual.phi, CERT_TOL, pc)
         report = _base_report(pc)
         _fill_certificate(report, cert)
         report["iterations"] = primal.iterations

@@ -71,17 +71,15 @@ def one_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def inf_norm(a) -> float:
-    """Matrix infinity-norm (max absolute row sum); max |.| for vectors."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim <= 1:
-        return float(np.abs(arr).max()) if arr.size else 0.0
-    return float(np.abs(arr).sum(axis=1).max())
+def inf_norm(a: np.ndarray) -> float:
+    """Infinity-norm of a float64 matrix (max absolute row sum); max |.| of a nonempty vector."""
+    if a.ndim == 1:
+        return float(np.abs(a).max())
+    return float(np.abs(a).sum(axis=1).max())
 
 
-def pivot_tol(M) -> float:
-    """Scale-aware singularity threshold: dim * eps * ||M||_1."""
-    M = np.asarray(M, dtype=np.float64)
+def pivot_tol(M: np.ndarray) -> float:
+    """Scale-aware singularity threshold of a float64 matrix: dim * eps * ||M||_1."""
     return M.shape[0] * EPS * one_norm(M)
 
 

@@ -75,8 +75,8 @@ class MatrixKind(enum.Enum):
     NONSINGULAR_M = "NonsingularM"
 
 
-def class_tol(M) -> float:
-    """Classification tolerance for the gap s - rho(B).
+def class_tol(M: np.ndarray) -> float:
+    """Classification tolerance for the gap s - rho(B) of the split of a float64 matrix M.
 
     The dim * eps * ||M||_1 term covers rounding in the split itself; the
     1e-13 relative floor covers the accuracy of the computed Perron root.
@@ -85,7 +85,6 @@ def class_tol(M) -> float:
     rounded: the root and a repeated-squaring reference differ by up to
     about 2e-15 (rho + c) on the acceptance suites.
     """
-    M = np.asarray(M, dtype=np.float64)
     return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M))
 
 

@@ -416,7 +416,9 @@ def make_certificate(
     minimal pair), and at 1 where there is none: the roots are certified
     from any positive start, and one near the Perron vector saves solves.
     ``doubling.solve`` certifies its answer through the same core,
-    ``_certificate``, with starts for R and S read off its last iterate.
+    ``_certificate``, with starts for R and S read off its last iterate,
+    and ``solve --method fixed-point`` the oracle's pair, which is finite
+    and nonnegative as built, with the starts above.
 
     In the guaranteed regimes passing checks identify the minimal pair: with
     zero residuals, R and S M-matrices and rho(phi.psi) < 1, F is

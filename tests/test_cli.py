@@ -638,3 +638,63 @@ def test_dumps_report_17_digits():
     assert '"none": null' in text
     parsed = json.loads(text)
     assert parsed["x"] == 1 / 3
+
+
+_REPORT_LEAVES = (str, float, int, bool, type(None))
+
+
+def _leaf_types(obj, path="report"):
+    """The (path, type) of every value in ``obj`` that is not one of the seven types a report holds."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}", type(key)
+            yield from _leaf_types(value, f"{path}.{key}")
+    elif type(obj) is list:
+        for i, value in enumerate(obj):
+            yield from _leaf_types(value, f"{path}[{i}]")
+    elif type(obj) not in _REPORT_LEAVES:
+        yield path, type(obj)
+
+
+def test_every_report_holds_json_native_values(monkeypatch, tmp_path, problem_file, critical_file, divergent_file):
+    # dumps_report matches the seven types exactly: a numpy scalar or a
+    # tuple in a report would raise, so every command builds none
+    reports = []
+    real = cli.dumps_report
+
+    def recording(obj, indent=0):
+        if indent == 0:
+            reports.append(obj)
+        return real(obj, indent)
+
+    monkeypatch.setattr(cli, "dumps_report", recording)
+    codes = []
+
+    def run(argv):
+        out = execute(argv)
+        codes.append(out.exit_code)
+        return json.loads(out.report_json)
+
+    for path in (problem_file, critical_file, divergent_file, FIXED_POINT_CLOSING, SINGULAR_BOUNDARY):
+        for argv in (
+            ["classify", path],
+            ["solve", path, "--trace", str(tmp_path / "t.csv")],
+            ["solve", path, "--method", "sda"],
+            ["oracle", path],
+            ["rate-study", path, "--grid", "2"],
+            ["solve", path, "--tol", "-1"],
+        ):
+            run(argv)
+        printed = run(["solve", path, "--method", "fixed-point"])
+        if "phi" in printed:
+            pair = []
+            for key in ("phi", "psi"):
+                pair += ["--" + key, str(tmp_path / f"{key}.json")]
+                (tmp_path / f"{key}.json").write_text(json.dumps(printed[key]))
+            run(["verify", path, *pair])
+    for regime in ("nonsingular", "singular-noncritical", "critical"):
+        run(["generate", "--regime", regime, "--n", "2", "--m", "3", "--seed", "5", "-o", str(tmp_path / "g.json")])
+    assert set(codes) == {0, 1, 2, 3} and len(codes) >= 40
+    assert len(reports) == len(codes)
+    assert [bad for report in reports for bad in _leaf_types(report)] == []

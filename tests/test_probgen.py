@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from marekit import probgen
-from marekit.errors import GenerationFailed, ShapeMismatch
+from marekit.errors import GenerationFailed, ShapeMismatch, SingularMatrix
 from marekit.linalg import inf_norm
 from marekit.mstruct import null_tol
 from marekit.probgen import DRIFT_MARGIN, FamilySpec, generate
@@ -67,6 +69,26 @@ def test_generation_failed_when_budget_exhausted(monkeypatch):
     spec = FamilySpec(Regime.SINGULAR_NONCRITICAL, 2, 2, seed=0)
     with pytest.raises(GenerationFailed, match="within 0 attempts"):
         generate(spec)
+
+
+def test_generation_failed_names_the_last_rejection(monkeypatch):
+    monkeypatch.setattr(probgen, "MAX_ATTEMPTS", 3)
+    spec = FamilySpec(Regime.NONSINGULAR_K, 2, 2, seed=0)
+
+    def refuse(p):
+        raise SingularMatrix("drawn K is singular")
+
+    monkeypatch.setattr(probgen, "classify_problem", refuse)
+    with pytest.raises(GenerationFailed) as failed:
+        generate(spec)
+    assert str(failed.value) == (
+        "no NonsingularK problem within 3 attempts; last: attempt 2: classification failed (drawn K is singular)"
+    )
+
+    monkeypatch.setattr(probgen, "classify_problem", lambda p: dataclasses.replace(classify_problem(p), regime=Regime.CRITICAL))
+    with pytest.raises(GenerationFailed) as failed:
+        generate(spec)
+    assert str(failed.value) == "no NonsingularK problem within 3 attempts; last: attempt 2: got Critical, wanted NonsingularK"
 
 
 def test_spec_validation():

@@ -276,6 +276,23 @@ class TestStartsTheSolveHolds:
         assert rep.problem_class.regime is Regime.NONSINGULAR_K
         assert rep.certificate.checks == want.checks and rep.certificate.all_passed
 
+    def test_iterate_without_w_certifies_from_the_witness(self, noncritical_suite, monkeypatch):
+        # an iterate that carries no W = (I - G H)^{-1} gives no start for
+        # R or S, and the certificate is make_certificate's, check for check
+        p = noncritical_suite[0]
+        pc = classify_problem(p)
+        state = dataclasses.replace(doubling.initialize(p, doubling.select_parameters(p)), solves=None)
+        assert doubling._closing_starts(state) == (None, None)
+        starts = []
+        real = problem_module._closing
+        monkeypatch.setattr(problem_module, "_closing", lambda D, C, X, start: starts.append(start) or real(D, C, X, start))
+        phi, psi = np.maximum(state.H, 0.0), np.maximum(state.G, 0.0)
+        cert = problem_module._certificate(p, phi, psi, problem_module.CERT_TOL, pc, *doubling._closing_starts(state))
+        v = pc.witness
+        assert len(starts) == 2 and np.array_equal(starts[0], v[: p.n]) and np.array_equal(starts[1], v[p.n :])
+        assert cert.checks == make_certificate(p, phi, psi, problem_class=pc).checks
+        assert np.array_equal(starts[2], starts[0]) and np.array_equal(starts[3], starts[1])
+
     def test_rounding_irreducible_closing_solves(self, tmp_path):
         # draw 154 of reducible_problems(29, 300): its R is irreducible only
         # through entries of rounding size.  The Noda run from W E 1 closes;
