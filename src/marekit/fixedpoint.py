@@ -13,18 +13,19 @@ obviously correct, not fast: convergence is linear, and in the critical
 regime sublinear, so hitting the iteration cap there is expected and
 reported rather than raised.
 
-Each step is four matrix products, and they also measure the residual.
-The numerator ``T(X) = X C X + B + N_A X + X N_D`` of the update holds the
-residual of X itself, ``X C X - X D - A X + B = T(X) - (a_i + d_j) X``, so
-one ``T`` per step both tests the current iterate and becomes the next one.
+Each step is four matrix products in three ``matmul`` calls, and they
+also measure the residual.  The numerator
+``T(X) = X C X + B + N_A X + X N_D`` of the update holds the residual of
+X itself, ``X C X - X D - A X + B = T(X) - (a_i + d_j) X``, so one ``T``
+per step both tests the current iterate and becomes the next one.
 That fused residual only screens: the stop is decided by the exact
 ``residual_primal``, taken by its core ``problem._residual`` on the
 iterate the oracle built, where the fused value is within rounding of
 the tolerance.
 
-The steps run in blocks of ``_BLOCK``.  A step inside a block does only
-its four products, into buffers allocated once, and the division.  The
-block is then screened in one stacked pass over its steps and sides: the
+The steps run in blocks.  A step inside a block does only its products,
+into buffers allocated once, and the division.  The block is then
+screened in one stacked pass over its steps and sides: the
 1-norms of X and of the fused residual, stored right after the iterates,
 are the largest entries of one matrix-vector product with a ones vector,
 ``1^T X`` for the column sums of X, which numpy reduces far more slowly
@@ -33,8 +34,18 @@ iterate is >= 0 exactly, as its operands are and its denominators are
 positive.  Monotonicity is one comparison of the block's iterates with
 their predecessors, and the count of violations per step is built only
 when that comparison fails.  The walk then visits, in step order, only
-the steps whose screen passes, is not finite, or sits at the cap.  Up to
-``_BLOCK - 1`` look-ahead steps past the stop are discarded.
+the steps whose screen passes, is not finite, or sits at the cap; a
+block with none of these and no monotonicity failure is not walked.  The
+first block has ``_BLOCK`` (16) steps.  Each later one ends ``_AHEAD`` (2)
+steps past the earliest stop that the last block predicts, from the
+per-step decay of each running side's fused residual over it; a side
+whose residual did not shrink toward the screen counts ``_BLOCK`` steps.
+It has at least ``_MIN_BLOCK`` (4) and at most ``_MAX_BLOCK`` (64)
+steps, and at most as many as fit into ``_BUDGET`` (4 MiB) of buffers,
+unless that is fewer than ``_BLOCK``.  The look-ahead steps past a stop
+are discarded: up to 15 where the stop falls in the first block, up to
+``_AHEAD`` past a stop predicted to the step, and always fewer than one
+block.
 
 The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
@@ -42,13 +53,14 @@ solves ``Z B^T Z - Z D^T - A^T Z + C^T = 0``, the primal form with
 coefficients (A^T, C^T, B^T, D^T) and the same denominators a_i + d_j.
 With ``dual`` the core advances X and Z as one (2, m, n) stack from X_0
 through the block of their first stop: each step is one numerator and one
-division for both, and each block one screening pass.  Each side stops on its own step,
-decided by its own exact residual; the dual's is ``residual_dual``'s core
-on Z^T, and its screen takes the dual's 1-norm, the largest row sum
-``Z 1`` of Z.  From the block after one side stops, the other steps its
-own 2-D slices, as ``fixed_point_solve``, the same core on X alone, does
-throughout.  The first block in which either side's update overflows ends
-the run, and the error names the primal's step if both overflow there.
+division for both, and each block one screening pass.  Each side stops on
+its own step, decided by its own exact residual; the dual's is
+``residual_dual``'s core on Z^T, and its screen takes the dual's 1-norm,
+the largest row sum ``Z 1`` of Z.  From the block after one side stops,
+the other steps its own 2-D slices, as ``fixed_point_solve``, the same
+core on X alone, does throughout.  The first update that overflows, in
+step order over the sides still running, ends the run, and the error
+names that step, whichever side and block it falls in.
 """
 
 from __future__ import annotations
@@ -63,13 +75,18 @@ from .errors import InvalidParameters, IterationBreakdown, SingularMatrix
 from .linalg import EPS, one_norm, pivot_tol
 from .problem import MareProblem, _residual, sign_tol
 
-# Steps per screening pass.  At the sizes the oracle serves (m, n up to a
-# few dozen) a pass costs about a dozen small numpy calls whatever the
-# number of steps it covers, as much as a few steps' products.  On the
-# crosscheck oracle pair (2-vCPU x86-64 VM, one BLAS thread) 16 steps a pass
-# ran about 1.1x as fast as 8, and 24 or 32 at most a few percent faster
-# than 16, for more look-ahead steps that the stop discards.
+# Steps in the first screening pass, and in a pass whose stop the last one
+# could not predict.  At the sizes the oracle serves (m, n up to a few
+# dozen) a pass costs about a dozen small numpy calls whatever the number of
+# steps it covers, as much as a few steps' products, so later passes end
+# _AHEAD steps past the stop the last one predicts, within _MIN_BLOCK and
+# _MAX_BLOCK steps and the _BUDGET bytes of the buffers.  On the crosscheck
+# oracle pair (2-vCPU x86-64 VM, one BLAS thread) that takes 3.5 passes and
+# 139.6 steps per operation, where passes of 16 steps took 9.1 and 146.2,
+# for 138.3 steps needed.
 _BLOCK = 16
+_AHEAD, _MIN_BLOCK, _MAX_BLOCK = 2, 4, 64
+_BUDGET = 4 << 20
 
 # the default stopping limits of both entry points
 _TOL, _MAX_ITER = 1e-10, 5000
@@ -87,17 +104,23 @@ class OracleReport:
 def _numerator(N_A, B, C, N_D):
     """``T(X) = X C X + B + N_A X + X N_D``, written to ``out``; the arrays may be stacks.
 
-    The four products and three additions run in the order the expression
-    reads, through buffers allocated once: one shaped like N_A for X C and
-    two shaped like B for the rest.
+    ``(X C) X`` and ``N_A X`` share their shapes and their right factor, so
+    one ``matmul`` of the stack ``[X C, N_A]`` by X takes both, slice by
+    slice the same product as a call of its own: three products a step.
+    The three additions run in the order the expression reads, through
+    buffers allocated once: the stack, with N_A in place below X C, and
+    two slices shaped like B for the rest.
     """
-    XC, S, P = np.empty(N_A.shape), np.empty(B.shape), np.empty(B.shape)
+    L, P = np.empty((2, *N_A.shape)), np.empty((2, *B.shape))
+    L[1] = N_A
+    XC, S, NX = L[0], P[0], P[1]
 
     def numerator(X, out):
-        np.matmul(np.matmul(X, C, out=XC), X, out=S)
+        np.matmul(X, C, out=XC)
+        np.matmul(L, X, out=P)
         np.add(S, B, out=S)
-        np.add(S, np.matmul(N_A, X, out=P), out=S)
-        return np.add(S, np.matmul(X, N_D, out=P), out=out)
+        np.add(S, NX, out=S)
+        return np.add(S, np.matmul(X, N_D, out=NX), out=out)
 
     return numerator
 
@@ -114,6 +137,20 @@ def _fixed_point(
     ``residual_dual`` first meets ``tol`` and carries that residual; its
     iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
     up to rounding, since the transposed products round in another order.
+
+    The first block has ``_BLOCK`` = 16 steps.  A block of b steps leaves
+    the fused residuals r_1 .. r_b of each running side, which decay by
+    ``rate = (r_b / r_1)^(1 / (b - 1))`` a step; at that rate the screen
+    threshold is ``log(r_b / screen) / log(1 / rate)`` steps on.  The next
+    block ends ``_AHEAD`` = 2 steps past the earliest such stop, a side
+    with no such count (its residual does not shrink, or is at the
+    threshold already) counting 16 steps, and has at least ``_MIN_BLOCK``
+    = 4 and at most ``_MAX_BLOCK`` = 64 steps.  The buffers hold
+    ``3 L + 1`` slabs of ``sides m n`` floats for blocks of up to L steps,
+    and L is the cap 64 cut to the byte budget ``_BUDGET`` = 4 MiB, but
+    never below 16: where the 49 slabs of blocks of 16 already exceed the
+    budget (one side at m n above 10699, the pair above 5349), the buffers
+    keep that size.
     """
     try:
         max_iter = operator.index(max_iter)
@@ -131,77 +168,106 @@ def _fixed_point(
             "diagonal splitting is singular to tolerance "
             f"(min a_i + d_j = {denom.min():.3e} <= {floor:.3e})"
         )
-    N_A = np.diag(a) - p.A
-    N_D = np.diag(d) - p.D
     nA, nB, nC, nD = p.norms[:4]
     # per side: the splitting its iterate runs on, the equation its answer
     # solves, and that equation's coefficient 1-norms, one row per side
-    splittings = [(N_A, p.B, p.C, N_D)]
+    splittings = [(np.diag(a) - p.A, p.B, p.C, np.diag(d) - p.D)]
     if dual:
-        splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, p.C, p.B, N_D)))
+        N_A, B, C, N_D = splittings[0]
+        splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, C, B, N_D)))
     sides = len(splittings)
-    sA, sB, sC, sD = np.array([(nA, nB, nC, nD), (nD, nC, nB, nA)][:sides]).T[:, :, None]
+    norms = np.array([(nA, nB, nC, nD), (nD, nC, nB, nA)][:sides]).T[:, :, None]
     screen = tol + 8 * (p.m + p.n + 2) * EPS
     tau = sign_tol(p)
+    longest = max(_BLOCK, min(_MAX_BLOCK, (_BUDGET // (8 * sides * p.m * p.n) - 1) // 3))
     # Xs[0, i] is side i's last iterate of the previous block, Xs[j, i] its
     # j-th successor and, in a block of b steps, Xs[b + j, i] its fused
     # residual; Ts[j - 1, i] is the numerator T(Xs[j, i]), written there by
     # the step.  T is the numerator of the current iterate; each step reads
-    # it before it writes the next one, so T(0) can start in Ts[0].
-    Xs = np.zeros((2 * _BLOCK + 1, sides, p.m, p.n))
-    Ts = np.empty((_BLOCK, sides, p.m, p.n))
+    # it before it writes the next one, so T(0) can start in Ts[0].  Xs[0]
+    # starts at X_0 = 0; every other slab is written before it is read.
+    Xs = np.empty((2 * longest + 1, sides, p.m, p.n))
+    Xs[0] = 0.0
+    Ts = np.empty((longest, sides, p.m, p.n))
+    # row k of the screen: the 1-norms of a block's iterates, then of their
+    # fused residuals, on the k-th side stepped
+    largest = np.empty((sides, 2 * longest))
     ones_m, ones_n = np.ones(p.m), np.ones(p.n)
-    # the pair steps the whole stack, one side its own 2-D slices, which
-    # multiply faster than a stack of one
+    # the sides stepped, as a slice of the side axis: the pair steps the
+    # whole stack, one side its own 2-D slices, which multiply faster than a
+    # stack of one
+    stepped = slice(0, sides)
     if dual:
         Xw, Tw, numerator = Xs, Ts, _numerator(*(np.stack(c) for c in zip(*splittings)))
     else:
-        Xw, Tw, numerator = Xs[:, 0], Ts[:, 0], _numerator(*splittings[0])
+        # popped, so that N_A is held only in the numerator's stack
+        Xw, Tw, numerator = Xs[:, 0], Ts[:, 0], _numerator(*splittings.pop())
     T = numerator(Xw[0], Tw[0])
     reports = [None] * sides
     violations = [0] * sides
     live = list(range(sides))
-    done = 0
+    done, b = 0, _BLOCK
     while live:
-        b = min(_BLOCK, max_iter - done)
-        X, prev, R, both = Xs[1 : b + 1], Xs[:b], Xs[b + 1 : 2 * b + 1], Xs[1 : 2 * b + 1]
+        b = min(b, max_iter - done)
+        ids = range(sides)[stepped]
+        Xv, (sA, sB, sC, sD) = Xs[:, stepped], norms[:, stepped]
+        X, prev, R, both = Xv[1 : b + 1], Xv[:b], Xv[b + 1 : 2 * b + 1], Xv[1 : 2 * b + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, b + 1):
                 np.divide(T, denom, out=Xw[j])
                 T = numerator(Xw[j], Tw[j - 1])
-            np.abs(np.subtract(Ts[:b], np.multiply(denom, X, out=R), out=R), out=R)
+            np.abs(np.subtract(Ts[:b, stepped], np.multiply(denom, X, out=R), out=R), out=R)
             # the 1-norms of X and of the fused residual, both at once: the
             # largest column sum of X, and of Psi, the largest row sum of Z
-            sums = [ones_m @ both[:, 0]]
-            if dual:
-                sums.append(both[:, 1] @ ones_n)
-            nX, num = np.array([s.max(axis=1).reshape(2, b) for s in sums]).swapaxes(0, 1)
+            for k, i in enumerate(ids):
+                np.max(both[:, k] @ ones_n if i else ones_m @ both[:, k], axis=1, out=largest[k, : 2 * b])
+            nX, num = largest[: len(ids), :b], largest[: len(ids), b : 2 * b]
             fused = num / np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
             # the walk visits the steps the screen passes, a nonfinite one and the cap
             visit = (fused <= screen) | ~np.isfinite(fused)
             steady = bool((X >= prev).all())
         visit[:, -1] |= done + b == max_iter
-        for i in tuple(live):
-            if not steady:
-                counted = violations[i] + np.cumsum((X[:, i] < prev[:, i] - tau).sum(axis=(1, 2)))
-                violations[i] = int(counted[-1])
-            for j in np.flatnonzero(visit[i]).tolist():
-                k = done + j + 1
-                if not math.isfinite(fused[i, j]):
-                    raise IterationBreakdown(f"nonfinite fixed-point update at step {k + 1}")
-                answer = (X[j, i].T if i else X[j, i]).copy()
-                res = _residual(p, answer, one_norm(answer), dual=i == 1)[1]
-                if res <= tol or k == max_iter:
-                    count = violations[i] if steady else int(counted[j])
-                    reports[i] = OracleReport(answer, k, res <= tol, res, count)
-                    live.remove(i)
-                    break
+        if not steady or visit.any():
+            # each side's first overflowing update before its stop; the
+            # earliest ends the run, whichever side and block it falls in
+            overflows = []
+            for k, i in enumerate(ids):
+                if not steady:
+                    counted = violations[i] + np.cumsum((X[:, k] < prev[:, k] - tau).sum(axis=(1, 2)))
+                    violations[i] = int(counted[-1])
+                for j in np.flatnonzero(visit[k]).tolist():
+                    step = done + j + 1
+                    if not math.isfinite(fused[k, j]):
+                        overflows.append(step + 1)
+                        break
+                    answer = (X[j, k].T if i else X[j, k]).copy()
+                    res = _residual(p, answer, one_norm(answer), dual=i == 1)[1]
+                    if res <= tol or step == max_iter:
+                        count = violations[i] if steady else int(counted[j])
+                        reports[i] = OracleReport(answer, step, res <= tol, res, count)
+                        live.remove(i)
+                        break
+            if overflows:
+                raise IterationBreakdown(f"nonfinite fixed-point update at step {min(overflows)}")
         done += b
-        if Xw is Xs and len(live) == 1:  # the survivor steps alone; zeros keep the other steady
+        # the next block ends _AHEAD steps past the earliest stop this one
+        # predicts: a live side whose fused residual shrinks from r_1 to r_b
+        # above the screen meets it (b - 1) log(r_b / screen) / log(r_1 / r_b)
+        # steps on; one that does not counts _BLOCK
+        ahead = math.inf
+        for i, (first, last) in zip(ids, fused[:, [0, -1]].tolist()):
+            if i in live:
+                if b > 1 and last > screen and first / last > 1.0:
+                    left = (b - 1) * math.log(last / screen) / math.log(first / last)
+                    ahead = min(ahead, math.ceil(left) + _AHEAD)
+                else:
+                    ahead = min(ahead, _BLOCK)
+        if Xw is Xs and len(live) == 1:  # the survivor steps alone
             (i,) = live
-            Xs[:, 1 - i] = 0.0
+            stepped = slice(i, i + 1)
             Xw, Tw, numerator, T = Xs[:, i], Ts[:, i], _numerator(*splittings[i]), Ts[b - 1, i]
         Xw[0] = Xw[b]
+        b = min(max(ahead, _MIN_BLOCK), longest)
     return reports
 
 
@@ -231,10 +297,10 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
 
     The four products of each step are the same as in a step-by-step loop,
     so the iterates are the same bits.  The screen, the norms and the
-    monotonicity check are taken once per block of ``_BLOCK`` steps (the
-    last block is cut at ``max_iter``), and the steps they pick are then
-    read in step order; the up to ``_BLOCK - 1`` steps computed past the
-    stop are discarded and not counted.  The returned ``phi`` is a copy
+    monotonicity check are taken once per block of steps, sized as
+    ``_fixed_point`` says (the last block is cut at ``max_iter``), and the
+    steps they pick are then read in step order; the steps computed past
+    the stop are discarded and not counted.  The returned ``phi`` is a copy
     that owns its memory.  This is the one-side call of ``_fixed_point``,
     the core that also advances the primal and the dual as one stack for
     ``solve --method fixed-point``; on one side it steps 2-D arrays.

@@ -1,5 +1,5 @@
-import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +290,26 @@ def test_returned_phi_owns_its_memory(case, tol, max_iter):
     assert rep.phi.base is None
 
 
+# tracemalloc peaks of the calls below with blocks of 16 steps, whose 49
+# slabs of sides m n floats exceed the byte budget at n = m = 200, where the
+# buffers must keep that size (Python 3.11, numpy 2.4)
+_PEAKS_WITH_16_STEP_BLOCKS = {False: 18_577_882, True: 39_385_180}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["one-side", "pair"])
+def test_buffers_keep_their_size_above_the_byte_budget(dual):
+    p = generate(FamilySpec(Regime.NONSINGULAR_K, 200, 200, seed=0))
+    p.norms  # K and the coefficient norms are cached on the problem, outside the count
+    assert 49 * 8 * (1 + dual) * p.m * p.n > fixedpoint._BUDGET
+    tracemalloc.start()
+    try:
+        _fixed_point(p, max_iter=2, dual=True) if dual else fixed_point_solve(p, max_iter=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAKS_WITH_16_STEP_BLOCKS[dual]
+
+
 # both B and C nonzero, so the primal and the dual both take many steps
 _TWO_SIDED = {
     "two-sided-nonsingular-3x4": FamilySpec(Regime.NONSINGULAR_K, 3, 4, seed=0),
@@ -307,9 +327,9 @@ _CROSSCHECK = {
 }
 
 
-def _stepped(k):
-    """The numerators a run takes to screen iterate k: T(0), then whole blocks of steps through k."""
-    return 1 + fixedpoint._BLOCK * math.ceil(k / fixedpoint._BLOCK)
+def _waste(stop):
+    """The most steps a run computes past ``stop``: the rest of the first block, or _AHEAD past a later stop."""
+    return fixedpoint._BLOCK - stop if stop <= fixedpoint._BLOCK else fixedpoint._AHEAD
 
 
 def _breakdown_step(run, *args, **kwargs):
@@ -410,19 +430,22 @@ class TestPair:
         ],
     )
     def test_pair_steps_the_stack_to_its_first_stop(self, monkeypatch, name, stops):
-        # the stack steps T(0) and then whole blocks through the first stop;
-        # from the next block on the survivor steps its own 2-D slices, as a
-        # single side does throughout
+        # the stack steps T(0) and then blocks through the first stop; from
+        # the next block on the survivor steps its own 2-D slices, as a single
+        # side does throughout.  Past a stop in the first block the rest of it
+        # is computed, past a later one, predicted, at most _AHEAD steps
         p = _problem({**_TWO_SIDED, **_LARGE}[name])
         steps = self._count_steps(monkeypatch)
         primal, dual = _fixed_point(p, dual=True)
         assert (primal.iterations, dual.iterations) == stops
-        first, last = _stepped(min(stops)), _stepped(max(stops))
-        assert steps == [3] * first + [2] * (last - first)
-        steps.clear()
-        assert fixed_point_solve(p).iterations == stops[0]
-        assert fixed_point_solve(p.dual()).iterations == stops[1]
-        assert steps == [2] * (_stepped(stops[0]) + _stepped(stops[1]))
+        stacked = steps.count(3)
+        assert steps == [3] * stacked + [2] * (len(steps) - stacked)
+        assert 0 <= stacked - 1 - min(stops) <= _waste(min(stops))
+        assert 0 <= len(steps) - 1 - max(stops) <= _waste(max(stops))
+        for q, stop in zip((p, p.dual()), stops):
+            steps.clear()
+            assert fixed_point_solve(q).iterations == stop
+            assert set(steps) == {2} and 0 <= len(steps) - 1 - stop <= _waste(stop)
 
     @pytest.mark.filterwarnings("error")
     def test_divergent_pair_breaks_down_at_the_primal_step(self, divergent):
@@ -431,14 +454,14 @@ class TestPair:
 
     def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the primal overflows at step 110, the dual would at step 128: the run
-        # stops with the block whose iterate 109 has the nonfinite screen, and
-        # never iterates the dual on
+        # stops with the block whose iterate 109 has the nonfinite screen, all
+        # of it on the stack
         p = breaks_later_than_its_dual.dual()
         assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 110
         assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 128
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert steps == [3] * _stepped(109)
+        assert set(steps) == {3} and 109 <= len(steps) - 1 < 109 + fixedpoint._MAX_BLOCK
 
     def test_dual_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the dual overflows at step 110, the primal would at step 128: either
@@ -446,7 +469,20 @@ class TestPair:
         p = breaks_later_than_its_dual
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert steps == [3] * _stepped(109)
+        assert set(steps) == {3} and 109 <= len(steps) - 1 < 109 + fixedpoint._MAX_BLOCK
+
+    @pytest.mark.parametrize("first_block", [4, 16, 49, 52, 53, 64])
+    def test_earliest_overflow_is_named_whatever_the_blocks(self, monkeypatch, first_block):
+        # K = [[1, -1.02e8], [-1e-8, 1]] is not an M-matrix: x <- (c x^2 + b) / 2
+        # overflows at step 53, its dual at step 52, both inside the block of
+        # steps 49..64 of 16-step blocks.  The first nonfinite update in step
+        # order ends the run, whichever side and block it falls in
+        p = MareProblem(n=1, m=1, A=[[1.0]], B=[[1e-8]], C=[[1.02e8]], D=[[1.0]])
+        monkeypatch.setattr(fixedpoint, "_BLOCK", first_block)
+        assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 53
+        assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 52
+        assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 52
+        assert _breakdown_step(_fixed_point, p.dual(), 1e-12, 10**6, dual=True) == 52
 
     def test_input_checks_apply_to_the_pair(self):
         p = MareProblem(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])

@@ -167,6 +167,29 @@ class TestLeftVectorByOneSolve:
                 assert pc.nulls is not None and inf_norm(pc.nulls.u @ p.K) <= null_tol(p.K)
         assert outcomes == {"positive", "singular", "not positive"}
 
+    def test_z_with_a_negative_entry_runs_noda_from_its_absolute_value(self, monkeypatch, noncritical_suite):
+        # the one solve returns a z whose first entry is -z.max() / 2 and the
+        # Noda run's solves go through: |z| / max |z| is off the left vector
+        # in that entry, and only the run brings it to the kernel
+        blocks = _singular_blocks(noncritical_suite)
+        blk, M = next((b, M) for _, b, M in blocks if _shift_outcome(M, b.perron) == "positive")
+        solve, starts = np.linalg.solve, []
+
+        def fault_first(a, b):
+            z = solve(a, b)
+            if not starts:
+                z[0] = -z.max() / 2
+                starts.append(linalg._perron_start(np.abs(z)))
+            return z
+
+        monkeypatch.setattr(np.linalg, "solve", fault_first)
+        y = mstruct._left_perron(M, blk.perron)
+        (start,) = starts
+        tol = null_tol(M)
+        assert inf_norm(start @ M) > tol
+        assert inf_norm(y @ M) <= tol and y.min() > 0.0
+        assert not np.array_equal(y, start)
+
     def test_one_solve_vector_is_the_noda_vector_to_rounding(self, noncritical_suite):
         critical = [generate(FamilySpec(Regime.CRITICAL, 2 + s % 7, 2 + s % 7, seed=s)) for s in range(20)]
         solved = 0
