@@ -17,7 +17,12 @@ Subcommands over problem JSON files:
 Reports are JSON on stdout with a fixed field set; every float is printed
 with 17 significant digits so identical runs produce identical bytes.
 Exit codes: 0 all requested checks passed, 1 check failures, 2 input or
-usage errors, 3 numerical breakdown.
+usage errors, 3 numerical breakdown or iteration cap.  The class of the
+error decides: an ``errors.InputError`` (ShapeMismatch, NotZMatrix,
+InvalidParameters, NonpositiveDiagonal, or a bad option), a ValueError
+or an OSError exits 2; an ``errors.Breakdown`` (SingularMatrix,
+IterationBreakdown, NoConvergence, AmbiguousKernel, GenerationFailed)
+exits 3 and names its class as ``"step"``; MaxIterations exits 3.
 """
 
 from __future__ import annotations
@@ -31,18 +36,7 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 from . import doubling, probgen
-from .errors import (
-    AmbiguousKernel,
-    GenerationFailed,
-    InvalidParameters,
-    IterationBreakdown,
-    MaxIterations,
-    NoConvergence,
-    NonpositiveDiagonal,
-    NotZMatrix,
-    ShapeMismatch,
-    SingularMatrix,
-)
+from .errors import Breakdown, InputError, MaxIterations
 from .fixedpoint import _fixed_point, fixed_point_solve
 from .problem import (
     CERT_TOL,
@@ -54,28 +48,6 @@ from .problem import (
     matrix_to_jsonable,
     problem_from_json,
     problem_to_json,
-)
-
-
-class _UsageError(Exception):
-    pass
-
-
-_USAGE_ERRORS = (
-    _UsageError,
-    NotZMatrix,
-    ShapeMismatch,
-    InvalidParameters,
-    NonpositiveDiagonal,
-    ValueError,
-    OSError,
-)
-_BREAKDOWN_ERRORS = (
-    SingularMatrix,
-    IterationBreakdown,
-    NoConvergence,
-    AmbiguousKernel,
-    GenerationFailed,
 )
 
 
@@ -94,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +166,14 @@ def _fill_certificate(report: dict, cert) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_problem(path: str):
+def _load(path: str, parse=problem_from_json):
+    """The problem, or with ``parse=matrix_from_json`` the matrix, that the JSON file ``path`` holds."""
     with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_json(fh.read())
+        return parse(fh.read())
 
 
 def _cmd_classify(ns) -> CommandOutcome:
-    p = _load_problem(ns.problem)
+    p = _load(ns.problem)
     return CommandOutcome(0, dumps_report(_base_report(classify_problem(p))))
 
 
@@ -215,9 +188,9 @@ def _check_limits(ns) -> None:
     ``verify`` has a --tol (the certificate's) but no --max-iter.
     """
     if ns.tol is not None and not ns.tol >= 0:
-        raise _UsageError(f"--tol must be nonnegative, got {ns.tol}")
+        raise InputError(f"--tol must be nonnegative, got {ns.tol}")
     if getattr(ns, "max_iter", None) is not None and ns.max_iter < 1:
-        raise _UsageError(f"--max-iter must be at least 1, got {ns.max_iter}")
+        raise InputError(f"--max-iter must be at least 1, got {ns.max_iter}")
 
 
 def _cmd_solve(ns) -> CommandOutcome:
@@ -226,18 +199,14 @@ def _cmd_solve(ns) -> CommandOutcome:
         # the oracle has no doubling parameters and writes no per-step trace
         for option in ("alpha", "beta", "trace"):
             if getattr(ns, option) is not None:
-                raise _UsageError(f"--{option} does not apply to --method fixed-point")
-    p = _load_problem(ns.problem)
+                raise InputError(f"--{option} does not apply to --method fixed-point")
+    p = _load(ns.problem)
     if ns.method == "fixed-point":
         primal, dual = _fixed_point(p, **_given(tol=ns.tol, max_iter=ns.max_iter), dual=True)
         pc = classify_problem(p)
         # the oracle's iterates are finite and >= 0 exactly: no boundary check or clamp to repeat
         cert = _certificate(p, primal.phi, dual.phi, CERT_TOL, pc)
-        report = _base_report(pc)
-        _fill_certificate(report, cert)
-        report["iterations"] = primal.iterations
-        report["phi"] = matrix_to_jsonable(primal.phi)
-        report["psi"] = matrix_to_jsonable(dual.phi)
+        report = _pair_report(pc, cert, primal.iterations, primal.phi, dual.phi)
         capped = [side for side, r in (("primal", primal), ("dual", dual)) if not r.converged]
         if capped:
             # a side that did not converge ran to max_iter, the larger count
@@ -248,7 +217,7 @@ def _cmd_solve(ns) -> CommandOutcome:
 
     requested = None
     if (ns.alpha is None) != (ns.beta is None):
-        raise _UsageError("--alpha and --beta must be given together")
+        raise InputError("--alpha and --beta must be given together")
     if ns.alpha is not None:
         requested = (ns.alpha, ns.beta)
     params = replace(
@@ -267,17 +236,24 @@ def _cmd_solve(ns) -> CommandOutcome:
     return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report), trace_path)
 
 
+def _pair_report(pc, cert, iterations: int, phi, psi) -> dict:
+    """The report of a solved pair (phi, psi) with its certificate, by either method."""
+    report = _base_report(pc)
+    _fill_certificate(report, cert)
+    report["iterations"] = iterations
+    report["phi"] = matrix_to_jsonable(phi)
+    report["psi"] = matrix_to_jsonable(psi)
+    return report
+
+
 def _solve_report(result) -> dict:
-    """The report of a doubling ``SolveReport``."""
-    report = _base_report(result.problem_class)
-    _fill_certificate(report, result.certificate)
+    """The report of a doubling ``SolveReport``: its pair's, with the parameters and the rates."""
+    report = _pair_report(result.problem_class, result.certificate, result.iterations, result.phi, result.psi)
+    # these keys sit in the base report already, so they keep their places
     report["alpha"] = result.params.alpha
     report["beta"] = result.params.beta
-    report["iterations"] = result.iterations
     report["theoretical_rate"] = result.theoretical_rate
     report["observed_rate"] = result.observed_rate
-    report["phi"] = matrix_to_jsonable(result.phi)
-    report["psi"] = matrix_to_jsonable(result.psi)
     if result.flags:
         report["flags"] = list(result.flags)
     return report
@@ -291,11 +267,8 @@ def _write_trace(path: str, trace) -> str:
 
 def _cmd_verify(ns) -> CommandOutcome:
     _check_limits(ns)
-    p = _load_problem(ns.problem)
-    with open(ns.phi, "r", encoding="utf-8") as fh:
-        phi = matrix_from_json(fh.read())
-    with open(ns.psi, "r", encoding="utf-8") as fh:
-        psi = matrix_from_json(fh.read())
+    p = _load(ns.problem)
+    phi, psi = _load(ns.phi, matrix_from_json), _load(ns.psi, matrix_from_json)
     pc = classify_problem(p)
     cert = make_certificate(p, phi, psi, problem_class=pc, **_given(tol=ns.tol))
     report = _base_report(pc)
@@ -305,7 +278,7 @@ def _cmd_verify(ns) -> CommandOutcome:
 
 def _cmd_oracle(ns) -> CommandOutcome:
     _check_limits(ns)
-    p = _load_problem(ns.problem)
+    p = _load(ns.problem)
     result = fixed_point_solve(p, **_given(tol=ns.tol, max_iter=ns.max_iter))
     report = _base_report(classify_problem(p))
     report["iterations"] = result.iterations
@@ -342,8 +315,8 @@ def _cmd_generate(ns) -> CommandOutcome:
 def _cmd_rate_study(ns) -> CommandOutcome:
     if ns.grid < 2:
         # one level compares the default parameters with themselves
-        raise _UsageError(f"--grid must be at least 2, got {ns.grid}")
-    p = _load_problem(ns.problem)
+        raise InputError(f"--grid must be at least 2, got {ns.grid}")
+    p = _load(ns.problem)
     params = doubling.select_parameters(p)
     result = doubling.solve(p, params)
     report = _solve_report(result)
@@ -418,11 +391,11 @@ def execute(argv) -> CommandOutcome:
     try:
         ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
-    except _USAGE_ERRORS as exc:
+    except (InputError, ValueError, OSError) as exc:
         return CommandOutcome(2, dumps_report({"error": str(exc)}))
     except MaxIterations as exc:
         return CommandOutcome(3, dumps_report({"error": str(exc)}))
-    except _BREAKDOWN_ERRORS as exc:
+    except Breakdown as exc:
         return CommandOutcome(3, dumps_report({"error": str(exc), "step": type(exc).__name__}))
 
 

@@ -72,7 +72,6 @@ products and no solve.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +88,7 @@ from .errors import (
 from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
 from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
-from .problem import CERT_TOL, _certificate, classify_problem, sign_tol
+from .problem import CERT_TOL, _certificate, _check_max_iter, _check_tol, classify_problem, sign_tol
 
 MODE_ADDA = "adda"
 MODE_SDA = "sda"
@@ -107,14 +106,8 @@ class DoublingParams:
             raise InvalidParameters("alpha and beta must be positive")
         if not math.isfinite(self.alpha + self.beta):
             raise InvalidParameters(f"alpha + beta must be finite, got {self.alpha} + {self.beta}")
-        try:
-            operator.index(self.max_iter)
-        except TypeError:
-            raise InvalidParameters(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if self.max_iter < 1:
-            raise InvalidParameters("max_iter must be >= 1")
-        if not self.stop_tol >= 0:
-            raise InvalidParameters(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        _check_max_iter(self.max_iter)
+        _check_tol(self.stop_tol, "stop_tol")
 
 
 def select_parameters(

@@ -1,39 +1,53 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's base decides how the command line reports it: an
+``InputError`` is a bad input or usage (exit 2), a ``Breakdown`` a
+numerical breakdown whose report names its class as ``"step"`` (exit 3),
+and ``MaxIterations`` an iteration cap reached (exit 3).
+"""
 
 
 class MareError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ShapeMismatch(MareError):
+class InputError(MareError):
+    """The input or the usage is invalid."""
+
+
+class Breakdown(MareError):
+    """A computation cannot go on or cannot be certified."""
+
+
+class ShapeMismatch(InputError):
     """Operands have incompatible or invalid dimensions."""
 
 
-class SingularMatrix(MareError):
+class SingularMatrix(Breakdown):
     """LAPACK found a matrix exactly singular, or an M-matrix certificate failed."""
 
 
-class NoConvergence(MareError):
+class NoConvergence(Breakdown):
     """An iterative routine hit its iteration cap before its tolerance."""
 
 
-class NotZMatrix(MareError):
+class NotZMatrix(InputError):
     """Coefficient data violates the required sign structure."""
 
 
-class AmbiguousKernel(MareError):
+class AmbiguousKernel(Breakdown):
     """A kernel vector of K misses its residual tolerance."""
 
 
-class InvalidParameters(MareError):
+class InvalidParameters(InputError):
     """Requested doubling parameters violate the admissible bounds."""
 
 
-class NonpositiveDiagonal(MareError):
+class NonpositiveDiagonal(InputError):
     """A coefficient diagonal has no positive entry, so no valid parameters exist."""
 
 
-class IterationBreakdown(MareError):
+class IterationBreakdown(Breakdown):
     """An iteration cannot go on: a doubling step required the inverse of a
     singular matrix, or an iterate (doubling or fixed-point) left the
     floating-point range."""
@@ -51,5 +65,5 @@ class InsufficientTrace(MareError):
     """Too few informative iterates to estimate a convergence rate."""
 
 
-class GenerationFailed(MareError):
+class GenerationFailed(Breakdown):
     """Problem generator exhausted its rejection-sampling budget."""

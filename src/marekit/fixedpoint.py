@@ -8,10 +8,11 @@ equation ``X C X - X D - A X + B = 0`` into
 
 divided entrywise.  The sequence increases entrywise from zero and stays
 below every nonnegative solution, so its limit is the minimal one (Guo,
-SIAM J. Matrix Anal. Appl. 23 (2001) 225-242).  This solver exists to be
-obviously correct, not fast: convergence is linear, and in the critical
-regime sublinear, so hitting the iteration cap there is expected and
-reported rather than raised.
+SIAM J. Matrix Anal. Appl. 23 (2001) 225-242).  That argument owes
+nothing to the doubling theory, which is what makes the solver a
+cross-check.  Its convergence is linear, and in the critical regime
+sublinear, so hitting the iteration cap there is expected and reported
+rather than raised.
 
 Each step is four matrix products in three ``matmul`` calls, and they
 also measure the residual.  The numerator
@@ -35,17 +36,23 @@ positive.  Monotonicity is one comparison of the block's iterates with
 their predecessors, and the count of violations per step is built only
 when that comparison fails.  The walk then visits, in step order, only
 the steps whose screen passes, is not finite, or sits at the cap; a
-block with none of these and no monotonicity failure is not walked.  The
-first block has ``_BLOCK`` (16) steps.  Each later one ends ``_AHEAD`` (2)
-steps past the earliest stop that the last block predicts, from the
-per-step decay of each running side's fused residual over it; a side
-whose residual did not shrink toward the screen counts ``_BLOCK`` steps.
-It has at least ``_MIN_BLOCK`` (4) and at most ``_MAX_BLOCK`` (64)
-steps, and at most as many as fit into ``_BUDGET`` (4 MiB) of buffers,
-unless that is fewer than ``_BLOCK``.  The look-ahead steps past a stop
-are discarded: up to 15 where the stop falls in the first block, up to
-``_AHEAD`` past a stop predicted to the step, and always fewer than one
-block.
+block with none of these and no monotonicity failure is not walked.
+
+The first block has ``_BLOCK`` = 16 steps.  A block of b steps leaves
+the fused residuals r_1 .. r_b of each running side, which decay by
+``rate = (r_b / r_1)^(1 / (b - 1))`` a step; at that rate the screen
+threshold is ``log(r_b / screen) / log(1 / rate)`` steps on.  The next
+block ends ``_AHEAD`` = 2 steps past the earliest such stop, a side with
+no such count (its residual does not shrink, or is at the threshold
+already) counting 16 steps, and has at least ``_MIN_BLOCK`` = 4 and at
+most ``_MAX_BLOCK`` = 64 steps.  The buffers hold ``3 L + 1`` slabs of
+``sides m n`` floats for blocks of up to L steps, and L is the cap 64
+cut to the byte budget ``_BUDGET`` = 4 MiB, but never below 16: where
+the 49 slabs of blocks of 16 already exceed the budget (one side at m n
+above 10699, the pair above 5349), the buffers keep that size.  The
+look-ahead steps past a stop are discarded: up to 15 where the stop
+falls in the first block, up to 2 past a stop predicted to the step, and
+always fewer than one block.
 
 The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
@@ -66,24 +73,15 @@ names that step, whichever side and block it falls in.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, IterationBreakdown, SingularMatrix
+from .errors import IterationBreakdown, SingularMatrix
 from .linalg import EPS, one_norm, pivot_tol
-from .problem import MareProblem, _residual, sign_tol
+from .problem import MareProblem, _check_max_iter, _check_tol, _residual, sign_tol
 
-# Steps in the first screening pass, and in a pass whose stop the last one
-# could not predict.  At the sizes the oracle serves (m, n up to a few
-# dozen) a pass costs about a dozen small numpy calls whatever the number of
-# steps it covers, as much as a few steps' products, so later passes end
-# _AHEAD steps past the stop the last one predicts, within _MIN_BLOCK and
-# _MAX_BLOCK steps and the _BUDGET bytes of the buffers.  On the crosscheck
-# oracle pair (2-vCPU x86-64 VM, one BLAS thread) that takes 3.5 passes and
-# 139.6 steps per operation, where passes of 16 steps took 9.1 and 146.2,
-# for 138.3 steps needed.
+# the block sizes and the buffers' byte budget (see the module docstring)
 _BLOCK = 16
 _AHEAD, _MIN_BLOCK, _MAX_BLOCK = 2, 4, 64
 _BUDGET = 4 << 20
@@ -137,29 +135,10 @@ def _fixed_point(
     ``residual_dual`` first meets ``tol`` and carries that residual; its
     iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
     up to rounding, since the transposed products round in another order.
-
-    The first block has ``_BLOCK`` = 16 steps.  A block of b steps leaves
-    the fused residuals r_1 .. r_b of each running side, which decay by
-    ``rate = (r_b / r_1)^(1 / (b - 1))`` a step; at that rate the screen
-    threshold is ``log(r_b / screen) / log(1 / rate)`` steps on.  The next
-    block ends ``_AHEAD`` = 2 steps past the earliest such stop, a side
-    with no such count (its residual does not shrink, or is at the
-    threshold already) counting 16 steps, and has at least ``_MIN_BLOCK``
-    = 4 and at most ``_MAX_BLOCK`` = 64 steps.  The buffers hold
-    ``3 L + 1`` slabs of ``sides m n`` floats for blocks of up to L steps,
-    and L is the cap 64 cut to the byte budget ``_BUDGET`` = 4 MiB, but
-    never below 16: where the 49 slabs of blocks of 16 already exceed the
-    budget (one side at m n above 10699, the pair above 5349), the buffers
-    keep that size.
+    The blocks are sized as the module docstring says.
     """
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}") from None
-    if not tol >= 0:
-        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
-    if max_iter < 1:
-        raise InvalidParameters(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _check_max_iter(max_iter)
+    _check_tol(tol, "tol")
     a, d = np.diag(p.A), np.diag(p.D)
     denom = a[:, None] + d[None, :]
     floor = pivot_tol(p.K)
@@ -297,8 +276,8 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
 
     The four products of each step are the same as in a step-by-step loop,
     so the iterates are the same bits.  The screen, the norms and the
-    monotonicity check are taken once per block of steps, sized as
-    ``_fixed_point`` says (the last block is cut at ``max_iter``), and the
+    monotonicity check are taken once per block of steps, sized as the
+    module docstring says (the last block is cut at ``max_iter``), and the
     steps they pick are then read in step order; the steps computed past
     the stop are discarded and not counted.  The returned ``phi`` is a copy
     that owns its memory.  This is the one-side call of ``_fixed_point``,

@@ -193,19 +193,25 @@ def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassif
     if not linalg._is_z(A):
         return MClassification(MatrixKind.NOT_Z, s, math.nan, tol)
     index = linalg._irreducible_blocks(A)
-    if len(index) == 1:  # A is its own block, final as it has no rows outside
+    if len(index) == 1:  # A is its own block, split as it is
         rho, x = linalg._perron_pair(_split(A)[1], start)
-        block = IrreducibleBlock(index[0], s - rho, gap_kind(s - rho, tol), True, x)
+        block = IrreducibleBlock(index[0], s - rho, gap_kind(s - rho, tol), _final(A, index, index[0]), x)
         return MClassification(block.kind, s, block.gap, tol, (block,))
     blocks = []
     for b in index:
-        Mbb = A[np.ix_(b, b)]
-        s_b, B = _split(Mbb)
+        s_b, B = _split(A[np.ix_(b, b)])
         rho, x = linalg._perron_pair(B, None if start is None else start[b])
-        final = np.count_nonzero(A[b]) == np.count_nonzero(Mbb)
-        blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), final, x))
+        blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), _final(A, index, b), x))
     gap = min(b.gap for b in blocks)
     return MClassification(gap_kind(gap, tol), s, gap, tol, tuple(blocks))
+
+
+def _final(M: np.ndarray, index: list[np.ndarray], b: np.ndarray) -> bool:
+    """Block ``b`` of the blocks ``index`` of M is final: M is zero in its rows outside it.
+
+    A sole block has no rows outside, so it is final with nothing counted.
+    """
+    return len(index) == 1 or np.count_nonzero(M[b]) == np.count_nonzero(M[np.ix_(b, b)])
 
 
 def gap_kind(gap: float, tol: float) -> MatrixKind:
@@ -249,8 +255,7 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
             b,
             1.0 / float(x[b].max()),
             MatrixKind.NONSINGULAR_M,  # 1 / max x_b >= 1 / max x > tol
-            # one block is final, as it has no rows outside (as in _classify_blocks)
-            len(index) == 1 or np.count_nonzero(K[b]) == np.count_nonzero(K[np.ix_(b, b)]),
+            _final(K, index, b),
             None,
         )
         for b in index

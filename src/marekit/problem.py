@@ -84,6 +84,26 @@ def _as_size(value, label: str) -> int:
         raise ShapeMismatch(f"{label} must be an integer, got {value!r}") from None
 
 
+def _check_tol(tol: float, name: str) -> None:
+    """Refuse a negative or NaN tolerance ``name`` with InvalidParameters."""
+    if not tol >= 0:
+        raise InvalidParameters(f"{name} must be nonnegative, got {tol}")
+
+
+def _check_max_iter(max_iter) -> int:
+    """``max_iter`` as a Python int (``operator.index``); one that is not an integer, or is below 1, is refused.
+
+    Raises InvalidParameters.
+    """
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}") from None
+    if max_iter < 1:
+        raise InvalidParameters("max_iter must be >= 1")
+    return max_iter
+
+
 class OneNorms(NamedTuple):
     """The 1-norms of a problem's coefficient blocks and of its K."""
 
@@ -433,8 +453,7 @@ def make_certificate(
     K; tiny negative round-off is clamped.  Raises InvalidParameters for a
     negative or NaN ``tol``.
     """
-    if not tol >= 0:
-        raise InvalidParameters(f"tol must be nonnegative, got {tol}")
+    _check_tol(tol, "tol")
     tau = mstruct.null_tol(p.K)
     phi_m = _candidate(phi, p.m, p.n, "phi")
     psi_m = _candidate(psi, p.n, p.m, "psi")

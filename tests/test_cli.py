@@ -11,6 +11,7 @@ import pytest
 import marekit
 from marekit import FamilySpec, Regime, cli, generate
 from marekit.cli import dumps_report, execute
+from marekit.errors import Breakdown, InputError, InsufficientTrace, MareError, MaxIterations
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
 GOLDEN = (3 - 5**0.5) / 2
@@ -629,6 +630,34 @@ def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
     assert capsys.readouterr() == (execute(["classify", problem_file]).report_json + "\n", "")
     assert cli.main(["solve", problem_file, "--tol", "-1"]) == 2
     assert capsys.readouterr() == ('{\n  "error": "--tol must be nonnegative, got -1.0"\n}\n', "")
+
+
+def _error_classes(base=MareError):
+    """Every subclass of ``base``, its own subclasses included."""
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize(
+    "error", [cls for cls in _error_classes() if cls is not InsufficientTrace], ids=lambda cls: cls.__name__
+)
+def test_the_base_of_an_error_decides_its_exit_code(monkeypatch, problem_file, error):
+    """An InputError exits 2, a Breakdown 3 naming its class, MaxIterations 3; no other class is reported."""
+
+    def raise_it(p):
+        raise error("raised")
+
+    monkeypatch.setattr(cli, "classify_problem", raise_it)
+    out = execute(["classify", problem_file])
+    report = json.loads(out.report_json)
+    if issubclass(error, InputError):
+        assert (out.exit_code, report) == (2, {"error": "raised"})
+    elif issubclass(error, Breakdown):
+        assert (out.exit_code, report) == (3, {"error": "raised", "step": error.__name__})
+    else:
+        assert error is MaxIterations
+        assert (out.exit_code, report) == (3, {"error": "raised"})
 
 
 def test_dumps_report_17_digits():

@@ -6,11 +6,11 @@ import pytest
 
 from marekit import FamilySpec, MareProblem, Regime, generate, solve
 from marekit import fixedpoint
-from marekit.doubling import sign_tol
+from marekit.doubling import DoublingParams, sign_tol
 from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
 from marekit.fixedpoint import OracleReport, _fixed_point, fixed_point_solve
 from marekit.linalg import EPS, one_norm, pivot_tol
-from marekit.problem import _residual, residual_dual, residual_primal
+from marekit.problem import _residual, make_certificate, residual_dual, residual_primal
 
 GOLDEN = (3 - 5**0.5) / 2
 
@@ -146,22 +146,35 @@ def test_zero_denominator_raises():
             fixed_point_solve(p)
 
 
+# the entry points that take iteration limits; the certificate has a tol only
+_LIMITED = {
+    "fixed_point_solve": fixed_point_solve,
+    "DoublingParams": lambda p, tol=1e-14, **limits: DoublingParams(2.0, 1.0, stop_tol=tol, **limits),
+    "make_certificate": lambda p, tol: make_certificate(p, [[GOLDEN]], [[GOLDEN]], tol),
+}
+
+
 @pytest.mark.parametrize(
-    "limits, message",
+    "entry, limits, message",
     [
-        ({"tol": -1.0}, "tol"),
-        ({"tol": -1e-300}, "tol"),
-        ({"tol": float("nan")}, "tol"),
-        ({"max_iter": 0}, "max_iter"),
-        ({"max_iter": -5}, "max_iter"),
-        ({"max_iter": 2.5}, "max_iter must be an integer"),
-        ({"max_iter": np.float64(3.0)}, "max_iter must be an integer"),
-        ({"max_iter": None}, "max_iter must be an integer"),
+        pytest.param(entry, limits, message, id=f"{entry}-{name}")
+        for name, limits, message in [
+            ("tol-negative", {"tol": -1.0}, "tol must be nonnegative"),
+            ("tol-tiny-negative", {"tol": -1e-300}, "tol must be nonnegative"),
+            ("tol-nan", {"tol": float("nan")}, "tol must be nonnegative"),
+            ("max_iter-zero", {"max_iter": 0}, "max_iter must be >= 1"),
+            ("max_iter-negative", {"max_iter": -5}, "max_iter must be >= 1"),
+            ("max_iter-float", {"max_iter": 2.5}, "max_iter must be an integer"),
+            ("max_iter-numpy-float", {"max_iter": np.float64(3.0)}, "max_iter must be an integer"),
+            ("max_iter-none", {"max_iter": None}, "max_iter must be an integer"),
+        ]
+        for entry in _LIMITED
+        if entry != "make_certificate" or "max_iter" not in limits
     ],
 )
-def test_bad_limits_rejected(scalar_nonsingular, limits, message):
+def test_bad_limits_rejected(scalar_nonsingular, entry, limits, message):
     with pytest.raises(InvalidParameters, match=message):
-        fixed_point_solve(scalar_nonsingular, **limits)
+        _LIMITED[entry](scalar_nonsingular, **limits)
 
 
 def test_zero_tol_and_one_step_accepted(scalar_nonsingular):
