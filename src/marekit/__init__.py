@@ -13,7 +13,6 @@ invariants the theory promises.
 from .errors import (
     AmbiguousKernel,
     GenerationFailed,
-    InsufficientTrace,
     InvalidParameters,
     IterationBreakdown,
     MareError,
@@ -71,7 +70,6 @@ __all__ = [
     "DoublingState",
     "FamilySpec",
     "GenerationFailed",
-    "InsufficientTrace",
     "InvalidParameters",
     "IterationBreakdown",
     "MClassification",

@@ -14,8 +14,9 @@ Subcommands over problem JSON files:
 --alpha, --beta and --trace apply to the doubling methods only; with
 --method fixed-point each is a usage error.
 
-Reports are JSON on stdout with a fixed field set; every float is printed
-with 17 significant digits so identical runs produce identical bytes.
+Reports are JSON on stdout: the twelve base keys of ``_report`` in a
+fixed order, then the command's own.  Every float is printed with 17
+significant digits so identical runs produce identical bytes.
 Exit codes: 0 all requested checks passed, 1 check failures, 2 input or
 usage errors, 3 numerical breakdown or iteration cap.  The class of the
 error decides: an ``errors.InputError`` (ShapeMismatch, NotZMatrix,
@@ -55,7 +56,6 @@ from .problem import (
 class CommandOutcome:
     exit_code: int
     report_json: str
-    trace_csv_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,39 +126,30 @@ def dumps_report(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _base_report(pc) -> dict:
-    """The report fields every command prints, with those of the problem class ``pc`` filled."""
-    return {
+def _report(pc, cert=None, **fields) -> dict:
+    """The report of the problem class ``pc``: the twelve base keys in their order, then ``fields``.
+
+    A certificate ``cert`` fills the residuals, rho(Phi Psi) and the
+    checks, each entry a copy of the ``CheckResult``'s own fields in their
+    declaration order.  A field the base holds keeps its place; any other
+    is appended in the order given.
+    """
+    report = {
         "regime": pc.regime.value,
         "drift": pc.drift,
         "r": pc.r,
         "alpha": None,
         "beta": None,
         "iterations": None,
-        "residual_primal": None,
-        "residual_dual": None,
-        "rho_phi_psi": None,
+        "residual_primal": None if cert is None else cert.residual_primal,
+        "residual_dual": None if cert is None else cert.residual_dual,
+        "rho_phi_psi": None if cert is None else cert.rho_phi_psi,
         "theoretical_rate": None,
         "observed_rate": None,
-        "checks": [],
+        "checks": [] if cert is None else [c.__dict__.copy() for c in cert.checks],
     }
-
-
-def _check_entry(c) -> dict:
-    return {
-        "name": c.name,
-        "passed": c.passed,
-        "value": c.value,
-        "threshold": c.threshold,
-        "detail": c.detail,
-    }
-
-
-def _fill_certificate(report: dict, cert) -> None:
-    report["residual_primal"] = cert.residual_primal
-    report["residual_dual"] = cert.residual_dual
-    report["rho_phi_psi"] = cert.rho_phi_psi
-    report["checks"] = [_check_entry(c) for c in cert.checks]
+    report.update(fields)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def _load(path: str, parse=problem_from_json):
 
 def _cmd_classify(ns) -> CommandOutcome:
     p = _load(ns.problem)
-    return CommandOutcome(0, dumps_report(_base_report(classify_problem(p))))
+    return CommandOutcome(0, dumps_report(_report(classify_problem(p))))
 
 
 def _given(**values) -> dict:
@@ -206,7 +197,9 @@ def _cmd_solve(ns) -> CommandOutcome:
         pc = classify_problem(p)
         # the oracle's iterates are finite and >= 0 exactly: no boundary check or clamp to repeat
         cert = _certificate(p, primal.phi, dual.phi, CERT_TOL, pc)
-        report = _pair_report(pc, cert, primal.iterations, primal.phi, dual.phi)
+        report = _report(
+            pc, cert, iterations=primal.iterations, phi=matrix_to_jsonable(primal.phi), psi=matrix_to_jsonable(dual.phi)
+        )
         capped = [side for side, r in (("primal", primal), ("dual", dual)) if not r.converged]
         if capped:
             # a side that did not converge ran to max_iter, the larger count
@@ -229,40 +222,31 @@ def _cmd_solve(ns) -> CommandOutcome:
     except MaxIterations as exc:  # the best report so far is attached
         result, error = exc.report, str(exc)
     report = _solve_report(result)
-    trace_path = _write_trace(ns.trace, result.trace) if ns.trace else None
+    if ns.trace:
+        with open(ns.trace, "w", encoding="utf-8") as fh:
+            fh.write(doubling.trace_to_csv(result.trace))
     if error is not None:
         report["error"] = error
-        return CommandOutcome(3, dumps_report(report), trace_path)
-    return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report), trace_path)
+        return CommandOutcome(3, dumps_report(report))
+    return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report))
 
 
-def _pair_report(pc, cert, iterations: int, phi, psi) -> dict:
-    """The report of a solved pair (phi, psi) with its certificate, by either method."""
-    report = _base_report(pc)
-    _fill_certificate(report, cert)
-    report["iterations"] = iterations
-    report["phi"] = matrix_to_jsonable(phi)
-    report["psi"] = matrix_to_jsonable(psi)
-    return report
-
-
-def _solve_report(result) -> dict:
-    """The report of a doubling ``SolveReport``: its pair's, with the parameters and the rates."""
-    report = _pair_report(result.problem_class, result.certificate, result.iterations, result.phi, result.psi)
-    # these keys sit in the base report already, so they keep their places
-    report["alpha"] = result.params.alpha
-    report["beta"] = result.params.beta
-    report["theoretical_rate"] = result.theoretical_rate
-    report["observed_rate"] = result.observed_rate
+def _solve_report(result, **fields) -> dict:
+    """The report of a doubling ``SolveReport``: its parameters, pair, rates and flags, then ``fields``."""
     if result.flags:
-        report["flags"] = list(result.flags)
-    return report
-
-
-def _write_trace(path: str, trace) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doubling.trace_to_csv(trace))
-    return path
+        fields = {"flags": list(result.flags), **fields}
+    return _report(
+        result.problem_class,
+        result.certificate,
+        alpha=result.params.alpha,
+        beta=result.params.beta,
+        iterations=result.iterations,
+        theoretical_rate=result.theoretical_rate,
+        observed_rate=result.observed_rate,
+        phi=matrix_to_jsonable(result.phi),
+        psi=matrix_to_jsonable(result.psi),
+        **fields,
+    )
 
 
 def _cmd_verify(ns) -> CommandOutcome:
@@ -271,20 +255,20 @@ def _cmd_verify(ns) -> CommandOutcome:
     phi, psi = _load(ns.phi, matrix_from_json), _load(ns.psi, matrix_from_json)
     pc = classify_problem(p)
     cert = make_certificate(p, phi, psi, problem_class=pc, **_given(tol=ns.tol))
-    report = _base_report(pc)
-    _fill_certificate(report, cert)
-    return CommandOutcome(0 if cert.all_passed else 1, dumps_report(report))
+    return CommandOutcome(0 if cert.all_passed else 1, dumps_report(_report(pc, cert)))
 
 
 def _cmd_oracle(ns) -> CommandOutcome:
     _check_limits(ns)
     p = _load(ns.problem)
     result = fixed_point_solve(p, **_given(tol=ns.tol, max_iter=ns.max_iter))
-    report = _base_report(classify_problem(p))
-    report["iterations"] = result.iterations
-    report["residual_primal"] = result.final_residual
-    report["phi"] = matrix_to_jsonable(result.phi)
-    report["converged"] = result.converged
+    report = _report(
+        classify_problem(p),
+        iterations=result.iterations,
+        residual_primal=result.final_residual,
+        phi=matrix_to_jsonable(result.phi),
+        converged=result.converged,
+    )
     return CommandOutcome(0 if result.converged else 3, dumps_report(report))
 
 
@@ -307,9 +291,7 @@ def _cmd_generate(ns) -> CommandOutcome:
     with open(ns.output, "w", encoding="utf-8") as fh:
         fh.write(problem_to_json(problem))
         fh.write("\n")
-    report = _base_report(classify_problem(problem))
-    report["path"] = ns.output
-    return CommandOutcome(0, dumps_report(report))
+    return CommandOutcome(0, dumps_report(_report(classify_problem(problem), path=ns.output)))
 
 
 def _cmd_rate_study(ns) -> CommandOutcome:
@@ -319,7 +301,6 @@ def _cmd_rate_study(ns) -> CommandOutcome:
     p = _load(ns.problem)
     params = doubling.select_parameters(p)
     result = doubling.solve(p, params)
-    report = _solve_report(result)
     levels = [1.0 + 0.5 * i for i in range(ns.grid)]
     grid = []
     for fa in levels:
@@ -327,7 +308,7 @@ def _cmd_rate_study(ns) -> CommandOutcome:
             alt = doubling.DoublingParams(params.alpha * fa, params.beta * fb)
             rate = doubling.theoretical_rate(p, result.certificate, alt)
             grid.append({"alpha": alt.alpha, "beta": alt.beta, "theoretical_rate": rate})
-    report["grid"] = grid
+    report = _solve_report(result, grid=grid)
     return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report))
 
 

@@ -78,7 +78,6 @@ import numpy as np
 
 from . import linalg, mstruct
 from .errors import (
-    InsufficientTrace,
     InvalidParameters,
     IterationBreakdown,
     MaxIterations,
@@ -396,11 +395,7 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
         theo = theoretical_rate(p, cert, params)
     except SingularMatrix:
         flags.append("theoretical-rate-unavailable")
-    obs = None
-    try:
-        obs = observed_rate(trace)
-    except InsufficientTrace:
-        pass
+    obs = observed_rate(trace)
 
     if (theo is not None and theo >= 1.0 - 1e-6) or (obs is not None and obs >= 0.95):
         flags.append("non-quadratic")
@@ -475,18 +470,20 @@ def theoretical_rate(p: MareProblem, cert: Certificate, params: DoublingParams) 
     return abs((beta - tau_r) / (alpha + tau_r)) * abs((alpha - tau_s) / (beta + tau_s))
 
 
-def observed_rate(trace) -> float:
+def observed_rate(trace) -> float | None:
     """Empirical rate ||H_k - H_N||_1^(1 / 2^k) of a trace, H_N its last iterate.
 
     The error is the largest entry of the ``dH_columns`` of the steps after
     k, summed from the last: the norm while the iterates increase, as the
     theory promises and ``monotonicity_violations`` checks, and an upper
     bound otherwise.  Steps whose error is below 100 * eps carry no rate
-    information (they are pure round-off) and are skipped; fewer than two
-    usable steps raise InsufficientTrace.  Of the last three usable steps the smallest value
-    is returned: the per-step values decrease toward the asymptotic rate as
-    the preasymptotic constant washes out (a constant C inflates step k by
-    C^(1/2^k)), so the deepest iterates are the faithful estimate.
+    information (they are pure round-off) and are skipped; with fewer than
+    two usable steps there is no rate to estimate and None is returned, as
+    ``SolveReport.observed_rate`` stores it.  Of the last three usable steps
+    the smallest value is returned: the per-step values decrease toward the
+    asymptotic rate as the preasymptotic constant washes out (a constant C
+    inflates step k by C^(1/2^k)), so the deepest iterates are the faithful
+    estimate.
     """
     columns = [d.dH_columns for d in reversed(trace) if d.dH_columns is not None]
     # sums[j]: the largest entry of the sum of the last j columns, added from the last by one cumulative sum
@@ -499,7 +496,7 @@ def observed_rate(trace) -> float:
             usable.append((d.k, err))
         later += d.dH_columns is not None
     if len(usable) < 2:
-        raise InsufficientTrace(f"only {len(usable)} informative iterates in trace")
+        return None
     return min(err ** (1.0 / 2.0**k) for k, err in usable[:3])
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-An error's base decides how the command line reports it: an
-``InputError`` is a bad input or usage (exit 2), a ``Breakdown`` a
+Every ``MareError`` is an ``InputError``, a ``Breakdown`` or a
+``MaxIterations``, and that base decides how the command line reports
+it: an ``InputError`` is a bad input or usage (exit 2), a ``Breakdown`` a
 numerical breakdown whose report names its class as ``"step"`` (exit 3),
 and ``MaxIterations`` an iteration cap reached (exit 3).
 """
@@ -59,10 +60,6 @@ class MaxIterations(MareError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class InsufficientTrace(MareError):
-    """Too few informative iterates to estimate a convergence rate."""
 
 
 class GenerationFailed(Breakdown):

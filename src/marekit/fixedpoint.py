@@ -78,8 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationBreakdown, SingularMatrix
-from .linalg import EPS, one_norm, pivot_tol
-from .problem import MareProblem, _check_max_iter, _check_tol, _residual, sign_tol
+from .linalg import EPS, one_norm
+from .problem import MareProblem, _check_max_iter, _check_tol, _residual, _residual_scale, sign_tol
 
 # the block sizes and the buffers' byte budget (see the module docstring)
 _BLOCK = 16
@@ -141,7 +141,7 @@ def _fixed_point(
     _check_tol(tol, "tol")
     a, d = np.diag(p.A), np.diag(p.D)
     denom = a[:, None] + d[None, :]
-    floor = pivot_tol(p.K)
+    floor = p.size * EPS * p.norms.K
     if denom.min() <= floor:
         raise SingularMatrix(
             "diagonal splitting is singular to tolerance "
@@ -201,7 +201,7 @@ def _fixed_point(
             for k, i in enumerate(ids):
                 np.max(both[:, k] @ ones_n if i else ones_m @ both[:, k], axis=1, out=largest[k, : 2 * b])
             nX, num = largest[: len(ids), :b], largest[: len(ids), b : 2 * b]
-            fused = num / np.maximum(nX * (sC * nX + sD + sA) + sB, EPS)
+            fused = num / np.maximum(_residual_scale(nX, sA, sB, sC, sD), EPS)
             # the walk visits the steps the screen passes, a nonfinite one and the cap
             visit = (fused <= screen) | ~np.isfinite(fused)
             steady = bool((X >= prev).all())
@@ -257,10 +257,10 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
     to ``tol``; returns a report with ``converged=False`` when the cap is
     reached first (the last iterate and its exact residual are attached).
     Each step is screened with the fused residual ``T(X) - (a_i + d_j) X``,
-    normalized as ``residual_primal`` does with the coefficient 1-norms
-    taken once; only where that value is within ``tol`` plus its rounding
-    slack, and at the cap, is the exact residual computed, and it alone
-    decides the stop and fills ``final_residual``.  The slack
+    normalized as ``residual_primal`` does, by the same ``_residual_scale``
+    of the coefficient 1-norms; only where that value is within ``tol``
+    plus its rounding slack, and at the cap, is the exact residual
+    computed, and it alone decides the stop and fills ``final_residual``.  The slack
     ``8 (m + n + 2) eps`` covers the rounding gap between the two
     residuals.  Each entry of either sums products of inner length at most
     ``m + n`` and a few more terms, so it is within about
@@ -288,10 +288,11 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
     tolerance and violations are counted through the returned step.
     Raises InvalidParameters for a negative or NaN ``tol`` or a
     ``max_iter`` that is not an integer or is below 1, SingularMatrix when
-    some ``a_i + d_j`` does not exceed the pivot tolerance of K, since the
-    splitting then divides by (nearly) zero, and IterationBreakdown naming the first step whose
-    update overflows (the fused residual is not finite), as when K is not
-    an M-matrix and the iterates diverge.  Overflow inside a block is not
+    some ``a_i + d_j`` does not exceed the pivot tolerance of K,
+    ``(m + n) eps ||K||_1``, since the splitting then divides by (nearly)
+    zero, and IterationBreakdown naming the first step whose update
+    overflows (the fused residual is not finite), as when K is not an
+    M-matrix and the iterates diverge.  Overflow inside a block is not
     warned about, since look-ahead steps after it overflow too; the
     breakdown step is the one a step-by-step loop would report.
     """

@@ -78,11 +78,6 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def pivot_tol(M: np.ndarray) -> float:
-    """Scale-aware singularity threshold of a float64 matrix: dim * eps * ||M||_1."""
-    return M.shape[0] * EPS * one_norm(M)
-
-
 def _is_z(A: np.ndarray) -> bool:
     """True when the finite square A has no positive off-diagonal entry (a Z-matrix).
 

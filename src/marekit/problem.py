@@ -224,8 +224,17 @@ def _residual(p: MareProblem, X: np.ndarray, x_norm: float, dual: bool = False) 
         A, B, C, D, nA, nB, nC, nD = p.A, p.B, p.C, p.D, nrm.A, nrm.B, nrm.C, nrm.D
     with np.errstate(over="ignore", invalid="ignore"):
         num = one_norm(X @ C @ X - X @ D - A @ X + B)
-    den = x_norm * (nC * x_norm + nD + nA) + nB
-    return num, num / max(den, EPS)
+    return num, num / max(_residual_scale(x_norm, nA, nB, nC, nD), EPS)
+
+
+def _residual_scale(x, nA, nB, nC, nD):
+    """The normalizer x (||C|| x + ||D|| + ||A||) + ||B|| of a residual at 1-norm x.
+
+    The arguments are floats or arrays that broadcast (the oracle screens
+    a block of steps at once), and the operations run in the same order
+    on either, so both give the same bits.
+    """
+    return x * (nC * x + nD + nA) + nB
 
 
 def residual_primal(p: MareProblem, X) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import marekit
-from marekit import FamilySpec, Regime, cli, generate
+from marekit import CheckResult, FamilySpec, Regime, cli, generate
 from marekit.cli import dumps_report, execute
-from marekit.errors import Breakdown, InputError, InsufficientTrace, MareError, MaxIterations
+from marekit.errors import Breakdown, InputError, MareError, MaxIterations
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
 GOLDEN = (3 - 5**0.5) / 2
@@ -25,7 +26,8 @@ FIXED_POINT_CLOSING = str(Path(__file__).parent / "data" / "fixed_point_closing.
 # the certified solves on K_NN of the kernel pair fail
 SINGULAR_BOUNDARY = str(Path(__file__).parent / "data" / "singular_boundary_block_pair.json")
 
-REPORT_KEYS = {
+# every report opens with these keys, in this order
+BASE_KEYS = [
     "regime",
     "drift",
     "r",
@@ -38,7 +40,7 @@ REPORT_KEYS = {
     "theoretical_rate",
     "observed_rate",
     "checks",
-}
+]
 
 
 @pytest.fixture()
@@ -79,7 +81,7 @@ class TestClassify:
         assert rep["regime"] == "Critical"
         assert rep["drift"] == 0
         assert rep["r"] == 2
-        assert REPORT_KEYS <= set(rep)
+        assert list(rep)[: len(BASE_KEYS)] == BASE_KEYS
 
     @pytest.mark.parametrize(
         "coefficients, r",
@@ -144,7 +146,7 @@ class TestSolve:
         assert rep["phi"]["entries"][0][0] == pytest.approx(0.3819660113, abs=1e-9)
         assert (rep["alpha"], rep["beta"]) == (2.0, 1.0)
         assert rep["regime"] == "NonsingularK"
-        assert REPORT_KEYS <= set(rep)
+        assert list(rep)[: len(BASE_KEYS)] == BASE_KEYS
 
     def test_seventeen_digit_floats(self, problem_file):
         out = execute(["solve", problem_file])
@@ -179,7 +181,7 @@ class TestSolve:
     def test_trace_csv_written(self, problem_file, tmp_path):
         trace = tmp_path / "trace.csv"
         out = execute(["solve", problem_file, "--trace", str(trace)])
-        assert out.trace_csv_path == str(trace)
+        assert out.exit_code == 0
         lines = trace.read_text().strip().splitlines()
         assert lines[0].split(",") == [
             "k",
@@ -237,7 +239,7 @@ class TestSolve:
         out = execute(["solve", FIXED_POINT_CLOSING, "--method", "fixed-point", option, value])
         assert out.exit_code == 2
         assert option in json.loads(out.report_json)["error"]
-        assert out.trace_csv_path is None and not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
         "bc, reason",
@@ -286,7 +288,7 @@ class TestSolve:
     def test_capped_solve_writes_its_trace(self, critical_file, tmp_path):
         trace = tmp_path / "t.csv"
         out = execute(["solve", critical_file, "--max-iter", "3", "--trace", str(trace)])
-        assert out.exit_code == 3 and out.trace_csv_path == str(trace)
+        assert out.exit_code == 3
         header, *rows = trace.read_text().splitlines()
         assert header.startswith("k,dH,dG,") and [row.split(",")[0] for row in rows] == ["0", "1", "2", "3"]
         rep = json.loads(out.report_json)
@@ -358,12 +360,13 @@ class TestParserOnce:
             [sys.executable, "-m", "marekit.cli", "solve", problem_file],
             env=env, capture_output=True, check=True, timeout=120,
         ).stdout.decode()
-        trace = str(tmp_path / "t.csv")
-        with_options = execute(["solve", problem_file, "--alpha", "3", "--beta", "2", "--tol", "1e-12", "--trace", trace])
+        trace = tmp_path / "t.csv"
+        with_options = execute(["solve", problem_file, "--alpha", "3", "--beta", "2", "--tol", "1e-12", "--trace", str(trace)])
         assert with_options.report_json + "\n" != fresh
+        trace.unlink()
         plain = execute(["solve", problem_file])
         assert plain.report_json + "\n" == fresh
-        assert plain.trace_csv_path is None
+        assert not trace.exists()
 
 
 class TestFixedPointClosing:
@@ -632,6 +635,38 @@ def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
     assert capsys.readouterr() == ('{\n  "error": "--tol must be nonnegative, got -1.0"\n}\n', "")
 
 
+@pytest.mark.parametrize(
+    "argv, own, checked",
+    [
+        (["classify", "{problem}"], [], False),
+        (["solve", "{problem}"], ["phi", "psi"], True),
+        (["solve", "{problem}", "--method", "sda"], ["phi", "psi"], True),
+        (["solve", "{problem}", "--method", "fixed-point"], ["phi", "psi"], True),
+        (["solve", "{critical}", "--max-iter", "3"], ["phi", "psi", "flags", "error"], True),
+        (["verify", "{problem}", "--phi", "{phi}", "--psi", "{psi}"], [], True),
+        (["oracle", "{problem}"], ["phi", "converged"], False),
+        (["generate", "--regime", "nonsingular", "--n", "3", "--m", "2", "--seed", "4", "-o", "{out}"], ["path"], False),
+        (["rate-study", "{problem}", "--grid", "2"], ["phi", "psi", "grid"], True),
+        (["rate-study", "{critical}", "--grid", "2"], ["phi", "psi", "flags", "grid"], True),
+    ],
+    ids=["classify", "solve", "sda", "fixed-point", "capped", "verify", "oracle", "generate", "rate-study", "rate-study-flagged"],
+)
+def test_every_report_is_the_base_keys_then_its_own(tmp_path, problem_file, critical_file, argv, own, checked):
+    """The twelve base keys in order, then exactly the command's own; a check prints CheckResult's fields."""
+    paths = {
+        "problem": problem_file,
+        "critical": critical_file,
+        "phi": _matrix_file(tmp_path, "phi.json", [[GOLDEN]]),
+        "psi": _matrix_file(tmp_path, "psi.json", [[GOLDEN]]),
+        "out": str(tmp_path / "generated.json"),
+    }
+    rep = json.loads(execute([arg.format(**paths) for arg in argv]).report_json)
+    assert list(rep) == BASE_KEYS + own
+    assert bool(rep["checks"]) == checked
+    fields = [f.name for f in dataclasses.fields(CheckResult)]
+    assert all(list(check) == fields for check in rep["checks"])
+
+
 def _error_classes(base=MareError):
     """Every subclass of ``base``, its own subclasses included."""
     for cls in base.__subclasses__():
@@ -639,9 +674,7 @@ def _error_classes(base=MareError):
         yield from _error_classes(cls)
 
 
-@pytest.mark.parametrize(
-    "error", [cls for cls in _error_classes() if cls is not InsufficientTrace], ids=lambda cls: cls.__name__
-)
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
 def test_the_base_of_an_error_decides_its_exit_code(monkeypatch, problem_file, error):
     """An InputError exits 2, a Breakdown 3 naming its class, MaxIterations 3; no other class is reported."""
 

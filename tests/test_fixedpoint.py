@@ -9,7 +9,7 @@ from marekit import fixedpoint
 from marekit.doubling import DoublingParams, sign_tol
 from marekit.errors import InvalidParameters, IterationBreakdown, SingularMatrix
 from marekit.fixedpoint import OracleReport, _fixed_point, fixed_point_solve
-from marekit.linalg import EPS, one_norm, pivot_tol
+from marekit.linalg import EPS, one_norm
 from marekit.problem import _residual, make_certificate, residual_dual, residual_primal
 
 GOLDEN = (3 - 5**0.5) / 2
@@ -22,7 +22,7 @@ def _reference_fixed_point(p, tol=1e-10, max_iter=5000, residuals=None):
     """
     a, d = np.diag(p.A), np.diag(p.D)
     denom = a[:, None] + d[None, :]
-    floor = pivot_tol(p.K)
+    floor = p.K.shape[0] * EPS * one_norm(p.K)
     if denom.min() <= floor:
         raise SingularMatrix("diagonal splitting is singular to tolerance")
     N_A = np.diag(a) - p.A

@@ -46,7 +46,6 @@ from marekit import (
 from marekit.cli import dumps_report
 from marekit.errors import (
     AmbiguousKernel,
-    InsufficientTrace,
     IterationBreakdown,
     MareError,
     MaxIterations,
@@ -307,7 +306,7 @@ def _ref_observed_rate(trace):
         if d.dH_columns is not None:
             later = later + d.dH_columns
     if len(usable) < 2:
-        raise InsufficientTrace(f"only {len(usable)} informative iterates in trace")
+        return None
     return min(err ** (1.0 / 2.0**k) for k, err in usable[:3])
 
 
@@ -696,7 +695,7 @@ class TestDumpsReport:
                 rep = exc.report
             except MareError:
                 continue
-            for report in (cli._solve_report(rep), cli._base_report(rep.problem_class)):
+            for report in (cli._solve_report(rep), cli._report(rep.problem_class)):
                 assert dumps_report(report) == _ref_dumps_report_entrywise(report)
                 compared += 1
         assert compared >= 800
@@ -797,11 +796,9 @@ class TestDoublingCores:
             _, states = _run(p)
             trace = [s.diagnostics for s in states]
             for part in (trace, trace[1:], trace[:-1], trace[:2], trace[-1:]):
-                try:
-                    want = _ref_observed_rate(part)
-                except InsufficientTrace as exc:
-                    with pytest.raises(InsufficientTrace, match=str(exc)):
-                        doubling.observed_rate(part)
+                want = _ref_observed_rate(part)
+                if want is None:
+                    assert doubling.observed_rate(part) is None
                     continue
                 assert _same_bits(doubling.observed_rate(part), want)
                 compared += 1

@@ -493,7 +493,7 @@ def test_public_surface():
 
     assert set(marekit.__all__) == {
         "AmbiguousKernel", "Certificate", "CheckResult", "DoublingParams", "DoublingState",
-        "FamilySpec", "GenerationFailed", "InsufficientTrace", "InvalidParameters",
+        "FamilySpec", "GenerationFailed", "InvalidParameters",
         "IterationBreakdown", "MClassification", "MareError", "MareProblem", "MatrixKind",
         "MaxIterations", "NoConvergence", "NonpositiveDiagonal", "NotZMatrix", "NullPair",
         "OracleReport", "ProblemClass", "Regime", "ShapeMismatch", "SingularMatrix",
@@ -504,5 +504,5 @@ def test_public_surface():
         "theoretical_rate", "trace_to_csv",
     }
     # the benchmark's tracer (bench/tracing.py) wraps exactly these names
-    assert len(marekit.__all__) == 44
+    assert len(marekit.__all__) == 43
     assert [f.name for f in dataclasses.fields(marekit.NullPair)] == ["u", "v", "drift"]
