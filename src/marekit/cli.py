@@ -217,14 +217,23 @@ def _cmd_solve(ns) -> CommandOutcome:
         doubling.select_parameters(p, requested, mode=ns.method),
         **_given(max_iter=ns.max_iter, stop_tol=ns.tol),
     )
-    try:
-        result, error = doubling.solve(p, params), None
-    except MaxIterations as exc:  # the best report so far is attached
-        result, error = exc.report, str(exc)
-    report = _solve_report(result)
+    result, error = _best_effort(p, params)
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as fh:
             fh.write(doubling.trace_to_csv(result.trace))
+    return _solve_outcome(result, error, _solve_report(result))
+
+
+def _best_effort(p, params):
+    """The doubling's report and None or, when it hits the iteration cap, the best report so far and the error."""
+    try:
+        return doubling.solve(p, params), None
+    except MaxIterations as exc:
+        return exc.report, str(exc)
+
+
+def _solve_outcome(result, error, report) -> CommandOutcome:
+    """The outcome of a doubling ``report``: exit 3 with the ``error`` appended, else the certificate's exit code."""
     if error is not None:
         report["error"] = error
         return CommandOutcome(3, dumps_report(report))
@@ -300,7 +309,7 @@ def _cmd_rate_study(ns) -> CommandOutcome:
         raise InputError(f"--grid must be at least 2, got {ns.grid}")
     p = _load(ns.problem)
     params = doubling.select_parameters(p)
-    result = doubling.solve(p, params)
+    result, error = _best_effort(p, params)
     levels = [1.0 + 0.5 * i for i in range(ns.grid)]
     grid = []
     for fa in levels:
@@ -308,8 +317,7 @@ def _cmd_rate_study(ns) -> CommandOutcome:
             alt = doubling.DoublingParams(params.alpha * fa, params.beta * fb)
             rate = doubling.theoretical_rate(p, result.certificate, alt)
             grid.append({"alpha": alt.alpha, "beta": alt.beta, "theoretical_rate": rate})
-    report = _solve_report(result, grid=grid)
-    return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report))
+    return _solve_outcome(result, error, _solve_report(result, grid=grid))
 
 
 # ---------------------------------------------------------------------------

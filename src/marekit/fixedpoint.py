@@ -14,8 +14,9 @@ cross-check.  Its convergence is linear, and in the critical regime
 sublinear, so hitting the iteration cap there is expected and reported
 rather than raised.
 
-Each step is four matrix products in three ``matmul`` calls, and they
-also measure the residual.  The numerator
+Each step is seven numpy calls, one ``divide``, three ``matmul`` that
+take its four matrix products and three ``add``, and they also measure
+the residual.  The numerator
 ``T(X) = X C X + B + N_A X + X N_D`` of the update holds the residual of
 X itself, ``X C X - X D - A X + B = T(X) - (a_i + d_j) X``, so one ``T``
 per step both tests the current iterate and becomes the next one.
@@ -24,13 +25,24 @@ That fused residual only screens: the stop is decided by the exact
 iterate the oracle built, where the fused value is within rounding of
 the tolerance.
 
-The steps run in blocks.  A step inside a block does only its products,
-into buffers allocated once, and the division.  The block is then
-screened in one stacked pass over its steps and sides: the
-1-norms of X and of the fused residual, stored right after the iterates,
-are the largest entries of one matrix-vector product with a ones vector,
-``1^T X`` for the column sums of X, which numpy reduces far more slowly
-over a middle axis of the stack.  X needs no absolute value: every
+The steps run in blocks.  A step inside a block is its seven calls and
+nothing else, no Python call and no array indexing: its operands are
+views made when the run starts (and again when one side goes on alone),
+into buffers allocated once.  The denominators are stored in the shape
+of the iterates they divide, a (2, m, n) stack for the pair, so neither
+the division nor the screen's ``denom X`` broadcasts over the side axis.
+T(X) is summed in place: the stacked product writes ``X C X`` into the
+slab that is to hold T(X) and ``N_A X`` into the next one, which no step
+reads before the next step writes it.  The block is then screened in one
+stacked pass over its steps and sides: the 1-norms of X and of the fused
+residual, stored right after the iterates, are the largest entries of
+one matrix-vector product with a ones vector per side, ``1^T X`` for the
+column sums of X, which numpy reduces far more slowly over a middle axis
+of the stack.  The product writes each step's sums into a column of a
+transposed buffer, so the maxima are one ``np.maximum.reduce`` over its
+rows, an entrywise maximum of contiguous rows that is faster than a
+reduction along each step's own row, with the same bits, as a maximum is
+exact.  X needs no absolute value: every
 iterate is >= 0 exactly, as its operands are and its denominators are
 positive.  Monotonicity is one comparison of the block's iterates with
 their predecessors, and the count of violations per step is built only
@@ -43,16 +55,27 @@ the fused residuals r_1 .. r_b of each running side, which decay by
 ``rate = (r_b / r_1)^(1 / (b - 1))`` a step; at that rate the screen
 threshold is ``log(r_b / screen) / log(1 / rate)`` steps on.  The next
 block ends ``_AHEAD`` = 2 steps past the earliest such stop, a side with
-no such count (its residual does not shrink, or is at the threshold
-already) counting 16 steps, and has at least ``_MIN_BLOCK`` = 4 and at
-most ``_MAX_BLOCK`` = 64 steps.  The buffers hold ``3 L + 1`` slabs of
-``sides m n`` floats for blocks of up to L steps, and L is the cap 64
-cut to the byte budget ``_BUDGET`` = 4 MiB, but never below 16: where
-the 49 slabs of blocks of 16 already exceed the budget (one side at m n
-above 10699, the pair above 5349), the buffers keep that size.  The
-look-ahead steps past a stop are discarded: up to 15 where the stop
-falls in the first block, up to 2 past a stop predicted to the step, and
-always fewer than one block.
+no such count counting 16 steps, and has at least ``_MIN_BLOCK`` = 4 and
+at most ``_MAX_BLOCK`` = 64 steps.  A side has no such count when its
+residual does not shrink over the block, is at the threshold already,
+or grew at any step of the block: diverging iterates can shrink their
+residual from r_1 to r_b and still grow it from some step on, and a
+block predicted from that decay would run long past their overflow.
+The iterate buffer holds ``2 L + 1`` slabs of ``sides m n`` floats and
+the numerator buffer ``L + 1``, for blocks of up to L steps.  L is the
+cap 64 cut to the byte budget ``_BUDGET`` = 4 MiB, which counts
+``3 L + 1`` slabs, but never below 16: where the 49 slabs of blocks of
+16 already exceed the budget (one side at m n above 10699, the pair
+above 5349), the buffers keep that size.  The budget leaves out the
+numerator buffer's last slab, which holds only ``N_A X``, and the
+coefficients: the stack ``[X C, N_A]`` of ``2 sides m^2`` floats, N_D,
+the denominators and, for the pair, the stacks of B, C, N_D and the
+denominators, whose slices the survivor steps on; one side steps on the
+problem's own B and C.  A test pins the tracemalloc peak of a run at
+n = m = 200, which counts all of these, the screen's sums and the exact
+residual's temporaries.  The look-ahead steps past a stop are
+discarded: up to 15 where the stop falls in the first block, up to 2
+past a stop predicted to the step, and always fewer than one block.
 
 The same iteration gives Psi, the minimal solution of the dual equation
 ``Y B Y - Y A - D Y + C = 0``.  Its transpose Z = Y^T is m x n like X and
@@ -64,10 +87,11 @@ division for both, and each block one screening pass.  Each side stops on
 its own step, decided by its own exact residual; the dual's is
 ``residual_dual``'s core on Z^T, and its screen takes the dual's 1-norm,
 the largest row sum ``Z 1`` of Z.  From the block after one side stops,
-the other steps its own 2-D slices, as ``fixed_point_solve``, the same
-core on X alone, does throughout.  The first update that overflows, in
-step order over the sides still running, ends the run, and the error
-names that step, whichever side and block it falls in.
+the other steps its own 2-D slices of the stacks, as
+``fixed_point_solve``, the same core on X alone, does throughout.  The
+first update that overflows, in step order over the sides still running,
+ends the run, and the error names that step, whichever side and block it
+falls in.
 """
 
 from __future__ import annotations
@@ -99,28 +123,36 @@ class OracleReport:
     monotonicity_violations: int
 
 
-def _numerator(N_A, B, C, N_D):
-    """``T(X) = X C X + B + N_A X + X N_D``, written to ``out``; the arrays may be stacks.
+def _stepper(L, B, C, N_D, denom):
+    """The block stepper ``steps(T, slabs)`` of the map ``X -> T(X) / denom``; the arrays may be stacks.
 
-    ``(X C) X`` and ``N_A X`` share their shapes and their right factor, so
-    one ``matmul`` of the stack ``[X C, N_A]`` by X takes both, slice by
-    slice the same product as a call of its own: three products a step.
-    The three additions run in the order the expression reads, through
-    buffers allocated once: the stack, with N_A in place below X C, and
-    two slices shaped like B for the rest.
+    For each ``(X, P, S, NX)`` of ``slabs``, a step divides the numerator
+    T of the current iterate by the denominators into X and sums the
+    numerator ``T(X) = X C X + B + N_A X + X N_D`` of that new iterate in
+    S, which the next step divides; ``steps`` returns the last.  The stack
+    L holds the buffer for X C above N_A, so one ``matmul`` of L by X takes
+    ``(X C) X`` and ``N_A X``, which share their shapes and their right
+    factor, into P = [S, NX], slice by slice the same product as a call of
+    its own: three products a step.  The three additions run in the order
+    the expression reads.  A step is these seven numpy calls and nothing
+    else: the slabs are views made once, and ``denom`` is shaped as X, so
+    the division broadcasts nothing.
     """
-    L, P = np.empty((2, *N_A.shape)), np.empty((2, *B.shape))
-    L[1] = N_A
-    XC, S, NX = L[0], P[0], P[1]
+    XC = L[0]
+    divide, matmul, add = np.divide, np.matmul, np.add
 
-    def numerator(X, out):
-        np.matmul(X, C, out=XC)
-        np.matmul(L, X, out=P)
-        np.add(S, B, out=S)
-        np.add(S, NX, out=S)
-        return np.add(S, np.matmul(X, N_D, out=NX), out=out)
+    def steps(T, slabs):
+        for X, P, S, NX in slabs:
+            divide(T, denom, out=X)
+            matmul(X, C, out=XC)
+            matmul(L, X, out=P)
+            add(S, B, out=S)
+            add(S, NX, out=S)
+            matmul(X, N_D, out=NX)
+            T = add(S, NX, out=S)
+        return T
 
-    return numerator
+    return steps
 
 
 def _fixed_point(
@@ -135,7 +167,18 @@ def _fixed_point(
     ``residual_dual`` first meets ``tol`` and carries that residual; its
     iterates are those of ``fixed_point_solve(p.dual(), ...)`` transposed,
     up to rounding, since the transposed products round in another order.
-    The blocks are sized as the module docstring says.
+
+    A block's steps are one call of the stepper of the sides stepped, each
+    step its seven numpy calls over the views of ``slabs``, made once for
+    the pair or one side and again for the survivor: the denominators in
+    the shape of the iterates, a (2, m, n) stack for the pair and 2-D for
+    one side, which the screen's ``denom X`` takes too, and the slab pairs
+    of Ts where each step sums its numerator.  The screen writes each
+    side's matrix-vector sums into the transposed buffer ``sums`` and takes
+    their maxima over its rows.  The blocks and the buffers are sized as
+    the module docstring says: the byte budget counts ``3 L + 1`` slabs,
+    those of Xs and all of Ts but its last, and the pinned peak every array
+    of the run.
     """
     max_iter = _check_max_iter(max_iter)
     _check_tol(tol, "tol")
@@ -147,61 +190,82 @@ def _fixed_point(
             "diagonal splitting is singular to tolerance "
             f"(min a_i + d_j = {denom.min():.3e} <= {floor:.3e})"
         )
+    m, n, sides = p.m, p.n, 1 + dual
     nA, nB, nC, nD = p.norms[:4]
-    # per side: the splitting its iterate runs on, the equation its answer
-    # solves, and that equation's coefficient 1-norms, one row per side
-    splittings = [(np.diag(a) - p.A, p.B, p.C, np.diag(d) - p.D)]
+    # the coefficients, one slice per side on axis 0 (on axis 1 of L): the
+    # stepper's L = [X C, N_A], then B, C, N_D and the denominators.  Side 1
+    # runs on the transposes of N_A, C, B and N_D and the same denominators;
+    # with one side B, C and the denominators are views of the problem's
+    # and of ``denom``
+    L = np.empty((2, sides, m, m))
+    np.subtract(np.diag(a), p.A, out=L[1, 0])
+    B, C, N_D = p.B, p.C, np.diag(d) - p.D
     if dual:
-        N_A, B, C, N_D = splittings[0]
-        splittings.append(tuple(np.ascontiguousarray(M.T) for M in (N_A, C, B, N_D)))
-    sides = len(splittings)
+        L[1, 1] = L[1, 0].T
+        B, C, N_D, denom = np.array((B, C.T)), np.array((C, B.T)), np.array((N_D, N_D.T)), np.array((denom, denom))
+    else:
+        B, C, N_D, denom = B[None], C[None], N_D[None], denom[None]
+    # each side's equation's coefficient 1-norms, one column per side
     norms = np.array([(nA, nB, nC, nD), (nD, nC, nB, nA)][:sides]).T[:, :, None]
-    screen = tol + 8 * (p.m + p.n + 2) * EPS
+    screen = tol + 8 * (m + n + 2) * EPS
     tau = sign_tol(p)
-    longest = max(_BLOCK, min(_MAX_BLOCK, (_BUDGET // (8 * sides * p.m * p.n) - 1) // 3))
+    longest = max(_BLOCK, min(_MAX_BLOCK, (_BUDGET // (8 * sides * m * n) - 1) // 3))
     # Xs[0, i] is side i's last iterate of the previous block, Xs[j, i] its
     # j-th successor and, in a block of b steps, Xs[b + j, i] its fused
-    # residual; Ts[j - 1, i] is the numerator T(Xs[j, i]), written there by
-    # the step.  T is the numerator of the current iterate; each step reads
-    # it before it writes the next one, so T(0) can start in Ts[0].  Xs[0]
-    # starts at X_0 = 0; every other slab is written before it is read.
-    Xs = np.empty((2 * longest + 1, sides, p.m, p.n))
+    # residual.  Step j sums the numerator T(Xs[j, i]) in Ts[j - 1, i], where
+    # its product writes X C X, and writes N_A X to Ts[j, i], which no step
+    # reads before the next one writes it.  T is the numerator of the
+    # current iterate; each step reads it before it writes the next one, so
+    # T(0) can start in Ts[0].  Xs[0] starts at X_0 = 0; every other slab is
+    # written before it is read.
+    Xs = np.empty((2 * longest + 1, sides, m, n))
     Xs[0] = 0.0
-    Ts = np.empty((longest, sides, p.m, p.n))
-    # row k of the screen: the 1-norms of a block's iterates, then of their
-    # fused residuals, on the k-th side stepped
+    Ts = np.empty((longest + 1, sides, m, n))
+    # the screen's matrix-vector sums of a block, one column per iterate and
+    # fused residual, and row k of ``largest``, their maxima: the 1-norms of
+    # a block's iterates, then of their fused residuals, on the k-th side
+    # stepped
+    sums = np.empty((max(m, n), 2 * longest))
     largest = np.empty((sides, 2 * longest))
-    ones_m, ones_n = np.ones(p.m), np.ones(p.n)
-    # the sides stepped, as a slice of the side axis: the pair steps the
+    ones_m, ones_n = np.ones(m), np.ones(n)
+
+    def working(k):
+        """The (X, P, S, NX) of steps 0 .. longest, the 1-norms and the stepper of the sides at index k.
+
+        Step j sums T(X_j) in S = Ts[j - 1] (step 0 in Ts[0]), and P = [S, NX]
+        is the pair of slabs from S on.
+        """
+        Tw = Ts[:, k]
+        T, P = list(Tw), [Tw[t : t + 2] for t in range(longest)]
+        slabs = list(zip(Xs[: longest + 1, k], [P[0], *P], [T[0], *T[:-1]], [T[1], *T[1:]]))
+        return slabs, norms[:, k], _stepper(L[:, k], B[k], C[k], N_D[k], denom[k])
+
+    # the sides stepped, at index k of the side axis: the pair steps the
     # whole stack, one side its own 2-D slices, which multiply faster than a
     # stack of one
-    stepped = slice(0, sides)
-    if dual:
-        Xw, Tw, numerator = Xs, Ts, _numerator(*(np.stack(c) for c in zip(*splittings)))
-    else:
-        # popped, so that N_A is held only in the numerator's stack
-        Xw, Tw, numerator = Xs[:, 0], Ts[:, 0], _numerator(*splittings.pop())
-    T = numerator(Xw[0], Tw[0])
+    k, ids = (slice(None), [0, 1]) if dual else (0, [0])
+    slabs, scale, steps = working(k)
+    T = steps(Xs[0, k], slabs[:1])  # X_0 = 0 / denom, and T(X_0) in Ts[0]
     reports = [None] * sides
     violations = [0] * sides
     live = list(range(sides))
     done, b = 0, _BLOCK
     while live:
         b = min(b, max_iter - done)
-        ids = range(sides)[stepped]
-        Xv, (sA, sB, sC, sD) = Xs[:, stepped], norms[:, stepped]
-        X, prev, R, both = Xv[1 : b + 1], Xv[:b], Xv[b + 1 : 2 * b + 1], Xv[1 : 2 * b + 1]
+        Xw = Xs[:, k]
+        X, prev, R = Xw[1 : b + 1], Xw[:b], Xw[b + 1 : 2 * b + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, b + 1):
-                np.divide(T, denom, out=Xw[j])
-                T = numerator(Xw[j], Tw[j - 1])
-            np.abs(np.subtract(Ts[:b, stepped], np.multiply(denom, X, out=R), out=R), out=R)
+            T = steps(T, slabs[1 : b + 1])
+            np.abs(np.subtract(Ts[:b, k], np.multiply(denom[k], X, out=R), out=R), out=R)
             # the 1-norms of X and of the fused residual, both at once: the
-            # largest column sum of X, and of Psi, the largest row sum of Z
-            for k, i in enumerate(ids):
-                np.max(both[:, k] @ ones_n if i else ones_m @ both[:, k], axis=1, out=largest[k, : 2 * b])
+            # largest column sum of X, and of Psi, the largest row sum of Z,
+            # each step's sums in a column of ``sums``
+            for row, i in enumerate(ids):
+                both, s = Xs[1 : 2 * b + 1, i], sums[: m if i else n, : 2 * b]
+                np.matmul(*((both, ones_n) if i else (ones_m, both)), out=s.T)
+                np.maximum.reduce(s, axis=0, out=largest[row, : 2 * b])
             nX, num = largest[: len(ids), :b], largest[: len(ids), b : 2 * b]
-            fused = num / np.maximum(_residual_scale(nX, sA, sB, sC, sD), EPS)
+            fused = num / np.maximum(_residual_scale(nX, *scale), EPS)
             # the walk visits the steps the screen passes, a nonfinite one and the cap
             visit = (fused <= screen) | ~np.isfinite(fused)
             steady = bool((X >= prev).all())
@@ -210,16 +274,16 @@ def _fixed_point(
             # each side's first overflowing update before its stop; the
             # earliest ends the run, whichever side and block it falls in
             overflows = []
-            for k, i in enumerate(ids):
+            for row, i in enumerate(ids):
                 if not steady:
-                    counted = violations[i] + np.cumsum((X[:, k] < prev[:, k] - tau).sum(axis=(1, 2)))
+                    counted = violations[i] + np.cumsum((Xs[1 : b + 1, i] < Xs[:b, i] - tau).sum(axis=(1, 2)))
                     violations[i] = int(counted[-1])
-                for j in np.flatnonzero(visit[k]).tolist():
+                for j in np.flatnonzero(visit[row]).tolist():
                     step = done + j + 1
-                    if not math.isfinite(fused[k, j]):
+                    if not math.isfinite(fused[row, j]):
                         overflows.append(step + 1)
                         break
-                    answer = (X[j, k].T if i else X[j, k]).copy()
+                    answer = (Xs[j + 1, i].T if i else Xs[j + 1, i]).copy()
                     res = _residual(p, answer, one_norm(answer), dual=i == 1)[1]
                     if res <= tol or step == max_iter:
                         count = violations[i] if steady else int(counted[j])
@@ -230,22 +294,24 @@ def _fixed_point(
                 raise IterationBreakdown(f"nonfinite fixed-point update at step {min(overflows)}")
         done += b
         # the next block ends _AHEAD steps past the earliest stop this one
-        # predicts: a live side whose fused residual shrinks from r_1 to r_b
-        # above the screen meets it (b - 1) log(r_b / screen) / log(r_1 / r_b)
-        # steps on; one that does not counts _BLOCK
+        # predicts: a live side whose fused residual grew at no step and
+        # shrank from r_1 to r_b above the screen meets it
+        # (b - 1) log(r_b / screen) / log(r_1 / r_b) steps on; any other
+        # counts _BLOCK
         ahead = math.inf
-        for i, (first, last) in zip(ids, fused[:, [0, -1]].tolist()):
+        grew = (fused[:, 1:] > fused[:, :-1]).any(axis=1).tolist()
+        for i, first, last, up in zip(ids, fused[:, 0].tolist(), fused[:, -1].tolist(), grew):
             if i in live:
-                if b > 1 and last > screen and first / last > 1.0:
+                if not up and b > 1 and last > screen and first / last > 1.0:
                     left = (b - 1) * math.log(last / screen) / math.log(first / last)
                     ahead = min(ahead, math.ceil(left) + _AHEAD)
                 else:
                     ahead = min(ahead, _BLOCK)
-        if Xw is Xs and len(live) == 1:  # the survivor steps alone
-            (i,) = live
-            stepped = slice(i, i + 1)
-            Xw, Tw, numerator, T = Xs[:, i], Ts[:, i], _numerator(*splittings[i]), Ts[b - 1, i]
-        Xw[0] = Xw[b]
+        if len(ids) > len(live) == 1:  # the survivor steps alone
+            k, ids = live[0], live.copy()
+            slabs, scale, steps = working(k)
+            T = Ts[b - 1, k]
+        Xs[0, k] = Xs[b, k]
         b = min(max(ahead, _MIN_BLOCK), longest)
     return reports
 

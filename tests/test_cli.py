@@ -58,6 +58,14 @@ def critical_file(tmp_path, scalar_critical):
 
 
 @pytest.fixture()
+def capped_file(tmp_path):
+    """A critical scalar problem whose doubling at the default parameters hits its 60-step cap."""
+    path = str(tmp_path / "capped.json")
+    assert execute(["generate", "--regime", "critical", "--n", "1", "--m", "1", "--seed", "0", "-o", path]).exit_code == 0
+    return path
+
+
+@pytest.fixture()
 def divergent_file(tmp_path, divergent):
     path = tmp_path / "div.json"
     path.write_text(problem_to_json(divergent))
@@ -614,12 +622,16 @@ class TestRateStudy:
         assert len(rep["grid"]) == 4
         assert "flags" not in rep
 
-    def test_capped_solve_is_breakdown(self, tmp_path):
-        path = str(tmp_path / "crit.json")
-        execute(["generate", "--regime", "critical", "--n", "1", "--m", "1", "--seed", "0", "-o", path])
-        out = execute(["rate-study", path, "--grid", "2"])
+    def test_capped_solve_is_breakdown(self, capped_file):
+        # exit 3 with the report solve prints on the same problem, phi, psi,
+        # flags and error, and the grid before the error
+        out = execute(["rate-study", capped_file, "--grid", "2"])
         assert out.exit_code == 3
-        assert json.loads(out.report_json) == {"error": "doubling did not meet stop_tol 1.0e-14 within 60 iterations"}
+        rep = json.loads(out.report_json)
+        assert list(rep)[-2:] == ["grid", "error"] and len(rep.pop("grid")) == 4
+        assert rep["error"] == "doubling did not meet stop_tol 1.0e-14 within 60 iterations"
+        solved = execute(["solve", capped_file])
+        assert solved.exit_code == 3 and rep == json.loads(solved.report_json)
 
     @pytest.mark.parametrize("grid", ["1", "0", "-2"])
     def test_grid_below_two_is_usage_error(self, problem_file, grid):
@@ -648,14 +660,16 @@ def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
         (["generate", "--regime", "nonsingular", "--n", "3", "--m", "2", "--seed", "4", "-o", "{out}"], ["path"], False),
         (["rate-study", "{problem}", "--grid", "2"], ["phi", "psi", "grid"], True),
         (["rate-study", "{critical}", "--grid", "2"], ["phi", "psi", "flags", "grid"], True),
+        (["rate-study", "{capped}", "--grid", "2"], ["phi", "psi", "flags", "grid", "error"], True),
     ],
-    ids=["classify", "solve", "sda", "fixed-point", "capped", "verify", "oracle", "generate", "rate-study", "rate-study-flagged"],
+    ids=["classify", "solve", "sda", "fixed-point", "capped", "verify", "oracle", "generate", "rate-study", "rate-study-flagged", "rate-study-capped"],
 )
-def test_every_report_is_the_base_keys_then_its_own(tmp_path, problem_file, critical_file, argv, own, checked):
+def test_every_report_is_the_base_keys_then_its_own(tmp_path, problem_file, critical_file, capped_file, argv, own, checked):
     """The twelve base keys in order, then exactly the command's own; a check prints CheckResult's fields."""
     paths = {
         "problem": problem_file,
         "critical": critical_file,
+        "capped": capped_file,
         "phi": _matrix_file(tmp_path, "phi.json", [[GOLDEN]]),
         "psi": _matrix_file(tmp_path, "psi.json", [[GOLDEN]]),
         "out": str(tmp_path / "generated.json"),

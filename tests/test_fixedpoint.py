@@ -303,9 +303,10 @@ def test_returned_phi_owns_its_memory(case, tol, max_iter):
     assert rep.phi.base is None
 
 
-# tracemalloc peaks of the calls below with blocks of 16 steps, whose 49
-# slabs of sides m n floats exceed the byte budget at n = m = 200, where the
-# buffers must keep that size (Python 3.11, numpy 2.4)
+# bounds on the tracemalloc peaks of the calls below with blocks of 16 steps,
+# whose 49 slabs of sides m n floats exceed the byte budget at n = m = 200,
+# where the buffers must keep that size; the calls peak at 18_311_746 and
+# 37_192_116 (Python 3.11, numpy 2.4)
 _PEAKS_WITH_16_STEP_BLOCKS = {False: 18_577_882, True: 39_385_180}
 
 
@@ -417,20 +418,20 @@ class TestPair:
 
     @staticmethod
     def _count_steps(monkeypatch):
-        """Record the number of dimensions of every iterate whose numerator is taken."""
+        """Record the number of dimensions of every iterate whose numerator is taken, in step order."""
         steps = []
-        make_numerator = fixedpoint._numerator
+        make_stepper = fixedpoint._stepper
 
         def counted(*coefficients):
-            numerator = make_numerator(*coefficients)
+            stepper = make_stepper(*coefficients)
 
-            def step(X, out):
-                steps.append(X.ndim)
-                return numerator(X, out)
+            def run(T, slabs):
+                steps.extend(X.ndim for X, *_ in slabs)
+                return stepper(T, slabs)
 
-            return step
+            return run
 
-        monkeypatch.setattr(fixedpoint, "_numerator", counted)
+        monkeypatch.setattr(fixedpoint, "_stepper", counted)
         return steps
 
     @pytest.mark.parametrize(
@@ -468,13 +469,17 @@ class TestPair:
     def test_primal_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the primal overflows at step 110, the dual would at step 128: the run
         # stops with the block whose iterate 109 has the nonfinite screen, all
-        # of it on the stack
+        # of it on the stack.  The blocks have 16, 16, 64 and 16 steps: the
+        # fused residuals grow at every step from 49 (one side) and 57 (the
+        # other) on, so the block after steps 33..96 counts _BLOCK steps, not
+        # the 64 their first-to-last decay would predict, and the run computes
+        # 112 steps
         p = breaks_later_than_its_dual.dual()
         assert _breakdown_step(fixed_point_solve, p, 1e-12, 10**6) == 110
         assert _breakdown_step(fixed_point_solve, p.dual(), 1e-12, 10**6) == 128
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert set(steps) == {3} and 109 <= len(steps) - 1 < 109 + fixedpoint._MAX_BLOCK
+        assert set(steps) == {3} and 109 <= len(steps) - 1 <= 112
 
     def test_dual_breakdown_ends_the_run_in_its_own_block(self, monkeypatch, breaks_later_than_its_dual):
         # the dual overflows at step 110, the primal would at step 128: either
@@ -482,7 +487,29 @@ class TestPair:
         p = breaks_later_than_its_dual
         steps = self._count_steps(monkeypatch)
         assert _breakdown_step(_fixed_point, p, 1e-12, 10**6, dual=True) == 110
-        assert set(steps) == {3} and 109 <= len(steps) - 1 < 109 + fixedpoint._MAX_BLOCK
+        assert set(steps) == {3} and 109 <= len(steps) - 1 <= 112
+
+    @pytest.mark.parametrize(
+        "name, stacked, alone",
+        [
+            ("two-sided-nonsingular-3x4", 52, 0),
+            ("two-sided-noncritical-3x4", 282, 17),
+            ("two-sided-nonsingular-1x6", 41, 4),
+            ("two-sided-noncritical-11x13", 137, 0),
+            ("crosscheck-7x21", 76, 0),
+            ("crosscheck-21x7", 57, 0),
+            ("crosscheck-13x13", 122, 0),
+            ("crosscheck-1x40", 40, 0),
+        ],
+    )
+    def test_steps_computed_are_pinned(self, monkeypatch, name, stacked, alone):
+        # the numerators taken on the stack, T(0) among them, and then by the
+        # survivor alone: the screen's sums size the blocks, so sums that round
+        # otherwise would move these counts before they move any report
+        p = _problem({**_TWO_SIDED, **_CROSSCHECK}[name])
+        steps = self._count_steps(monkeypatch)
+        _fixed_point(p, dual=True)
+        assert (steps.count(3), steps.count(2)) == (stacked, alone)
 
     @pytest.mark.parametrize("first_block", [4, 16, 49, 52, 53, 64])
     def test_earliest_overflow_is_named_whatever_the_blocks(self, monkeypatch, first_block):
