@@ -27,12 +27,20 @@ reads the mode.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
-silently ignores a structural violation.  Every matrix M the iteration
-inverts is a nonsingular M-matrix in theory and is solved by
-``linalg._m_solve(M, *blocks)``: it appends a column of ones, whose
-solution x = M^{-1} 1 certifies that kind (``linalg._certifies``) and
-gives 1 / ||M^{-1}||_inf, the ``dist`` of the diagnostics; a failed
-certificate on the shifted K of the initialization raises SingularMatrix.
+silently ignores a structural violation.  Besides its one LAPACK solve,
+its eleven GEMMs (the nine of the products below, G H and H G) and the
+matrix-vector products of its certificates, a step makes one bookkeeping
+pass over its new blocks: the changes H+ - H and G+ - G as rounded, their
+minima and column sums, and the minimum and maximum of E+ and F+.  The
+diagnostics, the finiteness checks and the rebalancing test are read off
+these, and an exact count or norm runs only where they cannot decide
+(``step``); ``solve`` takes the norms of its stop test only on a step
+that could pass.  Every matrix M the iteration inverts is a nonsingular
+M-matrix in theory and is solved by ``linalg._m_solve(M, *blocks)``: it
+appends a column of ones, whose solution x = M^{-1} 1 certifies that
+kind (``linalg._certifies``) and gives 1 / ||M^{-1}||_inf, the ``dist``
+of the diagnostics; a failed certificate on the shifted K of the
+initialization raises SingularMatrix.
 
 Each iterate's I - G H, of order n, is inverted once, when the iterate
 is created, and W = (I - G H)^{-1} is carried to the next step.  The
@@ -179,7 +187,7 @@ class DoublingState:
     ``solves`` carries W = (I - G H)^{-1} at this iterate, as computed with
     its diagnostics, so that ``step`` does not invert it again; it is None
     when LAPACK found I - G H exactly singular.  (I - H G)^{-1} is
-    I + H W G and is never formed.  Every state is built by ``_iterate``.
+    I + H W G and is never formed.  Every state is built by ``_state``.
     """
 
     k: int
@@ -232,7 +240,8 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
         W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
     else:
         x2 = 1.0 + H @ (W @ G.sum(axis=1))
-        dist_ihg, certified_ihg = 1.0 / float(np.abs(x2).max()), linalg._certifies(ihg, x2)
+        certified_ihg = linalg._certifies(ihg, x2)
+        dist_ihg = 1.0 / float(x2.max() if certified_ihg else np.abs(x2).max())  # as in _m_solve
     kinds = [
         MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind
         for M, certified in ((igh, certified_igh), (ihg, certified_ihg))
@@ -240,35 +249,34 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
     return W, (dist_igh, kinds[0]), (dist_ihg, kinds[1])
 
 
-def _iterate(
-    E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float, prev: DoublingState | None
-) -> DoublingState:
-    """The state of (E, F, G, H): the iterate after ``prev``, or the initial one for None.
+def _state(k: int, E, F, G, H, tau: float, **measures) -> DoublingState:
+    """The state of the iterate (E, F, G, H) at step k; ``measures`` are its diagnostics' other fields.
 
     Its W = (I - G H)^{-1} is computed here, once, and carried in ``solves``.
     """
     W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H)
-    if prev is None:
-        k, dH_columns, dG, mono = 0, None, math.nan, 0
-        sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
-    else:
-        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), one_norm(G - prev.G)
-        mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
-        sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
     diag = StepDiagnostics(
-        k=k,
-        dH=math.nan if dH_columns is None else float(dH_columns.max()),
-        dG=dG,
-        dist_IGH=dist_igh,
-        dist_IHG=dist_ihg,
-        kind_IGH=kind_igh,
-        kind_IHG=kind_ihg,
-        sign_violations_E=int(sign_E),
-        sign_violations_F=int(sign_F),
-        monotonicity_violations=int(mono),
-        dH_columns=dH_columns,
+        k=k, dist_IGH=dist_igh, dist_IHG=dist_ihg, kind_IGH=kind_igh, kind_IHG=kind_ihg, **measures
     )
     return DoublingState(k, E, F, G, H, diag, tau, W)
+
+
+def _iterate(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float) -> DoublingState:
+    """The initial state of (E, F, G, H): its sign counts are the entries of E and F above tau."""
+    return _state(
+        0,
+        E,
+        F,
+        G,
+        H,
+        tau,
+        dH=math.nan,
+        dG=math.nan,
+        sign_violations_E=int(np.count_nonzero(E > tau)),
+        sign_violations_F=int(np.count_nonzero(F > tau)),
+        monotonicity_violations=0,
+        dH_columns=None,
+    )
 
 
 def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
@@ -293,7 +301,7 @@ def initialize(p: MareProblem, params: DoublingParams) -> DoublingState:
     Z *= params.alpha + params.beta
     E0 = np.subtract(linalg._eye(n), Z[:n, :n])
     F0 = np.subtract(linalg._eye(p.m), Z[n:, n:])
-    return _iterate(E0, F0, Z[:n, n:], Z[n:, :n], sign_tol(p), None)
+    return _iterate(E0, F0, Z[:n, n:], Z[n:, :n], sign_tol(p))
 
 
 def step(s: DoublingState) -> DoublingState:
@@ -309,7 +317,27 @@ def step(s: DoublingState) -> DoublingState:
     singular to LAPACK or I - G H or I - H G, failing its certificate,
     classifies as a singular M-matrix, which signals that the problem sits
     outside the guaranteed regimes (e.g. a critical problem near
-    convergence).
+    convergence), and names this step when H+, G+ or the rebalanced E+ or
+    F+ is not finite.
+
+    The diagnostics come from one pass over the new blocks.  Each shortcut
+    below is exact, and the exact count or norm is its fallback:
+
+    - dH and dG are the largest column sums of |H+ - H| and |G+ - G|, the
+      changes as rounded.  A finite dH proves H+ finite, as a nonfinite H+
+      makes its change nonfinite; likewise for G.  Only a nonfinite dH or
+      dG runs ``np.isfinite``.
+    - The monotonicity count of H is 0 where min(H+ - H) >= 0, because
+      fl(a - b) >= 0 exactly when a >= b, and b >= fl(b - tau) for
+      tau >= 0.  Likewise for G.
+    - The sign count of E+ is 0 where min E+ >= -tau; likewise for F+.
+      Where the rebalancing scales E+ by theta > 0, its extrema scale with
+      it, as rounding is monotone.  E+ is finite exactly when its extrema
+      are.
+    - The rebalancing asks for a 1-norm above 1e100.  A computed column sum
+      of r entries of modulus at most M is below 2 r M, so
+      2 r max|E+| <= 1e100 (and the same for F+) rules it out.  Only above
+      that bound are the two 1-norms taken.
     """
     E, F, G, H, W = s.E, s.F, s.G, s.H, s.solves
     kind_igh, kind_ihg = s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
@@ -317,25 +345,59 @@ def step(s: DoublingState) -> DoublingState:
         raise IterationBreakdown(
             f"I - G H or I - H G singular at step {s.k} (kinds {kind_igh.value}, {kind_ihg.value})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the breakdown below
+    k, tau = s.k + 1, s.tau_sign
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by the breakdowns below
         EW, GF = E @ W, G @ F
         FHW = F @ H @ W
         E_new = EW @ E
         F_new = F @ F + FHW @ GF
         G_new = G + EW @ GF
         H_new = H + FHW @ E
-    if not (np.isfinite(H_new).all() and np.isfinite(G_new).all()):
-        raise IterationBreakdown(f"nonfinite iterate at step {s.k + 1}")
-    # In singular regimes one of E, F legitimately diverges like rho^(2^k)
-    # while the other shrinks at the same pace; their products (all that H
-    # and G ever see) stay bounded.  Rebalancing by a scalar is exactly
-    # invariant for every H/G/sign observable and keeps both in range.
-    ne, nf = one_norm(E_new), one_norm(F_new)
-    if max(ne, nf) > 1e100 and min(ne, nf) > 0.0:
-        theta = math.sqrt(nf) / math.sqrt(ne)
-        E_new = E_new * theta
-        F_new = F_new / theta
-    return _iterate(E_new, F_new, G_new, H_new, s.tau_sign, s)
+        change_h, change_g = H_new - H, G_new - G
+        low_h, low_g = change_h.min(), change_g.min()
+        dH_columns = np.abs(change_h, out=change_h).sum(axis=0)
+        dH, dG = float(dH_columns.max()), float(np.abs(change_g, out=change_g).sum(axis=0).max())
+        e_lo, e_hi, f_lo, f_hi = E_new.min(), E_new.max(), F_new.min(), F_new.max()
+        # In singular regimes one of E, F legitimately diverges like rho^(2^k)
+        # while the other shrinks at the same pace; their products (all that H
+        # and G ever see) stay bounded.  Rebalancing by a scalar is exactly
+        # invariant for every H/G/sign observable and keeps both in range.
+        if not (2 * len(E) * max(-e_lo, e_hi) <= 1e100 and 2 * len(F) * max(-f_lo, f_hi) <= 1e100):
+            ne, nf = one_norm(E_new), one_norm(F_new)
+            if max(ne, nf) > 1e100 and min(ne, nf) > 0.0:
+                theta = math.sqrt(nf) / math.sqrt(ne)
+                E_new *= theta
+                F_new /= theta
+                # rounding is monotone, so the extrema scale with their blocks
+                e_lo, e_hi, f_lo, f_hi = e_lo * theta, e_hi * theta, f_lo / theta, f_hi / theta
+    if not (math.isfinite(dH) and math.isfinite(dG)):
+        if not (np.isfinite(H_new).all() and np.isfinite(G_new).all()):
+            raise IterationBreakdown(f"nonfinite iterate at step {k}")
+    if not all(map(math.isfinite, (e_lo, e_hi, f_lo, f_hi))):
+        raise IterationBreakdown(f"nonfinite iterate at step {k}")
+    sign_E = sign_F = mono = 0
+    if e_lo < -tau:
+        sign_E = np.count_nonzero(E_new < -tau)
+    if f_lo < -tau:
+        sign_F = np.count_nonzero(F_new < -tau)
+    if low_h < 0.0:
+        mono += np.count_nonzero(H_new < H - tau)
+    if low_g < 0.0:
+        mono += np.count_nonzero(G_new < G - tau)
+    return _state(
+        k,
+        E_new,
+        F_new,
+        G_new,
+        H_new,
+        tau,
+        dH=dH,
+        dG=dG,
+        sign_violations_E=int(sign_E),
+        sign_violations_F=int(sign_F),
+        monotonicity_violations=int(mono),
+        dH_columns=dH_columns,
+    )
 
 
 def _closing_starts(s: DoublingState) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -368,6 +430,32 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     runs on R and S started from the last iterate (``_closing_starts``);
     the roots are certified from any start, so only the number of Noda
     solves depends on it.
+
+    The norms of H_k and G_k are taken only on a step whose dH_k and dG_k
+    could pass against upper bounds U_H >= one_norm(H_k) and
+    U_G >= one_norm(G_k).  Each bound is carried from the last exact norm
+    N = one_norm(H_j): U_k = fl(fl(U_{k-1} + dH_k) c) on each step k > j,
+    from U_j = N, with c = 1 + 2 (n + m + 2) eps (likewise for G), and it
+    is infinite before the first exact norm.  A step whose dH_k exceeds
+    fl(stop_tol max(1, U_H)) fails the exact test too, since rounding is
+    monotone; a NaN bound (0 * inf) proves nothing.  So the stop step is
+    the one the exact test on every step gives.
+
+    Proof of U_k >= (1 + g) ||H_k||_1 >= one_norm(H_k) for k > j, with
+    u = eps / 2 and g = (n + m) u / (1 - (n + m) u).  A computed column
+    sum of at most n + m nonnegative terms is within a factor 1 +- g of
+    the exact one, so one_norm(H_k) <= (1 + g) ||H_k||_1,
+    U_j = N >= (1 - g) ||H_j||_1, and dH_k >= (1 - g)(1 - u)
+    ||H_k - H_{k-1}||_1, the change being one rounded subtraction.  By
+    induction U_{k-1} >= (1 - g) ||H_{k-1}||_1 for every k > j (at k - 1 = j
+    from N, after it from the claim), and
+
+        U_k >= (1 - u)^2 c (U_{k-1} + dH_k)
+            >= (1 - u)^3 c (1 - g) (||H_{k-1}||_1 + ||H_k - H_{k-1}||_1)
+            >= (1 + g) ||H_k||_1,
+
+    since c >= (1 + g) / ((1 - g)(1 - u)^3): while (n + m) u <= 2^-10 the
+    right side is below 1 + 1.01 (n + m + 2) eps.
     """
     if params is None:
         params = select_parameters(p)
@@ -379,12 +467,18 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     state = initialize(p, params)
     trace = [state.diagnostics]
     converged, tol = False, params.stop_tol
+    grow = 1.0 + 2 * (p.size + 2) * EPS
+    bound_h = bound_g = math.inf
     for _ in range(params.max_iter):
         state = step(state)
         trace.append(d := state.diagnostics)
-        if d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G)):
-            converged = True
-            break
+        bound_h, bound_g = (bound_h + d.dH) * grow, (bound_g + d.dG) * grow
+        # skipped only where a bound proves the exact test fails: not on the NaN of 0 * inf
+        if not (d.dH > tol * max(1.0, bound_h) or d.dG > tol * max(1.0, bound_g)):
+            bound_h, bound_g = one_norm(state.H), one_norm(state.G)
+            if d.dH <= tol * max(1.0, bound_h) and d.dG <= tol * max(1.0, bound_g):
+                converged = True
+                break
 
     phi = np.maximum(state.H, 0.0)
     psi = np.maximum(state.G, 0.0)

@@ -153,7 +153,9 @@ def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, boo
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
-    return sol[:, :-1], 1.0 / float(np.abs(x).max()), _certifies(A, x), x
+    certified = _certifies(A, x)
+    # a certified x is positive, so max|x| = max x
+    return sol[:, :-1], 1.0 / float(x.max() if certified else np.abs(x).max()), certified, x
 
 
 def _certifies(A: np.ndarray, x: np.ndarray) -> bool:

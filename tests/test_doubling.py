@@ -222,14 +222,14 @@ class TestStep:
         F = np.array([[0.25]])
         G = np.array([[0.0]])
         H = np.array([[0.125]])
-        st1 = step(doubling._iterate(E, F, G, H, 1e-12, None))
+        st1 = step(doubling._iterate(E, F, G, H, 1e-12))
         assert st1.E[0, 0] == pytest.approx(0.25, abs=1e-16)
         assert st1.H[0, 0] == pytest.approx(0.125 + 0.25 * 0.125 * 0.5, abs=1e-16)
 
     def test_breakdown_on_singular_cross_product(self):
         E = F = np.array([[0.1]])
         G = H = np.array([[1.0]])  # I - G H = 0
-        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        state = doubling._iterate(E, F, G, H, 1e-12)
         assert state.solves is None
         with pytest.raises(IterationBreakdown):
             step(state)
@@ -241,7 +241,7 @@ class TestStep:
         G = np.eye(2)
         H = np.array([[0.0, 1.0], [1.0, -1e-15]])
         assert mstruct.classify_zm(np.eye(2) - G @ H).kind is MatrixKind.SINGULAR_M
-        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        state = doubling._iterate(E, F, G, H, 1e-12)
         assert state.diagnostics.kind_IGH is state.diagnostics.kind_IHG is MatrixKind.SINGULAR_M
         with pytest.raises(IterationBreakdown):
             step(state)
@@ -251,7 +251,7 @@ class TestStep:
         # records the kind of the new iterate's I - G H = 1 - 1.488^2
         E = F = np.array([[0.1]])
         G = H = np.array([[1.5]])
-        st1 = step(doubling._iterate(E, F, G, H, 1e-12, None))
+        st1 = step(doubling._iterate(E, F, G, H, 1e-12))
         assert st1.G[0, 0] == pytest.approx(1.488, abs=1e-15)
         assert st1.diagnostics.kind_IGH is st1.diagnostics.kind_IHG is MatrixKind.Z_NOT_M
 
@@ -261,7 +261,7 @@ class TestStep:
         # x2 = 1 + H W G 1 = -2.  Both are Z-matrices but no M-matrices.
         E, F = 0.1 * np.eye(2), np.array([[0.1]])
         G, H = np.array([[1.0], [0.5]]), np.array([[1.0, 1.0]])
-        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        state = doubling._iterate(E, F, G, H, 1e-12)
         d = state.diagnostics
         assert d.kind_IGH is d.kind_IHG is MatrixKind.Z_NOT_M
         assert d.dist_IGH == pytest.approx(1 / 3, rel=1e-15)
@@ -274,7 +274,7 @@ class TestStep:
         # I - G H = [[0.5, -0.5], [-0.5, 0.5]] is exactly singular, and so is I - H G = 0
         E, F = 0.1 * np.eye(2), np.array([[0.1]])
         G, H = np.array([[0.5], [0.5]]), np.array([[1.0, 1.0]])
-        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        state = doubling._iterate(E, F, G, H, 1e-12)
         assert state.solves is None
         assert state.diagnostics.dist_IGH == state.diagnostics.dist_IHG == 0.0
         with pytest.raises(IterationBreakdown):
@@ -303,15 +303,63 @@ def _ref_step(s):
     return E_new, F_new, G_new, H_new
 
 
+class TestBookkeepingFallbacks:
+    """Hand-built states on which each of the step's exact counts and checks runs, with today's numbers."""
+
+    TAU = 1e-12
+    # E < 0 in one entry pulls H+ and G+ below H and G in four of their eight
+    # entries and makes two entries of E+ negative
+    E = np.array([[-0.5, 0.1], [0.0, 0.2]])
+    F = np.array([[0.5, 0.0], [0.1, 0.3]])
+    G = np.array([[0.25, 0.1], [0.0, 0.2]])
+    H = np.array([[0.25, 0.0], [0.1, 0.2]])
+
+    def test_monotonicity_count_where_h_falls(self):
+        s = doubling._iterate(self.E, self.F, self.G, self.H, self.TAU)
+        new = step(s)
+        assert (new.H - s.H).min() < -self.TAU and (new.G - s.G).min() < -self.TAU
+        want = np.count_nonzero(new.H < s.H - self.TAU) + np.count_nonzero(new.G < s.G - self.TAU)
+        assert new.diagnostics.monotonicity_violations == want == 4
+
+    def test_sign_counts_where_e_or_f_falls_below_minus_tau(self):
+        new = step(doubling._iterate(self.E, self.F, self.G, self.H, self.TAU))
+        assert new.diagnostics.sign_violations_E == np.count_nonzero(new.E < -self.TAU) == 2
+        assert new.diagnostics.sign_violations_F == 0
+        # the step is symmetric in (E, G) and (F, H): swapped, F+ has those entries
+        swapped = step(doubling._iterate(self.F, self.E, self.H, self.G, self.TAU))
+        assert swapped.diagnostics.sign_violations_F == np.count_nonzero(swapped.F < -self.TAU) == 2
+        assert swapped.diagnostics.sign_violations_E == 0
+
+    def test_blocks_above_1e100_are_rebalanced(self):
+        # G = H = 0 makes W = I and every product exact: E+ = 2^340 [[1, -2], [0, 1]]
+        # (1-norm 6.7e102) and F+ = 2^-340 [[1, 0], [2, 1]], rebalanced by 2^-340
+        E = 2.0**170 * np.array([[1.0, -1.0], [0.0, 1.0]])
+        F = 2.0**-170 * np.array([[1.0, 0.0], [1.0, 1.0]])
+        s = doubling._iterate(E, F, np.zeros((2, 2)), np.zeros((2, 2)), self.TAU)
+        new = step(s)
+        for got, want in zip((new.E, new.F, new.G, new.H), _ref_step(s)):
+            assert got.tobytes() == want.tobytes()
+        assert new.E.tolist() == [[1.0, -2.0], [0.0, 1.0]] and new.F.tolist() == [[1.0, 0.0], [2.0, 1.0]]
+        # the sign count reads the rebalanced E+
+        assert new.diagnostics.sign_violations_E == 1 and new.diagnostics.sign_violations_F == 0
+
+    def test_overflowing_g_breaks_down_at_its_step(self):
+        # H = 0 keeps H+ = 0, while G+ = G + E G F = 1e300 + 1e310 overflows
+        s = doubling._iterate(np.array([[1e10]]), np.array([[1.0]]), np.array([[1e300]]), np.array([[0.0]]), self.TAU)
+        with pytest.raises(IterationBreakdown, match="^nonfinite iterate at step 6$"):
+            step(dataclasses.replace(s, k=5))
+
+
 class TestBestEffortBreakdowns:
     """Safety branches of ``solve`` that only problems outside the guaranteed regimes reach."""
 
     def test_nonfinite_iterate_breaks_down(self):
         # K's block on rows and columns 0 and 2, [[0.4, -1], [-2, 1.5]], is no
-        # M-matrix; E and F grow together, so the rebalancing cannot hold them,
-        # and H overflows at step 13: one IterationBreakdown, no warning before it
+        # M-matrix; E and F overflow together at step 12, where the rebalancing
+        # turns both into NaN: one IterationBreakdown naming that step (H
+        # would overflow at step 13), no warning before it
         p = MareProblem(n=1, m=2, A=[[0.3, 0.0], [0.0, 1.5]], B=[[0.0], [2.0]], C=[[0.0, 1.0]], D=[[0.4]])
-        with pytest.raises(IterationBreakdown, match="nonfinite iterate at step 13"):
+        with pytest.raises(IterationBreakdown, match="nonfinite iterate at step 12$"):
             solve(p)
 
     def test_theoretical_rate_unavailable_is_flagged(self):
@@ -403,7 +451,7 @@ class TestCarriedFactors:
     def test_step_from_hand_built_state_solves_only_the_new_iterate(self, counts):
         E = F = np.array([[0.5]])
         G = H = np.array([[0.25]])
-        state = doubling._iterate(E, F, G, H, 1e-12, None)
+        state = doubling._iterate(E, F, G, H, 1e-12)
         doubling.step(state)
         # the hand-built iterate's W was computed when it was built
         assert counts == [("step", {"m_solve": 1, "classify_zm": 0})]

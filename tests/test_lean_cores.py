@@ -7,7 +7,10 @@ cores that rebuilt their constants on every call: the block search by
 boolean frontiers (``_reach``), the doubling's cross solves and initial
 blocks on a fresh ``np.eye``, the residual and closing matrices that take
 every 1-norm again, the loop form of ``observed_rate`` and the report
-writer that formats a row entry by entry.  Every
+writer that formats a row entry by entry.  So is the doubling step that
+counted and normed every block anew (``_ref_step_blocks`` and
+``_ref_iterate``), with the stop test that took both norms on every
+step (``_ref_stopped``).  Every
 output of the new code is compared with theirs byte for byte: floats by
 their bit patterns, signed zeros and NaN included, and reports as text.
 The one exception is the certificate's similarity value, which the dense
@@ -15,9 +18,13 @@ reference forms another way: it is compared by verdict and within a
 rounding bound derived below.
 """
 
+import collections
+import dataclasses
+import inspect
 import itertools
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -270,6 +277,54 @@ def _ref_cross_solves(G, H):
         for M, certified in ((igh, certified_igh), (ihg, certified_ihg))
     ]
     return W, (dist_igh, kinds[0]), (dist_ihg, kinds[1])
+
+
+def _ref_step_blocks(s):
+    """(E+, F+, G+, H+) of ``doubling.step`` from s: its products and rebalancing, nonfinite blocks kept."""
+    E, F, G, H, W = s.E, s.F, s.G, s.H, s.solves
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        EW, GF = E @ W, G @ F
+        FHW = F @ H @ W
+        E_new = EW @ E
+        F_new = F @ F + FHW @ GF
+        G_new = G + EW @ GF
+        H_new = H + FHW @ E
+        ne, nf = one_norm(E_new), one_norm(F_new)
+        if max(ne, nf) > 1e100 and min(ne, nf) > 0.0:
+            theta = math.sqrt(nf) / math.sqrt(ne)
+            E_new = E_new * theta
+            F_new = F_new / theta
+    return E_new, F_new, G_new, H_new
+
+
+def _ref_iterate(E, F, G, H, tau, prev):
+    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = doubling._cross_solves(G, H)
+    if prev is None:
+        k, dH_columns, dG, mono = 0, None, math.nan, 0
+        sign_E, sign_F = np.count_nonzero(E > tau), np.count_nonzero(F > tau)
+    else:
+        k, dH_columns, dG = prev.k + 1, np.abs(H - prev.H).sum(axis=0), one_norm(G - prev.G)
+        mono = np.count_nonzero(H < prev.H - tau) + np.count_nonzero(G < prev.G - tau)
+        sign_E, sign_F = np.count_nonzero(E < -tau), np.count_nonzero(F < -tau)
+    diag = doubling.StepDiagnostics(
+        k=k,
+        dH=math.nan if dH_columns is None else float(dH_columns.max()),
+        dG=dG,
+        dist_IGH=dist_igh,
+        dist_IHG=dist_ihg,
+        kind_IGH=kind_igh,
+        kind_IHG=kind_ihg,
+        sign_violations_E=int(sign_E),
+        sign_violations_F=int(sign_F),
+        monotonicity_violations=int(mono),
+        dH_columns=dH_columns,
+    )
+    return doubling.DoublingState(k, E, F, G, H, diag, tau, W)
+
+
+def _ref_stopped(state, tol):
+    d = state.diagnostics
+    return d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G))
 
 
 def _ref_initial_blocks(p, params):
@@ -803,6 +858,168 @@ class TestDoublingCores:
                 assert _same_bits(doubling.observed_rate(part), want)
                 compared += 1
         assert compared >= 1000
+
+
+def _same_diagnostics(a, b) -> bool:
+    """Every field of two ``StepDiagnostics`` the same: the kinds by identity, the rest by ``_same_bits``."""
+    pairs = [(f.name, getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)]
+    return all(x is y if name.startswith("kind") else _same_bits(x, y) for name, x, y in pairs)
+
+
+def _branch_lines(fn, *pairs):
+    """Line numbers of fn for each (test, fallback) pair of source snippets, each found on one line."""
+    lines, start = inspect.getsourcelines(fn)
+
+    def at(snippet):
+        (i,) = [i for i, line in enumerate(lines) if snippet in line]
+        return start + i
+
+    return {fallback: (at(test), at(fallback)) for test, fallback in pairs}
+
+
+def _lines_run(codes, run):
+    """How often each line ran in each call of a function with a code object in ``codes``, during run()."""
+    calls = []
+
+    def on_call(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        lines = collections.Counter()
+        calls.append((frame.f_code, lines))
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines[frame.f_lineno] += 1
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def critical_draws():
+    """``probgen`` critical draws at seeds 0-19, n = m = 2 + seed mod 7: they reach the rebalancing."""
+    return [generate(FamilySpec(Regime.CRITICAL, 2 + seed % 7, 2 + seed % 7, seed=seed)) for seed in range(20)]
+
+
+class TestStepBookkeeping:
+    """Each step's diagnostics and each stop step equal those of the step that counted and normed everything."""
+
+    STEP_BRANCHES = (
+        ("if not (math.isfinite(dH) and math.isfinite(dG)):", "np.isfinite(H_new).all()"),
+        ("if not (2 * len(E)", "ne, nf = one_norm(E_new), one_norm(F_new)"),
+        ("if e_lo < -tau:", "sign_E = np.count_nonzero(E_new < -tau)"),
+        ("if f_lo < -tau:", "sign_F = np.count_nonzero(F_new < -tau)"),
+        ("if low_h < 0.0:", "mono += np.count_nonzero(H_new < H - tau)"),
+        ("if low_g < 0.0:", "mono += np.count_nonzero(G_new < G - tau)"),
+    )
+    SOLVE_BRANCHES = (
+        ("if not (d.dH > tol * max(1.0, bound_h)", "bound_h, bound_g = one_norm(state.H), one_norm(state.G)"),
+    )
+
+    @staticmethod
+    def _replay(p):
+        """The stop step of the exact rule, or the step that breaks down, each state checked against the reference."""
+        params = doubling.select_parameters(p)
+        state = doubling.initialize(p, params)
+        assert _same_diagnostics(
+            state.diagnostics, _ref_iterate(state.E, state.F, state.G, state.H, state.tau_sign, None).diagnostics
+        )
+        trace = [state.diagnostics]
+        for _ in range(params.max_iter):
+            blocks = _ref_step_blocks(state) if state.solves is not None else None
+            try:
+                new = doubling.step(state)
+            except IterationBreakdown as exc:
+                d = state.diagnostics
+                if "nonfinite" in str(exc):
+                    assert str(exc) == f"nonfinite iterate at step {state.k + 1}"
+                    assert not all(np.isfinite(b).all() for b in blocks)
+                else:
+                    assert state.solves is None or MatrixKind.SINGULAR_M in (d.kind_IGH, d.kind_IHG)
+                return trace, None, str(exc)
+            assert all(np.isfinite(b).all() for b in blocks)
+            assert all(_same_bits(g, w) for g, w in zip((new.E, new.F, new.G, new.H), blocks))
+            want = _ref_iterate(*blocks, state.tau_sign, state)
+            assert _same_bits(new.solves, want.solves) and _same_diagnostics(new.diagnostics, want.diagnostics)
+            state = new
+            trace.append(state.diagnostics)
+            if _ref_stopped(state, params.stop_tol):
+                return trace, True, None
+        return trace, False, None
+
+    def test_same_diagnostics_and_stop_steps(self, problems, critical_draws):
+        shortcut, fallback = set(), set()
+        step_lines = _branch_lines(doubling.step, *self.STEP_BRANCHES)
+        solve_lines = _branch_lines(doubling.solve, *self.SOLVE_BRANCHES)
+        branches = {doubling.step.__code__: step_lines, doubling.solve.__code__: solve_lines}
+        outcomes = {}
+        for p in problems + critical_draws:
+            want_trace, want_converged, want_error = self._replay(p)
+
+            def run():
+                try:
+                    outcomes["report"] = solve(p)
+                except MaxIterations as exc:
+                    outcomes["report"] = exc.report
+                except IterationBreakdown as exc:
+                    outcomes["report"] = str(exc)
+
+            for code, lines in _lines_run(set(branches), run):
+                for name, (test, body) in branches[code].items():
+                    if lines[body]:
+                        fallback.add(name)
+                    if lines[test] > lines[body]:
+                        shortcut.add(name)
+            rep = outcomes["report"]
+            if want_error is not None:
+                assert rep == want_error
+                continue
+            assert rep.converged is want_converged and rep.iterations == len(want_trace) - 1
+            assert all(_same_diagnostics(g, w) for g, w in zip(rep.trace, want_trace, strict=True))
+        # every shortcut and every fallback that real problems reach ran at least once; the
+        # nonfinite fallback is reached only by hand-built states (tests/test_doubling.py)
+        every = set(step_lines) | set(solve_lines)
+        assert shortcut == every
+        assert fallback == every - {"np.isfinite(H_new).all()"}
+
+    def test_stop_step_at_edge_tolerances(self, noncritical_suite, nonsingular_suite, critical_draws):
+        # stop_tol is the smallest float whose exact H test passes at step k, so the
+        # carried bound must stay above the norm by its rounding margin: without
+        # that margin (c = 1) solve misses the stop on 39 of these 433 runs
+        cases = 0
+        for p in noncritical_suite + nonsingular_suite + critical_draws:
+            params = dataclasses.replace(doubling.select_parameters(p), max_iter=12)
+            state, rows = doubling.initialize(p, params), []
+            for _ in range(params.max_iter):
+                try:
+                    state = doubling.step(state)
+                except IterationBreakdown:
+                    break
+                rows.append((state.diagnostics.dH, state.diagnostics.dG, one_norm(state.H), one_norm(state.G)))
+            for dh, _, nh, _ in rows:
+                if dh == 0.0 or nh <= 1.0:
+                    continue
+                tol = dh / nh
+                while tol * nh < dh:
+                    tol = float(np.nextafter(tol, math.inf))
+                while np.nextafter(tol, 0.0) * nh >= dh:
+                    tol = float(np.nextafter(tol, 0.0))
+                stops = [k for k, (h, g, a, b) in enumerate(rows, 1) if h <= tol * max(1.0, a) and g <= tol * max(1.0, b)]
+                try:
+                    rep = solve(p, dataclasses.replace(params, stop_tol=tol))
+                except MaxIterations as exc:
+                    rep = exc.report
+                assert (rep.converged, rep.iterations) == ((True, stops[0]) if stops else (False, len(rows)))
+                cases += 1
+        assert cases >= 400
 
 
 class TestCertificateCores:
