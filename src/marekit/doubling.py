@@ -28,7 +28,7 @@ reads the mode.
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
 silently ignores a structural violation.  Besides its one LAPACK solve,
-its eleven GEMMs (the nine of the products below, G H and H G) and the
+its ten GEMMs (the nine of the products below and G H) and the
 matrix-vector products of its certificates, a step makes one bookkeeping
 pass over its new blocks: the changes H+ - H and G+ - G as rounded, their
 minima and column sums, and the minimum and maximum of E+ and F+.  The
@@ -55,11 +55,16 @@ turns the step into products only:
 
 Both terms of F+ carry F on each side, so they are nonnegative at every
 step (F <= 0 at k = 0, F >= 0 after) and their sum does not cancel.
-I - H G is formed but not solved: x2 = 1 + H (W (G 1)) is its
-(I - H G)^{-1} 1, which certifies it and gives its ``dist``.  Only an
-uncertified cross product is classified, by ``mstruct.classify_zm``; the
-next step breaks down when that kind is singular or LAPACK found I - G H
-exactly singular.
+I - H G is not solved: x2 = 1 + H (W (G 1)) is its (I - H G)^{-1} 1,
+which certifies it and gives its ``dist``.  Nor is it formed while
+G, H >= 0, which the state carries from a check on the initial blocks
+through each step's own change minima: then t = H (G x2), two
+matrix-vector products, certifies it where x2 - t is above a rounding
+margin c (x2 + t), and a pass implies the rule that judges the formed
+matrix (``_cross_solves`` gives the proof).  The eleventh GEMM, H G,
+runs only where that test fails.  Only an uncertified cross product is
+classified, by ``mstruct.classify_zm``; the next step breaks down when
+that kind is singular or LAPACK found I - G H exactly singular.
 
 ``solve`` keeps one iterate at a time and a trace of diagnostics; the
 pure ``initialize`` and ``step`` replay its iterates bit for bit.  Its
@@ -187,7 +192,9 @@ class DoublingState:
     ``solves`` carries W = (I - G H)^{-1} at this iterate, as computed with
     its diagnostics, so that ``step`` does not invert it again; it is None
     when LAPACK found I - G H exactly singular.  (I - H G)^{-1} is
-    I + H W G and is never formed.  Every state is built by ``_state``.
+    I + H W G and is never formed.  ``nonneg`` is True when G, H >= 0 is
+    known, as ``step`` carries it; False claims nothing.  Every state is
+    built by ``_state``.
     """
 
     k: int
@@ -198,6 +205,7 @@ class DoublingState:
     diagnostics: StepDiagnostics
     tau_sign: float
     solves: np.ndarray | None
+    nonneg: bool = False
 
 
 @dataclass(frozen=True)
@@ -217,52 +225,95 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
-def _cross_solves(G: np.ndarray, H: np.ndarray):
+def _cross_solves(G: np.ndarray, H: np.ndarray, nonneg: bool = False):
     """W = (I - G H)^{-1}, and (dist, kind) of I - G H and of I - H G.
 
     One certified solve, ``linalg._m_solve(I - G H, I)``, gives W and
-    certifies I - G H through x1 = W 1.  I - H G is formed, not solved:
-    x2 = 1 + H (W (G 1)) is (I - H G)^{-1} 1 by the push-through identity,
-    ``linalg._certifies`` judges it, and its dist is 1 / max|x2|.  Only a
-    matrix whose certificate fails is classified by ``mstruct.classify_zm``;
-    W is None and both dists are 0 when LAPACK finds I - G H exactly
-    singular.
+    certifies I - G H through x1 = W 1.  I - H G is not solved: x2 =
+    1 + H (W (G 1)) is (I - H G)^{-1} 1 by the push-through identity, and
+    it certifies I - H G, whose dist is 1 / max|x2|, as in ``_m_solve``.
+    ``nonneg`` says that G, H >= 0, as the state carries it (see ``step``):
+    then fl(G H) >= 0 and fl(H G) >= 0, both cross products are Z-matrices,
+    and ``linalg._certifies`` skips its Z-test on them.
+
+    With G, H >= 0, I - H G is not formed where two matrix-vector products
+    decide: t = H (G x2) passes where x2 > 0 and, in every row,
+    fl(x2 - t) > fl(c fl(x2 + t)), c = 4 (n + m + 2) eps for G of n rows
+    and m columns.  Only where that test fails, or G, H >= 0 is not known,
+    is I - H G formed (the eleventh GEMM) and judged by
+    ``linalg._certifies(I - H G, x2)``.  A matrix whose certificate fails
+    is classified by ``mstruct.classify_zm``; W is None and both dists are
+    0 when LAPACK finds I - G H exactly singular.
+
+    A pass implies ``_certifies(I - H G, x2)``, so every verdict and dist
+    is the one the formed test gives.  Let u = eps / 2, g_k = k u / (1 - k u),
+    P = H G exact, M = fl(H G), A = fl(I - M) the formed matrix, and in a
+    row i a = x2_i and b = (M x2)_i.  Every inner product below has
+    nonnegative terms but those of A x2, so each rounds within g_k of the
+    exact one, k its length, in any order of summation:
+    M <= (1 + g_n) P, fl(G x2) >= (1 - g_m) G x2 and t >= (1 - g_n) H fl(G x2),
+    so b <= r t with r = (1 + g_n) / ((1 - g_m)(1 - g_n)).  As
+    A_ii = (1 - M_ii)(1 + d), |d| <= u, and |1 - M_ii| a <= a + b,
+    (A x2)_i >= a - b - u (a + b) and (|A| x2)_i <= (1 + u)(a + b), so the
+    rule's fl(A x2)_i > fl((m + 2) eps fl(|A| x2)_i) holds where
+    a - b > k (a + b), k = u + g_m (1 + u) + (m + 2) eps (1 + g_m)(1 + u)^2.
+    A pass gives fl(a - t) > 0, so a > t (fl(a - t) > 0 exactly when a > t)
+    and, as x2 = fl(1 + v) is at least 2^-53 where positive and fl(c s)
+    cannot underflow, a - t > c' (a + t), c' = c (1 - u)^2 / (1 + u).  Then
+    a - b >= (a - t) - (r - 1) t > (c' - r + 1)(a + t) and
+    a + b <= r (a + t), so c' >= k r + r - 1 suffices.  With
+    N = n + m + 2 and N eps <= 2^-10, k r + r - 1 <= 1.004 (4m + 2n + 5) u
+    < 2.01 N eps, while c' > 3.99 N eps: c keeps nearly a factor of two.
     """
-    igh, ihg = G @ H, H @ G
+    n, m = G.shape
+    igh = G @ H
     # I - M in the product's own buffer, from the read-only identity of linalg._eye
-    eye = linalg._eye(len(igh))
+    eye = linalg._eye(n)
     np.subtract(eye, igh, out=igh)
-    np.subtract(linalg._eye(len(ihg)), ihg, out=ihg)
     try:
         # the solve against _eye's identity reads the [I 1] built with it
-        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye)
+        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye, known_z=nonneg)
     except SingularMatrix:
-        W, dist_igh, certified_igh, dist_ihg, certified_ihg = None, 0.0, False, 0.0, False
+        W, dist_igh, certified_igh, certified_ihg = None, 0.0, False, False
     else:
         x2 = 1.0 + H @ (W @ G.sum(axis=1))
-        certified_ihg = linalg._certifies(ihg, x2)
-        dist_ihg = 1.0 / float(x2.max() if certified_ihg else np.abs(x2).max())  # as in _m_solve
-    kinds = [
-        MatrixKind.NONSINGULAR_M if certified else mstruct.classify_zm(M).kind
-        for M, certified in ((igh, certified_igh), (ihg, certified_ihg))
-    ]
-    return W, (dist_igh, kinds[0]), (dist_ihg, kinds[1])
+        certified_ihg = False
+        if nonneg:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed t fails the test
+                t = H @ (G @ x2)
+                certified_ihg = bool(x2.min() > 0.0 and (x2 - t > 4 * (n + m + 2) * EPS * (x2 + t)).all())
+    kind_igh = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
+    kind_ihg = MatrixKind.NONSINGULAR_M
+    if not certified_ihg:
+        ihg = H @ G
+        np.subtract(linalg._eye(m), ihg, out=ihg)
+        if W is not None:
+            certified_ihg = linalg._certifies(ihg, x2, nonneg)
+        if not certified_ihg:
+            kind_ihg = mstruct.classify_zm(ihg).kind
+    # as in _m_solve: a certified x2 is positive, so max|x2| = max x2
+    dist_ihg = 0.0 if W is None else 1.0 / float(x2.max() if certified_ihg else np.abs(x2).max())
+    return W, (dist_igh, kind_igh), (dist_ihg, kind_ihg)
 
 
-def _state(k: int, E, F, G, H, tau: float, **measures) -> DoublingState:
+def _state(k: int, E, F, G, H, tau: float, nonneg: bool, **measures) -> DoublingState:
     """The state of the iterate (E, F, G, H) at step k; ``measures`` are its diagnostics' other fields.
 
-    Its W = (I - G H)^{-1} is computed here, once, and carried in ``solves``.
+    Its W = (I - G H)^{-1} is computed here, once, and carried in
+    ``solves``; ``nonneg`` says that G, H >= 0 is known.
     """
-    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H)
+    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H, nonneg)
     diag = StepDiagnostics(
         k=k, dist_IGH=dist_igh, dist_IHG=dist_ihg, kind_IGH=kind_igh, kind_IHG=kind_ihg, **measures
     )
-    return DoublingState(k, E, F, G, H, diag, tau, W)
+    return DoublingState(k, E, F, G, H, diag, tau, W, nonneg)
 
 
 def _iterate(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float) -> DoublingState:
-    """The initial state of (E, F, G, H): its sign counts are the entries of E and F above tau."""
+    """The initial state of (E, F, G, H): its sign counts are the entries of E and F above tau.
+
+    G, H >= 0 is checked here, once, on the initial blocks; ``step`` carries it.
+    """
     return _state(
         0,
         E,
@@ -270,6 +321,7 @@ def _iterate(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: fl
         G,
         H,
         tau,
+        bool(G.min() >= 0.0 and H.min() >= 0.0),
         dH=math.nan,
         dG=math.nan,
         sign_violations_E=int(np.count_nonzero(E > tau)),
@@ -338,6 +390,12 @@ def step(s: DoublingState) -> DoublingState:
       of r entries of modulus at most M is below 2 r M, so
       2 r max|E+| <= 1e100 (and the same for F+) rules it out.  Only above
       that bound are the two 1-norms taken.
+    - G+, H+ >= 0, which spares the new state's cross solves their
+      Z-tests and lets x2 certify I - H G (``_cross_solves``), is carried
+      from s: H+ >= H >= 0 where s has G, H >= 0 and min(H+ - H) >= 0, for
+      the reason above; likewise for G.  Only where a change has a
+      negative minimum, or s does not carry the sign, are min(H+) and
+      min(G+) taken.
     """
     E, F, G, H, W = s.E, s.F, s.G, s.H, s.solves
     kind_igh, kind_ihg = s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
@@ -384,6 +442,9 @@ def step(s: DoublingState) -> DoublingState:
         mono += np.count_nonzero(H_new < H - tau)
     if low_g < 0.0:
         mono += np.count_nonzero(G_new < G - tau)
+    nonneg = bool(s.nonneg and low_h >= 0.0 and low_g >= 0.0)
+    if not nonneg:  # a change with a negative minimum, or signs s does not carry
+        nonneg = bool(H_new.min() >= 0.0 and G_new.min() >= 0.0)
     return _state(
         k,
         E_new,
@@ -391,6 +452,7 @@ def step(s: DoublingState) -> DoublingState:
         G_new,
         H_new,
         tau,
+        nonneg,
         dH=dH,
         dG=dG,
         sign_violations_E=int(sign_E),

@@ -134,12 +134,15 @@ def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
+def _m_solve(
+    A: np.ndarray, *blocks: np.ndarray, known_z: bool = False
+) -> tuple[np.ndarray, float, bool, np.ndarray]:
     """``(A^{-1} [blocks], dist, certified, x)``: one LAPACK solve of ``A [X x] = [blocks 1]``.
 
     ``_with_ones`` lays out ``[blocks 1]`` (a vector block is one column;
     with no block it is the ones column alone).  A is certified a
-    nonsingular M-matrix when x = A^{-1} 1 passes ``_certifies``, and then
+    nonsingular M-matrix when x = A^{-1} 1 passes ``_certifies`` (told
+    ``known_z`` where the caller has proved A a Z-matrix), and then
     ``dist = 1 / max|x| = 1 / ||A^{-1}||_inf`` is a scale-aware distance
     to singularity, and x > 0 a witness with A x > 0.  Raises
     SingularMatrix when LAPACK finds A exactly singular.  A must be a square float64 array
@@ -153,22 +156,28 @@ def _m_solve(A: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, float, boo
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
-    certified = _certifies(A, x)
+    certified = _certifies(A, x, known_z)
     # a certified x is positive, so max|x| = max x
     return sol[:, :-1], 1.0 / float(x.max() if certified else np.abs(x).max()), certified, x
 
 
-def _certifies(A: np.ndarray, x: np.ndarray) -> bool:
+def _certifies(A: np.ndarray, x: np.ndarray, known_z: bool = False) -> bool:
     """True when x certifies the square float64 A a nonsingular M-matrix.
 
     A Z-matrix is one exactly when some x > 0 has A x > 0; the computed
     A x must exceed its rounding margin (n + 2) eps |A| x in every row.
-    This is the one home of that rule: ``_m_solve`` applies it to
-    x = A^{-1} 1, and the doubling to a vector it derives for a matrix it
-    does not solve.
+    ``known_z`` skips the Z-test of a matrix its caller has proved a
+    Z-matrix: the doubling's I - G H and I - H G while G, H >= 0, as
+    fl(G H) >= 0.  This is the one home of that rule: ``_m_solve`` applies
+    it to x = A^{-1} 1, and the doubling to x2 = (I - H G)^{-1} 1, which it
+    derives without solving I - H G.  The doubling first tries a test on
+    x2 alone, x2 - H G x2 above c (x2 + H G x2) for a c that covers this
+    rule's margin and every rounding between the two, and forms I - H G
+    for this rule only where that test fails (``doubling._cross_solves``
+    gives the proof that a pass implies this rule's).
     """
     n = A.shape[0]
-    return bool(_is_z(A) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
+    return bool((known_z or _is_z(A)) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +226,13 @@ def _noda_bounds(P: np.ndarray, c: float, x: np.ndarray | None = None) -> tuple[
             y = np.linalg.solve(shifted, x)
         except np.linalg.LinAlgError:
             break
-        top = y.max()
-        if not (y.min() > 0.0 and top < math.inf):  # also false on a NaN
+        bottom, top = y.min(), y.max()
+        if not (bottom > 0.0 and top < math.inf):  # also false on a NaN
             break
-        y = y / top
-        if not y.min() > 0.0:  # an entry underflowed
+        # rounding is monotone, so bottom / top is the smallest entry of y / top
+        if not bottom / top > 0.0:  # an entry underflowed
             break
-        x = y
+        x = y / top
     return lo, hi, x
 
 
@@ -236,40 +245,41 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     component is the set of nodes that both reach and are reached from its
     smallest node, found among the nodes no earlier component took.
 
-    Sets of nodes are Python integers, bit j for node j.  The two searches
-    from a component's smallest node, along the edges and against them,
-    take a level each in turn, each level one union of the rows (or
-    columns) of its frontier's nodes, stopped as soon as it covers every
-    node left unseen.  Once one search is complete, the other runs on
-    among the nodes it found alone: every node on a path between two nodes
-    of a component is in the component.  So a component of one node, as in
-    a triangular A, costs a level of each search.  A row is read from one
-    packing of the digraph's rows; the columns of a frontier are packed
-    when its level needs them, in one call.  A self-loop leads a node only
-    to itself, so the diagonal is not cleared.
+    A digraph with every off-diagonal edge, as that of a dense K, R or S,
+    is one component: one count of the nonzero entries finds it, and the
+    search does not run.  Otherwise sets of nodes are Python integers, bit
+    j for node j; the digraph's rows are packed once, and so are its
+    columns, when a search first needs them.  The two searches from a
+    component's smallest node, along the edges and against them, take a
+    level each in turn, each level the union of the rows (or columns) of
+    its frontier's nodes, read lazily from the frontier's lowest node up
+    and stopped at the first that covers every node left unseen.  Once one
+    search is complete, the other runs on among the nodes it found alone:
+    every node on a path between two nodes of a component is in the
+    component.  So a component of one node, as in a triangular A, costs a
+    level of each search.  A self-loop leads a node only to itself, so the
+    diagonal is not cleared.
     """
     n = A.shape[0]
     adj = A != 0.0
+    if np.count_nonzero(adj) - np.count_nonzero(adj.diagonal()) == n * (n - 1):
+        return [np.arange(n)]
     width = (n + 7) // 8
-    rows = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    # row j of the digraph at bytes j * width on in packed[0], column j in packed[1] once a search needs it
+    packed = [np.packbits(adj, axis=1, bitorder="little").tobytes(), None]
 
     def union(d: int, front: int, goal: int) -> int:
         """The successors (d = 0) or predecessors (d = 1) of the nodes of front, at least until they cover goal."""
-        nodes = []
+        if packed[d] is None:
+            packed[d] = np.packbits(adj.T.copy(), axis=1, bitorder="little").tobytes()
+        rows, out = packed[d], 0
         while front:
             low = front & -front
-            nodes.append(low.bit_length() - 1)
-            front ^= low
-        if d == 0:
-            packed, at = rows, [j * width for j in nodes]
-        else:
-            packed = np.packbits(adj[:, nodes], axis=0, bitorder="little").T.tobytes()
-            at = range(0, len(nodes) * width, width)
-        out = 0
-        for k in at:
-            out |= int.from_bytes(packed[k : k + width], "little")
+            k = (low.bit_length() - 1) * width
+            out |= int.from_bytes(rows[k : k + width], "little")
             if out & goal == goal:
                 break
+            front ^= low
         return out
 
     everything = left = (1 << n) - 1
@@ -299,6 +309,10 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
         if block == everything:  # A is irreducible
             return [np.arange(n)]
         left ^= block
+        if block == pivot:  # a component of one node, as every one of a triangular A
+            j = pivot.bit_length() - 1
+            blocks.append(np.arange(j, j + 1))
+            continue
         bits = np.unpackbits(np.frombuffer(block.to_bytes(width, "little"), np.uint8), count=n, bitorder="little")
         blocks.append(np.flatnonzero(bits))
     return blocks

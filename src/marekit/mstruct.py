@@ -75,7 +75,7 @@ class MatrixKind(enum.Enum):
     NONSINGULAR_M = "NonsingularM"
 
 
-def class_tol(M: np.ndarray) -> float:
+def class_tol(M: np.ndarray, norm: float | None = None) -> float:
     """Classification tolerance for the gap s - rho(B) of the split of a float64 matrix M.
 
     The dim * eps * ||M||_1 term covers rounding in the split itself; the
@@ -83,14 +83,15 @@ def class_tol(M: np.ndarray) -> float:
     Its Collatz-Wielandt bounds close to a width of 1e-15 (rho + c),
     c = 1 + max diag of the matrix or block they bracket, but they are
     rounded: the root and a repeated-squaring reference differ by up to
-    about 2e-15 (rho + c) on the acceptance suites.
+    about 2e-15 (rho + c) on the acceptance suites.  ``norm`` is M's
+    ``one_norm`` where the caller has it (None takes it here).
     """
-    return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M))
+    return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M) if norm is None else norm)
 
 
-def null_tol(K) -> float:
-    """Residual tolerance for kernel vectors of K."""
-    return 1e-10 * one_norm(K)
+def null_tol(K, norm: float | None = None) -> float:
+    """Residual tolerance for kernel vectors of K; ``norm`` is K's ``one_norm`` where the caller has it."""
+    return 1e-10 * (one_norm(K) if norm is None else norm)
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,18 @@ def classify_zm(M) -> MClassification:
     return _classify_blocks(as_square(M))
 
 
-def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None) -> MClassification:
+def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None, tol: float | None = None) -> MClassification:
     """``classify_zm`` of a checked square float64 A, each block's Noda run started at ``start`` there.
 
     ``start`` is a positive vector, or None (every run starts at 1).  The
     roots are certified from any start; one near the Perron vectors of
     the blocks saves solves: K's witness or trial K^{-1} 1, or a vector
-    that the doubling's last iterate gives for R or S.
+    that the doubling's last iterate gives for R or S.  ``tol`` is
+    ``class_tol(A)`` where the caller has taken it (None takes it here).
     """
     s = float(A.diagonal().max())
-    tol = class_tol(A)
+    if tol is None:
+        tol = class_tol(A)
     if not linalg._is_z(A):
         return MClassification(MatrixKind.NOT_Z, s, math.nan, tol)
     index = linalg._irreducible_blocks(A)
@@ -223,7 +226,7 @@ def gap_kind(gap: float, tol: float) -> MatrixKind:
     return MatrixKind.SINGULAR_M
 
 
-def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None]:
+def classify_by_solve(K: np.ndarray, norm: float | None = None) -> tuple[MClassification, np.ndarray | None]:
     """``(classification, x)`` of a checked square float64 Z-matrix K, from x = K^{-1} 1 where it decides.
 
     One ``linalg._m_solve(K)``: where it certifies x, Collatz-Wielandt
@@ -240,15 +243,17 @@ def classify_by_solve(K: np.ndarray) -> tuple[MClassification, np.ndarray | None
     is a step of inverse iteration at the exact shift, so x is nearly the
     Perron vector and the runs close in fewer solves.  ``x`` is returned
     whenever it certifies, so that ``block_null_pairs`` does not solve K
-    again; it is None otherwise.
+    again; it is None otherwise.  ``norm`` is K's ``one_norm`` where the
+    caller has it (``MareProblem.norms``); the tolerance, taken once from
+    it, is passed on to ``_classify_blocks``.
     """
-    tol = class_tol(K)
+    tol = class_tol(K, norm)
     try:
         _, dist, certified, x = linalg._m_solve(K)
     except SingularMatrix:  # LAPACK finds K exactly singular
-        return _classify_blocks(K), None
+        return _classify_blocks(K, None, tol), None
     if not certified or dist <= tol:
-        return _classify_blocks(K, linalg._perron_start(np.abs(x))), x if certified else None
+        return _classify_blocks(K, linalg._perron_start(np.abs(x)), tol), x if certified else None
     index = linalg._irreducible_blocks(K)
     blocks = tuple(
         IrreducibleBlock(
@@ -318,7 +323,7 @@ def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def block_null_pairs(
-    K, n: int, classification: MClassification, solved: np.ndarray | None = None
+    K, n: int, classification: MClassification, solved: np.ndarray | None = None, norm: float | None = None
 ) -> tuple[list[NullPair], np.ndarray | None]:
     """Certify K's nonsingular rest N; one kernel pair of K per singular irreducible block, split at n; K's witness.
 
@@ -346,7 +351,7 @@ def block_null_pairs(
     regular, and where rounding leaves an entry that is not positive.
     K must be a checked square float64 array, ``classification`` that of
     an M-matrix and n in [0, size], as ``problem.classify_problem`` passes
-    them.
+    them, with K's ``one_norm`` as ``norm`` (None takes it here).
     """
     size = K.shape[0]
     singular = classification.singular_blocks
@@ -363,7 +368,7 @@ def block_null_pairs(
         right, ones = _solve_rest(K_NN, *(-(K[np.ix_(rest, b.index)] @ b.perron) for b in singular))
         # a row-major transpose, so that its certificate's products round as every other's
         left, _ = _solve_rest(K_NN.T.copy(), *(-(y @ K[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
-    tol = null_tol(K)
+    tol = null_tol(K, norm)
     pairs = []
     for i, (blk, y) in enumerate(zip(singular, lefts)):
         v, u = np.zeros(size), np.zeros(size)

@@ -315,14 +315,14 @@ def classify_problem(p: MareProblem) -> ProblemClass:
     or more singular blocks is AssumptionFails; with one, the drift
     separates SingularNoncritical (r = 1) from Critical (r = 2).
     """
-    K = p.K
-    k_class, solved = mstruct.classify_by_solve(K)
+    K, k_norm = p.K, p.norms.K
+    k_class, solved = mstruct.classify_by_solve(K, k_norm)
     if k_class.kind not in (MatrixKind.SINGULAR_M, MatrixKind.NONSINGULAR_M) or (
         not k_class.regular and len(k_class.singular_blocks) > 1
     ):
         return ProblemClass(k_class, None, None, Regime.NOT_REGULAR)
 
-    pairs, witness = mstruct.block_null_pairs(K, p.n, k_class, solved)
+    pairs, witness = mstruct.block_null_pairs(K, p.n, k_class, solved, k_norm)
     r = sum(1 if abs(q.drift) > TAU_DRIFT else 2 for q in pairs)
     nulls = pairs[0] if len(pairs) == 1 else None
     if not pairs:
@@ -463,7 +463,7 @@ def make_certificate(
     negative or NaN ``tol``.
     """
     _check_tol(tol, "tol")
-    tau = mstruct.null_tol(p.K)
+    tau = mstruct.null_tol(p.K, p.norms.K)
     phi_m = _candidate(phi, p.m, p.n, "phi")
     psi_m = _candidate(psi, p.n, p.m, "psi")
     if phi_m.min() < -tau or psi_m.min() < -tau:

@@ -4,7 +4,10 @@ Not a test module (no ``test_`` prefix), so pytest does not collect it;
 the test modules import from here and never from each other.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -175,7 +178,7 @@ def reference_path(monkeypatch):
     ``monkeypatch.context()`` to compare the two paths on one problem.
     """
     perron = linalg._perron_pair
-    monkeypatch.setattr(mstruct, "classify_by_solve", lambda K: (classify_zm(K), None))
+    monkeypatch.setattr(mstruct, "classify_by_solve", lambda K, norm=None: (classify_zm(K), None))
     monkeypatch.setattr(mstruct, "_left_perron", lambda M, x: perron(mstruct._split(M.T)[1])[1])
     monkeypatch.setattr(linalg, "_perron_pair", lambda A, start=None: perron(A))
 
@@ -185,9 +188,9 @@ def count_m_solves(monkeypatch):
     calls = []
     real = linalg._m_solve
 
-    def counting(A, *blocks):
+    def counting(A, *blocks, **options):
         calls.append((len(A), len(blocks)))
-        return real(A, *blocks)
+        return real(A, *blocks, **options)
 
     monkeypatch.setattr(linalg, "_m_solve", counting)
     return calls
@@ -246,3 +249,17 @@ def reducible_problems(seed, count):
         n = int(rng.integers(1, size))
         problems.append(MareProblem(n=n, m=size - n, D=K[:n, :n], C=-K[:n, n:], B=-K[n:, :n], A=K[n:, n:]))
     return problems
+
+
+def bench_problems(seed, workloads=("sweep-small", "solve-large", "crosscheck")):
+    """The problems of the benchmark's ``workloads`` at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # its dataclasses look their module up there
+    spec.loader.exec_module(bench)
+    return [
+        MareProblem(n=b.n, m=b.m, A=b.A, B=b.B, C=b.C, D=b.D)
+        for workload in workloads
+        for b in bench.generate(workload, seed)
+    ]

@@ -1,10 +1,7 @@
 import dataclasses
-import importlib.util
 import inspect
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +30,7 @@ from marekit.linalg import EPS
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
 
-from helpers import reducible_problems, reference_observed_rate, replay
+from helpers import bench_problems, reducible_problems, reference_observed_rate, replay
 
 GOLDEN = (3 - 5**0.5) / 2
 # scalar rate at (alpha, beta) = (2, 1): ((golden)/(R + 2))^2 with R = (sqrt5 - 1)/2
@@ -146,26 +143,12 @@ def _ref_initial_blocks(p, params):
     )
 
 
-def _bench_problems(seed, workloads=("sweep-small", "solve-large", "crosscheck")):
-    """The problems of the benchmark's ``workloads`` at ``seed``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
-    spec = importlib.util.spec_from_file_location("bench_problems", path)
-    bench = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = bench  # its dataclasses look their module up there
-    spec.loader.exec_module(bench)
-    return [
-        MareProblem(n=b.n, m=b.m, A=b.A, B=b.B, C=b.C, D=b.D)
-        for workload in workloads
-        for b in bench.generate(workload, seed)
-    ]
-
-
 class TestInitialize:
     def test_blocks_match_nested_schur_complements(self, noncritical_suite, nonsingular_suite):
         # the blocks of gamma (K + diag(alpha I, beta I))^{-1} are gamma V^{-1},
         # gamma Ds^{-1} C W^{-1}, gamma W^{-1} B Ds^{-1} and gamma W^{-1}; the
         # largest ratio seen over these problems is about 9.1
-        problems = noncritical_suite + nonsingular_suite + reducible_problems(29, 300) + _bench_problems(13)
+        problems = noncritical_suite + nonsingular_suite + reducible_problems(29, 300) + bench_problems(13)
         worst = 0.0
         for p in problems:
             for params in (select_parameters(p), select_parameters(p, mode=MODE_SDA)):
@@ -636,7 +619,7 @@ class TestObservedRateFromIncrements:
     def test_bench_critical_draws(self):
         # about half run to the cap with steps against monotonicity, where the
         # summed increments bound ||H_k - H_N||_1 from above
-        flagged = [self._check(p, self._solved(p)) for p in _bench_problems(13, ("critical",))]
+        flagged = [self._check(p, self._solved(p)) for p in bench_problems(13, ("critical",))]
         assert len(flagged) == 102 and sum(flagged) >= 20
 
     def test_random_reducible_k(self):

@@ -25,13 +25,14 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import reducible_m_matrix, reducible_problems, sign_flipped
+from helpers import bench_problems, reducible_m_matrix, reducible_problems, sign_flipped
 from marekit import (
     FamilySpec,
     MareProblem,
@@ -807,6 +808,52 @@ class TestBlockSearch:
             assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
+    @staticmethod
+    def _complete(rng, n):
+        """Digraphs of order n with every off-diagonal edge: zero, nonzero and mixed diagonals."""
+        full = rng.random((n, n)) + 0.5
+        zero = full * (1.0 - np.eye(n))
+        mixed = full.copy()
+        mixed.reshape(-1)[:: 2 * (n + 1)] = 0.0
+        return [full, zero, mixed, -zero]
+
+    def test_complete_small_sparse_and_bench_digraphs(self):
+        rng = np.random.default_rng(21)
+        inputs = [A for n in range(1, 70) for A in self._complete(rng, n)]
+        for n in (1, 2, 3):  # every digraph of order up to 3, diagonal included
+            for bits in itertools.product((0.0, 1.0), repeat=n * n):
+                inputs.append(np.array(bits).reshape(n, n) * (rng.random((n, n)) + 0.5))
+        for n in (100, 200, 300):
+            inputs += [rng.random((n, n)) * (rng.random((n, n)) < d / n) for d in (0.5, 1.0, 2.0, 4.0)]
+        for p in bench_problems(13, ("sweep-small", "solve-large", "crosscheck", "critical")):
+            inputs.append(p.K)
+            try:
+                cert = solve(p).certificate
+            except MaxIterations as exc:
+                cert = exc.report.certificate
+            except MareError:
+                continue
+            inputs += [cert.R, cert.S]
+        assert len(inputs) >= 1600
+        for A in inputs:
+            got, want = linalg._irreducible_blocks(A), _ref_irreducible_blocks(A)
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_complete_digraph_is_one_block_without_a_search(self, monkeypatch):
+        # one count decides a digraph with every off-diagonal edge: nothing is packed
+        rng = np.random.default_rng(22)
+        inputs = [A for n in (1, 2, 3, 8, 9, 64, 88, 130) for A in self._complete(rng, n)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the complete digraph was searched")
+
+        monkeypatch.setattr(np, "packbits", refuse)
+        for A in inputs:
+            (block,) = linalg._irreducible_blocks(A)
+            assert _same_bits(block, np.arange(len(A)))
+
+
 def _run(p):
     """The states of a doubling run on p from its default parameters, to its stop test, the cap or a breakdown."""
     params = doubling.select_parameters(p)
@@ -824,26 +871,48 @@ def _run(p):
 
 
 class TestDoublingCores:
-    def test_initial_blocks_and_cross_solves_same_bits(self, problems):
+    def test_initial_blocks_and_cross_solves_same_bits(self, problems, critical_draws):
+        # every state's cross solves, from the sign it carries, against the formed
+        # test on both cross products; the line trace counts the path each took
+        (t_line, formed_line) = _branch_lines(doubling._cross_solves, ("t = H @ (G @ x2)", "ihg = H @ G"))["ihg = H @ G"]
+        (_, min_line) = _branch_lines(doubling.step, ("nonneg = bool(s.nonneg", "nonneg = bool(H_new.min()"))[
+            "nonneg = bool(H_new.min()"
+        ]
         cross = 0
-        for p in problems:
-            for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
-                try:
-                    want = _ref_initial_blocks(p, params)
-                except SingularMatrix:
-                    with pytest.raises(SingularMatrix):
-                        doubling.initialize(p, params)
-                    continue
-                st0 = doubling.initialize(p, params)
-                assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
-            _, states = _run(p)
-            for state in states:
-                got, want = doubling._cross_solves(state.G, state.H), _ref_cross_solves(state.G, state.H)
-                assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
-                for g, w in zip(got[1:], want[1:]):
-                    assert _same_bits(g[0], w[0]) and g[1] is w[1]
-                cross += 1
-        assert cross >= 3000
+
+        def run():
+            nonlocal cross
+            for p in problems + critical_draws:
+                for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
+                    try:
+                        want = _ref_initial_blocks(p, params)
+                    except SingularMatrix:
+                        with pytest.raises(SingularMatrix):
+                            doubling.initialize(p, params)
+                        continue
+                    st0 = doubling.initialize(p, params)
+                    assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
+                _, states = _run(p)
+                for state in states:
+                    assert state.nonneg is bool(state.G.min() >= 0.0 and state.H.min() >= 0.0)
+                    got = doubling._cross_solves(state.G, state.H, state.nonneg)
+                    want = _ref_cross_solves(state.G, state.H)
+                    assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
+                    for g, w in zip(got[1:], want[1:]):
+                        assert _same_bits(g[0], w[0]) and g[1] is w[1]
+                    cross += 1
+
+        paths = collections.Counter()
+        for code, lines in _lines_run({doubling._cross_solves.__code__, doubling.step.__code__}, run):
+            if code is doubling.step.__code__:
+                paths["explicit minimum"] += lines[min_line] > 0
+            elif lines[t_line]:
+                paths["formed after the x2 test" if lines[formed_line] else "x2 test"] += 1
+        assert cross >= 4000
+        # the x2 test decides 9919 of 10243 calls; the critical draws also reach the
+        # formed fallback (324) and steps whose change has a negative minimum (232)
+        assert paths["x2 test"] >= 9000
+        assert paths["formed after the x2 test"] >= 200 and paths["explicit minimum"] >= 150
 
     def test_observed_rate_same_bits(self, problems):
         compared = 0
@@ -858,6 +927,106 @@ class TestDoublingCores:
                 assert _same_bits(doubling.observed_rate(part), want)
                 compared += 1
         assert compared >= 1000
+
+
+class TestCrossSolveEdges:
+    """Hand-built states at the edges of the x2 test and of the sign carry, against the formed test."""
+
+    @staticmethod
+    def _paths(G, H, nonneg):
+        """(cross solves of G, H, the lines of the x2 test and of the formed fallback that ran)."""
+        (t_line, formed_line) = _branch_lines(doubling._cross_solves, ("t = H @ (G @ x2)", "ihg = H @ G"))["ihg = H @ G"]
+        out = []
+        ((_, lines),) = _lines_run({doubling._cross_solves.__code__}, lambda: out.append(doubling._cross_solves(G, H, nonneg)))
+        return out[0], bool(lines[t_line]), bool(lines[formed_line])
+
+    @staticmethod
+    def _assert_reference(got, G, H):
+        want = _ref_cross_solves(G, H)
+        assert _same_bits(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert _same_bits(g[0], w[0]) and g[1] is w[1]
+
+    def test_tiny_negative_entry_of_h(self):
+        # (G H)_01 = (H G)_01 = -5e-301: neither cross product is a Z-matrix, which
+        # only the explicit sign check sees; claiming G, H >= 0 would certify both
+        G = np.array([[0.5, 0.0], [0.25, 0.5]])
+        H = np.array([[0.5, -1e-300], [0.25, 0.5]])
+        state = doubling._iterate(-0.5 * np.eye(2), -0.5 * np.eye(2), G, H, 1e-12)
+        assert state.nonneg is False
+        got, tested, formed = self._paths(G, H, state.nonneg)
+        assert not tested and formed
+        self._assert_reference(got, G, H)
+        assert (state.diagnostics.kind_IGH, state.diagnostics.kind_IHG) == (MatrixKind.NOT_Z, MatrixKind.NOT_Z)
+        claimed = doubling._cross_solves(G, H, True)
+        assert (claimed[1][1], claimed[2][1]) == (MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M)
+
+    def test_x2_test_fails_at_its_margin(self):
+        # n = 1, m = 5, so c = 4 (1 + 5 + 2) eps = 2^-47, and every value below is exact:
+        # W = 2^40, x2 = (2^46 + 1/2, 1, 1, 1, 1), t = (2^46 - 1/2, 0, 0, 0, 0); row 0 has
+        # x2 - t = 1 = c (x2 + t), which fails the strict test and passes one ulp of c lower
+        G = np.array([[1.0 - 2.0**-40, 63.0, 2.0**-41, 0.0, 0.0]])
+        H = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
+        x2 = np.array([2.0**46 + 0.5, 1.0, 1.0, 1.0, 1.0])
+        t = H @ (G @ x2)
+        c = 4 * 8 * EPS
+        assert _same_bits(t, np.array([2.0**46 - 0.5, 0.0, 0.0, 0.0, 0.0]))
+        assert list(x2 - t > c * (x2 + t)) == [False, True, True, True, True]
+        assert (x2 - t > np.nextafter(c, 0.0) * (x2 + t)).all()
+        got, tested, formed = self._paths(G, H, True)
+        assert tested and formed
+        self._assert_reference(got, G, H)
+        # the formed rule certifies I - H G: its row 0 has A x2 = 1 against 7 eps (127 + 2^-40)
+        assert got[2] == (1.0 / x2.max(), MatrixKind.NONSINGULAR_M)
+
+    def test_x2_test_refuses_what_the_formed_rule_refuses(self):
+        # I - G H = I - H G = [[1, -1], [-(1 - 2^-49), 1]], with W, x2 = (2^50, 2^50 - 1)
+        # and t all exact: x2 - t = 1 against x2 + t near 2^51, so a c below 2 eps
+        # would certify a matrix whose gap, about 2^-50, classifies as singular
+        G = np.array([[0.0, 1.0], [1.0 - 2.0**-49, 0.0]])
+        H = np.eye(2)
+        got, tested, formed = self._paths(G, H, True)
+        assert tested and formed
+        self._assert_reference(got, G, H)
+        assert got[1][1] is got[2][1] is MatrixKind.SINGULAR_M
+
+    def test_overflowed_t_warns_nothing_of_its_own(self):
+        # x2 = (4/3, about 1.8e308) is finite and t overflows in its second entry, so
+        # the test fails and I - H G is formed; the formed rule's |A| x2 overflows and
+        # warns, as it does in the reference, and the x2 test adds no warning
+        G = np.array([[1e150, 1e-200]])
+        H = np.array([[float.fromhex("0x1.a2fe76a3f94b2p-501")], [float.fromhex("0x1.3a3ed8fafaf48p+525")]])
+        x2 = 1.0 + H @ (np.linalg.solve(np.eye(1) - G @ H, np.eye(1)) @ G.sum(axis=1))
+        with np.errstate(over="ignore"):
+            assert np.isfinite(x2).all() and np.isinf(H @ (G @ x2)).any()
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got, tested, formed = self._paths(G, H, True)
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            want = _ref_cross_solves(G, H)
+        assert tested and formed
+        assert [str(w.message) for w in ours] == [str(w.message) for w in theirs] == ["overflow encountered in matmul"]
+        assert _same_bits(got[0], want[0])
+        assert all(_same_bits(g[0], w[0]) and g[1] is w[1] for g, w in zip(got[1:], want[1:]))
+
+    def test_sign_carry_takes_the_minimum_of_a_falling_h(self):
+        # from G, H >= 0, E with a positive entry makes H+ - H negative and H+ with
+        # negative entries, while G+ >= G: only the minimum of H+ refuses the carry,
+        # and I - G+ H+ is then not a Z-matrix, which a carried sign would certify
+        E = np.array([[-1.0, 0.25], [-0.25, -0.5]])
+        F = np.array([[-0.25, 0.0], [-0.5, -0.5]])
+        G = np.array([[0.125, 0.25], [0.25, 0.25]])
+        H = np.array([[0.25, 0.0], [0.25, 0.0]])
+        s = doubling._iterate(E, F, G, H, 1e-12)
+        assert s.nonneg is True
+        new = doubling.step(s)
+        assert (new.H - H).min() < 0.0 <= (new.G - G).min() and new.H.min() < 0.0
+        assert new.nonneg is False
+        want = _ref_cross_solves(new.G, new.H)
+        assert (new.diagnostics.kind_IGH, new.diagnostics.kind_IHG) == (want[1][1], want[2][1])
+        assert new.diagnostics.kind_IGH is MatrixKind.NOT_Z
+        assert doubling._cross_solves(new.G, new.H, True)[1][1] is MatrixKind.NONSINGULAR_M
 
 
 def _same_diagnostics(a, b) -> bool:
