@@ -276,12 +276,15 @@ def _cross_solves(G: np.ndarray, H: np.ndarray, nonneg: bool = False):
     except SingularMatrix:
         W, dist_igh, certified_igh, certified_ihg = None, 0.0, False, False
     else:
-        x2 = 1.0 + H @ (W @ G.sum(axis=1))
+        x2 = 1.0 + H @ (W @ np.add.reduce(G, 1))
         certified_ihg = False
         if nonneg:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed t fails the test
                 t = H @ (G @ x2)
-                certified_ihg = bool(x2.min() > 0.0 and (x2 - t > 4 * (n + m + 2) * EPS * (x2 + t)).all())
+                certified_ihg = bool(
+                    np.minimum.reduce(x2, None) > 0.0
+                    and np.logical_and.reduce(x2 - t > 4 * (n + m + 2) * EPS * (x2 + t), None)
+                )
     kind_igh = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
     kind_ihg = MatrixKind.NONSINGULAR_M
     if not certified_ihg:
@@ -292,7 +295,7 @@ def _cross_solves(G: np.ndarray, H: np.ndarray, nonneg: bool = False):
         if not certified_ihg:
             kind_ihg = mstruct.classify_zm(ihg).kind
     # as in _m_solve: a certified x2 is positive, so max|x2| = max x2
-    dist_ihg = 0.0 if W is None else 1.0 / float(x2.max() if certified_ihg else np.abs(x2).max())
+    dist_ihg = 0.0 if W is None else 1.0 / float(np.maximum.reduce(x2 if certified_ihg else np.abs(x2), None))
     return W, (dist_igh, kind_igh), (dist_ihg, kind_ihg)
 
 
@@ -412,10 +415,12 @@ def step(s: DoublingState) -> DoublingState:
         G_new = G + EW @ GF
         H_new = H + FHW @ E
         change_h, change_g = H_new - H, G_new - G
-        low_h, low_g = change_h.min(), change_g.min()
-        dH_columns = np.abs(change_h, out=change_h).sum(axis=0)
-        dH, dG = float(dH_columns.max()), float(np.abs(change_g, out=change_g).sum(axis=0).max())
-        e_lo, e_hi, f_lo, f_hi = E_new.min(), E_new.max(), F_new.min(), F_new.max()
+        low_h, low_g = np.minimum.reduce(change_h, None), np.minimum.reduce(change_g, None)
+        dH_columns = np.add.reduce(np.abs(change_h, out=change_h), 0)
+        dH = float(np.maximum.reduce(dH_columns, None))
+        dG = float(np.maximum.reduce(np.add.reduce(np.abs(change_g, out=change_g), 0), None))
+        e_lo, e_hi = np.minimum.reduce(E_new, None), np.maximum.reduce(E_new, None)
+        f_lo, f_hi = np.minimum.reduce(F_new, None), np.maximum.reduce(F_new, None)
         # In singular regimes one of E, F legitimately diverges like rho^(2^k)
         # while the other shrinks at the same pace; their products (all that H
         # and G ever see) stay bounded.  Rebalancing by a scalar is exactly

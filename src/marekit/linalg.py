@@ -11,11 +11,18 @@ the theory makes nonsingular M-matrices, and the certified Perron root of
 a nonnegative matrix with its Perron vector.  The certificate's column of
 ones is laid out by ``_m_solve(A, *blocks)`` alone: its callers pass
 their right-hand side blocks.  Every solve runs in LAPACK through
-``np.linalg.solve``; no general eigensolve is needed, as every spectral
-quantity the package reports is a Perron root.  The Perron root is
-bracketed by Collatz-Wielandt bounds on the vectors of Noda's shifted
-inverse iteration, one LAPACK solve per step, and the last of those
-vectors is the Perron vector (``_perron_pair``).  Where those bounds stay
+``_solve``, which calls the gesv gufunc that ``np.linalg.solve`` calls,
+with its error state, but skips that wrapper's ``_makearray``,
+``_commonType`` and shape checks: every caller passes a square float64
+matrix and a float64 right-hand side of as many rows, so the checks
+only cost time on the small matrices solved at every doubling step and
+Noda step.  For the same reason the hot loops call numpy's reductions
+as ufunc methods (``np.minimum.reduce(a, None)`` is the C call that
+``a.min()`` makes after a Python frame).  No general eigensolve is
+needed, as every spectral quantity the package reports is a Perron
+root.  The Perron root is bracketed by Collatz-Wielandt bounds on the
+vectors of Noda's shifted inverse iteration, one LAPACK solve per step,
+and the last of those vectors is the Perron vector (``_perron_pair``).  Where those bounds stay
 open on a reducible matrix, as when its Perron vector has zero entries,
 the root is the largest one of its irreducible diagonal blocks (the
 strongly connected components of its digraph, ``_irreducible_blocks``),
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergence, ShapeMismatch, SingularMatrix
 
@@ -68,7 +76,7 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 def one_norm(a) -> float:
     """Matrix 1-norm (max absolute column sum); plain sum of |.| for vectors."""
-    return float(np.abs(a).sum(axis=0).max())
+    return float(np.maximum.reduce(np.add.reduce(np.abs(a), 0), None))
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -86,7 +94,7 @@ def _is_z(A: np.ndarray) -> bool:
     each row.
     """
     n = A.shape[0]
-    return n == 1 or bool(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].max() <= 0.0)
+    return n == 1 or bool(np.maximum.reduce(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n], None) <= 0.0)
 
 
 # Identities of order at most _EYE_MAX_ORDER are built once: the doubling
@@ -134,13 +142,38 @@ def _with_ones(rows: int, *blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _raise_singular(err: str, flag: int):
+    """The error-state callback of ``_solve``: gesv flags an exactly singular matrix as invalid."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^{-1} B by LAPACK's gesv, for a square float64 A and a float64 B of as many rows.
+
+    B is a vector or a matrix of right-hand sides.  This is the package's
+    one LAPACK solve.  It calls numpy's own gesv gufunc, the object and
+    signature ``np.linalg.solve`` calls, under the same error state: an
+    exactly singular A raises ``np.linalg.LinAlgError("Singular matrix")``,
+    and overflow, division and underflow are ignored, so no warning
+    leaves it.  The wrapper's ``_makearray``, ``_commonType`` and shape
+    checks are skipped, as every caller has already made them: the
+    operands, the routine and so every bit of the solution are the ones
+    ``np.linalg.solve`` gives.
+    """
+    gesv = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gesv(A, B, signature="dd->d")
+
+
 def _m_solve(
     A: np.ndarray, *blocks: np.ndarray, known_z: bool = False
 ) -> tuple[np.ndarray, float, bool, np.ndarray]:
     """``(A^{-1} [blocks], dist, certified, x)``: one LAPACK solve of ``A [X x] = [blocks 1]``.
 
     ``_with_ones`` lays out ``[blocks 1]`` (a vector block is one column;
-    with no block it is the ones column alone).  A is certified a
+    with no block it is the ones column alone), and ``_solve`` solves it:
+    A and the layout are float64 of matching shapes, so the checks of
+    ``np.linalg.solve`` would find nothing.  A is certified a
     nonsingular M-matrix when x = A^{-1} 1 passes ``_certifies`` (told
     ``known_z`` where the caller has proved A a Z-matrix), and then
     ``dist = 1 / max|x| = 1 / ||A^{-1}||_inf`` is a scale-aware distance
@@ -149,16 +182,16 @@ def _m_solve(
     with as many rows as each block; its entries are checked to be finite
     here (ValueError), as the package's callers form it by arithmetic.
     """
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), None):
         raise ValueError("matrix contains NaN or Inf entries")
     try:
-        sol = np.linalg.solve(A, _with_ones(A.shape[0], *blocks))
+        sol = _solve(A, _with_ones(A.shape[0], *blocks))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is exactly singular ({exc})") from exc
     x = sol[:, -1]
     certified = _certifies(A, x, known_z)
     # a certified x is positive, so max|x| = max x
-    return sol[:, :-1], 1.0 / float(x.max() if certified else np.abs(x).max()), certified, x
+    return sol[:, :-1], 1.0 / float(np.maximum.reduce(x if certified else np.abs(x), None)), certified, x
 
 
 def _certifies(A: np.ndarray, x: np.ndarray, known_z: bool = False) -> bool:
@@ -177,7 +210,11 @@ def _certifies(A: np.ndarray, x: np.ndarray, known_z: bool = False) -> bool:
     gives the proof that a pass implies this rule's).
     """
     n = A.shape[0]
-    return bool((known_z or _is_z(A)) and x.min() > 0.0 and (A @ x > (n + 2) * EPS * (np.abs(A) @ x)).all())
+    return bool(
+        (known_z or _is_z(A))
+        and np.minimum.reduce(x, None) > 0.0
+        and np.logical_and.reduce(A @ x > (n + 2) * EPS * (np.abs(A) @ x), None)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +235,11 @@ def _noda_bounds(P: np.ndarray, c: float, x: np.ndarray | None = None) -> tuple[
     vector comes from Noda's shifted inverse iteration (Numer. Math. 17
     (1971) 382-386): from the given x > 0 (None is 1), each step solves
     (hi I - P) y = x with hi the current upper bound, and the bounds of
-    successive vectors are intersected.  For irreducible P the width closes
-    quadratically, in a handful of solves, to 1e-15 max(1, lo + c).  The iteration stops with a
+    successive vectors are intersected.  Each solve is a ``_solve``: the
+    shifted matrix is a row-major float64 copy and x a float64 vector of
+    its order, so the checks of ``np.linalg.solve`` would find nothing.
+    For irreducible P the width closes quadratically, in a handful of
+    solves, to 1e-15 max(1, lo + c).  The iteration stops with a
     wider width when an iterate would not be strictly positive, LAPACK
     finds the shifted matrix singular, or the width stops shrinking: on a
     reducible P whose Perron vector has zero entries, and where rounding
@@ -216,17 +256,17 @@ def _noda_bounds(P: np.ndarray, c: float, x: np.ndarray | None = None) -> tuple[
     on_diagonal = shifted.reshape(-1)[:: n + 1]
     for _ in range(_NODA_MAX_SOLVES):
         ratios = (P @ x) / x
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
+        lo = max(lo, float(np.minimum.reduce(ratios, None)))
+        hi = min(hi, float(np.maximum.reduce(ratios, None)))
         if hi - lo <= 1e-15 * max(1.0, lo + c) or not hi - lo < width:
             break
         width = hi - lo
         np.add(diagonal, hi, out=on_diagonal)
         try:
-            y = np.linalg.solve(shifted, x)
+            y = _solve(shifted, x)
         except np.linalg.LinAlgError:
             break
-        bottom, top = y.min(), y.max()
+        bottom, top = np.minimum.reduce(y, None), np.maximum.reduce(y, None)
         if not (bottom > 0.0 and top < math.inf):  # also false on a NaN
             break
         # rounding is monotone, so bottom / top is the smallest entry of y / top
@@ -349,7 +389,7 @@ def _perron_pair(A: np.ndarray, start: np.ndarray | None = None) -> tuple[float,
     if hi - lo > 1e-15 * max(1.0, lo + c):
         blocks = _irreducible_blocks(A)
         if len(blocks) > 1:
-            return max(_perron_pair(A[np.ix_(b, b)])[0] for b in blocks), None
+            return max(_perron_pair(A[b[:, None], b])[0] for b in blocks), None
         lo_x, hi_x, y = _noda_bounds(A * x / x[:, None], c)
         lo, hi = max(lo, lo_x), min(hi, hi_x)
         if not hi - lo <= 1e-14 * max(1.0, lo + c):
@@ -377,7 +417,7 @@ def _pruned_lower_bound(A: np.ndarray, c: float) -> float:
     cut = A0 < EPS * inf_norm(A)
     np.fill_diagonal(cut, False)
     A0[cut] = 0.0
-    return max(_noda_bounds(A0[np.ix_(b, b)], c)[0] for b in _irreducible_blocks(A0))
+    return max(_noda_bounds(A0[b[:, None], b], c)[0] for b in _irreducible_blocks(A0))
 
 
 def _perron_start(x: np.ndarray) -> np.ndarray | None:

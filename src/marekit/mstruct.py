@@ -202,7 +202,7 @@ def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None, tol: float 
         return MClassification(block.kind, s, block.gap, tol, (block,))
     blocks = []
     for b in index:
-        s_b, B = _split(A[np.ix_(b, b)])
+        s_b, B = _split(A[b[:, None], b])
         rho, x = linalg._perron_pair(B, None if start is None else start[b])
         blocks.append(IrreducibleBlock(b, s_b - rho, gap_kind(s_b - rho, tol), _final(A, index, b), x))
     gap = min(b.gap for b in blocks)
@@ -214,7 +214,7 @@ def _final(M: np.ndarray, index: list[np.ndarray], b: np.ndarray) -> bool:
 
     A sole block has no rows outside, so it is final with nothing counted.
     """
-    return len(index) == 1 or np.count_nonzero(M[b]) == np.count_nonzero(M[np.ix_(b, b)])
+    return len(index) == 1 or np.count_nonzero(M[b]) == np.count_nonzero(M[b[:, None], b])
 
 
 def gap_kind(gap: float, tol: float) -> MatrixKind:
@@ -305,7 +305,10 @@ def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     left vector when it is positive.  Where z has an entry that is not
     positive, Noda's iteration runs on P^T from |z| / max |z| (from 1 where
     that has a zero entry or z is not finite), and from 1 where LAPACK
-    finds the shift exactly singular.
+    finds the shift exactly singular.  The solve is ``linalg._solve``:
+    the shifted matrix is a row-major float64 copy and the ones a float64
+    vector of its order, so the checks of ``np.linalg.solve`` would find
+    nothing.
     """
     Pt = _split(M.T)[1]  # P^T, row-major
     hi = float(((x @ Pt) / x).max())
@@ -313,7 +316,7 @@ def _left_perron(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     shifted = np.negative(Pt, order="C")
     shifted.reshape(-1)[:: len(Pt) + 1] += hi
     try:
-        z = np.linalg.solve(shifted, np.ones(len(Pt)))
+        z = linalg._solve(shifted, np.ones(len(Pt)))
     except np.linalg.LinAlgError:
         return linalg._perron_pair(Pt)[1]
     start = linalg._perron_start(np.abs(z))
@@ -357,17 +360,18 @@ def block_null_pairs(
     singular = classification.singular_blocks
     if not singular:
         return [], _solve_rest(K)[1] if solved is None else solved
-    rest = np.ones(size, dtype=bool)
+    in_rest = np.ones(size, dtype=bool)
     for blk in singular:
-        rest[blk.index] = False
-    lefts = [_left_perron(K[np.ix_(b.index, b.index)], b.perron) for b in singular]
+        in_rest[blk.index] = False
+    rest = np.flatnonzero(in_rest)
+    lefts = [_left_perron(K[b.index[:, None], b.index], b.perron) for b in singular]
     right = left = np.zeros((0, len(singular)))
     ones = np.zeros(0)
-    if rest.any():
-        K_NN = K[np.ix_(rest, rest)]
-        right, ones = _solve_rest(K_NN, *(-(K[np.ix_(rest, b.index)] @ b.perron) for b in singular))
+    if len(rest):
+        K_NN = K[rest[:, None], rest]
+        right, ones = _solve_rest(K_NN, *(-(K[rest[:, None], b.index] @ b.perron) for b in singular))
         # a row-major transpose, so that its certificate's products round as every other's
-        left, _ = _solve_rest(K_NN.T.copy(), *(-(y @ K[np.ix_(b.index, rest)]) for b, y in zip(singular, lefts)))
+        left, _ = _solve_rest(K_NN.T.copy(), *(-(y @ K[b.index[:, None], rest]) for b, y in zip(singular, lefts)))
     tol = null_tol(K, norm)
     pairs = []
     for i, (blk, y) in enumerate(zip(singular, lefts)):

@@ -1,5 +1,7 @@
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,13 +80,13 @@ class TestSpectralRadiusNonneg:
             [1.081265488868297e97, 0.0, 4.10806385237078e284],
         ])
         solved = []
-        real = np.linalg.solve
+        real = linalg._solve
 
         def recording(a, b):
             solved.append(real(a, b))
             return solved[-1]
 
-        monkeypatch.setattr(np.linalg, "solve", recording)
+        monkeypatch.setattr(linalg, "_solve", recording)
         _, _, x = linalg._noda_bounds(P, 1.0 + P.diagonal().max())
         assert len(solved) == 18
         y = solved[-1]
@@ -458,6 +460,42 @@ class TestMSolve:
                 want = 1.0 / np.abs(np.linalg.inv(M)).sum(axis=1).max()
                 assert dist == pytest.approx(want, rel=1e-12)
         assert {MatrixKind.NONSINGULAR_M, MatrixKind.Z_NOT_M} <= seen
+
+
+class TestSolveEntry:
+    """``linalg._solve``, the package's one LAPACK solve: the bits and the error of ``np.linalg.solve``."""
+
+    def test_same_bits_as_numpy(self):
+        # vector and matrix right-hand sides, the read-only [I 1] of _eye, and
+        # the matrix as drawn, as a row-major transpose and in column-major order
+        rng = np.random.default_rng(40)
+        for n in range(1, 101):
+            A = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 2.0, n))
+            rhs = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 1 + n % 5)), linalg._with_ones(n, linalg._eye(n)))
+            assert n > linalg._EYE_MAX_ORDER or not rhs[2].flags.writeable
+            for M in (A, A.T.copy(), np.asfortranarray(A)):
+                for b in rhs:
+                    got, want = linalg._solve(M, b), np.linalg.solve(M, b)
+                    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_exactly_singular_raises_numpys_error_and_warns_nothing(self):
+        for A in (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros((3, 3))):
+            for b in (np.ones(len(A)), np.ones((len(A), 2))):
+                with pytest.raises(np.linalg.LinAlgError) as want:
+                    np.linalg.solve(A, b)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(np.linalg.LinAlgError) as got:
+                        linalg._solve(A, b)
+                assert str(got.value) == str(want.value) == "Singular matrix"
+
+
+def test_no_wrapper_solve_or_ix_gather():
+    # the package's solves go through linalg._solve, and its blocks are gathered
+    # by fancy indexing, whose wrappers cost more than the work on small blocks
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "np.linalg.solve(" not in text and "np.ix_(" not in text, path.name
 
 
 def test_general_kernels_are_gone():
