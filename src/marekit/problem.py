@@ -91,10 +91,12 @@ def _check_tol(tol: float, name: str) -> None:
 
 
 def _check_max_iter(max_iter) -> int:
-    """``max_iter`` as a Python int (``operator.index``); one that is not an integer, or is below 1, is refused.
+    """``max_iter`` as a Python int (``operator.index``); a bool, a non-integer or one below 1 is refused.
 
     Raises InvalidParameters.
     """
+    if isinstance(max_iter, bool):
+        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}")
     try:
         max_iter = operator.index(max_iter)
     except TypeError:

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from marekit import doubling, linalg, mstruct
 from marekit.errors import SingularMatrix
@@ -164,6 +165,42 @@ def reference_observed_rate(p, rep):
     if len(usable) < 2:
         return None
     return min(err ** (1.0 / 2.0**k) for k, err in usable[-3:])
+
+
+def _mp_doubling(p, params, dps=50):
+    """Phi and Psi by the same doubling iteration in ``dps``-digit mpmath arithmetic.
+
+    The blocks are numpy object arrays of mpf, inverted by ``mpmath.inverse``.
+    The iteration stops when H and G move by less than 10^(10 - dps) of
+    their size.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+
+        def mp_array(M):
+            return np.array([[mpmath.mpf(float(x)) for x in row] for row in np.asarray(M)], dtype=object)
+
+        def inv(M):
+            return np.array(mpmath.inverse(mpmath.matrix(M.tolist())).tolist(), dtype=object)
+
+        def norm(M):
+            return max(abs(x) for x in M.flat)
+
+        n, m = p.n, p.m
+        alpha, beta = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        shifted = mp_array(p.K) + np.diag([alpha] * n + [beta] * m)
+        Z = (alpha + beta) * inv(shifted)
+        I_n, I_m = mp_array(np.eye(n)), mp_array(np.eye(m))
+        E, F, G, H = I_n - Z[:n, :n], I_m - Z[n:, n:], Z[:n, n:], Z[n:, :n]
+        small = mpmath.mpf(10) ** (10 - dps)
+        for _ in range(80):
+            igh_inv, ihg_inv = inv(I_n - G @ H), inv(I_m - H @ G)
+            E, F, G_new, H_new = E @ igh_inv @ E, F @ ihg_inv @ F, G + E @ igh_inv @ G @ F, H + F @ ihg_inv @ H @ E
+            done = norm(H_new - H) <= small * max(1, norm(H_new)) and norm(G_new - G) <= small * max(1, norm(G_new))
+            G, H = G_new, H_new
+            if done:
+                return H.astype(np.float64), G.astype(np.float64)
+    raise AssertionError("the mpmath doubling did not converge")
 
 
 def reference_path(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import marekit
-from marekit import CheckResult, FamilySpec, Regime, cli, generate
+from marekit import CheckResult, FamilySpec, Regime, cli, generate, solve
 from marekit.cli import dumps_report, execute
 from marekit.errors import Breakdown, InputError, MareError, MaxIterations
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
@@ -25,6 +25,7 @@ FIXED_POINT_CLOSING = str(Path(__file__).parent / "data" / "fixed_point_closing.
 # pass the gap test (tolerance 1.6e-13), while K_NN^{-1} 1 reaches 7.9e20, so
 # the certified solves on K_NN of the kernel pair fail
 SINGULAR_BOUNDARY = str(Path(__file__).parent / "data" / "singular_boundary_block_pair.json")
+PAPER = {"D": [[1.0, -1.0], [-1.0, 1.0]], "C": [[0.0] * 3] * 2, "B": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "A": [[3.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]]}  # the paper's case
 
 # every report opens with these keys, in this order
 BASE_KEYS = [
@@ -92,22 +93,32 @@ class TestClassify:
         assert list(rep)[: len(BASE_KEYS)] == BASE_KEYS
 
     @pytest.mark.parametrize(
-        "coefficients, r",
+        "coefficients, regime, r, solved",
         [
-            ({"A": [[0.4562551427827235]], "B": [[0.4562551427827235]], "C": [[0.4562551427827235]], "D": [[0.4562551427827235]]}, 2),
-            ({"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[1.0, 0.0], [0.0, 1.0]]}, 4),
-            ({"A": [[1.0]], "B": [[2.0]], "C": [[2.0]], "D": [[1.0]]}, None),
+            ({"A": [[0.4562551427827235]], "B": [[0.4562551427827235]], "C": [[0.4562551427827235]], "D": [[0.4562551427827235]]}, "Critical", 2, 0),
+            ({"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[1.0, 0.0], [0.0, 1.0]]}, "AssumptionFails", 4, 0),
+            ({"A": [[1.0]], "B": [[2.0]], "C": [[2.0]], "D": [[1.0]]}, "NotRegular", None, 3),
+            ({"A": [[2.0]], "B": [[0.0]], "C": [[1.0]], "D": [[1.0]]}, "NonsingularK", 0, 0),
+            ({"A": [[1.0]], "B": [[0.0]], "C": [[1.0]], "D": [[0.0]]}, "NotRegular", 1, 2),
+            ({"A": [[0.0]], "B": [[0.0]], "C": [[1.0]], "D": [[1e-11]]}, "Critical", 2, 2),
+            (PAPER, "AssumptionFails", 2, 0),
         ],
     )
-    def test_zero_eigenvalue_multiplicity(self, tmp_path, coefficients, r):
+    def test_zero_eigenvalue_multiplicity(self, tmp_path, coefficients, regime, r, solved):
         # r is null where K is not an M-matrix
         path = tmp_path / "p.json"
-        size = len(coefficients["A"])
-        path.write_text(json.dumps({"n": size, "m": size, **coefficients}))
+        path.write_text(json.dumps({"n": len(coefficients["D"]), "m": len(coefficients["A"]), **coefficients}))
         out = execute(["classify", str(path)])
         assert out.exit_code == 0
-        assert json.loads(out.report_json)["r"] == r
+        rep = json.loads(out.report_json)
+        assert (rep["regime"], rep["r"]) == (regime, r)
         assert f'"r": {"null" if r is None else r},' in out.report_json
+        assert execute(["solve", str(path)]).exit_code == solved
+
+    def test_the_papers_case(self):
+        rep = solve(MareProblem(n=2, m=3, **PAPER))
+        # flags unpinned: theoretical_rate 1.0 calls a stop at step 1 (dH = 0) non-quadratic, ROADMAP item 17
+        assert (len(rep.problem_class.k_class.singular_blocks), rep.iterations, rep.converged, rep.certificate.all_passed) == (2, 1, True, True)
 
     def test_missing_file_is_usage_error(self):
         assert execute(["classify", "/nonexistent/x.json"]).exit_code == 2
@@ -170,8 +181,8 @@ class TestSolve:
     def test_same_bytes_on_one_and_two_blas_threads(self, tmp_path):
         # the doubling solves run in LAPACK's blocked routines; their
         # results must not depend on how many threads the BLAS uses
-        path = str(tmp_path / "p40x45.json")
-        gen = ["generate", "--regime", "nonsingular", "--n", "40", "--m", "45", "--seed", "3", "-o", path]
+        path = str(tmp_path / "p60x30.json")
+        gen = ["generate", "--regime", "singular-noncritical", "--n", "60", "--m", "30", "--seed", "5", "-o", path]
         assert execute(gen).exit_code == 0
         src = str(Path(marekit.__file__).resolve().parents[1])
         outputs = []
@@ -483,6 +494,15 @@ class TestVerify:
         assert out.exit_code == 0
         rep = json.loads(out.report_json)
         assert all(c["passed"] in (True, None) for c in rep["checks"])
+
+    def test_printed_pair_certifies_and_its_phi_scaled_by_1_001_does_not(self, tmp_path):
+        printed = json.loads(execute(["solve", FIXED_POINT_CLOSING]).report_json)
+        psi = _matrix_file(tmp_path, "psi.json", printed["psi"]["entries"])
+        for scale, code in ((1.0, 0), (1.001, 1)):
+            phi = _matrix_file(tmp_path, "phi.json", scale * np.array(printed["phi"]["entries"]))
+            out = execute(["verify", FIXED_POINT_CLOSING, "--phi", phi, "--psi", psi])
+            checks = {c["name"]: c["passed"] for c in json.loads(out.report_json)["checks"]}
+            assert (out.exit_code, checks["residual-primal"], checks["similarity-identity"]) == (code, not code, not code)
 
     def test_critical_endpoint_reported_singular(self, critical_file, tmp_path):
         phi = _matrix_file(tmp_path, "phi.json", [[1.0]])

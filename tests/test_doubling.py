@@ -30,7 +30,7 @@ from marekit.linalg import EPS
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
 
-from helpers import bench_problems, reducible_problems, reference_observed_rate, replay
+from helpers import _mp_doubling, bench_problems, reducible_problems, reference_observed_rate, replay
 
 GOLDEN = (3 - 5**0.5) / 2
 # scalar rate at (alpha, beta) = (2, 1): ((golden)/(R + 2))^2 with R = (sqrt5 - 1)/2
@@ -481,6 +481,15 @@ class TestCrossProductCertificate:
         rep = solve(scalar_critical)
         assert self._check(scalar_critical, rep) == 2 * len(rep.trace)
 
+    def test_capped_critical_run_forms_i_minus_hg_on_15_states(self, monkeypatch):
+        # x2 certifies I - H G on 46 of the 61 states; a stagnation stop (ROADMAP item 3) would cut the run short
+        formed, certifies = [], linalg._certifies
+        monkeypatch.setattr(linalg, "_certifies", lambda A, *args: formed.append(A.shape == (7, 7)) or certifies(A, *args))
+        with pytest.raises(MaxIterations) as info:
+            solve(generate(FamilySpec(Regime.CRITICAL, 6, 7, seed=4)))
+        trace = info.value.report.trace
+        assert len(trace) == 61 and all(0.0 < d.dist_IHG < math.inf for d in trace) and sum(formed) == 15
+
 
 class TestSolve:
     def test_scalar_nonsingular(self, scalar_nonsingular):
@@ -693,42 +702,6 @@ class TestRateIdentity:
             cert = dataclasses.replace(rep.certificate, **{field: cls})
             with pytest.raises(SingularMatrix):
                 theoretical_rate(scalar_nonsingular, cert, rep.params)
-
-
-def _mp_doubling(p, params, dps=50):
-    """Phi and Psi by the same doubling iteration in ``dps``-digit mpmath arithmetic.
-
-    The blocks are numpy object arrays of mpf, inverted by ``mpmath.inverse``.
-    The iteration stops when H and G move by less than 10^(10 - dps) of
-    their size.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-
-        def mp_array(M):
-            return np.array([[mpmath.mpf(float(x)) for x in row] for row in np.asarray(M)], dtype=object)
-
-        def inv(M):
-            return np.array(mpmath.inverse(mpmath.matrix(M.tolist())).tolist(), dtype=object)
-
-        def norm(M):
-            return max(abs(x) for x in M.flat)
-
-        n, m = p.n, p.m
-        alpha, beta = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
-        shifted = mp_array(p.K) + np.diag([alpha] * n + [beta] * m)
-        Z = (alpha + beta) * inv(shifted)
-        I_n, I_m = mp_array(np.eye(n)), mp_array(np.eye(m))
-        E, F, G, H = I_n - Z[:n, :n], I_m - Z[n:, n:], Z[:n, n:], Z[n:, :n]
-        small = mpmath.mpf(10) ** (10 - dps)
-        for _ in range(80):
-            igh_inv, ihg_inv = inv(I_n - G @ H), inv(I_m - H @ G)
-            E, F, G_new, H_new = E @ igh_inv @ E, F @ ihg_inv @ F, G + E @ igh_inv @ G @ F, H + F @ ihg_inv @ H @ E
-            done = norm(H_new - H) <= small * max(1, norm(H_new)) and norm(G_new - G) <= small * max(1, norm(G_new))
-            G, H = G_new, H_new
-            if done:
-                return H.astype(np.float64), G.astype(np.float64)
-    raise AssertionError("the mpmath doubling did not converge")
 
 
 class TestHighPrecisionReference:

@@ -167,6 +167,7 @@ _LIMITED = {
             ("max_iter-float", {"max_iter": 2.5}, "max_iter must be an integer"),
             ("max_iter-numpy-float", {"max_iter": np.float64(3.0)}, "max_iter must be an integer"),
             ("max_iter-none", {"max_iter": None}, "max_iter must be an integer"),
+            ("max_iter-bool", {"max_iter": True}, "max_iter must be an integer"),
         ]
         for entry in _LIMITED
         if entry != "make_certificate" or "max_iter" not in limits

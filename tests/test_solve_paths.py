@@ -152,6 +152,7 @@ class TestLeftVectorByOneSolve:
         u, v = pc.nulls.u, pc.nulls.v
         assert inf_norm(p.K @ v) <= null_tol(p.K) and inf_norm(u @ p.K) <= null_tol(p.K)
         assert np.allclose(u[blk.index], 1 / 3) and pc.drift == pytest.approx(-2 / 27, abs=1e-15)
+        assert cli.execute(["solve", str(DATA / "exact_left_shift.json")]).exit_code == 0
 
     def test_each_fallback_is_the_noda_run_and_passes_null_tol(self):
         # an exactly singular shift runs Noda from 1, a z that is not positive
