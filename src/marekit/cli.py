@@ -315,7 +315,10 @@ def _cmd_rate_study(ns) -> CommandOutcome:
     for fa in levels:
         for fb in levels:
             alt = doubling.DoublingParams(params.alpha * fa, params.beta * fb)
-            rate = doubling.theoretical_rate(p, result.certificate, alt)
+            try:
+                rate = doubling.theoretical_rate(p, result.certificate, alt)
+            except Breakdown:  # R + alpha I or S + beta I is no nonsingular M-matrix, as solve flags it
+                rate = None
             grid.append({"alpha": alt.alpha, "beta": alt.beta, "theoretical_rate": rate})
     return _solve_outcome(result, error, _solve_report(result, grid=grid))
 

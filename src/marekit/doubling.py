@@ -55,16 +55,15 @@ turns the step into products only:
 
 Both terms of F+ carry F on each side, so they are nonnegative at every
 step (F <= 0 at k = 0, F >= 0 after) and their sum does not cancel.
-I - H G is not solved: x2 = 1 + H (W (G 1)) is its (I - H G)^{-1} 1,
-which certifies it and gives its ``dist``.  Nor is it formed while
-G, H >= 0, which the state carries from a check on the initial blocks
-through each step's own change minima: then t = H (G x2), two
-matrix-vector products, certifies it where x2 - t is above a rounding
-margin c (x2 + t), and a pass implies the rule that judges the formed
-matrix (``_cross_solves`` gives the proof).  The eleventh GEMM, H G,
-runs only where that test fails.  Only an uncertified cross product is
-classified, by ``mstruct.classify_zm``; the next step breaks down when
-that kind is singular or LAPACK found I - G H exactly singular.
+I - H G is not solved: x2 = 1 + H (W (G 1)) is its (I - H G)^{-1} 1 and
+gives its ``dist``.  One certificate decides both kinds while G, H >= 0,
+which the state carries from a check on the initial blocks through each
+step's own change minima: both cross products are then Z-matrices, and
+rho(H G) = rho(G H), so I - H G takes the kind of I - G H
+(``_cross_solves``).  The eleventh GEMM, H G, runs only where G, H >= 0
+is not known.  Only an uncertified cross product is classified, by
+``mstruct.classify_zm``; the next step breaks down when that kind is
+singular or LAPACK found I - G H exactly singular.
 
 ``solve`` keeps one iterate at a time and a trace of diagnostics; the
 pure ``initialize`` and ``step`` replay its iterates bit for bit.  Its
@@ -100,7 +99,7 @@ from .errors import (
 from .linalg import EPS, one_norm
 from .mstruct import MatrixKind
 from .problem import GUARANTEED_REGIMES, Certificate, MareProblem, ProblemClass
-from .problem import CERT_TOL, _certificate, _check_max_iter, _check_tol, classify_problem, sign_tol
+from .problem import CERT_TOL, _certificate, _check_max_iter, _check_real, _check_tol, classify_problem, sign_tol
 
 MODE_ADDA = "adda"
 MODE_SDA = "sda"
@@ -114,6 +113,8 @@ class DoublingParams:
     stop_tol: float = 1e-14
 
     def __post_init__(self):
+        _check_real(self.alpha, "alpha")
+        _check_real(self.beta, "beta")
         if not (self.alpha > 0 and self.beta > 0):
             raise InvalidParameters("alpha and beta must be positive")
         if not math.isfinite(self.alpha + self.beta):
@@ -193,8 +194,8 @@ class DoublingState:
     its diagnostics, so that ``step`` does not invert it again; it is None
     when LAPACK found I - G H exactly singular.  (I - H G)^{-1} is
     I + H W G and is never formed.  ``nonneg`` is True when G, H >= 0 is
-    known, as ``step`` carries it; False claims nothing.  Every state is
-    built by ``_state``.
+    known, as ``step`` carries it, and then I - H G has the kind of
+    I - G H; False claims nothing.  Every state is built by ``_state``.
     """
 
     k: int
@@ -229,73 +230,35 @@ def _cross_solves(G: np.ndarray, H: np.ndarray, nonneg: bool = False):
     """W = (I - G H)^{-1}, and (dist, kind) of I - G H and of I - H G.
 
     One certified solve, ``linalg._m_solve(I - G H, I)``, gives W and
-    certifies I - G H through x1 = W 1.  I - H G is not solved: x2 =
+    certifies I - G H through x1 = W 1; ``mstruct.classify_zm`` judges it
+    where that certificate fails.  I - H G is not solved: x2 =
     1 + H (W (G 1)) is (I - H G)^{-1} 1 by the push-through identity, and
-    it certifies I - H G, whose dist is 1 / max|x2|, as in ``_m_solve``.
-    ``nonneg`` says that G, H >= 0, as the state carries it (see ``step``):
-    then fl(G H) >= 0 and fl(H G) >= 0, both cross products are Z-matrices,
-    and ``linalg._certifies`` skips its Z-test on them.
+    its dist is 1 / max|x2|, as in ``_m_solve``.  W is None and both dists
+    are 0 when LAPACK finds I - G H exactly singular.
 
-    With G, H >= 0, I - H G is not formed where two matrix-vector products
-    decide: t = H (G x2) passes where x2 > 0 and, in every row,
-    fl(x2 - t) > fl(c fl(x2 + t)), c = 4 (n + m + 2) eps for G of n rows
-    and m columns.  Only where that test fails, or G, H >= 0 is not known,
-    is I - H G formed (the eleventh GEMM) and judged by
-    ``linalg._certifies(I - H G, x2)``.  A matrix whose certificate fails
-    is classified by ``mstruct.classify_zm``; W is None and both dists are
-    0 when LAPACK finds I - G H exactly singular.
-
-    A pass implies ``_certifies(I - H G, x2)``, so every verdict and dist
-    is the one the formed test gives.  Let u = eps / 2, g_k = k u / (1 - k u),
-    P = H G exact, M = fl(H G), A = fl(I - M) the formed matrix, and in a
-    row i a = x2_i and b = (M x2)_i.  Every inner product below has
-    nonnegative terms but those of A x2, so each rounds within g_k of the
-    exact one, k its length, in any order of summation:
-    M <= (1 + g_n) P, fl(G x2) >= (1 - g_m) G x2 and t >= (1 - g_n) H fl(G x2),
-    so b <= r t with r = (1 + g_n) / ((1 - g_m)(1 - g_n)).  As
-    A_ii = (1 - M_ii)(1 + d), |d| <= u, and |1 - M_ii| a <= a + b,
-    (A x2)_i >= a - b - u (a + b) and (|A| x2)_i <= (1 + u)(a + b), so the
-    rule's fl(A x2)_i > fl((m + 2) eps fl(|A| x2)_i) holds where
-    a - b > k (a + b), k = u + g_m (1 + u) + (m + 2) eps (1 + g_m)(1 + u)^2.
-    A pass gives fl(a - t) > 0, so a > t (fl(a - t) > 0 exactly when a > t)
-    and, as x2 = fl(1 + v) is at least 2^-53 where positive and fl(c s)
-    cannot underflow, a - t > c' (a + t), c' = c (1 - u)^2 / (1 + u).  Then
-    a - b >= (a - t) - (r - 1) t > (c' - r + 1)(a + t) and
-    a + b <= r (a + t), so c' >= k r + r - 1 suffices.  With
-    N = n + m + 2 and N eps <= 2^-10, k r + r - 1 <= 1.004 (4m + 2n + 5) u
-    < 2.01 N eps, while c' > 3.99 N eps: c keeps nearly a factor of two.
+    ``nonneg`` says that G, H >= 0, as the state carries it (see ``step``).
+    Then fl(G H) >= 0, so I - G H is a Z-matrix and ``_m_solve`` skips its
+    Z-test, and I - H G is one too.  As G H and H G have the same nonzero
+    eigenvalues, rho(H G) = rho(G H): I - H G is a nonsingular, a singular
+    or no M-matrix exactly where I - G H is, and takes its kind.  Only
+    where G, H >= 0 is not known is I - H G formed, the eleventh GEMM, and
+    classified by ``classify_zm``.
     """
-    n, m = G.shape
     igh = G @ H
     # I - M in the product's own buffer, from the read-only identity of linalg._eye
-    eye = linalg._eye(n)
+    eye = linalg._eye(len(G))
     np.subtract(eye, igh, out=igh)
     try:
         # the solve against _eye's identity reads the [I 1] built with it
         W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye, known_z=nonneg)
     except SingularMatrix:
-        W, dist_igh, certified_igh, certified_ihg = None, 0.0, False, False
+        W, dist_igh, dist_ihg, certified_igh = None, 0.0, 0.0, False
     else:
         x2 = 1.0 + H @ (W @ np.add.reduce(G, 1))
-        certified_ihg = False
-        if nonneg:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed t fails the test
-                t = H @ (G @ x2)
-                certified_ihg = bool(
-                    np.minimum.reduce(x2, None) > 0.0
-                    and np.logical_and.reduce(x2 - t > 4 * (n + m + 2) * EPS * (x2 + t), None)
-                )
-    kind_igh = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
-    kind_ihg = MatrixKind.NONSINGULAR_M
-    if not certified_ihg:
-        ihg = H @ G
-        np.subtract(linalg._eye(m), ihg, out=ihg)
-        if W is not None:
-            certified_ihg = linalg._certifies(ihg, x2, nonneg)
-        if not certified_ihg:
-            kind_ihg = mstruct.classify_zm(ihg).kind
-    # as in _m_solve: a certified x2 is positive, so max|x2| = max x2
-    dist_ihg = 0.0 if W is None else 1.0 / float(np.maximum.reduce(x2 if certified_ihg else np.abs(x2), None))
+        dist_ihg = 1.0 / float(np.maximum.reduce(np.abs(x2), None))
+    kind_igh = kind_ihg = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
+    if not nonneg:
+        kind_ihg = mstruct.classify_zm(np.subtract(linalg._eye(len(H)), H @ G)).kind
     return W, (dist_igh, kind_igh), (dist_ihg, kind_ihg)
 
 
@@ -393,8 +356,8 @@ def step(s: DoublingState) -> DoublingState:
       of r entries of modulus at most M is below 2 r M, so
       2 r max|E+| <= 1e100 (and the same for F+) rules it out.  Only above
       that bound are the two 1-norms taken.
-    - G+, H+ >= 0, which spares the new state's cross solves their
-      Z-tests and lets x2 certify I - H G (``_cross_solves``), is carried
+    - G+, H+ >= 0, which spares the new state's cross solve its Z-test
+      and gives I - H G the kind of I - G H (``_cross_solves``), is carried
       from s: H+ >= H >= 0 where s has G, H >= 0 and min(H+ - H) >= 0, for
       the reason above; likewise for G.  Only where a change has a
       negative minimum, or s does not carry the sign, are min(H+) and

@@ -200,14 +200,10 @@ def _certifies(A: np.ndarray, x: np.ndarray, known_z: bool = False) -> bool:
     A Z-matrix is one exactly when some x > 0 has A x > 0; the computed
     A x must exceed its rounding margin (n + 2) eps |A| x in every row.
     ``known_z`` skips the Z-test of a matrix its caller has proved a
-    Z-matrix: the doubling's I - G H and I - H G while G, H >= 0, as
-    fl(G H) >= 0.  This is the one home of that rule: ``_m_solve`` applies
-    it to x = A^{-1} 1, and the doubling to x2 = (I - H G)^{-1} 1, which it
-    derives without solving I - H G.  The doubling first tries a test on
-    x2 alone, x2 - H G x2 above c (x2 + H G x2) for a c that covers this
-    rule's margin and every rounding between the two, and forms I - H G
-    for this rule only where that test fails (``doubling._cross_solves``
-    gives the proof that a pass implies this rule's).
+    Z-matrix: the doubling's I - G H while G, H >= 0, as fl(G H) >= 0.
+    ``_m_solve`` applies this rule to x = A^{-1} 1 and is its one caller;
+    the doubling's I - H G takes the kind of I - G H where G, H >= 0 and is
+    classified otherwise (``doubling._cross_solves``).
     """
     n = A.shape[0]
     return bool(

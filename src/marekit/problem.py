@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,8 +85,15 @@ def _as_size(value, label: str) -> int:
         raise ShapeMismatch(f"{label} must be an integer, got {value!r}") from None
 
 
+def _check_real(value, name: str) -> None:
+    """Refuse a parameter ``name`` that is no real number (a bool, None or a string) with InvalidParameters."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameters(f"{name} must be a real number, got {value!r}")
+
+
 def _check_tol(tol: float, name: str) -> None:
-    """Refuse a negative or NaN tolerance ``name`` with InvalidParameters."""
+    """Refuse a tolerance ``name`` that is no real number, or is negative or NaN, with InvalidParameters."""
+    _check_real(tol, name)
     if not tol >= 0:
         raise InvalidParameters(f"{name} must be nonnegative, got {tol}")
 
@@ -129,6 +137,8 @@ class MareProblem:
     so are their 1-norms (``norms``), which the residuals, the certificate
     and the sign tolerance read.  A write into a block would leave those
     stale, so it raises ValueError; the caller's own arrays stay writable.
+    ``name`` is a string or None (ValueError otherwise), as
+    ``problem_from_json`` reads back what ``problem_to_json`` writes.
     """
 
     n: int
@@ -140,6 +150,8 @@ class MareProblem:
     name: str | None = None
 
     def __post_init__(self):
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"name must be a string or None, got {self.name!r}")
         object.__setattr__(self, "n", _as_size(self.n, "n"))
         object.__setattr__(self, "m", _as_size(self.m, "m"))
         if self.n < 1 or self.m < 1:

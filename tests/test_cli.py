@@ -653,6 +653,22 @@ class TestRateStudy:
         solved = execute(["solve", capped_file])
         assert solved.exit_code == 3 and rep == json.loads(solved.report_json)
 
+    def test_unavailable_grid_rates_are_null(self, tmp_path):
+        # solve's report, exit 1, where S + beta I is no M-matrix: beta + tau(S) =
+        # 0.7 - 1.148 at the default pair, so only the grid's beta = 1.4 has a rate
+        p = MareProblem(n=1, m=2, A=[[0.2, 0.0], [-0.1, 1.5]], B=[[2.0], [3.0]], C=[[0.0, 1.0]], D=[[0.7]])
+        path = tmp_path / "no-rate.json"
+        path.write_text(problem_to_json(p))
+        out = execute(["rate-study", str(path), "--grid", "3"])
+        assert out.exit_code == 1
+        rep = json.loads(out.report_json)
+        grid = rep.pop("grid")
+        assert [entry["theoretical_rate"] is None for entry in grid] == [entry["beta"] < 1.148 for entry in grid]
+        assert sum(entry["theoretical_rate"] is None for entry in grid) == 6
+        solved = execute(["solve", str(path)])
+        assert solved.exit_code == 1 and rep == json.loads(solved.report_json)
+        assert "theoretical-rate-unavailable" in rep["flags"]
+
     @pytest.mark.parametrize("grid", ["1", "0", "-2"])
     def test_grid_below_two_is_usage_error(self, problem_file, grid):
         out = execute(["rate-study", problem_file, "--grid", grid])

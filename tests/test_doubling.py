@@ -81,7 +81,7 @@ class TestSelectParameters:
         # select_parameters picks alpha and beta; max_iter and stop_tol are set on DoublingParams
         assert list(inspect.signature(select_parameters).parameters) == ["p", "requested", "mode"]
 
-    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan, True, None, "1e-3"])
     def test_bad_stop_tol_rejected(self, stop_tol):
         with pytest.raises(InvalidParameters, match="stop_tol"):
             DoublingParams(2.0, 1.0, stop_tol=stop_tol)
@@ -102,9 +102,24 @@ class TestSelectParameters:
                 lambda p: DoublingParams(1.0, 1.0, max_iter=np.float64(3.0)),
                 f"max_iter must be an integer, got {np.float64(3.0)!r}",
             ),
+            (lambda p: DoublingParams(True, True), "alpha must be a real number, got True"),
+            (lambda p: DoublingParams(None, 1.0), "alpha must be a real number, got None"),
+            (lambda p: DoublingParams(1.0, "2"), "beta must be a real number, got '2'"),
             (lambda p: select_parameters(p, mode="x"), "unknown mode 'x'"),
         ],
-        ids=["alpha", "beta", "sum-overflow", "sum-inf", "max_iter", "max_iter-float", "max_iter-numpy-float", "mode"],
+        ids=[
+            "alpha",
+            "beta",
+            "sum-overflow",
+            "sum-inf",
+            "max_iter",
+            "max_iter-float",
+            "max_iter-numpy-float",
+            "alpha-bool",
+            "alpha-none",
+            "beta-string",
+            "mode",
+        ],
     )
     def test_input_checks(self, scalar_nonsingular, build, message):
         with pytest.raises(InvalidParameters) as info:
@@ -428,7 +443,7 @@ class TestCarriedFactors:
             # first iterate's (I - G H)^{-1} [I 1]
             assert counts[0][1] == {"m_solve": 2, "classify_zm": 0}
             # a step solves the new iterate's (I - G H)^{-1} [I 1]; its
-            # certificate and that of x2 = 1 + H W G 1 settle both kinds
+            # certificate settles both kinds, as G, H >= 0
             assert all(delta == {"m_solve": 1, "classify_zm": 0} for _, delta in counts[1:])
 
     def test_step_from_hand_built_state_solves_only_the_new_iterate(self, counts):
@@ -481,14 +496,17 @@ class TestCrossProductCertificate:
         rep = solve(scalar_critical)
         assert self._check(scalar_critical, rep) == 2 * len(rep.trace)
 
-    def test_capped_critical_run_forms_i_minus_hg_on_15_states(self, monkeypatch):
-        # x2 certifies I - H G on 46 of the 61 states; a stagnation stop (ROADMAP item 3) would cut the run short
-        formed, certifies = [], linalg._certifies
-        monkeypatch.setattr(linalg, "_certifies", lambda A, *args: formed.append(A.shape == (7, 7)) or certifies(A, *args))
+    def test_capped_critical_run_classifies_i_minus_gh_on_15_states(self, monkeypatch):
+        # G, H >= 0 on every state, so I - H G (order 7) takes the kind of I - G H
+        # (order 6) and is never formed; the certificate of I - G H fails on 15 of the
+        # 61 states, and a stagnation stop (ROADMAP item 3) would cut the run short
+        orders, classify = [], mstruct.classify_zm
+        monkeypatch.setattr(mstruct, "classify_zm", lambda M: orders.append(len(M)) or classify(M))
         with pytest.raises(MaxIterations) as info:
             solve(generate(FamilySpec(Regime.CRITICAL, 6, 7, seed=4)))
         trace = info.value.report.trace
-        assert len(trace) == 61 and all(0.0 < d.dist_IHG < math.inf for d in trace) and sum(formed) == 15
+        assert len(trace) == 61 and all(0.0 < d.dist_IHG < math.inf for d in trace)
+        assert (orders.count(6), orders.count(7)) == (15, 0)
 
 
 class TestSolve:

@@ -162,6 +162,9 @@ _LIMITED = {
             ("tol-negative", {"tol": -1.0}, "tol must be nonnegative"),
             ("tol-tiny-negative", {"tol": -1e-300}, "tol must be nonnegative"),
             ("tol-nan", {"tol": float("nan")}, "tol must be nonnegative"),
+            ("tol-bool", {"tol": True}, "tol must be a real number"),
+            ("tol-none", {"tol": None}, "tol must be a real number"),
+            ("tol-string", {"tol": "1e-3"}, "tol must be a real number"),
             ("max_iter-zero", {"max_iter": 0}, "max_iter must be >= 1"),
             ("max_iter-negative", {"max_iter": -5}, "max_iter must be >= 1"),
             ("max_iter-float", {"max_iter": 2.5}, "max_iter must be an integer"),

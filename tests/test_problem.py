@@ -66,6 +66,7 @@ class TestConstruction:
             ({"n": 0}, ShapeMismatch, "n and m must be positive"),
             ({"m": -1}, ShapeMismatch, "n and m must be positive"),
             ({"C": [[-1.0]]}, NotZMatrix, "C must be entrywise nonnegative"),
+            ({"name": 5}, ValueError, "name must be a string or None, got 5"),
         ],
     )
     def test_input_checks(self, fields, error, message):
