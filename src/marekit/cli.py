@@ -61,8 +61,9 @@ class CommandOutcome:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse on Python 3.10/3.11 reads only -1 and -.5 as negative
-        # numbers, so "--tol -1e-12" would be an option, not a (bad) value
+        # argparse (the same pattern from Python 3.10 through 3.13) reads only -1
+        # and -.5 as negative numbers, so "--tol -1e-12" would be an option,
+        # not a (bad) value
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):

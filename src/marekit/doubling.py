@@ -34,8 +34,8 @@ pass over its new blocks: the changes H+ - H and G+ - G as rounded, their
 minima and column sums, and the minimum and maximum of E+ and F+.  The
 diagnostics, the finiteness checks and the rebalancing test are read off
 these, and an exact count or norm runs only where they cannot decide
-(``step``); ``solve`` takes the norms of its stop test only on a step
-that could pass.  Every matrix M the iteration inverts is a nonsingular
+(``step``).  ``solve``'s stop test takes the 1-norms of H+ and G+ on
+every step.  Every matrix M the iteration inverts is a nonsingular
 M-matrix in theory and is solved by ``linalg._m_solve(M, *blocks)``: it
 appends a column of ones, whose solution x = M^{-1} 1 certifies that
 kind (``linalg._certifies``) and gives 1 / ||M^{-1}||_inf, the ``dist``
@@ -133,7 +133,8 @@ def select_parameters(
     Requested values are honored when they satisfy alpha >= max a_ii and
     beta >= max d_ii (and alpha == beta in single-parameter mode, whose
     default is alpha = beta = max of both); values below the optimal pair
-    are rejected.  Raises NonpositiveDiagonal when either coefficient
+    are rejected, as is a ``requested`` that is not a pair of real numbers
+    (InvalidParameters).  Raises NonpositiveDiagonal when either coefficient
     diagonal has no positive entry.  The iteration limits are those
     ``DoublingParams`` defaults to; ``dataclasses.replace`` sets others.
     """
@@ -147,7 +148,13 @@ def select_parameters(
         gamma = max(a_star, d_star)
         alpha, beta = (gamma, gamma) if mode == MODE_SDA else (a_star, d_star)
     else:
-        alpha, beta = float(requested[0]), float(requested[1])
+        try:
+            alpha, beta = requested
+        except (TypeError, ValueError):
+            raise InvalidParameters(f"requested (alpha, beta) must be a pair, got {requested!r}") from None
+        _check_real(alpha, "alpha")
+        _check_real(beta, "beta")
+        alpha, beta = float(alpha), float(beta)
         if alpha < a_star or beta < d_star:
             raise InvalidParameters(
                 f"requested (alpha, beta) = ({alpha}, {beta}) below the admissible "
@@ -459,33 +466,9 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     flag.  The answer is certified as by ``make_certificate``, the Perron
     runs on R and S started from the last iterate (``_closing_starts``);
     the roots are certified from any start, so only the number of Noda
-    solves depends on it.
-
-    The norms of H_k and G_k are taken only on a step whose dH_k and dG_k
-    could pass against upper bounds U_H >= one_norm(H_k) and
-    U_G >= one_norm(G_k).  Each bound is carried from the last exact norm
-    N = one_norm(H_j): U_k = fl(fl(U_{k-1} + dH_k) c) on each step k > j,
-    from U_j = N, with c = 1 + 2 (n + m + 2) eps (likewise for G), and it
-    is infinite before the first exact norm.  A step whose dH_k exceeds
-    fl(stop_tol max(1, U_H)) fails the exact test too, since rounding is
-    monotone; a NaN bound (0 * inf) proves nothing.  So the stop step is
-    the one the exact test on every step gives.
-
-    Proof of U_k >= (1 + g) ||H_k||_1 >= one_norm(H_k) for k > j, with
-    u = eps / 2 and g = (n + m) u / (1 - (n + m) u).  A computed column
-    sum of at most n + m nonnegative terms is within a factor 1 +- g of
-    the exact one, so one_norm(H_k) <= (1 + g) ||H_k||_1,
-    U_j = N >= (1 - g) ||H_j||_1, and dH_k >= (1 - g)(1 - u)
-    ||H_k - H_{k-1}||_1, the change being one rounded subtraction.  By
-    induction U_{k-1} >= (1 - g) ||H_{k-1}||_1 for every k > j (at k - 1 = j
-    from N, after it from the claim), and
-
-        U_k >= (1 - u)^2 c (U_{k-1} + dH_k)
-            >= (1 - u)^3 c (1 - g) (||H_{k-1}||_1 + ||H_k - H_{k-1}||_1)
-            >= (1 + g) ||H_k||_1,
-
-    since c >= (1 + g) / ((1 - g)(1 - u)^3): while (n + m) u <= 2^-10 the
-    right side is below 1 + 1.01 (n + m + 2) eps.
+    solves depends on it.  The test runs as written on every step, on the
+    diagnostics' dH and dG and on ``one_norm`` of H_k and, where the test
+    on H passes, of G_k.
     """
     if params is None:
         params = select_parameters(p)
@@ -497,18 +480,12 @@ def solve(p: MareProblem, params: DoublingParams | None = None) -> SolveReport:
     state = initialize(p, params)
     trace = [state.diagnostics]
     converged, tol = False, params.stop_tol
-    grow = 1.0 + 2 * (p.size + 2) * EPS
-    bound_h = bound_g = math.inf
     for _ in range(params.max_iter):
         state = step(state)
         trace.append(d := state.diagnostics)
-        bound_h, bound_g = (bound_h + d.dH) * grow, (bound_g + d.dG) * grow
-        # skipped only where a bound proves the exact test fails: not on the NaN of 0 * inf
-        if not (d.dH > tol * max(1.0, bound_h) or d.dG > tol * max(1.0, bound_g)):
-            bound_h, bound_g = one_norm(state.H), one_norm(state.G)
-            if d.dH <= tol * max(1.0, bound_h) and d.dG <= tol * max(1.0, bound_g):
-                converged = True
-                break
+        if d.dH <= tol * max(1.0, one_norm(state.H)) and d.dG <= tol * max(1.0, one_norm(state.G)):
+            converged = True
+            break
 
     phi = np.maximum(state.H, 0.0)
     psi = np.maximum(state.G, 0.0)

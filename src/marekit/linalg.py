@@ -284,16 +284,14 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     A digraph with every off-diagonal edge, as that of a dense K, R or S,
     is one component: one count of the nonzero entries finds it, and the
     search does not run.  Otherwise sets of nodes are Python integers, bit
-    j for node j; the digraph's rows are packed once, and so are its
-    columns, when a search first needs them.  The two searches from a
-    component's smallest node, along the edges and against them, take a
-    level each in turn, each level the union of the rows (or columns) of
-    its frontier's nodes, read lazily from the frontier's lowest node up
-    and stopped at the first that covers every node left unseen.  Once one
-    search is complete, the other runs on among the nodes it found alone:
-    every node on a path between two nodes of a component is in the
-    component.  So a component of one node, as in a triangular A, costs a
-    level of each search.  A self-loop leads a node only to itself, so the
+    j for node j, and the digraph's rows and its columns are packed once
+    each.  A component is the intersection of a search along the edges and
+    one against them, from its smallest node over the nodes left: every
+    node on a path between two nodes of a component is in it, so the nodes
+    that earlier components took cut no such path.  Each level of a search
+    is the union of the rows (or columns) of its frontier's nodes, read
+    from the lowest node up and stopped at the first that covers every
+    node left unseen.  A self-loop leads a node only to itself, so the
     diagonal is not cleared.
     """
     n = A.shape[0]
@@ -301,54 +299,33 @@ def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
     if np.count_nonzero(adj) - np.count_nonzero(adj.diagonal()) == n * (n - 1):
         return [np.arange(n)]
     width = (n + 7) // 8
-    # row j of the digraph at bytes j * width on in packed[0], column j in packed[1] once a search needs it
-    packed = [np.packbits(adj, axis=1, bitorder="little").tobytes(), None]
+    # row j of the digraph at bytes j * width on in successors, column j in predecessors
+    successors, predecessors = (np.packbits(m, axis=1, bitorder="little").tobytes() for m in (adj, adj.T.copy()))
 
-    def union(d: int, front: int, goal: int) -> int:
-        """The successors (d = 0) or predecessors (d = 1) of the nodes of front, at least until they cover goal."""
-        if packed[d] is None:
-            packed[d] = np.packbits(adj.T.copy(), axis=1, bitorder="little").tobytes()
-        rows, out = packed[d], 0
+    def reach(rows: bytes, pivot: int, left: int) -> int:
+        """The nodes of left that pivot reaches through nodes of left, each node's row at rows[j * width:]."""
+        seen = front = pivot
         while front:
-            low = front & -front
-            k = (low.bit_length() - 1) * width
-            out |= int.from_bytes(rows[k : k + width], "little")
-            if out & goal == goal:
-                break
-            front ^= low
-        return out
+            goal, out = left & ~seen, 0
+            while front:
+                low = front & -front
+                k = (low.bit_length() - 1) * width
+                out |= int.from_bytes(rows[k : k + width], "little")
+                if out & goal == goal:
+                    break
+                front ^= low
+            front = out & goal
+            seen |= front
+        return seen
 
     everything = left = (1 << n) - 1
     blocks = []
     while left:
         pivot = left & -left  # the smallest node left
-        seen, fronts = [pivot, pivot], [pivot, pivot]
-        allowed, d, confined = left, 0, False
-        while True:
-            goal = allowed & ~seen[d]
-            new = union(d, fronts[d], goal) & goal
-            seen[d] |= new
-            fronts[d] = new
-            if new and new != goal:
-                if not confined:
-                    d = 1 - d
-                continue
-            if confined:
-                break
-            # search d is complete: the other one runs on among the nodes it found
-            allowed, d, confined = seen[d], 1 - d, True
-            fronts[d] &= allowed
-            seen[d] &= allowed
-            if not fronts[d] or seen[d] == allowed:
-                break
-        block = seen[0] & seen[1]
-        if block == everything:  # A is irreducible
-            return [np.arange(n)]
+        block = reach(successors, pivot, left) & reach(predecessors, pivot, left)
+        if block == everything:
+            return [np.arange(n)]  # A is irreducible
         left ^= block
-        if block == pivot:  # a component of one node, as every one of a triangular A
-            j = pivot.bit_length() - 1
-            blocks.append(np.arange(j, j + 1))
-            continue
         bits = np.unpackbits(np.frombuffer(block.to_bytes(width, "little"), np.uint8), count=n, bitorder="little")
         blocks.append(np.flatnonzero(bits))
     return blocks

@@ -18,6 +18,8 @@ spec's seed, so identical specs produce byte-identical problems.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,15 @@ class FamilySpec:
         object.__setattr__(self, "m", _as_size(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if isinstance(self.seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
+        if isinstance(self.density, bool) or not isinstance(self.density, numbers.Real):
+            raise ValueError(f"density must be a real number, got {self.density!r}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         if self.regime_target not in (

@@ -106,6 +106,12 @@ class TestSelectParameters:
             (lambda p: DoublingParams(None, 1.0), "alpha must be a real number, got None"),
             (lambda p: DoublingParams(1.0, "2"), "beta must be a real number, got '2'"),
             (lambda p: select_parameters(p, mode="x"), "unknown mode 'x'"),
+            (lambda p: select_parameters(p, ("3", True)), "alpha must be a real number, got '3'"),
+            (lambda p: select_parameters(p, (3.0, True)), "beta must be a real number, got True"),
+            (lambda p: select_parameters(p, (None, 2.0)), "alpha must be a real number, got None"),
+            (lambda p: select_parameters(p, (3.0, 2.0, 9.0)), "requested (alpha, beta) must be a pair, got (3.0, 2.0, 9.0)"),
+            (lambda p: select_parameters(p, (3.0,)), "requested (alpha, beta) must be a pair, got (3.0,)"),
+            (lambda p: select_parameters(p, 3.0), "requested (alpha, beta) must be a pair, got 3.0"),
         ],
         ids=[
             "alpha",
@@ -119,6 +125,12 @@ class TestSelectParameters:
             "alpha-none",
             "beta-string",
             "mode",
+            "requested-string",
+            "requested-bool",
+            "requested-none",
+            "requested-triple",
+            "requested-single",
+            "requested-scalar",
         ],
     )
     def test_input_checks(self, scalar_nonsingular, build, message):

@@ -795,6 +795,27 @@ def _shapes(n):
 
 
 class TestBlockSearch:
+    # the early-cover break of a level's row reads, the irreducible return and the multi-block return
+    BRANCHES = (
+        ("if out & goal == goal:", "break"),
+        ("if block == everything:", "# A is irreducible"),
+        ("while left:", "return blocks"),
+    )
+
+    @classmethod
+    def _check(cls, inputs):
+        """The search on each input against ``_ref_irreducible_blocks``; each branch of BRANCHES ran on one."""
+        fn = linalg._irreducible_blocks
+        codes = {fn.__code__} | {c for c in fn.__code__.co_consts if inspect.iscode(c)}
+        found = []
+        calls = _lines_run(codes, lambda: found.extend(map(fn, inputs)))
+        for (_, body) in _branch_lines(fn, *cls.BRANCHES).values():
+            assert any(lines[body] for _, lines in calls)
+        for A, got in zip(inputs, found, strict=True):
+            want = _ref_irreducible_blocks(A)
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
     def test_same_index_sets(self, matrices, problems):
         rng = np.random.default_rng(8)
         inputs = [np.asarray(M, dtype=np.float64) for M in matrices] + [p.K for p in problems]
@@ -802,10 +823,7 @@ class TestBlockSearch:
             inputs += [rng.random((n, n)) * (rng.random((n, n)) < d) for d in (0.02, 0.1, 0.5)]
             inputs += _shapes(n)
         inputs += _shapes(300)
-        for A in inputs:
-            got, want = linalg._irreducible_blocks(A), _ref_irreducible_blocks(A)
-            assert len(got) == len(want)
-            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        self._check(inputs)
 
 
     @staticmethod
@@ -835,10 +853,7 @@ class TestBlockSearch:
                 continue
             inputs += [cert.R, cert.S]
         assert len(inputs) >= 1600
-        for A in inputs:
-            got, want = linalg._irreducible_blocks(A), _ref_irreducible_blocks(A)
-            assert len(got) == len(want)
-            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        self._check(inputs)
 
     def test_complete_digraph_is_one_block_without_a_search(self, monkeypatch):
         # one count decides a digraph with every off-diagonal edge: nothing is packed
@@ -1087,9 +1102,6 @@ class TestStepBookkeeping:
         ("if low_h < 0.0:", "mono += np.count_nonzero(H_new < H - tau)"),
         ("if low_g < 0.0:", "mono += np.count_nonzero(G_new < G - tau)"),
     )
-    SOLVE_BRANCHES = (
-        ("if not (d.dH > tol * max(1.0, bound_h)", "bound_h, bound_g = one_norm(state.H), one_norm(state.G)"),
-    )
 
     @staticmethod
     def _replay(p):
@@ -1125,8 +1137,6 @@ class TestStepBookkeeping:
     def test_same_diagnostics_and_stop_steps(self, problems, critical_draws):
         shortcut, fallback = set(), set()
         step_lines = _branch_lines(doubling.step, *self.STEP_BRANCHES)
-        solve_lines = _branch_lines(doubling.solve, *self.SOLVE_BRANCHES)
-        branches = {doubling.step.__code__: step_lines, doubling.solve.__code__: solve_lines}
         outcomes = {}
         for p in problems + critical_draws:
             want_trace, want_converged, want_error = self._replay(p)
@@ -1139,8 +1149,8 @@ class TestStepBookkeeping:
                 except IterationBreakdown as exc:
                     outcomes["report"] = str(exc)
 
-            for code, lines in _lines_run(set(branches), run):
-                for name, (test, body) in branches[code].items():
+            for _, lines in _lines_run({doubling.step.__code__}, run):
+                for name, (test, body) in step_lines.items():
                     if lines[body]:
                         fallback.add(name)
                     if lines[test] > lines[body]:
@@ -1153,14 +1163,14 @@ class TestStepBookkeeping:
             assert all(_same_diagnostics(g, w) for g, w in zip(rep.trace, want_trace, strict=True))
         # every shortcut and every fallback that real problems reach ran at least once; the
         # nonfinite fallback is reached only by hand-built states (tests/test_doubling.py)
-        every = set(step_lines) | set(solve_lines)
+        every = set(step_lines)
         assert shortcut == every
         assert fallback == every - {"np.isfinite(H_new).all()"}
 
     def test_stop_step_at_edge_tolerances(self, noncritical_suite, nonsingular_suite, critical_draws):
-        # stop_tol is the smallest float whose exact H test passes at step k, so the
-        # carried bound must stay above the norm by its rounding margin: without
-        # that margin (c = 1) solve misses the stop on 39 of these 433 runs
+        # stop_tol is the smallest float whose exact H test passes at step k: the
+        # next float below it fails there, so a stop test whose norm or tolerance
+        # rounded down by one step would miss the stop
         cases = 0
         for p in noncritical_suite + nonsingular_suite + critical_draws:
             params = dataclasses.replace(doubling.select_parameters(p), max_iter=12)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ def test_spec_validation():
         FamilySpec(Regime.CRITICAL, 1, 1, seed=1, density=0.0)
     with pytest.raises(ValueError):
         FamilySpec(Regime.NOT_REGULAR, 1, 1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", True, "seed must be a nonnegative integer, got True"),
+        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("seed", "3", "seed must be a nonnegative integer, got '3'"),
+        ("seed", None, "seed must be a nonnegative integer, got None"),
+        ("seed", -1, "seed must be a nonnegative integer, got -1"),
+        ("density", True, "density must be a real number, got True"),
+        ("density", "0.5", "density must be a real number, got '0.5'"),
+        ("density", None, "density must be a real number, got None"),
+        ("density", math.nan, "density must be in (0, 1]"),
+    ],
+)
+def test_spec_seed_and_density_checks(field, value, message):
+    # refused when the spec is made, not taken as a number or left to numpy inside generate
+    kwargs = {"seed": 1, field: value}
+    with pytest.raises(ValueError) as info:
+        FamilySpec(Regime.NONSINGULAR_K, 2, 2, **kwargs)
+    assert str(info.value) == message
+
+
+def test_spec_seed_is_a_python_int():
+    spec = FamilySpec(Regime.NONSINGULAR_K, 2, 2, seed=np.int64(1))
+    assert type(spec.seed) is int
+    assert problem_to_json(generate(spec)) == problem_to_json(generate(FamilySpec(Regime.NONSINGULAR_K, 2, 2, 1)))
 
 
 @pytest.mark.parametrize("size", [True, 2.0])
