@@ -32,8 +32,8 @@ its ten GEMMs (the nine of the products below and G H) and the
 matrix-vector products of its certificates, a step makes one bookkeeping
 pass over its new blocks: the changes H+ - H and G+ - G as rounded, their
 minima and column sums, and the minimum and maximum of E+ and F+.  The
-diagnostics, the finiteness checks and the rebalancing test are read off
-these, and an exact count or norm runs only where they cannot decide
+diagnostics, the one finiteness test and the rebalancing test are read
+off these, and an exact count or norm runs only where they cannot decide
 (``step``).  ``solve``'s stop test takes the 1-norms of H+ and G+ on
 every step.  Every matrix M the iteration inverts is a nonsingular
 M-matrix in theory and is solved by ``linalg._m_solve(M, *blocks)``: it
@@ -56,14 +56,14 @@ turns the step into products only:
 Both terms of F+ carry F on each side, so they are nonnegative at every
 step (F <= 0 at k = 0, F >= 0 after) and their sum does not cancel.
 I - H G is not solved: x2 = 1 + H (W (G 1)) is its (I - H G)^{-1} 1 and
-gives its ``dist``.  One certificate decides both kinds while G, H >= 0,
-which the state carries from a check on the initial blocks through each
-step's own change minima: both cross products are then Z-matrices, and
-rho(H G) = rho(G H), so I - H G takes the kind of I - G H
-(``_cross_solves``).  The eleventh GEMM, H G, runs only where G, H >= 0
-is not known.  Only an uncertified cross product is classified, by
-``mstruct.classify_zm``; the next step breaks down when that kind is
-singular or LAPACK found I - G H exactly singular.
+gives its ``dist``.  One certificate decides both kinds where G, H >= 0,
+which the cross solve reads off the minima of G and H: both cross
+products are then Z-matrices, and rho(H G) = rho(G H), so I - H G takes
+the kind of I - G H (``_cross_solves``).  The eleventh GEMM, H G, runs
+only where G or H has a negative entry.  Only an uncertified cross
+product is classified, by ``mstruct.classify_zm``; the next step breaks
+down when that kind is singular or LAPACK found I - G H exactly
+singular.
 
 ``solve`` keeps one iterate at a time and a trace of diagnostics; the
 pure ``initialize`` and ``step`` replay its iterates bit for bit.  Its
@@ -199,10 +199,9 @@ class DoublingState:
 
     ``solves`` carries W = (I - G H)^{-1} at this iterate, as computed with
     its diagnostics, so that ``step`` does not invert it again; it is None
-    when LAPACK found I - G H exactly singular.  (I - H G)^{-1} is
-    I + H W G and is never formed.  ``nonneg`` is True when G, H >= 0 is
-    known, as ``step`` carries it, and then I - H G has the kind of
-    I - G H; False claims nothing.  Every state is built by ``_state``.
+    when LAPACK found I - G H exactly singular or G H is not finite.
+    (I - H G)^{-1} is I + H W G and is never formed.  Every state is built
+    by ``_state``.
     """
 
     k: int
@@ -213,7 +212,6 @@ class DoublingState:
     diagnostics: StepDiagnostics
     tau_sign: float
     solves: np.ndarray | None
-    nonneg: bool = False
 
 
 @dataclass(frozen=True)
@@ -233,60 +231,69 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
-def _cross_solves(G: np.ndarray, H: np.ndarray, nonneg: bool = False):
+def _cross_solves(G: np.ndarray, H: np.ndarray):
     """W = (I - G H)^{-1}, and (dist, kind) of I - G H and of I - H G.
 
     One certified solve, ``linalg._m_solve(I - G H, I)``, gives W and
     certifies I - G H through x1 = W 1; ``mstruct.classify_zm`` judges it
     where that certificate fails.  I - H G is not solved: x2 =
     1 + H (W (G 1)) is (I - H G)^{-1} 1 by the push-through identity, and
-    its dist is 1 / max|x2|, as in ``_m_solve``.  W is None and both dists
-    are 0 when LAPACK finds I - G H exactly singular.
+    its dist is 1 / max|x2|, as in ``_m_solve``.  Where max|x2| is not a
+    finite positive number, as where x2 overflowed or H W G 1 cancelled 1
+    to a zero x2, dist_IHG is 0 and the kinds are judged as below.  W is
+    None and both dists are 0 when LAPACK finds I - G H exactly singular.
+    Where G H is not finite (finite G and H whose product overflowed), no
+    solve runs: W is None, both dists are 0 and both kinds are SingularM,
+    as ``classify_zm``'s tolerance, which grows with ||M||_1, is infinite
+    there and tells no gap from 0; the next step breaks down.  The
+    products run with overflow and invalid values ignored, as these rules
+    read what they give.
 
-    ``nonneg`` says that G, H >= 0, as the state carries it (see ``step``).
-    Then fl(G H) >= 0, so I - G H is a Z-matrix and ``_m_solve`` skips its
-    Z-test, and I - H G is one too.  As G H and H G have the same nonzero
-    eigenvalues, rho(H G) = rho(G H): I - H G is a nonsingular, a singular
-    or no M-matrix exactly where I - G H is, and takes its kind.  Only
-    where G, H >= 0 is not known is I - H G formed, the eleventh GEMM, and
+    G, H >= 0 is read off the blocks by their minima.  Then fl(G H) >= 0,
+    so I - G H is a Z-matrix and ``_m_solve`` skips its Z-test, and I - H G
+    is one too.  As G H and H G have the same nonzero eigenvalues,
+    rho(H G) = rho(G H): I - H G is a nonsingular, a singular or no
+    M-matrix exactly where I - G H is, and takes its kind.  Only where G
+    or H has a negative entry is I - H G formed, the eleventh GEMM, and
     classified by ``classify_zm``.
     """
-    igh = G @ H
-    # I - M in the product's own buffer, from the read-only identity of linalg._eye
-    eye = linalg._eye(len(G))
-    np.subtract(eye, igh, out=igh)
-    try:
-        # the solve against _eye's identity reads the [I 1] built with it
-        W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye, known_z=nonneg)
-    except SingularMatrix:
-        W, dist_igh, dist_ihg, certified_igh = None, 0.0, 0.0, False
-    else:
-        x2 = 1.0 + H @ (W @ np.add.reduce(G, 1))
-        dist_ihg = 1.0 / float(np.maximum.reduce(np.abs(x2), None))
-    kind_igh = kind_ihg = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
-    if not nonneg:
-        kind_ihg = mstruct.classify_zm(np.subtract(linalg._eye(len(H)), H @ G)).kind
+    nonneg = np.minimum.reduce(G, None) >= 0.0 and np.minimum.reduce(H, None) >= 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # read by the rules above
+        igh = G @ H
+        # I - M in the product's own buffer, from the read-only identity of linalg._eye
+        eye = linalg._eye(len(G))
+        np.subtract(eye, igh, out=igh)
+        try:
+            # the solve against _eye's identity reads the [I 1] built with it
+            W, dist_igh, certified_igh, _ = linalg._m_solve(igh, eye, known_z=nonneg)
+        except SingularMatrix:
+            W, dist_igh, dist_ihg, certified_igh = None, 0.0, 0.0, False
+        except ValueError:  # G H is not finite
+            return None, (0.0, MatrixKind.SINGULAR_M), (0.0, MatrixKind.SINGULAR_M)
+        else:
+            top = float(np.maximum.reduce(np.abs(1.0 + H @ (W @ np.add.reduce(G, 1))), None))
+            dist_ihg = 1.0 / top if top > 0.0 else 0.0
+        kind_igh = kind_ihg = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
+        if not nonneg:
+            kind_ihg = mstruct.classify_zm(np.subtract(linalg._eye(len(H)), H @ G)).kind
     return W, (dist_igh, kind_igh), (dist_ihg, kind_ihg)
 
 
-def _state(k: int, E, F, G, H, tau: float, nonneg: bool, **measures) -> DoublingState:
+def _state(k: int, E, F, G, H, tau: float, **measures) -> DoublingState:
     """The state of the iterate (E, F, G, H) at step k; ``measures`` are its diagnostics' other fields.
 
     Its W = (I - G H)^{-1} is computed here, once, and carried in
-    ``solves``; ``nonneg`` says that G, H >= 0 is known.
+    ``solves``.
     """
-    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H, nonneg)
+    W, (dist_igh, kind_igh), (dist_ihg, kind_ihg) = _cross_solves(G, H)
     diag = StepDiagnostics(
         k=k, dist_IGH=dist_igh, dist_IHG=dist_ihg, kind_IGH=kind_igh, kind_IHG=kind_ihg, **measures
     )
-    return DoublingState(k, E, F, G, H, diag, tau, W, nonneg)
+    return DoublingState(k, E, F, G, H, diag, tau, W)
 
 
 def _iterate(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: float) -> DoublingState:
-    """The initial state of (E, F, G, H): its sign counts are the entries of E and F above tau.
-
-    G, H >= 0 is checked here, once, on the initial blocks; ``step`` carries it.
-    """
+    """The initial state of (E, F, G, H): its sign counts are the entries of E and F above tau."""
     return _state(
         0,
         E,
@@ -294,7 +301,6 @@ def _iterate(E: np.ndarray, F: np.ndarray, G: np.ndarray, H: np.ndarray, tau: fl
         G,
         H,
         tau,
-        bool(G.min() >= 0.0 and H.min() >= 0.0),
         dH=math.nan,
         dG=math.nan,
         sign_violations_E=int(np.count_nonzero(E > tau)),
@@ -338,37 +344,32 @@ def step(s: DoublingState) -> DoublingState:
         H+ = H + F (I - H G)^{-1} H E  = H + (F H W) E
 
     by the push-through identity (I - H G)^{-1} = I + H W G, so the step
-    runs products only.  Raises IterationBreakdown when I - G H is exactly
-    singular to LAPACK or I - G H or I - H G, failing its certificate,
-    classifies as a singular M-matrix, which signals that the problem sits
-    outside the guaranteed regimes (e.g. a critical problem near
-    convergence), and names this step when H+, G+ or the rebalanced E+ or
-    F+ is not finite.
+    runs products only.  Raises IterationBreakdown when s has no W (I - G H
+    exactly singular to LAPACK, or G H not finite) or I - G H or I - H G,
+    failing its certificate, classifies as a singular M-matrix, which
+    signals that the problem sits outside the guaranteed regimes (e.g. a
+    critical problem near convergence), and names this step when H+, G+ or
+    the rebalanced E+ or F+ is not finite, or their changes or column sums
+    overflow.
 
     The diagnostics come from one pass over the new blocks.  Each shortcut
     below is exact, and the exact count or norm is its fallback:
 
     - dH and dG are the largest column sums of |H+ - H| and |G+ - G|, the
-      changes as rounded.  A finite dH proves H+ finite, as a nonfinite H+
-      makes its change nonfinite; likewise for G.  Only a nonfinite dH or
-      dG runs ``np.isfinite``.
+      changes as rounded.  One test reads finiteness off six values: a
+      nonfinite H+ makes dH nonfinite, as H is finite; likewise for G, and
+      E+ and F+ are finite exactly when their extrema are.  A change whose
+      column sums overflow breaks down too, at the step that made it.
     - The monotonicity count of H is 0 where min(H+ - H) >= 0, because
       fl(a - b) >= 0 exactly when a >= b, and b >= fl(b - tau) for
       tau >= 0.  Likewise for G.
     - The sign count of E+ is 0 where min E+ >= -tau; likewise for F+.
       Where the rebalancing scales E+ by theta > 0, its extrema scale with
-      it, as rounding is monotone.  E+ is finite exactly when its extrema
-      are.
+      it, as rounding is monotone.
     - The rebalancing asks for a 1-norm above 1e100.  A computed column sum
       of r entries of modulus at most M is below 2 r M, so
       2 r max|E+| <= 1e100 (and the same for F+) rules it out.  Only above
       that bound are the two 1-norms taken.
-    - G+, H+ >= 0, which spares the new state's cross solve its Z-test
-      and gives I - H G the kind of I - G H (``_cross_solves``), is carried
-      from s: H+ >= H >= 0 where s has G, H >= 0 and min(H+ - H) >= 0, for
-      the reason above; likewise for G.  Only where a change has a
-      negative minimum, or s does not carry the sign, are min(H+) and
-      min(G+) taken.
     """
     E, F, G, H, W = s.E, s.F, s.G, s.H, s.solves
     kind_igh, kind_ihg = s.diagnostics.kind_IGH, s.diagnostics.kind_IHG
@@ -403,10 +404,7 @@ def step(s: DoublingState) -> DoublingState:
                 F_new /= theta
                 # rounding is monotone, so the extrema scale with their blocks
                 e_lo, e_hi, f_lo, f_hi = e_lo * theta, e_hi * theta, f_lo / theta, f_hi / theta
-    if not (math.isfinite(dH) and math.isfinite(dG)):
-        if not (np.isfinite(H_new).all() and np.isfinite(G_new).all()):
-            raise IterationBreakdown(f"nonfinite iterate at step {k}")
-    if not all(map(math.isfinite, (e_lo, e_hi, f_lo, f_hi))):
+    if not all(map(math.isfinite, (dH, dG, e_lo, e_hi, f_lo, f_hi))):
         raise IterationBreakdown(f"nonfinite iterate at step {k}")
     sign_E = sign_F = mono = 0
     if e_lo < -tau:
@@ -417,9 +415,6 @@ def step(s: DoublingState) -> DoublingState:
         mono += np.count_nonzero(H_new < H - tau)
     if low_g < 0.0:
         mono += np.count_nonzero(G_new < G - tau)
-    nonneg = bool(s.nonneg and low_h >= 0.0 and low_g >= 0.0)
-    if not nonneg:  # a change with a negative minimum, or signs s does not carry
-        nonneg = bool(H_new.min() >= 0.0 and G_new.min() >= 0.0)
     return _state(
         k,
         E_new,
@@ -427,7 +422,6 @@ def step(s: DoublingState) -> DoublingState:
         G_new,
         H_new,
         tau,
-        nonneg,
         dH=dH,
         dG=dG,
         sign_violations_E=int(sign_E),

@@ -4,6 +4,7 @@ Not a test module (no ``test_`` prefix), so pytest does not collect it;
 the test modules import from here and never from each other.
 """
 
+import functools
 import importlib.util
 import math
 import sys
@@ -300,3 +301,33 @@ def bench_problems(seed, workloads=("sweep-small", "solve-large", "crosscheck"))
         for workload in workloads
         for b in bench.generate(workload, seed)
     ]
+
+
+# draws of ``z_matrix_draws`` whose doubling used to escape ``cli.execute``: where
+# m = 1 and x2 = 1 + H W G 1 rounds to 0 (2912, 12978, 20848, 21774, 34962), and
+# where G H or x2 overflowed with a warning (17347, 20707, 31035)
+Z_DRAWS = (2912, 12978, 17347, 20707, 20848, 21774, 31035, 34962)
+
+
+@functools.cache
+def z_matrix_draws():
+    """{draw: MareProblem} of the draws in ``Z_DRAWS``, numpy draws only, no solve.
+
+    The t-th of 40000 draws of ``default_rng(1)``, from 0: a Z-matrix K of
+    order n + m, n and m in 1..3, whose off-diagonal part -N has density
+    0.7 and whose diagonal is 0.6-1.0 times N v / v (at least 0.05) for a
+    positive v, so that K is most often no M-matrix; the problem takes
+    K's blocks.
+    """
+    rng = np.random.default_rng(1)
+    draws = {}
+    for t in range(Z_DRAWS[-1] + 1):
+        n, m = (int(x) for x in rng.integers(1, 4, 2))
+        N = rng.uniform(0, 1, (n + m, n + m)) * (rng.random((n + m, n + m)) < 0.7)
+        np.fill_diagonal(N, 0)
+        v = rng.uniform(0.5, 1.5, n + m)
+        s = np.maximum((N @ v) / v * rng.uniform(0.6, 1.0), 0.05)
+        K = np.diag(s) - N
+        if t in Z_DRAWS:
+            draws[t] = MareProblem(n, m, A=K[n:, n:], B=-K[n:, :n], C=-K[:n, n:], D=K[:n, :n])
+    return draws

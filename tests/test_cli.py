@@ -15,6 +15,8 @@ from marekit.cli import dumps_report, execute
 from marekit.errors import Breakdown, InputError, MareError, MaxIterations
 from marekit.problem import MareProblem, problem_from_json, problem_to_json
 
+from helpers import Z_DRAWS, z_matrix_draws
+
 GOLDEN = (3 - 5**0.5) / 2
 # bench solve-large problem 3 at seed 13 (n = 38, m = 42, singular noncritical):
 # the fixed-point oracle's stop leaves R's smallest eigenvalue at 1.5e-10 of
@@ -810,3 +812,22 @@ def test_every_report_holds_json_native_values(monkeypatch, tmp_path, problem_fi
     assert set(codes) == {0, 1, 2, 3} and len(codes) >= 40
     assert len(reports) == len(codes)
     assert [bad for report in reports for bad in _leaf_types(report)] == []
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--method", "sda"], ["rate-study", "--grid", "2"]], ids=" ".join)
+@pytest.mark.parametrize("draw", Z_DRAWS)
+def test_z_matrix_that_is_no_m_matrix_prints_one_report(tmp_path, draw, argv):
+    # Z-matrices K that are no M-matrices, whose doubling once escaped execute
+    # (a ZeroDivisionError of x2 = 0, or an overflow warning): each run prints
+    # one report, the best-effort answer failing its checks (1) or a breakdown
+    # or cap (3)
+    path = tmp_path / "k.json"
+    path.write_text(problem_to_json(z_matrix_draws()[draw]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = execute(argv[:1] + [str(path)] + argv[1:])
+    report = json.loads(out.report_json)
+    assert out.exit_code in (1, 3) and isinstance(report, dict)
+    if (draw, argv) == (17347, ["solve"]):
+        # G stays finite at step 12 while dG overflows, so no stop test reads it
+        assert report == {"error": "nonfinite iterate at step 12", "step": "IterationBreakdown"}

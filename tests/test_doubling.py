@@ -22,6 +22,7 @@ from marekit.doubling import (
 from marekit.errors import (
     InvalidParameters,
     IterationBreakdown,
+    MareError,
     MaxIterations,
     NonpositiveDiagonal,
     SingularMatrix,
@@ -30,7 +31,7 @@ from marekit.linalg import EPS
 from marekit.mstruct import MatrixKind
 from marekit.problem import MareProblem
 
-from helpers import _mp_doubling, bench_problems, reducible_problems, reference_observed_rate, replay
+from helpers import Z_DRAWS, _mp_doubling, bench_problems, reducible_problems, reference_observed_rate, replay, z_matrix_draws
 
 GOLDEN = (3 - 5**0.5) / 2
 # scalar rate at (alpha, beta) = (2, 1): ((golden)/(R + 2))^2 with R = (sqrt5 - 1)/2
@@ -359,6 +360,16 @@ class TestBookkeepingFallbacks:
         with pytest.raises(IterationBreakdown, match="^nonfinite iterate at step 6$"):
             step(dataclasses.replace(s, k=5))
 
+    def test_overflowing_column_sum_breaks_down_at_its_step(self):
+        # G = 0 makes W = I and H+ = H + F H E = (1e154 + 1e308) 1 exactly as
+        # computed, a finite H+ whose change has the column sum 2e308 = inf
+        s = doubling._iterate(np.array([[1e77]]), 1e77 * np.eye(2), np.zeros((1, 2)), np.full((2, 1), 1e154), self.TAU)
+        H_new = s.H + s.F @ s.H @ s.E
+        with np.errstate(over="ignore"):
+            assert np.isfinite(H_new).all() and np.abs(H_new - s.H).sum() == math.inf
+        with pytest.raises(IterationBreakdown, match="^nonfinite iterate at step 1$"):
+            step(s)
+
 
 class TestBestEffortBreakdowns:
     """Safety branches of ``solve`` that only problems outside the guaranteed regimes reach."""
@@ -371,6 +382,16 @@ class TestBestEffortBreakdowns:
         p = MareProblem(n=1, m=2, A=[[0.3, 0.0], [0.0, 1.5]], B=[[0.0], [2.0]], C=[[0.0, 1.0]], D=[[0.4]])
         with pytest.raises(IterationBreakdown, match="nonfinite iterate at step 12$"):
             solve(p)
+
+    @pytest.mark.parametrize("draw", Z_DRAWS)
+    def test_z_matrix_that_is_no_m_matrix_raises_only_mare_errors(self, draw):
+        # the draws whose cross solve once divided by a zero x2 or warned of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                solve(z_matrix_draws()[draw])
+            except MareError:
+                pass
 
     def test_theoretical_rate_unavailable_is_flagged(self):
         # a converged best-effort solve whose S + beta I is no M-matrix:

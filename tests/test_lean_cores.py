@@ -887,43 +887,34 @@ def _run(p):
 
 class TestDoublingCores:
     def test_initial_blocks_and_cross_solves_same_bits(self, problems, critical_draws, bench_critical):
-        # every state's cross solves, from the sign it carries, against the formed
-        # test on both cross products: I - H G is formed exactly where the state
-        # does not carry G, H >= 0, and the line trace counts the explicit minima
-        (_, min_line) = _branch_lines(doubling.step, ("nonneg = bool(s.nonneg", "nonneg = bool(H_new.min()"))[
-            "nonneg = bool(H_new.min()"
-        ]
+        # every state's cross solves against the formed test on both cross products:
+        # H G is formed exactly where G or H has a negative entry
         cross, formed, off = 0, 0, 0
+        for p in problems + critical_draws + bench_critical:
+            for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
+                try:
+                    want = _ref_initial_blocks(p, params)
+                except SingularMatrix:
+                    with pytest.raises(SingularMatrix):
+                        doubling.initialize(p, params)
+                    continue
+                st0 = doubling.initialize(p, params)
+                assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
+            _, states = _run(p)
+            for state in states:
+                got, formed_here = _cross_paths(state.G, state.H)
+                assert formed_here is bool(state.G.min() < 0.0 or state.H.min() < 0.0)
+                want = _ref_cross_solves(state.G, state.H)
+                assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
+                for g, w in zip(got[1:], want[1:]):
+                    assert _same_bits(g[0], w[0]) and g[1] is w[1]
+                cross += 1
+                formed += formed_here
+                off += got[1][1] is not MatrixKind.NONSINGULAR_M
 
-        def run():
-            nonlocal cross, formed, off
-            for p in problems + critical_draws + bench_critical:
-                for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
-                    try:
-                        want = _ref_initial_blocks(p, params)
-                    except SingularMatrix:
-                        with pytest.raises(SingularMatrix):
-                            doubling.initialize(p, params)
-                        continue
-                    st0 = doubling.initialize(p, params)
-                    assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
-                _, states = _run(p)
-                for state in states:
-                    assert state.nonneg is bool(state.G.min() >= 0.0 and state.H.min() >= 0.0)
-                    got, formed_here = _cross_paths(state.G, state.H, state.nonneg)
-                    assert formed_here is not state.nonneg
-                    want = _ref_cross_solves(state.G, state.H)
-                    assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
-                    for g, w in zip(got[1:], want[1:]):
-                        assert _same_bits(g[0], w[0]) and g[1] is w[1]
-                    cross += 1
-                    formed += formed_here
-                    off += got[1][1] is not MatrixKind.NONSINGULAR_M
-
-        explicit = sum(lines[min_line] > 0 for _, lines in _lines_run({doubling.step.__code__}, run))
         # of 9555 states, 74 form I - H G and 1198 have an I - G H that is no nonsingular
-        # M-matrix (962 of them bench critical); 1161 steps take the explicit minimum
-        assert cross >= 9000 and formed >= 50 and off >= 1100 and explicit >= 1000
+        # M-matrix (962 of them bench critical)
+        assert cross >= 9000 and formed >= 50 and off >= 1100
 
     def test_observed_rate_same_bits(self, problems):
         compared = 0
@@ -941,7 +932,7 @@ class TestDoublingCores:
 
 
 class TestCrossSolveEdges:
-    """Hand-built states at the edges of rounding and of the sign carry, against the formed test."""
+    """Hand-built states at the edges of rounding and of the sign test, against the formed test."""
 
     @staticmethod
     def _assert_reference(got, G, H):
@@ -952,17 +943,14 @@ class TestCrossSolveEdges:
 
     def test_tiny_negative_entry_of_h(self):
         # (G H)_01 = (H G)_01 = -5e-301: neither cross product is a Z-matrix, which
-        # only the explicit sign check sees; claiming G, H >= 0 would certify both
+        # only the sign test on H sees
         G = np.array([[0.5, 0.0], [0.25, 0.5]])
         H = np.array([[0.5, -1e-300], [0.25, 0.5]])
         state = doubling._iterate(-0.5 * np.eye(2), -0.5 * np.eye(2), G, H, 1e-12)
-        assert state.nonneg is False
-        got, formed = _cross_paths(G, H, state.nonneg)
+        got, formed = _cross_paths(G, H)
         assert formed
         self._assert_reference(got, G, H)
         assert (state.diagnostics.kind_IGH, state.diagnostics.kind_IHG) == (MatrixKind.NOT_Z, MatrixKind.NOT_Z)
-        claimed = doubling._cross_solves(G, H, True)
-        assert (claimed[1][1], claimed[2][1]) == (MatrixKind.NONSINGULAR_M, MatrixKind.NONSINGULAR_M)
 
     def test_wide_cross_product_takes_the_kind_of_the_narrow_one(self):
         # n = 1, m = 5, and every value below is exact: I - G H = 2^-40, so W = 2^40
@@ -971,7 +959,7 @@ class TestCrossSolveEdges:
         G = np.array([[1.0 - 2.0**-40, 63.0, 2.0**-41, 0.0, 0.0]])
         H = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
         x2 = np.array([2.0**46 + 0.5, 1.0, 1.0, 1.0, 1.0])
-        got, formed = _cross_paths(G, H, True)
+        got, formed = _cross_paths(G, H)
         assert not formed
         self._assert_reference(got, G, H)
         assert got[2] == (1.0 / x2.max(), MatrixKind.NONSINGULAR_M)
@@ -981,7 +969,7 @@ class TestCrossSolveEdges:
         # exact: a gap of about 2^-50 classifies as singular
         G = np.array([[0.0, 1.0], [1.0 - 2.0**-49, 0.0]])
         H = np.eye(2)
-        got, formed = _cross_paths(G, H, True)
+        got, formed = _cross_paths(G, H)
         assert not formed
         self._assert_reference(got, G, H)
         assert got[1][1] is got[2][1] is MatrixKind.SINGULAR_M
@@ -997,7 +985,7 @@ class TestCrossSolveEdges:
         assert np.isfinite(x2).all()
         with warnings.catch_warnings(record=True) as ours:
             warnings.simplefilter("always")
-            got, formed = _cross_paths(G, H, True)
+            got, formed = _cross_paths(G, H)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = _ref_cross_solves(G, H)
@@ -1006,23 +994,45 @@ class TestCrossSolveEdges:
         assert got[1][1] is got[2][1] is MatrixKind.NONSINGULAR_M
         assert _same_bits(got[2][0], want[2][0]) and want[2][1] is MatrixKind.SINGULAR_M
 
-    def test_sign_carry_takes_the_minimum_of_a_falling_h(self):
+    def test_falling_h_with_a_negative_entry_forms_i_minus_hg(self):
         # from G, H >= 0, E with a positive entry makes H+ - H negative and H+ with
-        # negative entries, while G+ >= G: only the minimum of H+ refuses the carry,
-        # and I - G+ H+ is then not a Z-matrix, which a carried sign would certify
+        # negative entries, while G+ >= G: the minimum of H+ refuses the shared kind,
+        # I - G+ H+ is not a Z-matrix, and I - H+ G+ is formed
         E = np.array([[-1.0, 0.25], [-0.25, -0.5]])
         F = np.array([[-0.25, 0.0], [-0.5, -0.5]])
         G = np.array([[0.125, 0.25], [0.25, 0.25]])
         H = np.array([[0.25, 0.0], [0.25, 0.0]])
-        s = doubling._iterate(E, F, G, H, 1e-12)
-        assert s.nonneg is True
-        new = doubling.step(s)
+        new = doubling.step(doubling._iterate(E, F, G, H, 1e-12))
         assert (new.H - H).min() < 0.0 <= (new.G - G).min() and new.H.min() < 0.0
-        assert new.nonneg is False
-        want = _ref_cross_solves(new.G, new.H)
-        assert (new.diagnostics.kind_IGH, new.diagnostics.kind_IHG) == (want[1][1], want[2][1])
+        got, formed = _cross_paths(new.G, new.H)
+        assert formed
+        self._assert_reference(got, new.G, new.H)
+        assert (new.diagnostics.kind_IGH, new.diagnostics.kind_IHG) == (got[1][1], got[2][1])
         assert new.diagnostics.kind_IGH is MatrixKind.NOT_Z
-        assert doubling._cross_solves(new.G, new.H, True)[1][1] is MatrixKind.NONSINGULAR_M
+
+    def test_overflowing_g_h_has_no_w_and_breaks_down_at_the_next_step(self):
+        # fl(G H) = inf (G, H >= 0) and NaN (a cancelling sum of overflows): no solve runs,
+        # nothing warns, and both kinds are SingularM, which the next step refuses
+        for G, H in (([[1e200]], [[1e200]]), ([[1e200, -1e200]], [[1e200], [1e200]])):
+            G, H = np.array(G), np.array(H)
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                got = doubling._cross_solves(G, H)
+            assert ours == []
+            assert got == (None, (0.0, MatrixKind.SINGULAR_M), (0.0, MatrixKind.SINGULAR_M))
+            state = doubling._iterate(-np.eye(len(G)), -np.eye(len(H)), G, H, 1e-12)
+            with pytest.raises(IterationBreakdown, match="singular at step 0 \\(kinds SingularM, SingularM\\)"):
+                doubling.step(state)
+
+    def test_zero_x2_has_zero_dist(self):
+        # m = n = 1: G H = 2^60 + 1 rounds to 2^60, so W = -2^-60 and H W G 1 =
+        # -(1 + 2^-60) rounds to -1, and x2 = 0; the distance of I - H G is then 0,
+        # not a ZeroDivisionError
+        G, H = np.array([[2.0**30]]), np.array([[2.0**30 + 2.0**-30]])
+        x2 = 1.0 + H @ (np.linalg.solve(np.eye(1) - G @ H, np.eye(1)) @ G.sum(axis=1))
+        assert x2[0] == 0.0
+        _, igh, ihg = doubling._cross_solves(G, H)
+        assert igh[1] is ihg[1] is MatrixKind.Z_NOT_M and ihg[0] == 0.0
 
 
 def _same_diagnostics(a, b) -> bool:
@@ -1031,10 +1041,10 @@ def _same_diagnostics(a, b) -> bool:
     return all(x is y if name.startswith("kind") else _same_bits(x, y) for name, x, y in pairs)
 
 
-def _cross_paths(G, H, nonneg):
-    """(``doubling._cross_solves(G, H, nonneg)``, whether the line that forms H G ran)."""
+def _cross_paths(G, H):
+    """(``doubling._cross_solves(G, H)``, whether the line that forms H G ran)."""
     out = []
-    ((_, lines),) = _lines_run({doubling._cross_solves.__code__}, lambda: out.append(doubling._cross_solves(G, H, nonneg)))
+    ((_, lines),) = _lines_run({doubling._cross_solves.__code__}, lambda: out.append(doubling._cross_solves(G, H)))
     return out[0], bool(lines[_FORMED_LINE])
 
 
@@ -1075,7 +1085,7 @@ def _lines_run(codes, run):
     return calls
 
 
-# the line of doubling._cross_solves that forms H G, where G, H >= 0 is not known
+# the line of doubling._cross_solves that forms H G, where G or H has a negative entry
 (_, _FORMED_LINE) = _branch_lines(doubling._cross_solves, ("if not nonneg:", "H @ G"))["H @ G"]
 
 
@@ -1095,7 +1105,6 @@ class TestStepBookkeeping:
     """Each step's diagnostics and each stop step equal those of the step that counted and normed everything."""
 
     STEP_BRANCHES = (
-        ("if not (math.isfinite(dH) and math.isfinite(dG)):", "np.isfinite(H_new).all()"),
         ("if not (2 * len(E)", "ne, nf = one_norm(E_new), one_norm(F_new)"),
         ("if e_lo < -tau:", "sign_E = np.count_nonzero(E_new < -tau)"),
         ("if f_lo < -tau:", "sign_F = np.count_nonzero(F_new < -tau)"),
@@ -1113,18 +1122,24 @@ class TestStepBookkeeping:
         )
         trace = [state.diagnostics]
         for _ in range(params.max_iter):
-            blocks = _ref_step_blocks(state) if state.solves is not None else None
+            finite = None
+            if state.solves is not None:
+                blocks = _ref_step_blocks(state)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # the column sums of |H+ - H| and |G+ - G|, each nonfinite where its change is
+                    sums = [np.abs(after - before).sum(axis=0) for after, before in zip(blocks[2:], (state.G, state.H))]
+                finite = all(np.isfinite(b).all() for b in (*blocks, *sums))
             try:
                 new = doubling.step(state)
             except IterationBreakdown as exc:
                 d = state.diagnostics
                 if "nonfinite" in str(exc):
                     assert str(exc) == f"nonfinite iterate at step {state.k + 1}"
-                    assert not all(np.isfinite(b).all() for b in blocks)
+                    assert finite is False  # a block, a change or a column sum
                 else:
                     assert state.solves is None or MatrixKind.SINGULAR_M in (d.kind_IGH, d.kind_IHG)
                 return trace, None, str(exc)
-            assert all(np.isfinite(b).all() for b in blocks)
+            assert finite
             assert all(_same_bits(g, w) for g, w in zip((new.E, new.F, new.G, new.H), blocks))
             want = _ref_iterate(*blocks, state.tau_sign, state)
             assert _same_bits(new.solves, want.solves) and _same_diagnostics(new.diagnostics, want.diagnostics)
@@ -1161,11 +1176,10 @@ class TestStepBookkeeping:
                 continue
             assert rep.converged is want_converged and rep.iterations == len(want_trace) - 1
             assert all(_same_diagnostics(g, w) for g, w in zip(rep.trace, want_trace, strict=True))
-        # every shortcut and every fallback that real problems reach ran at least once; the
-        # nonfinite fallback is reached only by hand-built states (tests/test_doubling.py)
+        # every shortcut and every fallback ran at least once
         every = set(step_lines)
         assert shortcut == every
-        assert fallback == every - {"np.isfinite(H_new).all()"}
+        assert fallback == every
 
     def test_stop_step_at_edge_tolerances(self, noncritical_suite, nonsingular_suite, critical_draws):
         # stop_tol is the smallest float whose exact H test passes at step k: the
