@@ -43,6 +43,8 @@ from .problem import (
     CERT_TOL,
     Regime,
     _certificate,
+    _check_max_iter,
+    _check_tol,
     classify_problem,
     make_certificate,
     matrix_from_json,
@@ -175,14 +177,14 @@ def _given(**values) -> dict:
 
 
 def _check_limits(ns) -> None:
-    """Reject a negative or NaN --tol and a --max-iter below 1 (usage error, exit 2).
+    """Reject a negative or NaN --tol and a --max-iter below 1 by the library's rules (exit 2).
 
     ``verify`` has a --tol (the certificate's) but no --max-iter.
     """
-    if ns.tol is not None and not ns.tol >= 0:
-        raise InputError(f"--tol must be nonnegative, got {ns.tol}")
-    if getattr(ns, "max_iter", None) is not None and ns.max_iter < 1:
-        raise InputError(f"--max-iter must be at least 1, got {ns.max_iter}")
+    if ns.tol is not None:
+        _check_tol(ns.tol, "--tol")
+    if getattr(ns, "max_iter", None) is not None:
+        _check_max_iter(ns.max_iter, "--max-iter")
 
 
 def _cmd_solve(ns) -> CommandOutcome:

@@ -244,10 +244,12 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
     None and both dists are 0 when LAPACK finds I - G H exactly singular.
     Where G H is not finite (finite G and H whose product overflowed), no
     solve runs: W is None, both dists are 0 and both kinds are SingularM,
-    as ``classify_zm``'s tolerance, which grows with ||M||_1, is infinite
-    there and tells no gap from 0; the next step breaks down.  The
-    products run with overflow and invalid values ignored, as these rules
-    read what they give.
+    as a tolerance that grows with ||M||_1 is infinite there and tells no
+    gap from 0; the next step breaks down.  By the same rule a cross
+    product that ``classify_zm`` refuses, one whose 1-norm overflows or,
+    for I - H G, whose entries are not finite, is SingularM (``_kind``).
+    The products run with overflow and invalid values ignored, as these
+    rules read what they give.
 
     G, H >= 0 is read off the blocks by their minima.  Then fl(G H) >= 0,
     so I - G H is a Z-matrix and ``_m_solve`` skips its Z-test, and I - H G
@@ -273,10 +275,18 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
         else:
             top = float(np.maximum.reduce(np.abs(1.0 + H @ (W @ np.add.reduce(G, 1))), None))
             dist_ihg = 1.0 / top if top > 0.0 else 0.0
-        kind_igh = kind_ihg = MatrixKind.NONSINGULAR_M if certified_igh else mstruct.classify_zm(igh).kind
+        kind_igh = kind_ihg = MatrixKind.NONSINGULAR_M if certified_igh else _kind(igh)
         if not nonneg:
-            kind_ihg = mstruct.classify_zm(np.subtract(linalg._eye(len(H)), H @ G)).kind
+            kind_ihg = _kind(np.subtract(linalg._eye(len(H)), H @ G))
     return W, (dist_igh, kind_igh), (dist_ihg, kind_ihg)
+
+
+def _kind(M: np.ndarray) -> MatrixKind:
+    """The kind ``classify_zm`` gives the cross product M; SingularM where it refuses M (ValueError)."""
+    try:
+        return mstruct.classify_zm(M).kind
+    except ValueError:  # M or its 1-norm is not finite: no gap can be told from 0
+        return MatrixKind.SINGULAR_M
 
 
 def _state(k: int, E, F, G, H, tau: float, **measures) -> DoublingState:

@@ -52,12 +52,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     loaders.  The kernels behind them (``_m_solve``, ``_perron_pair``,
     ``_irreducible_blocks``, ``mstruct.block_null_pairs``) trust their
     callers to pass float64 arrays that have passed it, and the package's
-    own callers do.
+    own callers do.  Complex input is refused (ValueError), not cast with
+    its imaginary part dropped: a complex array by its dtype, and a Python
+    complex in a list by the TypeError of the conversion, so that a list of
+    floats is still converted in one pass.  A list that holds numpy complex
+    scalars or arrays is not caught: numpy casts it with a ComplexWarning.
     """
+    if isinstance(a, np.ndarray) and a.dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
     try:
         M = np.array(a, dtype=np.float64, order="C")
     except OverflowError as exc:  # a Python integer beyond the float64 range
         raise ValueError(f"{name} has an entry beyond the float64 range") from exc
+    except TypeError as exc:  # a Python complex, or another object that is no real number
+        raise ValueError(f"{name} has an entry that is not a real number") from exc
     if M.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {M.shape}")
     if M.size == 0:

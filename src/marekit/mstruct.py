@@ -89,6 +89,19 @@ def class_tol(M: np.ndarray, norm: float | None = None) -> float:
     return max(M.shape[0] * EPS, 1e-13) * max(1.0, one_norm(M) if norm is None else norm)
 
 
+def _checked_norm(M: np.ndarray, label: str = "matrix") -> float:
+    """The 1-norm of a finite float64 M, refused (ValueError) where it overflows float64.
+
+    No tolerance can be read off such a matrix: ``class_tol`` would be
+    infinite and tell no gap from 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = one_norm(M)
+    if norm == math.inf:
+        raise ValueError(f"{label} has a 1-norm beyond the float64 range")
+    return norm
+
+
 def null_tol(K, norm: float | None = None) -> float:
     """Residual tolerance for kernel vectors of K; ``norm`` is K's ``one_norm`` where the caller has it."""
     return 1e-10 * (one_norm(K) if norm is None else norm)
@@ -173,12 +186,16 @@ def classify_zm(M) -> MClassification:
     spectrum of M is the union of its blocks' spectra, rho(B) = s - min_b
     gap_b, and M's kind is that of its smallest gap, judged at M's own
     tolerance like every block's.  An irreducible M is its own block, with
-    M's own split.  M is checked (``as_square``), as the package also
-    passes matrices it forms by arithmetic: the cross products here, and R
-    and S, which the certificate checks itself to pass ``_classify_blocks``
-    a start.
+    M's own split.  M is checked (``as_square``), and a 1-norm that
+    overflows float64 is refused (``_checked_norm``, ValueError), as no
+    tolerance can be read off it.  The package also passes matrices it
+    forms by arithmetic: the doubling's cross products, SingularM where
+    they are refused (``doubling._kind``).  R and S go to
+    ``_classify_blocks``, which the certificate passes a start and the
+    tolerance of their operands' scale.
     """
-    return _classify_blocks(as_square(M))
+    A = as_square(M)
+    return _classify_blocks(A, None, class_tol(A, _checked_norm(A)))
 
 
 def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None, tol: float | None = None) -> MClassification:
@@ -187,8 +204,10 @@ def _classify_blocks(A: np.ndarray, start: np.ndarray | None = None, tol: float 
     ``start`` is a positive vector, or None (every run starts at 1).  The
     roots are certified from any start; one near the Perron vectors of
     the blocks saves solves: K's witness or trial K^{-1} 1, or a vector
-    that the doubling's last iterate gives for R or S.  ``tol`` is
-    ``class_tol(A)`` where the caller has taken it (None takes it here).
+    that the doubling's last iterate gives for R or S.  ``tol`` judges
+    the kinds: ``class_tol(A)`` where the caller has taken it, and for R
+    and S ``class_tol`` of the scale of their operands; None takes
+    ``class_tol(A)`` here.
     """
     s = float(A.diagonal().max())
     if tol is None:

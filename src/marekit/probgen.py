@@ -18,14 +18,12 @@ spec's seed, so identical specs produce byte-identical problems.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GenerationFailed, MareError
-from .problem import MareProblem, Regime, _as_size, classify_problem
+from .problem import MareProblem, Regime, _as_int, _check_real, classify_problem
 
 # drift below this is too close to critical for the singular/nonsingular
 # closing-matrix dichotomy to be numerically well separated in tests
@@ -48,19 +46,14 @@ class FamilySpec:
     density: float = 0.7
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_size(self.n, "n"))
-        object.__setattr__(self, "m", _as_size(self.m, "m"))
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
+        object.__setattr__(self, "m", _as_int(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if isinstance(self.seed, bool) or seed < 0:
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", ValueError))
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
-        if isinstance(self.density, bool) or not isinstance(self.density, numbers.Real):
-            raise ValueError(f"density must be a real number, got {self.density!r}")
+        _check_real(self.density, "density", ValueError)
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         if self.regime_target not in (

@@ -71,24 +71,25 @@ def _require_z(M: np.ndarray, label: str) -> None:
         raise NotZMatrix(f"{label} has a positive off-diagonal entry")
 
 
-def _as_size(value, label: str) -> int:
-    """``value`` as a Python int (``operator.index``); a bool or a non-integer is refused.
+def _as_int(value, label: str, error: type[Exception] = ShapeMismatch) -> int:
+    """``value`` as a Python int (``operator.index``); a bool or a non-integer raises ``error``.
 
-    Sizes are written to JSON as they are stored, and ``problem_from_json``
-    reads back integers only.  Raises ShapeMismatch.
+    The one integer rule of the package: the sizes (``error`` ShapeMismatch,
+    as ``problem_from_json`` reads back the integers they are written as),
+    the iteration caps (``_check_max_iter``) and the generator's seed.
     """
-    if isinstance(value, bool):
-        raise ShapeMismatch(f"{label} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ShapeMismatch(f"{label} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{label} must be an integer, got {value!r}")
 
 
-def _check_real(value, name: str) -> None:
-    """Refuse a parameter ``name`` that is no real number (a bool, None or a string) with InvalidParameters."""
+def _check_real(value, name: str, error: type[Exception] = InvalidParameters) -> None:
+    """Refuse a parameter ``name`` that is no real number (a bool, None or a string) with ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameters(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 def _check_tol(tol: float, name: str) -> None:
@@ -98,20 +99,15 @@ def _check_tol(tol: float, name: str) -> None:
         raise InvalidParameters(f"{name} must be nonnegative, got {tol}")
 
 
-def _check_max_iter(max_iter) -> int:
-    """``max_iter`` as a Python int (``operator.index``); a bool, a non-integer or one below 1 is refused.
+def _check_max_iter(value, label: str = "max_iter") -> int:
+    """The iteration cap ``label`` as a Python int (``_as_int``); one below 1 is refused too.
 
     Raises InvalidParameters.
     """
-    if isinstance(max_iter, bool):
-        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}")
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise InvalidParameters(f"max_iter must be an integer, got {max_iter!r}") from None
-    if max_iter < 1:
-        raise InvalidParameters("max_iter must be >= 1")
-    return max_iter
+    value = _as_int(value, label, InvalidParameters)
+    if value < 1:
+        raise InvalidParameters(f"{label} must be at least 1, got {value}")
+    return value
 
 
 class OneNorms(NamedTuple):
@@ -133,12 +129,15 @@ class MareProblem:
     singularity, regularity) is measured, not assumed.
 
     A, B, C and D are checked float64 copies of the arrays given, and they
-    are read-only, as is K: it is built from them once, on first use, and
-    so are their 1-norms (``norms``), which the residuals, the certificate
-    and the sign tolerance read.  A write into a block would leave those
-    stale, so it raises ValueError; the caller's own arrays stay writable.
-    ``name`` is a string or None (ValueError otherwise), as
-    ``problem_from_json`` reads back what ``problem_to_json`` writes.
+    are read-only, as is K: it is built from them once, when the problem
+    is made, and so are their 1-norms (``norms``), which the residuals,
+    the certificate and the sign tolerance read.  A K whose 1-norm
+    overflows float64 is refused (ValueError), as no tolerance can be read
+    off it.  A write into a block would leave K and the norms stale, so it
+    raises ValueError; the caller's own arrays stay writable.  ``n`` and
+    ``m`` are Python ints (``_as_int``, ShapeMismatch) and ``name`` is a
+    string or None (ValueError otherwise), as ``problem_from_json`` reads
+    back what ``problem_to_json`` writes.
     """
 
     n: int
@@ -152,8 +151,8 @@ class MareProblem:
     def __post_init__(self):
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string or None, got {self.name!r}")
-        object.__setattr__(self, "n", _as_size(self.n, "n"))
-        object.__setattr__(self, "m", _as_size(self.m, "m"))
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
+        object.__setattr__(self, "m", _as_int(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ShapeMismatch("n and m must be positive")
         for label in "ABCD":
@@ -175,6 +174,7 @@ class MareProblem:
             raise NotZMatrix("C must be entrywise nonnegative")
         _require_z(self.A, "A")
         _require_z(self.D, "D")
+        self.norms  # K and its 1-norm are taken now, so that one that overflows is refused here
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -190,8 +190,12 @@ class MareProblem:
 
     @cached_property
     def norms(self) -> OneNorms:
-        """The 1-norms of A, B, C, D and K, taken once."""
-        return OneNorms(*map(one_norm, (self.A, self.B, self.C, self.D, self.K)))
+        """The 1-norms of A, B, C, D and K, taken once; K's first, refused where it overflows (ValueError).
+
+        A block's 1-norm is at most K's, so none of them overflows after it.
+        """
+        k_norm = mstruct._checked_norm(self.K, "K")
+        return OneNorms(*map(one_norm, (self.A, self.B, self.C, self.D)), k_norm)
 
     @property
     def size(self) -> int:
@@ -372,12 +376,14 @@ class Certificate:
     """Measured evidence that (phi, psi) solve the problem as the theory says.
 
     R and S are the closing matrices D - C.phi and A - B.psi exactly as
-    computed, and ``r_class``/``s_class`` their ``mstruct.classify_zm``,
-    with the irreducible blocks, its Noda runs started near their Perron
-    vectors (see ``make_certificate``).  Their certified gaps s - rho(B) are, on
-    a Z-matrix, which R and S are, the smallest real eigenvalue tau.
-    ``r_singular``/``s_singular`` say that the gap is zero to 1e-8 times
-    the scale of the closing matrix's operands.  ``checks`` record the
+    computed, and ``r_class``/``s_class`` their classification as
+    ``mstruct.classify_zm`` makes it, with the irreducible blocks, its Noda
+    runs started near their Perron vectors (see ``make_certificate``), and
+    its kinds judged at ``class_tol`` of the scale of the closing matrix's
+    operands, ||D||_1 + ||C||_1 ||phi||_1 for R.  Their certified gaps
+    s - rho(B) are, on a Z-matrix, which R and S are, the smallest real
+    eigenvalue tau.  ``r_singular``/``s_singular`` say that the gap is
+    zero to 1e-8 times that scale.  ``checks`` record the
     five certificate clauses, each with its measured value.
     """
 
@@ -405,19 +411,24 @@ _NONSINGULAR_GAP_REL = 1e-4
 CERT_TOL = 1e-8  # the residual tolerance of a certificate that names none
 
 
-def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | None):
+def _closing(D: np.ndarray, C: np.ndarray, X: np.ndarray, start: np.ndarray | None, scale: float):
     """(D - C X, its classification) of a closing matrix.
 
     R = D - C.phi, and S = A - B.psi is the same for the dual problem.
     D - C X is a fresh square float64 array; it is checked to be finite
     (ValueError) and classified with its Noda runs started at ``start``, a
-    positive vector near its Perron vector (None is 1).
+    positive vector near its Perron vector (None is 1).  Its kind is
+    judged at ``class_tol`` of ``scale``, the magnitude ||D||_1 + ||C||_1
+    ||X||_1 of its operands that ``_singular`` reads too, not at that of
+    its own norm: the rounding in D - C X is that of its operands, so a
+    singular closing matrix tiny in norm next to them would read ZNotM or
+    NonsingularM at its own.
     """
     with np.errstate(over="ignore"):  # an overflow is reported by the ValueError below
         M = D - C @ X
     if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    return M, mstruct._classify_blocks(M, start)
+    return M, mstruct._classify_blocks(M, start, mstruct.class_tol(M, scale))
 
 
 def _singular(cls: MClassification, scale: float) -> bool:
@@ -441,7 +452,8 @@ def make_certificate(
 
     Checks recorded (pass/fail with measured values):
       1. primal and dual normalized residuals <= tol;
-      2. R and S are regular M-matrices (``MClassification.regular``);
+      2. R and S are regular M-matrices (``MClassification.regular``), their
+         kinds judged at the scale of their operands (``_closing``);
       3. the block similarity identity H F = F diag(R, -S) holds to tol (H
          the sign-flipped matrix, F = [[I, psi], [phi, I]]).  Its diagonal
          blocks are zero by the definitions of R and S, and its off-diagonal
@@ -520,9 +532,9 @@ def _certificate(
     rho = linalg._perron_pair(phi_psi, v2)[0]
     i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.subtract(linalg._eye(p.m), phi_psi)))
 
-    R, r_cls = _closing(p.D, p.C, phi_m, v1 if r_start is None else r_start)
-    S, s_cls = _closing(p.A, p.B, psi_m, v2 if s_start is None else s_start)
     scale_r, scale_s = nrm.D + nrm.C * phi_norm, nrm.A + nrm.B * psi_norm
+    R, r_cls = _closing(p.D, p.C, phi_m, v1 if r_start is None else r_start, scale_r)
+    S, s_cls = _closing(p.A, p.B, psi_m, v2 if s_start is None else s_start, scale_s)
     r_sing, s_sing = _singular(r_cls, scale_r), _singular(s_cls, scale_s)
 
     checks = [
@@ -646,11 +658,13 @@ def _json_object(text: str, what: str, required: set[str], optional: set[str]) -
 
 
 def problem_from_json(text: str) -> MareProblem:
-    """Parse the JSON problem format; unknown fields are rejected."""
+    """Parse the JSON problem format; unknown fields are rejected.
+
+    The format's own rules are checked here: ``n`` and ``m`` are JSON
+    integers, and the matrices nested arrays of numbers.  The rest, the
+    ``name`` among them, is ``MareProblem``'s.
+    """
     data = _json_object(text, "problem", {"n", "m", "A", "B", "C", "D"}, {"name"})
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError("field 'name' must be a string")
     if not (_is_int(data["n"]) and _is_int(data["m"])):
         raise ValueError("fields 'n' and 'm' must be integers")
     return MareProblem(
@@ -660,7 +674,7 @@ def problem_from_json(text: str) -> MareProblem:
         B=_check_nested(data["B"], "B"),
         C=_check_nested(data["C"], "C"),
         D=_check_nested(data["D"], "D"),
-        name=name,
+        name=data.get("name"),
     )
 
 

@@ -240,6 +240,17 @@ class TestSolve:
         assert out.exit_code == 2
         assert json.loads(out.report_json)["error"] == f"alpha + beta must be finite, got {float(value)} + {float(value)}"
 
+    def test_singular_closing_matrix_small_next_to_its_operands(self, tmp_path):
+        # with A, B, C and D times 1000, S = A - B Psi has gap -1.7e-13: that is
+        # zero at the scale of its operands, ||A||_1 + ||B||_1 ||Psi||_1, but
+        # read ZNotM at that of S's own norm
+        p = generate(FamilySpec(Regime.SINGULAR_NONCRITICAL, 3, 1, 1003))
+        path = tmp_path / "scaled.json"
+        path.write_text(problem_to_json(MareProblem(p.n, p.m, *(1000 * M for M in (p.A, p.B, p.C, p.D)))))
+        out = execute(["solve", str(path)])
+        closing_s = next(c for c in json.loads(out.report_json)["checks"] if c["name"] == "closing-S-regular-m-matrix")
+        assert (out.exit_code, closing_s["passed"], closing_s["detail"]) == (0, True, "kind=SingularM")
+
     def test_sda_method(self, problem_file):
         out = execute(["solve", problem_file, "--method", "sda"])
         rep = json.loads(out.report_json)

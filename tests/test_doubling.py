@@ -97,7 +97,7 @@ class TestSelectParameters:
             (lambda p: DoublingParams(1.0, -1.0), "alpha and beta must be positive"),
             (lambda p: DoublingParams(1e308, 1e308), "alpha + beta must be finite, got 1e+308 + 1e+308"),
             (lambda p: DoublingParams(math.inf, 1.0), "alpha + beta must be finite, got inf + 1.0"),
-            (lambda p: DoublingParams(1.0, 1.0, max_iter=0), "max_iter must be >= 1"),
+            (lambda p: DoublingParams(1.0, 1.0, max_iter=0), "max_iter must be at least 1, got 0"),
             (lambda p: DoublingParams(1.0, 1.0, max_iter=2.5), "max_iter must be an integer, got 2.5"),
             (
                 lambda p: DoublingParams(1.0, 1.0, max_iter=np.float64(3.0)),

@@ -165,8 +165,8 @@ _LIMITED = {
             ("tol-bool", {"tol": True}, "tol must be a real number"),
             ("tol-none", {"tol": None}, "tol must be a real number"),
             ("tol-string", {"tol": "1e-3"}, "tol must be a real number"),
-            ("max_iter-zero", {"max_iter": 0}, "max_iter must be >= 1"),
-            ("max_iter-negative", {"max_iter": -5}, "max_iter must be >= 1"),
+            ("max_iter-zero", {"max_iter": 0}, "max_iter must be at least 1, got 0"),
+            ("max_iter-negative", {"max_iter": -5}, "max_iter must be at least 1, got -5"),
             ("max_iter-float", {"max_iter": 2.5}, "max_iter must be an integer"),
             ("max_iter-numpy-float", {"max_iter": np.float64(3.0)}, "max_iter must be an integer"),
             ("max_iter-none", {"max_iter": None}, "max_iter must be an integer"),

@@ -1024,6 +1024,18 @@ class TestCrossSolveEdges:
             with pytest.raises(IterationBreakdown, match="singular at step 0 \\(kinds SingularM, SingularM\\)"):
                 doubling.step(state)
 
+    def test_i_minus_g_h_whose_one_norm_overflows_breaks_down_at_the_next_step(self):
+        # fl(G H) is finite, but its columns sum to 2e308: classified at an infinite
+        # tolerance, not refused as classify_zm refuses it, I - G H is SingularM
+        G, H = np.array([[1e308], [1e308]]), np.array([[1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W, igh, ihg = doubling._cross_solves(G, H)
+        assert W is not None and igh[1] is ihg[1] is MatrixKind.SINGULAR_M
+        state = doubling._iterate(-np.eye(2), -np.eye(1), G, H, 1e-12)
+        with pytest.raises(IterationBreakdown, match="singular at step 0 \\(kinds SingularM, SingularM\\)"):
+            doubling.step(state)
+
     def test_zero_x2_has_zero_dist(self):
         # m = n = 1: G H = 2^60 + 1 rounds to 2^60, so W = -2^-60 and H W G 1 =
         # -(1 + 2^-60) rounds to -1, and x2 = 0; the distance of I - H G is then 0,

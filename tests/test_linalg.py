@@ -11,6 +11,7 @@ from marekit import linalg, solve
 from marekit.errors import NoConvergence, ShapeMismatch, SingularMatrix
 from marekit.linalg import one_norm, spectral_radius_nonneg
 from marekit.mstruct import MatrixKind, classify_zm
+from marekit.problem import MareProblem, make_certificate
 
 
 class TestSpectralRadiusNonneg:
@@ -518,6 +519,32 @@ def test_input_checks(check, value, message):
     with pytest.raises(ShapeMismatch) as info:
         check(value)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, refusal",
+    [
+        (np.array([[2.0 + 1j]]), "complex entries"),
+        (np.array([[2.0 + 0j]]), "complex entries"),
+        ([[2.0 + 1j]], "an entry that is not a real number"),
+    ],
+    ids=["complex-array", "real-valued-complex-array", "python-complex-in-list"],
+)
+@pytest.mark.parametrize("entry", ["MareProblem", "make_certificate", "classify_zm", "spectral_radius_nonneg"])
+def test_complex_input_is_refused(entry, value, refusal):
+    # numpy casts a complex array to float64 with only a ComplexWarning, and
+    # a Python complex in a list fails its conversion with a TypeError
+    p = MareProblem(1, 1, A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+    calls = {
+        "MareProblem": lambda: MareProblem(1, 1, A=value, B=[[1.0]], C=[[1.0]], D=[[2.0]]),
+        "make_certificate": lambda: make_certificate(p, value, [[0.5]]),
+        "classify_zm": lambda: classify_zm(value),
+        "spectral_radius_nonneg": lambda: spectral_radius_nonneg(value),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f" has {refusal}$"):
+            calls[entry]()
 
 
 def test_one_norm_matrix_and_vector():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestClassify:
 
     def test_positive_off_diagonal_not_z(self):
         assert classify_zm([[1.0, 2.0], [0.0, 1.0]]).kind is MatrixKind.NOT_Z
+
+    def test_overflowing_one_norm_is_refused(self):
+        # its columns sum to 2e308: class_tol would be infinite and call any gap, 1e308 here, zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has a 1-norm beyond the float64 range$"):
+                classify_zm([[1.5e308, -5e307], [-5e307, 1.5e308]])
 
     def test_z_not_m(self):
         # s = 1, B = [[0, 3], [3, 0]], rho = 3 > 1

@@ -104,10 +104,10 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("seed", True, "seed must be a nonnegative integer, got True"),
-        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
-        ("seed", "3", "seed must be a nonnegative integer, got '3'"),
-        ("seed", None, "seed must be a nonnegative integer, got None"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("seed", None, "seed must be an integer, got None"),
         ("seed", -1, "seed must be a nonnegative integer, got -1"),
         ("density", True, "density must be a real number, got True"),
         ("density", "0.5", "density must be a real number, got '0.5'"),

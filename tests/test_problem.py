@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import START_SLACK, count_m_solves, regularity_witness, sign_flipped
 from marekit import linalg, mstruct, solve
 from marekit import problem as problem_module
+from marekit.cli import execute
 from marekit.errors import InvalidParameters, NotZMatrix, ShapeMismatch, SingularMatrix
 from marekit.mstruct import MatrixKind, classify_zm
 from marekit.problem import (
@@ -73,6 +75,26 @@ class TestConstruction:
         coefficients = {"n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]]}
         with pytest.raises(error, match=f"^{message}$"):
             MareProblem(**{**coefficients, **fields})
+
+    def test_overflowing_k_norm_is_refused(self, tmp_path):
+        # K's first column sums to 2.1e308; read at an infinite tolerance this K,
+        # nonsingular with gap 9.6e307, classified as SingularNoncritical
+        coefficients = {
+            "A": [[1.5e308]],
+            "B": [[1e307, 1e307]],
+            "C": [[1e307], [1e307]],
+            "D": [[1.5e308, -5e307], [-5e307, 1.5e308]],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^K has a 1-norm beyond the float64 range$"):
+                MareProblem(n=2, m=1, **coefficients)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, **coefficients}))
+        out = execute(["classify", str(path)])
+        assert (out.exit_code, json.loads(out.report_json)) == (2, {"error": "K has a 1-norm beyond the float64 range"})
+        tiny = MareProblem(n=2, m=1, **{label: np.multiply(M, 1e-300) for label, M in coefficients.items()})
+        assert classify_problem(tiny).regime is Regime.NONSINGULAR_K
 
     def test_block_layout(self, reducible_singular):
         p = reducible_singular
@@ -473,6 +495,22 @@ class TestClosingGaps:
             else:
                 assert not (cert.r_singular or cert.s_singular), p.name
 
+    @pytest.mark.parametrize("k", [-10, -4, 4, 10, 20, 40])
+    def test_same_verdicts_and_bits_under_power_of_two_scaling(self, solved_noncritical, solved_nonsingular, k):
+        # 2^k (A, B, C, D) scales every operand exactly and leaves Phi and Psi as
+        # they are; R and S are judged at the scale of their operands, so no
+        # verdict moves with it (at their own norms, 2^10 moved R or S of 3
+        # suite problems and 2^40 of 6)
+        def verdicts(rep):
+            cert = rep.certificate
+            checks = [(c.name, c.passed, c.detail) for c in cert.checks]
+            return rep.problem_class.regime, rep.flags, rep.iterations, checks, cert.r_singular, cert.s_singular
+
+        for p, rep in solved_noncritical + solved_nonsingular:
+            scaled = solve(MareProblem(p.n, p.m, *(np.ldexp(M, k) for M in (p.A, p.B, p.C, p.D))))
+            assert verdicts(scaled) == verdicts(rep), p.name
+            assert np.array_equal(scaled.phi, rep.phi) and np.array_equal(scaled.psi, rep.psi), p.name
+
     def test_separation_needs_the_other_gap(self, reducible_singular):
         # a singular S beside an R whose gap falls below 1e-4 * scale is not separated
         p = reducible_singular
@@ -593,7 +631,7 @@ class TestJson:
             (
                 problem_from_json,
                 '{"name": 3, "n": 1, "m": 1, "A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[1.0]]}',
-                "field 'name' must be a string",
+                "name must be a string or None, got 3",
             ),
             (matrix_from_json, '{"rows": 1}', "missing matrix fields: ['cols', 'entries']"),
         ],

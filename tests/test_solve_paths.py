@@ -289,7 +289,7 @@ class TestStartsTheSolveHolds:
         p = MareProblem(n=2, m=1, D=[[1.0, -1e-170], [-1e-170, 1.0]], C=[[0.0], [0.0]], B=[[0.5, 0.5]], A=[[1.0]])
         starts = []
         real = problem_module._closing
-        monkeypatch.setattr(problem_module, "_closing", lambda D, C, X, start: starts.append(start) or real(D, C, X, start))
+        monkeypatch.setattr(problem_module, "_closing", lambda D, C, X, start, scale: starts.append(start) or real(D, C, X, start, scale))
         rep = solve(p)
         last = replay(p, rep)[-1]
         assert rep.iterations == 1 and not last.E.any() and not last.F.any()
@@ -309,7 +309,7 @@ class TestStartsTheSolveHolds:
         assert doubling._closing_starts(state) == (None, None)
         starts = []
         real = problem_module._closing
-        monkeypatch.setattr(problem_module, "_closing", lambda D, C, X, start: starts.append(start) or real(D, C, X, start))
+        monkeypatch.setattr(problem_module, "_closing", lambda D, C, X, start, scale: starts.append(start) or real(D, C, X, start, scale))
         phi, psi = np.maximum(state.H, 0.0), np.maximum(state.G, 0.0)
         cert = problem_module._certificate(p, phi, psi, problem_module.CERT_TOL, pc, *doubling._closing_starts(state))
         v = pc.witness
