@@ -12,18 +12,20 @@ Subcommands over problem JSON files:
     rate-study <problem.json> [--grid G]
 
 --alpha, --beta and --trace apply to the doubling methods only; with
---method fixed-point each is a usage error.
+--method fixed-point each is a usage error.  --tol must be finite and
+nonnegative, and --max-iter at least 1.
 
-Reports are JSON on stdout: the twelve base keys of ``_report`` in a
-fixed order, then the command's own.  Every float is printed with 17
-significant digits so identical runs produce identical bytes.
+Reports are JSON on stdout: twelve base keys in a fixed order, then the
+command's own.  Every float is printed with 17 significant digits so
+identical runs produce identical bytes.
 Exit codes: 0 all requested checks passed, 1 check failures, 2 input or
 usage errors, 3 numerical breakdown or iteration cap.  The class of the
-error decides: an ``errors.InputError`` (ShapeMismatch, NotZMatrix,
+error decides: an input error (ShapeMismatch, NotZMatrix,
 InvalidParameters, NonpositiveDiagonal, or a bad option), a ValueError
-or an OSError exits 2; an ``errors.Breakdown`` (SingularMatrix,
-IterationBreakdown, NoConvergence, AmbiguousKernel, GenerationFailed)
-exits 3 and names its class as ``"step"``; MaxIterations exits 3.
+or an OSError exits 2; a breakdown (SingularMatrix, IterationBreakdown,
+NoConvergence, AmbiguousKernel, GenerationFailed) exits 3 and names its
+class as "step"; MaxIterations exits 3.  Every exit-3 report carries
+"error".  -h prints this help and exits 0.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ class CommandOutcome:
     report_json: str
 
 
+class _Help(Exception):
+    """A -h: its one argument is the help text, which ``execute`` returns with exit 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -70,6 +76,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help().rstrip("\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +175,25 @@ def _load(path: str, parse=problem_from_json):
         return parse(fh.read())
 
 
+def _outcome(report: dict, passed: bool = True, error: str | None = None) -> CommandOutcome:
+    """The outcome of ``report``: exit 3 with the ``error`` appended where one is given, else 0, or 1 where not ``passed``."""
+    if error is not None:
+        report["error"] = error
+    return CommandOutcome(3 if error is not None else 0 if passed else 1, dumps_report(report))
+
+
+def _cap_error(**sides) -> str | None:
+    """The error of a fixed-point run whose named sides, each an ``OracleReport``, did not all meet tol; else None.
+
+    A side that did not meet tol ran to max_iter, the largest count.
+    """
+    capped = [side for side, result in sides.items() if not result.converged]
+    steps = max(result.iterations for result in sides.values())
+    return f"fixed-point oracle did not meet tol within {steps} iterations on the {' and the '.join(capped)}" if capped else None
+
+
 def _cmd_classify(ns) -> CommandOutcome:
-    p = _load(ns.problem)
-    return CommandOutcome(0, dumps_report(_report(classify_problem(p))))
+    return _outcome(_report(classify_problem(_load(ns.problem))))
 
 
 def _given(**values) -> dict:
@@ -177,7 +202,7 @@ def _given(**values) -> dict:
 
 
 def _check_limits(ns) -> None:
-    """Reject a negative or NaN --tol and a --max-iter below 1 by the library's rules (exit 2).
+    """Reject a --tol that is negative, NaN or infinite and a --max-iter below 1 by the library's rules (exit 2).
 
     ``verify`` has a --tol (the certificate's) but no --max-iter.
     """
@@ -203,13 +228,7 @@ def _cmd_solve(ns) -> CommandOutcome:
         report = _report(
             pc, cert, iterations=primal.iterations, phi=matrix_to_jsonable(primal.phi), psi=matrix_to_jsonable(dual.phi)
         )
-        capped = [side for side, r in (("primal", primal), ("dual", dual)) if not r.converged]
-        if capped:
-            # a side that did not converge ran to max_iter, the larger count
-            steps = max(primal.iterations, dual.iterations)
-            report["error"] = f"fixed-point oracle did not meet tol within {steps} iterations on the {' and the '.join(capped)}"
-            return CommandOutcome(3, dumps_report(report))
-        return CommandOutcome(0 if cert.all_passed else 1, dumps_report(report))
+        return _outcome(report, cert.all_passed, _cap_error(primal=primal, dual=dual))
 
     requested = None
     if (ns.alpha is None) != (ns.beta is None):
@@ -224,7 +243,7 @@ def _cmd_solve(ns) -> CommandOutcome:
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as fh:
             fh.write(doubling.trace_to_csv(result.trace))
-    return _solve_outcome(result, error, _solve_report(result))
+    return _outcome(_solve_report(result), result.certificate.all_passed, error)
 
 
 def _best_effort(p, params):
@@ -233,14 +252,6 @@ def _best_effort(p, params):
         return doubling.solve(p, params), None
     except MaxIterations as exc:
         return exc.report, str(exc)
-
-
-def _solve_outcome(result, error, report) -> CommandOutcome:
-    """The outcome of a doubling ``report``: exit 3 with the ``error`` appended, else the certificate's exit code."""
-    if error is not None:
-        report["error"] = error
-        return CommandOutcome(3, dumps_report(report))
-    return CommandOutcome(0 if result.certificate.all_passed else 1, dumps_report(report))
 
 
 def _solve_report(result, **fields) -> dict:
@@ -267,7 +278,7 @@ def _cmd_verify(ns) -> CommandOutcome:
     phi, psi = _load(ns.phi, matrix_from_json), _load(ns.psi, matrix_from_json)
     pc = classify_problem(p)
     cert = make_certificate(p, phi, psi, problem_class=pc, **_given(tol=ns.tol))
-    return CommandOutcome(0 if cert.all_passed else 1, dumps_report(_report(pc, cert)))
+    return _outcome(_report(pc, cert), cert.all_passed)
 
 
 def _cmd_oracle(ns) -> CommandOutcome:
@@ -281,7 +292,7 @@ def _cmd_oracle(ns) -> CommandOutcome:
         phi=matrix_to_jsonable(result.phi),
         converged=result.converged,
     )
-    return CommandOutcome(0 if result.converged else 3, dumps_report(report))
+    return _outcome(report, error=_cap_error(primal=result))
 
 
 _REGIME_NAMES = {
@@ -303,7 +314,7 @@ def _cmd_generate(ns) -> CommandOutcome:
     with open(ns.output, "w", encoding="utf-8") as fh:
         fh.write(problem_to_json(problem))
         fh.write("\n")
-    return CommandOutcome(0, dumps_report(_report(classify_problem(problem), path=ns.output)))
+    return _outcome(_report(classify_problem(problem), path=ns.output))
 
 
 def _cmd_rate_study(ns) -> CommandOutcome:
@@ -323,7 +334,7 @@ def _cmd_rate_study(ns) -> CommandOutcome:
             except Breakdown:  # R + alpha I or S + beta I is no nonsingular M-matrix, as solve flags it
                 rate = None
             grid.append({"alpha": alt.alpha, "beta": alt.beta, "theoretical_rate": rate})
-    return _solve_outcome(result, error, _solve_report(result, grid=grid))
+    return _outcome(_solve_report(result, grid=grid), result.certificate.all_passed, error)
 
 
 # ---------------------------------------------------------------------------
@@ -334,34 +345,30 @@ def _cmd_rate_study(ns) -> CommandOutcome:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument grammar, built once per process: parsing keeps no state between calls."""
-    parser = _Parser(prog="marekit", description=__doc__, add_help=True)
+    parser = _Parser(prog="marekit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each option shared by several subcommands is declared once, in a parent parser
+    problem, tol, max_iter = (_Parser(add_help=False) for _ in range(3))
+    problem.add_argument("problem")
+    tol.add_argument("--tol", type=float)
+    max_iter.add_argument("--max-iter", type=int)
 
-    c = sub.add_parser("classify", help="report the problem regime")
-    c.add_argument("problem")
+    c = sub.add_parser("classify", parents=[problem], help="report the problem regime")
     c.set_defaults(handler=_cmd_classify)
 
-    s = sub.add_parser("solve", help="compute the minimal nonnegative solutions")
-    s.add_argument("problem")
+    s = sub.add_parser("solve", parents=[problem, tol, max_iter], help="compute the minimal nonnegative solutions")
     s.add_argument("--method", choices=["adda", "sda", "fixed-point"], default="adda")
     s.add_argument("--alpha", type=float)
     s.add_argument("--beta", type=float)
-    s.add_argument("--tol", type=float)
-    s.add_argument("--max-iter", type=int, dest="max_iter")
     s.add_argument("--trace")
     s.set_defaults(handler=_cmd_solve)
 
-    v = sub.add_parser("verify", help="certify a candidate solution pair")
-    v.add_argument("problem")
+    v = sub.add_parser("verify", parents=[problem, tol], help="certify a candidate solution pair")
     v.add_argument("--phi", required=True)
     v.add_argument("--psi", required=True)
-    v.add_argument("--tol", type=float)
     v.set_defaults(handler=_cmd_verify)
 
-    o = sub.add_parser("oracle", help="independent monotone fixed-point solve")
-    o.add_argument("problem")
-    o.add_argument("--tol", type=float)
-    o.add_argument("--max-iter", type=int, dest="max_iter")
+    o = sub.add_parser("oracle", parents=[problem, tol, max_iter], help="independent monotone fixed-point solve")
     o.set_defaults(handler=_cmd_oracle)
 
     g = sub.add_parser("generate", help="emit a seeded problem in a target regime")
@@ -373,8 +380,7 @@ def _build_parser() -> _Parser:
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(handler=_cmd_generate)
 
-    r = sub.add_parser("rate-study", help="compare convergence factors on a parameter grid")
-    r.add_argument("problem")
+    r = sub.add_parser("rate-study", parents=[problem], help="compare convergence factors on a parameter grid")
     r.add_argument("--grid", type=int, default=3)
     r.set_defaults(handler=_cmd_rate_study)
 
@@ -382,10 +388,16 @@ def _build_parser() -> _Parser:
 
 
 def execute(argv) -> CommandOutcome:
-    """Run one CLI invocation; never raises for expected failure modes."""
+    """Run one CLI invocation; never raises for expected failure modes.
+
+    A -h returns the help text (not JSON) with exit 0; every other outcome
+    is a JSON report with the exit code of the module docstring.
+    """
     try:
         ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
+    except _Help as exc:
+        return CommandOutcome(0, exc.args[0])
     except (InputError, ValueError, OSError) as exc:
         return CommandOutcome(2, dumps_report({"error": str(exc)}))
     except MaxIterations as exc:

@@ -352,7 +352,7 @@ def fixed_point_solve(p: MareProblem, tol: float = _TOL, max_iter: int = _MAX_IT
 
     Entrywise monotonicity is checked at every step to the problem's sign
     tolerance and violations are counted through the returned step.
-    Raises InvalidParameters for a negative or NaN ``tol`` or a
+    Raises InvalidParameters for a negative, NaN or infinite ``tol`` or a
     ``max_iter`` that is not an integer or is below 1, SingularMatrix when
     some ``a_i + d_j`` does not exceed the pivot tolerance of K,
     ``(m + n) eps ||K||_1``, since the splitting then divides by (nearly)

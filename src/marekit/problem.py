@@ -93,10 +93,16 @@ def _check_real(value, name: str, error: type[Exception] = InvalidParameters) ->
 
 
 def _check_tol(tol: float, name: str) -> None:
-    """Refuse a tolerance ``name`` that is no real number, or is negative or NaN, with InvalidParameters."""
+    """Refuse a tolerance ``name`` that is no real number, or is negative, NaN or infinite, with InvalidParameters.
+
+    An infinite tolerance would pass every residual test it bounds, so it
+    is no tolerance.
+    """
     _check_real(tol, name)
     if not tol >= 0:
         raise InvalidParameters(f"{name} must be nonnegative, got {tol}")
+    if tol == math.inf:
+        raise InvalidParameters(f"{name} must be finite, got {tol}")
 
 
 def _check_max_iter(value, label: str = "max_iter") -> int:
@@ -155,19 +161,13 @@ class MareProblem:
         object.__setattr__(self, "m", _as_int(self.m, "m"))
         if self.n < 1 or self.m < 1:
             raise ShapeMismatch("n and m must be positive")
-        for label in "ABCD":
+        m, n = self.m, self.n
+        for label, shape in zip("ABCD", ((m, m), (m, n), (n, m), (n, n))):
             M = as_matrix(getattr(self, label), label)
+            if M.shape != shape:
+                raise ShapeMismatch(f"{label} must be {shape}, got {M.shape}")
             M.flags.writeable = False
             object.__setattr__(self, label, M)
-        shapes = {
-            "A": (self.A.shape, (self.m, self.m)),
-            "B": (self.B.shape, (self.m, self.n)),
-            "C": (self.C.shape, (self.n, self.m)),
-            "D": (self.D.shape, (self.n, self.n)),
-        }
-        for label, (got, want) in shapes.items():
-            if got != want:
-                raise ShapeMismatch(f"{label} must be {want}, got {got}")
         if (self.B < 0).any():
             raise NotZMatrix("B must be entrywise nonnegative")
         if (self.C < 0).any():
@@ -486,7 +486,7 @@ def make_certificate(
 
     Candidates must be nonnegative up to the kernel residual tolerance of
     K; tiny negative round-off is clamped.  Raises InvalidParameters for a
-    negative or NaN ``tol``.
+    negative, NaN or infinite ``tol``.
     """
     _check_tol(tol, "tol")
     tau = mstruct.null_tol(p.K, p.norms.K)
@@ -528,7 +528,7 @@ def _certificate(
     with np.errstate(over="ignore"):  # an overflow is reported by the ValueError below
         phi_psi = phi_m @ psi_m
     if not np.isfinite(phi_psi).all():
-        raise ValueError("P contains NaN or Inf entries")
+        raise ValueError("phi psi contains NaN or Inf entries")
     rho = linalg._perron_pair(phi_psi, v2)[0]
     i_phipsi_kind = mstruct.gap_kind(1.0 - rho, mstruct.class_tol(np.subtract(linalg._eye(p.m), phi_psi)))
 

@@ -459,6 +459,22 @@ class TestStoppingLimits:
         assert out.exit_code == 2
         assert "must be" in json.loads(out.report_json)["error"]
 
+    def test_infinite_tol_is_usage_error(self, tmp_path):
+        # an infinite tol passes every residual test: the oracle stopped at step 1
+        # with residual 0.106 and "converged": true, and verify passed every check
+        path = str(tmp_path / "g.json")
+        assert execute(["generate", "--regime", "singular-noncritical", "--n", "3", "--m", "4", "--seed", "5", "-o", path]).exit_code == 0
+        phi = _matrix_file(tmp_path, "phi.json", [[0.0] * 3] * 4)
+        psi = _matrix_file(tmp_path, "psi.json", [[0.0] * 4] * 3)
+        for argv in (
+            ["oracle", path, "--tol", "inf"],
+            ["solve", path, "--tol", "inf"],
+            ["solve", path, "--method", "fixed-point", "--tol", "inf"],
+            ["verify", path, "--phi", phi, "--psi", psi, "--tol", "inf"],
+        ):
+            out = execute(argv)
+            assert (out.exit_code, json.loads(out.report_json)) == (2, {"error": "--tol must be finite, got inf"}), argv
+
     def test_zero_tol_is_honored(self, critical_file, tmp_path):
         # stop_tol = 0 stops only once H and G stop moving; 1e-14 would
         # accept the one-ulp creep of the stagnating critical iterates
@@ -529,12 +545,12 @@ class TestVerify:
         assert "SingularM" in rho_check["detail"]
 
     @staticmethod
-    def _verify_quietly(tmp_path, C, phi):
-        """``verify`` of phi and psi = 0.25 on A = D = 2, B = 1 and the given C, any warning an error."""
+    def _verify_quietly(tmp_path, C, phi, psi=0.25):
+        """``verify`` of phi and psi on A = D = 2, B = 1 and the given C, any warning an error."""
         path = tmp_path / "p.json"
         path.write_text(problem_to_json(MareProblem(n=1, m=1, A=[[2.0]], B=[[1.0]], C=[[C]], D=[[2.0]])))
         phi_path = _matrix_file(tmp_path, "phi.json", [[phi]])
-        psi_path = _matrix_file(tmp_path, "psi.json", [[0.25]])
+        psi_path = _matrix_file(tmp_path, "psi.json", [[psi]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return execute(["verify", str(path), "--phi", phi_path, "--psi", psi_path])
@@ -552,6 +568,12 @@ class TestVerify:
         out = self._verify_quietly(tmp_path, 10.0, 1e308)
         assert out.exit_code == 2
         assert json.loads(out.report_json) == {"error": "matrix contains NaN or Inf entries"}
+
+    def test_overflowing_phi_psi_is_refused_by_name(self, tmp_path):
+        # both residuals overflow and fail their checks; phi psi = 1e400 cannot be classified
+        out = self._verify_quietly(tmp_path, 1.0, 1e200, 1e200)
+        assert out.exit_code == 2
+        assert json.loads(out.report_json) == {"error": "phi psi contains NaN or Inf entries"}
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "-1e-12"])
     def test_unusable_tol_is_usage_error(self, problem_file, tmp_path, tol):
@@ -574,6 +596,11 @@ class TestOracle:
     def test_oracle_nonconvergence_is_breakdown(self, critical_file):
         out = execute(["oracle", critical_file, "--tol", "1e-12", "--max-iter", "50"])
         assert out.exit_code == 3
+        rep = json.loads(out.report_json)
+        assert (rep["iterations"], rep["converged"]) == (50, False)
+        # the cap error of solve --method fixed-point, on the one side the oracle runs
+        assert list(rep)[-1] == "error"
+        assert rep["error"] == "fixed-point oracle did not meet tol within 50 iterations on the primal"
 
     def test_divergence_is_breakdown(self, divergent_file):
         out = execute(["oracle", divergent_file])
@@ -689,6 +716,28 @@ class TestRateStudy:
         assert "--grid must be at least 2" in json.loads(out.report_json)["error"]
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"], ["oracle", "--help"]])
+def test_help_is_an_exit_zero_outcome(argv):
+    """-h returns the help text with exit 0; it raises no SystemExit and prints nothing itself."""
+    out = execute(argv)
+    assert out.exit_code == 0
+    assert out.report_json.startswith("usage: marekit") and not out.report_json.endswith("\n")
+
+
+def test_help_keeps_the_description_lines(capsys):
+    assert cli.main(["-h"]) == 0
+    text, err = capsys.readouterr()
+    assert err == "" and text == execute(["-h"]).report_json + "\n"
+    assert text.count("usage: marekit") == 1
+    # the command table keeps its line breaks, and no private name is shown
+    assert "\n    classify <problem.json>\n    solve <problem.json>" in text
+    assert "_report" not in text and "errors." not in text
+    # the shared options are declared once and listed by every subcommand that takes them
+    for command, options in (("solve", ["--tol", "--max-iter"]), ("verify", ["--tol"]), ("oracle", ["--tol", "--max-iter"])):
+        sub_help = execute([command, "-h"]).report_json
+        assert all(option in sub_help for option in options) and "problem" in sub_help, command
+
+
 def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
     assert cli.main(["classify", problem_file]) == 0
     assert capsys.readouterr() == (execute(["classify", problem_file]).report_json + "\n", "")
@@ -706,12 +755,13 @@ def test_main_prints_the_report_and_returns_the_exit_code(problem_file, capsys):
         (["solve", "{critical}", "--max-iter", "3"], ["phi", "psi", "flags", "error"], True),
         (["verify", "{problem}", "--phi", "{phi}", "--psi", "{psi}"], [], True),
         (["oracle", "{problem}"], ["phi", "converged"], False),
+        (["oracle", "{critical}", "--max-iter", "3"], ["phi", "converged", "error"], False),
         (["generate", "--regime", "nonsingular", "--n", "3", "--m", "2", "--seed", "4", "-o", "{out}"], ["path"], False),
         (["rate-study", "{problem}", "--grid", "2"], ["phi", "psi", "grid"], True),
         (["rate-study", "{critical}", "--grid", "2"], ["phi", "psi", "flags", "grid"], True),
         (["rate-study", "{capped}", "--grid", "2"], ["phi", "psi", "flags", "grid", "error"], True),
     ],
-    ids=["classify", "solve", "sda", "fixed-point", "capped", "verify", "oracle", "generate", "rate-study", "rate-study-flagged", "rate-study-capped"],
+    ids=["classify", "solve", "sda", "fixed-point", "capped", "verify", "oracle", "oracle-capped", "generate", "rate-study", "rate-study-flagged", "rate-study-capped"],
 )
 def test_every_report_is_the_base_keys_then_its_own(tmp_path, problem_file, critical_file, capped_file, argv, own, checked):
     """The twelve base keys in order, then exactly the command's own; a check prints CheckResult's fields."""

@@ -82,7 +82,7 @@ class TestSelectParameters:
         # select_parameters picks alpha and beta; max_iter and stop_tol are set on DoublingParams
         assert list(inspect.signature(select_parameters).parameters) == ["p", "requested", "mode"]
 
-    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan, True, None, "1e-3"])
+    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan, math.inf, True, None, "1e-3"])
     def test_bad_stop_tol_rejected(self, stop_tol):
         with pytest.raises(InvalidParameters, match="stop_tol"):
             DoublingParams(2.0, 1.0, stop_tol=stop_tol)

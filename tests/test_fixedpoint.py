@@ -162,6 +162,7 @@ _LIMITED = {
             ("tol-negative", {"tol": -1.0}, "tol must be nonnegative"),
             ("tol-tiny-negative", {"tol": -1e-300}, "tol must be nonnegative"),
             ("tol-nan", {"tol": float("nan")}, "tol must be nonnegative"),
+            ("tol-inf", {"tol": float("inf")}, "tol must be finite, got inf"),
             ("tol-bool", {"tol": True}, "tol must be a real number"),
             ("tol-none", {"tol": None}, "tol must be a real number"),
             ("tol-string", {"tol": "1e-3"}, "tol must be a real number"),

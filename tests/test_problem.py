@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -69,6 +70,9 @@ class TestConstruction:
             ({"m": -1}, ShapeMismatch, "n and m must be positive"),
             ({"C": [[-1.0]]}, NotZMatrix, "C must be entrywise nonnegative"),
             ({"name": 5}, ValueError, "name must be a string or None, got 5"),
+            ({"D": [[1.0, 0.0]]}, ShapeMismatch, r"D must be \(1, 1\), got \(1, 2\)"),
+            # each block is converted and shape-checked in turn: A's shape is named before B's NaN
+            ({"A": [[2.0, 0.0], [0.0, 2.0]], "B": [[math.nan]]}, ShapeMismatch, r"A must be \(1, 1\), got \(2, 2\)"),
         ],
     )
     def test_input_checks(self, fields, error, message):
@@ -436,7 +440,7 @@ class TestCertificate:
         # with B = C = 0 both residuals stay finite at phi = psi = 1e200, but
         # phi psi = 1e400 overflows: an error, with no overflow warning before it
         p = MareProblem(n=1, m=1, A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]])
-        with pytest.raises(ValueError, match="NaN or Inf"):
+        with pytest.raises(ValueError, match="^phi psi contains NaN or Inf entries$"):
             make_certificate(p, [[1e200]], [[1e200]])
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
