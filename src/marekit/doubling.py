@@ -27,16 +27,17 @@ reads the mode.
 
 Each accepted step verifies that I - G H and I - H G are nonsingular
 M-matrices and records sign and monotonicity diagnostics; the solver never
-silently ignores a structural violation.  Besides its one LAPACK solve,
-its ten GEMMs (the nine of the products below and G H) and the
-matrix-vector products of its certificates, a step makes one bookkeeping
-pass over its new blocks: the changes H+ - H and G+ - G as rounded, their
-minima and column sums, and the minimum and maximum of E+ and F+.  The
-diagnostics, the one finiteness test and the rebalancing test are read
-off these, and an exact count or norm runs only where they cannot decide
-(``step``).  ``solve``'s stop test takes the 1-norms of H+ and G+ on
-every step.  Every matrix M the iteration inverts is a nonsingular
-M-matrix in theory and is solved by ``linalg._m_solve(M, *blocks)``: it
+silently ignores a structural violation.  Besides its one LAPACK solve
+(none where G or H is the zero block, below), its ten GEMMs (the nine
+of the products below and G H) and the matrix-vector products of its
+certificates, a step makes one bookkeeping pass over its new blocks:
+the changes H+ - H and G+ - G as rounded, their minima and column sums,
+and the minimum and maximum of E+ and F+.  The diagnostics, the one
+finiteness test and the rebalancing test are read off these, and an
+exact count or norm runs only where they cannot decide (``step``).
+``solve``'s stop test takes the 1-norms of H+ and G+ on every step.
+Every matrix M the iteration inverts is a nonsingular M-matrix in
+theory and is solved by ``linalg._m_solve(M, *blocks)``: it
 appends a column of ones, whose solution x = M^{-1} 1 certifies that
 kind (``linalg._certifies``) and gives 1 / ||M^{-1}||_inf, the ``dist``
 of the diagnostics; a failed certificate on the shifted K of the
@@ -64,6 +65,18 @@ only where G or H has a negative entry.  Only an uncertified cross
 product is classified, by ``mstruct.classify_zm``; the next step breaks
 down when that kind is singular or LAPACK found I - G H exactly
 singular.
+
+Where G or H is the zero block, as on a one-sided problem (B = 0 or
+C = 0: K is block triangular, the dual or the primal minimal solution is
+0 and the equation is a Sylvester equation), G H = H G = 0 exactly and
+the doubling is Smith's iteration (R. A. Smith, SIAM J. Appl. Math. 16
+(1968) 198-201), which inverts nothing.  The cross solve then solves and
+classifies nothing: W is the read-only identity of ``linalg._eye``, and
+both cross products report dist 1 and kind NonsingularM, the bits the
+solve of I against [I 1] gives.  A zero block stays zero, as
+G+ = G + (E W)(G F) adds E W times G F = 0, and H+ = H + (F H W) E adds
+0 likewise; so such a solve makes no LAPACK call after the
+initialization's solve on the shifted K.
 
 ``solve`` keeps one iterate at a time and a trace of diagnostics; the
 pure ``initialize`` and ``step`` replay its iterates bit for bit.  Its
@@ -200,6 +213,10 @@ class DoublingState:
     ``solves`` carries W = (I - G H)^{-1} at this iterate, as computed with
     its diagnostics, so that ``step`` does not invert it again; it is None
     when LAPACK found I - G H exactly singular or G H is not finite.
+    Where G or H is the zero block, and so at every later step, it is the
+    read-only identity of ``linalg._eye``, with dist 1 and kind
+    NonsingularM for both cross products, and no solve ran
+    (``_cross_solves``).
     (I - H G)^{-1} is I + H W G and is never formed.  Every state is built
     by ``_state``.
     """
@@ -231,6 +248,10 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
+# (dist, kind) of I - G H and of I - H G where G or H is the zero block: both are I
+_ZERO_BLOCK = (1.0, MatrixKind.NONSINGULAR_M)
+
+
 def _cross_solves(G: np.ndarray, H: np.ndarray):
     """W = (I - G H)^{-1}, and (dist, kind) of I - G H and of I - H G.
 
@@ -258,9 +279,25 @@ def _cross_solves(G: np.ndarray, H: np.ndarray):
     M-matrix exactly where I - G H is, and takes its kind.  Only where G
     or H has a negative entry is I - H G formed, the eleventh GEMM, and
     classified by ``classify_zm``.
+
+    Where G or H is the zero block, H is finite and so is G 1, G H = H G = 0
+    exactly and the rules above would solve I against [I 1], which gives
+    back [I 1]: W = I, x2 = 1, both dists 1 and both kinds NonsingularM.
+    These are returned with no product, solve or classification, W the
+    read-only identity ``linalg._eye(n)``.  A zero block stays zero at
+    every step, since G+ - G = (E W)(G F) and H+ - H = (F H W) E each
+    carry it as a factor (``step``), so a one-sided solve takes this path
+    at every iterate.  A block is searched for a nonzero entry only where
+    its minimum, taken for the sign test, is 0.  Where the other block is
+    not finite, as 0 times inf or NaN is NaN, or a row sum of G overflows,
+    as x2 then reads NaN, the rules above stand.
     """
-    nonneg = np.minimum.reduce(G, None) >= 0.0 and np.minimum.reduce(H, None) >= 0.0
+    g_lo, h_lo = np.minimum.reduce(G, None), np.minimum.reduce(H, None)
+    nonneg = g_lo >= 0.0 and h_lo >= 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # read by the rules above
+        zero_block = (g_lo == 0.0 and not G.any()) or (h_lo == 0.0 and not H.any())
+        if zero_block and np.isfinite(H).all() and np.isfinite(np.add.reduce(G, 1)).all():
+            return linalg._eye(len(G)), _ZERO_BLOCK, _ZERO_BLOCK
         igh = G @ H
         # I - M in the product's own buffer, from the read-only identity of linalg._eye
         eye = linalg._eye(len(G))

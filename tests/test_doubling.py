@@ -436,7 +436,12 @@ class TestStepFormulas:
 
 
 class TestCarriedFactors:
-    """Each iterate's I - G H is inverted and certified once, by LAPACK; I - H G is certified without a solve."""
+    """Each iterate's I - G H is inverted and certified once, by LAPACK; I - H G is certified without a solve.
+
+    Where G or H is the zero matrix, as on a one-sided problem (B = 0 or
+    C = 0, a block triangular K), both cross products are I and no solve
+    runs: W is the read-only identity of ``linalg._eye``.
+    """
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -467,17 +472,24 @@ class TestCarriedFactors:
         return phases
 
     def test_solve_factors_once_per_step(self, counts, noncritical_suite):
+        kinds = []
         for p in noncritical_suite[:5] + [noncritical_suite[-1]]:
             counts.clear()
             rep = doubling.solve(p)
             assert rep.iterations >= 1
             assert [name for name, _ in counts] == ["initialize"] + ["step"] * rep.iterations
-            # initialize solves (K + diag(alpha I, beta I))^{-1} [I 1] and the
-            # first iterate's (I - G H)^{-1} [I 1]
-            assert counts[0][1] == {"m_solve": 2, "classify_zm": 0}
-            # a step solves the new iterate's (I - G H)^{-1} [I 1]; its
-            # certificate settles both kinds, as G, H >= 0
-            assert all(delta == {"m_solve": 1, "classify_zm": 0} for _, delta in counts[1:])
+            # a block triangular K has a zero G0 or H0, which stays zero at every step
+            one_sided = not p.B.any() or not p.C.any()
+            kinds.append(one_sided)
+            # initialize solves (K + diag(alpha I, beta I))^{-1} [I 1] and, unless
+            # G0 or H0 is zero, the first iterate's (I - G H)^{-1} [I 1]
+            assert counts[0][1] == {"m_solve": 1 if one_sided else 2, "classify_zm": 0}
+            # a step solves the new iterate's (I - G H)^{-1} [I 1], unless G or H is
+            # zero; its certificate settles both kinds, as G, H >= 0
+            step_solves = 0 if one_sided else 1
+            assert all(delta == {"m_solve": step_solves, "classify_zm": 0} for _, delta in counts[1:])
+        # the inputs hold problems of both kinds
+        assert set(kinds) == {False, True}
 
     def test_step_from_hand_built_state_solves_only_the_new_iterate(self, counts):
         E = F = np.array([[0.5]])

@@ -886,10 +886,13 @@ def _run(p):
 
 
 class TestDoublingCores:
-    def test_initial_blocks_and_cross_solves_same_bits(self, problems, critical_draws, bench_critical):
+    def test_initial_blocks_and_cross_solves_same_bits(self, problems, one_sided, critical_draws, bench_critical):
         # every state's cross solves against the formed test on both cross products:
-        # H G is formed exactly where G or H has a negative entry
-        cross, formed, off = 0, 0, 0
+        # H G is formed exactly where G or H has a negative entry, and the identity is
+        # returned exactly where G or H is the zero block, on every state of a
+        # one-sided solve
+        one_sided_ids = {id(p) for p in one_sided}
+        cross, formed, off, zero, zero_one_sided, one_sided_states = 0, 0, 0, 0, 0, 0
         for p in problems + critical_draws + bench_critical:
             for params in (doubling.select_parameters(p), doubling.select_parameters(p, mode=doubling.MODE_SDA)):
                 try:
@@ -902,8 +905,9 @@ class TestDoublingCores:
                 assert all(_same_bits(g, w) for g, w in zip((st0.E, st0.F, st0.G, st0.H), want))
             _, states = _run(p)
             for state in states:
-                got, formed_here = _cross_paths(state.G, state.H)
+                got, formed_here, zero_here = _cross_paths(state.G, state.H)
                 assert formed_here is bool(state.G.min() < 0.0 or state.H.min() < 0.0)
+                assert zero_here is (not state.G.any() or not state.H.any())
                 want = _ref_cross_solves(state.G, state.H)
                 assert _same_bits(got[0], want[0]) and _same_bits(state.solves, want[0])
                 for g, w in zip(got[1:], want[1:]):
@@ -911,10 +915,16 @@ class TestDoublingCores:
                 cross += 1
                 formed += formed_here
                 off += got[1][1] is not MatrixKind.NONSINGULAR_M
+                zero += zero_here
+                if id(p) in one_sided_ids:
+                    one_sided_states += 1
+                    zero_one_sided += zero_here
 
         # of 9555 states, 74 form I - H G and 1198 have an I - G H that is no nonsingular
-        # M-matrix (962 of them bench critical)
-        assert cross >= 9000 and formed >= 50 and off >= 1100
+        # M-matrix (962 of them bench critical); 1319 have a zero block, among them all
+        # 654 states of the one-sided solves
+        assert cross >= 9000 and formed >= 50 and off >= 1100 and zero >= 1200
+        assert zero_one_sided == one_sided_states >= 600
 
     def test_observed_rate_same_bits(self, problems):
         compared = 0
@@ -947,7 +957,7 @@ class TestCrossSolveEdges:
         G = np.array([[0.5, 0.0], [0.25, 0.5]])
         H = np.array([[0.5, -1e-300], [0.25, 0.5]])
         state = doubling._iterate(-0.5 * np.eye(2), -0.5 * np.eye(2), G, H, 1e-12)
-        got, formed = _cross_paths(G, H)
+        got, formed, _ = _cross_paths(G, H)
         assert formed
         self._assert_reference(got, G, H)
         assert (state.diagnostics.kind_IGH, state.diagnostics.kind_IHG) == (MatrixKind.NOT_Z, MatrixKind.NOT_Z)
@@ -959,7 +969,7 @@ class TestCrossSolveEdges:
         G = np.array([[1.0 - 2.0**-40, 63.0, 2.0**-41, 0.0, 0.0]])
         H = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
         x2 = np.array([2.0**46 + 0.5, 1.0, 1.0, 1.0, 1.0])
-        got, formed = _cross_paths(G, H)
+        got, formed, _ = _cross_paths(G, H)
         assert not formed
         self._assert_reference(got, G, H)
         assert got[2] == (1.0 / x2.max(), MatrixKind.NONSINGULAR_M)
@@ -969,7 +979,7 @@ class TestCrossSolveEdges:
         # exact: a gap of about 2^-50 classifies as singular
         G = np.array([[0.0, 1.0], [1.0 - 2.0**-49, 0.0]])
         H = np.eye(2)
-        got, formed = _cross_paths(G, H)
+        got, formed, _ = _cross_paths(G, H)
         assert not formed
         self._assert_reference(got, G, H)
         assert got[1][1] is got[2][1] is MatrixKind.SINGULAR_M
@@ -985,7 +995,7 @@ class TestCrossSolveEdges:
         assert np.isfinite(x2).all()
         with warnings.catch_warnings(record=True) as ours:
             warnings.simplefilter("always")
-            got, formed = _cross_paths(G, H)
+            got, formed, _ = _cross_paths(G, H)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = _ref_cross_solves(G, H)
@@ -1004,7 +1014,7 @@ class TestCrossSolveEdges:
         H = np.array([[0.25, 0.0], [0.25, 0.0]])
         new = doubling.step(doubling._iterate(E, F, G, H, 1e-12))
         assert (new.H - H).min() < 0.0 <= (new.G - G).min() and new.H.min() < 0.0
-        got, formed = _cross_paths(new.G, new.H)
+        got, formed, _ = _cross_paths(new.G, new.H)
         assert formed
         self._assert_reference(got, new.G, new.H)
         assert (new.diagnostics.kind_IGH, new.diagnostics.kind_IHG) == (got[1][1], got[2][1])
@@ -1046,6 +1056,73 @@ class TestCrossSolveEdges:
         _, igh, ihg = doubling._cross_solves(G, H)
         assert igh[1] is ihg[1] is MatrixKind.Z_NOT_M and ihg[0] == 0.0
 
+    @staticmethod
+    def _zero_block_pairs(n, m):
+        """(G, H) of shapes n x m and m x n with G or H the zero block: signed, -0.0 and both-zero."""
+        rng = np.random.default_rng(n * 100 + m)
+        zero_g, zero_h = np.zeros((n, m)), np.zeros((m, n))
+        g, h = rng.random((n, m)), rng.random((m, n))
+        return [
+            (zero_g, h),  # H >= 0
+            (zero_g, h - 0.5),  # H with negative entries
+            (g, zero_h),
+            (g - 0.5, zero_h),
+            (zero_g, zero_h),
+            (-zero_g, h - 0.5),  # every entry of G is -0.0
+            (g, -zero_h),
+            (-zero_g, -zero_h),
+        ]
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 5), (5, 2), (7, 7), (linalg._EYE_MAX_ORDER + 6, 3), (3, 80)])
+    def test_zero_block_returns_the_identity_with_the_same_bits(self, n, m):
+        # G H = H G = 0 exactly, so the formed rule solves I against [I 1] and reads
+        # back W = I, both dists 1 and both kinds NonsingularM; here no solve runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cross solve with a zero block ran a solve")
+
+        for G, H in self._zero_block_pairs(n, m):
+            want = _ref_cross_solves(G, H)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_m_solve", refuse)
+                mp.setattr(mstruct, "classify_zm", refuse)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got, formed, zero = _cross_paths(G, H)
+            assert zero and not formed
+            self._assert_reference(got, G, H)
+            W, igh, ihg = got
+            assert W is linalg._eye(n) or n > linalg._EYE_MAX_ORDER
+            assert not W.flags.writeable and _same_bits(W, np.eye(n))
+            assert igh == ihg == (1.0, MatrixKind.NONSINGULAR_M) == want[1] == want[2]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (linalg._EYE_MAX_ORDER + 1, 2)])
+    def test_zero_g_with_nonfinite_h_keeps_no_w(self, bad, n, m):
+        # 0 times inf or NaN is NaN, so G H is not finite: no solve runs, W is None and
+        # both kinds are SingularM, whatever the zero G; the next step breaks down
+        G, H = np.zeros((n, m)), np.full((m, n), 0.25)
+        H[-1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, zero = _cross_paths(G, H)
+        assert not zero
+        assert got == (None, (0.0, MatrixKind.SINGULAR_M), (0.0, MatrixKind.SINGULAR_M))
+        state = doubling._iterate(-np.eye(n), -np.eye(m), G, H, 1e-12)
+        with pytest.raises(IterationBreakdown, match="singular at step 0 \\(kinds SingularM, SingularM\\)"):
+            doubling.step(state)
+
+    def test_zero_h_with_an_overflowing_row_sum_of_g_keeps_its_zero_dist(self):
+        # G is finite, but its first row sums to inf: x2 = 1 + H (W (G 1)) is NaN there,
+        # so dist_IHG is 0 as on the formed path, which still runs
+        G, H = np.array([[1e308, 1e308], [0.5, 0.25]]), np.zeros((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, zero = _cross_paths(G, H)
+        assert not zero
+        W, igh, ihg = got
+        assert _same_bits(W, np.eye(2))
+        assert igh == (1.0, MatrixKind.NONSINGULAR_M) and ihg == (0.0, MatrixKind.NONSINGULAR_M)
+
 
 def _same_diagnostics(a, b) -> bool:
     """Every field of two ``StepDiagnostics`` the same: the kinds by identity, the rest by ``_same_bits``."""
@@ -1054,10 +1131,10 @@ def _same_diagnostics(a, b) -> bool:
 
 
 def _cross_paths(G, H):
-    """(``doubling._cross_solves(G, H)``, whether the line that forms H G ran)."""
+    """(``doubling._cross_solves(G, H)``, whether the line that forms H G ran, whether the zero-block return ran)."""
     out = []
     ((_, lines),) = _lines_run({doubling._cross_solves.__code__}, lambda: out.append(doubling._cross_solves(G, H)))
-    return out[0], bool(lines[_FORMED_LINE])
+    return out[0], bool(lines[_FORMED_LINE]), bool(lines[_ZERO_LINE])
 
 
 def _branch_lines(fn, *pairs):
@@ -1099,6 +1176,8 @@ def _lines_run(codes, run):
 
 # the line of doubling._cross_solves that forms H G, where G or H has a negative entry
 (_, _FORMED_LINE) = _branch_lines(doubling._cross_solves, ("if not nonneg:", "H @ G"))["H @ G"]
+# the line of doubling._cross_solves that returns the identity, where G or H is the zero block
+(_, _ZERO_LINE) = _branch_lines(doubling._cross_solves, ("if zero_block", "return linalg._eye"))["return linalg._eye"]
 
 
 @pytest.fixture(scope="module")
